@@ -94,9 +94,9 @@ class ValueFunction:
 class ReducedHamiltonian:
     """Kinetic term minus potential costs; usable by the leapfrog stepper.
 
-    dp stays analytic through the metric solve.  dy differentiates only
-    the potential part when the decoder is linear (constant metric) and
-    the full value otherwise.
+    dp stays analytic through the metric solve.  dy takes the kinetic
+    part from GeodesicHamiltonian.dy and differentiates the potential by
+    central differences.
     """
 
     def __init__(self, metric_field: MetricField, cost: CostSpec, ws_state=None):
@@ -116,9 +116,7 @@ class ReducedHamiltonian:
 
     def dy(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if self.metric_field.decoder.kind == "linear":
-            return -_fd_gradient(self._potential, y)
-        return _fd_gradient(lambda yy: self(yy, p), y)
+        return self._kinetic.dy(y, p) - _fd_gradient(self._potential, y)
 
 
 def optimal_control(metric_field: MetricField, y: np.ndarray, p: np.ndarray) -> np.ndarray:

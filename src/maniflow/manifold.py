@@ -13,9 +13,19 @@ are never materialised.
 
 Derivative conventions used throughout:
 
-* first derivatives of scalars: central differences, step 1e-5 (1 + |arg|)
-* second derivatives (variational matrix): nested central differences on
-  the gradient, step 1e-4 (1 + |arg|)
+* dH/dy of the kinetic Hamiltonian: exact for linear decoders (zero) and
+  mlp-tanh decoders, dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p, where
+  d_k J comes from the same forward pass as J; central differences for
+  custom decoders
+* other first derivatives of scalars: central differences, step
+  1e-5 (1 + |arg|)
+* second derivatives (variational matrix): central differences on the
+  gradient, step 1e-4 (1 + |arg|)
+
+``MetricField`` keeps the geometry of the last latent point it was asked
+about (J, the decoder's second derivatives, G and G^{-1} from its Cholesky
+factor), so a leapfrog step, which visits each point several times,
+factorises G once per point.
 
 Hamiltonian objects are plain callables ``H(y, p) -> float``; when they
 also provide ``dy``/``dp`` methods those analytic partials are used
@@ -37,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 __all__ = [
     "SingularMetricError",
@@ -48,11 +57,7 @@ __all__ = [
     "PhasePoint",
     "PhaseTrajectory",
     "GeodesicHamiltonian",
-    "decoder_eval",
-    "decoder_jacobian",
     "pullback_metric",
-    "geo_hamiltonian",
-    "hamiltonian_field",
     "leapfrog_step",
     "integrate",
     "trajectory_csv",
@@ -170,16 +175,7 @@ class Decoder:
         if self.kind == "linear":
             return self.layers[0][0].copy()
         if self.kind == "mlp-tanh":
-            x = y
-            jac = np.eye(self.latent_dim)
-            last = len(self.layers) - 1
-            for idx, (w, b) in enumerate(self.layers):
-                jac = w @ jac
-                x = w @ x + b
-                if idx < last:
-                    x = np.tanh(x)
-                    jac = (1.0 - x * x)[:, None] * jac
-            return jac
+            return self._tanh_jet(y, second=False)[0]
         step = GRAD_STEP * (1.0 + float(np.linalg.norm(y)))
         jac = np.empty((self.ambient_dim, self.latent_dim))
         for i in range(self.latent_dim):
@@ -188,13 +184,32 @@ class Decoder:
             jac[:, i] = (self(y + e) - self(y - e)) / (2.0 * step)
         return jac
 
+    def _tanh_jet(self, y: np.ndarray, second: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Jacobian of an mlp-tanh decoder and, if ``second``, its second derivatives.
 
-def decoder_eval(decoder: Decoder, y: np.ndarray) -> np.ndarray:
-    return decoder(y)
-
-
-def decoder_jacobian(decoder: Decoder, y: np.ndarray) -> np.ndarray:
-    return decoder.jacobian(y)
+        One forward pass carries each layer's Jacobian and, when asked, its
+        derivative: an (n, d*d) array whose row i holds d^2 z_i / dy_j dy_k
+        at column j*d + k.
+        """
+        d = self.latent_dim
+        x = y
+        jac = np.eye(d)
+        hess = np.zeros((d, d * d)) if second else None
+        last = len(self.layers) - 1
+        for idx, (w, b) in enumerate(self.layers):
+            jac = w @ jac
+            x = w @ x + b
+            if second:
+                hess = w @ hess
+            if idx < last:
+                x = np.tanh(x)
+                slope = 1.0 - x * x
+                if second:
+                    # tanh'' = -2 tanh tanh'
+                    outer = (jac[:, :, None] * jac[:, None, :]).reshape(-1, d * d)
+                    hess = slope[:, None] * hess - (2.0 * x * slope)[:, None] * outer
+                jac = slope[:, None] * jac
+        return jac, hess
 
 
 def save_decoder(decoder: Decoder, path) -> None:
@@ -246,40 +261,77 @@ def load_decoder(path) -> Decoder:
 # metric and Hamiltonians
 
 
+@dataclass(frozen=True)
+class _LocalGeometry:
+    """What a MetricField derives from one latent point."""
+
+    key: tuple  # (bytes of y, eps_reg)
+    decoder: Decoder
+    jacobian: np.ndarray
+    hessian: np.ndarray | None  # see Decoder._tanh_jet; mlp-tanh decoders only
+    metric: np.ndarray
+    inverse: np.ndarray | None  # G^-1 from the Cholesky factor; None unless G is SPD
+
+
 @dataclass
 class MetricField:
-    """Pullback metric G = J^T J + eps_reg I induced by a decoder."""
+    """Pullback metric G = J^T J + eps_reg I induced by a decoder.
+
+    The geometry of the most recent latent point is memoised; no method
+    hands out a memoised array.
+    """
 
     decoder: Decoder
     eps_reg: float = 1e-8
+    _memo: _LocalGeometry | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eps_reg < 0:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg!r}")
 
-    def metric(self, y: np.ndarray) -> np.ndarray:
-        jac = self.decoder.jacobian(y)
+    def _local(self, y: np.ndarray) -> _LocalGeometry:
+        y = np.asarray(y, dtype=float)
+        key = (y.tobytes(), self.eps_reg)
+        local = self._memo
+        if local is not None and local.key == key and local.decoder is self.decoder:
+            return local
+        if self.decoder.kind == "mlp-tanh":
+            jac, hess = self.decoder._tanh_jet(y, second=True)
+        else:
+            jac, hess = self.decoder.jacobian(y), None
         g = jac.T @ jac
         g = 0.5 * (g + g.T)
-        return g + self.eps_reg * np.eye(self.decoder.latent_dim)
+        g = g + self.eps_reg * np.eye(self.decoder.latent_dim)
+        inverse = None
+        if np.isfinite(g).all():
+            try:
+                chol_inv = np.linalg.inv(np.linalg.cholesky(g))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                inverse = chol_inv.T @ chol_inv
+        self._memo = local = _LocalGeometry(key, self.decoder, jac, hess, g, inverse)
+        return local
+
+    def _factored(self, y: np.ndarray) -> _LocalGeometry:
+        """The local geometry at y; raises unless G(y) is finite and SPD."""
+        local = self._local(y)
+        if local.inverse is None:
+            if not np.isfinite(local.metric).all():
+                raise ValueError(f"metric at y={y!r} contains infs or NaNs")
+            raise SingularMetricError(f"metric at y={y!r} is not positive definite")
+        return local
+
+    def metric(self, y: np.ndarray) -> np.ndarray:
+        return self._local(y).metric.copy()
 
     def solve(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        g = self.metric(y)
-        try:
-            factor = cho_factor(g, lower=True)
-        except LinAlgError as exc:
-            raise SingularMetricError(f"metric at y={y!r} is not positive definite") from exc
-        return cho_solve(factor, rhs)
+        return self._factored(y).inverse @ rhs
 
 
 def pullback_metric(metric_field: MetricField, y: np.ndarray) -> np.ndarray:
     """G(y); raises SingularMetricError when not positive definite."""
-    g = metric_field.metric(y)
-    try:
-        cho_factor(g, lower=True)
-    except LinAlgError as exc:
-        raise SingularMetricError(f"metric at y={y!r} is not positive definite") from exc
-    return g
+    return metric_field._factored(y).metric.copy()
 
 
 @dataclass
@@ -323,9 +375,10 @@ class PhaseTrajectory:
 class GeodesicHamiltonian:
     """Kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2 of a metric field.
 
-    dp is analytic (a symmetric solve); dy falls back to central
-    differences except for linear decoders, whose constant metric makes
-    it identically zero.
+    dp is analytic (a symmetric solve).  dy is exact for linear decoders,
+    whose constant metric makes it identically zero, and for mlp-tanh
+    decoders, where dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p; it
+    falls back to central differences for custom decoders.
     """
 
     def __init__(self, metric_field: MetricField):
@@ -338,13 +391,15 @@ class GeodesicHamiltonian:
         return self.metric_field.solve(y, p)
 
     def dy(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        if self.metric_field.decoder.kind == "linear":
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return _fd_gradient(lambda yy: self(yy, p), np.asarray(y, dtype=float))
-
-
-def geo_hamiltonian(metric_field: MetricField, pt: PhasePoint) -> float:
-    return GeodesicHamiltonian(metric_field)(pt.y, pt.p)
+        y = np.asarray(y, dtype=float)
+        kind = self.metric_field.decoder.kind
+        if kind == "linear":
+            return np.zeros_like(y)
+        if kind == "custom":
+            return _fd_gradient(lambda yy: self(yy, p), y)
+        local = self.metric_field._factored(y)
+        v = local.inverse @ p
+        return -((local.jacobian @ v) @ local.hessian).reshape(v.shape[0], -1) @ v
 
 
 def _fd_gradient(f: Callable, x: np.ndarray, base_step: float = GRAD_STEP) -> np.ndarray:
@@ -357,23 +412,18 @@ def _fd_gradient(f: Callable, x: np.ndarray, base_step: float = GRAD_STEP) -> np
     return out
 
 
-def _partials(hamiltonian, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dH/dy, dH/dp), analytic when the Hamiltonian provides them."""
+def _dy(hamiltonian, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dH/dy, analytic when the Hamiltonian provides it."""
     if hasattr(hamiltonian, "dy"):
-        gy = np.asarray(hamiltonian.dy(y, p), dtype=float)
-    else:
-        gy = _fd_gradient(lambda yy: hamiltonian(yy, p), y)
+        return np.asarray(hamiltonian.dy(y, p), dtype=float)
+    return _fd_gradient(lambda yy: hamiltonian(yy, p), y)
+
+
+def _dp(hamiltonian, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dH/dp, analytic when the Hamiltonian provides it."""
     if hasattr(hamiltonian, "dp"):
-        gp = np.asarray(hamiltonian.dp(y, p), dtype=float)
-    else:
-        gp = _fd_gradient(lambda pp: hamiltonian(y, pp), p)
-    return gy, gp
-
-
-def hamiltonian_field(hamiltonian, pt: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-space velocity (dH/dp, -dH/dy) at a point."""
-    gy, gp = _partials(hamiltonian, pt.y, pt.p)
-    return gp, -gy
+        return np.asarray(hamiltonian.dp(y, p), dtype=float)
+    return _fd_gradient(lambda pp: hamiltonian(y, pp), p)
 
 
 def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
@@ -382,18 +432,9 @@ def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
     if not math.isfinite(h):
         raise ValueError("step size must be finite")
     y, p = pt.y, pt.p
-    gy, _ = _partials(hamiltonian, y, p)
-    p_half = p - 0.5 * h * gy
-    if hasattr(hamiltonian, "dp"):
-        gp = np.asarray(hamiltonian.dp(y, p_half), dtype=float)
-    else:
-        gp = _fd_gradient(lambda pp: hamiltonian(y, pp), p_half)
-    y_new = y + h * gp
-    if hasattr(hamiltonian, "dy"):
-        gy_new = np.asarray(hamiltonian.dy(y_new, p_half), dtype=float)
-    else:
-        gy_new = _fd_gradient(lambda yy: hamiltonian(yy, p_half), y_new)
-    p_new = p_half - 0.5 * h * gy_new
+    p_half = p - 0.5 * h * _dy(hamiltonian, y, p)
+    y_new = y + h * _dp(hamiltonian, y, p_half)
+    p_new = p_half - 0.5 * h * _dy(hamiltonian, y_new, p_half)
     return PhasePoint(y_new, p_new)
 
 
@@ -495,15 +536,15 @@ def solve_shooting(
 def variational_matrix(hamiltonian, pt: PhasePoint) -> np.ndarray:
     """DF = J grad^2 H, the linearised Hamiltonian field at a phase point.
 
-    The Hessian is taken by nested central differences on the gradient;
+    The Hessian is taken by central differences on the gradient;
     J is the canonical symplectic matrix ((0, I), (-I, 0)).
     """
     d = pt.dim
     z0 = np.concatenate([pt.y, pt.p])
 
     def grad(z: np.ndarray) -> np.ndarray:
-        gy, gp = _partials(hamiltonian, z[:d], z[d:])
-        return np.concatenate([gy, gp])
+        y, p = z[:d], z[d:]
+        return np.concatenate([_dy(hamiltonian, y, p), _dp(hamiltonian, y, p)])
 
     step = HESS_STEP * (1.0 + float(np.linalg.norm(z0)))
     hess = np.empty((2 * d, 2 * d))

@@ -124,6 +124,20 @@ class TestNdmLayer:
         with pytest.raises(ValueError, match="dt"):
             control.ndm_layer(mf, quad_cost(), pt, 0.0)
 
+    def test_reduced_dy_matches_fd_of_full_value(self):
+        rng = np.random.default_rng(3)
+        w1 = np.vstack([np.eye(2), np.zeros((1, 2))]) + 0.3 * rng.normal(size=(3, 2))
+        w2 = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+        dec = manifold.Decoder.mlp_tanh([w1, w2], [0.1 * rng.normal(size=3), np.zeros(3)])
+        goal = np.array([0.5, -0.2, 0.1])
+        cost = control.CostSpec(task_cost=lambda z: 0.5 * float((z - goal) @ (z - goal)))
+        ham = control.ReducedHamiltonian(manifold.MetricField(dec), cost)
+        for _ in range(5):
+            y = rng.uniform(-0.5, 0.5, size=2)
+            p = rng.normal(size=2)
+            fd = manifold._fd_gradient(lambda yy: ham(yy, p), y)
+            assert np.linalg.norm(ham.dy(y, p) - fd) <= 1e-6 * np.linalg.norm(fd)
+
     def test_stack_of_layers_runs(self):
         mf = identity_field()
         cost = quad_cost()

@@ -26,6 +26,17 @@ def near_identity_decoder(noise=0.3, seed=0):
     return manifold.Decoder.mlp_tanh([w1, w2], [np.zeros(3), np.zeros(3)])
 
 
+def random_tanh_decoder(rng, d, n, n_tanh, noise=0.3):
+    """Near-identity mlp-tanh decoder R^d -> R^n with n_tanh tanh layers."""
+    widths = [d] + [n] * (n_tanh + 1)
+    weights = [
+        np.eye(out_w, in_w) + noise * rng.normal(size=(out_w, in_w))
+        for in_w, out_w in zip(widths, widths[1:])
+    ]
+    biases = [0.1 * rng.normal(size=w) for w in widths[1:]]
+    return manifold.Decoder.mlp_tanh(weights, biases)
+
+
 class TestDecoder:
     def test_linear_eval(self):
         a = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
@@ -161,6 +172,46 @@ class TestMetricField:
         with pytest.raises(ValueError, match="eps_reg"):
             manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=-1.0)
 
+    def test_memo_matches_fresh_field(self):
+        mf = manifold.MetricField(near_identity_decoder())
+        rng = np.random.default_rng(11)
+        y1, y2, rhs = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
+
+        def fresh(y, eps_reg=1e-8, decoder=mf.decoder):
+            return manifold.MetricField(decoder, eps_reg=eps_reg).solve(y, rhs)
+
+        for y in (y1, y2, y1):
+            np.testing.assert_array_equal(mf.solve(y, rhs), fresh(y))
+        mf.eps_reg = 0.5
+        np.testing.assert_array_equal(mf.solve(y1, rhs), fresh(y1, eps_reg=0.5))
+        mf.decoder = near_identity_decoder(seed=1)
+        np.testing.assert_array_equal(mf.solve(y1, rhs), fresh(y1, 0.5, mf.decoder))
+
+    def test_memoised_arrays_not_handed_out(self):
+        mf = manifold.MetricField(near_identity_decoder())
+        y = np.array([0.3, -0.2])
+        expected = mf.metric(y).copy()
+        mf.metric(y)[:] = 0.0
+        manifold.pullback_metric(mf, y)[:] = 0.0
+        np.testing.assert_array_equal(mf.metric(y), expected)
+        np.testing.assert_allclose(mf.solve(y, expected[0]), [1.0, 0.0], atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_metric_raises(self, bad):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]])
+        decoders = [
+            manifold.Decoder.linear(a),
+            manifold.Decoder.mlp_tanh([a, np.eye(3)], [np.zeros(3), np.zeros(3)]),
+        ]
+        for dec in decoders:
+            mf = manifold.MetricField(dec)
+            y = np.array([0.5, 0.5])
+            with pytest.raises(ValueError, match="NaN"):
+                mf.solve(y, np.ones(2))
+            with pytest.raises(ValueError, match="NaN"):
+                manifold.pullback_metric(mf, y)
+
 
 class TestGeodesicHamiltonian:
     def test_value_and_partials(self):
@@ -173,6 +224,29 @@ class TestGeodesicHamiltonian:
         np.testing.assert_allclose(ham(y, p), 5.0)
         np.testing.assert_allclose(ham.dp(y, p), [0.5, 3.0])
         np.testing.assert_allclose(ham.dy(y, p), [0.0, 0.0])
+
+    @pytest.mark.parametrize("n_tanh", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exact_dy_matches_fd(self, d, n_tanh):
+        rng = np.random.default_rng(100 * d + n_tanh)
+        for n in (d, d + 2):
+            ham = manifold.GeodesicHamiltonian(
+                manifold.MetricField(random_tanh_decoder(rng, d, n, n_tanh))
+            )
+            for _ in range(3):
+                y = rng.uniform(-0.5, 0.5, size=d)
+                p = rng.normal(size=d)
+                fd = manifold._fd_gradient(lambda yy: ham(yy, p), y)
+                exact = ham.dy(y, p)
+                assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_tanh_jet_matches_jacobian(self):
+        dec = random_tanh_decoder(np.random.default_rng(5), 3, 4, 2)
+        y = np.array([0.2, -0.1, 0.4])
+        jac, hess = dec._tanh_jet(y, second=True)
+        np.testing.assert_array_equal(jac, dec.jacobian(y))
+        hess = hess.reshape(4, 3, 3)
+        np.testing.assert_array_equal(hess, hess.transpose(0, 2, 1))
 
     def test_flat_geodesics_are_straight(self):
         dec = manifold.Decoder.linear(np.array([[1.0, 0.5], [0.0, 1.0], [0.3, -0.2]]))
