@@ -21,18 +21,24 @@ lines (same names as the long flags); explicit flags win over the config
 file.  All reals in outputs are printed with 10 significant digits, '.'
 decimal separator, and '\\n' line endings; identical configuration and
 seed give byte-identical files.  Exit status is 0 exactly when every
-requested output was written (2 for usage errors).
+requested output was written, and 2 otherwise: usage errors, unreadable
+or malformed input, a non-finite or non-positive ``--dt``, ``--steps``
+below 1, a non-finite decoder scale, or a failed integration.  Apart from
+usage errors, a failure prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import experiments, infophase, planner
+from . import _text, experiments, infophase, planner
+from ._text import fmt
+from .manifold import IntegrationError, ShootingError, SingularMetricError
 
 _FIELD_BINS = 12
 _PHASE_PORTRAITS = 150
@@ -53,10 +59,6 @@ _CONVERTERS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -64,18 +66,14 @@ def _write_text(path: Path, text: str) -> None:
 
 def _load_config(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {ln}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONVERTERS:
-                raise ValueError(f"config line {ln}: unknown key {key!r}")
-            values[key] = _CONVERTERS[key](value.strip())
+    for ln, line in _text.lines(path):
+        if "=" not in line:
+            raise ValueError(f"config line {ln}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _CONVERTERS:
+            raise ValueError(f"config line {ln}: unknown key {key!r}")
+        values[key] = _CONVERTERS[key](value.strip())
     return values
 
 
@@ -98,6 +96,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
+    if not (math.isfinite(resolved["dt"]) and resolved["dt"] > 0):
+        raise ValueError(f"dt must be finite and > 0, got {resolved['dt']!r}")
+    if resolved["steps"] < 1:
+        raise ValueError(f"steps must be >= 1, got {resolved['steps']!r}")
     return resolved
 
 
@@ -138,7 +140,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _portrait_csv(por: infophase.PhasePortrait) -> str:
     lines = ["t,u,e"]
-    lines += [f"{t},{_fmt(u)},{_fmt(e)}" for t, (u, e) in enumerate(zip(por.u, por.e))]
+    lines += [f"{t},{fmt(u)},{fmt(e)}" for t, (u, e) in enumerate(zip(por.u, por.e))]
     return "\n".join(lines) + "\n"
 
 
@@ -147,22 +149,18 @@ def _field_csv(field: infophase.GridField) -> str:
     for iu, uc in enumerate(field.u_centers):
         for ie, ec in enumerate(field.e_centers):
             lines.append(
-                f"{_fmt(uc)},{_fmt(ec)},{_fmt(field.vu[iu, ie])},{_fmt(field.ve[iu, ie])},{field.count[iu, ie]}"
+                f"{fmt(uc)},{fmt(ec)},{fmt(field.vu[iu, ie])},{fmt(field.ve[iu, ie])},{field.count[iu, ie]}"
             )
     return "\n".join(lines) + "\n"
 
 
 def _read_distributions(path: str) -> list[np.ndarray]:
     dists = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                dists.append(np.array([float(v) for v in line.split()]))
-            except ValueError:
-                raise ValueError(f"line {ln}: bad probability value") from None
+    for ln, line in _text.lines(path):
+        try:
+            dists.append(np.array([float(v) for v in line.split()]))
+        except ValueError:
+            raise ValueError(f"line {ln}: bad probability value") from None
     if not dists:
         raise ValueError(f"no distributions found in {path!r}")
     return dists
@@ -182,12 +180,12 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     field = infophase.empirical_field(portraits, _FIELD_BINS, _FIELD_BINS)
     _write_text(out_dir / "field.csv", _field_csv(field))
     try:
-        print(f"divergence_score: {_fmt(infophase.divergence_score(field))}")
+        print(f"divergence_score: {fmt(infophase.divergence_score(field))}")
     except infophase.DegenerateFieldError as exc:
         print(f"divergence_score: unavailable ({exc})")
     try:
         _, residual = infophase.fit_info_hamiltonian(field)
-        print(f"field_fit_residual: {_fmt(residual)}")
+        print(f"field_fit_residual: {fmt(residual)}")
     except (infophase.DegenerateFieldError, infophase.FieldFitError) as exc:
         print(f"field_fit_residual: unavailable ({exc})")
     print(f"wrote {out_dir / 'portrait.csv'} and {out_dir / 'field.csv'}")
@@ -202,7 +200,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         return 0
     path, cost = found
     print("path: " + " -> ".join(str(i) for i in path))
-    print(f"cost: {_fmt(cost)}")
+    print(f"cost: {fmt(cost)}")
     return 0
 
 
@@ -218,7 +216,7 @@ def main(argv=None) -> int:
         if args.command == "phase":
             return _cmd_phase(args)
         return _cmd_plan(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, IntegrationError, ShootingError, SingularMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

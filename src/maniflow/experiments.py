@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import planner
+from ._text import fmt
 from .infophase import PhasePortrait
 from .manifold import PhasePoint, integrate
 
@@ -93,7 +94,10 @@ def parse_decoder_spec(text: str) -> ToyDecoder:
     if text == "default":
         return default_toy_decoder()
     if text.startswith("gap:"):
-        return default_toy_decoder(float(text[len("gap:") :]))
+        scale = float(text[len("gap:") :])
+        if not math.isfinite(scale):
+            raise ValueError(f"decoder scale must be finite, got {text!r}")
+        return default_toy_decoder(scale)
     raise ValueError(f"unknown decoder spec {text!r} (expected 'default' or 'gap:<scale>')")
 
 
@@ -322,10 +326,6 @@ _T1_LABELS = {"linear": "linear", "hjb_like": "hjb-like", "sssp": "ndm-sssp"}
 _T2_LABELS = {"hjb_only": "hjb-only", "ctm_style": "ctm-style"}
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def _path_text(path: tuple[float, ...]) -> str:
     return "->".join(f"{y:g}" for y in path)
 
@@ -341,11 +341,11 @@ def _path_table_rows(runs: dict[str, PathMetrics], reference: dict, labels: dict
         ref = reference[key]
         row = [labels[key], _path_text(metrics.path)]
         if with_final:
-            row.append(_fmt(metrics.path[-1]))
-        row += [_fmt(metrics.u_final), _fmt(metrics.delta_u), _fmt(metrics.cost), _fmt(metrics.efficiency)]
+            row.append(fmt(metrics.path[-1]))
+        row += [fmt(metrics.u_final), fmt(metrics.delta_u), fmt(metrics.cost), fmt(metrics.efficiency)]
         if with_final:
-            row.append(_fmt(ref["final_y"]))
-        row += [_fmt(ref["u_final"]), _fmt(ref["delta_u"]), _fmt(ref["cost"]), _fmt(ref["efficiency"])]
+            row.append(fmt(ref["final_y"]))
+        row += [fmt(ref["u_final"]), fmt(ref["delta_u"]), fmt(ref["cost"]), fmt(ref["efficiency"])]
         rows.append(row)
     return header, rows
 
@@ -369,14 +369,14 @@ def _table3_rows(reports: list[OscillatorReport]):
         rows.append(
             [
                 rep.method,
-                _fmt(rep.final_y),
-                _fmt(rep.final_p),
-                _fmt(rep.eps_state),
-                _fmt(rep.eps_h_max),
-                _fmt(ref["final_y"]),
-                _fmt(ref["final_p"]),
-                _fmt(ref["eps_state"]),
-                _fmt(ref["eps_h_max"]),
+                fmt(rep.final_y),
+                fmt(rep.final_p),
+                fmt(rep.eps_state),
+                fmt(rep.eps_h_max),
+                fmt(ref["final_y"]),
+                fmt(ref["final_p"]),
+                fmt(ref["eps_state"]),
+                fmt(ref["eps_h_max"]),
                 rep.note,
             ]
         )

@@ -48,6 +48,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _text
+
 __all__ = [
     "SingularMetricError",
     "IntegrationError",
@@ -225,28 +227,36 @@ def save_decoder(decoder: Decoder, path) -> None:
 
 
 def load_decoder(path) -> Decoder:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.split("#", 1)[0].strip() for ln in fh]
-    rows = [r for r in rows if r]
-    if not rows or not rows[0].startswith("decoder "):
+    """Parse the format of ``save_decoder``; errors carry 1-based line numbers.
+
+    An error inside a layer block names the block's ``layer`` line.
+    """
+    numbered = list(_text.lines(path))
+    if not numbered or not numbered[0][1].startswith("decoder "):
         raise ValueError("decoder file must start with a 'decoder <kind>' line")
+    linenos, rows = zip(*numbered)
     kind = rows[0].split()[1]
     if kind not in ("linear", "mlp-tanh"):
-        raise ValueError(f"unknown decoder kind {kind!r}")
+        raise ValueError(f"line {linenos[0]}: unknown decoder kind {kind!r}")
     weights, biases = [], []
     i = 1
     while i < len(rows):
-        head = rows[i].split()
-        if head[0] != "layer" or len(head) != 3:
-            raise ValueError(f"expected 'layer <out> <in>', got {rows[i]!r}")
-        out_n, in_n = int(head[1]), int(head[2])
-        block = rows[i + 1 : i + 1 + out_n + 1]
-        if len(block) != out_n + 1:
-            raise ValueError("truncated layer block")
-        w = np.array([[float(v) for v in r.split()] for r in block[:out_n]])
-        b = np.array([float(v) for v in block[out_n].split()])
-        if w.shape != (out_n, in_n) or b.shape != (out_n,):
-            raise ValueError("layer block does not match its declared shape")
+        try:
+            head = rows[i].split()
+            if head[0] != "layer" or len(head) != 3:
+                raise ValueError(f"expected 'layer <out> <in>', got {rows[i]!r}")
+            out_n, in_n = int(head[1]), int(head[2])
+            if out_n < 1 or in_n < 1:
+                raise ValueError(f"layer sizes must be >= 1, got {out_n} {in_n}")
+            block = rows[i + 1 : i + 1 + out_n + 1]
+            if len(block) != out_n + 1:
+                raise ValueError("truncated layer block")
+            w = np.array([[float(v) for v in r.split()] for r in block[:out_n]])
+            b = np.array([float(v) for v in block[out_n].split()])
+            if w.shape != (out_n, in_n) or b.shape != (out_n,):
+                raise ValueError("layer block does not match its declared shape")
+        except ValueError as exc:
+            raise ValueError(f"line {linenos[i]}: {exc}") from None
         weights.append(w)
         biases.append(b)
         i += out_n + 2
@@ -449,13 +459,15 @@ def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTraj
     energies = np.empty(n_steps + 1)
     energies[0] = hamiltonian(pt0.y, pt0.p)
     pt = pt0
-    for k in range(1, n_steps + 1):
-        pt = leapfrog_step(hamiltonian, pt, h)
-        e = hamiltonian(pt.y, pt.p)
-        if not (np.isfinite(pt.y).all() and np.isfinite(pt.p).all() and math.isfinite(e)):
-            raise IntegrationError(f"non-finite state or energy at step {k}")
-        points.append(pt)
-        energies[k] = e
+    # overflow needs no warning: the finiteness check turns it into IntegrationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            pt = leapfrog_step(hamiltonian, pt, h)
+            e = hamiltonian(pt.y, pt.p)
+            if not (np.isfinite(pt.y).all() and np.isfinite(pt.p).all() and math.isfinite(e)):
+                raise IntegrationError(f"non-finite state or energy at step {k}")
+            points.append(pt)
+            energies[k] = e
     return PhaseTrajectory(step=float(h), points=points, energies=energies)
 
 

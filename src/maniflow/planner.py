@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _text
+
 __all__ = [
     "GraphFormatError",
     "WeightedDigraph",
@@ -206,42 +208,38 @@ def load_graph(path) -> WeightedDigraph:
     """Parse the ``n``/``e`` text format; errors carry 1-based line numbers."""
     graph = WeightedDigraph()
     declared = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if tokens[0] == "n":
-                if declared:
-                    raise GraphFormatError(f"line {ln}: duplicate node-count line")
-                if len(tokens) != 2:
-                    raise GraphFormatError(f"line {ln}: expected 'n <count>'")
-                try:
-                    count = int(tokens[1])
-                except ValueError:
-                    raise GraphFormatError(f"line {ln}: bad node count {tokens[1]!r}") from None
-                if count < 0:
-                    raise GraphFormatError(f"line {ln}: negative node count")
-                for _ in range(count):
-                    graph.add_node()
-                declared = True
-            elif tokens[0] == "e":
-                if not declared:
-                    raise GraphFormatError(f"line {ln}: edge before node-count line")
-                if len(tokens) != 4:
-                    raise GraphFormatError(f"line {ln}: expected 'e <src> <dst> <weight>'")
-                try:
-                    src, dst = int(tokens[1]), int(tokens[2])
-                    weight = float(tokens[3])
-                except ValueError:
-                    raise GraphFormatError(f"line {ln}: bad edge fields {tokens[1:]!r}") from None
-                try:
-                    graph.add_edge(src, dst, weight)
-                except ValueError as exc:
-                    raise GraphFormatError(f"line {ln}: {exc}") from None
-            else:
-                raise GraphFormatError(f"line {ln}: unknown directive {tokens[0]!r}")
+    for ln, line in _text.lines(path):
+        tokens = line.split()
+        if tokens[0] == "n":
+            if declared:
+                raise GraphFormatError(f"line {ln}: duplicate node-count line")
+            if len(tokens) != 2:
+                raise GraphFormatError(f"line {ln}: expected 'n <count>'")
+            try:
+                count = int(tokens[1])
+            except ValueError:
+                raise GraphFormatError(f"line {ln}: bad node count {tokens[1]!r}") from None
+            if count < 0:
+                raise GraphFormatError(f"line {ln}: negative node count")
+            for _ in range(count):
+                graph.add_node()
+            declared = True
+        elif tokens[0] == "e":
+            if not declared:
+                raise GraphFormatError(f"line {ln}: edge before node-count line")
+            if len(tokens) != 4:
+                raise GraphFormatError(f"line {ln}: expected 'e <src> <dst> <weight>'")
+            try:
+                src, dst = int(tokens[1]), int(tokens[2])
+                weight = float(tokens[3])
+            except ValueError:
+                raise GraphFormatError(f"line {ln}: bad edge fields {tokens[1:]!r}") from None
+            try:
+                graph.add_edge(src, dst, weight)
+            except ValueError as exc:
+                raise GraphFormatError(f"line {ln}: {exc}") from None
+        else:
+            raise GraphFormatError(f"line {ln}: unknown directive {tokens[0]!r}")
     if not declared:
         raise GraphFormatError("missing 'n <count>' line")
     return graph

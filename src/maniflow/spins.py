@@ -17,11 +17,11 @@ spin (see ``save_spin_matrix``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Spin",
@@ -158,10 +158,13 @@ class BathParams:
             raise ValueError(f"nonlinearity must be 'tanh' or 'gelu', got {self.nonlinearity!r}")
 
 
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def _apply_nonlinearity(u: np.ndarray, kind: str) -> np.ndarray:
     if kind == "tanh":
         return np.tanh(u)
-    return 0.5 * u * (1.0 + erf(u / np.sqrt(2.0)))
+    return 0.5 * u * (1.0 + _erf(u / np.sqrt(2.0)))
 
 
 def attention_couplings(queries: np.ndarray, keys: np.ndarray, symmetrize: bool = False) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import planner
+from . import _text, planner
 
 __all__ = [
     "NodeKind",
@@ -287,30 +287,26 @@ def explanation_chain(ws: WorkspaceGraph, src: str, dst: str, coeffs: EdgeCoeffs
 def load_workspace(path) -> WorkspaceGraph:
     """Parse the node/edge text format; errors carry 1-based line numbers."""
     ws = WorkspaceGraph()
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                if tokens[0] == "node":
-                    if len(tokens) < 3:
-                        raise ValueError("expected 'node <id> <kind> <label>'")
-                    ws.add_node(tokens[1], tokens[2], " ".join(tokens[3:]))
-                elif tokens[0] == "edge":
-                    if len(tokens) not in (4, 5):
-                        raise ValueError("expected 'edge <kind> <src> <dst> [t=<float>]'")
-                    t = None
-                    if len(tokens) == 5:
-                        if not tokens[4].startswith("t="):
-                            raise ValueError(f"expected 't=<float>', got {tokens[4]!r}")
-                        t = float(tokens[4][2:])
-                    ws.add_edge(tokens[1], tokens[2], tokens[3], t)
-                else:
-                    raise ValueError(f"unknown directive {tokens[0]!r}")
-            except ValueError as exc:
-                raise ValueError(f"line {ln}: {exc}") from None
+    for ln, line in _text.lines(path):
+        tokens = line.split()
+        try:
+            if tokens[0] == "node":
+                if len(tokens) < 3:
+                    raise ValueError("expected 'node <id> <kind> <label>'")
+                ws.add_node(tokens[1], tokens[2], " ".join(tokens[3:]))
+            elif tokens[0] == "edge":
+                if len(tokens) not in (4, 5):
+                    raise ValueError("expected 'edge <kind> <src> <dst> [t=<float>]'")
+                t = None
+                if len(tokens) == 5:
+                    if not tokens[4].startswith("t="):
+                        raise ValueError(f"expected 't=<float>', got {tokens[4]!r}")
+                    t = float(tokens[4][2:])
+                ws.add_edge(tokens[1], tokens[2], tokens[3], t)
+            else:
+                raise ValueError(f"unknown directive {tokens[0]!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
     return ws.freeze()
 
 

@@ -1,5 +1,8 @@
 """Tests for the command-line front end."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +86,7 @@ class TestConfigFile:
 
     def test_comments_allowed(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# table grid\nsteps=10  # ticks\ndt=0.1\n")
+        cfg.write_text("# table grid\n\nsteps=10  # ticks\ndt=0.1\n")
         assert cli.main(["table", "3", "--out", str(tmp_path), "--config", str(cfg)]) == 0
 
 
@@ -183,3 +186,32 @@ class TestParser:
 
     def test_unknown_command(self, capsys):
         assert cli.main(["publish"]) == 2
+
+
+class TestNumericInput:
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["table", "3", "--dt", "0"], "table3.csv"),
+            (["table", "3", "--dt", "50", "--steps", "200"], "table3.csv"),
+            (["table", "3", "--dt", "-0.1"], "table3.csv"),
+            (["table", "1", "--decoder", "gap:nan"], "table1.csv"),
+            (["phase", "--dt", "nan"], "portrait.csv"),
+        ],
+        ids=["dt-zero", "dt-diverges", "dt-negative", "gap-nan", "phase-dt-nan"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejected_with_one_line(self, tmp_path, capsys, argv, written):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / written).exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, maniflow, maniflow.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -103,6 +103,8 @@ class TestDecoderIo:
         dec = manifold.Decoder.linear(rng.normal(size=(3, 2)), rng.normal(size=3))
         p = tmp_path / "dec.txt"
         manifold.save_decoder(dec, p)
+        head, rest = p.read_text().split("\n", 1)
+        p.write_text(f"# saved weights\n\n{head}  # kind\n{rest}")
         loaded = manifold.load_decoder(p)
         assert loaded.kind == "linear"
         np.testing.assert_array_equal(loaded.layers[0][0], dec.layers[0][0])
@@ -131,6 +133,20 @@ class TestDecoderIo:
         p = tmp_path / "dec.txt"
         p.write_text("decoder linear\nlayer 2 2\n1 0\n")
         with pytest.raises(ValueError, match="truncated"):
+            manifold.load_decoder(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "decoder linear\n# one layer\nlayer 2\n1 0\n0 1\n0 0\n",
+            "decoder linear\n\nlayer -1 2\n",
+        ],
+        ids=["bad-header", "negative-size"],
+    )
+    def test_error_names_line(self, tmp_path, text):
+        p = tmp_path / "dec.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="line 3"):
             manifold.load_decoder(p)
 
 

@@ -225,6 +225,8 @@ class TestGraphIo:
         g = random_graph(rng)
         p = tmp_path / "g.graph"
         planner.save_graph(g, p)
+        head, rest = p.read_text().split("\n", 1)
+        p.write_text(f"# saved graph\n\n{head}  # nodes\n{rest}")
         loaded = planner.load_graph(p)
         assert loaded.n_nodes == g.n_nodes
         assert list(loaded.edges()) == [(u, v, float(f"{w:.10g}")) for u, v, w in g.edges()]

@@ -272,6 +272,8 @@ class TestWorkspaceIo:
         ws = workspace.load_workspace(FIXTURES / "pick_place_episode.txt")
         p = tmp_path / "episode.txt"
         workspace.save_workspace(ws, p)
+        head, rest = p.read_text().split("\n", 1)
+        p.write_text(f"# saved episode\n\n{head}  # first node\n{rest}")
         again = workspace.load_workspace(p)
         assert again.nodes.keys() == ws.nodes.keys()
         assert again.edges == ws.edges
