@@ -23,8 +23,10 @@ decimal separator, and '\\n' line endings; identical configuration and
 seed give byte-identical files.  Exit status is 0 exactly when every
 requested output was written, and 2 otherwise: usage errors, unreadable
 or malformed input, a non-finite or non-positive ``--dt``, ``--steps``
-below 1, a non-finite decoder scale, or a failed integration.  Apart from
-usage errors, a failure prints one ``error:`` line on stderr.
+below 1, a ``--window`` that is not odd and positive, a non-finite or
+negative ``--damping``, a non-finite decoder scale, or a failed
+integration.  Apart from usage errors, a failure prints one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         raise ValueError(f"dt must be finite and > 0, got {resolved['dt']!r}")
     if resolved["steps"] < 1:
         raise ValueError(f"steps must be >= 1, got {resolved['steps']!r}")
+    if resolved["window"] < 1 or resolved["window"] % 2 == 0:
+        raise ValueError(f"window must be an odd integer >= 1, got {resolved['window']!r}")
     return resolved
 
 

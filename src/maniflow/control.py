@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .manifold import (
-    GRAD_STEP,
     GeodesicHamiltonian,
     MetricField,
     PhasePoint,
@@ -87,16 +86,15 @@ class ValueFunction:
     def dt(self, y: np.ndarray, t: float) -> float:
         if self.time_partial is not None:
             return float(self.time_partial(y, t))
-        step = GRAD_STEP * (1.0 + abs(float(t)))
-        return (float(self.value(y, t + step)) - float(self.value(y, t - step))) / (2.0 * step)
+        return float(_fd_gradient(lambda tt: float(self.value(y, tt[0])), np.array([float(t)]))[0])
 
 
 class ReducedHamiltonian:
     """Kinetic term minus potential costs; usable by the leapfrog stepper.
 
     dp stays analytic through the metric solve.  dy takes the kinetic
-    part from GeodesicHamiltonian.dy and differentiates the potential by
-    central differences.
+    part from GeodesicHamiltonian.dy (exact for layered decoders) and
+    differentiates the potential by central differences.
     """
 
     def __init__(self, metric_field: MetricField, cost: CostSpec, ws_state=None):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import planner
 from ._text import fmt
-from .infophase import PhasePortrait
+from .infophase import PhasePortrait, entropy
 from .manifold import PhasePoint, integrate
 
 __all__ = [
@@ -74,9 +74,7 @@ class ToyDecoder:
         return shifted / np.sum(shifted)
 
     def entropy_at(self, y: float) -> float:
-        p = self.distribution(y)
-        nz = p[p > 0]
-        return float(-np.sum(nz * np.log(nz)))
+        return entropy(self.distribution(y))
 
 
 def default_toy_decoder(scale: float = 1.0) -> ToyDecoder:
@@ -232,8 +230,8 @@ def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> l
     n = int(round(t_final / h))
     if n < 1 or abs(n * h - t_final) > 1e-9:
         raise ValueError(f"t_final {t_final!r} must be an integer multiple of h {h!r}")
-    if damping < 0:
-        raise ValueError(f"damping must be >= 0, got {damping!r}")
+    if not (math.isfinite(damping) and damping >= 0):
+        raise ValueError(f"damping must be finite and >= 0, got {damping!r}")
 
     traj = integrate(HarmonicOscillator(), PhasePoint([1.0], [0.0]), h, n)
     ys = [pt.y[0] for pt in traj.points]
@@ -293,6 +291,8 @@ def rotation_portraits(
     lo, hi = radius_range
     if not 0 < lo <= hi < center:
         raise ValueError("radius range must satisfy 0 < lo <= hi < center")
+    if not math.isfinite(dt * n_steps):
+        raise ValueError(f"dt * n_steps must be finite, got {dt!r} * {n_steps!r}")
     portraits = []
     for _ in range(int(n_portraits)):
         r = rng.uniform(lo, hi)

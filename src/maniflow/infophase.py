@@ -51,7 +51,7 @@ def entropy(dist) -> float:
     if np.any(p < 0):
         raise ValueError("distribution has negative entries")
     total = float(np.sum(p))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"distribution sums to {total!r}, expected 1 within 1e-9")
     nz = p[p > 0]
     return float(-np.sum(nz * np.log(nz)))

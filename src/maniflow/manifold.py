@@ -13,14 +13,16 @@ are never materialised.
 
 Derivative conventions used throughout:
 
-* dH/dy of the kinetic Hamiltonian: exact for linear decoders (zero) and
-  mlp-tanh decoders, dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p, where
-  d_k J comes from the same forward pass as J; central differences for
-  custom decoders
-* other first derivatives of scalars: central differences, step
-  1e-5 (1 + |arg|)
-* second derivatives (variational matrix): central differences on the
-  gradient, step 1e-4 (1 + |arg|)
+* a decoder is either layered (``linear`` is the one-layer case of
+  ``mlp-tanh``) or custom; a layered decoder's Jacobian and second
+  derivatives come from one forward pass, a custom one's Jacobian from
+  central differences
+* dH/dy of the kinetic Hamiltonian: exact for layered decoders,
+  dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for linear ones);
+  central differences for custom decoders
+* every finite difference is the central stencil of ``_fd_gradient``,
+  step base (1 + |arg|): base 1e-5 for first derivatives (including the
+  shooting sensitivity), 1e-4 for the Hessian in the variational matrix
 
 ``MetricField`` keeps the geometry of the last latent point it was asked
 about (J, the decoder's second derivatives, G and G^{-1} from its Cholesky
@@ -168,26 +170,18 @@ class Decoder:
         last = len(self.layers) - 1
         for idx, (w, b) in enumerate(self.layers):
             x = w @ x + b
-            if self.kind == "mlp-tanh" and idx < last:
+            if idx < last:
                 x = np.tanh(x)
         return x
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if self.kind == "linear":
-            return self.layers[0][0].copy()
-        if self.kind == "mlp-tanh":
-            return self._tanh_jet(y, second=False)[0]
-        step = GRAD_STEP * (1.0 + float(np.linalg.norm(y)))
-        jac = np.empty((self.ambient_dim, self.latent_dim))
-        for i in range(self.latent_dim):
-            e = np.zeros_like(y)
-            e[i] = step
-            jac[:, i] = (self(y + e) - self(y - e)) / (2.0 * step)
-        return jac
+        if self.kind == "custom":
+            return _fd_gradient(self, y)
+        return self._tanh_jet(y, second=False)[0]
 
     def _tanh_jet(self, y: np.ndarray, second: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """Jacobian of an mlp-tanh decoder and, if ``second``, its second derivatives.
+        """Jacobian of a layered decoder and, if ``second``, its second derivatives.
 
         One forward pass carries each layer's Jacobian and, when asked, its
         derivative: an (n, d*d) array whose row i holds d^2 z_i / dy_j dy_k
@@ -232,9 +226,11 @@ def load_decoder(path) -> Decoder:
     An error inside a layer block names the block's ``layer`` line.
     """
     numbered = list(_text.lines(path))
-    if not numbered or not numbered[0][1].startswith("decoder "):
+    if not numbered:
         raise ValueError("decoder file must start with a 'decoder <kind>' line")
     linenos, rows = zip(*numbered)
+    if not rows[0].startswith("decoder "):
+        raise ValueError(f"line {linenos[0]}: decoder file must start with a 'decoder <kind>' line")
     kind = rows[0].split()[1]
     if kind not in ("linear", "mlp-tanh"):
         raise ValueError(f"line {linenos[0]}: unknown decoder kind {kind!r}")
@@ -255,14 +251,18 @@ def load_decoder(path) -> Decoder:
             b = np.array([float(v) for v in block[out_n].split()])
             if w.shape != (out_n, in_n) or b.shape != (out_n,):
                 raise ValueError("layer block does not match its declared shape")
+            if kind == "linear" and weights:
+                raise ValueError("linear decoder must have exactly one layer")
+            if weights and in_n != weights[-1].shape[0]:
+                raise ValueError("layer input width must match previous layer output width")
         except ValueError as exc:
             raise ValueError(f"line {linenos[i]}: {exc}") from None
         weights.append(w)
         biases.append(b)
         i += out_n + 2
+    if not weights:
+        raise ValueError(f"line {linenos[0]}: decoder has no layers")
     if kind == "linear":
-        if len(weights) != 1:
-            raise ValueError("linear decoder must have exactly one layer")
         return Decoder.linear(weights[0], biases[0])
     return Decoder.mlp_tanh(weights, biases)
 
@@ -278,7 +278,7 @@ class _LocalGeometry:
     key: tuple  # (bytes of y, eps_reg)
     decoder: Decoder
     jacobian: np.ndarray
-    hessian: np.ndarray | None  # see Decoder._tanh_jet; mlp-tanh decoders only
+    hessian: np.ndarray | None  # see Decoder._tanh_jet; None for custom decoders
     metric: np.ndarray
     inverse: np.ndarray | None  # G^-1 from the Cholesky factor; None unless G is SPD
 
@@ -305,10 +305,10 @@ class MetricField:
         local = self._memo
         if local is not None and local.key == key and local.decoder is self.decoder:
             return local
-        if self.decoder.kind == "mlp-tanh":
-            jac, hess = self.decoder._tanh_jet(y, second=True)
-        else:
+        if self.decoder.kind == "custom":
             jac, hess = self.decoder.jacobian(y), None
+        else:
+            jac, hess = self.decoder._tanh_jet(y, second=True)
         g = jac.T @ jac
         g = 0.5 * (g + g.T)
         g = g + self.eps_reg * np.eye(self.decoder.latent_dim)
@@ -385,10 +385,9 @@ class PhaseTrajectory:
 class GeodesicHamiltonian:
     """Kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2 of a metric field.
 
-    dp is analytic (a symmetric solve).  dy is exact for linear decoders,
-    whose constant metric makes it identically zero, and for mlp-tanh
-    decoders, where dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p; it
-    falls back to central differences for custom decoders.
+    dp is analytic (a symmetric solve).  dy is exact for layered decoders,
+    dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p, and falls back to
+    central differences for custom decoders.
     """
 
     def __init__(self, metric_field: MetricField):
@@ -402,10 +401,7 @@ class GeodesicHamiltonian:
 
     def dy(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        kind = self.metric_field.decoder.kind
-        if kind == "linear":
-            return np.zeros_like(y)
-        if kind == "custom":
+        if self.metric_field.decoder.kind == "custom":
             return _fd_gradient(lambda yy: self(yy, p), y)
         local = self.metric_field._factored(y)
         v = local.inverse @ p
@@ -413,13 +409,19 @@ class GeodesicHamiltonian:
 
 
 def _fd_gradient(f: Callable, x: np.ndarray, base_step: float = GRAD_STEP) -> np.ndarray:
+    """Central differences of f at x with step base_step (1 + |x|).
+
+    A scalar f gives its gradient, shape (n,); a vector f gives its
+    Jacobian, one column per coordinate of x.
+    """
     step = base_step * (1.0 + float(np.linalg.norm(x)))
-    out = np.empty_like(x)
+    cols = []
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
         e[i] = step
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return out
+        cols.append((f(x + e) - f(x - e)) / (2.0 * step))
+    # a C-ordered copy, so callers' matmuls never meet a transposed view
+    return np.array(cols, dtype=float).T.copy()
 
 
 def _dy(hamiltonian, y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -478,7 +480,7 @@ def trajectory_csv(traj: PhaseTrajectory) -> str:
     lines = [",".join(header)]
     for k, pt in enumerate(traj.points):
         vals = [k * traj.step, *pt.y, *pt.p, traj.energies[k]]
-        lines.append(",".join(f"{v:.10g}" for v in vals))
+        lines.append(",".join(_text.fmt(v) for v in vals))
     return "\n".join(lines) + "\n"
 
 
@@ -518,14 +520,7 @@ def solve_shooting(
     for _ in range(int(max_iter)):
         if res_norm <= tol:
             return p
-        step = GRAD_STEP * (1.0 + float(np.linalg.norm(p)))
-        sens = np.empty((d, d))
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = step
-            plus = shoot_geodesic(metric_field, y_a, p + e, n_steps)
-            minus = shoot_geodesic(metric_field, y_a, p - e, n_steps)
-            sens[:, i] = (plus - minus) / (2.0 * step)
+        sens = _fd_gradient(lambda q: shoot_geodesic(metric_field, y_a, q, n_steps), p)
         lhs = sens.T @ sens + damping * np.eye(d)
         delta = np.linalg.solve(lhs, -sens.T @ residual)
         candidate = p + delta
@@ -549,28 +544,17 @@ def variational_matrix(hamiltonian, pt: PhasePoint) -> np.ndarray:
     """DF = J grad^2 H, the linearised Hamiltonian field at a phase point.
 
     The Hessian is taken by central differences on the gradient;
-    J is the canonical symplectic matrix ((0, I), (-I, 0)).
+    J is the canonical symplectic matrix ((0, I), (-I, 0)), so DF stacks
+    the p-rows of the Hessian over the negated y-rows.
     """
     d = pt.dim
-    z0 = np.concatenate([pt.y, pt.p])
 
     def grad(z: np.ndarray) -> np.ndarray:
         y, p = z[:d], z[d:]
         return np.concatenate([_dy(hamiltonian, y, p), _dp(hamiltonian, y, p)])
 
-    step = HESS_STEP * (1.0 + float(np.linalg.norm(z0)))
-    hess = np.empty((2 * d, 2 * d))
-    for j in range(2 * d):
-        e = np.zeros(2 * d)
-        e[j] = step
-        hess[:, j] = (grad(z0 + e) - grad(z0 - e)) / (2.0 * step)
-    sympl = np.block(
-        [
-            [np.zeros((d, d)), np.eye(d)],
-            [-np.eye(d), np.zeros((d, d))],
-        ]
-    )
-    return sympl @ hess
+    hess = _fd_gradient(grad, np.concatenate([pt.y, pt.p]), HESS_STEP)
+    return np.concatenate([hess[d:], -hess[:d]])
 
 
 def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> np.ndarray:

@@ -249,14 +249,13 @@ def save_graph(graph: WeightedDigraph, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"n {graph.n_nodes}\n")
         for u, v, w in graph.edges():
-            fh.write(f"e {u} {v} {w:.10g}\n")
+            fh.write(f"e {u} {v} {_text.fmt(w)}\n")
 
 
 def sssp_csv(res: SsspResult) -> str:
     """CSV dump of a Dijkstra result with columns node, dist, pred."""
     lines = ["node,dist,pred"]
     for i, (d, p) in enumerate(zip(res.dist, res.pred)):
-        dtxt = "inf" if math.isinf(d) else f"{d:.10g}"
         ptxt = "" if p is None else str(p)
-        lines.append(f"{i},{dtxt},{ptxt}")
+        lines.append(f"{i},{_text.fmt(d)},{ptxt}")
     return "\n".join(lines) + "\n"

@@ -315,5 +315,5 @@ def save_workspace(ws: WorkspaceGraph, path) -> None:
         for node in ws.nodes.values():
             fh.write(f"node {node.node_id} {node.kind.value} {node.label}\n")
         for edge in ws.edges:
-            suffix = "" if edge.t is None else f" t={edge.t:.10g}"
+            suffix = "" if edge.t is None else f" t={_text.fmt(edge.t)}"
             fh.write(f"edge {edge.kind.value} {edge.src} {edge.dst}{suffix}\n")

@@ -197,8 +197,22 @@ class TestNumericInput:
             (["table", "3", "--dt", "-0.1"], "table3.csv"),
             (["table", "1", "--decoder", "gap:nan"], "table1.csv"),
             (["phase", "--dt", "nan"], "portrait.csv"),
+            (["table", "3", "--damping", "nan"], "table3.csv"),
+            (["table", "3", "--damping", "inf"], "table3.csv"),
+            (["phase", "--dt", "1e306"], "portrait.csv"),
+            (["phase", "--window", "0"], "portrait.csv"),
         ],
-        ids=["dt-zero", "dt-diverges", "dt-negative", "gap-nan", "phase-dt-nan"],
+        ids=[
+            "dt-zero",
+            "dt-diverges",
+            "dt-negative",
+            "gap-nan",
+            "phase-dt-nan",
+            "damping-nan",
+            "damping-inf",
+            "phase-time-overflows",
+            "phase-window-zero",
+        ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejected_with_one_line(self, tmp_path, capsys, argv, written):
@@ -208,6 +222,17 @@ class TestNumericInput:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / written).exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_distribution_rejected_with_one_line(self, tmp_path, capsys):
+        src = tmp_path / "dists.txt"
+        src.write_text("0.5 0.5\nnan 0.5 0.5\n0.25 0.75\n")
+        assert cli.main(["phase", "--input", str(src), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "portrait.csv").exists()
 
 
 def test_import_leaves_scipy_unloaded():

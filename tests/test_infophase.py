@@ -51,6 +51,10 @@ class TestEntropy:
         with pytest.raises(ValueError, match="negative"):
             infophase.entropy(np.array([1.5, -0.5]))
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="sums to nan"):
+            infophase.entropy(np.array([np.nan, 0.5, 0.5]))
+
 
 def entropy_of(n):
     return infophase.entropy(np.full(n, 1.0 / n))

@@ -1,9 +1,23 @@
 """Tests for decoder geometry, leapfrog flows, shooting, and deviations."""
 
+import os
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+from hypothesis.extra.numpy import arrays
 
 from maniflow import manifold
+
+# Fixed examples and no example database.  Hypothesis also caches the
+# constants it scans from local modules under .hypothesis/, at collection
+# time and whatever the settings; its caches are best effort, so a home
+# directory that cannot hold files turns them off.
+PROPERTY = settings(derandomize=True, database=None, max_examples=50, deadline=None)
+set_hypothesis_home_dir(os.devnull)
 
 
 class Oscillator:
@@ -34,6 +48,21 @@ def random_tanh_decoder(rng, d, n, n_tanh, noise=0.3):
         for in_w, out_w in zip(widths, widths[1:])
     ]
     biases = [0.1 * rng.normal(size=w) for w in widths[1:]]
+    return manifold.Decoder.mlp_tanh(weights, biases)
+
+
+@st.composite
+def layered_decoders(draw):
+    """Linear or mlp-tanh decoders of random shape with arbitrary finite weights."""
+    kind = draw(st.sampled_from(["linear", "mlp-tanh"]))
+    d = draw(st.integers(1, 3))
+    hidden = [] if kind == "linear" else draw(st.lists(st.integers(1, 4), max_size=2))
+    widths = [d, *hidden, draw(st.integers(d, d + 2))]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    weights = [draw(arrays(np.float64, (o, i), elements=finite)) for i, o in zip(widths, widths[1:])]
+    biases = [draw(arrays(np.float64, o, elements=finite)) for o in widths[1:]]
+    if kind == "linear":
+        return manifold.Decoder.linear(weights[0], biases[0])
     return manifold.Decoder.mlp_tanh(weights, biases)
 
 
@@ -136,18 +165,52 @@ class TestDecoderIo:
             manifold.load_decoder(p)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, lineno",
         [
-            "decoder linear\n# one layer\nlayer 2\n1 0\n0 1\n0 0\n",
-            "decoder linear\n\nlayer -1 2\n",
+            ("decoder linear\n# one layer\nlayer 2\n1 0\n0 1\n0 0\n", 3),
+            ("decoder linear\n\nlayer -1 2\n", 3),
+            ("\n# weights\nlayer 1 1\n1\n0\n", 3),
+            ("decoder linear\nlayer 1 1\n1\n0\nlayer 1 1\n1\n0\n", 5),
+            ("decoder mlp-tanh\nlayer 2 1\n1\n1\n0 0\n\nlayer 1 3\n1 1 1\n0\n", 7),
+            ("# empty\ndecoder mlp-tanh\n", 2),
         ],
-        ids=["bad-header", "negative-size"],
+        ids=["bad-header", "negative-size", "no-decoder-line", "linear-two-layers", "width-mismatch", "no-layers"],
     )
-    def test_error_names_line(self, tmp_path, text):
+    def test_error_names_line(self, tmp_path, text, lineno):
         p = tmp_path / "dec.txt"
         p.write_text(text)
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match=f"^line {lineno}: "):
             manifold.load_decoder(p)
+
+    @PROPERTY
+    @given(dec=layered_decoders())
+    def test_round_trip_is_exact(self, tmp_path_factory, dec):
+        p = tmp_path_factory.mktemp("dec") / "dec.txt"
+        manifold.save_decoder(dec, p)
+        loaded = manifold.load_decoder(p)
+        assert loaded.kind == dec.kind
+        assert len(loaded.layers) == len(dec.layers)
+        for (w, b), (w0, b0) in zip(loaded.layers, dec.layers):
+            assert w.shape == w0.shape and w.tobytes() == w0.tobytes()
+            assert b.shape == b0.shape and b.tobytes() == b0.tobytes()
+
+    @PROPERTY
+    @given(
+        dec=layered_decoders(),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        bad=st.sampled_from(["", "oops", "layer", "layer 2", "layer x 1", "1 oops"]),
+    )
+    def test_malformed_line_names_a_line(self, tmp_path_factory, dec, where, bad):
+        p = tmp_path_factory.mktemp("dec") / "dec.txt"
+        manifold.save_decoder(dec, p)
+        lines = p.read_text().splitlines()
+        lines[int(where * len(lines))] = bad
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            manifold.load_decoder(p)
+        named = re.match(r"line (\d+): ", str(info.value))
+        assert named is not None, str(info.value)
+        assert 1 <= int(named.group(1)) <= len(lines)
 
 
 class TestMetricField:
@@ -263,6 +326,23 @@ class TestGeodesicHamiltonian:
         np.testing.assert_array_equal(jac, dec.jacobian(y))
         hess = hess.reshape(4, 3, 3)
         np.testing.assert_array_equal(hess, hess.transpose(0, 2, 1))
+
+    def test_linear_is_the_one_layer_case(self):
+        rng = np.random.default_rng(11)
+        a, b = np.eye(3, 2) + 0.3 * rng.normal(size=(3, 2)), rng.normal(size=3)
+        y, p = np.array([0.3, -0.6]), np.array([0.8, 0.2])
+
+        def outputs(dec):
+            mf = manifold.MetricField(dec)
+            ham = manifold.GeodesicHamiltonian(mf)
+            traj = manifold.integrate(ham, manifold.PhasePoint(y, p), 0.1, 10)
+            states = [np.concatenate([pt.y, pt.p]) for pt in traj]
+            return [dec(y), dec.jacobian(y), mf.solve(y, p), ham.dy(y, p), *states, traj.energies]
+
+        linear = outputs(manifold.Decoder.linear(a, b))
+        layered = outputs(manifold.Decoder.mlp_tanh([a], [b]))
+        for u, v in zip(linear, layered, strict=True):
+            assert u.shape == v.shape and u.tobytes() == v.tobytes()
 
     def test_flat_geodesics_are_straight(self):
         dec = manifold.Decoder.linear(np.array([[1.0, 0.5], [0.0, 1.0], [0.3, -0.2]]))
