@@ -2,31 +2,34 @@
 
 Commands::
 
-    maniflow table <1|2|3> [--out DIR] [--decoder SPEC] [--steps N] [--dt H] [--damping L]
-    maniflow phase [--input FILE] [--out DIR] [--seed S] [--steps N] [--dt H] [--window W]
+    maniflow table <1|2|3> [--out DIR] [--config FILE] [--steps N] [--dt H] [--damping L] [--decoder SPEC]
+    maniflow phase [--out DIR] [--config FILE] [--input FILE] [--seed S] [--steps N] [--dt H] [--window W]
     maniflow plan <graph-file> <src> <dst>
 
 ``table`` writes ``tableN.csv`` and ``tableN.md`` into the output
-directory.  ``phase`` writes ``portrait.csv`` (columns t,u,e) and
-``field.csv`` (columns u_center,e_center,vu,ve,count; all cells in
-row-major order) and prints the divergence score and scalar-field fit
-residual; without ``--input`` it samples portraits from the seeded
-rotation generator, with ``--input`` it reads one distribution per line
-(whitespace-separated probabilities) and ``--window`` smooths the effort
-series.  ``plan`` prints the cheapest path and its cost, or
+directory.  Only table 3 reads ``--steps``, ``--dt`` and ``--damping``;
+only tables 1 and 2 read ``--decoder``.  ``phase`` writes
+``portrait.csv`` (columns t,u,e) and ``field.csv`` (columns
+u_center,e_center,vu,ve,count; all cells in row-major order) and prints
+the divergence score and scalar-field fit residual.  Without ``--input``
+it samples portraits from the rotation generator, which reads ``--seed``,
+``--steps`` and ``--dt``; with ``--input`` it reads one distribution per
+line (whitespace-separated probabilities), and ``--window`` smooths the
+effort series.  ``plan`` prints the cheapest path and its cost, or
 ``unreachable``.
 
-Flags may also be supplied through ``--config FILE`` holding ``key=value``
-lines (same names as the long flags); explicit flags win over the config
+Each command accepts only the options it reads; any other is a usage
+error.  ``--config FILE`` holds ``key=value`` lines whose keys are the
+command's other long option names; explicit flags win over the config
 file.  All reals in outputs are printed with 10 significant digits, '.'
 decimal separator, and '\\n' line endings; identical configuration and
 seed give byte-identical files.  Exit status is 0 exactly when every
 requested output was written, and 2 otherwise: usage errors, unreadable
 or malformed input, a non-finite or non-positive ``--dt``, ``--steps``
 below 1, a ``--window`` that is not odd and positive, a non-finite or
-negative ``--damping``, a non-finite decoder scale, or a failed
-integration.  Apart from usage errors, a failure prints one ``error:``
-line on stderr.
+negative ``--damping``, a non-finite decoder scale, a failed integration,
+or a non-finite table entry.  Apart from usage errors, a failure prints
+one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -45,19 +48,24 @@ from .manifold import IntegrationError, ShootingError, SingularMetricError
 _FIELD_BINS = 12
 _PHASE_PORTRAITS = 150
 
-_DEFAULTS = {
-    "table": {"out": ".", "seed": 0, "steps": 1000, "dt": 0.1, "damping": 0.05, "decoder": "default", "window": 1},
-    "phase": {"out": ".", "seed": 0, "steps": 200, "dt": 0.05, "damping": 0.05, "decoder": "default", "window": 1},
-}
-
-_CONVERTERS = {
-    "out": str,
-    "seed": int,
-    "steps": int,
-    "dt": float,
-    "damping": float,
-    "decoder": str,
-    "window": int,
+# The options each command reads, name -> (type, default, help): the source of
+# its flags, its --config keys and their defaults.
+_OPTIONS = {
+    "table": {
+        "out": (str, ".", "output directory (default '.')"),
+        "steps": (int, 1000, "table 3: leapfrog steps (default 1000)"),
+        "dt": (float, 0.1, "table 3: step size (default 0.1)"),
+        "damping": (float, 0.05, "table 3: damping of the damped ablation (default 0.05)"),
+        "decoder": (str, "default", "tables 1 and 2: read-out decoder, 'default' or 'gap:<scale>'"),
+    },
+    "phase": {
+        "out": (str, ".", "output directory (default '.')"),
+        "input": (str, None, "distribution sequence file (one distribution per line)"),
+        "seed": (int, 0, "without --input: RNG seed of the rotation portraits (default 0)"),
+        "steps": (int, 200, "without --input: steps per portrait (default 200)"),
+        "dt": (float, 0.05, "without --input: time step of the portraits (default 0.05)"),
+        "window": (int, 1, "with --input: odd smoothing window for the effort series (default 1)"),
+    },
 }
 
 
@@ -66,43 +74,29 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str) -> dict:
     values = {}
     for ln, line in _text.lines(path):
         if "=" not in line:
             raise ValueError(f"config line {ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONVERTERS:
-            raise ValueError(f"config line {ln}: unknown key {key!r}")
-        values[key] = _CONVERTERS[key](value.strip())
+        if key not in _OPTIONS[command]:
+            raise ValueError(f"config line {ln}: unknown key {key!r} for {command}")
+        values[key] = _OPTIONS[command][key][0](value.strip())
     return values
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="output directory (default '.')")
-    parser.add_argument("--config", help="key=value config file; explicit flags win")
-    parser.add_argument("--seed", type=int, help="RNG seed for synthetic inputs")
-    parser.add_argument("--steps", type=int, help="integration/generator steps")
-    parser.add_argument("--dt", type=float, help="step size")
-    parser.add_argument("--damping", type=float, help="damping coefficient (table 3)")
-    parser.add_argument("--decoder", help="read-out decoder: 'default' or 'gap:<scale>'")
-    parser.add_argument("--window", type=int, help="odd smoothing window for effort series")
-
-
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    config = _load_config(args.config) if args.config else {}
-    resolved = dict(_DEFAULTS[command])
-    resolved.update(config)
-    for key in _CONVERTERS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
+    resolved = {key: default for key, (_, default, _) in _OPTIONS[command].items()}
+    if args.config:
+        resolved.update(_load_config(args.config, command))
+    resolved.update({key: getattr(args, key) for key in _OPTIONS[command] if getattr(args, key) is not None})
     if not (math.isfinite(resolved["dt"]) and resolved["dt"] > 0):
         raise ValueError(f"dt must be finite and > 0, got {resolved['dt']!r}")
     if resolved["steps"] < 1:
         raise ValueError(f"steps must be >= 1, got {resolved['steps']!r}")
-    if resolved["window"] < 1 or resolved["window"] % 2 == 0:
+    if "window" in resolved and (resolved["window"] < 1 or resolved["window"] % 2 == 0):
         raise ValueError(f"window must be an odd integer >= 1, got {resolved['window']!r}")
     return resolved
 
@@ -113,11 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="emit an experiment table as CSV and markdown")
     table.add_argument("which", type=int, choices=(1, 2, 3), help="table number")
-    _add_common_flags(table)
-
     phase = sub.add_parser("phase", help="portrait, empirical field, divergence, and field fit")
-    phase.add_argument("--input", help="distribution sequence file (one distribution per line)")
-    _add_common_flags(phase)
+    for command, command_parser in (("table", table), ("phase", phase)):
+        command_parser.add_argument("--config", help="key=value config file; explicit flags win")
+        for key, (kind, _, help_text) in _OPTIONS[command].items():
+            command_parser.add_argument(f"--{key}", type=kind, help=help_text)
 
     plan = sub.add_parser("plan", help="cheapest path in a graph file")
     plan.add_argument("graph", help="graph file in the n/e text format")
@@ -135,7 +129,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.which == 3:
         kwargs = {"t_final": opts["steps"] * opts["dt"], "h": opts["dt"], "damping": opts["damping"]}
     csv_text = experiments.table_csv(args.which, decoder, **kwargs)
-    md_text = experiments.table_markdown(args.which, decoder, **kwargs)
+    md_text = experiments.table_markdown(csv_text)
     _write_text(out_dir / f"table{args.which}.csv", csv_text)
     _write_text(out_dir / f"table{args.which}.md", md_text)
     print(f"wrote {out_dir / f'table{args.which}.csv'} and {out_dir / f'table{args.which}.md'}")
@@ -174,8 +168,8 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     opts = _resolve(args, "phase")
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.input:
-        dists = _read_distributions(args.input)
+    if opts["input"]:
+        dists = _read_distributions(opts["input"])
         portraits = [infophase.portrait(dists, smoothing_window=opts["window"])]
     else:
         rng = np.random.default_rng(opts["seed"])

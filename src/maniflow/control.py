@@ -30,7 +30,6 @@ __all__ = [
     "ValueFunction",
     "ReducedHamiltonian",
     "optimal_control",
-    "reduced_hamiltonian",
     "hjb_residual",
     "ndm_layer",
     "running_cost",
@@ -73,10 +72,6 @@ class ValueFunction:
     value: Callable[[np.ndarray, float], float]
     grad: Callable[[np.ndarray, float], np.ndarray] | None = None
     time_partial: Callable[[np.ndarray, float], float] | None = None
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray, float], float]) -> "ValueFunction":
-        return cls(value=fn)
 
     def gradient(self, y: np.ndarray, t: float) -> np.ndarray:
         if self.grad is not None:
@@ -122,14 +117,6 @@ def optimal_control(metric_field: MetricField, y: np.ndarray, p: np.ndarray) -> 
     return metric_field.solve(np.atleast_1d(np.asarray(y, dtype=float)), np.asarray(p, dtype=float))
 
 
-def reduced_hamiltonian(
-    metric_field: MetricField, cost: CostSpec, y: np.ndarray, p: np.ndarray, ws_state=None
-) -> float:
-    return ReducedHamiltonian(metric_field, cost, ws_state)(
-        np.atleast_1d(np.asarray(y, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float))
-    )
-
-
 def hjb_residual(
     metric_field: MetricField,
     cost: CostSpec,
@@ -140,8 +127,8 @@ def hjb_residual(
 ) -> float:
     """dV/dt + H(y, grad V); identically zero for an exact value function."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    costate = value_fn.gradient(y, t)
-    return value_fn.dt(y, t) + reduced_hamiltonian(metric_field, cost, y, costate, ws_state)
+    costate = np.atleast_1d(value_fn.gradient(y, t))
+    return value_fn.dt(y, t) + ReducedHamiltonian(metric_field, cost, ws_state)(y, costate)
 
 
 def ndm_layer(

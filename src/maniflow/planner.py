@@ -246,10 +246,15 @@ def load_graph(path) -> WeightedDigraph:
 
 
 def save_graph(graph: WeightedDigraph, path) -> None:
+    """Write the ``n``/``e`` format; ValueError, before any write, for a weight that would read back as inf."""
+    edges = [(u, v, _text.fmt(w)) for u, v, w in graph.edges()]
+    for u, v, text in edges:
+        if math.isinf(float(text)):
+            raise ValueError(f"edge ({u}, {v}): weight too large for 10 digits, reads back as {text}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"n {graph.n_nodes}\n")
-        for u, v, w in graph.edges():
-            fh.write(f"e {u} {v} {_text.fmt(w)}\n")
+        for u, v, text in edges:
+            fh.write(f"e {u} {v} {text}\n")
 
 
 def sssp_csv(res: SsspResult) -> str:

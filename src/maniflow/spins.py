@@ -366,5 +366,4 @@ def save_spin_matrix(path, spins: np.ndarray) -> None:
 
 
 def load_spin_matrix(path) -> np.ndarray:
-    spins = np.loadtxt(path, dtype=float)
-    return np.atleast_2d(spins)
+    return np.loadtxt(path, dtype=float, ndmin=2)

@@ -311,6 +311,12 @@ def load_workspace(path) -> WorkspaceGraph:
 
 
 def save_workspace(ws: WorkspaceGraph, path) -> None:
+    """Write the text format; ValueError, before any write, for an id or label it would not load back."""
+    for node in ws.nodes.values():
+        if "#" in node.node_id or node.node_id.split() != [node.node_id]:
+            raise ValueError(f"node {node.node_id!r}: an id must be one token without '#'")
+        if "#" in node.label or " ".join(node.label.split()) != node.label:
+            raise ValueError(f"node {node.node_id!r}: label {node.label!r} must be single-spaced words without '#'")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for node in ws.nodes.values():
             fh.write(f"node {node.node_id} {node.kind.value} {node.label}\n")

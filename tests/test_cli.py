@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,72 @@ class TestTableCommand:
 
     def test_bad_table_number(self, tmp_path, capsys):
         assert cli.main(["table", "9", "--out", str(tmp_path)]) == 2
+
+    def test_table3_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+        run = experiments.toy3_run
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return run(**kwargs)
+
+        monkeypatch.setattr(experiments, "toy3_run", counted)
+        assert cli.main(["table", "3", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        csv_text = (tmp_path / "table3.csv").read_text()
+        assert (tmp_path / "table3.md").read_text() == experiments.table_markdown(csv_text)
+
+
+class TestDeclaredOptions:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("table", {"--out", "--config", "--steps", "--dt", "--damping", "--decoder"}),
+            ("phase", {"--out", "--config", "--input", "--seed", "--steps", "--dt", "--window"}),
+        ],
+        ids=["table", "phase"],
+    )
+    def test_help_lists_only_what_it_reads(self, capsys, command, flags):
+        assert cli.main([command, "--help"]) == 0
+        assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"} == flags
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "1", "--seed", "3"],
+            ["table", "2", "--window", "3"],
+            ["phase", "--damping", "0.1"],
+            ["phase", "--decoder", "default"],
+        ],
+        ids=["table-seed", "table-window", "phase-damping", "phase-decoder"],
+    )
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [(["table", "1"], "seed=3"), (["phase"], "damping=0.1")],
+        ids=["table-seed", "phase-damping"],
+    )
+    def test_unread_config_key_rejected(self, tmp_path, capsys, argv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out), "--config", str(cfg)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phase_config_supplies_input_and_window(self, tmp_path):
+        src = FIXTURES / "distributions.txt"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input={src}\nwindow=3\n")
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        assert cli.main(["phase", "--out", str(a), "--config", str(cfg)]) == 0
+        assert cli.main(["phase", "--out", str(b), "--input", str(src), "--window", "3"]) == 0
+        assert (a / "portrait.csv").read_bytes() == (b / "portrait.csv").read_bytes()
 
 
 class TestConfigFile:
@@ -201,6 +268,9 @@ class TestNumericInput:
             (["table", "3", "--damping", "inf"], "table3.csv"),
             (["phase", "--dt", "1e306"], "portrait.csv"),
             (["phase", "--window", "0"], "portrait.csv"),
+            (["table", "3", "--damping", "1e300"], "table3.csv"),
+            (["table", "3", "--dt", "1", "--steps", "2000"], "table3.csv"),
+            (["table", "3", "--dt", "1.5", "--steps", "600", "--damping", "3"], "table3.csv"),
         ],
         ids=[
             "dt-zero",
@@ -212,6 +282,9 @@ class TestNumericInput:
             "damping-inf",
             "phase-time-overflows",
             "phase-window-zero",
+            "damped-overflows",
+            "euler-overflows",
+            "damped-diverges",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -235,8 +308,23 @@ class TestNumericInput:
         assert not (tmp_path / "portrait.csv").exists()
 
 
-def test_import_leaves_scipy_unloaded():
+def _run_fresh(code: str) -> None:
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, maniflow, maniflow.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_leaves_scipy_unloaded():
+    _run_fresh("import sys, maniflow, maniflow.cli; assert 'scipy' not in sys.modules, 'scipy imported'")
+
+
+def test_cli_import_loads_only_what_commands_use():
+    _run_fresh(
+        "import sys, maniflow.cli\n"
+        "unused = {'maniflow.spins', 'maniflow.workspace', 'maniflow.control'} & set(sys.modules)\n"
+        "assert not unused, sorted(unused)\n"
+        "import maniflow\n"
+        "assert maniflow.spins.save_spin_matrix and maniflow.workspace.load_workspace\n"
+        "from maniflow import control\n"
+        "assert control is maniflow.control"
+    )

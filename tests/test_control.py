@@ -43,12 +43,12 @@ class TestValueFunction:
         np.testing.assert_allclose(vf.gradient(np.array([1.0]), 0.0), [10.0])
 
     def test_fd_gradient_fallback(self):
-        vf = control.ValueFunction.from_callable(lambda y, t: 0.5 * float(y @ y))
+        vf = control.ValueFunction(value=lambda y, t: 0.5 * float(y @ y))
         y = np.array([1.3, -0.4])
         np.testing.assert_allclose(vf.gradient(y, 0.0), y, atol=1e-8)
 
     def test_time_partial_fd(self):
-        vf = control.ValueFunction.from_callable(lambda y, t: float(y[0]) * t * t)
+        vf = control.ValueFunction(value=lambda y, t: float(y[0]) * t * t)
         np.testing.assert_allclose(vf.dt(np.array([2.0]), 3.0), 12.0, atol=1e-6)
 
 

@@ -206,7 +206,7 @@ class TestTables:
         assert len(lines) == 4
 
     def test_markdown_shape(self):
-        text = experiments.table_markdown(1)
+        text = experiments.table_markdown(experiments.table_csv(1))
         lines = text.strip().split("\n")
         assert lines[0].startswith("| method |")
         assert set(lines[1].replace("|", "")) == {"-"}

@@ -1,23 +1,14 @@
 """Tests for decoder geometry, leapfrog flows, shooting, and deviations."""
 
-import os
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra.numpy import arrays
 
 from maniflow import manifold
-
-# Fixed examples and no example database.  Hypothesis also caches the
-# constants it scans from local modules under .hypothesis/, at collection
-# time and whatever the settings; its caches are best effort, so a home
-# directory that cannot hold files turns them off.
-PROPERTY = settings(derandomize=True, database=None, max_examples=50, deadline=None)
-set_hypothesis_home_dir(os.devnull)
 
 
 class Oscillator:
@@ -182,7 +173,6 @@ class TestDecoderIo:
         with pytest.raises(ValueError, match=f"^line {lineno}: "):
             manifold.load_decoder(p)
 
-    @PROPERTY
     @given(dec=layered_decoders())
     def test_round_trip_is_exact(self, tmp_path_factory, dec):
         p = tmp_path_factory.mktemp("dec") / "dec.txt"
@@ -194,7 +184,6 @@ class TestDecoderIo:
             assert w.shape == w0.shape and w.tobytes() == w0.tobytes()
             assert b.shape == b0.shape and b.tobytes() == b0.tobytes()
 
-    @PROPERTY
     @given(
         dec=layered_decoders(),
         where=st.floats(0.0, 1.0, exclude_max=True),

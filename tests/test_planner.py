@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maniflow import planner
+from maniflow._text import fmt
 
 
 def brute_force_dist(graph, source):
@@ -219,7 +222,34 @@ class TestWaypoints:
             planner.waypoints([0, 1], 0)
 
 
+@st.composite
+def graphs(draw):
+    """Graphs of up to 6 nodes with any finite non-negative weights, self-loops included."""
+    g = planner.WeightedDigraph()
+    for _ in range(draw(st.integers(0, 6))):
+        g.add_node()
+    if g.n_nodes:
+        node = st.integers(0, g.n_nodes - 1)
+        weight = st.floats(min_value=0.0, allow_infinity=False)
+        for u, v, w in draw(st.lists(st.tuples(node, node, weight), max_size=12)):
+            g.add_edge(u, v, w)
+    return g
+
+
 class TestGraphIo:
+    @given(g=graphs())
+    def test_round_trip_property(self, tmp_path_factory, g):
+        p = tmp_path_factory.mktemp("graph") / "g.graph"
+        try:
+            planner.save_graph(g, p)
+        except ValueError as exc:
+            assert "too large" in str(exc)
+            assert not p.exists()
+            return
+        loaded = planner.load_graph(p)
+        assert loaded.n_nodes == g.n_nodes
+        assert list(loaded.edges()) == [(u, v, float(fmt(w))) for u, v, w in g.edges()]
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         g = random_graph(rng)
@@ -230,6 +260,14 @@ class TestGraphIo:
         loaded = planner.load_graph(p)
         assert loaded.n_nodes == g.n_nodes
         assert list(loaded.edges()) == [(u, v, float(f"{w:.10g}")) for u, v, w in g.edges()]
+
+    def test_weight_read_back_as_inf_refused(self, tmp_path):
+        g = planner.WeightedDigraph()
+        g.add_node()
+        g.add_edge(0, 0, 1.7976931348623157e308)
+        with pytest.raises(ValueError, match=r"^edge \(0, 0\): "):
+            planner.save_graph(g, tmp_path / "g.graph")
+        assert not (tmp_path / "g.graph").exists()
 
     def test_comments_and_blanks(self, tmp_path):
         p = tmp_path / "g.graph"

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maniflow import spins
 
@@ -334,3 +337,22 @@ class TestSpinIo:
         spins.save_spin_matrix(p, np.array([1.0, 0.0]))
         out = spins.load_spin_matrix(p)
         assert out.shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            st.tuples(st.integers(2, 6), st.just(1)),
+            st.tuples(st.just(1), st.integers(1, 5)),
+            st.tuples(st.integers(1, 6), st.integers(1, 5)),
+        ],
+        ids=["one-dimensional-spins", "one-spin", "any"],
+    )
+    @given(data=st.data())
+    def test_round_trip_property(self, tmp_path_factory, shape, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        s = data.draw(arrays(np.float64, data.draw(shape), elements=finite))
+        p = tmp_path_factory.mktemp("spins") / "spins.txt"
+        spins.save_spin_matrix(p, s)
+        out = spins.load_spin_matrix(p)
+        assert out.shape == s.shape
+        assert out.tobytes() == s.tobytes()

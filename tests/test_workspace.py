@@ -1,11 +1,15 @@
 """Tests for typed episode graphs, workspace losses, and explanation chains."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maniflow import workspace
+from maniflow._text import fmt
 from maniflow.workspace import EdgeCoeffs, EdgeKind, Fact, NodeKind, WorkspaceGraph
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -251,7 +255,68 @@ class TestExplanationChain:
             workspace.explanation_chain(ws, "S1", "Z9", EdgeCoeffs())
 
 
+# Tokens the text format carries: no whitespace (as str.split sees it) and no '#'.
+TOKEN = st.text(
+    st.characters(exclude_characters="#", exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp")),
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def workspaces(draw):
+    """Graphs with savable ids and labels; edges whose endpoint kinds break the rules are skipped."""
+    ws = WorkspaceGraph()
+    for node_id in draw(st.lists(TOKEN, max_size=6, unique=True)):
+        label = " ".join(draw(st.lists(TOKEN, max_size=3)))
+        ws.add_node(node_id, draw(st.sampled_from(NodeKind)), label)
+    ids = sorted(ws.nodes)
+    if ids:
+        t = st.none() | st.floats(allow_nan=False)
+        edge = st.tuples(st.sampled_from(EdgeKind), st.sampled_from(ids), st.sampled_from(ids), t)
+        for kind, src, dst, when in draw(st.lists(edge, max_size=8)):
+            try:
+                ws.add_edge(kind, src, dst, when)
+            except ValueError:
+                pass
+    return ws
+
+
 class TestWorkspaceIo:
+    @given(ws=workspaces())
+    def test_round_trip_property(self, tmp_path_factory, ws):
+        p = tmp_path_factory.mktemp("ws") / "episode.txt"
+        workspace.save_workspace(ws, p)
+        again = workspace.load_workspace(p)
+        assert list(again.nodes.values()) == list(ws.nodes.values())
+        assert again.edges == [e if e.t is None else replace(e, t=float(fmt(e.t))) for e in ws.edges]
+
+    @given(node_id=st.text(min_size=1, max_size=5), label=st.text(max_size=10))
+    def test_saved_node_loads_back_or_is_refused(self, tmp_path_factory, node_id, label):
+        ws = WorkspaceGraph()
+        ws.add_node(node_id, "actor", label)
+        p = tmp_path_factory.mktemp("ws") / "episode.txt"
+        try:
+            workspace.save_workspace(ws, p)
+        except ValueError as exc:
+            assert str(exc).startswith(f"node {node_id!r}: ")
+            assert not p.exists()
+        else:
+            assert workspace.load_workspace(p).nodes == ws.nodes
+
+    @pytest.mark.parametrize(
+        "node_id, label",
+        [("B", "Box #2"), ("B", "two  spaces"), ("a b", "Box"), ("B", " padded")],
+        ids=["hash-in-label", "double-space", "space-in-id", "leading-space"],
+    )
+    def test_unsavable_node_rejected_before_writing(self, tmp_path, node_id, label):
+        ws = small_graph()
+        ws.add_node(node_id, "object", label)
+        p = tmp_path / "episode.txt"
+        with pytest.raises(ValueError, match=f"^node {node_id!r}: "):
+            workspace.save_workspace(ws, p)
+        assert not p.exists()
+
     def test_load_fixture(self):
         ws = workspace.load_workspace(FIXTURES / "pick_place_episode.txt")
         assert ws.nodes["E1"].label == "Pick up"
