@@ -152,16 +152,27 @@ def _field_csv(field: infophase.GridField) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_distributions(path: str) -> list[np.ndarray]:
-    dists = []
+def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
+    """The portrait of a distribution file; an error about a row names its line."""
+    linenos, dists = [], []
     for ln, line in _text.lines(path):
         try:
             dists.append(np.array([float(v) for v in line.split()]))
         except ValueError:
             raise ValueError(f"line {ln}: bad probability value") from None
+        linenos.append(ln)
     if not dists:
         raise ValueError(f"no distributions found in {path!r}")
-    return dists
+    try:
+        return infophase.portrait(dists, smoothing_window=window)
+    except ValueError:
+        # the bad row is looked for only now, so a good file pays one entropy per row
+        for ln, dist in zip(linenos, dists):
+            try:
+                infophase.entropy(dist)
+            except ValueError as exc:
+                raise ValueError(f"line {ln}: {exc}") from None
+        raise
 
 
 def _cmd_phase(args: argparse.Namespace) -> int:
@@ -169,8 +180,7 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if opts["input"]:
-        dists = _read_distributions(opts["input"])
-        portraits = [infophase.portrait(dists, smoothing_window=opts["window"])]
+        portraits = [_input_portrait(opts["input"], opts["window"])]
     else:
         rng = np.random.default_rng(opts["seed"])
         portraits = experiments.rotation_portraits(_PHASE_PORTRAITS, opts["steps"], opts["dt"], rng)

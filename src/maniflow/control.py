@@ -88,8 +88,9 @@ class ReducedHamiltonian:
     """Kinetic term minus potential costs; usable by the leapfrog stepper.
 
     dp stays analytic through the metric solve.  dy takes the kinetic
-    part from GeodesicHamiltonian.dy (exact for layered decoders) and
-    differentiates the potential by central differences.
+    part from GeodesicHamiltonian.dy (from the decoder's jet, so exact for
+    layered decoders) and differentiates the potential by central
+    differences.
     """
 
     def __init__(self, metric_field: MetricField, cost: CostSpec, ws_state=None):

@@ -32,7 +32,7 @@ import numpy as np
 from . import planner
 from ._text import fmt
 from .infophase import PhasePortrait, entropy
-from .manifold import PhasePoint, integrate
+from .manifold import IntegrationError, PhasePoint, integrate
 
 __all__ = [
     "ToyDecoder",
@@ -228,9 +228,12 @@ def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorRe
     return report
 
 
-def _leapfrog_nodes(damping: float, h: float, n: int):
-    """y and p at the n + 1 leapfrog nodes from (1, 0); IntegrationError on divergence."""
-    traj = integrate(HarmonicOscillator(damping), PhasePoint([1.0], [0.0]), h, n)
+def _leapfrog_nodes(method: str, damping: float, h: float, n: int):
+    """y and p at the n + 1 leapfrog nodes from (1, 0); IntegrationError naming the run on divergence."""
+    try:
+        traj = integrate(HarmonicOscillator(damping), PhasePoint([1.0], [0.0]), h, n)
+    except IntegrationError as exc:
+        raise IntegrationError(f"{method} run: {exc}") from None
     return [pt.y[0] for pt in traj.points], [pt.p[0] for pt in traj.points]
 
 
@@ -239,7 +242,8 @@ def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> l
 
     All runs start from (y, p) = (1, 0); the energy error is the maximum
     deviation of (y^2 + p^2)/2 from 1/2 over the recorded nodes.  A run
-    that diverges raises IntegrationError (leapfrog runs) or ValueError.
+    that diverges raises IntegrationError (leapfrog runs) or ValueError, and
+    the message names the run.
     """
     n = int(round(t_final / h))
     if n < 1 or abs(n * h - t_final) > 1e-9:
@@ -249,7 +253,7 @@ def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> l
 
     leap = _report(
         "leapfrog",
-        *_leapfrog_nodes(0.0, h, n),
+        *_leapfrog_nodes("leapfrog", 0.0, h, n),
         t_final,
         note="measured energy error ~ h^2/8; reference table lists 1.25e-2 where the "
         "derived value is 1.25e-3 (scale discrepancy flagged)",
@@ -270,7 +274,7 @@ def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> l
         "state; derived value ~ ((1+h^2)^N - 1)/2 is reported instead",
     )
 
-    damped = _report("damped", *_leapfrog_nodes(damping, h, n), t_final)
+    damped = _report("damped", *_leapfrog_nodes("damped", damping, h, n), t_final)
 
     return [leap, euler, damped]
 

@@ -13,25 +13,27 @@ are never materialised.
 
 Derivative conventions used throughout:
 
-* a decoder is either layered (``linear`` is the one-layer case of
-  ``mlp-tanh``) or custom; a layered decoder's Jacobian and second
-  derivatives come from one forward pass, a custom one's Jacobian from
-  central differences
-* dH/dy of the kinetic Hamiltonian: exact for layered decoders,
-  dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for linear ones);
-  central differences for custom decoders
+* a decoder's only derivative method is ``Decoder.jet``, which returns
+  its Jacobian J and second derivatives D2; a decoder is either layered
+  (``linear`` is the one-layer case of ``mlp-tanh``), whose jet comes
+  from one forward pass, or custom, whose J and D2 come from central
+  differences
+* dH/dy of the kinetic Hamiltonian is one formula for every decoder,
+  dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for linear ones)
 * every finite difference is the central stencil of ``_fd_gradient``,
   step base (1 + |arg|): base 1e-5 for first derivatives (including the
-  shooting sensitivity), 1e-4 for the Hessian in the variational matrix
+  shooting sensitivity and a custom decoder's J), 1e-4 for second
+  derivatives (a custom decoder's D2, the Hessian in the variational
+  matrix)
 
 ``MetricField`` keeps the geometry of the last latent point it was asked
-about (J, the decoder's second derivatives, G and G^{-1} from its Cholesky
-factor), so a leapfrog step, which visits each point several times,
-factorises G once per point.
+about (J, D2, G and G^{-1} from its Cholesky factor), so a leapfrog step,
+which visits each point several times, factorises G once per point.
 
-Hamiltonian objects are plain callables ``H(y, p) -> float``; when they
-also provide ``dy``/``dp`` methods those analytic partials are used
-instead of finite differences.
+A Hamiltonian passed to ``integrate``, ``leapfrog_step``,
+``variational_matrix``, ``jacobi_propagate`` or ``empirical_deviations``
+provides ``__call__(y, p) -> float`` and the partials ``dy(y, p)`` and
+``dp(y, p)``; the engine never differentiates H itself.
 
 Decoder text format (blank lines and ``#`` comments allowed)::
 
@@ -98,9 +100,11 @@ class ShootingError(RuntimeError):
 
 @dataclass
 class Decoder:
-    """Latent-to-ambient map with an exact or finite-difference Jacobian.
+    """Latent-to-ambient map whose derivatives come from ``jet``.
 
     Build through the ``linear``, ``mlp_tanh``, or ``custom`` constructors.
+    A layered decoder's jet is exact; a custom decoder's J and D2 are
+    central differences of its function.
     """
 
     kind: str
@@ -174,36 +178,36 @@ class Decoder:
                 x = np.tanh(x)
         return x
 
-    def jacobian(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.kind == "custom":
-            return _fd_gradient(self, y)
-        return self._tanh_jet(y, second=False)[0]
+    def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobian J, shape (n, d), and second derivatives D2 at y.
 
-    def _tanh_jet(self, y: np.ndarray, second: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """Jacobian of a layered decoder and, if ``second``, its second derivatives.
-
-        One forward pass carries each layer's Jacobian and, when asked, its
-        derivative: an (n, d*d) array whose row i holds d^2 z_i / dy_j dy_k
-        at column j*d + k.
+        D2 is an (n, d*d) array whose row i holds d^2 z_i / dy_j dy_k at
+        column j*d + k.  A layered decoder carries both through one
+        forward pass.  A custom decoder takes J by central differences of
+        itself and D2 by central differences of that J at step base
+        HESS_STEP: 2d + 4d^2 calls of its function.
         """
+        y = np.asarray(y, dtype=float)
         d = self.latent_dim
+        if self.kind == "custom":
+            jac = _fd_gradient(self, y)
+            # row i*d + k, column j: d/dy_j of J[i, k]
+            hess = _fd_gradient(lambda yy: _fd_gradient(self, yy).ravel(), y, HESS_STEP)
+            return jac, hess.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
         x = y
         jac = np.eye(d)
-        hess = np.zeros((d, d * d)) if second else None
+        hess = np.zeros((d, d * d))
         last = len(self.layers) - 1
         for idx, (w, b) in enumerate(self.layers):
             jac = w @ jac
             x = w @ x + b
-            if second:
-                hess = w @ hess
+            hess = w @ hess
             if idx < last:
                 x = np.tanh(x)
                 slope = 1.0 - x * x
-                if second:
-                    # tanh'' = -2 tanh tanh'
-                    outer = (jac[:, :, None] * jac[:, None, :]).reshape(-1, d * d)
-                    hess = slope[:, None] * hess - (2.0 * x * slope)[:, None] * outer
+                # tanh'' = -2 tanh tanh'
+                outer = (jac[:, :, None] * jac[:, None, :]).reshape(-1, d * d)
+                hess = slope[:, None] * hess - (2.0 * x * slope)[:, None] * outer
                 jac = slope[:, None] * jac
         return jac, hess
 
@@ -278,7 +282,7 @@ class _LocalGeometry:
     key: tuple  # (bytes of y, eps_reg)
     decoder: Decoder
     jacobian: np.ndarray
-    hessian: np.ndarray | None  # see Decoder._tanh_jet; None for custom decoders
+    hessian: np.ndarray  # D2 of Decoder.jet
     metric: np.ndarray
     inverse: np.ndarray | None  # G^-1 from the Cholesky factor; None unless G is SPD
 
@@ -305,10 +309,7 @@ class MetricField:
         local = self._memo
         if local is not None and local.key == key and local.decoder is self.decoder:
             return local
-        if self.decoder.kind == "custom":
-            jac, hess = self.decoder.jacobian(y), None
-        else:
-            jac, hess = self.decoder._tanh_jet(y, second=True)
+        jac, hess = self.decoder.jet(y)
         g = jac.T @ jac
         g = 0.5 * (g + g.T)
         g = g + self.eps_reg * np.eye(self.decoder.latent_dim)
@@ -385,9 +386,9 @@ class PhaseTrajectory:
 class GeodesicHamiltonian:
     """Kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2 of a metric field.
 
-    dp is analytic (a symmetric solve).  dy is exact for layered decoders,
-    dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p, and falls back to
-    central differences for custom decoders.
+    dp is a symmetric solve.  dy is dH/dy_k = -(J v) . (d_k J) v with
+    v = G^{-1} p, from the decoder's jet: exact for layered decoders,
+    built on central-difference J and D2 for custom ones.
     """
 
     def __init__(self, metric_field: MetricField):
@@ -400,9 +401,6 @@ class GeodesicHamiltonian:
         return self.metric_field.solve(y, p)
 
     def dy(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.metric_field.decoder.kind == "custom":
-            return _fd_gradient(lambda yy: self(yy, p), y)
         local = self.metric_field._factored(y)
         v = local.inverse @ p
         return -((local.jacobian @ v) @ local.hessian).reshape(v.shape[0], -1) @ v
@@ -424,29 +422,15 @@ def _fd_gradient(f: Callable, x: np.ndarray, base_step: float = GRAD_STEP) -> np
     return np.array(cols, dtype=float).T.copy()
 
 
-def _dy(hamiltonian, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """dH/dy, analytic when the Hamiltonian provides it."""
-    if hasattr(hamiltonian, "dy"):
-        return np.asarray(hamiltonian.dy(y, p), dtype=float)
-    return _fd_gradient(lambda yy: hamiltonian(yy, p), y)
-
-
-def _dp(hamiltonian, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """dH/dp, analytic when the Hamiltonian provides it."""
-    if hasattr(hamiltonian, "dp"):
-        return np.asarray(hamiltonian.dp(y, p), dtype=float)
-    return _fd_gradient(lambda pp: hamiltonian(y, pp), p)
-
-
 def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
     """One staged kick-drift-kick update of step h (h may be negative)."""
     h = float(h)
     if not math.isfinite(h):
         raise ValueError("step size must be finite")
     y, p = pt.y, pt.p
-    p_half = p - 0.5 * h * _dy(hamiltonian, y, p)
-    y_new = y + h * _dp(hamiltonian, y, p_half)
-    p_new = p_half - 0.5 * h * _dy(hamiltonian, y_new, p_half)
+    p_half = p - 0.5 * h * hamiltonian.dy(y, p)
+    y_new = y + h * hamiltonian.dp(y, p_half)
+    p_new = p_half - 0.5 * h * hamiltonian.dy(y_new, p_half)
     return PhasePoint(y_new, p_new)
 
 
@@ -488,6 +472,11 @@ def trajectory_csv(traj: PhaseTrajectory) -> str:
 # boundary-value shooting
 
 
+def _flat_guess(metric_field: MetricField, y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:
+    """The flat-chart initial momentum G(y_a)(y_b - y_a)."""
+    return pullback_metric(metric_field, y_a) @ (y_b - y_a)
+
+
 def shoot_geodesic(metric_field: MetricField, y_a: np.ndarray, p_init: np.ndarray, n_steps: int) -> np.ndarray:
     """Endpoint y(1) of the geodesic leaving y_a with momentum p_init."""
     ham = GeodesicHamiltonian(metric_field)
@@ -511,8 +500,7 @@ def solve_shooting(
     """
     y_a = np.atleast_1d(np.asarray(y_a, dtype=float))
     y_b = np.atleast_1d(np.asarray(y_b, dtype=float))
-    g_a = pullback_metric(metric_field, y_a)
-    p = g_a @ (y_b - y_a)
+    p = _flat_guess(metric_field, y_a, y_b)
     residual = shoot_geodesic(metric_field, y_a, p, n_steps) - y_b
     res_norm = float(np.linalg.norm(residual))
     damping = 1e-3
@@ -551,7 +539,7 @@ def variational_matrix(hamiltonian, pt: PhasePoint) -> np.ndarray:
 
     def grad(z: np.ndarray) -> np.ndarray:
         y, p = z[:d], z[d:]
-        return np.concatenate([_dy(hamiltonian, y, p), _dp(hamiltonian, y, p)])
+        return np.concatenate([hamiltonian.dy(y, p), hamiltonian.dp(y, p)])
 
     hess = _fd_gradient(grad, np.concatenate([pt.y, pt.p]), HESS_STEP)
     return np.concatenate([hess[d:], -hess[:d]])
@@ -612,16 +600,10 @@ def loss_geo(metric_field: MetricField, pairs, n_steps: int) -> float:
         raise ValueError("need at least one endpoint pair")
     total = 0.0
     for entry in pairs:
-        if len(entry) == 2:
-            y_a, y_b = entry
-            y_a = np.atleast_1d(np.asarray(y_a, dtype=float))
-            y_b = np.atleast_1d(np.asarray(y_b, dtype=float))
-            p0 = pullback_metric(metric_field, y_a) @ (y_b - y_a)
-        else:
-            y_a, y_b, p0 = entry
-            y_a = np.atleast_1d(np.asarray(y_a, dtype=float))
-            y_b = np.atleast_1d(np.asarray(y_b, dtype=float))
-            p0 = np.atleast_1d(np.asarray(p0, dtype=float))
+        if len(entry) not in (2, 3):
+            raise ValueError(f"expected (y_a, y_b) or (y_a, y_b, p0), got {len(entry)} entries")
+        y_a, y_b, *p0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in entry)
+        p0 = p0[0] if p0 else _flat_guess(metric_field, y_a, y_b)
         end = shoot_geodesic(metric_field, y_a, p0, n_steps)
         total += float(np.sum((end - y_b) ** 2))
     return total / len(pairs)

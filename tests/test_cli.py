@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -296,6 +297,21 @@ class TestNumericInput:
         assert captured.out == ""
         assert not (tmp_path / written).exists()
 
+    @pytest.mark.parametrize(
+        "argv, run",
+        [
+            (["--dt", "50", "--steps", "200"], "leapfrog"),
+            (["--dt", "1", "--steps", "2000"], "euler"),
+            (["--damping", "1e300"], "damped"),
+            (["--dt", "1.5", "--steps", "600", "--damping", "3"], "damped"),
+        ],
+        ids=["leapfrog-diverges", "euler-overflows", "damped-overflows", "damped-diverges"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_is_named(self, tmp_path, capsys, argv, run):
+        assert cli.main(["table", "3", *argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {run} run: ")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_distribution_rejected_with_one_line(self, tmp_path, capsys):
         src = tmp_path / "dists.txt"
@@ -306,6 +322,65 @@ class TestNumericInput:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "portrait.csv").exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan 0.5 0.5", "sums to nan"),
+            ("-0.5 1.5", "negative entries"),
+            ("0.5 0.4", "sums to 0.9"),
+        ],
+        ids=["nan", "negative", "mis-summed"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bad_distribution_names_its_line(self, tmp_path, capsys, row, message):
+        src = tmp_path / "dists.txt"
+        src.write_text(f"0.5 0.5\n# the next row is line 3\n{row}\n0.25 0.75\n")
+        assert cli.main(["phase", "--input", str(src), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and message in err
+        assert err.count("\n") == 1
+
+
+# sha256 of the CLI outputs that must stay byte-identical unless a change of
+# results is intended.  Table and phase stdout are left out: the first holds
+# the output path, the second a residual from a BLAS least-squares solve.
+GOLDEN = [
+    (["table", "1"], {
+        "table1.csv": "afbe3adc040363fc34a11f84f304160f3145beb263c279fa2d91f7634e485bb2",
+        "table1.md": "37ec08471a2a7dee817a6f180f6fc02346c313d90bd074a9697d1c894c0688c3",
+    }),
+    (["table", "2"], {
+        "table2.csv": "924b1a5f5fd16cc1c3635302ad06fa0b7986d59caa297b8b2e6dfa7ef2618e39",
+        "table2.md": "2c8025b3b6a4e90114b381c4c90af70b1f6e5336049d6b6a3636da8ff27be2cc",
+    }),
+    (["table", "3"], {
+        "table3.csv": "d5e41b0ff0796a44c554a9fd2b385ff1bc9b979fb7a063c95e1a80107016692d",
+        "table3.md": "71326af223b600724d5aeb44ad6b9c73ff2152e726074fba6e961eb6338448e6",
+    }),
+    (["phase", "--seed", "3"], {
+        "portrait.csv": "e90ff7fbf9593e4a9d08939d0c3d700b0cf4f0918fe5988f7f44c22555752daa",
+        "field.csv": "693f51e2825caa427cc7c6efdeeee23271ac865fb4456f54f095d93fcb539105",
+    }),
+    (["phase", "--input", str(FIXTURES / "distributions.txt")], {
+        "portrait.csv": "2b51946b1cadc89c5d4842c1e22cde90e04e59fb5e01d097f47b33fff13e9923",
+        "field.csv": "ab40d2e3ee13b6fa6e6101239e49fbc796f5ebb1bdb3dc6fff0385f20a47b97b",
+    }),
+]
+GOLDEN_PLAN_STDOUT = "68f561418033f567ae07ba0ca760dd1840c3969b35eb0def5d1197fc0ef8d1a5"
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize(
+        "argv, digests", GOLDEN, ids=["table1", "table2", "table3", "phase-seed3", "phase-input"]
+    )
+    def test_output_files(self, tmp_path, capsys, argv, digests):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
+
+    def test_plan_stdout(self, capsys):
+        assert cli.main(["plan", str(FIXTURES / "triangle.graph"), "0", "2"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_PLAN_STDOUT
 
 
 def _run_fresh(code: str) -> None:

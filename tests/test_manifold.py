@@ -62,7 +62,7 @@ class TestDecoder:
         a = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
         dec = manifold.Decoder.linear(a, offset=np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(dec(np.array([1.0, 2.0])), [3.0, 6.0, 3.0])
-        np.testing.assert_allclose(dec.jacobian(np.zeros(2)), a)
+        np.testing.assert_allclose(dec.jet(np.zeros(2))[0], a)
 
     def test_mlp_forward_matches_manual(self):
         rng = np.random.default_rng(0)
@@ -80,7 +80,7 @@ class TestDecoder:
             [rng.normal(size=4), rng.normal(size=5)],
         )
         y = rng.normal(size=3)
-        jac = dec.jacobian(y)
+        jac = dec.jet(y)[0]
         step = 1e-6
         for i in range(3):
             e = np.zeros(3)
@@ -94,7 +94,7 @@ class TestDecoder:
         )
         y = np.array([1.5, -0.5])
         expected = np.array([[3.0, 0.0], [0.0, 1.0], [-0.5, 1.5]])
-        np.testing.assert_allclose(dec.jacobian(y), expected, atol=1e-7)
+        np.testing.assert_allclose(dec.jet(y)[0], expected, atol=1e-7)
 
     def test_ambient_smaller_than_latent_rejected(self):
         with pytest.raises(ValueError, match="ambient"):
@@ -311,8 +311,11 @@ class TestGeodesicHamiltonian:
     def test_tanh_jet_matches_jacobian(self):
         dec = random_tanh_decoder(np.random.default_rng(5), 3, 4, 2)
         y = np.array([0.2, -0.1, 0.4])
-        jac, hess = dec._tanh_jet(y, second=True)
-        np.testing.assert_array_equal(jac, dec.jacobian(y))
+        jac, hess = dec.jet(y)
+        np.testing.assert_allclose(jac, manifold._fd_gradient(dec, y), atol=1e-9)
+        # the FD oracle's row i*3 + k, column j is d/dy_j of J[i, k]
+        fd = manifold._fd_gradient(lambda yy: dec.jet(yy)[0].ravel(), y)
+        np.testing.assert_allclose(hess.reshape(4, 3, 3), fd.reshape(4, 3, 3).transpose(0, 2, 1), atol=1e-8)
         hess = hess.reshape(4, 3, 3)
         np.testing.assert_array_equal(hess, hess.transpose(0, 2, 1))
 
@@ -326,7 +329,7 @@ class TestGeodesicHamiltonian:
             ham = manifold.GeodesicHamiltonian(mf)
             traj = manifold.integrate(ham, manifold.PhasePoint(y, p), 0.1, 10)
             states = [np.concatenate([pt.y, pt.p]) for pt in traj]
-            return [dec(y), dec.jacobian(y), mf.solve(y, p), ham.dy(y, p), *states, traj.energies]
+            return [dec(y), *dec.jet(y), mf.solve(y, p), ham.dy(y, p), *states, traj.energies]
 
         linear = outputs(manifold.Decoder.linear(a, b))
         layered = outputs(manifold.Decoder.mlp_tanh([a], [b]))
@@ -343,6 +346,47 @@ class TestGeodesicHamiltonian:
         v = mf.solve(y0, p0)
         np.testing.assert_allclose(traj.final().y, y0 + v, atol=1e-12)
         np.testing.assert_allclose(traj.final().p, p0, atol=1e-12)
+
+
+def custom_wrapper(dec):
+    """The same map as a custom decoder, so its jet comes from central differences."""
+    return manifold.Decoder.custom(dec, dec.latent_dim, dec.ambient_dim)
+
+
+class TestCustomDecoder:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_jet_matches_layered(self, d):
+        rng = np.random.default_rng(200 + d)
+        dec = random_tanh_decoder(rng, d, d + 1, 2)
+        for _ in range(3):
+            y = rng.uniform(-0.5, 0.5, size=d)
+            jac, hess = dec.jet(y)
+            fd_jac, fd_hess = custom_wrapper(dec).jet(y)
+            np.testing.assert_allclose(fd_jac, jac, rtol=0, atol=1e-7)
+            assert fd_hess.shape == hess.shape
+            assert np.linalg.norm(fd_hess - hess) <= 1e-5 * np.linalg.norm(hess)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dy_matches_exact_and_fd(self, d):
+        rng = np.random.default_rng(300 + d)
+        dec = random_tanh_decoder(rng, d, d + 1, 2)
+        exact_ham = manifold.GeodesicHamiltonian(manifold.MetricField(dec))
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(custom_wrapper(dec)))
+        for _ in range(3):
+            y = rng.uniform(-0.5, 0.5, size=d)
+            p = rng.normal(size=d)
+            dy = ham.dy(y, p)
+            exact = exact_ham.dy(y, p)
+            fd = manifold._fd_gradient(lambda yy: ham(yy, p), y)
+            assert np.linalg.norm(dy - exact) <= 1e-5 * np.linalg.norm(exact)
+            assert np.linalg.norm(dy - fd) <= 1e-5 * np.linalg.norm(fd)
+
+    def test_shooting_reaches_target(self):
+        mf = manifold.MetricField(custom_wrapper(near_identity_decoder()))
+        y_a = np.array([0.0, 0.0])
+        y_b = np.array([0.8, 0.5])
+        p = manifold.solve_shooting(mf, y_a, y_b, n_steps=12, tol=1e-8)
+        assert np.linalg.norm(manifold.shoot_geodesic(mf, y_a, p, 12) - y_b) <= 1e-8
 
 
 class TestLeapfrog:
@@ -508,6 +552,19 @@ class TestLosses:
         # shoot with p = (1, 0) from origin: lands at (1, 0); target (0, 0)
         pairs = [(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))]
         np.testing.assert_allclose(manifold.loss_geo(mf, pairs, n_steps=8), 1.0)
+
+    def test_loss_geo_pair_is_triple_with_flat_guess(self):
+        mf = manifold.MetricField(near_identity_decoder())
+        y_a, y_b = np.array([0.1, -0.2]), np.array([0.6, 0.3])
+        guess = manifold.pullback_metric(mf, y_a) @ (y_b - y_a)
+        pair = manifold.loss_geo(mf, [(y_a, y_b)], n_steps=8)
+        assert pair > 0 and pair == manifold.loss_geo(mf, [(y_a, y_b, guess)], n_steps=8)
+
+    @pytest.mark.parametrize("n_entries", [1, 4])
+    def test_loss_geo_entry_length_checked(self, n_entries):
+        mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)))
+        with pytest.raises(ValueError, match=f"got {n_entries} entries"):
+            manifold.loss_geo(mf, [(np.zeros(2),) * n_entries], n_steps=8)
 
     def test_loss_geo_empty_rejected(self):
         mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)))

@@ -236,6 +236,45 @@ def graphs(draw):
     return g
 
 
+@st.composite
+def zero_cycle_graphs(draw):
+    """Graphs of up to 40 nodes with parallel edges, self-loops and zero-weight cycles.
+
+    Weights are multiples of 1/8 below 8, so every path sum is exact and
+    distances can be compared for equality.
+    """
+    g = planner.WeightedDigraph()
+    for _ in range(draw(st.integers(1, 40))):
+        g.add_node()
+    node = st.integers(0, g.n_nodes - 1)
+    weight = st.integers(0, 63).map(lambda k: k / 8)
+    for u, v, w in draw(st.lists(st.tuples(node, node, weight), max_size=120)):
+        g.add_edge(u, v, w)
+    for cycle in draw(st.lists(st.lists(node, min_size=1, max_size=6), max_size=4)):
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            g.add_edge(u, v, 0.0)
+    return g, draw(node)
+
+
+class TestDijkstraProperty:
+    @given(case=zero_cycle_graphs())
+    def test_matches_bellman_ford(self, case):
+        g, src = case
+        res = planner.dijkstra(g, src)
+        assert res.dist == brute_force_dist(g, src)
+        assert res.pred[src] is None
+        for v in range(g.n_nodes):
+            u = res.pred[v]
+            if u is None:
+                assert v == src or math.isinf(res.dist[v])
+                continue
+            assert any(x == v and res.dist[u] + w == res.dist[v] for x, w in g.adjacency[u])
+            chain = [v]
+            while chain[-1] != src:
+                chain.append(res.pred[chain[-1]])
+                assert chain[-1] is not None and chain[-1] not in chain[:-1]
+
+
 class TestGraphIo:
     @given(g=graphs())
     def test_round_trip_property(self, tmp_path_factory, g):
