@@ -29,7 +29,10 @@ or malformed input, a non-finite or non-positive ``--dt``, ``--steps``
 below 1, a ``--window`` that is not odd and positive, a non-finite or
 negative ``--damping``, a non-finite decoder scale, a failed integration,
 or a non-finite table entry.  Apart from usage errors, a failure prints
-one ``error:`` line on stderr.
+one ``error:`` line on stderr and writes no file: every output is
+computed before ``--out`` is created.  A bad line of an input file
+raises ``_text.FormatError`` (``planner.GraphFormatError`` for a graph),
+whose message starts ``line N: ``, or ``config line N: `` for a config.
 """
 
 from __future__ import annotations
@@ -69,21 +72,19 @@ _OPTIONS = {
 }
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _load_config(path: str, command: str) -> dict:
     values = {}
     for ln, line in _text.lines(path):
-        if "=" not in line:
-            raise ValueError(f"config line {ln}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _OPTIONS[command]:
-            raise ValueError(f"config line {ln}: unknown key {key!r} for {command}")
-        values[key] = _OPTIONS[command][key][0](value.strip())
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _OPTIONS[command]:
+                raise ValueError(f"unknown key {key!r} for {command}")
+            values[key] = _OPTIONS[command][key][0](value.strip())
+        except ValueError as exc:
+            raise _text.FormatError.at(ln, exc, "config line") from None
     return values
 
 
@@ -122,34 +123,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     opts = _resolve(args, "table")
-    out_dir = Path(opts["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     decoder = experiments.parse_decoder_spec(opts["decoder"])
     kwargs = {}
     if args.which == 3:
         kwargs = {"t_final": opts["steps"] * opts["dt"], "h": opts["dt"], "damping": opts["damping"]}
     csv_text = experiments.table_csv(args.which, decoder, **kwargs)
     md_text = experiments.table_markdown(csv_text)
-    _write_text(out_dir / f"table{args.which}.csv", csv_text)
-    _write_text(out_dir / f"table{args.which}.md", md_text)
+    out_dir = Path(opts["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _text.write(out_dir / f"table{args.which}.csv", csv_text.splitlines())
+    _text.write(out_dir / f"table{args.which}.md", md_text.splitlines())
     print(f"wrote {out_dir / f'table{args.which}.csv'} and {out_dir / f'table{args.which}.md'}")
     return 0
 
 
-def _portrait_csv(por: infophase.PhasePortrait) -> str:
-    lines = ["t,u,e"]
-    lines += [f"{t},{fmt(u)},{fmt(e)}" for t, (u, e) in enumerate(zip(por.u, por.e))]
-    return "\n".join(lines) + "\n"
+def _portrait_rows(por: infophase.PhasePortrait) -> list[str]:
+    return ["t,u,e"] + [f"{t},{fmt(u)},{fmt(e)}" for t, (u, e) in enumerate(zip(por.u, por.e))]
 
 
-def _field_csv(field: infophase.GridField) -> str:
+def _field_rows(field: infophase.GridField) -> list[str]:
     lines = ["u_center,e_center,vu,ve,count"]
     for iu, uc in enumerate(field.u_centers):
         for ie, ec in enumerate(field.e_centers):
             lines.append(
                 f"{fmt(uc)},{fmt(ec)},{fmt(field.vu[iu, ie])},{fmt(field.ve[iu, ie])},{field.count[iu, ie]}"
             )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
@@ -159,7 +158,7 @@ def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
         try:
             dists.append(np.array([float(v) for v in line.split()]))
         except ValueError:
-            raise ValueError(f"line {ln}: bad probability value") from None
+            raise _text.FormatError.at(ln, "bad probability value") from None
         linenos.append(ln)
     if not dists:
         raise ValueError(f"no distributions found in {path!r}")
@@ -171,31 +170,32 @@ def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
             try:
                 infophase.entropy(dist)
             except ValueError as exc:
-                raise ValueError(f"line {ln}: {exc}") from None
+                raise _text.FormatError.at(ln, exc) from None
         raise
 
 
 def _cmd_phase(args: argparse.Namespace) -> int:
     opts = _resolve(args, "phase")
-    out_dir = Path(opts["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     if opts["input"]:
         portraits = [_input_portrait(opts["input"], opts["window"])]
     else:
         rng = np.random.default_rng(opts["seed"])
         portraits = experiments.rotation_portraits(_PHASE_PORTRAITS, opts["steps"], opts["dt"], rng)
-    _write_text(out_dir / "portrait.csv", _portrait_csv(portraits[0]))
     field = infophase.empirical_field(portraits, _FIELD_BINS, _FIELD_BINS)
-    _write_text(out_dir / "field.csv", _field_csv(field))
     try:
-        print(f"divergence_score: {fmt(infophase.divergence_score(field))}")
+        report = [f"divergence_score: {fmt(infophase.divergence_score(field))}"]
     except infophase.DegenerateFieldError as exc:
-        print(f"divergence_score: unavailable ({exc})")
+        report = [f"divergence_score: unavailable ({exc})"]
     try:
         _, residual = infophase.fit_info_hamiltonian(field)
-        print(f"field_fit_residual: {fmt(residual)}")
+        report.append(f"field_fit_residual: {fmt(residual)}")
     except (infophase.DegenerateFieldError, infophase.FieldFitError) as exc:
-        print(f"field_fit_residual: unavailable ({exc})")
+        report.append(f"field_fit_residual: unavailable ({exc})")
+    out_dir = Path(opts["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _text.write(out_dir / "portrait.csv", _portrait_rows(portraits[0]))
+    _text.write(out_dir / "field.csv", _field_rows(field))
+    print("\n".join(report))
     print(f"wrote {out_dir / 'portrait.csv'} and {out_dir / 'field.csv'}")
     return 0
 

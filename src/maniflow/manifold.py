@@ -213,19 +213,19 @@ class Decoder:
 
 
 def save_decoder(decoder: Decoder, path) -> None:
+    """Write the format of ``load_decoder``; ValueError, before any write, for a custom decoder."""
     if decoder.kind == "custom":
         raise ValueError("custom decoders have no serialisable weights")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"decoder {decoder.kind}\n")
-        for w, b in decoder.layers:
-            fh.write(f"layer {w.shape[0]} {w.shape[1]}\n")
-            for row in w:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-            fh.write(" ".join(f"{v:.17g}" for v in b) + "\n")
+    rows = [f"decoder {decoder.kind}"]
+    for w, b in decoder.layers:
+        rows.append(f"layer {w.shape[0]} {w.shape[1]}")
+        rows += [" ".join(f"{v:.17g}" for v in row) for row in w]
+        rows.append(" ".join(f"{v:.17g}" for v in b))
+    _text.write(path, rows)
 
 
 def load_decoder(path) -> Decoder:
-    """Parse the format of ``save_decoder``; errors carry 1-based line numbers.
+    """Parse the format of ``save_decoder``; a bad line raises ``_text.FormatError`` starting ``line N: ``.
 
     An error inside a layer block names the block's ``layer`` line.
     """
@@ -233,15 +233,17 @@ def load_decoder(path) -> Decoder:
     if not numbered:
         raise ValueError("decoder file must start with a 'decoder <kind>' line")
     linenos, rows = zip(*numbered)
-    if not rows[0].startswith("decoder "):
-        raise ValueError(f"line {linenos[0]}: decoder file must start with a 'decoder <kind>' line")
-    kind = rows[0].split()[1]
-    if kind not in ("linear", "mlp-tanh"):
-        raise ValueError(f"line {linenos[0]}: unknown decoder kind {kind!r}")
-    weights, biases = [], []
-    i = 1
-    while i < len(rows):
-        try:
+    weights, biases, i = [], [], 0
+    try:
+        if not rows[0].startswith("decoder "):
+            raise ValueError("decoder file must start with a 'decoder <kind>' line")
+        kind = rows[0].split()[1]
+        if kind not in ("linear", "mlp-tanh"):
+            raise ValueError(f"unknown decoder kind {kind!r}")
+        if len(rows) == 1:
+            raise ValueError("decoder has no layers")
+        i = 1
+        while i < len(rows):
             head = rows[i].split()
             if head[0] != "layer" or len(head) != 3:
                 raise ValueError(f"expected 'layer <out> <in>', got {rows[i]!r}")
@@ -259,13 +261,11 @@ def load_decoder(path) -> Decoder:
                 raise ValueError("linear decoder must have exactly one layer")
             if weights and in_n != weights[-1].shape[0]:
                 raise ValueError("layer input width must match previous layer output width")
-        except ValueError as exc:
-            raise ValueError(f"line {linenos[i]}: {exc}") from None
-        weights.append(w)
-        biases.append(b)
-        i += out_n + 2
-    if not weights:
-        raise ValueError(f"line {linenos[0]}: decoder has no layers")
+            weights.append(w)
+            biases.append(b)
+            i += out_n + 2
+    except ValueError as exc:
+        raise _text.FormatError.at(linenos[i], exc) from None
     if kind == "linear":
         return Decoder.linear(weights[0], biases[0])
     return Decoder.mlp_tanh(weights, biases)
@@ -596,7 +596,7 @@ def loss_geo(metric_field: MetricField, pairs, n_steps: int) -> float:
     Without an explicit initial momentum the flat-chart guess
     G(y_a)(y_b - y_a) is used.
     """
-    if not pairs:
+    if len(pairs) == 0:
         raise ValueError("need at least one endpoint pair")
     total = 0.0
     for entry in pairs:
@@ -615,7 +615,7 @@ def loss_jac(hamiltonian, cases) -> float:
     Each case is ``(trajectory, delta0, observed)`` with ``observed`` of
     shape (n+1, 2d) as produced by ``empirical_deviations``.
     """
-    if not cases:
+    if len(cases) == 0:
         raise ValueError("need at least one deviation case")
     total = 0.0
     for traj, delta0, observed in cases:

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(_text.FormatError):
     """Raised when a graph text file cannot be parsed."""
 
 
@@ -205,41 +205,33 @@ def waypoints(path, stride: int):
 
 
 def load_graph(path) -> WeightedDigraph:
-    """Parse the ``n``/``e`` text format; errors carry 1-based line numbers."""
+    """Parse the ``n``/``e`` text format; a bad line raises ``GraphFormatError`` starting ``line N: ``."""
     graph = WeightedDigraph()
     declared = False
     for ln, line in _text.lines(path):
         tokens = line.split()
-        if tokens[0] == "n":
-            if declared:
-                raise GraphFormatError(f"line {ln}: duplicate node-count line")
-            if len(tokens) != 2:
-                raise GraphFormatError(f"line {ln}: expected 'n <count>'")
-            try:
+        try:
+            if tokens[0] == "n":
+                if declared:
+                    raise ValueError("duplicate node-count line")
+                if len(tokens) != 2:
+                    raise ValueError("expected 'n <count>'")
                 count = int(tokens[1])
-            except ValueError:
-                raise GraphFormatError(f"line {ln}: bad node count {tokens[1]!r}") from None
-            if count < 0:
-                raise GraphFormatError(f"line {ln}: negative node count")
-            for _ in range(count):
-                graph.add_node()
-            declared = True
-        elif tokens[0] == "e":
-            if not declared:
-                raise GraphFormatError(f"line {ln}: edge before node-count line")
-            if len(tokens) != 4:
-                raise GraphFormatError(f"line {ln}: expected 'e <src> <dst> <weight>'")
-            try:
-                src, dst = int(tokens[1]), int(tokens[2])
-                weight = float(tokens[3])
-            except ValueError:
-                raise GraphFormatError(f"line {ln}: bad edge fields {tokens[1:]!r}") from None
-            try:
-                graph.add_edge(src, dst, weight)
-            except ValueError as exc:
-                raise GraphFormatError(f"line {ln}: {exc}") from None
-        else:
-            raise GraphFormatError(f"line {ln}: unknown directive {tokens[0]!r}")
+                if count < 0:
+                    raise ValueError("negative node count")
+                for _ in range(count):
+                    graph.add_node()
+                declared = True
+            elif tokens[0] == "e":
+                if not declared:
+                    raise ValueError("edge before node-count line")
+                if len(tokens) != 4:
+                    raise ValueError("expected 'e <src> <dst> <weight>'")
+                graph.add_edge(int(tokens[1]), int(tokens[2]), float(tokens[3]))
+            else:
+                raise ValueError(f"unknown directive {tokens[0]!r}")
+        except ValueError as exc:
+            raise GraphFormatError.at(ln, exc) from None
     if not declared:
         raise GraphFormatError("missing 'n <count>' line")
     return graph
@@ -247,14 +239,13 @@ def load_graph(path) -> WeightedDigraph:
 
 def save_graph(graph: WeightedDigraph, path) -> None:
     """Write the ``n``/``e`` format; ValueError, before any write, for a weight that would read back as inf."""
-    edges = [(u, v, _text.fmt(w)) for u, v, w in graph.edges()]
-    for u, v, text in edges:
+    rows = [f"n {graph.n_nodes}"]
+    for u, v, w in graph.edges():
+        text = _text.fmt(w)
         if math.isinf(float(text)):
             raise ValueError(f"edge ({u}, {v}): weight too large for 10 digits, reads back as {text}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n {graph.n_nodes}\n")
-        for u, v, text in edges:
-            fh.write(f"e {u} {v} {text}\n")
+        rows.append(f"e {u} {v} {text}")
+    _text.write(path, rows)
 
 
 def sssp_csv(res: SsspResult) -> str:

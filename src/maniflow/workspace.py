@@ -285,7 +285,7 @@ def explanation_chain(ws: WorkspaceGraph, src: str, dst: str, coeffs: EdgeCoeffs
 
 
 def load_workspace(path) -> WorkspaceGraph:
-    """Parse the node/edge text format; errors carry 1-based line numbers."""
+    """Parse the node/edge text format; a bad line raises ``_text.FormatError`` starting ``line N: ``."""
     ws = WorkspaceGraph()
     for ln, line in _text.lines(path):
         tokens = line.split()
@@ -306,20 +306,20 @@ def load_workspace(path) -> WorkspaceGraph:
             else:
                 raise ValueError(f"unknown directive {tokens[0]!r}")
         except ValueError as exc:
-            raise ValueError(f"line {ln}: {exc}") from None
+            raise _text.FormatError.at(ln, exc) from None
     return ws.freeze()
 
 
 def save_workspace(ws: WorkspaceGraph, path) -> None:
     """Write the text format; ValueError, before any write, for an id or label it would not load back."""
+    rows = []
     for node in ws.nodes.values():
         if "#" in node.node_id or node.node_id.split() != [node.node_id]:
             raise ValueError(f"node {node.node_id!r}: an id must be one token without '#'")
         if "#" in node.label or " ".join(node.label.split()) != node.label:
             raise ValueError(f"node {node.node_id!r}: label {node.label!r} must be single-spaced words without '#'")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for node in ws.nodes.values():
-            fh.write(f"node {node.node_id} {node.kind.value} {node.label}\n")
-        for edge in ws.edges:
-            suffix = "" if edge.t is None else f" t={_text.fmt(edge.t)}"
-            fh.write(f"edge {edge.kind.value} {edge.src} {edge.dst}{suffix}\n")
+        rows.append(f"node {node.node_id} {node.kind.value} {node.label}")
+    for edge in ws.edges:
+        suffix = "" if edge.t is None else f" t={_text.fmt(edge.t)}"
+        rows.append(f"edge {edge.kind.value} {edge.src} {edge.dst}{suffix}")
+    _text.write(path, rows)

@@ -157,6 +157,12 @@ class TestConfigFile:
         cfg.write_text("# table grid\n\nsteps=10  # ticks\ndt=0.1\n")
         assert cli.main(["table", "3", "--out", str(tmp_path), "--config", str(cfg)]) == 0
 
+    def test_bad_value_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=abc\n")
+        assert cli.main(["table", "3", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config line 1: invalid literal for int() with base 10: 'abc'\n"
+
 
 class TestPhaseCommand:
     def test_synthetic_outputs(self, tmp_path, capsys):
@@ -340,6 +346,23 @@ class TestNumericInput:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: ") and message in err
         assert err.count("\n") == 1
+
+
+class TestFailedCommandWritesNothing:
+    @pytest.mark.parametrize(
+        "argv",
+        [["phase", "--input", "one_row.txt"], ["table", "3", "--dt", "50", "--steps", "200"]],
+        ids=["phase-one-row", "table-diverges"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_out_directory(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("one_row.txt").write_text("0.5 0.5\n")
+        assert cli.main(argv + ["--out", "new"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not Path("new").exists()
 
 
 # sha256 of the CLI outputs that must stay byte-identical unless a change of

@@ -566,6 +566,11 @@ class TestLosses:
         with pytest.raises(ValueError, match=f"got {n_entries} entries"):
             manifold.loss_geo(mf, [(np.zeros(2),) * n_entries], n_steps=8)
 
+    def test_loss_geo_takes_stacked_pairs(self):
+        mf = manifold.MetricField(near_identity_decoder())
+        pairs = [(np.array([0.1, -0.2]), np.array([0.6, 0.3])), (np.array([0.0, 0.4]), np.array([-0.3, 0.1]))]
+        assert manifold.loss_geo(mf, np.array(pairs), n_steps=8) == manifold.loss_geo(mf, pairs, n_steps=8)
+
     def test_loss_geo_empty_rejected(self):
         mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)))
         with pytest.raises(ValueError, match="pair"):

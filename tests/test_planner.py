@@ -1,13 +1,14 @@
 """Tests for the graph planner: Dijkstra, graph building, and round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maniflow import planner
+from maniflow import _text, planner
 from maniflow._text import fmt
 
 
@@ -275,6 +276,11 @@ class TestDijkstraProperty:
                 assert chain[-1] is not None and chain[-1] not in chain[:-1]
 
 
+# One bad line of each kind: blank, unknown directive, missing field,
+# non-numeric field, out-of-range node, negative weight, repeated count.
+GRAPH_JUNK = ["", "q 0 1", "n", "e 0 1", "n x", "e 0 x 1.5", "e 0 9 1.5", "e 0 0 -1", "n 2"]
+
+
 class TestGraphIo:
     @given(g=graphs())
     def test_round_trip_property(self, tmp_path_factory, g):
@@ -338,6 +344,45 @@ class TestGraphIo:
         p.write_text("# nothing\n")
         with pytest.raises(planner.GraphFormatError, match="missing"):
             planner.load_graph(p)
+
+    @given(g=graphs(), data=st.data())
+    def test_junk_line_is_named(self, tmp_path_factory, g, data):
+        p = tmp_path_factory.mktemp("graph") / "g.graph"
+        try:
+            planner.save_graph(g, p)
+        except ValueError:
+            return
+        rows = p.read_text().splitlines()
+        k = data.draw(st.integers(1, len(rows)), label="replaced line")
+        rows[k - 1] = data.draw(st.sampled_from(GRAPH_JUNK), label="junk")
+        p.write_text("".join(f"{row}\n" for row in rows))
+        try:
+            planner.load_graph(p)
+        except _text.FormatError as exc:
+            assert isinstance(exc, planner.GraphFormatError)
+            named = re.match(r"line (\d+): ", str(exc))
+            if named is None:
+                assert k == 1 and str(exc) == "missing 'n <count>' line"
+            else:
+                assert k <= int(named.group(1)) <= len(rows)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 2\nn 2\n", "line 2: duplicate node-count line"),
+            ("# head\nn\n", "line 2: expected 'n <count>'"),
+            ("n x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+            ("n 2\n\ne 0 1\n", "line 3: expected 'e <src> <dst> <weight>'"),
+            ("n 2\ne 0 2 1\n", "line 2: edge endpoint 2 is not a node index"),
+        ],
+        ids=["duplicate-count", "missing-count", "non-numeric-count", "missing-field", "out-of-range"],
+    )
+    def test_error_names_exact_line(self, tmp_path, text, message):
+        p = tmp_path / "g.graph"
+        p.write_text(text)
+        with pytest.raises(planner.GraphFormatError) as caught:
+            planner.load_graph(p)
+        assert str(caught.value) == message
 
     def test_sssp_csv_format(self):
         g = planner.WeightedDigraph()

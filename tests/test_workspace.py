@@ -1,5 +1,6 @@
 """Tests for typed episode graphs, workspace losses, and explanation chains."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maniflow import workspace
+from maniflow import _text, workspace
 from maniflow._text import fmt
 from maniflow.workspace import EdgeCoeffs, EdgeKind, Fact, NodeKind, WorkspaceGraph
 
@@ -282,6 +283,20 @@ def workspaces(draw):
     return ws
 
 
+# One bad line of each kind: blank, unknown directive, missing field,
+# non-numeric field, absent node (ids have at most 5 characters), unknown kind.
+WORKSPACE_JUNK = [
+    "",
+    "vertex A actor Alice",
+    "node A",
+    "edge causal A",
+    "edge temporal A B t=x",
+    "edge temporal absent absent",
+    "node Z9 robot Arm",
+    "edge follows A B",
+]
+
+
 class TestWorkspaceIo:
     @given(ws=workspaces())
     def test_round_trip_property(self, tmp_path_factory, ws):
@@ -343,6 +358,42 @@ class TestWorkspaceIo:
         assert again.nodes.keys() == ws.nodes.keys()
         assert again.edges == ws.edges
         assert again.nodes["O"].label == "Box"
+
+    @given(ws=workspaces(), data=st.data())
+    def test_junk_line_is_named(self, tmp_path_factory, ws, data):
+        p = tmp_path_factory.mktemp("ws") / "episode.txt"
+        workspace.save_workspace(ws, p)
+        rows = p.read_text().splitlines() or [""]
+        k = data.draw(st.integers(1, len(rows)), label="replaced line")
+        rows[k - 1] = data.draw(st.sampled_from(WORKSPACE_JUNK), label="junk")
+        p.write_text("".join(f"{row}\n" for row in rows))
+        try:
+            workspace.load_workspace(p)
+        except _text.FormatError as exc:
+            named = re.match(r"line (\d+): ", str(exc))
+            assert named is not None and k <= int(named.group(1)) <= len(rows)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("node A actor Alice\nnode B\n", "line 2: expected 'node <id> <kind> <label>'"),
+            ("# episode\n\nnode A robot Arm\n", "line 3: 'robot' is not a valid NodeKind"),
+            ("node A actor Alice\nedge follows A A\n", "line 2: 'follows' is not a valid EdgeKind"),
+            ("node S state a\nedge temporal S T\n", "line 2: edge endpoint 'T' is not a node"),
+            (
+                "node S state a\nnode T state b\nedge temporal S T t=x\n",
+                "line 3: could not convert string to float: 'x'",
+            ),
+            ("node A actor Alice\nnode A actor Bob\n", "line 2: duplicate node id 'A'"),
+        ],
+        ids=["missing-field", "unknown-node-kind", "unknown-edge-kind", "absent-node", "non-numeric-t", "duplicate"],
+    )
+    def test_error_names_exact_line(self, tmp_path, text, message):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(_text.FormatError) as caught:
+            workspace.load_workspace(p)
+        assert str(caught.value) == message
 
     def test_parse_error_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
