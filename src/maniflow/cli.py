@@ -15,7 +15,8 @@ the divergence score and scalar-field fit residual.  Without ``--input``
 it samples portraits from the rotation generator, which reads ``--seed``,
 ``--steps`` and ``--dt``; with ``--input`` it reads one distribution per
 line (whitespace-separated probabilities), and ``--window`` smooths the
-effort series.  ``plan`` prints the cheapest path and its cost, or
+effort series.  An option's value is checked only in a mode that reads
+it.  ``plan`` prints the cheapest path and its cost, or
 ``unreachable``.
 
 Each command accepts only the options it reads; any other is a usage
@@ -25,14 +26,15 @@ file.  All reals in outputs are printed with 10 significant digits, '.'
 decimal separator, and '\\n' line endings; identical configuration and
 seed give byte-identical files.  Exit status is 0 exactly when every
 requested output was written, and 2 otherwise: usage errors, unreadable
-or malformed input, a non-finite or non-positive ``--dt``, ``--steps``
-below 1, a ``--window`` that is not odd and positive, a non-finite or
-negative ``--damping``, a non-finite decoder scale, a failed integration,
-or a non-finite table entry.  Apart from usage errors, a failure prints
-one ``error:`` line on stderr and writes no file: every output is
-computed before ``--out`` is created.  A bad line of an input file
-raises ``_text.FormatError`` (``planner.GraphFormatError`` for a graph),
-whose message starts ``line N: ``, or ``config line N: `` for a config.
+or malformed input, a failed integration, a non-finite table entry, or,
+in a mode that reads it, a non-finite or non-positive ``--dt``,
+``--steps`` below 1, a ``--window`` that is not odd and positive, a
+non-finite or negative ``--damping`` or a bad ``--decoder``.  Apart
+from usage errors, a failure prints one ``error:`` line on stderr and
+writes no file: every output is computed before ``--out`` is created.
+A bad line of an input file raises ``_text.FormatError``
+(``planner.GraphFormatError`` for a graph), whose message starts
+``line N: ``, or ``config line N: `` for a config.
 """
 
 from __future__ import annotations
@@ -93,13 +95,17 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     if args.config:
         resolved.update(_load_config(args.config, command))
     resolved.update({key: getattr(args, key) for key in _OPTIONS[command] if getattr(args, key) is not None})
-    if not (math.isfinite(resolved["dt"]) and resolved["dt"] > 0):
-        raise ValueError(f"dt must be finite and > 0, got {resolved['dt']!r}")
-    if resolved["steps"] < 1:
-        raise ValueError(f"steps must be >= 1, got {resolved['steps']!r}")
-    if "window" in resolved and (resolved["window"] < 1 or resolved["window"] % 2 == 0):
-        raise ValueError(f"window must be an odd integer >= 1, got {resolved['window']!r}")
     return resolved
+
+
+def _check(opts: dict, *keys: str) -> None:
+    """Reject a bad value of the named options: those the chosen mode reads."""
+    if "dt" in keys and not (math.isfinite(opts["dt"]) and opts["dt"] > 0):
+        raise ValueError(f"dt must be finite and > 0, got {opts['dt']!r}")
+    if "steps" in keys and opts["steps"] < 1:
+        raise ValueError(f"steps must be >= 1, got {opts['steps']!r}")
+    if "window" in keys and (opts["window"] < 1 or opts["window"] % 2 == 0):
+        raise ValueError(f"window must be an odd integer >= 1, got {opts['window']!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,11 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     opts = _resolve(args, "table")
-    decoder = experiments.parse_decoder_spec(opts["decoder"])
-    kwargs = {}
     if args.which == 3:
-        kwargs = {"t_final": opts["steps"] * opts["dt"], "h": opts["dt"], "damping": opts["damping"]}
-    csv_text = experiments.table_csv(args.which, decoder, **kwargs)
+        _check(opts, "dt", "steps")
+        t_final = opts["steps"] * opts["dt"]
+        csv_text = experiments.table_csv(3, t_final=t_final, h=opts["dt"], damping=opts["damping"])
+    else:
+        csv_text = experiments.table_csv(args.which, experiments.parse_decoder_spec(opts["decoder"]))
     md_text = experiments.table_markdown(csv_text)
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -177,8 +184,10 @@ def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
 def _cmd_phase(args: argparse.Namespace) -> int:
     opts = _resolve(args, "phase")
     if opts["input"]:
+        _check(opts, "window")
         portraits = [_input_portrait(opts["input"], opts["window"])]
     else:
+        _check(opts, "dt", "steps")
         rng = np.random.default_rng(opts["seed"])
         portraits = experiments.rotation_portraits(_PHASE_PORTRAITS, opts["steps"], opts["dt"], rng)
     field = infophase.empirical_field(portraits, _FIELD_BINS, _FIELD_BINS)

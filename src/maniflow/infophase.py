@@ -40,7 +40,11 @@ class DegenerateFieldError(ValueError):
 
 
 class FieldFitError(RuntimeError):
-    """The scalar-field fit is rank deficient beyond its gauge freedom."""
+    """The scalar-field fit is rank deficient beyond its gauge freedom.
+
+    One rank verdict covers every cause: a disconnected occupied region,
+    occupied cells that share no adjacency at all among them.
+    """
 
 
 def entropy(dist) -> float:
@@ -197,79 +201,59 @@ def divergence_score(field: GridField) -> float:
     with no interior cell or with zero magnitude.
     """
     occ = field.occupied
-    nu, ne = occ.shape
+    interior = occ[1:-1, 1:-1] & occ[:-2, 1:-1] & occ[2:, 1:-1] & occ[1:-1, :-2] & occ[1:-1, 2:]
+    if not interior.any():
+        raise DegenerateFieldError("no interior occupied cell; need at least a 3x3 occupied block")
     du = float(field.u_edges[1] - field.u_edges[0])
     de = float(field.e_edges[1] - field.e_edges[0])
-    divs = []
-    for iu in range(1, nu - 1):
-        for ie in range(1, ne - 1):
-            if not (
-                occ[iu, ie]
-                and occ[iu - 1, ie]
-                and occ[iu + 1, ie]
-                and occ[iu, ie - 1]
-                and occ[iu, ie + 1]
-            ):
-                continue
-            div = (field.vu[iu + 1, ie] - field.vu[iu - 1, ie]) / (2.0 * du)
-            div += (field.ve[iu, ie + 1] - field.ve[iu, ie - 1]) / (2.0 * de)
-            divs.append(abs(div))
-    if not divs:
-        raise DegenerateFieldError("no interior occupied cell; need at least a 3x3 occupied block")
+    div = (field.vu[2:, 1:-1] - field.vu[:-2, 1:-1]) / (2.0 * du)
+    div += (field.ve[1:-1, 2:] - field.ve[1:-1, :-2]) / (2.0 * de)
     mags = np.hypot(field.vu[occ], field.ve[occ])
     mean_mag = float(np.mean(mags))
     if mean_mag == 0.0:
         raise DegenerateFieldError("field magnitude is identically zero")
-    return float(np.mean(divs)) / (mean_mag + 1e-12)
+    return float(np.mean(np.abs(div[interior]))) / (mean_mag + 1e-12)
 
 
 def fit_info_hamiltonian(field: GridField) -> tuple[np.ndarray, float]:
     """Least-squares scalar field H with dH/de ~ vu and dH/du ~ -ve.
 
     Equations couple adjacent occupied cells (differences matched to the
-    averaged field values); the gauge is H = 0 at the first occupied cell
-    in row-major order.  Returns the fitted grid (NaN on unoccupied
-    cells) and the residual norm of the difference equations.  Raises
-    FieldFitError when the system is rank deficient beyond the gauge,
-    e.g. for a disconnected occupied region.
+    averaged field values), one per adjacent pair in row-major order of
+    the pair's first cell, the u-neighbour before the e-neighbour; the
+    gauge is H = 0 at the first occupied cell in row-major order.
+    Returns the fitted grid (NaN on unoccupied cells) and the residual
+    norm of the difference equations.  Raises FieldFitError when the
+    system has rank below n_occ - 1, the gauge's freedom: the occupied
+    region is disconnected, which includes cells that share no adjacency
+    at all (a design of zero rows has rank 0).
     """
     occ = field.occupied
-    cells = np.argwhere(occ)
-    n_occ = cells.shape[0]
+    n_occ = int(np.count_nonzero(occ))
     if n_occ == 0:
         raise DegenerateFieldError("field has no occupied cells")
-    index = {tuple(c): k for k, c in enumerate(cells)}
+    index = np.full(occ.shape, -1)
+    index[occ] = np.arange(n_occ)
     du = float(field.u_edges[1] - field.u_edges[0])
     de = float(field.e_edges[1] - field.e_edges[0])
 
-    rows, rhs = [], []
-    for iu, ie in map(tuple, cells):
-        if (iu + 1, ie) in index:
-            row = np.zeros(n_occ)
-            row[index[(iu + 1, ie)]] = 1.0 / du
-            row[index[(iu, ie)]] = -1.0 / du
-            rows.append(row)
-            rhs.append(-0.5 * (field.ve[iu, ie] + field.ve[iu + 1, ie]))
-        if (iu, ie + 1) in index:
-            row = np.zeros(n_occ)
-            row[index[(iu, ie + 1)]] = 1.0 / de
-            row[index[(iu, ie)]] = -1.0 / de
-            rows.append(row)
-            rhs.append(0.5 * (field.vu[iu, ie] + field.vu[iu, ie + 1]))
-    h_flat = np.zeros(n_occ)
-    residual_norm = 0.0
-    if n_occ > 1:
-        if not rows:
-            raise FieldFitError("occupied cells share no adjacencies; nothing ties the fit together")
-        design = np.vstack(rows)[:, 1:]  # gauge: H = 0 at the first occupied cell
-        target = np.asarray(rhs)
-        solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        if rank < n_occ - 1:
-            raise FieldFitError(
-                "fit is rank deficient beyond the gauge; the occupied region is likely disconnected"
-            )
-        h_flat[1:] = solution
-        residual_norm = float(np.linalg.norm(design @ solution - target))
+    pair_u = occ[:-1] & occ[1:]
+    pair_e = occ[:, :-1] & occ[:, 1:]
+    first = np.concatenate([index[:-1][pair_u], index[:, :-1][pair_e]])
+    order = np.argsort(first, kind="stable")  # a cell-by-cell sweep's row order: lstsq's rounding follows it
+    second = np.concatenate([index[1:][pair_u], index[:, 1:][pair_e]])[order]
+    inv_step = np.repeat([1.0 / du, 1.0 / de], [np.count_nonzero(pair_u), np.count_nonzero(pair_e)])[order]
+    target = np.concatenate(
+        [-0.5 * (field.ve[:-1] + field.ve[1:])[pair_u], 0.5 * (field.vu[:, :-1] + field.vu[:, 1:])[pair_e]]
+    )[order]
+    rows = np.arange(first.size)
+    design = np.zeros((first.size, n_occ))
+    design[rows, second] = inv_step
+    design[rows, first[order]] = -inv_step
+    design = design[:, 1:]  # gauge: H = 0 at the first occupied cell
+    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < n_occ - 1:
+        raise FieldFitError("fit is rank deficient beyond the gauge; the occupied region is likely disconnected")
     grid = np.full(occ.shape, np.nan)
-    grid[cells[:, 0], cells[:, 1]] = h_flat
-    return grid, residual_norm
+    grid[occ] = np.concatenate([[0.0], solution])
+    return grid, float(np.linalg.norm(design @ solution - target))

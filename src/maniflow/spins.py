@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _text
+
 __all__ = [
     "Spin",
     "SpinSystem",
@@ -361,9 +363,28 @@ def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = 
 
 
 def save_spin_matrix(path, spins: np.ndarray) -> None:
-    """One whitespace-separated row per spin."""
-    np.savetxt(path, np.atleast_2d(np.asarray(spins, dtype=float)), fmt="%.17g")
+    """One whitespace-separated row per spin, each value with 17 significant digits."""
+    rows = np.atleast_2d(np.asarray(spins, dtype=float))
+    if rows.ndim != 2:
+        raise ValueError(f"expected a 1-d or 2-d spin array, got shape {rows.shape}")
+    _text.write(path, [" ".join(f"{v:.17g}" for v in row) for row in rows])
 
 
 def load_spin_matrix(path) -> np.ndarray:
-    return np.loadtxt(path, dtype=float, ndmin=2)
+    """Parse the format of ``save_spin_matrix``.
+
+    A bad value or a ragged row raises ``_text.FormatError`` starting
+    ``line N: ``; a file with no row raises ``ValueError``.
+    """
+    rows = []
+    for ln, line in _text.lines(path):
+        try:
+            row = [float(v) for v in line.split()]
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"expected {len(rows[0])} values, got {len(row)}")
+        except ValueError as exc:
+            raise _text.FormatError.at(ln, exc) from None
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"no spin rows found in {str(path)!r}")
+    return np.array(rows)

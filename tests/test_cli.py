@@ -125,6 +125,46 @@ class TestDeclaredOptions:
         assert (a / "portrait.csv").read_bytes() == (b / "portrait.csv").read_bytes()
 
 
+class TestOptionChecks:
+    @pytest.mark.parametrize(
+        "argv, config, error",
+        [
+            (["table", "1"], "dt=0", ""),
+            (["table", "2"], "steps=0", ""),
+            (["table", "3"], "decoder=mlp", ""),
+            (["phase", "--input", str(FIXTURES / "distributions.txt")], "steps=0", ""),
+            (["phase", "--seed", "1"], "window=2", ""),
+            (["table", "3"], "dt=0", "error: dt must be finite and > 0, got 0.0\n"),
+            (["phase", "--seed", "1"], "dt=0", "error: dt must be finite and > 0, got 0.0\n"),
+            (
+                ["phase", "--input", str(FIXTURES / "distributions.txt")],
+                "window=2",
+                "error: window must be an odd integer >= 1, got 2\n",
+            ),
+        ],
+        ids=[
+            "table1-dt",
+            "table2-steps",
+            "table3-decoder",
+            "phase-input-steps",
+            "phase-seed-window",
+            "table3-dt",
+            "phase-seed-dt",
+            "phase-input-window",
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_value_checked_only_where_read(self, tmp_path, capsys, argv, config, error, source):
+        key, _, value = config.partition("=")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        extra = [f"--{key}", value] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert cli.main(argv + extra + ["--out", str(out)]) == (2 if error else 0)
+        assert capsys.readouterr().err == error
+        assert out.exists() != bool(error)
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -274,7 +314,7 @@ class TestNumericInput:
             (["table", "3", "--damping", "nan"], "table3.csv"),
             (["table", "3", "--damping", "inf"], "table3.csv"),
             (["phase", "--dt", "1e306"], "portrait.csv"),
-            (["phase", "--window", "0"], "portrait.csv"),
+            (["phase", "--input", str(FIXTURES / "distributions.txt"), "--window", "0"], "portrait.csv"),
             (["table", "3", "--damping", "1e300"], "table3.csv"),
             (["table", "3", "--dt", "1", "--steps", "2000"], "table3.csv"),
             (["table", "3", "--dt", "1.5", "--steps", "600", "--damping", "3"], "table3.csv"),
@@ -366,8 +406,7 @@ class TestFailedCommandWritesNothing:
 
 
 # sha256 of the CLI outputs that must stay byte-identical unless a change of
-# results is intended.  Table and phase stdout are left out: the first holds
-# the output path, the second a residual from a BLAS least-squares solve.
+# results is intended.  Stdout lines that hold the output path are left out.
 GOLDEN = [
     (["table", "1"], {
         "table1.csv": "afbe3adc040363fc34a11f84f304160f3145beb263c279fa2d91f7634e485bb2",
@@ -390,6 +429,8 @@ GOLDEN = [
         "field.csv": "ab40d2e3ee13b6fa6e6101239e49fbc796f5ebb1bdb3dc6fff0385f20a47b97b",
     }),
 ]
+# the printed divergence score and field fit residual of ``phase --seed 3``
+GOLDEN_PHASE_SEED3_STDOUT = "440a28aef6e718fb6a0a1cb8e9a6c5f9aa72a68b7366c3ded283b22a828defc6"
 GOLDEN_PLAN_STDOUT = "68f561418033f567ae07ba0ca760dd1840c3969b35eb0def5d1197fc0ef8d1a5"
 
 
@@ -400,6 +441,11 @@ class TestGoldenOutputs:
     def test_output_files(self, tmp_path, capsys, argv, digests):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
+
+    def test_phase_seed3_stdout(self, tmp_path, capsys):
+        assert cli.main(["phase", "--seed", "3", "--out", str(tmp_path)]) == 0
+        report = "".join(line for line in capsys.readouterr().out.splitlines(True) if not line.startswith("wrote "))
+        assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_PHASE_SEED3_STDOUT
 
     def test_plan_stdout(self, capsys):
         assert cli.main(["plan", str(FIXTURES / "triangle.graph"), "0", "2"]) == 0

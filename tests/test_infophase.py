@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maniflow import infophase
 
@@ -247,3 +249,121 @@ class TestFitInfoHamiltonian:
         )
         with pytest.raises(infophase.DegenerateFieldError, match="no occupied"):
             infophase.fit_info_hamiltonian(field)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[(0, 0), (0, 1), (1, 2)], [(0, 0), (0, 2), (2, 1)]],
+        ids=["corner-touching", "no-adjacency"],
+    )
+    def test_split_region_raises(self, cells):
+        # corner-touching: a domino and a cell meeting it at a corner, so equations exist but the region is split
+        count = np.zeros((3, 3), dtype=int)
+        count[tuple(np.transpose(cells))] = 1
+        field = infophase.GridField(np.linspace(0, 3, 4), np.linspace(0, 3, 4), np.ones((3, 3)), np.ones((3, 3)), count)
+        with pytest.raises(infophase.FieldFitError):
+            infophase.fit_info_hamiltonian(field)
+
+
+def oracle_divergence_score(field):
+    """The per-cell loop that ``divergence_score`` replaces."""
+    occ = field.occupied
+    nu, ne = occ.shape
+    du = float(field.u_edges[1] - field.u_edges[0])
+    de = float(field.e_edges[1] - field.e_edges[0])
+    divs = []
+    for iu in range(1, nu - 1):
+        for ie in range(1, ne - 1):
+            if not (occ[iu, ie] and occ[iu - 1, ie] and occ[iu + 1, ie] and occ[iu, ie - 1] and occ[iu, ie + 1]):
+                continue
+            div = (field.vu[iu + 1, ie] - field.vu[iu - 1, ie]) / (2.0 * du)
+            div += (field.ve[iu, ie + 1] - field.ve[iu, ie - 1]) / (2.0 * de)
+            divs.append(abs(div))
+    if not divs:
+        raise infophase.DegenerateFieldError("no interior occupied cell")
+    mean_mag = float(np.mean(np.hypot(field.vu[occ], field.ve[occ])))
+    if mean_mag == 0.0:
+        raise infophase.DegenerateFieldError("field magnitude is identically zero")
+    return float(np.mean(divs)) / (mean_mag + 1e-12)
+
+
+def oracle_fit(field):
+    """The per-equation loop that ``fit_info_hamiltonian`` replaces."""
+    occ = field.occupied
+    cells = np.argwhere(occ)
+    n_occ = cells.shape[0]
+    if n_occ == 0:
+        raise infophase.DegenerateFieldError("field has no occupied cells")
+    index = {tuple(c): k for k, c in enumerate(cells)}
+    du = float(field.u_edges[1] - field.u_edges[0])
+    de = float(field.e_edges[1] - field.e_edges[0])
+    rows, rhs = [], []
+    for iu, ie in map(tuple, cells):
+        if (iu + 1, ie) in index:
+            row = np.zeros(n_occ)
+            row[index[(iu + 1, ie)]] = 1.0 / du
+            row[index[(iu, ie)]] = -1.0 / du
+            rows.append(row)
+            rhs.append(-0.5 * (field.ve[iu, ie] + field.ve[iu + 1, ie]))
+        if (iu, ie + 1) in index:
+            row = np.zeros(n_occ)
+            row[index[(iu, ie + 1)]] = 1.0 / de
+            row[index[(iu, ie)]] = -1.0 / de
+            rows.append(row)
+            rhs.append(0.5 * (field.vu[iu, ie] + field.vu[iu, ie + 1]))
+    h_flat = np.zeros(n_occ)
+    residual_norm = 0.0
+    if n_occ > 1:
+        if not rows:
+            raise infophase.FieldFitError("occupied cells share no adjacencies")
+        design = np.vstack(rows)[:, 1:]
+        target = np.asarray(rhs)
+        solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank < n_occ - 1:
+            raise infophase.FieldFitError("fit is rank deficient beyond the gauge")
+        h_flat[1:] = solution
+        residual_norm = float(np.linalg.norm(design @ solution - target))
+    grid = np.full(occ.shape, np.nan)
+    grid[cells[:, 0], cells[:, 1]] = h_flat
+    return grid, residual_norm
+
+
+@st.composite
+def grid_fields(draw):
+    """Random occupancy and field values on grids of up to 8x8 cells."""
+    nu, ne = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occupied = rng.random((nu, ne)) < draw(st.sampled_from([0.0, 0.3, 0.6, 0.85, 1.0]))
+    count = np.where(occupied, rng.integers(1, 5, (nu, ne)), 0)
+    vu, ve = rng.uniform(-10.0, 10.0, (2, nu, ne))
+    if draw(st.booleans()):  # empirical_field leaves unoccupied cells at zero
+        vu, ve = vu * occupied, ve * occupied
+    step = st.floats(0.01, 10.0)
+    u_edges = draw(st.floats(-5.0, 5.0)) + draw(step) * np.arange(nu + 1)
+    e_edges = draw(st.floats(-5.0, 5.0)) + draw(step) * np.arange(ne + 1)
+    return infophase.GridField(u_edges, e_edges, vu, ve, count)
+
+
+def outcome(fn, field):
+    try:
+        return fn(field)
+    except (infophase.DegenerateFieldError, infophase.FieldFitError) as exc:
+        return type(exc)
+
+
+class TestArrayRewriteMatchesLoops:
+    @settings(max_examples=200)
+    @given(field=grid_fields())
+    def test_divergence_score_is_bit_equal(self, field):
+        assert outcome(infophase.divergence_score, field) == outcome(oracle_divergence_score, field)
+
+    @settings(max_examples=200)
+    @given(field=grid_fields())
+    def test_fit_matches(self, field):
+        got, want = outcome(infophase.fit_info_hamiltonian, field), outcome(oracle_fit, field)
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert not isinstance(got, type), got
+        (grid, residual), (grid0, residual0) = got, want
+        np.testing.assert_allclose(grid, grid0, rtol=0.0, atol=1e-9)
+        assert residual == pytest.approx(residual0, rel=1e-9, abs=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maniflow import spins
+from maniflow import _text, spins
 
 
 def unit_spins(rng, n, d):
@@ -331,6 +331,34 @@ class TestSpinIo:
         p = tmp_path / "spins.txt"
         spins.save_spin_matrix(p, s)
         np.testing.assert_array_equal(spins.load_spin_matrix(p), s)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1 2\n3 x\n", "line 2: "), ("1 2\n# a comment\n3\n", "line 3: expected 2 values, got 1")],
+        ids=["bad-value", "ragged-row"],
+    )
+    def test_bad_line_is_named(self, tmp_path, text, message):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(_text.FormatError, match=f"^{message}"):
+            spins.load_spin_matrix(p)
+
+    def test_empty_file_rejected(self, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("# no rows\n")
+        with pytest.raises(ValueError, match="no spin rows"):
+            spins.load_spin_matrix(p)
+
+    def test_three_dimensional_array_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="shape"):
+            spins.save_spin_matrix(tmp_path / "s.txt", np.zeros((2, 2, 2)))
+        assert not (tmp_path / "s.txt").exists()
+
+    def test_writes_what_savetxt_writes(self, tmp_path):
+        s = np.array([[-0.0, 1e308, 5e-324], [0.1, -1.0 / 3.0, 2.0]])
+        spins.save_spin_matrix(tmp_path / "a.txt", s)
+        np.savetxt(tmp_path / "b.txt", s, fmt="%.17g")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     def test_single_row_shape(self, tmp_path):
         p = tmp_path / "one.txt"
