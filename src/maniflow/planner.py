@@ -142,6 +142,13 @@ def shortest_path(graph: WeightedDigraph, source: int, target: int):
     return path, res.dist[target]
 
 
+# Vectorised and per-pair distances sum the same d squares in different
+# orders, so they differ by a few ulp (at most about d * 1.1e-16 relative);
+# candidates within this relative window of the k-th distance (or of r) are
+# re-ranked by the per-pair norm, which decides near-ties as it always has.
+_RERANK_RTOL = 1e-12
+
+
 def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     """Build a state graph over latent samples.
 
@@ -149,37 +156,52 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     ``("knn", len(samples) - 1)``.  ``edge_cost(a, b)`` must return a finite,
     non-negative cost for the directed edge a -> b.  k-nearest neighbours
     are chosen by Euclidean distance with index order breaking ties.
+
+    Samples must be finite and share one shape.  Each node costs one
+    O(n·d) vectorised distance row; the candidates within a 1e-12 relative
+    window of the k-th distance (or of r) are then re-ranked, or tested
+    against r, by the per-pair ``np.linalg.norm``, so the edges and their
+    order are exactly those of sorting every pair by that norm.
     """
     pts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
     if not pts:
         raise ValueError("need at least one sample")
-    graph = WeightedDigraph()
-    for s in samples:
-        graph.add_node(s)
+    for i, p in enumerate(pts):
+        if p.shape != pts[0].shape:
+            raise ValueError(f"sample {i} has shape {p.shape}, sample 0 has {pts[0].shape}")
+        if not np.isfinite(p).all():
+            raise ValueError(f"sample {i} is not finite")
+    n = len(pts)
+    flat = np.stack([p.ravel() for p in pts])
 
     mode, param = connect
-    pairs: list[tuple[int, int]] = []
     if mode == "knn":
-        k = int(param)
-        if k < 1:
-            raise ValueError(f"k-nearest rule needs k >= 1, got {param!r}")
-        for i, pi in enumerate(pts):
-            order = sorted(
-                (j for j in range(len(pts)) if j != i),
-                key=lambda j: (float(np.linalg.norm(pts[j] - pi)), j),
-            )
-            pairs.extend((i, j) for j in order[:k])
+        if not (float(param).is_integer() and float(param) >= 1):
+            raise ValueError(f"k-nearest rule needs an integer k >= 1, got {param!r}")
+        k = min(int(param), n - 1)
     elif mode == "radius":
         r = float(param)
-        if r < 0:
-            raise ValueError(f"radius must be non-negative, got {param!r}")
-        for i, pi in enumerate(pts):
-            for j, pj in enumerate(pts):
-                if j != i and float(np.linalg.norm(pj - pi)) <= r:
-                    pairs.append((i, j))
+        if not r >= 0:
+            raise ValueError(f"radius must be a non-negative number, got {param!r}")
     else:
         raise ValueError(f"unknown connection rule {mode!r}")
 
+    pairs: list[tuple[int, int]] = []
+    for i, pi in enumerate(pts):
+        diff = flat - flat[i]
+        row = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        row[i] = np.inf
+        bound = np.partition(row, k - 1)[k - 1] if mode == "knn" else r
+        near = np.flatnonzero(row <= bound * (1.0 + _RERANK_RTOL))
+        exact = {j: float(np.linalg.norm(pts[j] - pi)) for j in near.tolist() if j != i}
+        if mode == "knn":
+            pairs.extend((i, j) for j in sorted(exact, key=lambda j: (exact[j], j))[:k])
+        else:
+            pairs.extend((i, j) for j, dist in exact.items() if dist <= r)
+
+    graph = WeightedDigraph()
+    for s in samples:
+        graph.add_node(s)
     for i, j in pairs:
         cost = float(edge_cost(graph.payloads[i], graph.payloads[j]))
         if not math.isfinite(cost) or cost < 0:

@@ -298,27 +298,39 @@ def ctm_couplings(influence: np.ndarray, spin_history: np.ndarray, alpha: float)
     return alpha * 0.5 * (w + w.T) + (1.0 - alpha) * corr
 
 
+def _ffn_targets(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise ``ffn_target`` of an (m, d) spin matrix; the one feed-forward formula."""
+    if bath.W1 is None or bath.W2 is None:
+        raise ValueError("the feed-forward target needs W1 and W2 on the bath")
+    inp = h
+    if x_ext is not None:
+        x = np.asarray(x_ext, dtype=float)
+        inp = np.concatenate([h, np.broadcast_to(x, (h.shape[0], x.size))], axis=1)
+    u = inp @ bath.W1.T
+    if bath.b1 is not None:
+        u = u + bath.b1
+    t = h + _apply_nonlinearity(u, bath.nonlinearity) @ bath.W2.T
+    if bath.b2 is not None:
+        t = t + bath.b2
+    norms = np.linalg.norm(t, axis=1)
+    collapsed = np.flatnonzero(norms <= _COLLAPSE_TOL)
+    if collapsed.size:
+        i = collapsed[0]
+        raise ValueError(
+            f"feed-forward target of neuron {i} collapsed to norm {norms[i]!r}; cannot normalise"
+        )
+    return t / norms[:, None]
+
+
 def ffn_target(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None) -> np.ndarray:
     """Normalised residual feed-forward target (h + W2 sigma(W1 h + b1) + b2) / ||.||.
 
     When ``x_ext`` is given it is appended to ``h`` before the first layer;
-    the residual path always stays on ``h`` itself.
+    the residual path always stays on ``h`` itself.  This is the one-row
+    case of the batch that ``micro_step`` computes, so a collapsed target
+    is reported as neuron 0.
     """
-    h = np.asarray(h, dtype=float)
-    if bath.W1 is None or bath.W2 is None:
-        raise ValueError("ffn_target needs W1 and W2 on the bath")
-    inp = h if x_ext is None else np.concatenate([h, np.asarray(x_ext, dtype=float)])
-    u = bath.W1 @ inp
-    if bath.b1 is not None:
-        u = u + bath.b1
-    a = _apply_nonlinearity(u, bath.nonlinearity)
-    t = h + bath.W2 @ a
-    if bath.b2 is not None:
-        t = t + bath.b2
-    norm = np.linalg.norm(t)
-    if norm <= _COLLAPSE_TOL:
-        raise ValueError("feed-forward target collapsed to the origin; cannot normalise")
-    return t / norm
+    return _ffn_targets(np.asarray(h, dtype=float)[None, :], bath, x_ext)[0]
 
 
 def energy_gradient(system: SpinSystem) -> np.ndarray:
@@ -333,15 +345,16 @@ def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = 
 
     s_hat_i = s_i - eta dH/ds_i + eta_ff (t_i - s_i) - gamma_i s_i
 
-    with t_i the feed-forward target of s_i.  Raises when any updated spin
-    collapses below norm 1e-12, naming the neuron.
+    with t_i the feed-forward target of s_i; the N targets are one batch
+    of matrix products.  Raises when a target or an updated spin collapses
+    below norm 1e-12, naming the neuron.
     """
     s = system.spins
     update = s.copy()
     if bath.eta != 0.0:
         update = update - bath.eta * energy_gradient(system)
     if bath.eta_ff != 0.0:
-        targets = np.stack([ffn_target(s[i], bath, x_ext) for i in range(system.n_spins)])
+        targets = _ffn_targets(s, bath, x_ext)
         update = update + bath.eta_ff * (targets - s)
     gamma = np.asarray(bath.gamma, dtype=float)
     if gamma.ndim == 0:

@@ -197,6 +197,31 @@ class TestBuildNdmGraph:
         with pytest.raises(ValueError, match="connection rule"):
             planner.build_ndm_graph([np.array([0.0])], ("ball", 1), lambda a, b: 1.0)
 
+    @pytest.mark.parametrize(
+        "samples,connect,message",
+        [
+            ([[0.0], [math.nan], [1.0], [2.0]], ("knn", 2), "sample 1 is not finite"),
+            ([[0.0], [1.0], [math.inf]], ("radius", 1.0), "sample 2 is not finite"),
+            ([[0.0], [1.0, 2.0, 3.0]], ("knn", 1), r"sample 1 has shape \(3,\)"),
+            ([[0.0], [1.0]], ("radius", math.nan), "radius"),
+            ([[0.0], [1.0]], ("radius", -1.0), "radius"),
+            ([[0.0], [1.0], [2.0]], ("knn", 2.7), "integer k"),
+            ([[0.0], [1.0], [2.0]], ("knn", math.nan), "integer k"),
+            ([[0.0], [1.0], [2.0]], ("knn", 0), "integer k"),
+        ],
+    )
+    def test_bad_input_rejected_before_any_edge_cost(self, samples, connect, message):
+        def edge_cost(a, b):
+            raise AssertionError("edge_cost called on invalid input")
+
+        with pytest.raises(ValueError, match=message):
+            planner.build_ndm_graph([np.array(s) for s in samples], connect, edge_cost)
+
+    def test_integral_float_k_accepted(self):
+        samples = [np.array([float(i)]) for i in range(4)]
+        g = planner.build_ndm_graph(samples, ("knn", 2.0), lambda a, b: 1.0)
+        assert [v for v, _ in g.adjacency[0]] == [1, 2]
+
 
 class TestWaypoints:
     @pytest.mark.parametrize(
@@ -255,6 +280,77 @@ def zero_cycle_graphs(draw):
         for u, v in zip(cycle, cycle[1:] + cycle[:1]):
             g.add_edge(u, v, 0.0)
     return g, draw(node)
+
+
+def oracle_pairs(samples, connect):
+    """The per-pair rule: every other sample ranked by (np.linalg.norm, index)."""
+    pts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
+    mode, param = connect
+    pairs = []
+    for i, pi in enumerate(pts):
+        dist = {j: float(np.linalg.norm(pj - pi)) for j, pj in enumerate(pts) if j != i}
+        if mode == "knn":
+            pairs.extend((i, j) for j in sorted(dist, key=lambda j: (dist[j], j))[:param])
+        else:
+            pairs.extend((i, j) for j in dist if dist[j] <= param)
+    return pairs
+
+
+def l1_cost(a, b):
+    return float(np.sum(np.abs(b - a)))
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 16 points in 1 to 32 dimensions: free floats, or integer grid
+    points (ties and duplicates) taken as they are or times 0.1 (inexact
+    distances).  From d = 8 on, vectorised and per-pair sums of squares
+    round differently, which is what the re-rank must absorb."""
+    n = draw(st.integers(1, 16))
+    d = draw(st.sampled_from([1, 2, 3, 8, 17, 32]))
+    kind = draw(st.sampled_from(["float", "grid", "grid x0.1"]))
+    if kind == "float":
+        coord = st.floats(-1e3, 1e3, allow_nan=False)
+    else:
+        coord = st.integers(-1, 1).map(float if kind == "grid" else lambda v: 0.1 * v)
+    values = draw(st.lists(coord, min_size=n * d, max_size=n * d))
+    return list(np.array(values).reshape(n, d))
+
+
+class TestBuildNdmGraphProperty:
+    @given(pts=point_sets())
+    def test_knn_edges_match_oracle(self, pts):
+        for k in range(1, len(pts) + 3):
+            g = planner.build_ndm_graph(pts, ("knn", k), l1_cost)
+            want = [(i, j, l1_cost(pts[i], pts[j])) for i, j in oracle_pairs(pts, ("knn", k))]
+            assert list(g.edges()) == want, f"k={k}"
+
+    @given(pts=point_sets(), data=st.data())
+    def test_radius_edges_match_oracle(self, pts, data):
+        # every exact distance from one node is a radius, so the <= r boundary is hit
+        i = data.draw(st.integers(0, len(pts) - 1))
+        for r in sorted({float(np.linalg.norm(p - pts[i])) for p in pts}):
+            g = planner.build_ndm_graph(pts, ("radius", r), l1_cost)
+            want = [(a, b, l1_cost(pts[a], pts[b])) for a, b in oracle_pairs(pts, ("radius", r))]
+            assert list(g.edges()) == want, f"r={r!r}"
+
+    def test_knn_near_ties_in_32_dimensions(self):
+        # coordinates in {-0.1, 0, 0.1}: many pairs tie exactly while their
+        # vectorised sums of squares round apart, across the k-th place too
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            pts = list(0.1 * rng.integers(-1, 2, size=(8, 32)))
+            for k in range(1, 8):
+                g = planner.build_ndm_graph(pts, ("knn", k), lambda a, b: 1.0)
+                assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(pts, ("knn", k)), (seed, k)
+
+    def test_table1_node_set_matches_oracle(self):
+        from maniflow.experiments import SSSP_NODE_SET
+
+        n = len(SSSP_NODE_SET)
+        for connect in (("knn", 1), ("knn", n - 1), ("radius", 0.4)):
+            g = planner.build_ndm_graph(SSSP_NODE_SET, connect, lambda a, b: 1.0)
+            assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(SSSP_NODE_SET, connect)
 
 
 class TestDijkstraProperty:

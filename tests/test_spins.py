@@ -324,6 +324,43 @@ class TestMicroStep:
         assert d_after < d_before
 
 
+class TestBatchedFfn:
+    """micro_step computes all N feed-forward targets as one batch; each row
+    must be ffn_target of its spin (summation order differs: 1e-15)."""
+
+    @pytest.mark.parametrize("kind", ["tanh", "gelu"])
+    @pytest.mark.parametrize("ext", [0, 3])
+    @pytest.mark.parametrize("biases", [True, False])
+    def test_rows_match_single_spin(self, kind, ext, biases):
+        rng = np.random.default_rng(40 + ext)
+        n, d, hidden = 9, 5, 7
+        bath = spins.BathParams(
+            eta_ff=1.0,
+            W1=rng.normal(size=(hidden, d + ext)),
+            W2=rng.normal(size=(d, hidden)),
+            b1=rng.normal(size=hidden) if biases else None,
+            b2=rng.normal(size=d) if biases else None,
+            nonlinearity=kind,
+        )
+        s = unit_spins(rng, n, d)
+        x = rng.normal(size=ext) if ext else None
+        single = np.stack([spins.ffn_target(row, bath, x) for row in s])
+        np.testing.assert_allclose(spins._ffn_targets(s, bath, x), single, rtol=0, atol=1e-15)
+        # with eta_ff = 1 and no relaxation or leak, the update is the target
+        out = spins.micro_step(spins.SpinSystem(s, np.zeros((n, n))), bath, x)
+        np.testing.assert_allclose(out.spins, single, rtol=0, atol=1e-15)
+
+    def test_collapse_on_later_spin_names_it(self):
+        # t_i = s_i + b2 with b2 = -s_2 vanishes for spin 2 only
+        bath = spins.BathParams(eta_ff=0.5, W1=np.zeros((2, 3)), W2=np.zeros((3, 2)), b2=-np.eye(3)[2])
+        sys0 = spins.SpinSystem(np.eye(3), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="neuron 2 collapsed"):
+            spins.micro_step(sys0, bath)
+        # the single-spin API is the one-row batch
+        with pytest.raises(ValueError, match="neuron 0 collapsed"):
+            spins.ffn_target(sys0.spins[2], bath)
+
+
 class TestSpinIo:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(12)
