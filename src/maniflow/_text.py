@@ -27,3 +27,16 @@ def write(path, rows) -> None:
 def fmt(x: float) -> str:
     """Reals in text outputs carry 10 significant digits."""
     return f"{x:.10g}"
+
+
+def csv(header, rows) -> str:
+    """CSV text: ``header``, then ``rows``, cells comma-joined, ``\\n`` after each line.
+
+    A float cell is written by ``fmt``, any other by ``str``.  Nothing is
+    quoted, since no cell holds a comma.  Cells are rendered a column at a
+    time, and Python scalars (``.tolist()``) render faster than numpy ones.
+    """
+    columns = [[fmt(c) if isinstance(c, float) else str(c) for c in column] for column in zip(*rows, strict=True)]
+    lines = [",".join(header)]
+    lines += [",".join(cells) for cells in zip(*columns)]
+    return "\n".join(lines) + "\n"

@@ -26,7 +26,8 @@ file.  All reals in outputs are printed with 10 significant digits, '.'
 decimal separator, and '\\n' line endings; identical configuration and
 seed give byte-identical files.  Exit status is 0 exactly when every
 requested output was written, and 2 otherwise: usage errors, unreadable
-or malformed input, a failed integration, a non-finite table entry, or,
+or malformed input, a failed integration, a table 3 step count that is
+not finite, a non-finite table entry, a route whose cost overflows, or,
 in a mode that reads it, a non-finite or non-positive ``--dt``,
 ``--steps`` below 1, a ``--window`` that is not odd and positive, a
 non-finite or negative ``--damping`` or a bad ``--decoder``.  Apart
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import _text, experiments, infophase, planner
 from ._text import fmt
-from .manifold import IntegrationError, ShootingError, SingularMetricError
+from .manifold import IntegrationError
 
 _FIELD_BINS = 12
 _PHASE_PORTRAITS = 150
@@ -144,18 +145,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _portrait_rows(por: infophase.PhasePortrait) -> list[str]:
-    return ["t,u,e"] + [f"{t},{fmt(u)},{fmt(e)}" for t, (u, e) in enumerate(zip(por.u, por.e))]
+def _portrait_csv(por: infophase.PhasePortrait) -> str:
+    return _text.csv(["t", "u", "e"], zip(range(len(por.u)), por.u.tolist(), por.e.tolist()))
 
 
-def _field_rows(field: infophase.GridField) -> list[str]:
-    lines = ["u_center,e_center,vu,ve,count"]
-    for iu, uc in enumerate(field.u_centers):
-        for ie, ec in enumerate(field.e_centers):
-            lines.append(
-                f"{fmt(uc)},{fmt(ec)},{fmt(field.vu[iu, ie])},{fmt(field.ve[iu, ie])},{field.count[iu, ie]}"
-            )
-    return lines
+def _field_csv(field: infophase.GridField) -> str:
+    u_center, e_center = np.meshgrid(field.u_centers, field.e_centers, indexing="ij")
+    columns = (u_center, e_center, field.vu, field.ve, field.count)
+    return _text.csv(["u_center", "e_center", "vu", "ve", "count"], zip(*(c.ravel().tolist() for c in columns)))
 
 
 def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
@@ -202,8 +199,8 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         report.append(f"field_fit_residual: unavailable ({exc})")
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _text.write(out_dir / "portrait.csv", _portrait_rows(portraits[0]))
-    _text.write(out_dir / "field.csv", _field_rows(field))
+    _text.write(out_dir / "portrait.csv", _portrait_csv(portraits[0]).splitlines())
+    _text.write(out_dir / "field.csv", _field_csv(field).splitlines())
     print("\n".join(report))
     print(f"wrote {out_dir / 'portrait.csv'} and {out_dir / 'field.csv'}")
     return 0
@@ -233,7 +230,7 @@ def main(argv=None) -> int:
         if args.command == "phase":
             return _cmd_phase(args)
         return _cmd_plan(args)
-    except (ValueError, OSError, IntegrationError, ShootingError, SingularMetricError) as exc:
+    except (ValueError, OSError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,8 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import planner
-from ._text import fmt
+from . import _text, planner
 from .infophase import PhasePortrait, entropy
 from .manifold import IntegrationError, PhasePoint, integrate
 
@@ -245,6 +244,8 @@ def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> l
     that diverges raises IntegrationError (leapfrog runs) or ValueError, and
     the message names the run.
     """
+    if h == 0 or not math.isfinite(h) or not math.isfinite(t_final / h):
+        raise ValueError(f"t_final / h must be finite, got {t_final!r} / {h!r}")
     n = int(round(t_final / h))
     if n < 1 or abs(n * h - t_final) > 1e-9:
         raise ValueError(f"t_final {t_final!r} must be an integer multiple of h {h!r}")
@@ -335,72 +336,47 @@ def _path_text(path: tuple[float, ...]) -> str:
     return "->".join(f"{y:g}" for y in path)
 
 
-def _path_table_rows(runs: dict[str, PathMetrics], reference: dict, labels: dict, with_final: bool):
-    header = ["method", "path"]
-    if with_final:
-        header.append("final_y")
-    header += ["u_final", "delta_u", "cost_J", "efficiency"]
-    header += [f"{c}_ref" for c in header[2:]]
-    rows = []
-    for key, metrics in runs.items():
-        ref = reference[key]
-        row = [labels[key], _path_text(metrics.path)]
-        if with_final:
-            row.append(fmt(metrics.path[-1]))
-        row += [fmt(metrics.u_final), fmt(metrics.delta_u), fmt(metrics.cost), fmt(metrics.efficiency)]
-        if with_final:
-            row.append(fmt(ref["final_y"]))
-        row += [fmt(ref["u_final"]), fmt(ref["delta_u"]), fmt(ref["cost"]), fmt(ref["efficiency"])]
-        rows.append(row)
-    return header, rows
+# Each table's (leading, computed, trailing) columns.  A row holds the leading
+# cells, the computed ones, their reference values (the ``_ref`` columns) and
+# the trailing cells.
+_COLUMNS = {
+    1: (("method", "path"), ("u_final", "delta_u", "cost", "efficiency"), ()),
+    2: (("method", "path"), ("final_y", "u_final", "delta_u", "cost", "efficiency"), ()),
+    3: (("method",), ("final_y", "final_p", "eps_state", "eps_h_max"), ("note",)),
+}
 
 
-def _table3_rows(reports: list[OscillatorReport]):
-    header = [
-        "method",
-        "final_y",
-        "final_p",
-        "eps_state",
-        "eps_h_max",
-        "final_y_ref",
-        "final_p_ref",
-        "eps_state_ref",
-        "eps_h_max_ref",
-        "note",
-    ]
-    rows = []
-    for rep in reports:
-        ref = TABLE3_REFERENCE[rep.method]
-        rows.append(
-            [
-                rep.method,
-                fmt(rep.final_y),
-                fmt(rep.final_p),
-                fmt(rep.eps_state),
-                fmt(rep.eps_h_max),
-                fmt(ref["final_y"]),
-                fmt(ref["final_p"]),
-                fmt(ref["eps_state"]),
-                fmt(ref["eps_h_max"]),
-                rep.note,
-            ]
-        )
-    return header, rows
+def _path_cells(runs: dict[str, PathMetrics], labels: dict) -> dict[str, dict]:
+    """Each run's cells by column name."""
+    return {
+        key: {**vars(m), "method": labels[key], "path": _path_text(m.path), "final_y": m.path[-1]}
+        for key, m in runs.items()
+    }
 
 
 def table_csv(which: int, decoder: ToyDecoder | None = None, **toy3_kwargs) -> str:
     """CSV emitter: computed columns next to their reference counterparts."""
     if which == 1:
-        header, rows = _path_table_rows(toy1_run(decoder), TABLE1_REFERENCE, _T1_LABELS, with_final=False)
+        cells, reference = _path_cells(toy1_run(decoder), _T1_LABELS), TABLE1_REFERENCE
     elif which == 2:
-        header, rows = _path_table_rows(toy2_run(decoder), TABLE2_REFERENCE, _T2_LABELS, with_final=True)
+        cells, reference = _path_cells(toy2_run(decoder), _T2_LABELS), TABLE2_REFERENCE
     elif which == 3:
-        header, rows = _table3_rows(toy3_run(**toy3_kwargs))
+        cells, reference = {rep.method: vars(rep) for rep in toy3_run(**toy3_kwargs)}, TABLE3_REFERENCE
     else:
         raise ValueError(f"no such table {which!r}; choose 1, 2, or 3")
-    lines = [",".join(header)]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    lead, computed, trail = _COLUMNS[which]
+    heads = ["cost_J" if c == "cost" else c for c in computed]
+    header = [*lead, *heads, *(f"{h}_ref" for h in heads), *trail]
+    rows = [
+        [
+            *(run[c] for c in lead),
+            *(run[c] for c in computed),
+            *(reference[key][c] for c in computed),
+            *(run[c] for c in trail),
+        ]
+        for key, run in cells.items()
+    ]
+    return _text.csv(header, rows)
 
 
 def table_markdown(csv_text: str) -> str:

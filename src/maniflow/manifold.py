@@ -461,11 +461,11 @@ def trajectory_csv(traj: PhaseTrajectory) -> str:
     """CSV dump with columns s, y..., p..., H (10 significant digits)."""
     d = traj.points[0].dim
     header = ["s"] + [f"y{i}" for i in range(d)] + [f"p{i}" for i in range(d)] + ["H"]
-    lines = [",".join(header)]
-    for k, pt in enumerate(traj.points):
-        vals = [k * traj.step, *pt.y, *pt.p, traj.energies[k]]
-        lines.append(",".join(_text.fmt(v) for v in vals))
-    return "\n".join(lines) + "\n"
+    rows = [
+        [k * traj.step, *pt.y.tolist(), *pt.p.tolist(), e]
+        for k, (pt, e) in enumerate(zip(traj.points, traj.energies.tolist()))
+    ]
+    return _text.csv(header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,23 @@ def dijkstra(graph: WeightedDigraph, source: int) -> SsspResult:
 
 
 def shortest_path(graph: WeightedDigraph, source: int, target: int):
-    """Return ``(node_indices, cost)`` or ``None`` when target is unreachable."""
+    """Return ``(node_indices, cost)`` or ``None`` when target is unreachable.
+
+    A target that edges reach but only at a cost that overflows to inf
+    raises ValueError.
+    """
     if not 0 <= target < graph.n_nodes:
         raise ValueError(f"target {target} is not a node index")
     res = dijkstra(graph, source)
     if math.isinf(res.dist[target]):
+        seen, stack = {source}, [source]
+        while stack:
+            for v, _ in graph.adjacency[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if target in seen:
+            raise ValueError(f"node {target} is reachable from {source}, but the route's cost overflows")
         return None
     path = [target]
     while path[-1] != source:
@@ -272,8 +284,5 @@ def save_graph(graph: WeightedDigraph, path) -> None:
 
 def sssp_csv(res: SsspResult) -> str:
     """CSV dump of a Dijkstra result with columns node, dist, pred."""
-    lines = ["node,dist,pred"]
-    for i, (d, p) in enumerate(zip(res.dist, res.pred)):
-        ptxt = "" if p is None else str(p)
-        lines.append(f"{i},{_text.fmt(d)},{ptxt}")
-    return "\n".join(lines) + "\n"
+    rows = [(i, d, "" if p is None else p) for i, (d, p) in enumerate(zip(res.dist, res.pred))]
+    return _text.csv(["node", "dist", "pred"], rows)

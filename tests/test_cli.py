@@ -282,6 +282,14 @@ class TestPlanCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "unreachable"
 
+    def test_overflowing_route_is_an_error(self, tmp_path, capsys):
+        p = tmp_path / "g.graph"
+        p.write_text("n 3\ne 0 1 1e308\ne 1 2 1e308\n")
+        assert cli.main(["plan", str(p), "0", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: node 2 is reachable from 0, but the route's cost overflows\n"
+        assert captured.out == ""
+
     def test_missing_graph_file(self, tmp_path, capsys):
         code = cli.main(["plan", str(tmp_path / "none.graph"), "0", "1"])
         assert code == 2
@@ -391,8 +399,12 @@ class TestNumericInput:
 class TestFailedCommandWritesNothing:
     @pytest.mark.parametrize(
         "argv",
-        [["phase", "--input", "one_row.txt"], ["table", "3", "--dt", "50", "--steps", "200"]],
-        ids=["phase-one-row", "table-diverges"],
+        [
+            ["phase", "--input", "one_row.txt"],
+            ["table", "3", "--dt", "50", "--steps", "200"],
+            ["table", "3", "--steps", "2", "--dt", "1e308"],
+        ],
+        ids=["phase-one-row", "table-diverges", "table-time-overflows"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_out_directory(self, tmp_path, capsys, monkeypatch, argv):

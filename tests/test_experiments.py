@@ -155,6 +155,15 @@ class TestToy3:
         with pytest.raises(ValueError, match="damping"):
             experiments.toy3_run(damping=-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"h": 0.0}, {"h": math.inf}, {"h": math.nan}, {"t_final": math.inf}, {"t_final": 2e308, "h": 1e308}],
+        ids=["h-zero", "h-inf", "h-nan", "t-inf", "ratio-inf"],
+    )
+    def test_step_count_must_be_finite(self, kwargs):
+        with pytest.raises(ValueError, match="t_final / h must be finite"):
+            experiments.toy3_run(**kwargs)
+
     def test_oscillator_partials(self):
         ham = experiments.HarmonicOscillator()
         y, p = np.array([0.3]), np.array([-0.7])

@@ -466,6 +466,16 @@ class TestLeapfrog:
         assert lines[0] == "s,y0,p0,H"
         assert len(lines) == 5
 
+    def test_trajectory_csv_text(self):
+        traj = manifold.integrate(Oscillator(), manifold.PhasePoint([1.0], [0.0]), 0.1, 3)
+        assert manifold.trajectory_csv(traj) == (
+            "s,y0,p0,H\n"
+            "0,1,0,0.5\n"
+            "0.1,0.995,-0.09975,0.4999875313\n"
+            "0.2,0.98005,-0.1985025,0.4999506225\n"
+            "0.3,0.9552995,-0.295269975,0.4998907464\n"
+        )
+
 
 class TestShooting:
     def test_flat_shot_is_exact(self):

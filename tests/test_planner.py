@@ -153,6 +153,27 @@ class TestShortestPath:
         assert path == [0]
         assert cost == 0.0
 
+    @staticmethod
+    def overflow_graph(*extra_edges):
+        g = planner.WeightedDigraph()
+        for _ in range(4):
+            g.add_node()
+        g.add_edge(0, 1, 1e308)
+        g.add_edge(1, 2, 1e308)
+        for edge in extra_edges:
+            g.add_edge(*edge)
+        return g
+
+    def test_overflowing_route_raises(self):
+        with pytest.raises(ValueError, match="reachable from 0, but the route's cost overflows"):
+            planner.shortest_path(self.overflow_graph(), 0, 2)
+
+    def test_finite_detour_beside_overflowing_route(self):
+        assert planner.shortest_path(self.overflow_graph((0, 3, 1.0), (3, 2, 1.0)), 0, 2) == ([0, 3, 2], 2.0)
+
+    def test_disconnected_target_beside_overflowing_route(self):
+        assert planner.shortest_path(self.overflow_graph(), 0, 3) is None
+
 
 class TestBuildNdmGraph:
     def test_knn_connectivity(self):
@@ -353,7 +374,29 @@ class TestBuildNdmGraphProperty:
             assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(SSSP_NODE_SET, connect)
 
 
+@st.composite
+def integer_weight_graphs(draw):
+    """Graphs of up to 12 nodes with parallel edges and positive integer weights, so sums are exact."""
+    g = planner.WeightedDigraph()
+    for _ in range(draw(st.integers(1, 12))):
+        g.add_node()
+    node = st.integers(0, g.n_nodes - 1)
+    for u, v, w in draw(st.lists(st.tuples(node, node, st.integers(1, 4)), max_size=40)):
+        g.add_edge(u, v, float(w))
+    return g, draw(node)
+
+
 class TestDijkstraProperty:
+    @given(case=integer_weight_graphs())
+    def test_pred_is_smallest_tight_predecessor(self, case):
+        g, src = case
+        res = planner.dijkstra(g, src)
+        for v in range(g.n_nodes):
+            if v == src or math.isinf(res.dist[v]):
+                continue
+            tight = [u for u, x, w in g.edges() if x == v and res.dist[u] + w == res.dist[v]]
+            assert res.pred[v] == min(tight)
+
     @given(case=zero_cycle_graphs())
     def test_matches_bellman_ford(self, case):
         g, src = case

@@ -1,7 +1,8 @@
-"""Tests for the shared text conventions: the ``line N:`` error and the file write."""
+"""Tests for the shared text conventions: the ``line N:`` error, the file write and the CSV renderer."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maniflow import _text, cli, manifold, planner, workspace
@@ -50,3 +51,38 @@ def test_write_renders_rows_before_opening(tmp_path):
     with pytest.raises(ValueError, match="row 2"):
         _text.write(p, rows())
     assert not p.exists()
+
+
+def test_text_module_owns_csv_joins():
+    assert sorted(p.name for p in SRC.glob("*.py") if '",".join' in p.read_text()) == ["_text.py"]
+
+
+@pytest.mark.parametrize(
+    "cell, text",
+    [
+        (-0.0, "-0"),
+        (np.inf, "inf"),
+        (-np.inf, "-inf"),
+        (np.nan, "nan"),
+        (5e-324, "4.940656458e-324"),
+        (np.float64(0.1) * 3, "0.3"),
+        (3, "3"),
+        (np.int64(12345678901), "12345678901"),
+        ("", ""),
+        ("linear", "linear"),
+        ("2->1.5", "2->1.5"),
+    ],
+    ids=["neg-zero", "inf", "neg-inf", "nan", "subnormal", "np-float64", "int", "np-int64", "empty", "label", "path"],
+)
+def test_csv_cell_rule(cell, text):
+    assert _text.csv(["x"], [[cell]]) == f"x\n{text}\n"
+    if isinstance(cell, float):
+        assert text == _text.fmt(cell)
+
+
+def test_csv_lines():
+    assert _text.csv(["a", "b"], []) == "a,b\n"
+    assert _text.csv(["a", "b"], [(1, 0.5), ("x", 2.0)]) == "a,b\n1,0.5\nx,2\n"
+    assert _text.csv(["a", "b"], iter([(1, 0.5)])) == "a,b\n1,0.5\n"
+    with pytest.raises(ValueError):
+        _text.csv(["a", "b"], [(1, 0.5), ("x",)])
