@@ -17,9 +17,13 @@ def lines(path):
                 yield lineno, line
 
 
-def write(path, rows) -> None:
-    """Write ``rows`` as UTF-8, one ``\\n`` after each; all are rendered before the file is opened."""
-    text = "".join(f"{row}\n" for row in rows)
+def write(path, text) -> None:
+    """Write ``text`` as UTF-8: a str as it is, or rows, one ``\\n`` after each.
+
+    Everything is rendered before the file is opened.
+    """
+    if not isinstance(text, str):
+        text = "".join(f"{row}\n" for row in text)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

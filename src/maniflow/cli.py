@@ -139,8 +139,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     md_text = experiments.table_markdown(csv_text)
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _text.write(out_dir / f"table{args.which}.csv", csv_text.splitlines())
-    _text.write(out_dir / f"table{args.which}.md", md_text.splitlines())
+    _text.write(out_dir / f"table{args.which}.csv", csv_text)
+    _text.write(out_dir / f"table{args.which}.md", md_text)
     print(f"wrote {out_dir / f'table{args.which}.csv'} and {out_dir / f'table{args.which}.md'}")
     return 0
 
@@ -199,8 +199,8 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         report.append(f"field_fit_residual: unavailable ({exc})")
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _text.write(out_dir / "portrait.csv", _portrait_csv(portraits[0]).splitlines())
-    _text.write(out_dir / "field.csv", _field_csv(field).splitlines())
+    _text.write(out_dir / "portrait.csv", _portrait_csv(portraits[0]))
+    _text.write(out_dir / "field.csv", _field_csv(field))
     print("\n".join(report))
     print(f"wrote {out_dir / 'portrait.csv'} and {out_dir / 'field.csv'}")
     return 0

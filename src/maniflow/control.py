@@ -90,7 +90,8 @@ class ReducedHamiltonian:
     dp stays analytic through the metric solve.  dy takes the kinetic
     part from GeodesicHamiltonian.dy (from the decoder's jet, so exact for
     layered decoders) and differentiates the potential by central
-    differences.
+    differences.  ``at(y)`` derives both once, so a leapfrog step takes
+    each of them once per point.  Its arrays are 1-d: one point.
     """
 
     def __init__(self, metric_field: MetricField, cost: CostSpec, ws_state=None):
@@ -109,8 +110,29 @@ class ReducedHamiltonian:
         return self._kinetic.dp(y, p)
 
     def dy(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return self._kinetic.dy(y, p) - _fd_gradient(self._potential, y)
+        return self.at(y).dy(np.asarray(p, dtype=float))
+
+    def at(self, y: np.ndarray) -> "_HeldReduced":
+        """The Hamiltonian held at one point y, for the leapfrog stepper."""
+        return _HeldReduced(self, np.asarray(y, dtype=float))
+
+
+class _HeldReduced:
+    """A ReducedHamiltonian at fixed y: G and the potential's gradient are derived once."""
+
+    def __init__(self, hamiltonian: ReducedHamiltonian, y: np.ndarray):
+        self.hamiltonian, self.y = hamiltonian, y
+        self.kinetic = hamiltonian._kinetic.at(y)
+        self.grad = _fd_gradient(hamiltonian._potential, y)
+
+    def dy(self, p: np.ndarray) -> np.ndarray:
+        return self.kinetic.dy(p) - self.grad
+
+    def dp(self, p: np.ndarray) -> np.ndarray:
+        return self.kinetic.dp(p)
+
+    def __call__(self, p: np.ndarray) -> float:
+        return self.kinetic(p) - self.hamiltonian._potential(self.y)
 
 
 def optimal_control(metric_field: MetricField, y: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -232,8 +232,8 @@ def _leapfrog_nodes(method: str, damping: float, h: float, n: int):
     try:
         traj = integrate(HarmonicOscillator(damping), PhasePoint([1.0], [0.0]), h, n)
     except IntegrationError as exc:
-        raise IntegrationError(f"{method} run: {exc}") from None
-    return [pt.y[0] for pt in traj.points], [pt.p[0] for pt in traj.points]
+        raise IntegrationError(f"{method} run: {exc}", exc.step, exc.y, exc.p, exc.drift) from None
+    return traj.ys[:, 0], traj.ps[:, 0]
 
 
 def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> list[OscillatorReport]:

@@ -17,23 +17,43 @@ Derivative conventions used throughout:
   its Jacobian J and second derivatives D2; a decoder is either layered
   (``linear`` is the one-layer case of ``mlp-tanh``), whose jet comes
   from one forward pass, or custom, whose J and D2 come from central
-  differences
+  differences; a one-layer decoder's D2 is None, since it vanishes
 * dH/dy of the kinetic Hamiltonian is one formula for every decoder,
-  dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for linear ones)
+  dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for one-layer ones)
 * every finite difference is the central stencil of ``_fd_gradient``,
   step base (1 + |arg|): base 1e-5 for first derivatives (including the
   shooting sensitivity and a custom decoder's J), 1e-4 for second
   derivatives (a custom decoder's D2, the Hessian in the variational
   matrix)
 
-``MetricField`` keeps the geometry of the last latent point it was asked
-about (J, D2, G and G^{-1} from its Cholesky factor), so a leapfrog step,
-which visits each point several times, factorises G once per point.
+Arrays of shape (..., d) hold one latent point (d,) or a stack of them
+(B, d).  ``Decoder.jet``, ``MetricField`` and ``GeodesicHamiltonian``
+take either, and one leapfrog stepper runs either: shooting shoots each
+momentum it tries in one stack with its 2d central-difference shots,
+``jacobi_propagate`` evaluates the 4d gradient points of all its
+midpoints as one stack, and ``empirical_deviations`` integrates its base
+and shifted runs as a stack of two.  A stacked call runs the per-point
+kernels slice by slice, so each row is bit-equal to the single-point
+call.  ``MetricField.at(y)`` derives J, D2, G and G^{-1} once for all of
+y; the stepper carries the geometry of each step's end point into the
+next kick, so G is factorised once per point per step and nothing is
+memoised.
 
 A Hamiltonian passed to ``integrate``, ``leapfrog_step``,
 ``variational_matrix``, ``jacobi_propagate`` or ``empirical_deviations``
-provides ``__call__(y, p) -> float`` and the partials ``dy(y, p)`` and
-``dp(y, p)``; the engine never differentiates H itself.
+provides ``__call__(y, p)`` (a float for a single point) and the partials
+``dy(y, p)`` and ``dp(y, p)``; the engine never differentiates H itself.
+1-d arrays suffice for ``integrate`` of a single point and for
+``leapfrog_step``.  ``variational_matrix``, ``jacobi_propagate`` and
+``empirical_deviations`` pass (B, d) stacks to ``dy`` and ``dp``, and
+``integrate`` of a stacked ``PhasePoint`` passes them to all three.  A
+Hamiltonian may also offer ``at(y)``, an object with ``dy(p)``,
+``dp(p)`` and ``__call__(p)`` at fixed y, which the stepper then uses to
+derive what it needs once per point.
+
+A ``PhaseTrajectory`` holds the node rows ``ys`` and ``ps``, shape
+(n+1, d) for a single point, and ``energies``, shape (n+1,).  Its
+``points`` list of ``PhasePoint`` views is built on first use.
 
 Decoder text format (blank lines and ``#`` comments allowed)::
 
@@ -48,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,11 +108,28 @@ class SingularMetricError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Leapfrog integration produced a non-finite state."""
+    """Leapfrog integration produced a non-finite state.
+
+    ``step`` is the step that failed, ``y`` and ``p`` are the last finite
+    node (the one before it) and ``drift`` is max |H - H_0| over the nodes
+    up to it, or None for a run that records no energies.
+    """
+
+    def __init__(self, message: str, step: int | None = None, y=None, p=None, drift: float | None = None):
+        super().__init__(message)
+        self.step, self.y, self.p, self.drift = step, y, p, drift
 
 
 class ShootingError(RuntimeError):
-    """Boundary-value shooting failed to reach the requested tolerance."""
+    """Boundary-value shooting failed to reach the requested tolerance.
+
+    ``residuals[k]`` is the endpoint residual norm after k iterations, and
+    ``p`` the momentum the solver stopped at.
+    """
+
+    def __init__(self, message: str, residuals=(), p=None):
+        super().__init__(message)
+        self.residuals, self.p = list(residuals), p
 
 
 # ---------------------------------------------------------------------------
@@ -178,38 +216,44 @@ class Decoder:
                 x = np.tanh(x)
         return x
 
-    def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobian J, shape (n, d), and second derivatives D2 at y.
+    def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Jacobian J, shape (..., n, d), and second derivatives D2 at y, shape (..., d).
 
-        D2 is an (n, d*d) array whose row i holds d^2 z_i / dy_j dy_k at
-        column j*d + k.  A layered decoder carries both through one
-        forward pass.  A custom decoder takes J by central differences of
-        itself and D2 by central differences of that J at step base
-        HESS_STEP: 2d + 4d^2 calls of its function.
+        D2 is an (..., n, d*d) array whose row i holds d^2 z_i / dy_j dy_k
+        at column j*d + k, or None for a one-layer decoder, whose second
+        derivatives vanish.  A layered decoder carries both through one
+        forward pass over the whole stack.  A custom decoder takes, point
+        by point, J by central differences of itself and D2 by central
+        differences of that J at step base HESS_STEP: 2d + 4d^2 calls of
+        its function per point.
         """
         y = np.asarray(y, dtype=float)
         d = self.latent_dim
         if self.kind == "custom":
-            jac = _fd_gradient(self, y)
-            # row i*d + k, column j: d/dy_j of J[i, k]
-            hess = _fd_gradient(lambda yy: _fd_gradient(self, yy).ravel(), y, HESS_STEP)
-            return jac, hess.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
-        x = y
-        jac = np.eye(d)
-        hess = np.zeros((d, d * d))
-        last = len(self.layers) - 1
-        for idx, (w, b) in enumerate(self.layers):
-            jac = w @ jac
-            x = w @ x + b
+            jets = [self._fd_jet(row) for row in y.reshape(-1, d)]
+            return tuple(np.array(part).reshape(*y.shape[:-1], *part[0].shape) for part in zip(*jets))
+        jac, hess, x = self.layers[0][0], None, y
+        if len(self.layers) == 1:
+            return np.broadcast_to(jac, (*y.shape[:-1], *jac.shape)), None
+        # the first tanh broadcasts J, the first layer's weights, over the stack
+        for (w_in, b_in), (w, _) in zip(self.layers, self.layers[1:]):
+            x = np.tanh(_mv(w_in, x) + b_in)
+            slope = 1.0 - x * x
+            # tanh'' = -2 tanh tanh'
+            outer = (jac[..., :, :, None] * jac[..., :, None, :]).reshape(*jac.shape[:-1], d * d)
+            curvature = (2.0 * x * slope)[..., None] * outer
+            hess = -curvature if hess is None else slope[..., None] * hess - curvature
+            jac = w @ (slope[..., None] * jac)
             hess = w @ hess
-            if idx < last:
-                x = np.tanh(x)
-                slope = 1.0 - x * x
-                # tanh'' = -2 tanh tanh'
-                outer = (jac[:, :, None] * jac[:, None, :]).reshape(-1, d * d)
-                hess = slope[:, None] * hess - (2.0 * x * slope)[:, None] * outer
-                jac = slope[:, None] * jac
         return jac, hess
+
+    def _fd_jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A custom decoder's jet at one point, by central differences."""
+        d = self.latent_dim
+        jac = _fd_gradient(self, y)
+        # row i*d + k, column j: d/dy_j of J[i, k]
+        hess = _fd_gradient(lambda yy: _fd_gradient(self, yy).ravel(), y, HESS_STEP)
+        return jac, hess.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
 
 
 def save_decoder(decoder: Decoder, path) -> None:
@@ -275,79 +319,85 @@ def load_decoder(path) -> Decoder:
 # metric and Hamiltonians
 
 
-@dataclass(frozen=True)
-class _LocalGeometry:
-    """What a MetricField derives from one latent point."""
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for matrices (..., m, k) and vectors (..., k)."""
+    return (a @ x[..., None])[..., 0]
 
-    key: tuple  # (bytes of y, eps_reg)
-    decoder: Decoder
-    jacobian: np.ndarray
-    hessian: np.ndarray  # D2 of Decoder.jet
-    metric: np.ndarray
-    inverse: np.ndarray | None  # G^-1 from the Cholesky factor; None unless G is SPD
+
+class _Geometry:
+    """A metric field at y, one point or a stack (..., d), and the kinetic Hamiltonian there.
+
+    Holds J, D2 (None for a one-layer decoder), G and G^-1; its methods
+    take momenta of y's shape.
+    """
+
+    __slots__ = ("jacobian", "hessian", "metric", "inverse")
+
+    def __init__(self, jacobian, hessian, metric, inverse):
+        self.jacobian, self.hessian, self.metric, self.inverse = jacobian, hessian, metric, inverse
+
+    def dp(self, p: np.ndarray) -> np.ndarray:
+        return _mv(self.inverse, p)
+
+    def __call__(self, p: np.ndarray):
+        return 0.5 * (p * self.dp(p)).sum(axis=-1)
+
+    def dy(self, p: np.ndarray) -> np.ndarray:
+        if self.hessian is None:
+            return np.zeros(p.shape)
+        v = self.dp(p)
+        curvature = (_mv(self.jacobian, v)[..., None, :] @ self.hessian)[..., 0, :]
+        return -_mv(curvature.reshape(*v.shape, -1), v)
 
 
 @dataclass
 class MetricField:
     """Pullback metric G = J^T J + eps_reg I induced by a decoder.
 
-    The geometry of the most recent latent point is memoised; no method
-    hands out a memoised array.
+    Every call derives the geometry afresh; nothing is memoised.
     """
 
     decoder: Decoder
     eps_reg: float = 1e-8
-    _memo: _LocalGeometry | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eps_reg < 0:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg!r}")
 
-    def _local(self, y: np.ndarray) -> _LocalGeometry:
-        y = np.asarray(y, dtype=float)
-        key = (y.tobytes(), self.eps_reg)
-        local = self._memo
-        if local is not None and local.key == key and local.decoder is self.decoder:
-            return local
-        jac, hess = self.decoder.jet(y)
-        g = jac.T @ jac
-        g = 0.5 * (g + g.T)
-        g = g + self.eps_reg * np.eye(self.decoder.latent_dim)
-        inverse = None
-        if np.isfinite(g).all():
-            try:
-                chol_inv = np.linalg.inv(np.linalg.cholesky(g))
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                inverse = chol_inv.T @ chol_inv
-        self._memo = local = _LocalGeometry(key, self.decoder, jac, hess, g, inverse)
-        return local
+    def _metric(self, jac: np.ndarray) -> np.ndarray:
+        g = jac.swapaxes(-1, -2) @ jac
+        g = 0.5 * (g + g.swapaxes(-1, -2))
+        return g + self.eps_reg * np.eye(self.decoder.latent_dim)
 
-    def _factored(self, y: np.ndarray) -> _LocalGeometry:
-        """The local geometry at y; raises unless G(y) is finite and SPD."""
-        local = self._local(y)
-        if local.inverse is None:
-            if not np.isfinite(local.metric).all():
-                raise ValueError(f"metric at y={y!r} contains infs or NaNs")
-            raise SingularMetricError(f"metric at y={y!r} is not positive definite")
-        return local
+    def at(self, y: np.ndarray) -> _Geometry:
+        """The geometry at y, shape (..., d); raises unless every G there is finite and SPD."""
+        y = np.asarray(y, dtype=float)
+        jac, hess = self.decoder.jet(y)
+        g = self._metric(jac)
+        if not np.isfinite(g).all():
+            raise ValueError(f"metric at y={y!r} contains infs or NaNs")
+        try:
+            chol_inv = np.linalg.inv(np.linalg.cholesky(g))
+        except np.linalg.LinAlgError:
+            raise SingularMetricError(f"metric at y={y!r} is not positive definite") from None
+        return _Geometry(jac, hess, g, chol_inv.swapaxes(-1, -2) @ chol_inv)
 
     def metric(self, y: np.ndarray) -> np.ndarray:
-        return self._local(y).metric.copy()
+        """G at y, shape (..., d, d), whether or not it is positive definite."""
+        return self._metric(self.decoder.jet(y)[0])
 
     def solve(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return self._factored(y).inverse @ rhs
+        return self.at(y).dp(np.asarray(rhs, dtype=float))
 
 
 def pullback_metric(metric_field: MetricField, y: np.ndarray) -> np.ndarray:
     """G(y); raises SingularMetricError when not positive definite."""
-    return metric_field._factored(y).metric.copy()
+    return metric_field.at(y).metric
 
 
 @dataclass
 class PhasePoint:
-    """A latent position/momentum pair."""
+    """A latent position/momentum pair, or a stack of them: y and p of one shape (..., d)."""
 
     y: np.ndarray
     p: np.ndarray
@@ -355,26 +405,35 @@ class PhasePoint:
     def __post_init__(self):
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if y.shape != p.shape or y.ndim != 1:
-            raise ValueError(f"y and p must be 1-d with equal length, got {y.shape} and {p.shape}")
+        if y.shape != p.shape:
+            raise ValueError(f"y and p must have equal length and shape, got {y.shape} and {p.shape}")
         self.y = y
         self.p = p
 
     @property
     def dim(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
 
 @dataclass
 class PhaseTrajectory:
-    """Recorded leapfrog states: n+1 points plus the energy at each node."""
+    """Recorded leapfrog states: node rows ys, ps of shape (n+1, ..., d) and their energies (n+1, ...).
+
+    ``points`` lists the nodes as PhasePoint views of those rows; it is
+    built on first use, and ``final()`` is its last entry.
+    """
 
     step: float
-    points: list[PhasePoint]
+    ys: np.ndarray
+    ps: np.ndarray
     energies: np.ndarray
 
+    @cached_property
+    def points(self) -> list[PhasePoint]:
+        return [PhasePoint(y, p) for y, p in zip(self.ys, self.ps)]
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ys)
 
     def __iter__(self):
         return iter(self.points)
@@ -388,22 +447,24 @@ class GeodesicHamiltonian:
 
     dp is a symmetric solve.  dy is dH/dy_k = -(J v) . (d_k J) v with
     v = G^{-1} p, from the decoder's jet: exact for layered decoders,
-    built on central-difference J and D2 for custom ones.
+    built on central-difference J and D2 for custom ones.  ``at(y)``
+    derives the geometry once for all three.
     """
 
     def __init__(self, metric_field: MetricField):
         self.metric_field = metric_field
 
-    def __call__(self, y: np.ndarray, p: np.ndarray) -> float:
-        return 0.5 * float(p @ self.metric_field.solve(y, p))
+    def at(self, y: np.ndarray) -> _Geometry:
+        return self.metric_field.at(y)
+
+    def __call__(self, y: np.ndarray, p: np.ndarray):
+        return self.at(y)(np.asarray(p, dtype=float))
 
     def dp(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self.metric_field.solve(y, p)
+        return self.at(y).dp(np.asarray(p, dtype=float))
 
     def dy(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        local = self.metric_field._factored(y)
-        v = local.inverse @ p
-        return -((local.jacobian @ v) @ local.hessian).reshape(v.shape[0], -1) @ v
+        return self.at(y).dy(np.asarray(p, dtype=float))
 
 
 def _fd_gradient(f: Callable, x: np.ndarray, base_step: float = GRAD_STEP) -> np.ndarray:
@@ -422,50 +483,90 @@ def _fd_gradient(f: Callable, x: np.ndarray, base_step: float = GRAD_STEP) -> np
     return np.array(cols, dtype=float).T.copy()
 
 
+def _parts(hamiltonian) -> tuple:
+    """``(at, dy, dp, energy)`` with ``dy(at(y), p) == hamiltonian.dy(y, p)``, and so on.
+
+    A Hamiltonian's own ``at(y)`` derives what it needs at y once for the
+    three; for one without ``at``, ``at`` passes y through.
+    """
+    if getattr(hamiltonian, "at", None) is None:
+        return (lambda y: y), hamiltonian.dy, hamiltonian.dp, hamiltonian
+    return hamiltonian.at, lambda held, p: held.dy(p), lambda held, p: held.dp(p), lambda held, p: held(p)
+
+
+def _kick_drift_kick(parts: tuple, held, y: np.ndarray, p: np.ndarray, h: float):
+    """One leapfrog step from (y, p), with ``held`` = at(y); returns y', p' and at(y')."""
+    at, dy, dp, _ = parts
+    p_half = p - 0.5 * h * dy(held, p)
+    y_new = y + h * dp(held, p_half)
+    held = at(y_new)
+    return y_new, p_half - 0.5 * h * dy(held, p_half), held
+
+
 def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
     """One staged kick-drift-kick update of step h (h may be negative)."""
     h = float(h)
     if not math.isfinite(h):
         raise ValueError("step size must be finite")
-    y, p = pt.y, pt.p
-    p_half = p - 0.5 * h * hamiltonian.dy(y, p)
-    y_new = y + h * hamiltonian.dp(y, p_half)
-    p_new = p_half - 0.5 * h * hamiltonian.dy(y_new, p_half)
-    return PhasePoint(y_new, p_new)
+    parts = _parts(hamiltonian)
+    y, p, _ = _kick_drift_kick(parts, parts[0](pt.y), pt.y, pt.p, h)
+    return PhasePoint(y, p)
 
 
-def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTrajectory:
-    """n_steps leapfrog updates, recording all n+1 nodes and their energies."""
+def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int, energies: bool = True):
+    """n_steps leapfrog updates from (y, p) of shape (..., d).
+
+    Returns the node rows of y and p, shape (n+1, ..., d), and of H,
+    shape (n+1, ...), or None for H when ``energies`` is false.  All are
+    views of one buffer whose rows are checked finite a node at a time.
+    """
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     if h == 0.0:
         raise ValueError("step size must be non-zero")
-    points = [pt0]
-    energies = np.empty(n_steps + 1)
-    energies[0] = hamiltonian(pt0.y, pt0.p)
-    pt = pt0
+    h = float(h)
+    if not math.isfinite(h):
+        raise ValueError("step size must be finite")
+    parts = _parts(hamiltonian)
+    at, _, _, energy = parts
+    d = y.shape[-1]
+    nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
+    held = at(y)
+    nodes[0, ..., :d], nodes[0, ..., d : 2 * d] = y, p
+    if energies:
+        nodes[0, ..., -1] = energy(held, p)
     # overflow needs no warning: the finiteness check turns it into IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            pt = leapfrog_step(hamiltonian, pt, h)
-            e = hamiltonian(pt.y, pt.p)
-            if not (np.isfinite(pt.y).all() and np.isfinite(pt.p).all() and math.isfinite(e)):
-                raise IntegrationError(f"non-finite state or energy at step {k}")
-            points.append(pt)
-            energies[k] = e
-    return PhaseTrajectory(step=float(h), points=points, energies=energies)
+            y, p, held = _kick_drift_kick(parts, held, y, p, h)
+            row = nodes[k]
+            row[..., :d], row[..., d : 2 * d] = y, p
+            if energies:
+                row[..., -1] = energy(held, p)
+            if not np.isfinite(row).all():
+                last = nodes[k - 1].copy()
+                drift = float(np.max(np.abs(nodes[:k, ..., -1] - nodes[0, ..., -1]))) if energies else None
+                message = f"non-finite state or energy at step {k}"
+                raise IntegrationError(message, k, last[..., :d], last[..., d : 2 * d], drift)
+    return nodes[..., :d], nodes[..., d : 2 * d], nodes[..., -1] if energies else None
+
+
+def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTrajectory:
+    """n_steps leapfrog updates, recording all n+1 nodes and their energies.
+
+    A stacked ``pt0`` (..., d) integrates every row at once.
+    """
+    ys, ps, energies = _leapfrog(hamiltonian, pt0.y, pt0.p, h, n_steps)
+    return PhaseTrajectory(step=float(h), ys=ys, ps=ps, energies=energies)
 
 
 def trajectory_csv(traj: PhaseTrajectory) -> str:
     """CSV dump with columns s, y..., p..., H (10 significant digits)."""
-    d = traj.points[0].dim
+    d = traj.ys.shape[-1]
     header = ["s"] + [f"y{i}" for i in range(d)] + [f"p{i}" for i in range(d)] + ["H"]
-    rows = [
-        [k * traj.step, *pt.y.tolist(), *pt.p.tolist(), e]
-        for k, (pt, e) in enumerate(zip(traj.points, traj.energies.tolist()))
-    ]
-    return _text.csv(header, rows)
+    s = [k * traj.step for k in range(len(traj))]
+    return _text.csv(header, zip(s, *traj.ys.T.tolist(), *traj.ps.T.tolist(), traj.energies.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +579,14 @@ def _flat_guess(metric_field: MetricField, y_a: np.ndarray, y_b: np.ndarray) -> 
 
 
 def shoot_geodesic(metric_field: MetricField, y_a: np.ndarray, p_init: np.ndarray, n_steps: int) -> np.ndarray:
-    """Endpoint y(1) of the geodesic leaving y_a with momentum p_init."""
-    ham = GeodesicHamiltonian(metric_field)
-    traj = integrate(ham, PhasePoint(y_a, p_init), 1.0 / int(n_steps), int(n_steps))
-    return traj.final().y
+    """Endpoint y(1) of the geodesic leaving y_a with momentum p_init.
+
+    A stack of momenta (..., d) gives the stack of their endpoints.
+    """
+    p = np.asarray(p_init, dtype=float)
+    y = np.broadcast_to(np.asarray(y_a, dtype=float), p.shape)
+    n_steps = int(n_steps)
+    return _leapfrog(GeodesicHamiltonian(metric_field), y, p, 1.0 / n_steps, n_steps, energies=False)[0][-1]
 
 
 def solve_shooting(
@@ -496,36 +601,64 @@ def solve_shooting(
 
     Initial momentum is the flat-chart guess G(y_a)(y_b - y_a); the
     sensitivity of the endpoint is taken by central differences and the
-    damping parameter is halved after every residual decrease.
+    damping parameter is halved after every residual decrease.  Each
+    momentum tried is shot in one stack with its 2d central-difference
+    shots, so an accepted step brings its sensitivity along and a
+    rejected one keeps the sensitivity it had.  ShootingError carries the
+    residual history.
     """
     y_a = np.atleast_1d(np.asarray(y_a, dtype=float))
     y_b = np.atleast_1d(np.asarray(y_b, dtype=float))
-    p = _flat_guess(metric_field, y_a, y_b)
-    residual = shoot_geodesic(metric_field, y_a, p, n_steps) - y_b
-    res_norm = float(np.linalg.norm(residual))
-    damping = 1e-3
     d = y_a.shape[0]
+
+    def shots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoint residual at q and its sensitivity, the stencil of _fd_gradient."""
+        step = GRAD_STEP * (1.0 + float(np.linalg.norm(q)))
+        # row 0 is q; rows i + 1 and d + i + 1 move coordinate i by +step and -step
+        ends = shoot_geodesic(metric_field, y_a, np.vstack([q, q + step * np.eye(d), q - step * np.eye(d)]), n_steps)
+        return ends[0] - y_b, ((ends[1 : d + 1] - ends[d + 1 :]) / (2.0 * step)).T
+
+    p = _flat_guess(metric_field, y_a, y_b)
+    residual, sens = shots(p)
+    res_norm = float(np.linalg.norm(residual))
+    history = [res_norm]
+    damping = 1e-3
     for _ in range(int(max_iter)):
         if res_norm <= tol:
             return p
-        sens = _fd_gradient(lambda q: shoot_geodesic(metric_field, y_a, q, n_steps), p)
         lhs = sens.T @ sens + damping * np.eye(d)
         delta = np.linalg.solve(lhs, -sens.T @ residual)
         candidate = p + delta
-        cand_res = shoot_geodesic(metric_field, y_a, candidate, n_steps) - y_b
+        cand_res, cand_sens = shots(candidate)
         cand_norm = float(np.linalg.norm(cand_res))
         if cand_norm < res_norm:
-            p, residual, res_norm = candidate, cand_res, cand_norm
+            p, residual, res_norm, sens = candidate, cand_res, cand_norm, cand_sens
             damping *= 0.5
         else:
             damping *= 10.0
+        history.append(res_norm)
     if res_norm <= tol:
         return p
-    raise ShootingError(f"no convergence after {max_iter} iterations; final residual {res_norm:.3e}")
+    raise ShootingError(f"no convergence after {max_iter} iterations; final residual {res_norm:.3e}", history, p)
 
 
 # ---------------------------------------------------------------------------
 # variational flow along a trajectory
+
+
+def _variational(hamiltonian, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """DF at phase points (..., d): its 4d gradient points per point are evaluated as one stack."""
+    z = np.concatenate([y, p], axis=-1)
+    d = y.shape[-1]
+    step = HESS_STEP * (1.0 + np.linalg.norm(z, axis=-1))[..., None, None]
+    shifts = step * np.eye(2 * d)
+    zs = np.concatenate([z[..., None, :] + shifts, z[..., None, :] - shifts], axis=-2)
+    at, dy, dp, _ = _parts(hamiltonian)
+    held, ps = at(zs[..., :d]), zs[..., d:]
+    grad = np.concatenate([dy(held, ps), dp(held, ps)], axis=-1)
+    # rows i and 2d + i are the +/- shifts along coordinate i; the transpose puts i in the columns
+    hess = ((grad[..., : 2 * d, :] - grad[..., 2 * d :, :]) / (2.0 * step)).swapaxes(-1, -2)
+    return np.concatenate([hess[..., d:, :], -hess[..., :d, :]], axis=-2)
 
 
 def variational_matrix(hamiltonian, pt: PhasePoint) -> np.ndarray:
@@ -533,16 +666,10 @@ def variational_matrix(hamiltonian, pt: PhasePoint) -> np.ndarray:
 
     The Hessian is taken by central differences on the gradient;
     J is the canonical symplectic matrix ((0, I), (-I, 0)), so DF stacks
-    the p-rows of the Hessian over the negated y-rows.
+    the p-rows of the Hessian over the negated y-rows.  ``dy`` and ``dp``
+    receive the 4d shifted points as one stack.
     """
-    d = pt.dim
-
-    def grad(z: np.ndarray) -> np.ndarray:
-        y, p = z[:d], z[d:]
-        return np.concatenate([hamiltonian.dy(y, p), hamiltonian.dp(y, p)])
-
-    hess = _fd_gradient(grad, np.concatenate([pt.y, pt.p]), HESS_STEP)
-    return np.concatenate([hess[d:], -hess[:d]])
+    return _variational(hamiltonian, pt.y, pt.p)
 
 
 def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> np.ndarray:
@@ -550,40 +677,35 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
 
     Uses a frozen-matrix RK2 per segment: the variational matrix is
     evaluated at the segment midpoint and the update is the quadratic
-    truncation of its exponential.  Returns an (n+1, 2d) array including
+    truncation of its exponential.  The matrices of all n midpoints come
+    from one stacked evaluation.  Returns an (n+1, 2d) array including
     the initial deviation.
     """
     delta = np.asarray(delta0, dtype=float)
-    d = traj.points[0].dim
+    d = traj.ys.shape[-1]
     if delta.shape != (2 * d,):
         raise ValueError(f"deviation must have length {2 * d}, got {delta.shape}")
     h = traj.step
-    out = np.empty((len(traj.points), 2 * d))
+    dfs = _variational(hamiltonian, 0.5 * (traj.ys[:-1] + traj.ys[1:]), 0.5 * (traj.ps[:-1] + traj.ps[1:]))
+    out = np.empty((len(traj), 2 * d))
     out[0] = delta
-    for k in range(len(traj.points) - 1):
-        a, b = traj.points[k], traj.points[k + 1]
-        mid = PhasePoint(0.5 * (a.y + b.y), 0.5 * (a.p + b.p))
-        df = variational_matrix(hamiltonian, mid)
+    for k, df in enumerate(dfs, start=1):
         step1 = df @ delta
         delta = delta + h * step1 + 0.5 * h * h * (df @ step1)
-        out[k + 1] = delta
+        out[k] = delta
     return out
 
 
 def empirical_deviations(
     hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: float, n_steps: int, eps: float = 1e-5
 ) -> np.ndarray:
-    """Deviation oracle: difference two trajectories offset by eps * delta0."""
+    """Deviation oracle: difference two trajectories offset by eps * delta0, integrated as one stack."""
     delta0 = np.asarray(delta0, dtype=float)
     d = pt0.dim
-    base = integrate(hamiltonian, pt0, h, n_steps)
-    shifted = PhasePoint(pt0.y + eps * delta0[:d], pt0.p + eps * delta0[d:])
-    pert = integrate(hamiltonian, shifted, h, n_steps)
-    out = np.empty((n_steps + 1, 2 * d))
-    for k, (pa, pb) in enumerate(zip(base.points, pert.points)):
-        out[k, :d] = (pb.y - pa.y) / eps
-        out[k, d:] = (pb.p - pa.p) / eps
-    return out
+    y = np.stack([pt0.y, pt0.y + eps * delta0[:d]])
+    p = np.stack([pt0.p, pt0.p + eps * delta0[d:]])
+    ys, ps, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
+    return np.concatenate([ys[:, 1] - ys[:, 0], ps[:, 1] - ps[:, 0]], axis=1) / eps
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,10 @@ class TestNumericInput:
         assert cli.main(["table", "3", *argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {run} run: ")
 
+    def test_diverging_run_error_text(self, tmp_path, capsys):
+        assert cli.main(["table", "3", "--dt", "50", "--steps", "200", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: leapfrog run: non-finite state or energy at step 46\n"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_distribution_rejected_with_one_line(self, tmp_path, capsys):
         src = tmp_path / "dists.txt"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maniflow import experiments, infophase
+from maniflow.manifold import IntegrationError
 
 
 class TestToyDecoder:
@@ -163,6 +164,16 @@ class TestToy3:
     def test_step_count_must_be_finite(self, kwargs):
         with pytest.raises(ValueError, match="t_final / h must be finite"):
             experiments.toy3_run(**kwargs)
+
+    def test_diverging_run_keeps_failure_state(self):
+        # dt 50 over 200 steps: the leapfrog run overflows at step 46, as `table 3 --dt 50 --steps 200` reports
+        with pytest.raises(IntegrationError) as info:
+            experiments.toy3_run(t_final=10000.0, h=50.0)
+        err = info.value
+        assert str(err) == "leapfrog run: non-finite state or energy at step 46"
+        assert err.step == 46
+        assert np.isfinite(err.y).all() and np.isfinite(err.p).all()
+        assert 0 < err.drift < math.inf
 
     def test_oscillator_partials(self):
         ham = experiments.HarmonicOscillator()

@@ -24,6 +24,19 @@ class Oscillator:
         return np.asarray(p, dtype=float)
 
 
+class Blows:
+    """Free motion whose dy turns NaN once y reaches 2.5."""
+
+    def __call__(self, y, p):
+        return float(p @ p)
+
+    def dy(self, y, p):
+        return np.array([np.nan]) if y[0] >= 2.5 else np.array([0.0])
+
+    def dp(self, y, p):
+        return np.asarray(p, dtype=float)
+
+
 def near_identity_decoder(noise=0.3, seed=0):
     rng = np.random.default_rng(seed)
     w1 = np.vstack([np.eye(2), np.zeros((1, 2))]) + noise * rng.normal(size=(3, 2))
@@ -329,7 +342,9 @@ class TestGeodesicHamiltonian:
             ham = manifold.GeodesicHamiltonian(mf)
             traj = manifold.integrate(ham, manifold.PhasePoint(y, p), 0.1, 10)
             states = [np.concatenate([pt.y, pt.p]) for pt in traj]
-            return [dec(y), *dec.jet(y), mf.solve(y, p), ham.dy(y, p), *states, traj.energies]
+            jac, hess = dec.jet(y)
+            assert hess is None  # a one-layer decoder has no second derivatives
+            return [dec(y), jac, mf.solve(y, p), ham.dy(y, p), *states, traj.energies]
 
         linear = outputs(manifold.Decoder.linear(a, b))
         layered = outputs(manifold.Decoder.mlp_tanh([a], [b]))
@@ -446,16 +461,6 @@ class TestLeapfrog:
             manifold.integrate(Oscillator(), manifold.PhasePoint([1.0], [0.0]), 0.1, 0)
 
     def test_divergence_reports_step_index(self):
-        class Blows:
-            def __call__(self, y, p):
-                return float(p @ p)
-
-            def dy(self, y, p):
-                return np.array([np.nan]) if y[0] >= 2.5 else np.array([0.0])
-
-            def dp(self, y, p):
-                return np.asarray(p, dtype=float)
-
         with pytest.raises(manifold.IntegrationError, match="step 3"):
             manifold.integrate(Blows(), manifold.PhasePoint([0.0], [1.0]), 1.0, 5)
 
@@ -612,3 +617,139 @@ class TestPhasePoint:
 
     def test_dim(self):
         assert manifold.PhasePoint([1.0, 2.0], [0.0, 0.0]).dim == 2
+
+
+class TestStackContract:
+    """A (B, d) stack runs the per-point kernels slice by slice, so it is bit-equal to B single-point calls."""
+
+    @pytest.mark.parametrize("kind", ["mlp-tanh", "linear", "custom"])
+    def test_batched_jet_equals_pointwise(self, kind):
+        rng = np.random.default_rng(21)
+        dec = random_tanh_decoder(rng, 3, 4, 2)
+        dec = {"mlp-tanh": dec, "linear": manifold.Decoder.linear(*dec.layers[0]), "custom": custom_wrapper(dec)}[kind]
+        ys = rng.uniform(-0.5, 0.5, size=(2, 5, 3))
+        jac, hess = dec.jet(ys)
+        assert jac.shape == (2, 5, 4, 3)
+        assert (hess is None) == (kind == "linear")
+        for idx in np.ndindex(2, 5):
+            point_jac, point_hess = dec.jet(ys[idx])
+            np.testing.assert_array_equal(jac[idx], point_jac)
+            if hess is not None:
+                np.testing.assert_array_equal(hess[idx], point_hess)
+
+    def test_stacked_integrate_equals_single_runs(self):
+        rng = np.random.default_rng(22)
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(random_tanh_decoder(rng, 3, 4, 2)))
+        y0, p0 = rng.uniform(-0.5, 0.5, size=(4, 3)), 0.5 * rng.normal(size=(4, 3))
+        stacked = manifold.integrate(ham, manifold.PhasePoint(y0, p0), 0.05, 16)
+        assert stacked.ys.shape == stacked.ps.shape == (17, 4, 3)
+        assert stacked.energies.shape == (17, 4)
+        for b in range(4):
+            single = manifold.integrate(ham, manifold.PhasePoint(y0[b], p0[b]), 0.05, 16)
+            np.testing.assert_array_equal(stacked.ys[:, b], single.ys)
+            np.testing.assert_array_equal(stacked.ps[:, b], single.ps)
+            np.testing.assert_array_equal(stacked.energies[:, b], single.energies)
+
+    def test_stacked_shots_equal_single_shots(self):
+        rng = np.random.default_rng(23)
+        mf = manifold.MetricField(near_identity_decoder())
+        y_a, momenta = np.array([0.1, -0.2]), rng.normal(size=(5, 2))
+        ends = manifold.shoot_geodesic(mf, y_a, momenta, 12)
+        for end, p in zip(ends, momenta, strict=True):
+            np.testing.assert_array_equal(end, manifold.shoot_geodesic(mf, y_a, p, 12))
+
+    def test_stacked_variational_matrix_equals_pointwise(self):
+        rng = np.random.default_rng(24)
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        ys, ps = rng.uniform(-0.5, 0.5, size=(3, 2)), rng.normal(size=(3, 2))
+        stacked = manifold.variational_matrix(ham, manifold.PhasePoint(ys, ps))
+        assert stacked.shape == (3, 4, 4)
+        for y, p, df in zip(ys, ps, stacked, strict=True):
+            np.testing.assert_array_equal(df, manifold.variational_matrix(ham, manifold.PhasePoint(y, p)))
+
+    def test_geometry_is_derived_once_per_node(self):
+        dec = near_identity_decoder()
+        shapes = []
+        jet = dec.jet
+        dec.jet = lambda y: shapes.append(np.shape(y)) or jet(y)
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(dec))
+        pt = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
+        traj = manifold.integrate(ham, pt, 0.1, 7)
+        assert shapes == [(2,)] * 8
+        shapes.clear()
+        manifold.jacobi_propagate(ham, traj, np.ones(4))
+        assert shapes == [(7, 8, 2)]  # 7 midpoints, 4d = 8 gradient points each
+        shapes.clear()
+        manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 7)
+        assert shapes == [(2, 2)] * 8
+
+
+class TestOneLayerDecoder:
+    A = np.array([[1.0, 0.3], [0.0, 1.2], [0.4, -0.2]])
+
+    def test_dy_is_exactly_zero(self):
+        dec = manifold.Decoder.linear(self.A, np.array([0.5, -1.0, 2.0]))
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(dec))
+        assert dec.jet(np.zeros(2))[1] is None
+        rng = np.random.default_rng(25)
+        for shape in [(2,), (6, 2)]:
+            dy = ham.dy(rng.normal(size=shape), rng.normal(size=shape))
+            assert dy.shape == shape
+            assert not dy.any() and not np.signbit(dy).any()
+
+    def test_jacobi_reproduces_flat_deviations(self):
+        mf = manifold.MetricField(manifold.Decoder.linear(self.A), eps_reg=0.0)
+        ham = manifold.GeodesicHamiltonian(mf)
+        pt = manifold.PhasePoint(np.array([0.3, -0.2]), np.array([0.5, 0.1]))
+        d0 = np.array([0.7, -0.3, 0.2, 0.5])
+        k = 20
+        model = manifold.jacobi_propagate(ham, manifold.integrate(ham, pt, 1.0 / k, k), d0)
+        # flat geodesics are straight: dy(t) = dy0 + t G^-1 dp0 and dp(t) = dp0
+        t = np.arange(k + 1)[:, None] / k
+        exact = np.hstack([d0[:2] + t * np.linalg.solve(self.A.T @ self.A, d0[2:]), np.tile(d0[2:], (k + 1, 1))])
+        np.testing.assert_allclose(model, exact, rtol=0, atol=1e-9)
+
+
+class TestFailureState:
+    def test_integration_error_names_step(self):
+        with pytest.raises(manifold.IntegrationError) as info:
+            manifold.integrate(Blows(), manifold.PhasePoint([0.0], [1.0]), 1.0, 5)
+        assert info.value.step == 3
+
+    def test_integration_error_keeps_last_finite_node(self):
+        with pytest.raises(manifold.IntegrationError) as info:
+            manifold.integrate(Blows(), manifold.PhasePoint([0.0], [1.0]), 1.0, 5)
+        np.testing.assert_array_equal(info.value.y, [2.0])
+        np.testing.assert_array_equal(info.value.p, [1.0])
+
+    def test_integration_error_reports_drift_so_far(self):
+        # leapfrog is unstable for h > 2: the energy grows 16x a step until it overflows
+        pt = manifold.PhasePoint([1.0], [0.0])
+        with pytest.raises(manifold.IntegrationError) as info:
+            manifold.integrate(Oscillator(), pt, 2.5, 1000)
+        err = info.value
+        before = manifold.integrate(Oscillator(), pt, 2.5, err.step - 1)
+        np.testing.assert_array_equal(err.y, before.ys[-1])
+        np.testing.assert_array_equal(err.p, before.ps[-1])
+        assert err.drift == np.max(np.abs(before.energies - before.energies[0]))
+        assert 1e300 < err.drift < np.inf
+
+    def test_shooting_error_keeps_residual_history(self):
+        mf = manifold.MetricField(near_identity_decoder())
+        y_a, y_b = np.zeros(2), np.array([0.9, 0.4])
+        with pytest.raises(manifold.ShootingError) as info:
+            manifold.solve_shooting(mf, y_a, y_b, n_steps=8, tol=0.0, max_iter=3)
+        residuals = info.value.residuals
+        guess = manifold.pullback_metric(mf, y_a) @ (y_b - y_a)
+        assert len(residuals) == 4
+        assert residuals[0] == np.linalg.norm(manifold.shoot_geodesic(mf, y_a, guess, 8) - y_b)
+        assert all(later <= earlier for earlier, later in zip(residuals, residuals[1:]))
+        assert str(info.value).endswith(f"final residual {residuals[-1]:.3e}")
+
+    def test_shooting_error_keeps_last_momentum(self):
+        mf = manifold.MetricField(near_identity_decoder())
+        y_a, y_b = np.zeros(2), np.array([0.9, 0.4])
+        with pytest.raises(manifold.ShootingError) as info:
+            manifold.solve_shooting(mf, y_a, y_b, n_steps=8, tol=0.0, max_iter=3)
+        end = manifold.shoot_geodesic(mf, y_a, info.value.p, 8)
+        assert np.linalg.norm(end - y_b) == info.value.residuals[-1]

@@ -53,6 +53,14 @@ def test_write_renders_rows_before_opening(tmp_path):
     assert not p.exists()
 
 
+def test_rendered_text_is_written_as_is(tmp_path):
+    p = tmp_path / "out.csv"
+    _text.write(p, "a,b\n1,2\n")
+    assert p.read_bytes() == b"a,b\n1,2\n"
+    _text.write(p, ["a,b", "1,2"])
+    assert p.read_bytes() == b"a,b\n1,2\n"
+
+
 def test_text_module_owns_csv_joins():
     assert sorted(p.name for p in SRC.glob("*.py") if '",".join' in p.read_text()) == ["_text.py"]
 
