@@ -104,7 +104,15 @@ HESS_STEP = 1e-4
 
 
 class SingularMetricError(RuntimeError):
-    """Pullback metric failed to be positive definite after regularisation."""
+    """Pullback metric failed to be positive definite after regularisation.
+
+    ``y`` is the point whose G is worst and ``min_eigenvalue`` the smallest
+    eigenvalue of G there.
+    """
+
+    def __init__(self, message: str, y=None, min_eigenvalue: float | None = None):
+        super().__init__(message)
+        self.y, self.min_eigenvalue = y, min_eigenvalue
 
 
 class IntegrationError(RuntimeError):
@@ -379,7 +387,11 @@ class MetricField:
         try:
             chol_inv = np.linalg.inv(np.linalg.cholesky(g))
         except np.linalg.LinAlgError:
-            raise SingularMetricError(f"metric at y={y!r} is not positive definite") from None
+            lowest = np.linalg.eigvalsh(g).min(axis=-1)
+            worst = np.unravel_index(np.argmin(lowest), lowest.shape)
+            raise SingularMetricError(
+                f"metric at y={y!r} is not positive definite", y[worst], float(lowest[worst])
+            ) from None
         return _Geometry(jac, hess, g, chol_inv.swapaxes(-1, -2) @ chol_inv)
 
     def metric(self, y: np.ndarray) -> np.ndarray:
@@ -716,19 +728,20 @@ def loss_geo(metric_field: MetricField, pairs, n_steps: int) -> float:
     """Mean squared endpoint error of shot geodesics over (y_a, y_b[, p0]) pairs.
 
     Without an explicit initial momentum the flat-chart guess
-    G(y_a)(y_b - y_a) is used.
+    G(y_a)(y_b - y_a) is used.  All entries are shot as one stack.
     """
     if len(pairs) == 0:
         raise ValueError("need at least one endpoint pair")
-    total = 0.0
+    starts, targets, momenta = [], [], []
     for entry in pairs:
         if len(entry) not in (2, 3):
             raise ValueError(f"expected (y_a, y_b) or (y_a, y_b, p0), got {len(entry)} entries")
         y_a, y_b, *p0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in entry)
-        p0 = p0[0] if p0 else _flat_guess(metric_field, y_a, y_b)
-        end = shoot_geodesic(metric_field, y_a, p0, n_steps)
-        total += float(np.sum((end - y_b) ** 2))
-    return total / len(pairs)
+        starts.append(y_a)
+        targets.append(y_b)
+        momenta.append(p0[0] if p0 else _flat_guess(metric_field, y_a, y_b))
+    ends = shoot_geodesic(metric_field, np.stack(starts), np.stack(momenta), n_steps)
+    return sum(float(np.sum((end - y_b) ** 2)) for end, y_b in zip(ends, targets)) / len(pairs)
 
 
 def loss_jac(hamiltonian, cases) -> float:

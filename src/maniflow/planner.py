@@ -154,13 +154,6 @@ def shortest_path(graph: WeightedDigraph, source: int, target: int):
     return path, res.dist[target]
 
 
-# Vectorised and per-pair distances sum the same d squares in different
-# orders, so they differ by a few ulp (at most about d * 1.1e-16 relative);
-# candidates within this relative window of the k-th distance (or of r) are
-# re-ranked by the per-pair norm, which decides near-ties as it always has.
-_RERANK_RTOL = 1e-12
-
-
 def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     """Build a state graph over latent samples.
 
@@ -170,10 +163,11 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     are chosen by Euclidean distance with index order breaking ties.
 
     Samples must be finite and share one shape.  Each node costs one
-    O(n·d) vectorised distance row; the candidates within a 1e-12 relative
-    window of the k-th distance (or of r) are then re-ranked, or tested
-    against r, by the per-pair ``np.linalg.norm``, so the edges and their
-    order are exactly those of sorting every pair by that norm.
+    O(n·d) distance row of per-pair dot products on the kernel of
+    ``ndarray.dot``, so each distance is the per-pair ``np.linalg.norm``
+    bit for bit and the edges and their order are exactly those of sorting
+    every pair by that norm.  A distance that overflows is +inf; it ranks
+    by index and lies within r only when r is inf.
     """
     pts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
     if not pts:
@@ -195,21 +189,17 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
         r = float(param)
         if not r >= 0:
             raise ValueError(f"radius must be a non-negative number, got {param!r}")
+        k = n - 1  # keeps every neighbour within r
     else:
         raise ValueError(f"unknown connection rule {mode!r}")
 
     pairs: list[tuple[int, int]] = []
-    for i, pi in enumerate(pts):
-        diff = flat - flat[i]
-        row = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        row[i] = np.inf
-        bound = np.partition(row, k - 1)[k - 1] if mode == "knn" else r
-        near = np.flatnonzero(row <= bound * (1.0 + _RERANK_RTOL))
-        exact = {j: float(np.linalg.norm(pts[j] - pi)) for j in near.tolist() if j != i}
-        if mode == "knn":
-            pairs.extend((i, j) for j in sorted(exact, key=lambda j: (exact[j], j))[:k])
-        else:
-            pairs.extend((i, j) for j, dist in exact.items() if dist <= r)
+    for i in range(n):
+        with np.errstate(over="ignore"):
+            diff = flat - flat[i]
+            row = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+        near = np.argsort(row, kind="stable") if mode == "knn" else np.flatnonzero(row <= r)
+        pairs.extend((i, j) for j in near[near != i][:k].tolist())
 
     graph = WeightedDigraph()
     for s in samples:

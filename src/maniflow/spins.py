@@ -5,8 +5,9 @@ matrix J and optionally by sparse three-spin terms.  The pair Hamiltonian
 
     H = - sum_{i<j} J~_ij (s_i . s_j) - sum_i h_i . s_i
 
-is always evaluated through the symmetrised couplings J~ = (J + J^T)/2 so
-that the analytic gradient -sum_{j != i} J~_ij s_j - h_i is the exact
+is always evaluated through the symmetrised couplings J~ = (J + J^T)/2.
+The energy and its analytic gradient -sum_{j != i} J~_ij s_j - h_i are
+written on one pair field sum_{j != i} J~_ij s_j, so the gradient is the
 derivative of the energy even when a raw asymmetric J is supplied.
 Read-outs that act on directed bonds (``bond_energies``,
 ``gibbs_attention``) use the raw rows of J.
@@ -181,19 +182,21 @@ def attention_couplings(queries: np.ndarray, keys: np.ndarray, symmetrize: bool 
     return j
 
 
+def _pair_field(couplings: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """Row i is sum_{j != i} J~_ij s_j, the one place the pair interaction is written."""
+    return 0.5 * (couplings @ spins + couplings.T @ spins) - np.diag(couplings)[:, None] * spins
+
+
 def lattice_energy(couplings: np.ndarray, spins: np.ndarray, fields: np.ndarray | None = None) -> float:
     """Pair + field energy of a raw configuration (no norm validation).
 
     Uses the symmetrised couplings; exposed separately so callers can
     score pre-normalisation states.
     """
-    j_sym = 0.5 * (couplings + couplings.T)
-    gram = spins @ spins.T
-    pair = -0.5 * (np.sum(j_sym * gram) - np.sum(np.diag(j_sym) * np.diag(gram)))
-    e = pair
+    e = -0.5 * float(np.sum(spins * _pair_field(couplings, spins)))
     if fields is not None:
         e -= float(np.sum(fields * spins))
-    return float(e)
+    return e
 
 
 def two_body_energy(system: SpinSystem) -> float:
@@ -335,9 +338,7 @@ def ffn_target(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None)
 
 def energy_gradient(system: SpinSystem) -> np.ndarray:
     """Analytic dH/ds_i = -sum_{j != i} J~_ij s_j - h_i, one row per spin."""
-    j_sym = 0.5 * (system.couplings + system.couplings.T)
-    j_off = j_sym - np.diag(np.diag(j_sym))
-    return -(j_off @ system.spins) - system.fields
+    return -_pair_field(system.couplings, system.spins) - system.fields
 
 
 def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = None) -> SpinSystem:

@@ -236,8 +236,19 @@ class TestMetricField:
         # rank-1 Jacobian and no regularisation
         dec = manifold.Decoder.linear(np.array([[1.0, 1.0], [2.0, 2.0]]))
         mf = manifold.MetricField(dec, eps_reg=0.0)
-        with pytest.raises(manifold.SingularMetricError):
+        with pytest.raises(manifold.SingularMetricError) as info:
             manifold.pullback_metric(mf, np.zeros(2))
+        assert str(info.value) == f"metric at y={np.zeros(2)!r} is not positive definite"
+        np.testing.assert_array_equal(info.value.y, np.zeros(2))
+        # G = [[5, 5], [5, 5]] has eigenvalues 0 and 10
+        assert abs(info.value.min_eigenvalue) <= 1e-14
+        # a stack names its worst point: (y0, y0 y1) folds where y0 = 0
+        fold = manifold.Decoder.custom(lambda y: np.array([y[0], y[0] * y[1]]), 2, 2)
+        ys = np.array([[1.0, 0.5], [0.0, 2.0], [2.0, -1.0]])
+        with pytest.raises(manifold.SingularMetricError) as info:
+            manifold.MetricField(fold, eps_reg=0.0).at(ys)
+        np.testing.assert_array_equal(info.value.y, ys[1])
+        assert info.value.min_eigenvalue == 0.0
 
     def test_solve_matches_dense_solve(self):
         dec = near_identity_decoder()
@@ -585,6 +596,16 @@ class TestLosses:
         mf = manifold.MetricField(near_identity_decoder())
         pairs = [(np.array([0.1, -0.2]), np.array([0.6, 0.3])), (np.array([0.0, 0.4]), np.array([-0.3, 0.1]))]
         assert manifold.loss_geo(mf, np.array(pairs), n_steps=8) == manifold.loss_geo(mf, pairs, n_steps=8)
+
+    def test_loss_geo_shoots_all_entries_as_one_stack(self, monkeypatch):
+        mf = manifold.MetricField(near_identity_decoder())
+        rng = np.random.default_rng(5)
+        entries = [tuple(rng.normal(size=(3 if i % 3 == 0 else 2, 2)) * 0.4) for i in range(7)]
+        each = [manifold.loss_geo(mf, [entry], n_steps=8) for entry in entries]
+        shoot, calls = manifold.shoot_geodesic, []
+        monkeypatch.setattr(manifold, "shoot_geodesic", lambda *args: calls.append(args) or shoot(*args))
+        assert manifold.loss_geo(mf, entries, n_steps=8) == sum(each) / len(entries)
+        assert len(calls) == 1
 
     def test_loss_geo_empty_rejected(self):
         mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)))

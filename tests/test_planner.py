@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -325,8 +326,9 @@ def l1_cost(a, b):
 def point_sets(draw):
     """Up to 16 points in 1 to 32 dimensions: free floats, or integer grid
     points (ties and duplicates) taken as they are or times 0.1 (inexact
-    distances).  From d = 8 on, vectorised and per-pair sums of squares
-    round differently, which is what the re-rank must absorb."""
+    distances).  From d = 8 on, sums of squares taken in another order
+    than the per-pair norm's round differently, so a distance row must
+    sum as that norm does to pick the same edges."""
     n = draw(st.integers(1, 16))
     d = draw(st.sampled_from([1, 2, 3, 8, 17, 32]))
     kind = draw(st.sampled_from(["float", "grid", "grid x0.1"]))
@@ -364,6 +366,17 @@ class TestBuildNdmGraphProperty:
             for k in range(1, 8):
                 g = planner.build_ndm_graph(pts, ("knn", k), lambda a, b: 1.0)
                 assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(pts, ("knn", k)), (seed, k)
+
+    @pytest.mark.parametrize("connect", [("knn", 1), ("knn", 2), ("knn", 4), ("radius", 1e300), ("radius", np.inf)])
+    def test_overflowing_distances_rank_by_index(self, connect):
+        # finite samples whose squared distances overflow: only 0 and 5 are a finite distance apart
+        pts = [np.array([v]) for v in (3e200, 0.0, -2e200, 1e200, 5.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = planner.build_ndm_graph(pts, connect, lambda a, b: 1.0)
+        with np.errstate(over="ignore"):
+            want = oracle_pairs(pts, connect)
+        assert [(u, v) for u, v, _ in g.edges()] == want
 
     def test_table1_node_set_matches_oracle(self):
         from maniflow.experiments import SSSP_NODE_SET
