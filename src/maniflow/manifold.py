@@ -585,6 +585,15 @@ def trajectory_csv(traj: PhaseTrajectory) -> str:
 # boundary-value shooting
 
 
+def _latent_point(metric_field: MetricField, name: str, value) -> np.ndarray:
+    """value as a float array of shape (latent_dim,); ValueError naming it otherwise."""
+    point = np.atleast_1d(np.asarray(value, dtype=float))
+    d = metric_field.decoder.latent_dim
+    if point.shape != (d,):
+        raise ValueError(f"{name} must have shape ({d},), got {point.shape}")
+    return point
+
+
 def _flat_guess(metric_field: MetricField, y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:
     """The flat-chart initial momentum G(y_a)(y_b - y_a)."""
     return pullback_metric(metric_field, y_a) @ (y_b - y_a)
@@ -619,8 +628,8 @@ def solve_shooting(
     rejected one keeps the sensitivity it had.  ShootingError carries the
     residual history.
     """
-    y_a = np.atleast_1d(np.asarray(y_a, dtype=float))
-    y_b = np.atleast_1d(np.asarray(y_b, dtype=float))
+    y_a = _latent_point(metric_field, "y_a", y_a)
+    y_b = _latent_point(metric_field, "y_b", y_b)
     d = y_a.shape[0]
 
     def shots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -733,10 +742,12 @@ def loss_geo(metric_field: MetricField, pairs, n_steps: int) -> float:
     if len(pairs) == 0:
         raise ValueError("need at least one endpoint pair")
     starts, targets, momenta = [], [], []
-    for entry in pairs:
+    for i, entry in enumerate(pairs):
         if len(entry) not in (2, 3):
             raise ValueError(f"expected (y_a, y_b) or (y_a, y_b, p0), got {len(entry)} entries")
-        y_a, y_b, *p0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in entry)
+        y_a, y_b, *p0 = (
+            _latent_point(metric_field, f"{name} of pair {i}", v) for name, v in zip(("y_a", "y_b", "p0"), entry)
+        )
         starts.append(y_a)
         targets.append(y_b)
         momenta.append(p0[0] if p0 else _flat_guess(metric_field, y_a, y_b))

@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+# rows per distance block and per k-NN selection chunk: each bounds a
+# temporary, (block, n, d) differences and a few (chunk, n) arrays
+_DIST_BLOCK = 8
+_PICK_CHUNK = 32
+
+
 class GraphFormatError(_text.FormatError):
     """Raised when a graph text file cannot be parsed."""
 
@@ -154,20 +160,71 @@ def shortest_path(graph: WeightedDigraph, source: int, target: int):
     return path, res.dist[target]
 
 
+def _pair_distances(flat: np.ndarray) -> np.ndarray:
+    """The (n, n) Euclidean distance matrix of the rows of flat.
+
+    Row block [i0, i1) takes the differences x_j - x_i for j >= i0 as one
+    (i1 - i0, n - i0, 1, d) stack, and each entry is a (1, d) @ (d, 1)
+    matmul on the dot kernel of ``ndarray.dot``, which ``np.linalg.norm``
+    also runs: the entry is the per-pair norm bit for bit.  x_i - x_j is exactly
+    -(x_j - x_i), so the mirror entry is that norm too, and each pair is
+    computed once.  A sum of squares that overflows is +inf.
+    """
+    n = flat.shape[0]
+    dist = np.empty((n, n))
+    with np.errstate(over="ignore"):
+        for i0 in range(0, n, _DIST_BLOCK):
+            i1 = min(i0 + _DIST_BLOCK, n)
+            diff = flat[None, i0:, :] - flat[i0:i1, None, :]
+            block = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+            dist[i0:i1, i0:] = block
+            dist[i0:, i0:i1] = block.T
+    return dist
+
+
+def _knn_pairs(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of each node's k nearest others, ranked by (distance, index).
+
+    With self pinned first, a row's k + 1 smallest entries in that order
+    are the ones below its (k+1)-th value and, of the entries equal to
+    it, the first in index order; one stable sort of those k + 1 ranks
+    them.  Writes -inf on the diagonal of dist.
+    """
+    n = dist.shape[0]
+    np.fill_diagonal(dist, -np.inf)
+    picked = np.empty((n, k), dtype=np.intp)
+    for r0 in range(0, n, _PICK_CHUNK):
+        rows = dist[r0 : r0 + _PICK_CHUNK]
+        kth = np.partition(rows, k, axis=1)[:, k : k + 1]
+        keep = rows <= kth
+        extra = keep.sum(axis=1, keepdims=True) - (k + 1)
+        if extra.any():
+            # drop the last `extra` entries tied at the (k+1)-th value
+            tied = rows == kth
+            keep &= ~tied | (np.cumsum(tied, axis=1) <= tied.sum(axis=1, keepdims=True) - extra)
+        cols = np.flatnonzero(keep).reshape(len(rows), k + 1) % n
+        order = np.argsort(np.take_along_axis(rows, cols, axis=1), axis=1, kind="stable")
+        picked[r0 : r0 + _PICK_CHUNK] = np.take_along_axis(cols, order, axis=1)[:, 1:]
+    return np.repeat(np.arange(n), k), picked.ravel()
+
+
 def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     """Build a state graph over latent samples.
 
     ``connect`` is ``("knn", k)`` or ``("radius", r)``; a complete graph is
     ``("knn", len(samples) - 1)``.  ``edge_cost(a, b)`` must return a finite,
-    non-negative cost for the directed edge a -> b.  k-nearest neighbours
-    are chosen by Euclidean distance with index order breaking ties.
+    non-negative cost for the directed edge a -> b; it is called once per
+    edge, by source and then by rank.  k-nearest neighbours are chosen by
+    Euclidean distance with index order breaking ties.
 
-    Samples must be finite and share one shape.  Each node costs one
-    O(n·d) distance row of per-pair dot products on the kernel of
-    ``ndarray.dot``, so each distance is the per-pair ``np.linalg.norm``
-    bit for bit and the edges and their order are exactly those of sorting
-    every pair by that norm.  A distance that overflows is +inf; it ranks
-    by index and lies within r only when r is inf.
+    Samples must be finite and share one shape.  For n samples in d
+    dimensions the cost is n(n+1)/2 per-pair dot products of length d,
+    taken in blocks of rows on the kernel of ``ndarray.dot``, into one
+    (n, n) float matrix (8n^2 bytes), then a partial selection per row.
+    Each distance is the per-pair ``np.linalg.norm`` bit for bit, so the
+    edges and their order are exactly those of sorting every pair by that
+    norm.  A distance that overflows is +inf; it ranks by index and lies
+    within r only when r is inf.
     """
     pts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
     if not pts:
@@ -175,44 +232,38 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     for i, p in enumerate(pts):
         if p.shape != pts[0].shape:
             raise ValueError(f"sample {i} has shape {p.shape}, sample 0 has {pts[0].shape}")
-        if not np.isfinite(p).all():
-            raise ValueError(f"sample {i} is not finite")
     n = len(pts)
-    flat = np.stack([p.ravel() for p in pts])
+    flat = np.stack(pts).reshape(n, -1)
+    finite = np.isfinite(flat).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"sample {int(np.argmin(finite))} is not finite")
 
     mode, param = connect
     if mode == "knn":
         if not (float(param).is_integer() and float(param) >= 1):
             raise ValueError(f"k-nearest rule needs an integer k >= 1, got {param!r}")
-        k = min(int(param), n - 1)
+        src, dst = _knn_pairs(_pair_distances(flat), min(int(param), n - 1))
     elif mode == "radius":
         r = float(param)
         if not r >= 0:
             raise ValueError(f"radius must be a non-negative number, got {param!r}")
-        k = n - 1  # keeps every neighbour within r
+        near = _pair_distances(flat) <= r
+        np.fill_diagonal(near, False)
+        src, dst = np.nonzero(near)
     else:
         raise ValueError(f"unknown connection rule {mode!r}")
 
-    pairs: list[tuple[int, int]] = []
-    for i in range(n):
-        with np.errstate(over="ignore"):
-            diff = flat - flat[i]
-            row = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
-        near = np.argsort(row, kind="stable") if mode == "knn" else np.flatnonzero(row <= r)
-        pairs.extend((i, j) for j in near[near != i][:k].tolist())
-
-    graph = WeightedDigraph()
-    for s in samples:
-        graph.add_node(s)
-    for i, j in pairs:
-        cost = float(edge_cost(graph.payloads[i], graph.payloads[j]))
-        if not math.isfinite(cost) or cost < 0:
+    payloads = list(samples)
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, j in zip(src.tolist(), dst.tolist()):
+        cost = float(edge_cost(payloads[i], payloads[j]))
+        if not 0.0 <= cost < math.inf:
             raise ValueError(
                 f"edge cost between samples {i} and {j} must be finite and"
                 f" non-negative, got {cost!r}"
             )
-        graph.add_edge(i, j, cost)
-    return graph
+        adjacency[i].append((j, cost))
+    return WeightedDigraph(payloads, adjacency)
 
 
 def waypoints(path, stride: int):

@@ -18,6 +18,7 @@ spin (see ``save_spin_matrix``).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -368,12 +369,12 @@ def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = 
     collapsed = np.nonzero(norms < _COLLAPSE_TOL)[0]
     if collapsed.size:
         raise ValueError(f"neuron {collapsed[0]} collapsed to norm {norms[collapsed[0]]!r} during micro step")
-    return SpinSystem(
-        spins=update / norms[:, None],
-        couplings=system.couplings,
-        fields=system.fields,
-        three_body=list(system.three_body),
-    )
+    # the couplings and fields are the checked ones and each row has norm 1
+    # by construction, so the successor skips SpinSystem's validation
+    successor = copy.copy(system)
+    successor.spins = update / norms[:, None]
+    successor.three_body = list(system.three_body)
+    return successor
 
 
 def save_spin_matrix(path, spins: np.ndarray) -> None:

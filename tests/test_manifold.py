@@ -519,6 +519,19 @@ class TestShooting:
                 mf, np.zeros(2), np.array([0.9, 0.4]), n_steps=8, max_iter=0
             )
 
+    @pytest.mark.parametrize(
+        "y_a,y_b,message",
+        [
+            (np.zeros(2), np.array([0.5]), r"y_b must have shape \(2,\), got \(1,\)"),
+            (np.zeros(3), np.array([0.5, 0.5]), r"y_a must have shape \(2,\), got \(3,\)"),
+        ],
+    )
+    def test_endpoint_of_wrong_shape_rejected(self, y_a, y_b, message):
+        # a length-1 y_b used to broadcast against the 2-d point and "converge"
+        mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=0.0)
+        with pytest.raises(ValueError, match=message):
+            manifold.solve_shooting(mf, y_a, y_b, n_steps=8)
+
 
 class TestVariationalFlow:
     def test_oscillator_variational_matrix(self):
@@ -606,6 +619,20 @@ class TestLosses:
         monkeypatch.setattr(manifold, "shoot_geodesic", lambda *args: calls.append(args) or shoot(*args))
         assert manifold.loss_geo(mf, entries, n_steps=8) == sum(each) / len(entries)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ((np.zeros(2), 0.5), r"y_b of pair 0 must have shape \(2,\), got \(1,\)"),
+            ((np.zeros(3), np.zeros(2)), r"y_a of pair 0 must have shape \(2,\), got \(3,\)"),
+            ((np.zeros(2), np.zeros(2), np.ones(3)), r"p0 of pair 0 must have shape \(2,\), got \(3,\)"),
+        ],
+    )
+    def test_loss_geo_endpoint_of_wrong_shape_rejected(self, entry, message):
+        # a scalar y_b used to broadcast against the 2-d endpoint and score 6.2e-33
+        mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=0.0)
+        with pytest.raises(ValueError, match=message):
+            manifold.loss_geo(mf, [entry], n_steps=8)
 
     def test_loss_geo_empty_rejected(self):
         mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)))

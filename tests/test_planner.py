@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maniflow import _text, planner
@@ -340,7 +340,45 @@ def point_sets(draw):
     return list(np.array(values).reshape(n, d))
 
 
+@st.composite
+def grid_points(draw, n):
+    """n integer grid points in 1 to 8 dimensions, as they are (ties and
+    duplicates) or times 0.1 (inexact distances)."""
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    scale = draw(st.sampled_from([1.0, 0.1]))
+    values = draw(st.lists(st.integers(-1, 1), min_size=n * d, max_size=n * d))
+    return list(scale * np.array(values, dtype=float).reshape(n, d))
+
+
 class TestBuildNdmGraphProperty:
+    # sizes at and past the 8-row distance blocks and the 32-row selection chunks
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 31, 32, 33, 64, 65, 70])
+    @settings(max_examples=4)
+    @given(data=st.data())
+    def test_edges_across_blocks_and_chunks_match_oracle(self, n, data):
+        pts = data.draw(grid_points(n))
+        for k in sorted({k for k in (1, 2, 8, n - 1, n + 1) if k >= 1}):
+            g = planner.build_ndm_graph(pts, ("knn", k), lambda a, b: 1.0)
+            assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(pts, ("knn", k)), f"k={k}"
+        i = data.draw(st.integers(0, n - 1))
+        exact = sorted({float(np.linalg.norm(p - pts[i])) for p in pts})
+        for r in data.draw(st.lists(st.sampled_from(exact), min_size=1, max_size=3, unique=True)):
+            g = planner.build_ndm_graph(pts, ("radius", r), lambda a, b: 1.0)
+            assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(pts, ("radius", r)), f"r={r!r}"
+
+    @pytest.mark.parametrize("connect", [("knn", 5), ("knn", 69), ("radius", 1.0), ("radius", np.inf)])
+    def test_edge_cost_called_once_per_edge_in_order(self, connect):
+        pts = list(np.random.default_rng(4).normal(size=(70, 3)))
+        index = {id(p): i for i, p in enumerate(pts)}
+        calls = []
+
+        def edge_cost(a, b):
+            calls.append((index[id(a)], index[id(b)]))
+            return 1.0
+
+        g = planner.build_ndm_graph(pts, connect, edge_cost)
+        assert calls == [(u, v) for u, v, _ in g.edges()] == oracle_pairs(pts, connect)
+
     @given(pts=point_sets())
     def test_knn_edges_match_oracle(self, pts):
         for k in range(1, len(pts) + 3):

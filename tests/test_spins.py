@@ -323,6 +323,24 @@ class TestMicroStep:
         d_after = np.linalg.norm(target - out.spins[0])
         assert d_after < d_before
 
+    def test_successor_equals_validated_system(self):
+        # micro_step skips SpinSystem's checks on what it builds; the result
+        # must be the system that validation gives, and the input unchanged
+        rng = np.random.default_rng(31)
+        sys0 = spins.SpinSystem(
+            unit_spins(rng, 5, 3), rng.normal(size=(5, 5)), rng.normal(size=(5, 3)), three_body=[(0, 2, 4, 0.5)]
+        )
+        before = sys0.spins.copy()
+        bath = spins.BathParams(eta=0.05, eta_ff=0.2, gamma=0.01, W1=rng.normal(size=(4, 3)), W2=rng.normal(size=(3, 4)))
+        out = spins.micro_step(sys0, bath)
+        want = spins.SpinSystem(out.spins.copy(), sys0.couplings, sys0.fields, list(sys0.three_body))
+        assert type(out) is spins.SpinSystem
+        for name in ("spins", "couplings", "fields"):
+            got, ref = getattr(out, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+        assert out.three_body == sys0.three_body and out.three_body is not sys0.three_body
+        assert sys0.spins.tobytes() == before.tobytes()
+
 
 class TestBatchedFfn:
     """micro_step computes all N feed-forward targets as one batch; each row
