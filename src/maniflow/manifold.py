@@ -20,24 +20,25 @@ Derivative conventions used throughout:
   differences; a one-layer decoder's D2 is None, since it vanishes
 * dH/dy of the kinetic Hamiltonian is one formula for every decoder,
   dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for one-layer ones)
-* every finite difference is the central stencil of ``_fd_gradient``,
-  step base (1 + |arg|): base 1e-5 for first derivatives (including the
-  shooting sensitivity and a custom decoder's J), 1e-4 for second
-  derivatives (a custom decoder's D2, the Hessian in the variational
-  matrix)
+* every finite difference takes its points from ``_stencil`` and its
+  quotient from ``_central``: steps base (1 + |arg|), base 1e-5 for first
+  derivatives (``_fd_gradient``, a custom decoder's J, the shooting
+  sensitivity) and 1e-4 for second derivatives (a custom decoder's D2,
+  the Hessian in ``variational_matrix``)
 
 Arrays of shape (..., d) hold one latent point (d,) or a stack of them
 (B, d).  ``Decoder.jet``, ``MetricField`` and ``GeodesicHamiltonian``
-take either, and one leapfrog stepper runs either: shooting shoots each
-momentum it tries in one stack with its 2d central-difference shots,
-``jacobi_propagate`` evaluates the 4d gradient points of all its
-midpoints as one stack, and ``empirical_deviations`` integrates its base
-and shifted runs as a stack of two.  A stacked call runs the per-point
-kernels slice by slice, so each row is bit-equal to the single-point
-call.  ``MetricField.at(y)`` derives J, D2, G and G^{-1} once for all of
-y; the stepper carries the geometry of each step's end point into the
-next kick, so G is factorised once per point per step and nothing is
-memoised.
+take either, and one leapfrog loop runs either: ``leapfrog_step`` is the
+one-step ``integrate`` without energies (h finite and non-zero,
+IntegrationError on a non-finite state).  Shooting shoots each momentum
+it tries in one stack with its 2d stencil points, ``jacobi_propagate``
+passes all its midpoints to ``variational_matrix`` as one stack, and
+``empirical_deviations`` integrates its base and shifted runs as a stack
+of two.  A stacked call runs the per-point kernels slice by slice, so
+each row is bit-equal to the single-point call.  ``MetricField.at(y)``
+derives J, D2, G and G^{-1} once for all of y; the stepper carries the
+geometry of each step's end point into the next kick, so G is factorised
+once per point per step and nothing is memoised.
 
 A Hamiltonian passed to ``integrate``, ``leapfrog_step``,
 ``variational_matrix``, ``jacobi_propagate`` or ``empirical_deviations``
@@ -457,10 +458,9 @@ class PhaseTrajectory:
 class GeodesicHamiltonian:
     """Kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2 of a metric field.
 
-    dp is a symmetric solve.  dy is dH/dy_k = -(J v) . (d_k J) v with
-    v = G^{-1} p, from the decoder's jet: exact for layered decoders,
-    built on central-difference J and D2 for custom ones.  ``at(y)``
-    derives the geometry once for all three.
+    dp is a symmetric solve and dy the one dH/dy formula of the module
+    docstring, on the decoder's jet.  ``at(y)`` derives the geometry once
+    for all three.
     """
 
     def __init__(self, metric_field: MetricField):
@@ -479,20 +479,33 @@ class GeodesicHamiltonian:
         return self.at(y).dy(np.asarray(p, dtype=float))
 
 
+def _stencil(x: np.ndarray, base_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points x +/- step e_i (rows i and n + i) of x (..., n), shape (..., 2n, n), and step (..., 1, 1).
+
+    step = base_step (1 + |x|), |x| on the dot kernel ``np.linalg.norm`` runs for a 1-d x.
+    """
+    step = base_step * (1.0 + np.sqrt(x[..., None, :] @ x[..., :, None]))
+    shifts = step * np.eye(x.shape[-1])
+    return np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2), step
+
+
+def _central(values: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The derivative (..., m, n) from values (..., 2n, m) of a function at ``_stencil``'s points."""
+    n = values.shape[-2] // 2
+    return ((values[..., :n, :] - values[..., n:, :]) / (2.0 * step)).swapaxes(-1, -2)
+
+
 def _fd_gradient(f: Callable, x: np.ndarray, base_step: float = GRAD_STEP) -> np.ndarray:
-    """Central differences of f at x with step base_step (1 + |x|).
+    """Central differences of f at a point x, f evaluated at ``_stencil``'s points one by one.
 
     A scalar f gives its gradient, shape (n,); a vector f gives its
     Jacobian, one column per coordinate of x.
     """
-    step = base_step * (1.0 + float(np.linalg.norm(x)))
-    cols = []
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = step
-        cols.append((f(x + e) - f(x - e)) / (2.0 * step))
+    points, step = _stencil(x, base_step)
+    values = np.array([f(point) for point in points], dtype=float)
+    grad = _central(values.reshape(len(points), -1), step)
     # a C-ordered copy, so callers' matmuls never meet a transposed view
-    return np.array(cols, dtype=float).T.copy()
+    return np.ascontiguousarray(grad.reshape(*values.shape[1:], x.shape[0]))
 
 
 def _parts(hamiltonian) -> tuple:
@@ -506,27 +519,8 @@ def _parts(hamiltonian) -> tuple:
     return hamiltonian.at, lambda held, p: held.dy(p), lambda held, p: held.dp(p), lambda held, p: held(p)
 
 
-def _kick_drift_kick(parts: tuple, held, y: np.ndarray, p: np.ndarray, h: float):
-    """One leapfrog step from (y, p), with ``held`` = at(y); returns y', p' and at(y')."""
-    at, dy, dp, _ = parts
-    p_half = p - 0.5 * h * dy(held, p)
-    y_new = y + h * dp(held, p_half)
-    held = at(y_new)
-    return y_new, p_half - 0.5 * h * dy(held, p_half), held
-
-
-def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
-    """One staged kick-drift-kick update of step h (h may be negative)."""
-    h = float(h)
-    if not math.isfinite(h):
-        raise ValueError("step size must be finite")
-    parts = _parts(hamiltonian)
-    y, p, _ = _kick_drift_kick(parts, parts[0](pt.y), pt.y, pt.p, h)
-    return PhasePoint(y, p)
-
-
 def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int, energies: bool = True):
-    """n_steps leapfrog updates from (y, p) of shape (..., d).
+    """n_steps staged kick-drift-kick updates from (y, p) of shape (..., d).
 
     Returns the node rows of y and p, shape (n+1, ..., d), and of H,
     shape (n+1, ...), or None for H when ``energies`` is false.  All are
@@ -535,13 +529,10 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
-    if h == 0.0:
-        raise ValueError("step size must be non-zero")
     h = float(h)
-    if not math.isfinite(h):
-        raise ValueError("step size must be finite")
-    parts = _parts(hamiltonian)
-    at, _, _, energy = parts
+    if h == 0.0 or not math.isfinite(h):
+        raise ValueError(f"step size must be finite and non-zero, got {h!r}")
+    at, dy, dp, energy = _parts(hamiltonian)
     d = y.shape[-1]
     nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
     held = at(y)
@@ -551,7 +542,10 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     # overflow needs no warning: the finiteness check turns it into IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            y, p, held = _kick_drift_kick(parts, held, y, p, h)
+            p_half = p - 0.5 * h * dy(held, p)
+            y = y + h * dp(held, p_half)
+            held = at(y)
+            p = p_half - 0.5 * h * dy(held, p_half)
             row = nodes[k]
             row[..., :d], row[..., d : 2 * d] = y, p
             if energies:
@@ -567,10 +561,17 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
 def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTrajectory:
     """n_steps leapfrog updates, recording all n+1 nodes and their energies.
 
-    A stacked ``pt0`` (..., d) integrates every row at once.
+    A stacked ``pt0`` (..., d) integrates every row at once.  h must be
+    finite and non-zero; a non-finite state raises IntegrationError.
     """
     ys, ps, energies = _leapfrog(hamiltonian, pt0.y, pt0.p, h, n_steps)
     return PhaseTrajectory(step=float(h), ys=ys, ps=ps, energies=energies)
+
+
+def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
+    """One kick-drift-kick update of step h (h may be negative): the one-step ``integrate``, without energies."""
+    ys, ps, _ = _leapfrog(hamiltonian, pt.y, pt.p, h, 1, energies=False)
+    return PhasePoint(ys[1], ps[1])
 
 
 def trajectory_csv(traj: PhaseTrajectory) -> str:
@@ -607,7 +608,8 @@ def shoot_geodesic(metric_field: MetricField, y_a: np.ndarray, p_init: np.ndarra
     p = np.asarray(p_init, dtype=float)
     y = np.broadcast_to(np.asarray(y_a, dtype=float), p.shape)
     n_steps = int(n_steps)
-    return _leapfrog(GeodesicHamiltonian(metric_field), y, p, 1.0 / n_steps, n_steps, energies=False)[0][-1]
+    # a count below one reaches _leapfrog's check instead of dividing by zero
+    return _leapfrog(GeodesicHamiltonian(metric_field), y, p, 1.0 / max(n_steps, 1), n_steps, energies=False)[0][-1]
 
 
 def solve_shooting(
@@ -623,21 +625,19 @@ def solve_shooting(
     Initial momentum is the flat-chart guess G(y_a)(y_b - y_a); the
     sensitivity of the endpoint is taken by central differences and the
     damping parameter is halved after every residual decrease.  Each
-    momentum tried is shot in one stack with its 2d central-difference
-    shots, so an accepted step brings its sensitivity along and a
-    rejected one keeps the sensitivity it had.  ShootingError carries the
-    residual history.
+    momentum tried is shot in one stack with its 2d stencil points, so an
+    accepted step brings its sensitivity along and a rejected one keeps
+    the sensitivity it had.  ShootingError carries the residual history.
     """
     y_a = _latent_point(metric_field, "y_a", y_a)
     y_b = _latent_point(metric_field, "y_b", y_b)
     d = y_a.shape[0]
 
     def shots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The endpoint residual at q and its sensitivity, the stencil of _fd_gradient."""
-        step = GRAD_STEP * (1.0 + float(np.linalg.norm(q)))
-        # row 0 is q; rows i + 1 and d + i + 1 move coordinate i by +step and -step
-        ends = shoot_geodesic(metric_field, y_a, np.vstack([q, q + step * np.eye(d), q - step * np.eye(d)]), n_steps)
-        return ends[0] - y_b, ((ends[1 : d + 1] - ends[d + 1 :]) / (2.0 * step)).T
+        """The endpoint residual at q and its sensitivity."""
+        points, step = _stencil(q, GRAD_STEP)
+        ends = shoot_geodesic(metric_field, y_a, np.vstack([q, points]), n_steps)
+        return ends[0] - y_b, _central(ends[1:], step)
 
     p = _flat_guess(metric_field, y_a, y_b)
     residual, sens = shots(p)
@@ -667,30 +667,20 @@ def solve_shooting(
 # variational flow along a trajectory
 
 
-def _variational(hamiltonian, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """DF at phase points (..., d): its 4d gradient points per point are evaluated as one stack."""
-    z = np.concatenate([y, p], axis=-1)
-    d = y.shape[-1]
-    step = HESS_STEP * (1.0 + np.linalg.norm(z, axis=-1))[..., None, None]
-    shifts = step * np.eye(2 * d)
-    zs = np.concatenate([z[..., None, :] + shifts, z[..., None, :] - shifts], axis=-2)
-    at, dy, dp, _ = _parts(hamiltonian)
-    held, ps = at(zs[..., :d]), zs[..., d:]
-    grad = np.concatenate([dy(held, ps), dp(held, ps)], axis=-1)
-    # rows i and 2d + i are the +/- shifts along coordinate i; the transpose puts i in the columns
-    hess = ((grad[..., : 2 * d, :] - grad[..., 2 * d :, :]) / (2.0 * step)).swapaxes(-1, -2)
-    return np.concatenate([hess[..., d:, :], -hess[..., :d, :]], axis=-2)
-
-
 def variational_matrix(hamiltonian, pt: PhasePoint) -> np.ndarray:
-    """DF = J grad^2 H, the linearised Hamiltonian field at a phase point.
+    """DF = J grad^2 H, the linearised Hamiltonian field at a phase point or a stack (..., d).
 
     The Hessian is taken by central differences on the gradient;
     J is the canonical symplectic matrix ((0, I), (-I, 0)), so DF stacks
     the p-rows of the Hessian over the negated y-rows.  ``dy`` and ``dp``
-    receive the 4d shifted points as one stack.
+    receive the 4d stencil points of every point as one stack.
     """
-    return _variational(hamiltonian, pt.y, pt.p)
+    d = pt.dim
+    zs, step = _stencil(np.concatenate([pt.y, pt.p], axis=-1), HESS_STEP)
+    at, dy, dp, _ = _parts(hamiltonian)
+    held, ps = at(zs[..., :d]), zs[..., d:]
+    hess = _central(np.concatenate([dy(held, ps), dp(held, ps)], axis=-1), step)
+    return np.concatenate([hess[..., d:, :], -hess[..., :d, :]], axis=-2)
 
 
 def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> np.ndarray:
@@ -707,7 +697,8 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
     if delta.shape != (2 * d,):
         raise ValueError(f"deviation must have length {2 * d}, got {delta.shape}")
     h = traj.step
-    dfs = _variational(hamiltonian, 0.5 * (traj.ys[:-1] + traj.ys[1:]), 0.5 * (traj.ps[:-1] + traj.ps[1:]))
+    mid_ys, mid_ps = 0.5 * (traj.ys[:-1] + traj.ys[1:]), 0.5 * (traj.ps[:-1] + traj.ps[1:])
+    dfs = variational_matrix(hamiltonian, PhasePoint(mid_ys, mid_ps))
     out = np.empty((len(traj), 2 * d))
     out[0] = delta
     for k, df in enumerate(dfs, start=1):
@@ -720,9 +711,15 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
 def empirical_deviations(
     hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: float, n_steps: int, eps: float = 1e-5
 ) -> np.ndarray:
-    """Deviation oracle: difference two trajectories offset by eps * delta0, integrated as one stack."""
+    """Deviation oracle: difference the runs from one point pt0 and from pt0 + eps * delta0, as one stack."""
     delta0 = np.asarray(delta0, dtype=float)
     d = pt0.dim
+    if pt0.y.shape != (d,):
+        raise ValueError(f"pt0 must be one phase point of shape ({d},), got shape {pt0.y.shape}")
+    if delta0.shape != (2 * d,):
+        raise ValueError(f"delta0 must have shape ({2 * d},), got {delta0.shape}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     y = np.stack([pt0.y, pt0.y + eps * delta0[:d]])
     p = np.stack([pt0.p, pt0.p + eps * delta0[d:]])
     ys, ps, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)

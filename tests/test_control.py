@@ -124,6 +124,14 @@ class TestNdmLayer:
         with pytest.raises(ValueError, match="dt"):
             control.ndm_layer(mf, quad_cost(), pt, 0.0)
 
+    def test_diverging_layer_raises(self):
+        # a potential with a NaN gradient used to return a NaN phase point
+        cost = control.CostSpec(task_cost=lambda z: float(z[0]) if z[0] < 1.0 else np.nan)
+        pt = manifold.PhasePoint(np.array([1.0]), np.array([0.5]))
+        with pytest.raises(manifold.IntegrationError, match="step 1") as info:
+            control.ndm_layer(identity_field(), cost, pt, 0.1)
+        np.testing.assert_array_equal(info.value.y, [1.0])
+
     def test_reduced_dy_matches_fd_of_full_value(self):
         rng = np.random.default_rng(3)
         w1 = np.vstack([np.eye(2), np.zeros((1, 2))]) + 0.3 * rng.normal(size=(3, 2))

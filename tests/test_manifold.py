@@ -475,6 +475,25 @@ class TestLeapfrog:
         with pytest.raises(manifold.IntegrationError, match="step 3"):
             manifold.integrate(Blows(), manifold.PhasePoint([0.0], [1.0]), 1.0, 5)
 
+    def test_leapfrog_step_zero_step_rejected(self):
+        with pytest.raises(ValueError, match="non-zero"):
+            manifold.leapfrog_step(Oscillator(), manifold.PhasePoint([1.0], [0.0]), 0.0)
+
+    def test_leapfrog_step_divergence_raises_with_state(self):
+        with pytest.raises(manifold.IntegrationError, match="step 1") as info:
+            manifold.leapfrog_step(Blows(), manifold.PhasePoint([2.5], [1.0]), 1.0)
+        np.testing.assert_array_equal(info.value.y, [2.5])
+        np.testing.assert_array_equal(info.value.p, [1.0])
+        assert info.value.drift is None
+
+    def test_leapfrog_step_is_one_step_of_integrate(self):
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        pt = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
+        step = manifold.leapfrog_step(ham, pt, -0.05)
+        final = manifold.integrate(ham, pt, -0.05, 1).final()
+        np.testing.assert_array_equal(step.y, final.y)
+        np.testing.assert_array_equal(step.p, final.p)
+
     def test_trajectory_csv_shape(self):
         ham = Oscillator()
         traj = manifold.integrate(ham, manifold.PhasePoint([1.0], [0.0]), 0.1, 3)
@@ -511,6 +530,19 @@ class TestShooting:
         p = manifold.solve_shooting(mf, y_a, y_b, n_steps=24, tol=1e-8)
         end = manifold.shoot_geodesic(mf, y_a, p, 24)
         assert np.linalg.norm(end - y_b) <= 1e-8
+
+    @pytest.mark.parametrize("call", ["shoot_geodesic", "solve_shooting", "loss_geo"])
+    def test_no_steps_rejected(self, call):
+        # 1 / n_steps used to raise ZeroDivisionError before the step count was checked
+        mf = manifold.MetricField(near_identity_decoder())
+        y_a, y_b = np.zeros(2), np.array([0.5, 0.2])
+        run = {
+            "shoot_geodesic": lambda: manifold.shoot_geodesic(mf, y_a, y_b, 0),
+            "solve_shooting": lambda: manifold.solve_shooting(mf, y_a, y_b, n_steps=0),
+            "loss_geo": lambda: manifold.loss_geo(mf, [(y_a, y_b)], 0),
+        }[call]
+        with pytest.raises(ValueError, match="need at least one step, got 0"):
+            run()
 
     def test_exhausted_iterations_raise(self):
         mf = manifold.MetricField(near_identity_decoder())
@@ -576,6 +608,77 @@ class TestVariationalFlow:
         traj = manifold.integrate(ham, manifold.PhasePoint([1.0], [0.0]), 0.1, 2)
         with pytest.raises(ValueError, match="length"):
             manifold.jacobi_propagate(ham, traj, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "y,delta0,eps,message",
+        [
+            # a length-3 delta0 at d = 2 used to broadcast into a (5, 4) answer
+            ([0.3, -0.2], np.ones(3), 1e-5, r"delta0 must have shape \(4,\), got \(3,\)"),
+            ([[0.3, -0.2]] * 2, np.ones(4), 1e-5, r"pt0 must be one phase point of shape \(2,\)"),
+            ([0.3, -0.2], np.ones(4), 0.0, "eps must be finite and > 0"),
+            ([0.3, -0.2], np.ones(4), -1e-5, "eps must be finite and > 0"),
+            ([0.3, -0.2], np.ones(4), np.nan, "eps must be finite and > 0"),
+            ([0.3, -0.2], np.ones(4), np.inf, "eps must be finite and > 0"),
+        ],
+        ids=["delta0-length", "pt0-stack", "eps-zero", "eps-negative", "eps-nan", "eps-inf"],
+    )
+    def test_empirical_deviations_arguments_checked(self, y, delta0, eps, message):
+        pt = manifold.PhasePoint(y, np.full(np.shape(y), 0.1))
+        with pytest.raises(ValueError, match=message):
+            manifold.empirical_deviations(Oscillator(), pt, delta0, 0.1, 3, eps=eps)
+
+
+def loop_fd_gradient(f, x, base_step):
+    """Central differences one coordinate at a time, each shifted point built by hand."""
+    step = base_step * (1.0 + float(np.linalg.norm(x)))
+    cols = []
+    for i in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[i] = step
+        cols.append((f(x + e) - f(x - e)) / (2.0 * step))
+    return np.array(cols, dtype=float).T
+
+
+class TestStencil:
+    """Every finite difference of the engine comes from one stencil."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
+    def test_stacked_stencil_takes_the_norm_of_each_point(self, n):
+        xs = np.random.default_rng([28, n]).normal(size=(64, n))
+        points, step = manifold._stencil(xs, manifold.GRAD_STEP)
+        assert points.shape == (64, 2 * n, n) and step.shape == (64, 1, 1)
+        for x, x_points, x_step in zip(xs, points, step, strict=True):
+            assert x_step[0, 0] == manifold.GRAD_STEP * (1.0 + np.linalg.norm(x))
+            shifts = x_step[0, 0] * np.eye(n)
+            np.testing.assert_array_equal(x_points, np.vstack([x + shifts, x - shifts]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("base_step", [manifold.GRAD_STEP, manifold.HESS_STEP])
+    def test_fd_gradient_equals_loop_oracle(self, seed, base_step):
+        rng = np.random.default_rng([26, seed])
+        n = 1 + seed
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+        a, w, b = rng.normal(size=n), rng.normal(size=(n + 2, n)), rng.normal(size=n + 2)
+        for f in (lambda v: float(np.sin(a @ v) + v @ v), lambda v: np.tanh(w @ v + b)):
+            grad = manifold._fd_gradient(f, x, base_step)
+            assert grad.flags.c_contiguous
+            np.testing.assert_array_equal(grad, loop_fd_gradient(f, x, base_step))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_variational_matrix_is_symplectic_fd_jacobian(self, d):
+        rng = np.random.default_rng(27)
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(random_tanh_decoder(rng, d, d + 1, 2)))
+        ys, ps = rng.uniform(-0.5, 0.5, size=(4, d)), rng.normal(size=(4, d))
+
+        def oracle(y, p):
+            field = lambda z: np.concatenate([ham.dy(z[:d], z[d:]), ham.dp(z[:d], z[d:])])
+            jac = manifold._fd_gradient(field, np.concatenate([y, p]), manifold.HESS_STEP)
+            return np.concatenate([jac[d:], -jac[:d]])
+
+        stacked = manifold.variational_matrix(ham, manifold.PhasePoint(ys, ps))
+        for y, p, df in zip(ys, ps, stacked, strict=True):
+            np.testing.assert_array_equal(manifold.variational_matrix(ham, manifold.PhasePoint(y, p)), oracle(y, p))
+            np.testing.assert_array_equal(df, oracle(y, p))
 
 
 class TestLosses:
