@@ -21,10 +21,11 @@ Derivative conventions used throughout:
 * dH/dy of the kinetic Hamiltonian is one formula for every decoder,
   dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for one-layer ones)
 * every finite difference takes its points from ``_stencil`` and its
-  quotient from ``_central``: steps base (1 + |arg|), base 1e-5 for first
-  derivatives (``_fd_gradient``, a custom decoder's J, the shooting
-  sensitivity) and 1e-4 for second derivatives (a custom decoder's D2,
-  the Hessian in ``variational_matrix``)
+  quotient from ``_central``: steps base (1 + |arg|), base 1e-5
+  (``GRAD_STEP``) for first derivatives (``_fd_gradient``, a custom
+  decoder's J, the shooting sensitivity, the leapfrog tangent in
+  ``jacobi_propagate``) and 1e-4 (``HESS_STEP``) for the one second
+  derivative, a custom decoder's D2
 
 Arrays of shape (..., d) hold one latent point (d,) or a stack of them
 (B, d).  ``Decoder.jet``, ``MetricField`` and ``GeodesicHamiltonian``
@@ -32,7 +33,8 @@ take either, and one leapfrog loop runs either: ``leapfrog_step`` is the
 one-step ``integrate`` without energies (h finite and non-zero,
 IntegrationError on a non-finite state).  Shooting shoots each momentum
 it tries in one stack with its 2d stencil points, ``jacobi_propagate``
-passes all its midpoints to ``variational_matrix`` as one stack, and
+takes one leapfrog step from the 4d stencil points of all n nodes as one
+stack, whose central differences are the tangents of the steps, and
 ``empirical_deviations`` integrates its base and shifted runs as a stack
 of two.  A stacked call runs the per-point kernels slice by slice, so
 each row is bit-equal to the single-point call.  ``MetricField.at(y)``
@@ -41,16 +43,16 @@ geometry of each step's end point into the next kick, so G is factorised
 once per point per step and nothing is memoised.
 
 A Hamiltonian passed to ``integrate``, ``leapfrog_step``,
-``variational_matrix``, ``jacobi_propagate`` or ``empirical_deviations``
-provides ``__call__(y, p)`` (a float for a single point) and the partials
-``dy(y, p)`` and ``dp(y, p)``; the engine never differentiates H itself.
-1-d arrays suffice for ``integrate`` of a single point and for
-``leapfrog_step``.  ``variational_matrix``, ``jacobi_propagate`` and
-``empirical_deviations`` pass (B, d) stacks to ``dy`` and ``dp``, and
-``integrate`` of a stacked ``PhasePoint`` passes them to all three.  A
-Hamiltonian may also offer ``at(y)``, an object with ``dy(p)``,
-``dp(p)`` and ``__call__(p)`` at fixed y, which the stepper then uses to
-derive what it needs once per point.
+``jacobi_propagate`` or ``empirical_deviations`` provides ``__call__(y, p)``
+(a float for a single point) and the partials ``dy(y, p)`` and
+``dp(y, p)``; the engine never differentiates H itself.  1-d arrays
+suffice for ``integrate`` of a single point and for ``leapfrog_step``.
+``jacobi_propagate`` passes (n, 4d, d) stacks and ``empirical_deviations``
+(2, d) stacks to ``dy`` and ``dp``, and ``integrate`` of a stacked
+``PhasePoint`` passes stacks to all three.  A Hamiltonian may also offer
+``at(y)``, an object with ``dy(p)``, ``dp(p)`` and ``__call__(p)`` at
+fixed y, which the stepper then uses to derive what it needs once per
+point.
 
 A ``PhaseTrajectory`` holds the node rows ``ys`` and ``ps``, shape
 (n+1, d) for a single point, and ``energies``, shape (n+1,).  Its
@@ -91,7 +93,6 @@ __all__ = [
     "trajectory_csv",
     "shoot_geodesic",
     "solve_shooting",
-    "variational_matrix",
     "jacobi_propagate",
     "empirical_deviations",
     "loss_geo",
@@ -386,14 +387,14 @@ class MetricField:
         if not np.isfinite(g).all():
             raise ValueError(f"metric at y={y!r} contains infs or NaNs")
         try:
-            chol_inv = np.linalg.inv(np.linalg.cholesky(g))
+            np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             lowest = np.linalg.eigvalsh(g).min(axis=-1)
             worst = np.unravel_index(np.argmin(lowest), lowest.shape)
             raise SingularMetricError(
                 f"metric at y={y!r} is not positive definite", y[worst], float(lowest[worst])
             ) from None
-        return _Geometry(jac, hess, g, chol_inv.swapaxes(-1, -2) @ chol_inv)
+        return _Geometry(jac, hess, g, np.linalg.inv(g))
 
     def metric(self, y: np.ndarray) -> np.ndarray:
         """G at y, shape (..., d, d), whether or not it is positive definite."""
@@ -664,46 +665,33 @@ def solve_shooting(
 
 
 # ---------------------------------------------------------------------------
-# variational flow along a trajectory
-
-
-def variational_matrix(hamiltonian, pt: PhasePoint) -> np.ndarray:
-    """DF = J grad^2 H, the linearised Hamiltonian field at a phase point or a stack (..., d).
-
-    The Hessian is taken by central differences on the gradient;
-    J is the canonical symplectic matrix ((0, I), (-I, 0)), so DF stacks
-    the p-rows of the Hessian over the negated y-rows.  ``dy`` and ``dp``
-    receive the 4d stencil points of every point as one stack.
-    """
-    d = pt.dim
-    zs, step = _stencil(np.concatenate([pt.y, pt.p], axis=-1), HESS_STEP)
-    at, dy, dp, _ = _parts(hamiltonian)
-    held, ps = at(zs[..., :d]), zs[..., d:]
-    hess = _central(np.concatenate([dy(held, ps), dp(held, ps)], axis=-1), step)
-    return np.concatenate([hess[..., d:, :], -hess[..., :d, :]], axis=-2)
+# deviations along a trajectory
 
 
 def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> np.ndarray:
-    """Propagate a phase-space deviation along a recorded trajectory.
+    """Propagate a phase-space deviation along a recorded one-point trajectory by the leapfrog's tangent.
 
-    Uses a frozen-matrix RK2 per segment: the variational matrix is
-    evaluated at the segment midpoint and the update is the quadratic
-    truncation of its exponential.  The matrices of all n midpoints come
-    from one stacked evaluation.  Returns an (n+1, 2d) array including
-    the initial deviation.
+    The tangent T_k of one leapfrog step of size ``traj.step`` at node k
+    is the central difference of that step over the 4d stencil points of
+    (y_k, p_k); the points of all n nodes take their step as one stack.
+    Returns the (n+1, 2d) deviations delta_{k+1} = T_k delta_k, starting
+    at delta0.
     """
     delta = np.asarray(delta0, dtype=float)
     d = traj.ys.shape[-1]
+    if traj.ys.ndim != 2 or traj.ps.shape != traj.ys.shape:
+        raise ValueError(
+            f"trajectory must hold one point's (n+1, d) nodes, got ys {traj.ys.shape} and ps {traj.ps.shape}"
+        )
     if delta.shape != (2 * d,):
         raise ValueError(f"deviation must have length {2 * d}, got {delta.shape}")
-    h = traj.step
-    mid_ys, mid_ps = 0.5 * (traj.ys[:-1] + traj.ys[1:]), 0.5 * (traj.ps[:-1] + traj.ps[1:])
-    dfs = variational_matrix(hamiltonian, PhasePoint(mid_ys, mid_ps))
+    zs, step = _stencil(np.concatenate([traj.ys[:-1], traj.ps[:-1]], axis=-1), GRAD_STEP)
+    ys, ps, _ = _leapfrog(hamiltonian, zs[..., :d], zs[..., d:], traj.step, 1, energies=False)
+    tangents = _central(np.concatenate([ys[1], ps[1]], axis=-1), step)
     out = np.empty((len(traj), 2 * d))
     out[0] = delta
-    for k, df in enumerate(dfs, start=1):
-        step1 = df @ delta
-        delta = delta + h * step1 + 0.5 * h * h * (df @ step1)
+    for k, tangent in enumerate(tangents, start=1):
+        delta = tangent @ delta
         out[k] = delta
     return out
 

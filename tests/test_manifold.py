@@ -37,6 +37,24 @@ class Blows:
         return np.asarray(p, dtype=float)
 
 
+class DecoderPotential:
+    """Separable H = (|p|^2 + |f(y)|^2)/2 of a decoder f; dy = J^T f takes a point or a stack."""
+
+    def __init__(self, decoder):
+        self.decoder = decoder
+
+    def __call__(self, y, p):
+        z = self.decoder(y)
+        return 0.5 * float(p @ p + z @ z)
+
+    def dy(self, y, p):
+        z = np.apply_along_axis(self.decoder, -1, y)
+        return (z[..., None, :] @ self.decoder.jet(y)[0])[..., 0, :]
+
+    def dp(self, y, p):
+        return np.asarray(p, dtype=float)
+
+
 def near_identity_decoder(noise=0.3, seed=0):
     rng = np.random.default_rng(seed)
     w1 = np.vstack([np.eye(2), np.zeros((1, 2))]) + noise * rng.normal(size=(3, 2))
@@ -565,19 +583,42 @@ class TestShooting:
             manifold.solve_shooting(mf, y_a, y_b, n_steps=8)
 
 
-class TestVariationalFlow:
-    def test_oscillator_variational_matrix(self):
-        ham = Oscillator()
-        pt = manifold.PhasePoint(np.array([0.4]), np.array([-0.3]))
-        df = manifold.variational_matrix(ham, pt)
-        np.testing.assert_allclose(df, np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-6)
+def one_step_tangent(ham, y, p, h):
+    """T of one leapfrog step at (y, p): column i is the unit deviation e_i propagated one step."""
+    traj = manifold.integrate(ham, manifold.PhasePoint(y, p), h, 1)
+    return np.column_stack([manifold.jacobi_propagate(ham, traj, e)[1] for e in np.eye(2 * len(y))])
 
-    def test_variational_matrix_trace_free(self):
-        mf = manifold.MetricField(near_identity_decoder())
-        ham = manifold.GeodesicHamiltonian(mf)
-        pt = manifold.PhasePoint(np.array([0.3, -0.2]), np.array([0.2, 0.1]))
-        df = manifold.variational_matrix(ham, pt)
-        assert abs(np.trace(df)) < 1e-5
+
+class TestVariationalFlow:
+    @pytest.mark.parametrize("h", [0.1, -0.3, 1.5])
+    def test_oscillator_tangent_is_the_leapfrog_matrix(self, h):
+        tangent = one_step_tangent(Oscillator(), np.array([0.4]), np.array([-0.3]), h)
+        c = 1.0 - h * h / 2.0
+        np.testing.assert_allclose(tangent, [[c, h], [-h * (1.0 - h * h / 4.0), c]], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_tangent_is_symplectic(self, d):
+        # the leapfrog is symplectic for a separable H; its explicit kicks are not for the geodesic H
+        rng = np.random.default_rng(27)
+        ham = DecoderPotential(random_tanh_decoder(rng, d, d + 1, 2))
+        omega = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
+        for y, p in zip(rng.uniform(-0.5, 0.5, size=(4, d)), rng.normal(size=(4, d)), strict=True):
+            tangent = one_step_tangent(ham, y, p, 0.1)
+            np.testing.assert_allclose(tangent.T @ omega @ tangent, omega, rtol=0, atol=1e-8)
+
+    def test_curved_deviation_is_the_tangent_of_the_n_step_map(self):
+        # the frozen-matrix RK2 of the continuous variational flow was 0.1 off this oracle
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        z0, d0, h, n = np.array([0.3, -0.2, -0.4, 0.5]), np.array([0.7, -0.3, 0.2, 0.5]), 1.0 / 8, 8
+
+        def nodes(z):
+            traj = manifold.integrate(ham, manifold.PhasePoint(z[:2], z[2:]), h, n)
+            return np.hstack([traj.ys, traj.ps]).ravel()
+
+        oracle = (loop_fd_gradient(nodes, z0, manifold.GRAD_STEP) @ d0).reshape(n + 1, 4)
+        model = manifold.jacobi_propagate(ham, manifold.integrate(ham, manifold.PhasePoint(z0[:2], z0[2:]), h, n), d0)
+        gap = np.max(np.linalg.norm(model - oracle, axis=1)) / np.max(np.linalg.norm(oracle, axis=1))
+        assert gap <= 1e-7
 
     def test_flat_deviation_exact(self):
         dec = manifold.Decoder.linear(np.array([[1.0, 0.3], [0.0, 1.2], [0.4, -0.2]]))
@@ -608,6 +649,17 @@ class TestVariationalFlow:
         traj = manifold.integrate(ham, manifold.PhasePoint([1.0], [0.0]), 0.1, 2)
         with pytest.raises(ValueError, match="length"):
             manifold.jacobi_propagate(ham, traj, np.zeros(3))
+
+    def test_stacked_trajectory_rejected(self):
+        # a stacked trajectory used to fail inside numpy's matmul
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        pt = manifold.PhasePoint(np.zeros((3, 2)), np.full((3, 2), 0.2))
+        traj = manifold.integrate(ham, pt, 0.1, 4)
+        message = r"trajectory must hold one point's \(n\+1, d\) nodes, got ys \(5, 3, 2\) and ps \(5, 3, 2\)"
+        with pytest.raises(ValueError, match=message):
+            manifold.jacobi_propagate(ham, traj, np.ones(4))
+        with pytest.raises(ValueError, match=message):
+            manifold.loss_jac(ham, [(traj, np.ones(4), np.zeros((5, 4)))])
 
     @pytest.mark.parametrize(
         "y,delta0,eps,message",
@@ -663,22 +715,6 @@ class TestStencil:
             grad = manifold._fd_gradient(f, x, base_step)
             assert grad.flags.c_contiguous
             np.testing.assert_array_equal(grad, loop_fd_gradient(f, x, base_step))
-
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_variational_matrix_is_symplectic_fd_jacobian(self, d):
-        rng = np.random.default_rng(27)
-        ham = manifold.GeodesicHamiltonian(manifold.MetricField(random_tanh_decoder(rng, d, d + 1, 2)))
-        ys, ps = rng.uniform(-0.5, 0.5, size=(4, d)), rng.normal(size=(4, d))
-
-        def oracle(y, p):
-            field = lambda z: np.concatenate([ham.dy(z[:d], z[d:]), ham.dp(z[:d], z[d:])])
-            jac = manifold._fd_gradient(field, np.concatenate([y, p]), manifold.HESS_STEP)
-            return np.concatenate([jac[d:], -jac[:d]])
-
-        stacked = manifold.variational_matrix(ham, manifold.PhasePoint(ys, ps))
-        for y, p, df in zip(ys, ps, stacked, strict=True):
-            np.testing.assert_array_equal(manifold.variational_matrix(ham, manifold.PhasePoint(y, p)), oracle(y, p))
-            np.testing.assert_array_equal(df, oracle(y, p))
 
 
 class TestLosses:
@@ -809,14 +845,15 @@ class TestStackContract:
         for end, p in zip(ends, momenta, strict=True):
             np.testing.assert_array_equal(end, manifold.shoot_geodesic(mf, y_a, p, 12))
 
-    def test_stacked_variational_matrix_equals_pointwise(self):
+    def test_stacked_tangents_equal_single_steps(self):
         rng = np.random.default_rng(24)
         ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
-        ys, ps = rng.uniform(-0.5, 0.5, size=(3, 2)), rng.normal(size=(3, 2))
-        stacked = manifold.variational_matrix(ham, manifold.PhasePoint(ys, ps))
-        assert stacked.shape == (3, 4, 4)
-        for y, p, df in zip(ys, ps, stacked, strict=True):
-            np.testing.assert_array_equal(df, manifold.variational_matrix(ham, manifold.PhasePoint(y, p)))
+        traj = manifold.integrate(ham, manifold.PhasePoint([0.1, -0.2], [0.3, 0.4]), 0.1, 5)
+        deltas = manifold.jacobi_propagate(ham, traj, rng.normal(size=4))
+        for k in range(5):
+            nodes = slice(k, k + 2)
+            step = manifold.PhaseTrajectory(traj.step, traj.ys[nodes], traj.ps[nodes], traj.energies[nodes])
+            np.testing.assert_array_equal(manifold.jacobi_propagate(ham, step, deltas[k])[1], deltas[k + 1])
 
     def test_geometry_is_derived_once_per_node(self):
         dec = near_identity_decoder()
@@ -829,7 +866,7 @@ class TestStackContract:
         assert shapes == [(2,)] * 8
         shapes.clear()
         manifold.jacobi_propagate(ham, traj, np.ones(4))
-        assert shapes == [(7, 8, 2)]  # 7 midpoints, 4d = 8 gradient points each
+        assert shapes == [(7, 8, 2)] * 2  # one step from 7 nodes' 4d = 8 stencil points: its start and end
         shapes.clear()
         manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 7)
         assert shapes == [(2, 2)] * 8
