@@ -41,15 +41,24 @@ A bad line of an input file raises ``_text.FormatError``
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import _text, experiments, infophase, planner
+from . import _text
 from ._text import fmt
-from .manifold import IntegrationError
+
+# The library modules, each imported by the first command that calls it, so
+# ``plan`` loads no numpy and no command loads what it never runs.
+experiments = infophase = planner = None
+
+
+def _load(name: str) -> None:
+    """Import ``maniflow.<name>`` into this module's attribute ``name`` while that is None."""
+    if globals()[name] is None:
+        globals()[name] = importlib.import_module(f"{__package__}.{name}")
+
 
 _FIELD_BINS = 12
 _PHASE_PORTRAITS = 150
@@ -130,10 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     opts = _resolve(args, "table")
+    _load("experiments")
     if args.which == 3:
+        from .manifold import IntegrationError  # table 3 integrates, so manifold loads anyway
+
         _check(opts, "dt", "steps")
         t_final = opts["steps"] * opts["dt"]
-        csv_text = experiments.table_csv(3, t_final=t_final, h=opts["dt"], damping=opts["damping"])
+        try:
+            csv_text = experiments.table_csv(3, t_final=t_final, h=opts["dt"], damping=opts["damping"])
+        except IntegrationError as exc:
+            raise ValueError(exc) from None  # the same one error: line as any bad input
     else:
         csv_text = experiments.table_csv(args.which, experiments.parse_decoder_spec(opts["decoder"]))
     md_text = experiments.table_markdown(csv_text)
@@ -150,6 +165,8 @@ def _portrait_csv(por: infophase.PhasePortrait) -> str:
 
 
 def _field_csv(field: infophase.GridField) -> str:
+    import numpy as np
+
     u_center, e_center = np.meshgrid(field.u_centers, field.e_centers, indexing="ij")
     columns = (u_center, e_center, field.vu, field.ve, field.count)
     return _text.csv(["u_center", "e_center", "vu", "ve", "count"], zip(*(c.ravel().tolist() for c in columns)))
@@ -160,7 +177,7 @@ def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
     linenos, dists = [], []
     for ln, line in _text.lines(path):
         try:
-            dists.append(np.array([float(v) for v in line.split()]))
+            dists.append([float(v) for v in line.split()])
         except ValueError:
             raise _text.FormatError.at(ln, "bad probability value") from None
         linenos.append(ln)
@@ -169,7 +186,7 @@ def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
     try:
         return infophase.portrait(dists, smoothing_window=window)
     except ValueError:
-        # the bad row is looked for only now, so a good file pays one entropy per row
+        # the bad row is looked for only now, so a good file is validated once
         for ln, dist in zip(linenos, dists):
             try:
                 infophase.entropy(dist)
@@ -180,11 +197,15 @@ def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
 
 def _cmd_phase(args: argparse.Namespace) -> int:
     opts = _resolve(args, "phase")
+    _load("infophase")
     if opts["input"]:
         _check(opts, "window")
         portraits = [_input_portrait(opts["input"], opts["window"])]
     else:
+        import numpy as np
+
         _check(opts, "dt", "steps")
+        _load("experiments")
         rng = np.random.default_rng(opts["seed"])
         portraits = experiments.rotation_portraits(_PHASE_PORTRAITS, opts["steps"], opts["dt"], rng)
     field = infophase.empirical_field(portraits, _FIELD_BINS, _FIELD_BINS)
@@ -207,6 +228,7 @@ def _cmd_phase(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    _load("planner")
     graph = planner.load_graph(args.graph)
     found = planner.shortest_path(graph, args.src, args.dst)
     if found is None:
@@ -230,7 +252,7 @@ def main(argv=None) -> int:
         if args.command == "phase":
             return _cmd_phase(args)
         return _cmd_plan(args)
-    except (ValueError, OSError, IntegrationError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,9 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import _text, planner
+from . import _text
 from .infophase import PhasePortrait, entropy
-from .manifold import IntegrationError, PhasePoint, integrate
 
 __all__ = [
     "ToyDecoder",
@@ -142,6 +141,8 @@ SSSP_NODE_SET = (2.0, 1.6, 1.2, 0.8, 0.4, 0.0, 1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
 def _sssp_path() -> tuple[float, ...]:
+    from . import planner  # table 1's route alone plans, so no other table loads the planner
+
     graph = planner.build_ndm_graph(
         SSSP_NODE_SET,
         ("knn", len(SSSP_NODE_SET) - 1),
@@ -229,6 +230,8 @@ def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorRe
 
 def _leapfrog_nodes(method: str, damping: float, h: float, n: int):
     """y and p at the n + 1 leapfrog nodes from (1, 0); IntegrationError naming the run on divergence."""
+    from .manifold import IntegrationError, PhasePoint, integrate  # table 3 alone integrates
+
     try:
         traj = integrate(HarmonicOscillator(damping), PhasePoint([1.0], [0.0]), h, n)
     except IntegrationError as exc:

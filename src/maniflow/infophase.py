@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DegenerateFieldError",
@@ -83,6 +84,7 @@ class PhasePortrait:
 
 
 def _smooth_centered(values: np.ndarray, window: int) -> np.ndarray:
+    """Centred moving average, truncated at the ends; each point is the np.mean of its window."""
     window = int(window)
     if window < 1:
         raise ValueError(f"smoothing window must be >= 1, got {window}")
@@ -91,12 +93,36 @@ def _smooth_centered(values: np.ndarray, window: int) -> np.ndarray:
     if window % 2 == 0:
         raise ValueError(f"smoothing window must be odd, got {window}")
     half = (window - 1) // 2
+    n = values.shape[0]
     out = np.empty_like(values)
-    for t in range(values.shape[0]):
-        lo = max(0, t - half)
-        hi = min(values.shape[0], t + half + 1)
-        out[t] = float(np.mean(values[lo:hi]))
+    if n >= window:
+        out[half : n - half] = sliding_window_view(values, window).mean(axis=-1)
+        ends = [*range(half), *range(n - half, n)]
+    else:
+        ends = range(n)
+    for t in ends:
+        out[t] = float(np.mean(values[max(0, t - half) : t + half + 1]))
     return out
+
+
+def _row_entropies(dists) -> np.ndarray | None:
+    """``entropy`` of each row of a (rows, k) stack, or None where the rows are not one valid stack.
+
+    Each row is summed and its terms are summed along its length, as
+    ``entropy`` sums them, so a row without zeros gets its entropy bit for
+    bit; a zero adds a 0 term that ``entropy`` leaves out, which may move
+    the result by a few ulp.  None sends the caller to the per-row path,
+    which accepts or rejects the rows exactly as ``entropy`` does.
+    """
+    try:
+        p = np.asarray(dists, dtype=float, order="C")
+    except (TypeError, ValueError):  # ragged rows, or rows entropy will reject
+        return None
+    if p.ndim != 2 or p.shape[1] == 0 or np.any(p < 0):
+        return None
+    if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9):
+        return None
+    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=1)
 
 
 def portrait(dists, smoothing_window: int = 1) -> PhasePortrait:
@@ -104,9 +130,12 @@ def portrait(dists, smoothing_window: int = 1) -> PhasePortrait:
 
     Effort is the raw backward difference u_{t-1} - u_t with e_0 = 0,
     then a centred moving average of the requested odd width (truncated
-    at the ends; width 1 means no smoothing).
+    at the ends; width 1 means no smoothing).  Rows of one length are
+    scored as one stack, ragged rows one at a time.
     """
-    u = np.array([entropy(d) for d in dists])
+    u = _row_entropies(dists)
+    if u is None:
+        u = np.array([entropy(d) for d in dists])
     if u.size == 0:
         raise ValueError("need at least one distribution")
     e = np.zeros_like(u)

@@ -14,6 +14,10 @@ Graph text format (line oriented, ``#`` starts a comment)::
     e <src> <dst> <weight>
 
 Node indices are 0-based and weights must be finite and non-negative.
+
+Graphs, Dijkstra and the text format are pure Python; numpy is imported
+only by ``build_ndm_graph`` and its helpers, so loading and searching a
+graph file does not load it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import _text
 
@@ -170,6 +172,8 @@ def _pair_distances(flat: np.ndarray) -> np.ndarray:
     -(x_j - x_i), so the mirror entry is that norm too, and each pair is
     computed once.  A sum of squares that overflows is +inf.
     """
+    import numpy as np
+
     n = flat.shape[0]
     dist = np.empty((n, n))
     with np.errstate(over="ignore"):
@@ -190,6 +194,8 @@ def _knn_pairs(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     it, the first in index order; one stable sort of those k + 1 ranks
     them.  Writes -inf on the diagonal of dist.
     """
+    import numpy as np
+
     n = dist.shape[0]
     np.fill_diagonal(dist, -np.inf)
     picked = np.empty((n, k), dtype=np.intp)
@@ -226,6 +232,8 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     norm.  A distance that overflows is +inf; it ranks by index and lies
     within r only when r is inf.
     """
+    import numpy as np
+
     pts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
     if not pts:
         raise ValueError("need at least one sample")

@@ -387,8 +387,9 @@ class TestNumericInput:
             ("nan 0.5 0.5", "sums to nan"),
             ("-0.5 1.5", "negative entries"),
             ("0.5 0.4", "sums to 0.9"),
+            ("nan 0.5", "sums to nan"),
         ],
-        ids=["nan", "negative", "mis-summed"],
+        ids=["nan", "negative", "mis-summed", "nan-among-equal-rows"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_distribution_names_its_line(self, tmp_path, capsys, row, message):
@@ -481,10 +482,42 @@ def test_import_leaves_scipy_unloaded():
 def test_cli_import_loads_only_what_commands_use():
     _run_fresh(
         "import sys, maniflow.cli\n"
+        "unused = {'numpy', 'maniflow.experiments', 'maniflow.infophase', 'maniflow.planner'} & set(sys.modules)\n"
+        "assert not unused, sorted(unused)\n"
         "unused = {'maniflow.spins', 'maniflow.workspace', 'maniflow.control'} & set(sys.modules)\n"
         "assert not unused, sorted(unused)\n"
         "import maniflow\n"
         "assert maniflow.spins.save_spin_matrix and maniflow.workspace.load_workspace\n"
         "from maniflow import control\n"
         "assert control is maniflow.control"
+    )
+
+
+NEVER_RUN_BY_THE_CLI = ("maniflow.spins", "maniflow.workspace", "maniflow.control")
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["plan", str(FIXTURES / "triangle.graph"), "0", "2"],
+         {"numpy", "maniflow.experiments", "maniflow.infophase", "maniflow.manifold"}),
+        (["phase", "--input", str(FIXTURES / "distributions.txt"), "--window", "3"],
+         {"maniflow.experiments", "maniflow.manifold", "maniflow.planner"}),
+        (["phase", "--seed", "3"], {"maniflow.manifold"}),
+        (["table", "1"], {"maniflow.manifold"}),
+        (["table", "2"], {"maniflow.manifold"}),
+        (["table", "3", "--steps", "10"], {"maniflow.planner"}),
+    ],
+    ids=["plan", "phase-input", "phase-seed", "table1", "table2", "table3"],
+)
+def test_command_loads_only_what_it_runs(tmp_path, argv, unused):
+    if argv[0] != "plan":
+        argv = argv + ["--out", str(tmp_path)]
+    unused = sorted(unused.union(NEVER_RUN_BY_THE_CLI))
+    _run_fresh(
+        "import sys\n"
+        "from maniflow import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        f"loaded = set({unused!r}) & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)"
     )

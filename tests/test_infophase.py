@@ -111,6 +111,79 @@ class TestPortrait:
             infophase.PhasePortrait(u=np.array([0.1]), e=np.array([0.0, 0.0]))
 
 
+def loop_portrait(dists, window):
+    """The portrait as one ``entropy`` call per row and one ``np.mean`` per element."""
+    u = np.array([infophase.entropy(d) for d in dists])
+    raw = np.zeros_like(u)
+    raw[1:] = u[:-1] - u[1:]
+    half = window // 2
+    e = np.array([float(np.mean(raw[max(0, t - half) : t + half + 1])) for t in range(u.size)])
+    return u, e
+
+
+def random_rows(rng, rows, k, zero_share=0.0):
+    p = rng.uniform(0.01, 1.0, size=(rows, k))
+    p[rng.uniform(size=p.shape) < zero_share] = 0.0
+    p[:, 0] += p.sum(axis=1) == 0  # keep one entry in each row
+    return p / p.sum(axis=1, keepdims=True)
+
+
+class TestPortraitMatchesLoops:
+    """The stacked portrait against its per-row, per-element definition."""
+
+    @pytest.mark.parametrize("window", range(1, 16, 2))
+    def test_zero_free_rows_bit_equal(self, window):
+        rng = np.random.default_rng(window)
+        for n in range(1, 41):  # shorter and longer than the window
+            dists = random_rows(rng, n, 1 + n % 17)
+            por = infophase.portrait(dists, smoothing_window=window)
+            u, e = loop_portrait(dists, window)
+            np.testing.assert_array_equal(por.u, u)
+            np.testing.assert_array_equal(por.e, e)
+
+    def test_rows_with_zeros_within_8_ulp(self):
+        # a zero adds a 0 term to the row's sum that entropy leaves out, so the
+        # non-negative terms may be summed in another grouping: 3 ulp is the most seen
+        rng = np.random.default_rng(11)
+        for k in range(2, 41):
+            dists = random_rows(rng, 60, k, zero_share=0.4)
+            por = infophase.portrait(dists, smoothing_window=5)
+            u, e = loop_portrait(dists, 5)
+            assert np.all(np.abs(por.u - u) <= 8 * np.spacing(u))
+            # each raw effort is a difference of two entropies
+            assert np.all(np.abs(por.e - e) <= 16 * np.spacing(u.max()))
+
+    def test_ragged_rows(self):
+        dists = [[0.5, 0.5], [1.0], [0.2, 0.3, 0.5], [0.25, 0.25, 0.25, 0.25]]
+        por = infophase.portrait(dists, smoothing_window=3)
+        u, e = loop_portrait(dists, 3)
+        np.testing.assert_array_equal(por.u, u)
+        np.testing.assert_array_equal(por.e, e)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[np.nan, 0.5], [-0.5, 1.5], [0.5, 0.4], [np.inf, 0.0], [1.0 + 2e-9, 0.0]],
+        ids=["nan", "negative", "mis-summed", "inf", "just-over"],
+    )
+    def test_stack_rejected_as_entropy_rejects_its_row(self, bad):
+        with pytest.raises(ValueError) as want:
+            infophase.entropy(bad)
+        with pytest.raises(ValueError) as got:
+            infophase.portrait([[0.5, 0.5], bad, [0.25, 0.75]])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "dists", [[[]], [0.5, 0.5], [[[0.5, 0.5]]]], ids=["empty-row", "scalar-rows", "2d-rows"]
+    )
+    def test_rows_that_are_not_distributions_rejected(self, dists):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            infophase.portrait(dists)
+
+    def test_sum_tolerance_edge_accepted(self):
+        row = [0.5 + 0.5e-9, 0.5]
+        assert infophase.portrait([row, [0.5, 0.5]]).u[0] == infophase.entropy(row)
+
+
 class TestEmpiricalField:
     def test_known_binning(self):
         por = infophase.PhasePortrait(
