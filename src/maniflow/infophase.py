@@ -48,16 +48,29 @@ class FieldFitError(RuntimeError):
     """
 
 
-def entropy(dist) -> float:
-    """Shannon entropy -sum p ln p with the 0 ln 0 = 0 convention."""
-    p = np.asarray(dist, dtype=float)
-    if p.ndim != 1 or p.size == 0:
+def _check_rows(p: np.ndarray) -> None:
+    """Raise ValueError unless each row along the last axis is a distribution.
+
+    A row must be non-empty, have no negative entry and sum to 1 within
+    1e-9.  ``entropy`` checks its one row here and ``portrait`` a whole
+    stack, so both accept the same rows.
+    """
+    if p.shape[-1] == 0:
         raise ValueError("distribution must be a non-empty 1-d array")
     if np.any(p < 0):
         raise ValueError("distribution has negative entries")
-    total = float(np.sum(p))
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"distribution sums to {total!r}, expected 1 within 1e-9")
+    total = np.asarray(p.sum(axis=-1))
+    off = ~(np.abs(total - 1.0) <= 1e-9)
+    if np.any(off):
+        raise ValueError(f"distribution sums to {float(total[off][0])!r}, expected 1 within 1e-9")
+
+
+def entropy(dist) -> float:
+    """Shannon entropy -sum p ln p with the 0 ln 0 = 0 convention."""
+    p = np.asarray(dist, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("distribution must be a non-empty 1-d array")
+    _check_rows(p)
     nz = p[p > 0]
     return float(-np.sum(nz * np.log(nz)))
 
@@ -112,15 +125,14 @@ def _row_entropies(dists) -> np.ndarray | None:
     ``entropy`` sums them, so a row without zeros gets its entropy bit for
     bit; a zero adds a 0 term that ``entropy`` leaves out, which may move
     the result by a few ulp.  None sends the caller to the per-row path,
-    which accepts or rejects the rows exactly as ``entropy`` does.
+    which raises ``entropy``'s error for the first bad row.
     """
     try:
         p = np.asarray(dists, dtype=float, order="C")
-    except (TypeError, ValueError):  # ragged rows, or rows entropy will reject
-        return None
-    if p.ndim != 2 or p.shape[1] == 0 or np.any(p < 0):
-        return None
-    if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9):
+        if p.ndim != 2:
+            return None
+        _check_rows(p)
+    except (TypeError, ValueError):  # ragged rows, or a row entropy rejects
         return None
     return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=1)
 

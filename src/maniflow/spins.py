@@ -19,6 +19,7 @@ spin (see ``save_spin_matrix``).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -161,52 +162,7 @@ class BathParams:
             raise ValueError(f"nonlinearity must be 'tanh' or 'gelu', got {self.nonlinearity!r}")
 
 
-# Cody's rational Chebyshev approximations of erf and erfc (W. J. Cody, Math.
-# Comp. 23 (1969) 631-637), with the coefficients and the Horner order of his
-# CALERF: erf(x) = x A(x^2)/B(x^2) for |x| <= 0.46875, erfc(y) = exp(-y^2)
-# C(y)/D(y) for 0.46875 < y <= 4, and erfc(y) = exp(-y^2)/y (1/sqrt(pi) -
-# z P(z)/Q(z)), z = 1/y^2, beyond.  The leading coefficient of each numerator
-# is its last entry.
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02, 3.20937758913846947e03,
-          1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03, 2.84423683343917062e03)
-_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01, 2.98635138197400131e02,
-           8.81952221241769090e02, 1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03,
-           2.15311535474403846e-8)
-_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
-           3.29079923573345963e03, 4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03)
-_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1, 1.60837851487422766e-2,
-           6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
-           2.33520497626869185e-3)
-_INV_SQRT_PI = 5.6418958354775628695e-1
-
-
-def _cody_ratio(num, den, z: np.ndarray) -> np.ndarray:
-    """((num[-1] z + num[0]) z + ... ) z + num[-2] over ((z + den[0]) z + ... ) z + den[-1]."""
-    xnum, xden = num[-1] * z, z.copy()
-    for a, b in zip(num[:-2], den[:-1]):
-        xnum += a
-        xnum *= z
-        xden += b
-        xden *= z
-    return (xnum + num[-2]) / (xden + den[-1])
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """erf elementwise by Cody's approximations; erf(+-inf) = +-1 and NaN stays NaN."""
-    x = np.asarray(x, dtype=float)
-    # beyond Cody's XBIG = 26.543 erfc underflows to 0; the clip keeps inf out of the arithmetic
-    y = np.minimum(np.abs(x), 26.543)
-    ratio = _cody_ratio(_ERFC_C, _ERFC_D, y)
-    tail = y > 4.0
-    if tail.any():
-        z = 1.0 / (y[tail] * y[tail])
-        ratio[tail] = (_INV_SQRT_PI - z * _cody_ratio(_ERFC_P, _ERFC_Q, z)) / y[tail]
-    # exp(-y^2) as exp(-s^2) exp(-(y - s)(y + s)), s = y cut to a multiple of 1/16: s^2 is exact
-    s = np.trunc(y * 16.0) / 16.0
-    erfc = np.exp(-s * s) * np.exp(-(y - s) * (y + s)) * ratio
-    return np.where(y <= 0.46875, x * _cody_ratio(_ERF_A, _ERF_B, y * y), np.copysign((0.5 - erfc) + 0.5, x))
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 def _apply_nonlinearity(u: np.ndarray, kind: str) -> np.ndarray:
