@@ -7,6 +7,9 @@ whose tie-breaking is deterministic: among equal-cost routes discovered
 while a node is still open, the predecessor with the smaller index wins.
 Once a node is settled its predecessor is frozen, which keeps the
 predecessor structure a tree even in the presence of zero-weight cycles.
+``dijkstra`` settles every reachable node; ``shortest_path`` runs the same
+search but stops when its target is settled, which leaves the route
+unchanged.
 
 Graph text format (line oriented, ``#`` starts a comment)::
 
@@ -52,6 +55,19 @@ class GraphFormatError(_text.FormatError):
     """Raised when a graph text file cannot be parsed."""
 
 
+def _edge_weight(n: int, src: int, dst: int, weight) -> float:
+    """The one check of an edge: both endpoints among n nodes, a finite non-negative weight."""
+    for idx in (src, dst):
+        if not 0 <= idx < n:
+            raise ValueError(f"edge endpoint {idx} is not a node index")
+    w = float(weight)
+    if not math.isfinite(w):
+        raise ValueError(f"edge weight on ({src}, {dst}) must be finite, got {weight!r}")
+    if w < 0.0:
+        raise ValueError(f"negative edge weight {w!r} on ({src}, {dst})")
+    return w
+
+
 @dataclass
 class WeightedDigraph:
     """Directed graph with non-negative edge weights.
@@ -73,14 +89,7 @@ class WeightedDigraph:
         return len(self.payloads) - 1
 
     def add_edge(self, src: int, dst: int, weight: float) -> None:
-        for idx in (src, dst):
-            if not 0 <= idx < self.n_nodes:
-                raise ValueError(f"edge endpoint {idx} is not a node index")
-        w = float(weight)
-        if not math.isfinite(w):
-            raise ValueError(f"edge weight on ({src}, {dst}) must be finite, got {weight!r}")
-        if w < 0.0:
-            raise ValueError(f"negative edge weight {w!r} on ({src}, {dst})")
+        w = _edge_weight(self.n_nodes, src, dst, weight)
         self.adjacency[src].append((dst, w))
 
     def edges(self):
@@ -103,12 +112,13 @@ class SsspResult:
     pred: list[int | None]
 
 
-def dijkstra(graph: WeightedDigraph, source: int) -> SsspResult:
-    """Single-source shortest paths over non-negative weights.
+def _search(graph: WeightedDigraph, source: int, target: int | None = None):
+    """Binary-heap Dijkstra from source; ``(dist, pred)`` lists.
 
-    Deterministic for identical inputs: the heap orders by (distance,
-    node index), and when an equally short route to a still-open node is
-    found, the smaller predecessor index is kept.
+    With a target, the search stops when it pops the target: every node on
+    the target's route was settled before it, and a settled node's
+    predecessor is frozen, so that route and its cost are those of the full
+    search.  Nodes left open may hold provisional entries.
     """
     n = graph.n_nodes
     if not 0 <= source < n:
@@ -122,6 +132,8 @@ def dijkstra(graph: WeightedDigraph, source: int) -> SsspResult:
         d, u = heapq.heappop(heap)
         if done[u] or d > dist[u]:
             continue
+        if u == target:
+            break
         done[u] = True
         for v, w in graph.adjacency[u]:
             nd = d + w
@@ -131,19 +143,34 @@ def dijkstra(graph: WeightedDigraph, source: int) -> SsspResult:
                 heapq.heappush(heap, (nd, v))
             elif nd == dist[v] and not done[v] and pred[v] is not None and u < pred[v]:
                 pred[v] = u
+    return dist, pred
+
+
+def dijkstra(graph: WeightedDigraph, source: int) -> SsspResult:
+    """Single-source shortest paths over non-negative weights.
+
+    Settles every node the source reaches.  Deterministic for identical
+    inputs: the heap orders by (distance, node index), and when an equally
+    short route to a still-open node is found, the smaller predecessor
+    index is kept.
+    """
+    dist, pred = _search(graph, source)
     return SsspResult(source, dist, pred)
 
 
 def shortest_path(graph: WeightedDigraph, source: int, target: int):
     """Return ``(node_indices, cost)`` or ``None`` when target is unreachable.
 
-    A target that edges reach but only at a cost that overflows to inf
-    raises ValueError.
+    Runs ``dijkstra``'s search but stops once the target is settled, so the
+    route, its cost and its tie-breaks are those of the full
+    ``dijkstra(graph, source)`` result.  An unreachable target runs the
+    search to exhaustion.  A target that edges reach but only at a cost
+    that overflows to inf raises ValueError.
     """
     if not 0 <= target < graph.n_nodes:
         raise ValueError(f"target {target} is not a node index")
-    res = dijkstra(graph, source)
-    if math.isinf(res.dist[target]):
+    dist, pred = _search(graph, source, target)
+    if math.isinf(dist[target]):
         seen, stack = {source}, [source]
         while stack:
             for v, _ in graph.adjacency[stack.pop()]:
@@ -155,11 +182,11 @@ def shortest_path(graph: WeightedDigraph, source: int, target: int):
         return None
     path = [target]
     while path[-1] != source:
-        prev = res.pred[path[-1]]
+        prev = pred[path[-1]]
         assert prev is not None
         path.append(prev)
     path.reverse()
-    return path, res.dist[target]
+    return path, dist[target]
 
 
 def _pair_distances(flat: np.ndarray) -> np.ndarray:
@@ -290,6 +317,7 @@ def waypoints(path, stride: int):
 def load_graph(path) -> WeightedDigraph:
     """Parse the ``n``/``e`` text format; a bad line raises ``GraphFormatError`` starting ``line N: ``."""
     graph = WeightedDigraph()
+    adjacency = graph.adjacency
     declared = False
     for ln, line in _text.lines(path):
         tokens = line.split()
@@ -310,7 +338,9 @@ def load_graph(path) -> WeightedDigraph:
                     raise ValueError("edge before node-count line")
                 if len(tokens) != 4:
                     raise ValueError("expected 'e <src> <dst> <weight>'")
-                graph.add_edge(int(tokens[1]), int(tokens[2]), float(tokens[3]))
+                src, dst = int(tokens[1]), int(tokens[2])
+                w = _edge_weight(count, src, dst, float(tokens[3]))
+                adjacency[src].append((dst, w))
             else:
                 raise ValueError(f"unknown directive {tokens[0]!r}")
         except ValueError as exc:

@@ -5,12 +5,13 @@ matrix J and optionally by sparse three-spin terms.  The pair Hamiltonian
 
     H = - sum_{i<j} J~_ij (s_i . s_j) - sum_i h_i . s_i
 
-is always evaluated through the symmetrised couplings J~ = (J + J^T)/2.
-The energy and its analytic gradient -sum_{j != i} J~_ij s_j - h_i are
-written on one pair field sum_{j != i} J~_ij s_j, so the gradient is the
-derivative of the energy even when a raw asymmetric J is supplied.
-Read-outs that act on directed bonds (``bond_energies``,
-``gibbs_attention``) use the raw rows of J.
+is always evaluated through the symmetrised couplings J~ = (J + J^T)/2
+with a zero diagonal.  A ``SpinSystem`` builds J~ once, when it is
+constructed, and the systems ``micro_step`` returns share it.  The energy
+and its analytic gradient -sum_{j != i} J~_ij s_j - h_i are written on
+one pair field J~ @ s, so the gradient is the derivative of the energy
+even when a raw asymmetric J is supplied.  Read-outs that act on directed
+bonds (``bond_energies``, ``gibbs_attention``) use the raw rows of J.
 
 Spin matrices serialise to plain text, one whitespace-separated row per
 spin (see ``save_spin_matrix``).
@@ -63,7 +64,7 @@ class Spin:
         v = np.asarray(self.vec, dtype=float)
         if v.ndim != 1:
             raise ValueError("a spin is a 1-d vector")
-        if abs(np.linalg.norm(v) - 1.0) > _NORM_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= _NORM_TOL:
             raise ValueError(f"spin norm {np.linalg.norm(v)!r} deviates from 1 by more than {_NORM_TOL}")
         object.__setattr__(self, "vec", v)
 
@@ -76,13 +77,17 @@ class Spin:
 class SpinSystem:
     """N unit spins with pair couplings, external fields, and sparse triples.
 
-    three_body entries are ``(i, j, k, K)`` with ``i < j < k``.
+    three_body entries are ``(i, j, k, K)`` with ``i < j < k``.  The
+    symmetrised couplings J~ (zero diagonal) are built once here, one N x N
+    float copy (8N^2 bytes), and read by every energy and gradient of the
+    system; replace the system rather than its ``couplings`` attribute.
     """
 
     spins: np.ndarray
     couplings: np.ndarray
     fields: np.ndarray | None = None
     three_body: list[tuple[int, int, int, float]] = field(default_factory=list)
+    _sym: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spins = np.asarray(self.spins, dtype=float)
@@ -91,7 +96,7 @@ class SpinSystem:
         if spins.ndim != 2:
             raise ValueError("spins must form an (N, d) matrix")
         norms = np.linalg.norm(spins, axis=1)
-        bad = np.nonzero(np.abs(norms - 1.0) > _NORM_TOL)[0]
+        bad = np.nonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))[0]
         if bad.size:
             raise ValueError(f"spin {bad[0]} has norm {norms[bad[0]]!r}, expected 1 within {_NORM_TOL}")
         n = spins.shape[0]
@@ -106,6 +111,8 @@ class SpinSystem:
             fields = np.asarray(self.fields, dtype=float)
             if fields.shape != spins.shape:
                 raise ValueError(f"fields must match spins shape {spins.shape}, got {fields.shape}")
+            if not np.isfinite(fields).all():
+                raise ValueError("fields must be finite")
         for entry in self.three_body:
             i, j, k, _ = entry
             if not (0 <= i < j < k < n):
@@ -113,6 +120,7 @@ class SpinSystem:
         self.spins = spins
         self.couplings = couplings
         self.fields = fields
+        self._sym = _symmetrised(couplings)
 
     @property
     def n_spins(self) -> int:
@@ -183,26 +191,37 @@ def attention_couplings(queries: np.ndarray, keys: np.ndarray, symmetrize: bool 
     return j
 
 
-def _pair_field(couplings: np.ndarray, spins: np.ndarray) -> np.ndarray:
-    """Row i is sum_{j != i} J~_ij s_j, the one place the pair interaction is written."""
-    return 0.5 * (couplings @ spins + couplings.T @ spins) - np.diag(couplings)[:, None] * spins
+def _symmetrised(couplings: np.ndarray) -> np.ndarray:
+    """J~ = (J + J^T)/2 with a zero diagonal, the one place the pair interaction is written.
 
-
-def lattice_energy(couplings: np.ndarray, spins: np.ndarray, fields: np.ndarray | None = None) -> float:
-    """Pair + field energy of a raw configuration (no norm validation).
-
-    Uses the symmetrised couplings; exposed separately so callers can
-    score pre-normalisation states.
+    Row i of J~ @ s is sum_{j != i} J~_ij s_j.  One N x N allocation.
     """
-    e = -0.5 * float(np.sum(spins * _pair_field(couplings, spins)))
+    sym = couplings + couplings.T
+    sym *= 0.5
+    np.fill_diagonal(sym, 0.0)
+    return sym
+
+
+def _pair_energy(sym: np.ndarray, spins: np.ndarray, fields: np.ndarray | None) -> float:
+    e = -0.5 * float(np.sum(spins * (sym @ spins)))
     if fields is not None:
         e -= float(np.sum(fields * spins))
     return e
 
 
+def lattice_energy(couplings: np.ndarray, spins: np.ndarray, fields: np.ndarray | None = None) -> float:
+    """Pair + field energy of a raw configuration (no norm validation).
+
+    Uses the symmetrised couplings, built from ``couplings`` on each call
+    (one N x N copy); exposed separately so callers can score
+    pre-normalisation states.
+    """
+    return _pair_energy(_symmetrised(np.asarray(couplings, dtype=float)), spins, fields)
+
+
 def two_body_energy(system: SpinSystem) -> float:
     """H = -sum_{i<j} J~_ij s_i.s_j - sum_i h_i.s_i."""
-    return lattice_energy(system.couplings, system.spins, system.fields)
+    return _pair_energy(system._sym, system.spins, system.fields)
 
 
 def default_triple_product(si: np.ndarray, sj: np.ndarray, sk: np.ndarray) -> float:
@@ -339,7 +358,7 @@ def ffn_target(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None)
 
 def energy_gradient(system: SpinSystem) -> np.ndarray:
     """Analytic dH/ds_i = -sum_{j != i} J~_ij s_j - h_i, one row per spin."""
-    return -_pair_field(system.couplings, system.spins) - system.fields
+    return -(system._sym @ system.spins) - system.fields
 
 
 def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = None) -> SpinSystem:
@@ -352,7 +371,7 @@ def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = 
     below norm 1e-12, naming the neuron.
     """
     s = system.spins
-    update = s.copy()
+    update = s  # every update below is out of place, so s is never written
     if bath.eta != 0.0:
         update = update - bath.eta * energy_gradient(system)
     if bath.eta_ff != 0.0:
@@ -370,7 +389,8 @@ def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = 
     if collapsed.size:
         raise ValueError(f"neuron {collapsed[0]} collapsed to norm {norms[collapsed[0]]!r} during micro step")
     # the couplings and fields are the checked ones and each row has norm 1
-    # by construction, so the successor skips SpinSystem's validation
+    # by construction, so the successor skips SpinSystem's validation and
+    # shares its input's J~
     successor = copy.copy(system)
     successor.spins = update / norms[:, None]
     successor.three_body = list(system.three_body)

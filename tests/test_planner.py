@@ -175,6 +175,26 @@ class TestShortestPath:
     def test_disconnected_target_beside_overflowing_route(self):
         assert planner.shortest_path(self.overflow_graph(), 0, 3) is None
 
+    def test_stops_at_target(self):
+        # a chain 0 -> 1 -> ... -> 9: only the nodes settled before the target are expanded
+        class Recording(list):
+            def __getitem__(self, u):
+                expanded.append(u)
+                return super().__getitem__(u)
+
+        g = planner.WeightedDigraph()
+        for _ in range(10):
+            g.add_node()
+        for u in range(9):
+            g.add_edge(u, u + 1, 1.0)
+        g.adjacency = Recording(g.adjacency)
+        expanded = []
+        assert planner.shortest_path(g, 0, 3) == ([0, 1, 2, 3], 3.0)
+        assert expanded == [0, 1, 2]
+        expanded.clear()
+        planner.dijkstra(g, 0)
+        assert expanded == list(range(10))
+
 
 class TestBuildNdmGraph:
     def test_knn_connectivity(self):
@@ -466,6 +486,26 @@ class TestDijkstraProperty:
                 assert chain[-1] is not None and chain[-1] not in chain[:-1]
 
 
+def route_from_full_search(res, target):
+    """The ``shortest_path`` answer walked back through a full ``dijkstra`` result."""
+    if math.isinf(res.dist[target]):
+        return None
+    path = [target]
+    while path[-1] != res.source:
+        path.append(res.pred[path[-1]])
+    return path[::-1], res.dist[target]
+
+
+class TestShortestPathStopProperty:
+    # stopping at the target leaves every route, cost and tie-break of the full search
+    @given(case=st.one_of(integer_weight_graphs(), zero_cycle_graphs()))
+    def test_matches_full_search_for_every_target(self, case):
+        g, src = case
+        res = planner.dijkstra(g, src)
+        for t in range(g.n_nodes):
+            assert planner.shortest_path(g, src, t) == route_from_full_search(res, t), t
+
+
 # One bad line of each kind: blank, unknown directive, missing field,
 # non-numeric field, out-of-range node, negative weight, repeated count.
 GRAPH_JUNK = ["", "q 0 1", "n", "e 0 1", "n x", "e 0 x 1.5", "e 0 9 1.5", "e 0 0 -1", "n 2"]
@@ -564,8 +604,20 @@ class TestGraphIo:
             ("n x\n", "line 1: invalid literal for int() with base 10: 'x'"),
             ("n 2\n\ne 0 1\n", "line 3: expected 'e <src> <dst> <weight>'"),
             ("n 2\ne 0 2 1\n", "line 2: edge endpoint 2 is not a node index"),
+            ("n 2\ne -1 0 1\n", "line 2: edge endpoint -1 is not a node index"),
+            ("n 2\ne 0 1 nan\n", "line 2: edge weight on (0, 1) must be finite, got nan"),
+            ("n 2\ne 0 1 -0.5\n", "line 2: negative edge weight -0.5 on (0, 1)"),
         ],
-        ids=["duplicate-count", "missing-count", "non-numeric-count", "missing-field", "out-of-range"],
+        ids=[
+            "duplicate-count",
+            "missing-count",
+            "non-numeric-count",
+            "missing-field",
+            "out-of-range",
+            "negative-endpoint",
+            "nan-weight",
+            "negative-weight",
+        ],
     )
     def test_error_names_exact_line(self, tmp_path, text, message):
         p = tmp_path / "g.graph"

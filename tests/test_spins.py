@@ -59,6 +59,32 @@ class TestSpinValidation:
         with pytest.raises(ValueError, match="i < j < k"):
             spins.SpinSystem(np.eye(3), np.zeros((3, 3)), three_body=[(0, 2, 1, 1.0)])
 
+    # a NaN norm compares False against any tolerance, so it must fail the check, not pass it
+    @pytest.mark.parametrize(
+        "vec",
+        [[np.nan, 0.0], [np.nan, np.nan], [np.inf, 0.0], [0.5, 0.0]],
+        ids=["nan", "all-nan", "inf", "short"],
+    )
+    def test_spin_off_unit_norm_rejected(self, vec):
+        with pytest.raises(ValueError, match="spin norm"):
+            spins.Spin(np.array(vec))
+
+    @pytest.mark.parametrize(
+        "row, fields, message",
+        [
+            ([np.nan, 0.0], None, "spin 1 has norm"),
+            ([np.inf, 0.0], None, "spin 1 has norm"),
+            ([0.0, 1.0], [[0.0, 0.0], [np.inf, 0.0]], "fields must be finite"),
+            ([0.0, 1.0], [[0.0, -np.inf], [0.0, 0.0]], "fields must be finite"),
+            ([0.0, 1.0], [[np.nan, 0.0], [0.0, 0.0]], "fields must be finite"),
+        ],
+        ids=["nan-spin", "inf-spin", "inf-field", "minus-inf-field", "nan-field"],
+    )
+    def test_system_rejects_non_finite(self, row, fields, message):
+        s = np.array([[1.0, 0.0], row])
+        with pytest.raises(ValueError, match=message):
+            spins.SpinSystem(s, np.zeros((2, 2)), fields=None if fields is None else np.array(fields))
+
 
 class TestAttentionCouplings:
     def test_scaling(self):
@@ -340,6 +366,77 @@ class TestMicroStep:
             assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
         assert out.three_body == sys0.three_body and out.three_body is not sys0.three_body
         assert sys0.spins.tobytes() == before.tobytes()
+
+
+def two_product_pair_field(j, s):
+    """Row i is sum_{j != i} J~_ij s_j taken from the raw J: two products and a diagonal correction."""
+    return 0.5 * (j @ s + j.T @ s) - np.diag(j)[:, None] * s
+
+
+class TestSymmetrisedOnce:
+    """A system's stored J~ against the pair field written on the raw couplings.
+
+    Bounds are a few float64 eps of each quantity's scale, the sum of the
+    absolute terms it adds up; 16 ticks of 256 x 32 spins stay within
+    4e-15 of the oracle's spins.
+    """
+
+    EPS = np.finfo(float).eps
+
+    def case(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, hidden = 256, 32, 64
+        # query-key couplings: asymmetric, with a non-zero diagonal
+        j = spins.attention_couplings(rng.normal(size=(n, d)), rng.normal(size=(n, d)))
+        assert np.all(np.diag(j) != 0.0) and not np.array_equal(j, j.T)
+        system = spins.SpinSystem(unit_spins(rng, n, d), j, 0.1 * rng.normal(size=(n, d)))
+        bath = spins.BathParams(
+            eta=0.05,
+            eta_ff=0.2,
+            gamma=0.01,
+            W1=rng.normal(size=(hidden, d)) / np.sqrt(d),
+            W2=rng.normal(size=(d, hidden)) / np.sqrt(hidden),
+            b1=0.1 * rng.normal(size=hidden),
+        )
+        return system, bath
+
+    @staticmethod
+    def abs_sym(j):
+        a = np.abs(0.5 * (j + j.T))
+        np.fill_diagonal(a, 0.0)
+        return a
+
+    def energy_close(self, got, j, s, h):
+        want = -0.5 * np.sum(s * two_product_pair_field(j, s)) - np.sum(h * s)
+        scale = 0.5 * np.sum(np.abs(s) * (self.abs_sym(j) @ np.abs(s))) + np.sum(np.abs(h * s))
+        assert abs(got - want) <= 8 * self.EPS * scale
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_and_energy(self, seed):
+        system, _ = self.case(seed)
+        j, s, h = system.couplings, system.spins, system.fields
+        want = -two_product_pair_field(j, s) - h
+        scale = self.abs_sym(j) @ np.abs(s) + np.abs(h)
+        assert np.all(np.abs(spins.energy_gradient(system) - want) <= 8 * self.EPS * scale)
+        self.energy_close(spins.two_body_energy(system), j, s, h)
+        self.energy_close(spins.lattice_energy(j, s, h), j, s, h)
+        np.testing.assert_array_equal(system._sym, system._sym.T)
+        assert not np.any(np.diag(system._sym))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sixteen_ticks(self, seed):
+        system, bath = self.case(seed)
+        j, h = system.couplings, system.fields
+        s = system.spins
+        out = system
+        for _ in range(16):
+            out = spins.micro_step(out, bath)
+            assert out._sym is system._sym
+            targets = spins._ffn_targets(s, bath)
+            u = s + bath.eta * (two_product_pair_field(j, s) + h) + bath.eta_ff * (targets - s) - bath.gamma * s
+            s = u / np.linalg.norm(u, axis=1, keepdims=True)
+        assert np.max(np.abs(out.spins - s)) <= 4e-15
+        self.energy_close(spins.two_body_energy(out), j, s, h)
 
 
 class TestBatchedFfn:
