@@ -50,7 +50,8 @@ from . import _text
 from ._text import fmt
 
 # The library modules, each imported by the first command that calls it, so
-# ``plan`` loads no numpy and no command loads what it never runs.
+# no command loads what it never runs: ``plan`` and tables 1 and 2 load no
+# numpy, and only ``phase`` loads ``infophase``.
 experiments = infophase = planner = None
 
 

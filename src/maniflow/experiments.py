@@ -19,18 +19,27 @@ The default toy read-out maps y to three outcomes with logits
 (g, 0, -g), g = scale * (1 - |y|/2) clipped at 0, making the read-out
 entropy strictly increasing in |y| on [0, 2]: runs that end closer to
 the origin shed more entropy per unit cost.
+
+Tables 1 and 2 need no arrays: the read-out's softmax and entropy run
+over Python floats and table 1's route is planned on a pure-Python graph,
+so neither table loads numpy.  numpy is imported only inside the
+functions that use arrays (table 3's oscillator and report,
+``rotation_portraits`` and ``ToyDecoder.distribution``), and
+``infophase`` only inside ``rotation_portraits``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import _text
-from .infophase import PhasePortrait, entropy
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .infophase import PhasePortrait
 
 __all__ = [
     "ToyDecoder",
@@ -55,32 +64,58 @@ __all__ = [
 
 @dataclass
 class ToyDecoder:
-    """Read-out head mapping a scalar state to logits over n_outcomes."""
+    """Read-out head mapping a scalar state to logits over n_outcomes.
 
-    logit_map: Callable[[float], np.ndarray]
+    The softmax is taken once, over Python floats: the logits are shifted
+    by their maximum, exponentiated with ``math.exp`` and divided by their
+    left-to-right sum.  ``distribution`` and ``entropy_at`` both read those
+    floats.  A shift that overflows gives -inf and a zero probability.
+    """
+
+    logit_map: Callable[[float], Sequence[float]]
     n_outcomes: int
 
     def __post_init__(self):
         if self.n_outcomes < 2:
             raise ValueError(f"need at least two outcomes, got {self.n_outcomes}")
 
+    def _probabilities(self, y: float) -> list[float]:
+        raw = self.logit_map(float(y))
+        try:
+            logits = [float(v) for v in raw]
+        except TypeError:
+            raise ValueError(f"logit map returned {raw!r}, expected {self.n_outcomes} numbers") from None
+        if len(logits) != self.n_outcomes:
+            raise ValueError(f"logit map returned {len(logits)} values, expected {self.n_outcomes}")
+        if not all(map(math.isfinite, logits)):
+            raise ValueError(f"logit map returned a non-finite value at y = {float(y)!r}: {logits!r}")
+        top = max(logits)
+        weights = [math.exp(v - top) for v in logits]
+        total = 0.0
+        for w in weights:
+            total += w
+        return [w / total for w in weights]
+
     def distribution(self, y: float) -> np.ndarray:
-        logits = np.asarray(self.logit_map(float(y)), dtype=float)
-        if logits.shape != (self.n_outcomes,):
-            raise ValueError(f"logit map returned shape {logits.shape}, expected ({self.n_outcomes},)")
-        shifted = np.exp(logits - np.max(logits))
-        return shifted / np.sum(shifted)
+        import numpy as np
+
+        return np.array(self._probabilities(y))
 
     def entropy_at(self, y: float) -> float:
-        return entropy(self.distribution(y))
+        """-sum p ln p over the read-out at y, summed left to right, with 0 ln 0 = 0."""
+        acc = 0.0
+        for p in self._probabilities(y):
+            if p > 0.0:
+                acc += p * math.log(p)
+        return -acc
 
 
 def default_toy_decoder(scale: float = 1.0) -> ToyDecoder:
     """Three-outcome read-out whose entropy strictly increases in |y| on [0, 2]."""
 
-    def logit_map(y: float) -> np.ndarray:
+    def logit_map(y: float) -> tuple[float, float, float]:
         gap = scale * max(0.0, 1.0 - abs(y) / 2.0)
-        return np.array([gap, 0.0, -gap])
+        return (gap, 0.0, -gap)
 
     return ToyDecoder(logit_map=logit_map, n_outcomes=3)
 
@@ -141,17 +176,25 @@ SSSP_NODE_SET = (2.0, 1.6, 1.2, 0.8, 0.4, 0.0, 1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
 def _sssp_path() -> tuple[float, ...]:
-    from . import planner  # table 1's route alone plans, so no other table loads the planner
+    """The cheapest route from 2 to 0 over the complete digraph on SSSP_NODE_SET.
 
-    graph = planner.build_ndm_graph(
-        SSSP_NODE_SET,
-        ("knn", len(SSSP_NODE_SET) - 1),
-        lambda a, b: 0.5 * (quadratic_value(a) + quadratic_value(b)),
-    )
-    found = planner.shortest_path(graph, SSSP_NODE_SET.index(2.0), SSSP_NODE_SET.index(0.0))
+    The graph is the one ``build_ndm_graph(SSSP_NODE_SET, ("knn", n - 1), cost)``
+    gives on these distinct scalars, with its edges added in index order;
+    Dijkstra's route does not depend on that order.
+    """
+    from .planner import WeightedDigraph, shortest_path  # table 1's route alone plans
+
+    graph = WeightedDigraph()
+    for y in SSSP_NODE_SET:
+        graph.add_node(y)
+    for i, a in enumerate(SSSP_NODE_SET):
+        for j, b in enumerate(SSSP_NODE_SET):
+            if i != j:
+                graph.add_edge(i, j, 0.5 * (quadratic_value(a) + quadratic_value(b)))
+    found = shortest_path(graph, SSSP_NODE_SET.index(2.0), SSSP_NODE_SET.index(0.0))
     assert found is not None, "complete graph cannot be disconnected"
     path, _ = found
-    return tuple(graph.payloads[i] for i in path)
+    return tuple(SSSP_NODE_SET[i] for i in path)
 
 
 def toy1_run(decoder: ToyDecoder | None = None) -> dict[str, PathMetrics]:
@@ -193,6 +236,8 @@ class HarmonicOscillator:
         return y + self.damping * p
 
     def dp(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(p, dtype=float)
 
 
@@ -210,6 +255,8 @@ class OscillatorReport:
 
 
 def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorReport:
+    import numpy as np
+
     y_n, p_n = float(ys[-1]), float(ps[-1])
     exact_y, exact_p = math.cos(t_final), -math.sin(t_final)
     with np.errstate(over="ignore"):
@@ -297,6 +344,10 @@ def rotation_portraits(
     non-negative; the rotation is applied exactly, so the underlying flow
     is divergence free.
     """
+    import numpy as np
+
+    from .infophase import PhasePortrait  # the phase command's portraits alone need infophase
+
     lo, hi = radius_range
     if not 0 < lo <= hi < center:
         raise ValueError("radius range must satisfy 0 < lo <= hi < center")

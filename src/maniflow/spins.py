@@ -65,7 +65,7 @@ class Spin:
         if v.ndim != 1:
             raise ValueError("a spin is a 1-d vector")
         if not abs(np.linalg.norm(v) - 1.0) <= _NORM_TOL:
-            raise ValueError(f"spin norm {np.linalg.norm(v)!r} deviates from 1 by more than {_NORM_TOL}")
+            raise ValueError(f"spin norm {float(np.linalg.norm(v))!r} deviates from 1 by more than {_NORM_TOL}")
         object.__setattr__(self, "vec", v)
 
     @property
@@ -98,7 +98,7 @@ class SpinSystem:
         norms = np.linalg.norm(spins, axis=1)
         bad = np.nonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))[0]
         if bad.size:
-            raise ValueError(f"spin {bad[0]} has norm {norms[bad[0]]!r}, expected 1 within {_NORM_TOL}")
+            raise ValueError(f"spin {bad[0]} has norm {float(norms[bad[0]])!r}, expected 1 within {_NORM_TOL}")
         n = spins.shape[0]
         couplings = np.asarray(self.couplings, dtype=float)
         if couplings.shape != (n, n):
@@ -340,7 +340,7 @@ def _ffn_targets(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = Non
     if collapsed.size:
         i = collapsed[0]
         raise ValueError(
-            f"feed-forward target of neuron {i} collapsed to norm {norms[i]!r}; cannot normalise"
+            f"feed-forward target of neuron {i} collapsed to norm {float(norms[i])!r}; cannot normalise"
         )
     return t / norms[:, None]
 
@@ -387,7 +387,7 @@ def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = 
     norms = np.linalg.norm(update, axis=1)
     collapsed = np.nonzero(norms < _COLLAPSE_TOL)[0]
     if collapsed.size:
-        raise ValueError(f"neuron {collapsed[0]} collapsed to norm {norms[collapsed[0]]!r} during micro step")
+        raise ValueError(f"neuron {collapsed[0]} collapsed to norm {float(norms[collapsed[0]])!r} during micro step")
     # the couplings and fields are the checked ones and each row has norm 1
     # by construction, so the successor skips SpinSystem's validation and
     # shares its input's J~

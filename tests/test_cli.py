@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -351,6 +352,17 @@ class TestNumericInput:
         assert captured.out == ""
         assert not (tmp_path / written).exists()
 
+    # gap - (-gap) overflows to inf: the shifted logit is -inf and its weight
+    # 0, with no overflow warning on stderr
+    @pytest.mark.parametrize("scale", ["1e308", "-1e308"])
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_huge_decoder_gap_is_quiet(self, tmp_path, capsys, which, scale):
+        assert cli.main(["table", which, "--decoder", f"gap:{scale}", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        _, *rows = [line.split(",") for line in (tmp_path / f"table{which}.csv").read_text().splitlines()]
+        cells = [float(cell) for row in rows for cell in row[2:]]
+        assert all(map(math.isfinite, cells))
+
     @pytest.mark.parametrize(
         "argv, run",
         [
@@ -504,9 +516,9 @@ NEVER_RUN_BY_THE_CLI = ("maniflow.spins", "maniflow.workspace", "maniflow.contro
         (["phase", "--input", str(FIXTURES / "distributions.txt"), "--window", "3"],
          {"maniflow.experiments", "maniflow.manifold", "maniflow.planner"}),
         (["phase", "--seed", "3"], {"maniflow.manifold"}),
-        (["table", "1"], {"maniflow.manifold"}),
-        (["table", "2"], {"maniflow.manifold"}),
-        (["table", "3", "--steps", "10"], {"maniflow.planner"}),
+        (["table", "1"], {"numpy", "maniflow.infophase", "maniflow.manifold"}),
+        (["table", "2"], {"numpy", "maniflow.infophase", "maniflow.manifold", "maniflow.planner"}),
+        (["table", "3", "--steps", "10"], {"maniflow.infophase", "maniflow.planner"}),
     ],
     ids=["plan", "phase-input", "phase-seed", "table1", "table2", "table3"],
 )

@@ -9,13 +9,23 @@ from maniflow import experiments, infophase
 from maniflow.manifold import IntegrationError
 
 
+def _numpy_entropy(decoder, y):
+    """The read-out entropy through a numpy softmax and ``infophase.entropy``."""
+    logits = np.asarray(decoder.logit_map(float(y)), dtype=float)
+    shifted = np.exp(logits - np.max(logits))
+    return infophase.entropy(shifted / np.sum(shifted))
+
+
 class TestToyDecoder:
     def test_distribution_normalised(self):
         dec = experiments.default_toy_decoder()
         for y in (-3.0, -0.5, 0.0, 0.7, 2.0, 5.0):
             p = dec.distribution(y)
+            assert isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (3,)
             np.testing.assert_allclose(np.sum(p), 1.0, atol=1e-12)
             assert np.all(p >= 0)
+            # the array holds the floats entropy_at sums
+            assert infophase.entropy(p) == pytest.approx(dec.entropy_at(y), rel=0, abs=1e-15)
 
     def test_entropy_increases_with_distance(self):
         dec = experiments.default_toy_decoder()
@@ -43,6 +53,40 @@ class TestToyDecoder:
     def test_outcome_count_checked(self):
         with pytest.raises(ValueError, match="two outcomes"):
             experiments.ToyDecoder(logit_map=lambda y: np.zeros(1), n_outcomes=1)
+
+    def test_entropy_matches_numpy_softmax(self):
+        # the read-out's softmax and entropy run over Python floats (math.exp,
+        # math.log, left-to-right sums); numpy's SIMD exp and log may round
+        # differently in the last place
+        worst = 0.0
+        for scale in [*np.geomspace(1e-3, 1e3, 40), *-np.geomspace(1e-3, 1e3, 40), 0.0, 1.0]:
+            dec = experiments.default_toy_decoder(float(scale))
+            for y in np.linspace(-3.0, 3.0, 121):
+                worst = max(worst, abs(dec.entropy_at(y) - _numpy_entropy(dec, y)))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("logits", [(1.0, 0.0), (1.0, 0.0, -1.0, 2.0), 1.0, [[1.0, 0.0, -1.0]]])
+    def test_wrong_logit_count_rejected(self, logits):
+        dec = experiments.ToyDecoder(logit_map=lambda y: logits, n_outcomes=3)
+        with pytest.raises(ValueError, match="logit map returned"):
+            dec.entropy_at(0.0)
+        with pytest.raises(ValueError, match="logit map returned"):
+            dec.distribution(0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_logit_rejected(self, bad):
+        dec = experiments.ToyDecoder(logit_map=lambda y: (0.0, bad, 1.0), n_outcomes=3)
+        with pytest.raises(ValueError, match="non-finite"):
+            dec.entropy_at(0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            dec.distribution(0.5)
+
+    @pytest.mark.parametrize("scale", [1e308, -1e308])
+    def test_overflowing_shift_is_a_zero_probability(self, scale):
+        # gap - (-gap) overflows to inf; the shifted logit is -inf and its weight 0
+        dec = experiments.default_toy_decoder(scale)
+        assert dec.distribution(0.0).tolist() == ([1.0, 0.0, 0.0] if scale > 0 else [0.0, 0.0, 1.0])
+        assert dec.entropy_at(0.0) == 0.0
 
 
 class TestPathMetrics:

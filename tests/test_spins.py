@@ -85,6 +85,16 @@ class TestSpinValidation:
         with pytest.raises(ValueError, match=message):
             spins.SpinSystem(s, np.zeros((2, 2)), fields=None if fields is None else np.array(fields))
 
+    # numpy 2 reprs a scalar as np.float64(...); a message shows the plain number
+    @pytest.mark.parametrize("vec, norm", [([np.nan, 0.0], "nan"), ([1.5, 0.0], "1.5")], ids=["nan", "norm-1.5"])
+    def test_norm_reported_as_plain_number(self, vec, norm):
+        with pytest.raises(ValueError) as spin_err:
+            spins.Spin(np.array(vec))
+        with pytest.raises(ValueError) as system_err:
+            spins.SpinSystem(np.array([[1.0, 0.0], vec]), np.zeros((2, 2)))
+        assert str(spin_err.value).startswith(f"spin norm {norm} deviates")
+        assert str(system_err.value).startswith(f"spin 1 has norm {norm}, expected")
+
 
 class TestAttentionCouplings:
     def test_scaling(self):
@@ -474,6 +484,15 @@ class TestBatchedFfn:
         # the single-spin API is the one-row batch
         with pytest.raises(ValueError, match="neuron 0 collapsed"):
             spins.ffn_target(sys0.spins[2], bath)
+
+    def test_collapse_reports_plain_norm(self):
+        bath = spins.BathParams(eta_ff=1.0, W1=np.zeros((2, 2)), W2=np.zeros((2, 2)), b2=np.array([-1.0, 0.0]))
+        with pytest.raises(ValueError) as ffn_err:
+            spins.ffn_target(np.array([1.0, 0.0]), bath)
+        assert str(ffn_err.value) == "feed-forward target of neuron 0 collapsed to norm 0.0; cannot normalise"
+        with pytest.raises(ValueError) as step_err:
+            spins.micro_step(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), spins.BathParams(gamma=1.0))
+        assert str(step_err.value) == "neuron 0 collapsed to norm 0.0 during micro step"
 
 
 class TestSpinIo:
