@@ -50,8 +50,9 @@ from . import _text
 from ._text import fmt
 
 # The library modules, each imported by the first command that calls it, so
-# no command loads what it never runs: ``plan`` and tables 1 and 2 load no
-# numpy, and only ``phase`` loads ``infophase``.
+# no command loads what it never runs: ``plan`` and the tables load no numpy
+# (nor table 3 ``manifold``, unless a run diverges), and only ``phase``
+# loads ``infophase``.
 experiments = infophase = planner = None
 
 
@@ -142,13 +143,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
     opts = _resolve(args, "table")
     _load("experiments")
     if args.which == 3:
-        from .manifold import IntegrationError  # table 3 integrates, so manifold loads anyway
-
         _check(opts, "dt", "steps")
         t_final = opts["steps"] * opts["dt"]
         try:
             csv_text = experiments.table_csv(3, t_final=t_final, h=opts["dt"], damping=opts["damping"])
-        except IntegrationError as exc:
+        except RuntimeError as exc:
+            from .manifold import IntegrationError  # loaded already by the run that raised one
+
+            if not isinstance(exc, IntegrationError):
+                raise
             raise ValueError(exc) from None  # the same one error: line as any bad input
     else:
         csv_text = experiments.table_csv(args.which, experiments.parse_decoder_spec(opts["decoder"]))

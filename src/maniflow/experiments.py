@@ -20,12 +20,14 @@ The default toy read-out maps y to three outcomes with logits
 entropy strictly increasing in |y| on [0, 2]: runs that end closer to
 the origin shed more entropy per unit cost.
 
-Tables 1 and 2 need no arrays: the read-out's softmax and entropy run
-over Python floats and table 1's route is planned on a pure-Python graph,
-so neither table loads numpy.  numpy is imported only inside the
-functions that use arrays (table 3's oscillator and report,
-``rotation_portraits`` and ``ToyDecoder.distribution``), and
-``infophase`` only inside ``rotation_portraits``.
+No table needs arrays, so none loads numpy: the read-out's softmax and
+entropy run over Python floats, table 1's route is planned on a
+pure-Python graph, and table 3 steps the oscillator over Python floats in
+the operation order of ``manifold``'s leapfrog, so its nodes are bit-equal
+to ``integrate``'s.  numpy is imported only inside the functions that
+return or take arrays (``HarmonicOscillator.dp``, ``rotation_portraits``
+and ``ToyDecoder.distribution``), ``manifold`` only when a leapfrog run
+diverges, and ``infophase`` only inside ``rotation_portraits``.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class ToyDecoder:
         for p in self._probabilities(y):
             if p > 0.0:
                 acc += p * math.log(p)
-        return -acc
+        return -acc + 0.0  # + 0.0: a one-hot read-out is 0.0, not -0.0
 
 
 def default_toy_decoder(scale: float = 1.0) -> ToyDecoder:
@@ -254,19 +256,23 @@ class OscillatorReport:
     note: str = ""
 
 
-def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorReport:
-    import numpy as np
+def _energy_errors(ys, ps) -> list[float]:
+    """|H - 1/2| at each node, H = (y^2 + p^2)/2; every run starts at (1, 0), where H = 1/2."""
+    return [abs(0.5 * (y * y + p * p) - 0.5) for y, p in zip(ys, ps)]
 
+
+def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorReport:
     y_n, p_n = float(ys[-1]), float(ps[-1])
     exact_y, exact_p = math.cos(t_final), -math.sin(t_final)
-    with np.errstate(over="ignore"):
-        energies = 0.5 * (np.asarray(ys) ** 2 + np.asarray(ps) ** 2)
+    errors = _energy_errors(ys, ps)
+    # max() skips a NaN that is not first; a NaN energy must fail the report
+    eps_h_max = math.nan if any(map(math.isnan, errors)) else max(errors)
     report = OscillatorReport(
         method=method,
         final_y=y_n,
         final_p=p_n,
         eps_state=math.hypot(y_n - exact_y, p_n - exact_p),
-        eps_h_max=float(np.max(np.abs(energies - 0.5))),
+        eps_h_max=eps_h_max,
         final_radius=math.hypot(y_n, p_n),
         note=note,
     )
@@ -275,15 +281,43 @@ def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorRe
     return report
 
 
-def _leapfrog_nodes(method: str, damping: float, h: float, n: int):
-    """y and p at the n + 1 leapfrog nodes from (1, 0); IntegrationError naming the run on divergence."""
-    from .manifold import IntegrationError, PhasePoint, integrate  # table 3 alone integrates
+def _leapfrog_nodes(method: str, damping: float, h: float, n: int) -> tuple[list[float], list[float]]:
+    """y and p at the n + 1 leapfrog nodes of ``HarmonicOscillator(damping)`` from (1, 0).
 
-    try:
-        traj = integrate(HarmonicOscillator(damping), PhasePoint([1.0], [0.0]), h, n)
-    except IntegrationError as exc:
-        raise IntegrationError(f"{method} run: {exc}", exc.step, exc.y, exc.p, exc.drift) from None
-    return traj.ys[:, 0], traj.ps[:, 0]
+    The staged kick-drift-kick of ``manifold.integrate`` over Python floats,
+    in its operation order, so each node is bit-equal to its run.  A node
+    whose y, p or energy is not finite raises the IntegrationError
+    ``integrate`` raises, its message prefixed with the run's name.
+    """
+    half = 0.5 * h
+    y, p = 1.0, 0.0
+    ys, ps = [y], [p]
+    for k in range(1, n + 1):
+        p_half = p - half * (y + damping * p)
+        y = y + h * p_half
+        p = p_half - half * (y + damping * p_half)
+        if not (math.isfinite(y) and math.isfinite(p) and math.isfinite(0.5 * (y * y + p * p))):
+            import numpy as np
+
+            from .manifold import IntegrationError  # only a diverging run needs manifold
+
+            message = f"{method} run: non-finite state or energy at step {k}"
+            drift = max(_energy_errors(ys, ps))  # max |H - H_0| over the finite nodes
+            raise IntegrationError(message, k, np.array(ys[-1:]), np.array(ps[-1:]), drift)
+        ys.append(y)
+        ps.append(p)
+    return ys, ps
+
+
+def _euler_nodes(h: float, n: int) -> tuple[list[float], list[float]]:
+    """y and p at the n + 1 forward-Euler nodes of the undamped oscillator from (1, 0)."""
+    y, p = 1.0, 0.0
+    ys, ps = [y], [p]
+    for _ in range(n):
+        y, p = y + h * p, p - h * y
+        ys.append(y)
+        ps.append(p)
+    return ys, ps
 
 
 def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> list[OscillatorReport]:
@@ -310,16 +344,9 @@ def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> l
         "derived value is 1.25e-3 (scale discrepancy flagged)",
     )
 
-    y, p = 1.0, 0.0
-    ys, ps = [y], [p]
-    for _ in range(n):
-        y, p = y + h * p, p - h * y
-        ys.append(y)
-        ps.append(p)
     euler = _report(
         "euler",
-        ys,
-        ps,
+        *_euler_nodes(h, n),
         t_final,
         note="reference energy error 1.05e-1 is inconsistent with the divergent final "
         "state; derived value ~ ((1+h^2)^N - 1)/2 is reported instead",

@@ -72,7 +72,7 @@ def entropy(dist) -> float:
         raise ValueError("distribution must be a non-empty 1-d array")
     _check_rows(p)
     nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(-np.sum(nz * np.log(nz)) + 0.0)  # + 0.0: a one-hot row is 0.0, not -0.0
 
 
 @dataclass
@@ -134,7 +134,7 @@ def _row_entropies(dists) -> np.ndarray | None:
         _check_rows(p)
     except (TypeError, ValueError):  # ragged rows, or a row entropy rejects
         return None
-    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=1)
+    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=1) + 0.0  # as in entropy, no -0.0
 
 
 def portrait(dists, smoothing_window: int = 1) -> PhasePortrait:

@@ -73,6 +73,16 @@ class TestTableCommand:
         csv_text = (tmp_path / "table3.csv").read_text()
         assert (tmp_path / "table3.md").read_text() == experiments.table_markdown(csv_text)
 
+    def test_other_runtime_error_propagates(self, tmp_path, monkeypatch):
+        # only an IntegrationError becomes the one error: line
+        def broken(**kwargs):
+            raise RuntimeError("not an integration failure")
+
+        monkeypatch.setattr(experiments, "toy3_run", broken)
+        with pytest.raises(RuntimeError, match="not an integration failure"):
+            cli.main(["table", "3", "--out", str(tmp_path)])
+        assert not (tmp_path / "table3.csv").exists()
+
 
 class TestDeclaredOptions:
     @pytest.mark.parametrize(
@@ -247,6 +257,12 @@ class TestPhaseCommand:
         efforts = [float(r.split(",")[2]) for r in rows[2:]]
         assert all(e > 0 for e in efforts)
 
+    def test_one_hot_rows_print_zero(self, tmp_path):
+        src = tmp_path / "one_hot.txt"
+        src.write_text("1 0\n0 1\n")
+        assert cli.main(["phase", "--input", str(src), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "portrait.csv").read_text() == "t,u,e\n0,0,0\n1,0,0\n"
+
     def test_smoothing_window_applied(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -353,15 +369,17 @@ class TestNumericInput:
         assert not (tmp_path / written).exists()
 
     # gap - (-gap) overflows to inf: the shifted logit is -inf and its weight
-    # 0, with no overflow warning on stderr
+    # 0, with no overflow warning on stderr; each run ends on a one-hot
+    # read-out, whose entropy prints as 0, not -0
     @pytest.mark.parametrize("scale", ["1e308", "-1e308"])
     @pytest.mark.parametrize("which", ["1", "2"])
     def test_huge_decoder_gap_is_quiet(self, tmp_path, capsys, which, scale):
         assert cli.main(["table", which, "--decoder", f"gap:{scale}", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
-        _, *rows = [line.split(",") for line in (tmp_path / f"table{which}.csv").read_text().splitlines()]
+        header, *rows = [line.split(",") for line in (tmp_path / f"table{which}.csv").read_text().splitlines()]
         cells = [float(cell) for row in rows for cell in row[2:]]
         assert all(map(math.isfinite, cells))
+        assert [row[header.index("u_final")] for row in rows] == ["0"] * len(rows)
 
     @pytest.mark.parametrize(
         "argv, run",
@@ -518,7 +536,7 @@ NEVER_RUN_BY_THE_CLI = ("maniflow.spins", "maniflow.workspace", "maniflow.contro
         (["phase", "--seed", "3"], {"maniflow.manifold"}),
         (["table", "1"], {"numpy", "maniflow.infophase", "maniflow.manifold"}),
         (["table", "2"], {"numpy", "maniflow.infophase", "maniflow.manifold", "maniflow.planner"}),
-        (["table", "3", "--steps", "10"], {"maniflow.infophase", "maniflow.planner"}),
+        (["table", "3", "--steps", "10"], {"numpy", "maniflow.infophase", "maniflow.manifold", "maniflow.planner"}),
     ],
     ids=["plan", "phase-input", "phase-seed", "table1", "table2", "table3"],
 )

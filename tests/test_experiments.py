@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from maniflow import experiments, infophase
+from maniflow import experiments, infophase, manifold
 from maniflow.manifold import IntegrationError
 
 
@@ -87,6 +87,7 @@ class TestToyDecoder:
         dec = experiments.default_toy_decoder(scale)
         assert dec.distribution(0.0).tolist() == ([1.0, 0.0, 0.0] if scale > 0 else [0.0, 0.0, 1.0])
         assert dec.entropy_at(0.0) == 0.0
+        assert str(dec.entropy_at(0.0)) == "0.0"  # not -0.0
 
 
 class TestPathMetrics:
@@ -219,12 +220,76 @@ class TestToy3:
         assert np.isfinite(err.y).all() and np.isfinite(err.p).all()
         assert 0 < err.drift < math.inf
 
+    def test_eps_h_max_is_numpys(self):
+        # the energy error over Python floats equals the numpy reduction it replaced
+        nodes = {
+            "leapfrog": experiments._leapfrog_nodes("leapfrog", 0.0, 0.1, 1000),
+            "euler": experiments._euler_nodes(0.1, 1000),
+            "damped": experiments._leapfrog_nodes("damped", 0.05, 0.1, 1000),
+        }
+        for method, rep in self.reports.items():
+            ys, ps = map(np.asarray, nodes[method])
+            assert rep.eps_h_max == float(np.max(np.abs(0.5 * (ys**2 + ps**2) - 0.5)))
+
+    @pytest.mark.parametrize(
+        "ys, ps",
+        [
+            ([1.0, math.nan, 0.5, 0.9], [0.0, 0.0, 0.5, 0.1]),
+            ([1.0, 0.6, 0.5, 0.9], [0.0, math.nan, 0.5, 0.1]),
+            ([1.0, math.inf, 0.5, 0.9], [0.0, 0.0, 0.5, 0.1]),
+            ([1.0, 1e200, 0.5, 0.9], [0.0, 0.0, 0.5, 0.1]),
+        ],
+        ids=["nan-y", "nan-p", "inf-y", "energy-overflows"],
+    )
+    def test_non_finite_energy_inside_a_run_fails_the_report(self, ys, ps):
+        # a plain max() would pass over the NaN; np.max returned it
+        with pytest.raises(ValueError, match=r"^probe run: non-finite final state or energy error$"):
+            experiments._report("probe", ys, ps, 1.0)
+
     def test_oscillator_partials(self):
         ham = experiments.HarmonicOscillator()
         y, p = np.array([0.3]), np.array([-0.7])
         np.testing.assert_allclose(ham(y, p), 0.5 * (0.09 + 0.49))
         np.testing.assert_allclose(ham.dy(y, p), y)
         np.testing.assert_allclose(ham.dp(y, p), p)
+
+
+class TestLeapfrogNodesAreIntegrates:
+    """``_leapfrog_nodes`` over floats against ``manifold.integrate`` over (1,) arrays, bit for bit."""
+
+    @staticmethod
+    def _same_run(h, c, n):
+        """Assert both runs give the same nodes or the same failure; the failing step, or None."""
+        try:
+            traj = manifold.integrate(experiments.HarmonicOscillator(c), manifold.PhasePoint([1.0], [0.0]), h, n)
+        except IntegrationError as expected:
+            with pytest.raises(IntegrationError) as info:
+                experiments._leapfrog_nodes("leapfrog", c, h, n)
+            got = info.value
+            assert str(got) == f"leapfrog run: {expected}"
+            assert got.step == expected.step and got.drift == expected.drift
+            assert got.y.shape == got.p.shape == (1,)
+            assert got.y.tobytes() == expected.y.tobytes() and got.p.tobytes() == expected.p.tobytes()
+            return got.step
+        ys, ps = experiments._leapfrog_nodes("leapfrog", c, h, n)
+        assert np.array(ys).tobytes() == traj.ys[:, 0].tobytes()
+        assert np.array(ps).tobytes() == traj.ps[:, 0].tobytes()
+        return None
+
+    @pytest.mark.parametrize("c", [0.0, 0.05, 3.0])
+    @pytest.mark.parametrize("h", [0.05, 0.1, 0.3, 1.0, 1.5, 2.5])
+    def test_nodes_equal_integrate(self, h, c):
+        for n in (1, 7, 200, 1000):
+            self._same_run(h, c, n)
+
+    def test_grid_holds_diverging_runs(self):
+        # h > 2 leaves the undamped leapfrog's stability interval
+        assert self._same_run(2.5, 0.0, 1000) is not None
+        assert self._same_run(1.5, 3.0, 1000) is not None
+
+    def test_overflow_is_the_same_failure(self):
+        # the run `table 3 --dt 50 --steps 200` reports
+        assert self._same_run(50.0, 0.0, 200) == 46
 
 
 class TestRotationPortraits:

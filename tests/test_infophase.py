@@ -38,6 +38,9 @@ class TestEntropy:
 
     def test_delta_is_zero(self):
         assert infophase.entropy(np.array([0.0, 1.0, 0.0])) == 0.0
+        # +0.0, not -0.0, which portrait.csv would print as -0
+        assert str(infophase.entropy(np.array([0.0, 1.0, 0.0]))) == "0.0"
+        assert not np.signbit(infophase._row_entropies([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])).any()
 
     def test_zero_entries_ignored(self):
         np.testing.assert_allclose(
