@@ -5,14 +5,16 @@ running cost u^T G u / 2 solves G(y) u = p, giving the reduced Hamiltonian
 
     H(y, p) = p^T G(y)^{-1} p / 2 - l_task(z) - lam * l_ws(z, ws)
 
-evaluated on decoded outputs z = decoder(y).  A candidate value function
-V is scored by the residual dV/dt + H(y, grad V); layer updates advance
-phase points by one leapfrog step of the reduced Hamiltonian.
+evaluated on decoded outputs z = decoder(y): a ``GeodesicHamiltonian``
+whose held form ``at(y)`` subtracts the potential.  A candidate value
+function V is scored by the residual dV/dt + H(y, grad V); layer updates
+advance phase points by one leapfrog step of the reduced Hamiltonian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -84,33 +86,23 @@ class ValueFunction:
         return float(_fd_gradient(lambda tt: float(self.value(y, tt[0])), np.array([float(t)]))[0])
 
 
-class ReducedHamiltonian:
-    """Kinetic term minus potential costs; usable by the leapfrog stepper.
+class ReducedHamiltonian(GeodesicHamiltonian):
+    """The kinetic Hamiltonian of a metric field minus potential costs; usable by the leapfrog stepper.
 
-    dp stays analytic through the metric solve.  dy takes the kinetic
-    part from GeodesicHamiltonian.dy (from the decoder's jet, so exact for
-    layered decoders) and differentiates the potential by central
-    differences.  ``at(y)`` derives both once, so a leapfrog step takes
-    each of them once per point.  Its arrays are 1-d: one point.
+    ``__call__``, ``dp`` and ``dy`` are GeodesicHamiltonian's, through
+    ``at(y)``: dp stays analytic through the metric solve, and dy takes
+    the kinetic part from the decoder's jet (exact for layered decoders)
+    and differentiates the potential by central differences, once per
+    point and only when dy is asked for.  Its arrays are 1-d: one point.
     """
 
     def __init__(self, metric_field: MetricField, cost: CostSpec, ws_state=None):
-        self.metric_field = metric_field
+        super().__init__(metric_field)
         self.cost = cost
         self.ws_state = ws_state
-        self._kinetic = GeodesicHamiltonian(metric_field)
 
     def _potential(self, y: np.ndarray) -> float:
         return self.cost.potential(self.metric_field.decoder(y), self.ws_state)
-
-    def __call__(self, y: np.ndarray, p: np.ndarray) -> float:
-        return self._kinetic(y, p) - self._potential(y)
-
-    def dp(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self._kinetic.dp(y, p)
-
-    def dy(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self.at(y).dy(np.asarray(p, dtype=float))
 
     def at(self, y: np.ndarray) -> "_HeldReduced":
         """The Hamiltonian held at one point y, for the leapfrog stepper."""
@@ -118,12 +110,15 @@ class ReducedHamiltonian:
 
 
 class _HeldReduced:
-    """A ReducedHamiltonian at fixed y: G and the potential's gradient are derived once."""
+    """A ReducedHamiltonian at fixed y: G, and on first use the potential's gradient, are derived once."""
 
     def __init__(self, hamiltonian: ReducedHamiltonian, y: np.ndarray):
         self.hamiltonian, self.y = hamiltonian, y
-        self.kinetic = hamiltonian._kinetic.at(y)
-        self.grad = _fd_gradient(hamiltonian._potential, y)
+        self.kinetic = hamiltonian.metric_field.at(y)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return _fd_gradient(self.hamiltonian._potential, self.y)
 
     def dy(self, p: np.ndarray) -> np.ndarray:
         return self.kinetic.dy(p) - self.grad

@@ -150,12 +150,12 @@ class PathMetrics:
     efficiency: float
 
 
-def path_metrics(path, decoder: ToyDecoder, value_fn: Callable[[float], float] = quadratic_value) -> PathMetrics:
-    """Score a path: delta_u = u_0 - u_T, J = trapezoid of value_fn, efficiency = delta_u / J."""
+def path_metrics(path, decoder: ToyDecoder) -> PathMetrics:
+    """Score a path: delta_u = u_0 - u_T, J = trapezoid of V(y) = y^2 / 2, efficiency = delta_u / J."""
     nodes = [float(y) for y in path]
     if not nodes:
         raise ValueError("path is empty")
-    cost = sum(0.5 * (value_fn(a) + value_fn(b)) for a, b in zip(nodes[:-1], nodes[1:]))
+    cost = sum(0.5 * (quadratic_value(a) + quadratic_value(b)) for a, b in zip(nodes[:-1], nodes[1:]))
     if cost == 0.0:
         raise ValueError("path cost J is zero; efficiency is undefined")
     u_first = decoder.entropy_at(nodes[0])
@@ -357,35 +357,29 @@ def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> l
     return [leap, euler, damped]
 
 
-def rotation_portraits(
-    n_portraits: int,
-    n_steps: int,
-    dt: float,
-    rng: np.random.Generator,
-    center: float = 2.0,
-    radius_range: tuple[float, float] = (0.3, 1.5),
-) -> list[PhasePortrait]:
-    """Sample portraits circling (center, 0) under u_dot = e, e_dot = -(u - center).
+_ROTATION_CENTER = 2.0
+_ROTATION_RADII = (0.3, 1.5)
 
-    Radii stay below the center so the entropy coordinate remains
-    non-negative; the rotation is applied exactly, so the underlying flow
-    is divergence free.
+
+def rotation_portraits(n_portraits: int, n_steps: int, dt: float, rng: np.random.Generator) -> list[PhasePortrait]:
+    """Sample portraits circling (2, 0) under u_dot = e, e_dot = -(u - 2).
+
+    Each radius is drawn uniformly from [0.3, 1.5), below the center, so
+    the entropy coordinate stays non-negative; the rotation is applied
+    exactly, so the underlying flow is divergence free.
     """
     import numpy as np
 
     from .infophase import PhasePortrait  # the phase command's portraits alone need infophase
 
-    lo, hi = radius_range
-    if not 0 < lo <= hi < center:
-        raise ValueError("radius range must satisfy 0 < lo <= hi < center")
     if not math.isfinite(dt * n_steps):
         raise ValueError(f"dt * n_steps must be finite, got {dt!r} * {n_steps!r}")
     portraits = []
     for _ in range(int(n_portraits)):
-        r = rng.uniform(lo, hi)
+        r = rng.uniform(*_ROTATION_RADII)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         t = phase - dt * np.arange(n_steps + 1)
-        portraits.append(PhasePortrait(u=center + r * np.cos(t), e=r * np.sin(t)))
+        portraits.append(PhasePortrait(u=_ROTATION_CENTER + r * np.cos(t), e=r * np.sin(t)))
     return portraits
 
 

@@ -48,12 +48,13 @@ class FieldFitError(RuntimeError):
     """
 
 
-def _check_rows(p: np.ndarray) -> None:
-    """Raise ValueError unless each row along the last axis is a distribution.
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row along the last axis; ValueError unless each row is a distribution.
 
     A row must be non-empty, have no negative entry and sum to 1 within
-    1e-9.  ``entropy`` checks its one row here and ``portrait`` a whole
-    stack, so both accept the same rows.
+    1e-9.  A zero entry adds a 0 ln 1 term, so 0 ln 0 = 0 and a row sums
+    the same alone as in a stack: ``entropy`` scores its one row here and
+    ``portrait`` a whole stack, bit for bit alike.
     """
     if p.shape[-1] == 0:
         raise ValueError("distribution must be a non-empty 1-d array")
@@ -63,6 +64,7 @@ def _check_rows(p: np.ndarray) -> None:
     off = ~(np.abs(total - 1.0) <= 1e-9)
     if np.any(off):
         raise ValueError(f"distribution sums to {float(total[off][0])!r}, expected 1 within 1e-9")
+    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1) + 0.0  # + 0.0: a one-hot row is 0.0, not -0.0
 
 
 def entropy(dist) -> float:
@@ -70,9 +72,7 @@ def entropy(dist) -> float:
     p = np.asarray(dist, dtype=float)
     if p.ndim != 1:
         raise ValueError("distribution must be a non-empty 1-d array")
-    _check_rows(p)
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)) + 0.0)  # + 0.0: a one-hot row is 0.0, not -0.0
+    return float(_entropies(p))
 
 
 @dataclass
@@ -121,20 +121,14 @@ def _smooth_centered(values: np.ndarray, window: int) -> np.ndarray:
 def _row_entropies(dists) -> np.ndarray | None:
     """``entropy`` of each row of a (rows, k) stack, or None where the rows are not one valid stack.
 
-    Each row is summed and its terms are summed along its length, as
-    ``entropy`` sums them, so a row without zeros gets its entropy bit for
-    bit; a zero adds a 0 term that ``entropy`` leaves out, which may move
-    the result by a few ulp.  None sends the caller to the per-row path,
-    which raises ``entropy``'s error for the first bad row.
+    None sends the caller to the per-row path, which raises ``entropy``'s
+    error for the first bad row.
     """
     try:
         p = np.asarray(dists, dtype=float, order="C")
-        if p.ndim != 2:
-            return None
-        _check_rows(p)
+        return _entropies(p) if p.ndim == 2 else None
     except (TypeError, ValueError):  # ragged rows, or a row entropy rejects
         return None
-    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=1) + 0.0  # as in entropy, no -0.0
 
 
 def portrait(dists, smoothing_window: int = 1) -> PhasePortrait:

@@ -461,7 +461,8 @@ class GeodesicHamiltonian:
 
     dp is a symmetric solve and dy the one dH/dy formula of the module
     docstring, on the decoder's jet.  ``at(y)`` derives the geometry once
-    for all three.
+    for all three, and each of them is ``at(y)`` and its held method, so
+    a subclass (``control.ReducedHamiltonian``) overrides ``at`` alone.
     """
 
     def __init__(self, metric_field: MetricField):

@@ -179,16 +179,13 @@ def _apply_nonlinearity(u: np.ndarray, kind: str) -> np.ndarray:
     return 0.5 * u * (1.0 + _erf(u / np.sqrt(2.0)))
 
 
-def attention_couplings(queries: np.ndarray, keys: np.ndarray, symmetrize: bool = False) -> np.ndarray:
+def attention_couplings(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Scaled query-key couplings J_ij = (q_i . k_j) / sqrt(d)."""
     q = np.asarray(queries, dtype=float)
     k = np.asarray(keys, dtype=float)
     if q.ndim != 2 or k.shape != q.shape:
         raise ValueError(f"queries and keys must share an (N, d) shape, got {q.shape} and {k.shape}")
-    j = q @ k.T / np.sqrt(q.shape[1])
-    if symmetrize:
-        j = 0.5 * (j + j.T)
-    return j
+    return q @ k.T / np.sqrt(q.shape[1])
 
 
 def _symmetrised(couplings: np.ndarray) -> np.ndarray:
@@ -321,6 +318,16 @@ def ctm_couplings(influence: np.ndarray, spin_history: np.ndarray, alpha: float)
     return alpha * 0.5 * (w + w.T) + (1.0 - alpha) * corr
 
 
+def _unit_rows(rows: np.ndarray, message: str) -> np.ndarray:
+    """rows scaled to norm 1; ValueError(message.format(i=..., norm=...)) names the first row of norm below 1e-12."""
+    norms = np.linalg.norm(rows, axis=1)
+    collapsed = np.flatnonzero(norms < _COLLAPSE_TOL)
+    if collapsed.size:
+        i = collapsed[0]
+        raise ValueError(message.format(i=i, norm=float(norms[i])))
+    return rows / norms[:, None]
+
+
 def _ffn_targets(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None) -> np.ndarray:
     """Row-wise ``ffn_target`` of an (m, d) spin matrix; the one feed-forward formula."""
     if bath.W1 is None or bath.W2 is None:
@@ -335,14 +342,7 @@ def _ffn_targets(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = Non
     t = h + _apply_nonlinearity(u, bath.nonlinearity) @ bath.W2.T
     if bath.b2 is not None:
         t = t + bath.b2
-    norms = np.linalg.norm(t, axis=1)
-    collapsed = np.flatnonzero(norms <= _COLLAPSE_TOL)
-    if collapsed.size:
-        i = collapsed[0]
-        raise ValueError(
-            f"feed-forward target of neuron {i} collapsed to norm {float(norms[i])!r}; cannot normalise"
-        )
-    return t / norms[:, None]
+    return _unit_rows(t, "feed-forward target of neuron {i} collapsed to norm {norm!r}; cannot normalise")
 
 
 def ffn_target(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None) -> np.ndarray:
@@ -384,15 +384,11 @@ def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = 
         if gamma.shape != (system.n_spins,):
             raise ValueError(f"gamma must be scalar or length {system.n_spins}")
         update = update - gamma[:, None] * s
-    norms = np.linalg.norm(update, axis=1)
-    collapsed = np.nonzero(norms < _COLLAPSE_TOL)[0]
-    if collapsed.size:
-        raise ValueError(f"neuron {collapsed[0]} collapsed to norm {float(norms[collapsed[0]])!r} during micro step")
     # the couplings and fields are the checked ones and each row has norm 1
     # by construction, so the successor skips SpinSystem's validation and
     # shares its input's J~
     successor = copy.copy(system)
-    successor.spins = update / norms[:, None]
+    successor.spins = _unit_rows(update, "neuron {i} collapsed to norm {norm!r} during micro step")
     successor.three_body = list(system.three_body)
     return successor
 

@@ -175,6 +175,25 @@ class TestOptionChecks:
         assert capsys.readouterr().err == error
         assert out.exists() != bool(error)
 
+    @pytest.mark.parametrize(
+        "argv, text, error",
+        [
+            (["table", "3", "--config"], "steps 10\n", "config line 1: expected key=value, got 'steps 10'"),
+            (["table", "3", "--steps", "0"], None, "steps must be >= 1, got 0"),
+            (["phase", "--input"], "# no rows\n\n", "no distributions found in {path!r}"),
+        ],
+        ids=["config-line-without-equals", "table3-steps-zero", "phase-input-comments-only"],
+    )
+    def test_rejected_with_its_message(self, tmp_path, capsys, argv, text, error):
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text)
+            argv = argv + [str(path)]
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {error.format(path=str(path))}\n"
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):

@@ -132,19 +132,53 @@ class TestNdmLayer:
             control.ndm_layer(identity_field(), cost, pt, 0.1)
         np.testing.assert_array_equal(info.value.y, [1.0])
 
-    def test_reduced_dy_matches_fd_of_full_value(self):
-        rng = np.random.default_rng(3)
+    @staticmethod
+    def curved_reduced(rng, calls=None):
+        """A ReducedHamiltonian on a tanh decoder R^2 -> R^3; ``calls`` collects one entry per task-cost call."""
         w1 = np.vstack([np.eye(2), np.zeros((1, 2))]) + 0.3 * rng.normal(size=(3, 2))
         w2 = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
         dec = manifold.Decoder.mlp_tanh([w1, w2], [0.1 * rng.normal(size=3), np.zeros(3)])
         goal = np.array([0.5, -0.2, 0.1])
-        cost = control.CostSpec(task_cost=lambda z: 0.5 * float((z - goal) @ (z - goal)))
-        ham = control.ReducedHamiltonian(manifold.MetricField(dec), cost)
+
+        def task_cost(z):
+            if calls is not None:
+                calls.append(1)
+            return 0.5 * float((z - goal) @ (z - goal))
+
+        return control.ReducedHamiltonian(manifold.MetricField(dec), control.CostSpec(task_cost=task_cost))
+
+    def test_reduced_dy_matches_fd_of_full_value(self):
+        rng = np.random.default_rng(3)
+        ham = self.curved_reduced(rng)
         for _ in range(5):
             y = rng.uniform(-0.5, 0.5, size=2)
             p = rng.normal(size=2)
             fd = manifold._fd_gradient(lambda yy: ham(yy, p), y)
             assert np.linalg.norm(ham.dy(y, p) - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_reduced_dp_is_the_metric_solve(self):
+        rng = np.random.default_rng(4)
+        ham = self.curved_reduced(rng)
+        for _ in range(5):
+            y, p = rng.uniform(-0.5, 0.5, size=2), rng.normal(size=2)
+            assert ham.dp(y, p).tobytes() == ham.metric_field.solve(y, p).tobytes()
+
+    def test_recorded_energies_are_the_hamiltonian(self):
+        rng = np.random.default_rng(5)
+        ham = self.curved_reduced(rng)
+        traj = manifold.integrate(ham, manifold.PhasePoint([0.2, -0.1], [0.3, 0.4]), 0.05, 8)
+        assert [ham(y, p) for y, p in zip(traj.ys, traj.ps)] == traj.energies.tolist()
+
+    def test_value_and_dp_take_no_potential_gradient(self):
+        # H(y, p) evaluates the potential once and dp not at all: hjb_residual runs no finite differences
+        calls = []
+        ham = self.curved_reduced(np.random.default_rng(6), calls)
+        y, p = np.array([0.1, 0.2]), np.array([0.3, -0.4])
+        ham(y, p)
+        ham.dp(y, p)
+        assert len(calls) == 1
+        ham.dy(y, p)
+        assert len(calls) == 1 + 2 * 2  # dy adds the potential at the 2d stencil points
 
     def test_layer_derives_geometry_once_per_point(self):
         dec = manifold.Decoder.mlp_tanh([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])

@@ -301,11 +301,6 @@ class TestRotationPortraits:
             assert len(por) == 51
             assert np.all(por.u >= 0)
 
-    def test_radius_range_validated(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="radius"):
-            experiments.rotation_portraits(5, 10, 0.05, rng, center=1.0, radius_range=(0.5, 2.0))
-
     def test_sampled_field_has_low_divergence(self):
         rng = np.random.default_rng(0)
         portraits = experiments.rotation_portraits(100, 120, 0.05, rng)

@@ -47,6 +47,12 @@ class TestEntropy:
             infophase.entropy(np.array([0.5, 0.5, 0.0])), np.log(2.0)
         )
 
+    def test_one_row_case_of_the_stack(self):
+        rng = np.random.default_rng(13)
+        for k in range(9, 65):
+            p = random_rows(rng, 1, k, zero_share=0.4)[0]
+            assert infophase.entropy(p) == infophase.portrait([p, p]).u[0]
+
     def test_sum_tolerance(self):
         infophase.entropy(np.array([0.5, 0.5 + 5e-10]))
         with pytest.raises(ValueError, match="sums to"):
@@ -144,17 +150,24 @@ class TestPortraitMatchesLoops:
             np.testing.assert_array_equal(por.u, u)
             np.testing.assert_array_equal(por.e, e)
 
-    def test_rows_with_zeros_within_8_ulp(self):
-        # a zero adds a 0 term to the row's sum that entropy leaves out, so the
-        # non-negative terms may be summed in another grouping: 3 ulp is the most seen
+    def test_rows_with_zeros_bit_equal(self):
         rng = np.random.default_rng(11)
         for k in range(2, 41):
             dists = random_rows(rng, 60, k, zero_share=0.4)
             por = infophase.portrait(dists, smoothing_window=5)
             u, e = loop_portrait(dists, 5)
-            assert np.all(np.abs(por.u - u) <= 8 * np.spacing(u))
-            # each raw effort is a difference of two entropies
-            assert np.all(np.abs(por.e - e) <= 16 * np.spacing(u.max()))
+            np.testing.assert_array_equal(por.u, u)
+            np.testing.assert_array_equal(por.e, e)
+
+    def test_ragged_row_leaves_earlier_rows_unchanged(self):
+        # the ragged row sends every row to the per-row path
+        rng = np.random.default_rng(12)
+        for k in (2, 9, 12, 33):
+            dists = random_rows(rng, 50, k, zero_share=0.4)
+            stacked = infophase.portrait(dists)
+            per_row = infophase.portrait([*dists, [0.5, 0.5, 0.0]])
+            np.testing.assert_array_equal(per_row.u[:-1], stacked.u)
+            np.testing.assert_array_equal(per_row.e[:-1], stacked.e)
 
     def test_ragged_rows(self):
         dists = [[0.5, 0.5], [1.0], [0.2, 0.3, 0.5], [0.25, 0.25, 0.25, 0.25]]

@@ -233,6 +233,47 @@ class TestDecoderIo:
         assert 1 <= int(named.group(1)) <= len(lines)
 
 
+def _decoder_file(tmp_path, text):
+    path = tmp_path / "dec.txt"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: manifold.Decoder.linear(np.ones(3)), "linear decoder needs a 2-d matrix"),
+        (lambda tmp: manifold.Decoder.linear(np.ones((3, 2)), np.zeros(2)), "offset must have length 3"),
+        (lambda tmp: manifold.Decoder.mlp_tanh([], []), "need matching, non-empty weight and bias lists"),
+        (
+            lambda tmp: manifold.Decoder.mlp_tanh([np.ones((3, 2))], [np.zeros(2)]),
+            "each layer needs a matrix and a matching bias vector",
+        ),
+        (lambda tmp: manifold.Decoder.custom(lambda y: y, 0, 1), "latent dimension must be >= 1"),
+        (
+            lambda tmp: manifold.load_decoder(_decoder_file(tmp, "# no weights\n\n")),
+            "decoder file must start with a 'decoder <kind>' line",
+        ),
+        (
+            lambda tmp: manifold.load_decoder(_decoder_file(tmp, "decoder linear\nlayer 2 2\n1 0 0\n0 1 0\n0 0\n")),
+            "line 2: layer block does not match its declared shape",
+        ),
+    ],
+    ids=[
+        "linear-1d-matrix",
+        "linear-wrong-offset",
+        "mlp-empty-lists",
+        "mlp-bad-bias",
+        "custom-zero-latent",
+        "load-comments-only",
+        "load-wrong-width-row",
+    ],
+)
+def test_guard_message(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+
+
 class TestMetricField:
     def test_metric_formula(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
@@ -568,6 +609,27 @@ class TestShooting:
             manifold.solve_shooting(
                 mf, np.zeros(2), np.array([0.9, 0.4]), n_steps=8, max_iter=0
             )
+
+    @staticmethod
+    def flat_field():
+        return manifold.MetricField(manifold.Decoder.linear([[2, 0.3], [0.1, 1], [0.5, -0.4]]), eps_reg=0)
+
+    def test_flat_guess_within_tol_is_returned_without_iterating(self):
+        # on a flat metric the flat-chart guess G(y_a)(y_b - y_a) is the geodesic's momentum
+        p = manifold.solve_shooting(self.flat_field(), np.zeros(2), np.array([0.9, 0.4]), max_iter=0)
+        np.testing.assert_array_equal(p, [4.034, 0.95])
+
+    def test_steps_that_raise_the_residual_are_rejected(self):
+        # tol 0 cannot be met at rounding level, so every iteration tries a step;
+        # a rejected step keeps the residual, and the history never rises
+        with pytest.raises(manifold.ShootingError, match="no convergence after 5 iterations") as info:
+            manifold.solve_shooting(self.flat_field(), np.zeros(2), np.array([0.9, 0.4]), tol=0.0, max_iter=5)
+        residuals = info.value.residuals
+        assert len(residuals) == 6
+        assert 0.0 < residuals[-1] <= 1e-15
+        assert all(later <= earlier for earlier, later in zip(residuals, residuals[1:]))
+        assert any(later == earlier for earlier, later in zip(residuals, residuals[1:]))
+        np.testing.assert_allclose(info.value.p, [4.034, 0.95], rtol=1e-15)
 
     @pytest.mark.parametrize(
         "y_a,y_b,message",

@@ -638,3 +638,25 @@ class TestGraphIo:
         assert lines[1] == "0,0,"
         assert lines[2] == "1,2,0"
         assert lines[3] == "2,inf,"
+
+
+def _graph_file(tmp_path, text):
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: planner.shortest_path(TestShortestPath.overflow_graph(), 0, 4), ValueError,
+         "target 4 is not a node index"),
+        (lambda tmp: planner.build_ndm_graph([], ("knn", 1), l1_cost), ValueError, "need at least one sample"),
+        (lambda tmp: planner.load_graph(_graph_file(tmp, "# nodes\nn -1\n")), planner.GraphFormatError,
+         "line 2: negative node count"),
+    ],
+    ids=["shortest-path-target-out-of-range", "build-no-samples", "load-negative-count"],
+)
+def test_guard_message(tmp_path, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(tmp_path)

@@ -1,5 +1,7 @@
 """Tests for spin energies, Gibbs attention, and micro updates."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -59,6 +61,11 @@ class TestSpinValidation:
         with pytest.raises(ValueError, match="i < j < k"):
             spins.SpinSystem(np.eye(3), np.zeros((3, 3)), three_body=[(0, 2, 1, 1.0)])
 
+    def test_one_spin_shapes(self):
+        assert spins.Spin(np.array([0.6, 0.8])).dim == 2
+        system = spins.SpinSystem(np.array([0.6, 0.8]), np.zeros((1, 1)))
+        assert (system.n_spins, system.dim) == (1, 2)
+
     # a NaN norm compares False against any tolerance, so it must fail the check, not pass it
     @pytest.mark.parametrize(
         "vec",
@@ -102,13 +109,6 @@ class TestAttentionCouplings:
         k = np.array([[2.0, 0.0], [0.0, 3.0]])
         j = spins.attention_couplings(q, k)
         np.testing.assert_allclose(j, np.array([[2.0, 0.0], [0.0, 3.0]]) / np.sqrt(2.0))
-
-    def test_symmetrize_flag(self):
-        rng = np.random.default_rng(0)
-        q = rng.normal(size=(4, 3))
-        k = rng.normal(size=(4, 3))
-        j = spins.attention_couplings(q, k, symmetrize=True)
-        np.testing.assert_allclose(j, j.T)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -494,6 +494,13 @@ class TestBatchedFfn:
             spins.micro_step(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), spins.BathParams(gamma=1.0))
         assert str(step_err.value) == "neuron 0 collapsed to norm 0.0 during micro step"
 
+    def test_collapse_bound_is_strict(self):
+        # a target of norm exactly 1e-12 is kept, as micro_step keeps such a spin
+        bath = spins.BathParams(eta_ff=1.0, W1=np.zeros((2, 2)), W2=np.zeros((2, 2)))
+        np.testing.assert_array_equal(spins.ffn_target(np.array([1e-12, 0.0]), bath), [1.0, 0.0])
+        with pytest.raises(ValueError, match="collapsed to norm 9.9"):
+            spins.ffn_target(np.array([9.9e-13, 0.0]), bath)
+
 
 class TestSpinIo:
     def test_round_trip_exact(self, tmp_path):
@@ -555,3 +562,38 @@ class TestSpinIo:
         out = spins.load_spin_matrix(p)
         assert out.shape == s.shape
         assert out.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: spins.Spin(np.eye(2)), "a spin is a 1-d vector"),
+        (lambda: spins.SpinSystem(np.ones((1, 1, 1)), np.zeros((1, 1))), "spins must form an (N, d) matrix"),
+        (lambda: spins.SynapseKernel(np.float64(1.0)), "kernel taps need at least one lag axis"),
+        (lambda: spins.SynapseKernel(np.array([1.0, np.nan])), "kernel taps must be finite"),
+        (lambda: spins.gibbs_attention(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), 2, 1.0), "spin index 2 out of range"),
+        (lambda: spins.head_output(np.ones(2), np.ones((3, 2))), "got 2 weights for 3 values"),
+        (lambda: spins.ctm_couplings(np.zeros((2, 2)), np.zeros((2, 2)), 0.5), "spin history must be (T, N, d)"),
+        (lambda: spins.ctm_couplings(np.zeros((3, 3)), np.zeros((1, 2, 2)), 0.5), "influence must be (2, 2), got (3, 3)"),
+        (lambda: spins.ctm_couplings(np.zeros((2, 2)), np.zeros((0, 2, 2)), 0.5), "spin history needs at least one tick"),
+        (
+            lambda: spins.ffn_target(np.array([1.0, 0.0]), spins.BathParams(eta_ff=1.0)),
+            "the feed-forward target needs W1 and W2 on the bath",
+        ),
+    ],
+    ids=[
+        "spin-2d",
+        "system-3d",
+        "kernel-scalar",
+        "kernel-non-finite",
+        "gibbs-index-out-of-range",
+        "head-output-length-mismatch",
+        "ctm-history-not-3d",
+        "ctm-influence-shape",
+        "ctm-no-ticks",
+        "ffn-without-weights",
+    ],
+)
+def test_guard_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
