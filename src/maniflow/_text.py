@@ -1,4 +1,8 @@
-"""Conventions shared by maniflow's plain-text formats."""
+"""Conventions shared by maniflow's plain-text formats.
+
+Reals a reader sees carry 10 significant digits (``fmt``); reals in a file
+that is read back carry 17 (``exact_row``), so they round-trip exactly.
+"""
 
 
 class FormatError(ValueError):
@@ -31,6 +35,11 @@ def write(path, text) -> None:
 def fmt(x: float) -> str:
     """Reals in text outputs carry 10 significant digits."""
     return f"{x:.10g}"
+
+
+def exact_row(values) -> str:
+    """One space-joined row of reals, each with the 17 significant digits that round-trip a float."""
+    return " ".join(f"{v:.17g}" for v in values)
 
 
 def csv(header, rows) -> str:

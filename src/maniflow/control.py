@@ -13,6 +13,7 @@ advance phase points by one leapfrog step of the reduced Hamiltonian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -53,7 +54,7 @@ class CostSpec:
     terminal: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not 0 <= self.lam < math.inf:
             raise ValueError(f"workspace weight lam must be >= 0, got {self.lam!r}")
 
     def potential(self, z: np.ndarray, ws_state=None) -> float:
@@ -183,7 +184,7 @@ def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj, ws_state=No
     total = 0.0
     for k in range(len(entries) - 1):
         dt = float(entries[k][2])
-        if not dt > 0:
+        if not 0 < dt < math.inf:
             raise ValueError(f"segment {k} has non-positive dt {dt!r}")
         total += 0.5 * dt * (costs[k] + costs[k + 1])
     if cost.terminal is not None:

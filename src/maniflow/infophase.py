@@ -77,7 +77,7 @@ def entropy(dist) -> float:
 
 @dataclass
 class PhasePortrait:
-    """Paired entropy and effort series of equal length with u >= 0."""
+    """Paired entropy and effort series of equal length, finite, with u >= 0."""
 
     u: np.ndarray
     e: np.ndarray
@@ -87,6 +87,8 @@ class PhasePortrait:
         e = np.asarray(self.e, dtype=float)
         if u.shape != e.shape or u.ndim != 1:
             raise ValueError("u and e must be 1-d arrays of equal length")
+        if not (np.isfinite(u).all() and np.isfinite(e).all()):
+            raise ValueError("entropy and effort series must be finite")
         if np.any(u < 0):
             raise ValueError("entropy series must be non-negative")
         self.u = u

@@ -273,8 +273,8 @@ def save_decoder(decoder: Decoder, path) -> None:
     rows = [f"decoder {decoder.kind}"]
     for w, b in decoder.layers:
         rows.append(f"layer {w.shape[0]} {w.shape[1]}")
-        rows += [" ".join(f"{v:.17g}" for v in row) for row in w]
-        rows.append(" ".join(f"{v:.17g}" for v in b))
+        rows += [_text.exact_row(row) for row in w]
+        rows.append(_text.exact_row(b))
     _text.write(path, rows)
 
 
@@ -371,7 +371,7 @@ class MetricField:
     eps_reg: float = 1e-8
 
     def __post_init__(self):
-        if self.eps_reg < 0:
+        if not 0 <= self.eps_reg < math.inf:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg!r}")
 
     def _metric(self, jac: np.ndarray) -> np.ndarray:
@@ -697,22 +697,21 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
     return out
 
 
-def empirical_deviations(
-    hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: float, n_steps: int, eps: float = 1e-5
-) -> np.ndarray:
-    """Deviation oracle: difference the runs from one point pt0 and from pt0 + eps * delta0, as one stack."""
+_DEVIATION_SHIFT = 1e-5
+
+
+def empirical_deviations(hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """Deviation oracle: difference the runs from one point pt0 and from pt0 + 1e-5 delta0, as one stack."""
     delta0 = np.asarray(delta0, dtype=float)
     d = pt0.dim
     if pt0.y.shape != (d,):
         raise ValueError(f"pt0 must be one phase point of shape ({d},), got shape {pt0.y.shape}")
     if delta0.shape != (2 * d,):
         raise ValueError(f"delta0 must have shape ({2 * d},), got {delta0.shape}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    y = np.stack([pt0.y, pt0.y + eps * delta0[:d]])
-    p = np.stack([pt0.p, pt0.p + eps * delta0[d:]])
+    y = np.stack([pt0.y, pt0.y + _DEVIATION_SHIFT * delta0[:d]])
+    p = np.stack([pt0.p, pt0.p + _DEVIATION_SHIFT * delta0[d:]])
     ys, ps, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
-    return np.concatenate([ys[:, 1] - ys[:, 0], ps[:, 1] - ps[:, 0]], axis=1) / eps
+    return np.concatenate([ys[:, 1] - ys[:, 0], ps[:, 1] - ps[:, 0]], axis=1) / _DEVIATION_SHIFT
 
 
 # ---------------------------------------------------------------------------

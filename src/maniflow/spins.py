@@ -1,7 +1,8 @@
 """Spin-lattice energies, Gibbs attention, and bath-driven micro updates.
 
 A configuration is N unit-norm spins in R^d coupled pairwise by a real
-matrix J and optionally by sparse three-spin terms.  The pair Hamiltonian
+matrix J and optionally by sparse three-spin terms, each scored by the
+symmetric form ``default_triple_product``.  The pair Hamiltonian
 
     H = - sum_{i<j} J~_ij (s_i . s_j) - sum_i h_i . s_i
 
@@ -12,6 +13,9 @@ and its analytic gradient -sum_{j != i} J~_ij s_j - h_i are written on
 one pair field J~ @ s, so the gradient is the derivative of the energy
 even when a raw asymmetric J is supplied.  Read-outs that act on directed
 bonds (``bond_energies``, ``gibbs_attention``) use the raw rows of J.
+Every number a ``micro_step`` or ``gibbs_attention`` reads must be finite,
+and neither returns a NaN: a non-finite input or result raises
+``ValueError``.
 
 Spin matrices serialise to plain text, one whitespace-separated row per
 spin (see ``save_spin_matrix``).
@@ -22,7 +26,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -153,7 +156,8 @@ class BathParams:
     gamma may be a scalar or a per-neuron array.  W1/W2/b1/b2 define the
     feed-forward map and are only required when eta_ff != 0.  W1 may carry
     extra trailing columns that consume an external drive vector appended
-    to each spin.
+    to each spin.  Every parameter given must be finite; a NaN or inf one
+    raises ``ValueError`` naming it.
     """
 
     eta: float = 0.0
@@ -168,6 +172,10 @@ class BathParams:
     def __post_init__(self):
         if self.nonlinearity not in ("tanh", "gelu"):
             raise ValueError(f"nonlinearity must be 'tanh' or 'gelu', got {self.nonlinearity!r}")
+        for name in ("eta", "eta_ff", "gamma", "W1", "W2", "b1", "b2"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ValueError(f"{name} must be finite")
 
 
 _erf = np.vectorize(math.erf, otypes=[float])
@@ -228,28 +236,13 @@ def default_triple_product(si: np.ndarray, sj: np.ndarray, sk: np.ndarray) -> fl
     ca = float(sk @ si)
     return ab * bc + bc * ca + ca * ab
 
-def _check_symmetric_form(f: Callable, dim: int, trials: int = 3) -> None:
-    rng = np.random.default_rng(1234)
-    for _ in range(trials):
-        v = rng.normal(size=(3, dim))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        base = f(v[0], v[1], v[2])
-        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            other = f(v[perm[0]], v[perm[1]], v[perm[2]])
-            if abs(other - base) > 1e-10 * max(1.0, abs(base)):
-                raise ValueError("three-body form is not symmetric under spin permutations")
 
-
-def three_body_energy(system: SpinSystem, f: Callable | None = None) -> float:
-    """H3 = -sum_{i<j<k} K_ijk f(s_i, s_j, s_k) over the sparse triple list."""
-    if f is None:
-        f = default_triple_product
-    else:
-        _check_symmetric_form(f, system.dim)
+def three_body_energy(system: SpinSystem) -> float:
+    """H3 = -sum_{i<j<k} K_ijk f(s_i, s_j, s_k) over the sparse triple list, f = ``default_triple_product``."""
     s = system.spins
     total = 0.0
     for i, j, k, strength in system.three_body:
-        total -= strength * f(s[i], s[j], s[k])
+        total -= strength * default_triple_product(s[i], s[j], s[k])
     return float(total)
 
 
@@ -265,18 +258,25 @@ def gibbs_attention(system: SpinSystem, i: int, beta: float) -> np.ndarray:
     """Boltzmann weights over neighbours j != i of bond energies at inverse temperature beta.
 
     Returns a length-N vector with weight 0 at position i; computed with
-    max subtraction so large |beta E| stays finite.
+    max subtraction so large |beta E| stays finite.  Only the j != i
+    energies are scaled by beta.  A non-finite beta, or a finite one that
+    scales a bond energy past the float range, raises ``ValueError``.
     """
     n = system.n_spins
     if not 0 <= i < n:
         raise ValueError(f"spin index {i} out of range")
     if n < 2:
         raise ValueError("gibbs attention needs at least two spins (no j != i otherwise)")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     e_row = -system.couplings[i] * (system.spins @ system.spins[i])
-    logits = -beta * e_row
     mask = np.ones(n, dtype=bool)
     mask[i] = False
-    shifted = logits[mask] - np.max(logits[mask])
+    with np.errstate(over="ignore"):
+        logits = -beta * e_row[mask]
+    if not np.isfinite(logits).all():
+        raise ValueError(f"beta {beta!r} scales a bond energy of spin {i} past the float range")
+    shifted = logits - np.max(logits)
     w = np.exp(shifted)
     out = np.zeros(n)
     out[mask] = w / np.sum(w)
@@ -319,12 +319,14 @@ def ctm_couplings(influence: np.ndarray, spin_history: np.ndarray, alpha: float)
 
 
 def _unit_rows(rows: np.ndarray, message: str) -> np.ndarray:
-    """rows scaled to norm 1; ValueError(message.format(i=..., norm=...)) names the first row of norm below 1e-12."""
+    """rows scaled to norm 1; ValueError(message.format(i=..., state=...)) names the first row whose norm is below 1e-12 or not finite."""
     norms = np.linalg.norm(rows, axis=1)
-    collapsed = np.flatnonzero(norms < _COLLAPSE_TOL)
-    if collapsed.size:
-        i = collapsed[0]
-        raise ValueError(message.format(i=i, norm=float(norms[i])))
+    ok = (norms >= _COLLAPSE_TOL) & np.isfinite(norms)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        norm = float(norms[i])
+        state = f"collapsed to norm {norm!r}" if norm < _COLLAPSE_TOL else f"has norm {norm!r}"
+        raise ValueError(message.format(i=i, state=state))
     return rows / norms[:, None]
 
 
@@ -342,7 +344,7 @@ def _ffn_targets(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = Non
     t = h + _apply_nonlinearity(u, bath.nonlinearity) @ bath.W2.T
     if bath.b2 is not None:
         t = t + bath.b2
-    return _unit_rows(t, "feed-forward target of neuron {i} collapsed to norm {norm!r}; cannot normalise")
+    return _unit_rows(t, "feed-forward target of neuron {i} {state}; cannot normalise")
 
 
 def ffn_target(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None) -> np.ndarray:
@@ -368,27 +370,27 @@ def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = 
 
     with t_i the feed-forward target of s_i; the N targets are one batch
     of matrix products.  Raises when a target or an updated spin collapses
-    below norm 1e-12, naming the neuron.
+    below norm 1e-12 or has a non-finite norm, naming the neuron.
     """
     s = system.spins
-    update = s  # every update below is out of place, so s is never written
-    if bath.eta != 0.0:
-        update = update - bath.eta * energy_gradient(system)
-    if bath.eta_ff != 0.0:
-        targets = _ffn_targets(s, bath, x_ext)
-        update = update + bath.eta_ff * (targets - s)
     gamma = np.asarray(bath.gamma, dtype=float)
-    if gamma.ndim == 0:
-        update = update - float(gamma) * s
-    else:
-        if gamma.shape != (system.n_spins,):
-            raise ValueError(f"gamma must be scalar or length {system.n_spins}")
-        update = update - gamma[:, None] * s
+    if gamma.shape not in ((), (system.n_spins,)):
+        raise ValueError(f"gamma must be scalar or length {system.n_spins}")
+    # an overflow leaves a row of non-finite norm, which _unit_rows rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        update = s  # every update below is out of place, so s is never written
+        if bath.eta != 0.0:
+            update = update - bath.eta * energy_gradient(system)
+        if bath.eta_ff != 0.0:
+            targets = _ffn_targets(s, bath, x_ext)
+            update = update + bath.eta_ff * (targets - s)
+        update = update - gamma[..., None] * s
+        new_spins = _unit_rows(update, "neuron {i} {state} during micro step")
     # the couplings and fields are the checked ones and each row has norm 1
     # by construction, so the successor skips SpinSystem's validation and
     # shares its input's J~
     successor = copy.copy(system)
-    successor.spins = _unit_rows(update, "neuron {i} collapsed to norm {norm!r} during micro step")
+    successor.spins = new_spins
     successor.three_body = list(system.three_body)
     return successor
 
@@ -398,7 +400,7 @@ def save_spin_matrix(path, spins: np.ndarray) -> None:
     rows = np.atleast_2d(np.asarray(spins, dtype=float))
     if rows.ndim != 2:
         raise ValueError(f"expected a 1-d or 2-d spin array, got shape {rows.shape}")
-    _text.write(path, [" ".join(f"{v:.17g}" for v in row) for row in rows])
+    _text.write(path, [_text.exact_row(row) for row in rows])
 
 
 def load_spin_matrix(path) -> np.ndarray:

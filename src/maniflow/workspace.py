@@ -24,6 +24,7 @@ Text format (``#`` starts a comment)::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -92,6 +93,18 @@ class WorkspaceEdge:
     t: float | None = None
 
 
+def _edge(record) -> WorkspaceEdge:
+    """The edge of a ``(kind, src, dst[, t])`` record; ValueError names a record of another length or a non-finite t."""
+    if len(record) not in (3, 4):
+        raise ValueError(f"edge record {tuple(record)!r} must be (kind, src, dst[, t])")
+    kind, src, dst, t = (*record, None)[:4]
+    if t is not None:
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"edge record {tuple(record)!r}: t must be finite, got {t!r}")
+    return WorkspaceEdge(EdgeKind(kind), src, dst, t)
+
+
 class WorkspaceGraph:
     """Single-writer typed graph; freeze() makes it immutable."""
 
@@ -113,8 +126,7 @@ class WorkspaceGraph:
 
     def add_edge(self, kind: EdgeKind | str, src: str, dst: str, t: float | None = None) -> None:
         self._writable()
-        kind = EdgeKind(kind)
-        edge = WorkspaceEdge(kind, src, dst, None if t is None else float(t))
+        edge = _edge((kind, src, dst, t))
         self._validate_edge(edge)
         self.edges.append(edge)
 
@@ -134,16 +146,14 @@ class WorkspaceGraph:
         """Reconcile extracted proposals: node identity is last-write-wins.
 
         ``nodes`` holds (id, kind, label) triples; ``edges`` holds
-        (kind, src, dst[, t]) records.  All edges (existing and proposed)
-        are re-validated against the merged node kinds.
+        (kind, src, dst[, t]) records; a malformed one raises before any
+        edge is added.  All edges (existing and proposed) are re-validated
+        against the merged node kinds.
         """
         self._writable()
         for node_id, kind, label in nodes:
             self.nodes[node_id] = WorkspaceNode(node_id, NodeKind(kind), label)
-        for record in edges:
-            kind, src, dst = record[0], record[1], record[2]
-            t = float(record[3]) if len(record) > 3 and record[3] is not None else None
-            self.edges.append(WorkspaceEdge(EdgeKind(kind), src, dst, t))
+        self.edges += [_edge(record) for record in edges]
         for edge in self.edges:
             self._validate_edge(edge)
 
@@ -154,7 +164,7 @@ class WorkspaceGraph:
 
 @dataclass(frozen=True)
 class Fact:
-    """A scored assertion: opaque key, binary truth target, weight >= 0."""
+    """A scored assertion: opaque key, binary truth target, finite weight >= 0."""
 
     key: object
     truth: int
@@ -163,7 +173,7 @@ class Fact:
     def __post_init__(self):
         if self.truth not in (0, 1):
             raise ValueError(f"fact truth must be 0 or 1, got {self.truth!r}")
-        if self.weight < 0:
+        if not 0 <= self.weight < math.inf:
             raise ValueError(f"fact weight must be >= 0, got {self.weight!r}")
 
 
@@ -227,7 +237,7 @@ def episodic_edge_weight(
         "gamma": gamma,
     }
     for name, v in values.items():
-        if float(v) < 0:
+        if not 0 <= float(v) < math.inf:
             raise ValueError(f"{name} must be >= 0, got {v!r}")
     return float(alpha) * float(delta_t) + float(beta) * float(jump) + float(gamma) * float(uncertainty)
 

@@ -33,6 +33,11 @@ class TestCostSpec:
         with pytest.raises(ValueError, match="lam"):
             control.CostSpec(task_cost=lambda z: 0.0, lam=-0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match=f"^workspace weight lam must be >= 0, got {lam!r}$"):
+            control.CostSpec(task_cost=lambda z: 0.0, lam=lam)
+
 
 class TestValueFunction:
     def test_analytic_gradient_used(self):
@@ -244,6 +249,12 @@ class TestTrajectoryCost:
         ]
         with pytest.raises(ValueError, match="segment 1"):
             control.trajectory_cost(mf, quad_cost(), traj)
+
+    @pytest.mark.parametrize("cost", [quad_cost(), control.CostSpec(task_cost=lambda z: 0.0)], ids=["inf", "inf-times-zero"])
+    def test_infinite_dt_rejected(self, cost):
+        traj = [(np.array([0.0]), np.array([0.0]), np.inf), (np.array([1.0]), np.array([0.0]), 0.5)]
+        with pytest.raises(ValueError, match="^segment 0 has non-positive dt inf$"):
+            control.trajectory_cost(identity_field(), cost, traj)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError, match="record"):

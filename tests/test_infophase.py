@@ -119,6 +119,15 @@ class TestPortrait:
         with pytest.raises(ValueError, match="equal length"):
             infophase.PhasePortrait(u=np.array([0.1]), e=np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "u, e",
+        [([0.1, np.nan], [0.0, 0.0]), ([0.1, np.inf], [0.0, 0.0]), ([0.1, 0.2], [np.nan, 0.0]), ([0.1, 0.2], [0.0, -np.inf])],
+        ids=["u-nan", "u-inf", "e-nan", "e-minus-inf"],
+    )
+    def test_non_finite_series_rejected(self, u, e):
+        with pytest.raises(ValueError, match="^entropy and effort series must be finite$"):
+            infophase.PhasePortrait(u=np.array(u), e=np.array(e))
+
 
 def loop_portrait(dists, window):
     """The portrait as one ``entropy`` call per row and one ``np.mean`` per element."""

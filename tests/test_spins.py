@@ -170,12 +170,6 @@ class TestEnergies:
         # f = 1*1 + 1*1 + 1*1 = 3, energy = -K f
         np.testing.assert_allclose(spins.three_body_energy(sys1), -6.0)
 
-    def test_three_body_rejects_asymmetric_form(self):
-        sys0 = spins.SpinSystem(np.eye(3), np.zeros((3, 3)), three_body=[(0, 1, 2, 1.0)])
-        bad = lambda a, b, c: float(a @ b)  # ignores c: not permutation symmetric
-        with pytest.raises(ValueError, match="symmetric"):
-            spins.three_body_energy(sys0, f=bad)
-
     def test_bond_energies_use_raw_couplings(self):
         rng = np.random.default_rng(2)
         s = unit_spins(rng, 3, 2)
@@ -209,6 +203,39 @@ class TestGibbsAttention:
         pi = spins.gibbs_attention(sys0, 0, beta=100.0)
         assert np.isfinite(pi).all()
         np.testing.assert_allclose(np.sum(pi), 1.0, atol=1e-12)
+
+    def test_weights_are_the_full_row_softmax(self):
+        # scaling only the j != i entries leaves every weight's bits as they
+        # were when the whole row, self term included, was scaled
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            n, d = int(rng.integers(2, 10)), int(rng.integers(1, 5))
+            sys0 = spins.SpinSystem(unit_spins(rng, n, d), rng.normal(size=(n, n)) * rng.uniform(0.1, 50.0))
+            beta = float(rng.uniform(-5.0, 100.0))
+            i = int(rng.integers(0, n))
+            logits = -beta * (-sys0.couplings[i] * (sys0.spins @ sys0.spins[i]))
+            mask = np.arange(n) != i
+            w = np.exp(logits[mask] - np.max(logits[mask]))
+            want = np.zeros(n)
+            want[mask] = w / np.sum(w)
+            assert spins.gibbs_attention(sys0, i, beta).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_beta_rejected(self, beta):
+        sys0 = spins.SpinSystem(np.eye(3), np.ones((3, 3)))
+        with pytest.raises(ValueError, match=f"^beta must be finite, got {beta!r}$"):
+            spins.gibbs_attention(sys0, 0, beta)
+
+    def test_huge_beta_on_orthonormal_spins(self):
+        # every j != i bond energy is 0; only the self term, which is not
+        # scaled, would overflow
+        sys0 = spins.SpinSystem(np.eye(3), np.full((3, 3), 10.0))
+        np.testing.assert_array_equal(spins.gibbs_attention(sys0, 0, 1e308), [0.0, 0.5, 0.5])
+
+    def test_scaled_energy_past_float_range_rejected(self):
+        sys0 = spins.SpinSystem(np.tile([1.0, 0.0], (3, 1)), np.full((3, 3), 10.0))
+        with pytest.raises(ValueError, match="^beta 1e\\+308 scales a bond energy of spin 1 past the float range$"):
+            spins.gibbs_attention(sys0, 1, 1e308)
 
     def test_single_spin_rejected(self):
         sys0 = spins.SpinSystem(np.array([[1.0, 0.0]]), np.zeros((1, 1)))
@@ -299,6 +326,35 @@ class TestFfnTarget:
         with pytest.raises(ValueError, match="collapsed"):
             spins.ffn_target(np.array([1.0, 0.0]), bath)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("eta", np.nan),
+            ("eta", np.inf),
+            ("eta_ff", np.nan),
+            ("eta_ff", -np.inf),
+            ("gamma", np.nan),
+            ("gamma", np.array([0.1, np.nan])),
+            ("W1", np.array([[1.0, np.nan]])),
+            ("W2", np.array([[np.inf], [0.0]])),
+            ("b1", np.array([np.nan])),
+            ("b2", np.array([0.0, -np.inf])),
+        ],
+        ids=["eta-nan", "eta-inf", "eta_ff-nan", "eta_ff-minus-inf", "gamma-nan", "gamma-per-neuron-nan", "W1", "W2", "b1", "b2"],
+    )
+    def test_non_finite_parameter_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            spins.BathParams(**{name: value})
+
+    def test_non_finite_drive_rejected(self):
+        bath = spins.BathParams(eta_ff=0.5, W1=np.ones((2, 3)), W2=np.ones((2, 2)))
+        sys0 = spins.SpinSystem(np.eye(2), np.zeros((2, 2)))
+        message = "^feed-forward target of neuron 0 has norm nan; cannot normalise$"
+        with pytest.raises(ValueError, match=message):
+            spins.micro_step(sys0, bath, x_ext=np.array([np.nan]))
+        with pytest.raises(ValueError, match=message):
+            spins.ffn_target(np.array([1.0, 0.0]), bath, x_ext=np.array([np.nan]))
+
     def test_unknown_nonlinearity(self):
         with pytest.raises(ValueError, match="nonlinearity"):
             spins.BathParams(nonlinearity="relu")
@@ -344,6 +400,57 @@ class TestMicroStep:
         bath = spins.BathParams(gamma=np.array([0.5, 0.9, 0.1]))
         with pytest.raises(ValueError, match="gamma"):
             spins.micro_step(sys0, bath)
+
+    def test_non_finite_spin_named(self):
+        # a bath changed after it was checked: the normaliser still refuses
+        sys0 = spins.SpinSystem(np.eye(2), np.zeros((2, 2)))
+        bath = spins.BathParams()
+        bath.gamma = np.array([0.0, np.nan])
+        with pytest.raises(ValueError, match="^neuron 1 has norm nan during micro step$"):
+            spins.micro_step(sys0, bath)
+
+    def test_overflow_named_without_warning(self):
+        sys0 = spins.SpinSystem(np.eye(2), np.full((2, 2), 1e300))
+        with pytest.raises(ValueError, match="^neuron 0 has norm inf during micro step$"):
+            spins.micro_step(sys0, spins.BathParams(eta=1e300))
+
+    @given(
+        n=st.integers(1, 4),
+        d=st.integers(1, 3),
+        hidden=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        scalars=st.tuples(st.floats(), st.floats(), st.floats()),
+        data=st.data(),
+    )
+    def test_finite_unit_rows_or_value_error(self, n, d, hidden, seed, scalars, data):
+        rng = np.random.default_rng(seed)
+        sys0 = spins.SpinSystem(unit_spins(rng, n, d), rng.normal(size=(n, n)), rng.normal(size=(n, d)))
+        eta, eta_ff, gamma = scalars
+        if data.draw(st.booleans()):
+            gamma = data.draw(arrays(np.float64, n))
+        ext = data.draw(st.integers(0, 2))
+        weights = dict(
+            W1=data.draw(arrays(np.float64, (hidden, d + ext))),
+            W2=data.draw(arrays(np.float64, (d, hidden))),
+            b1=data.draw(arrays(np.float64, hidden)),
+            b2=data.draw(arrays(np.float64, d)),
+        )
+        x_ext = data.draw(arrays(np.float64, ext)) if ext else None
+        try:
+            out = spins.micro_step(sys0, spins.BathParams(eta, eta_ff, gamma, **weights), x_ext)
+        except ValueError:
+            return
+        assert np.isfinite(out.spins).all()
+        np.testing.assert_allclose(np.linalg.norm(out.spins, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_leak_is_one_expression(self):
+        # a scalar and a per-neuron gamma of equal values give the same bits
+        rng = np.random.default_rng(33)
+        sys0 = spins.SpinSystem(unit_spins(rng, 256, 32), rng.normal(size=(256, 256)))
+        for gamma in (0.0, 0.01, 0.3, -0.2, 0.999):
+            scalar = spins.micro_step(sys0, spins.BathParams(eta=0.05, gamma=gamma))
+            per_neuron = spins.micro_step(sys0, spins.BathParams(eta=0.05, gamma=np.full(256, gamma)))
+            assert scalar.spins.tobytes() == per_neuron.spins.tobytes()
 
     def test_feed_forward_nudge_moves_toward_target(self):
         rng = np.random.default_rng(30)

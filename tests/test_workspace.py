@@ -93,6 +93,31 @@ class TestFreezeAndMerge:
         assert ws.edges[0].t == 0.5
         assert ws.edges[1].t is None
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (("temporal", "S1"), "edge record ('temporal', 'S1') must be (kind, src, dst[, t])"),
+            (("temporal", "S1", "S2", 0.5, "extra"), "edge record ('temporal', 'S1', 'S2', 0.5, 'extra') must be (kind, src, dst[, t])"),
+            (("temporal", "S1", "S2", float("nan")), "edge record ('temporal', 'S1', 'S2', nan): t must be finite, got nan"),
+            (("temporal", "S1", "S2", float("inf")), "edge record ('temporal', 'S1', 'S2', inf): t must be finite, got inf"),
+        ],
+        ids=["two-fields", "five-fields", "t-nan", "t-inf"],
+    )
+    def test_malformed_record_named(self, record, message):
+        ws = small_graph()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ws.merge_proposals(edges=[record])
+        assert ws.edges == []
+        if len(record) == 4:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ws.add_edge(*record)
+
+    def test_non_finite_time_in_file_names_its_line(self, tmp_path):
+        p = tmp_path / "episode.txt"
+        p.write_text("node S1 state a\nnode S2 state b\nedge temporal S1 S2 t=nan\n")
+        with pytest.raises(ValueError, match="^line 3: edge record .*t must be finite, got nan$"):
+            workspace.load_workspace(p)
+
     def test_merge_revalidates_existing_edges(self):
         ws = small_graph()
         ws.add_edge("causal", "E1", "E2")
@@ -132,6 +157,11 @@ class TestFactLoss:
             Fact("k", 2)
         with pytest.raises(ValueError, match="weight"):
             Fact("k", 1, weight=-1.0)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match=f"^fact weight must be >= 0, got {weight!r}$"):
+            Fact("k", 1, weight=weight)
 
 
 class TestGeoLoss:
@@ -181,6 +211,11 @@ class TestEdgeWeight:
     def test_negative_inputs_named(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             workspace.episodic_edge_weight(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_input_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^delta_t must be >= 0, got {value!r}$"):
+            workspace.episodic_edge_weight(value, 0.0, 0.0, alpha=1.0, beta=0.0, gamma=0.0)
 
 
 class TestLowering:
