@@ -212,7 +212,7 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         _load("experiments")
         rng = np.random.default_rng(opts["seed"])
         portraits = experiments.rotation_portraits(_PHASE_PORTRAITS, opts["steps"], opts["dt"], rng)
-    field = infophase.empirical_field(portraits, _FIELD_BINS, _FIELD_BINS)
+    field = infophase.empirical_field(portraits, _FIELD_BINS)
     try:
         report = [f"divergence_score: {fmt(infophase.divergence_score(field))}"]
     except infophase.DegenerateFieldError as exc:

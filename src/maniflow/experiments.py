@@ -51,6 +51,7 @@ __all__ = [
     "path_metrics",
     "quadratic_value",
     "toy1_run",
+    "contraction_path",
     "toy2_run",
     "OscillatorReport",
     "HarmonicOscillator",
@@ -210,6 +211,7 @@ def toy1_run(decoder: ToyDecoder | None = None) -> dict[str, PathMetrics]:
 
 
 def contraction_path(start: float, ratio: float, ticks: int) -> tuple[float, ...]:
+    """start, start * ratio, ... over ``ticks`` multiplications, each term the previous one times ratio."""
     out = [float(start)]
     for _ in range(int(ticks)):
         out.append(out[-1] * ratio)

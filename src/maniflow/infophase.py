@@ -193,11 +193,17 @@ def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, edges.shape[0] - 2)
 
 
-def empirical_field(portraits, bins_u: int, bins_e: int) -> GridField:
-    """Bin per-step (du, de) displacements by their start point and average."""
-    bins_u, bins_e = int(bins_u), int(bins_e)
-    if bins_u < 1 or bins_e < 1:
-        raise ValueError("bin counts must be >= 1")
+def empirical_field(portraits, bins: int) -> GridField:
+    """Bin per-step (du, de) displacements by their start point and average.
+
+    The grid has ``bins`` equal cells along u and along e, spanning the
+    step start points (a zero span is widened to one unit).  Each step
+    goes to one flat cell ``iu * bins + ie``; counts and displacement sums
+    accumulate in step order, and each occupied cell holds the mean.
+    """
+    bins = int(bins)
+    if bins < 1:
+        raise ValueError("bin count must be >= 1")
     starts_u, starts_e, dus, des = [], [], [], []
     for por in portraits:
         if len(por) < 2:
@@ -213,17 +219,13 @@ def empirical_field(portraits, bins_u: int, bins_e: int) -> GridField:
     du = np.concatenate(dus)
     de = np.concatenate(des)
 
-    u_edges = _edges(su, bins_u)
-    e_edges = _edges(se, bins_e)
-    iu = _bin_index(u_edges, su)
-    ie = _bin_index(e_edges, se)
-
-    count = np.zeros((bins_u, bins_e), dtype=int)
-    vu = np.zeros((bins_u, bins_e))
-    ve = np.zeros((bins_u, bins_e))
-    np.add.at(count, (iu, ie), 1)
-    np.add.at(vu, (iu, ie), du)
-    np.add.at(ve, (iu, ie), de)
+    u_edges = _edges(su, bins)
+    e_edges = _edges(se, bins)
+    cell = _bin_index(u_edges, su) * bins + _bin_index(e_edges, se)
+    shape = (bins, bins)
+    count = np.bincount(cell, minlength=bins * bins).reshape(shape)
+    vu = np.bincount(cell, du, bins * bins).reshape(shape)
+    ve = np.bincount(cell, de, bins * bins).reshape(shape)
     mask = count > 0
     vu[mask] /= count[mask]
     ve[mask] /= count[mask]

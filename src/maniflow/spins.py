@@ -7,15 +7,19 @@ symmetric form ``default_triple_product``.  The pair Hamiltonian
     H = - sum_{i<j} J~_ij (s_i . s_j) - sum_i h_i . s_i
 
 is always evaluated through the symmetrised couplings J~ = (J + J^T)/2
-with a zero diagonal.  A ``SpinSystem`` builds J~ once, when it is
-constructed, and the systems ``micro_step`` returns share it.  The energy
-and its analytic gradient -sum_{j != i} J~_ij s_j - h_i are written on
-one pair field J~ @ s, so the gradient is the derivative of the energy
-even when a raw asymmetric J is supplied.  Read-outs that act on directed
-bonds (``bond_energies``, ``gibbs_attention``) use the raw rows of J.
-Every number a ``micro_step`` or ``gibbs_attention`` reads must be finite,
-and neither returns a NaN: a non-finite input or result raises
-``ValueError``.
+with a zero diagonal.  The symmetric part is formed as J/2 + (J/2)^T,
+halved before the sum, so finite couplings up to the float maximum never
+overflow; ``ctm_couplings`` uses the same formula.  A ``SpinSystem``
+builds J~ once, when it is constructed, and the systems ``micro_step``
+returns share it.  The energy and its analytic gradient
+-sum_{j != i} J~_ij s_j - h_i are written on one pair field J~ @ s, so
+the gradient is the derivative of the energy even when a raw asymmetric
+J is supplied.  Read-outs that act on directed bonds (``bond_energies``,
+``gibbs_attention``) use the raw rows of J.  Every number a
+``SpinSystem``, ``attention_couplings``, ``ctm_couplings``,
+``micro_step``, ``ffn_target`` or ``gibbs_attention`` reads must be
+finite, and none of them returns a NaN or warns: a non-finite input or
+result raises ``ValueError``.
 
 Spin matrices serialise to plain text, one whitespace-separated row per
 spin (see ``save_spin_matrix``).
@@ -34,7 +38,6 @@ from . import _text
 __all__ = [
     "Spin",
     "SpinSystem",
-    "SynapseKernel",
     "BathParams",
     "attention_couplings",
     "lattice_energy",
@@ -43,8 +46,6 @@ __all__ = [
     "three_body_energy",
     "bond_energies",
     "gibbs_attention",
-    "head_output",
-    "effective_influence",
     "ctm_couplings",
     "ffn_target",
     "energy_gradient",
@@ -67,8 +68,10 @@ class Spin:
         v = np.asarray(self.vec, dtype=float)
         if v.ndim != 1:
             raise ValueError("a spin is a 1-d vector")
-        if not abs(np.linalg.norm(v) - 1.0) <= _NORM_TOL:
-            raise ValueError(f"spin norm {float(np.linalg.norm(v))!r} deviates from 1 by more than {_NORM_TOL}")
+        with np.errstate(over="ignore"):  # a huge entry gives norm inf, rejected below
+            norm = float(np.linalg.norm(v))
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            raise ValueError(f"spin norm {norm!r} deviates from 1 by more than {_NORM_TOL}")
         object.__setattr__(self, "vec", v)
 
     @property
@@ -98,7 +101,8 @@ class SpinSystem:
             spins = spins[None, :]
         if spins.ndim != 2:
             raise ValueError("spins must form an (N, d) matrix")
-        norms = np.linalg.norm(spins, axis=1)
+        with np.errstate(over="ignore"):  # a huge entry gives norm inf, rejected below
+            norms = np.linalg.norm(spins, axis=1)
         bad = np.nonzero(~(np.abs(norms - 1.0) <= _NORM_TOL))[0]
         if bad.size:
             raise ValueError(f"spin {bad[0]} has norm {float(norms[bad[0]])!r}, expected 1 within {_NORM_TOL}")
@@ -117,9 +121,11 @@ class SpinSystem:
             if not np.isfinite(fields).all():
                 raise ValueError("fields must be finite")
         for entry in self.three_body:
-            i, j, k, _ = entry
+            i, j, k, strength = entry
             if not (0 <= i < j < k < n):
                 raise ValueError(f"three-body indices must satisfy 0 <= i < j < k < N, got {entry!r}")
+            if not math.isfinite(strength):
+                raise ValueError(f"three-body strength of ({i}, {j}, {k}) must be finite, got {float(strength)!r}")
         self.spins = spins
         self.couplings = couplings
         self.fields = fields
@@ -132,21 +138,6 @@ class SpinSystem:
     @property
     def dim(self) -> int:
         return self.spins.shape[1]
-
-
-@dataclass
-class SynapseKernel:
-    """Per-pair temporal kernel taps; the last axis runs over lags."""
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=float)
-        if taps.ndim < 1:
-            raise ValueError("kernel taps need at least one lag axis")
-        if not np.isfinite(taps).all():
-            raise ValueError("kernel taps must be finite")
-        self.taps = taps
 
 
 @dataclass
@@ -188,21 +179,43 @@ def _apply_nonlinearity(u: np.ndarray, kind: str) -> np.ndarray:
 
 
 def attention_couplings(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Scaled query-key couplings J_ij = (q_i . k_j) / sqrt(d)."""
+    """Scaled query-key couplings J_ij = (q_i . k_j) / sqrt(d).
+
+    Non-finite queries or keys, or a coupling past the float range, raise
+    ``ValueError``.
+    """
     q = np.asarray(queries, dtype=float)
     k = np.asarray(keys, dtype=float)
     if q.ndim != 2 or k.shape != q.shape:
         raise ValueError(f"queries and keys must share an (N, d) shape, got {q.shape} and {k.shape}")
-    return q @ k.T / np.sqrt(q.shape[1])
+    if not np.isfinite(q).all():
+        raise ValueError("queries must be finite")
+    if not np.isfinite(k).all():
+        raise ValueError("keys must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = q @ k.T / np.sqrt(q.shape[1])
+    if not np.isfinite(j).all():
+        raise ValueError("a query-key coupling overflows the float range")
+    return j
+
+
+def _symmetric_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^T)/2, halved before the sum so that finite entries never overflow.
+
+    Halving is exact for normal floats, so this equals the sum halved bit
+    for bit; only an entry whose half is subnormal can differ, by one bit.
+    Two N x N allocations, one of them temporary.
+    """
+    half = 0.5 * a
+    return half + half.T
 
 
 def _symmetrised(couplings: np.ndarray) -> np.ndarray:
     """J~ = (J + J^T)/2 with a zero diagonal, the one place the pair interaction is written.
 
-    Row i of J~ @ s is sum_{j != i} J~_ij s_j.  One N x N allocation.
+    Row i of J~ @ s is sum_{j != i} J~_ij s_j.
     """
-    sym = couplings + couplings.T
-    sym *= 0.5
+    sym = _symmetric_part(couplings)
     np.fill_diagonal(sym, 0.0)
     return sym
 
@@ -283,25 +296,13 @@ def gibbs_attention(system: SpinSystem, i: int, beta: float) -> np.ndarray:
     return out
 
 
-def head_output(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Convex mix of value vectors, h = sum_j pi_j v_j."""
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if w.ndim != 1 or v.shape[0] != w.shape[0]:
-        raise ValueError(f"got {w.shape[0]} weights for {v.shape[0]} values")
-    return w @ v
-
-
-def effective_influence(kernel: SynapseKernel) -> np.ndarray | float:
-    """Total synaptic influence: kernel taps summed over the lag axis."""
-    out = np.sum(kernel.taps, axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
 def ctm_couplings(influence: np.ndarray, spin_history: np.ndarray, alpha: float) -> np.ndarray:
     """Blend of symmetrised influence and time-averaged spin correlations.
 
     J = alpha (W + W^T)/2 + (1 - alpha) (1/T) sum_t s_i(t) . s_j(t)
+
+    A non-finite influence or history, or a blend past the float range,
+    raises ``ValueError``.
     """
     w = np.asarray(influence, dtype=float)
     hist = np.asarray(spin_history, dtype=float)
@@ -314,8 +315,16 @@ def ctm_couplings(influence: np.ndarray, spin_history: np.ndarray, alpha: float)
         raise ValueError("spin history needs at least one tick")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    corr = np.einsum("tid,tjd->ij", hist, hist) / t_len
-    return alpha * 0.5 * (w + w.T) + (1.0 - alpha) * corr
+    if not np.isfinite(w).all():
+        raise ValueError("influence must be finite")
+    if not np.isfinite(hist).all():
+        raise ValueError("spin history must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        corr = np.einsum("tid,tjd->ij", hist, hist) / t_len
+        j = alpha * _symmetric_part(w) + (1.0 - alpha) * corr
+    if not np.isfinite(j).all():
+        raise ValueError("a blended coupling overflows the float range")
+    return j
 
 
 def _unit_rows(rows: np.ndarray, message: str) -> np.ndarray:
@@ -338,13 +347,15 @@ def _ffn_targets(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = Non
     if x_ext is not None:
         x = np.asarray(x_ext, dtype=float)
         inp = np.concatenate([h, np.broadcast_to(x, (h.shape[0], x.size))], axis=1)
-    u = inp @ bath.W1.T
-    if bath.b1 is not None:
-        u = u + bath.b1
-    t = h + _apply_nonlinearity(u, bath.nonlinearity) @ bath.W2.T
-    if bath.b2 is not None:
-        t = t + bath.b2
-    return _unit_rows(t, "feed-forward target of neuron {i} {state}; cannot normalise")
+    # an overflow leaves a row of non-finite norm, which _unit_rows rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = inp @ bath.W1.T
+        if bath.b1 is not None:
+            u = u + bath.b1
+        t = h + _apply_nonlinearity(u, bath.nonlinearity) @ bath.W2.T
+        if bath.b2 is not None:
+            t = t + bath.b2
+        return _unit_rows(t, "feed-forward target of neuron {i} {state}; cannot normalise")
 
 
 def ffn_target(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None) -> np.ndarray:

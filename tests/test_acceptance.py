@@ -327,7 +327,7 @@ def _check_hjb_residual():
 def _check_divergence_score():
     rng = np.random.default_rng(0)
     portraits = experiments.rotation_portraits(150, 200, 0.05, rng)
-    field = infophase.empirical_field(portraits, 12, 12)
+    field = infophase.empirical_field(portraits, 12)
     score = infophase.divergence_score(field)
     return score <= 0.1, f"divergence score {score:.4f}"
 

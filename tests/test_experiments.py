@@ -304,7 +304,7 @@ class TestRotationPortraits:
     def test_sampled_field_has_low_divergence(self):
         rng = np.random.default_rng(0)
         portraits = experiments.rotation_portraits(100, 120, 0.05, rng)
-        field = infophase.empirical_field(portraits, 10, 10)
+        field = infophase.empirical_field(portraits, 10)
         assert infophase.divergence_score(field) <= 0.1
 
 

@@ -214,7 +214,7 @@ class TestEmpiricalField:
         por = infophase.PhasePortrait(
             u=np.array([0.0, 1.0, 2.0]), e=np.array([0.0, -1.0, -1.0])
         )
-        field = infophase.empirical_field([por], 2, 2)
+        field = infophase.empirical_field([por], 2)
         np.testing.assert_allclose(field.u_edges, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(field.e_edges, [-1.0, -0.5, 0.0])
         # step 1 starts at (u=0, e=0) -> cell (0, 1); step 2 at (1, -1) -> (1, 0)
@@ -230,13 +230,13 @@ class TestEmpiricalField:
             u=np.array([0.0, 2.0, 0.0, 4.0]), e=np.array([0.0, 0.0, 0.0, 0.0])
         )
         # steps from u = 0 (twice, du 2 and 4) and one from u = 2
-        field = infophase.empirical_field([por], 1, 1)
+        field = infophase.empirical_field([por], 1)
         assert field.count[0, 0] == 3
         np.testing.assert_allclose(field.vu[0, 0], (2.0 - 2.0 + 4.0) / 3.0)
 
     def test_degenerate_range_widened(self):
         por = infophase.PhasePortrait(u=np.array([5.0, 6.0]), e=np.array([0.0, 0.0]))
-        field = infophase.empirical_field([por], 2, 2)
+        field = infophase.empirical_field([por], 2)
         np.testing.assert_allclose(field.u_edges, [4.5, 5.0, 5.5])
         np.testing.assert_allclose(field.e_edges, [-0.5, 0.0, 0.5])
         assert field.count.sum() == 1
@@ -244,12 +244,12 @@ class TestEmpiricalField:
     def test_short_portraits_skipped(self):
         single = infophase.PhasePortrait(u=np.array([1.0]), e=np.array([0.0]))
         with pytest.raises(ValueError, match="displacement"):
-            infophase.empirical_field([single], 2, 2)
+            infophase.empirical_field([single], 2)
 
     def test_bad_bins(self):
         por = infophase.PhasePortrait(u=np.array([0.0, 1.0]), e=np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="bin"):
-            infophase.empirical_field([por], 0, 2)
+            infophase.empirical_field([por], 0)
 
 
 class TestDivergenceScore:
@@ -259,7 +259,7 @@ class TestDivergenceScore:
 
     def test_sampled_rotation_under_threshold(self):
         portraits = rotation_portraits(80, 150, 0.05)
-        field = infophase.empirical_field(portraits, 10, 10)
+        field = infophase.empirical_field(portraits, 10)
         assert infophase.divergence_score(field) <= 0.1
 
     def test_compressive_field_scores_high(self):
@@ -273,7 +273,7 @@ class TestDivergenceScore:
 
     def test_no_interior_cell_raises(self):
         por = infophase.PhasePortrait(u=np.array([0.0, 1.0]), e=np.array([0.0, 0.0]))
-        field = infophase.empirical_field([por], 2, 2)
+        field = infophase.empirical_field([por], 2)
         with pytest.raises(infophase.DegenerateFieldError, match="interior"):
             infophase.divergence_score(field)
 
@@ -299,7 +299,7 @@ class TestFitInfoHamiltonian:
     def test_sampled_rotation_recovery(self):
         dt = 0.05
         portraits = rotation_portraits(80, 150, dt)
-        field = infophase.empirical_field(portraits, 10, 10)
+        field = infophase.empirical_field(portraits, 10)
         grid, _ = infophase.fit_info_hamiltonian(field)
         occ = field.occupied
         uc, ec = field.u_centers, field.e_centers
@@ -314,14 +314,14 @@ class TestFitInfoHamiltonian:
         por = infophase.PhasePortrait(
             u=np.array([0.0, 1.0, 2.0, 3.0]), e=np.zeros(4)
         )
-        field = infophase.empirical_field([por], 3, 3)
+        field = infophase.empirical_field([por], 3)
         grid, _ = infophase.fit_info_hamiltonian(field)
         assert np.isnan(grid[~field.occupied]).all()
         assert np.isfinite(grid[field.occupied]).all()
 
     def test_single_cell(self):
         por = infophase.PhasePortrait(u=np.array([5.0, 6.0]), e=np.array([0.0, 0.0]))
-        field = infophase.empirical_field([por], 1, 1)
+        field = infophase.empirical_field([por], 1)
         grid, residual = infophase.fit_info_hamiltonian(field)
         assert grid.shape == (1, 1)
         assert grid[0, 0] == 0.0

@@ -61,6 +61,11 @@ class TestSpinValidation:
         with pytest.raises(ValueError, match="i < j < k"):
             spins.SpinSystem(np.eye(3), np.zeros((3, 3)), three_body=[(0, 2, 1, 1.0)])
 
+    @pytest.mark.parametrize("strength", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_three_body_strength_finite(self, strength):
+        with pytest.raises(ValueError, match=r"^three-body strength of \(1, 2, 3\) must be finite, got "):
+            spins.SpinSystem(np.eye(4), np.zeros((4, 4)), three_body=[(0, 1, 2, 1.0), (1, 2, 3, strength)])
+
     def test_one_spin_shapes(self):
         assert spins.Spin(np.array([0.6, 0.8])).dim == 2
         system = spins.SpinSystem(np.array([0.6, 0.8]), np.zeros((1, 1)))
@@ -69,8 +74,8 @@ class TestSpinValidation:
     # a NaN norm compares False against any tolerance, so it must fail the check, not pass it
     @pytest.mark.parametrize(
         "vec",
-        [[np.nan, 0.0], [np.nan, np.nan], [np.inf, 0.0], [0.5, 0.0]],
-        ids=["nan", "all-nan", "inf", "short"],
+        [[np.nan, 0.0], [np.nan, np.nan], [np.inf, 0.0], [0.5, 0.0], [1e300, 0.0]],
+        ids=["nan", "all-nan", "inf", "short", "huge"],
     )
     def test_spin_off_unit_norm_rejected(self, vec):
         with pytest.raises(ValueError, match="spin norm"):
@@ -81,11 +86,12 @@ class TestSpinValidation:
         [
             ([np.nan, 0.0], None, "spin 1 has norm"),
             ([np.inf, 0.0], None, "spin 1 has norm"),
+            ([1e300, 0.0], None, "spin 1 has norm inf"),
             ([0.0, 1.0], [[0.0, 0.0], [np.inf, 0.0]], "fields must be finite"),
             ([0.0, 1.0], [[0.0, -np.inf], [0.0, 0.0]], "fields must be finite"),
             ([0.0, 1.0], [[np.nan, 0.0], [0.0, 0.0]], "fields must be finite"),
         ],
-        ids=["nan-spin", "inf-spin", "inf-field", "minus-inf-field", "nan-field"],
+        ids=["nan-spin", "inf-spin", "huge-spin", "inf-field", "minus-inf-field", "nan-field"],
     )
     def test_system_rejects_non_finite(self, row, fields, message):
         s = np.array([[1.0, 0.0], row])
@@ -113,6 +119,20 @@ class TestAttentionCouplings:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             spins.attention_couplings(np.zeros((2, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "q, k, message",
+        [
+            (np.full((2, 2), 1e200), np.full((2, 2), 1e200), "a query-key coupling overflows the float range"),
+            (np.array([[1e200, 1e200]]), np.array([[1e200, -1e200]]), "a query-key coupling overflows the float range"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2), "queries must be finite"),
+            (np.eye(2), np.array([[1.0, 0.0], [0.0, np.inf]]), "keys must be finite"),
+        ],
+        ids=["overflow", "inf-minus-inf", "nan-query", "inf-key"],
+    )
+    def test_non_finite_rejected(self, q, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spins.attention_couplings(q, k)
 
 
 class TestEnergies:
@@ -242,18 +262,8 @@ class TestGibbsAttention:
         with pytest.raises(ValueError, match="two spins"):
             spins.gibbs_attention(sys0, 0, 1.0)
 
-    def test_head_output_mix(self):
-        w = np.array([0.25, 0.75])
-        v = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(spins.head_output(w, v), [0.25, 0.75])
-
 
 class TestCtmCouplings:
-    def test_effective_influence_sums_lags(self):
-        taps = np.arange(24, dtype=float).reshape(2, 3, 4)
-        w = spins.effective_influence(spins.SynapseKernel(taps))
-        np.testing.assert_allclose(w, taps.sum(axis=-1))
-
     def test_blend_endpoints(self):
         rng = np.random.default_rng(8)
         w = rng.normal(size=(3, 3))
@@ -274,6 +284,20 @@ class TestCtmCouplings:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError, match="alpha"):
             spins.ctm_couplings(np.zeros((2, 2)), np.zeros((1, 2, 3)), alpha=1.5)
+
+    @pytest.mark.parametrize(
+        "w, hist, alpha, message",
+        [
+            (np.array([[0.0, np.nan], [0.0, 0.0]]), np.zeros((1, 2, 2)), 0.5, "influence must be finite"),
+            (np.zeros((2, 2)), np.full((2, 2, 2), np.nan), 0.5, "spin history must be finite"),
+            (np.zeros((2, 2)), np.full((1, 2, 2), 1e200), 0.5, "a blended coupling overflows the float range"),
+            (np.zeros((2, 2)), np.full((1, 2, 2), 1e200), 1.0, "a blended coupling overflows the float range"),
+        ],
+        ids=["nan-influence", "nan-history", "overflow", "overflow-times-zero"],
+    )
+    def test_non_finite_rejected(self, w, hist, alpha, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spins.ctm_couplings(w, hist, alpha)
 
 
 class TestFfnTarget:
@@ -345,6 +369,15 @@ class TestFfnTarget:
     def test_non_finite_parameter_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             spins.BathParams(**{name: value})
+
+    @pytest.mark.parametrize("kind", ["tanh", "gelu"])
+    def test_huge_weights_end_like_micro_step(self, kind):
+        bath = spins.BathParams(eta_ff=1.0, W1=np.full((2, 2), 1e300), W2=np.full((2, 2), 1e300), nonlinearity=kind)
+        message = "^feed-forward target of neuron 0 has norm inf; cannot normalise$"
+        with pytest.raises(ValueError, match=message):
+            spins.ffn_target(np.array([1.0, 0.0]), bath)
+        with pytest.raises(ValueError, match=message):
+            spins.micro_step(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), bath)
 
     def test_non_finite_drive_rejected(self):
         bath = spins.BathParams(eta_ff=0.5, W1=np.ones((2, 3)), W2=np.ones((2, 2)))
@@ -540,6 +573,23 @@ class TestSymmetrisedOnce:
         np.testing.assert_array_equal(system._sym, system._sym.T)
         assert not np.any(np.diag(system._sym))
 
+    def test_halving_first_is_bit_equal(self):
+        # no entry's half is subnormal here, so halving first changes no bit
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            j = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-280, 301, size=(n, n))
+            want = (j + j.T) * 0.5
+            np.fill_diagonal(want, 0.0)
+            assert spins.SpinSystem(unit_spins(rng, n, 2), j)._sym.tobytes() == want.tobytes()
+
+    def test_huge_couplings_do_not_overflow(self):
+        # the system's J~ and ctm_couplings share the one symmetric-part formula
+        j = np.array([[0.0, 1e308], [1.7e308, 0.0]])
+        half_sum = 0.5 * 1e308 + 0.5 * 1.7e308
+        np.testing.assert_array_equal(spins.SpinSystem(np.eye(2), j)._sym, [[0.0, half_sum], [half_sum, 0.0]])
+        np.testing.assert_array_equal(spins.ctm_couplings(j, np.zeros((1, 2, 2)), 1.0), [[0.0, half_sum], [half_sum, 0.0]])
+
     @pytest.mark.parametrize("seed", range(2))
     def test_sixteen_ticks(self, seed):
         system, bath = self.case(seed)
@@ -676,10 +726,7 @@ class TestSpinIo:
     [
         (lambda: spins.Spin(np.eye(2)), "a spin is a 1-d vector"),
         (lambda: spins.SpinSystem(np.ones((1, 1, 1)), np.zeros((1, 1))), "spins must form an (N, d) matrix"),
-        (lambda: spins.SynapseKernel(np.float64(1.0)), "kernel taps need at least one lag axis"),
-        (lambda: spins.SynapseKernel(np.array([1.0, np.nan])), "kernel taps must be finite"),
         (lambda: spins.gibbs_attention(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), 2, 1.0), "spin index 2 out of range"),
-        (lambda: spins.head_output(np.ones(2), np.ones((3, 2))), "got 2 weights for 3 values"),
         (lambda: spins.ctm_couplings(np.zeros((2, 2)), np.zeros((2, 2)), 0.5), "spin history must be (T, N, d)"),
         (lambda: spins.ctm_couplings(np.zeros((3, 3)), np.zeros((1, 2, 2)), 0.5), "influence must be (2, 2), got (3, 3)"),
         (lambda: spins.ctm_couplings(np.zeros((2, 2)), np.zeros((0, 2, 2)), 0.5), "spin history needs at least one tick"),
@@ -691,10 +738,7 @@ class TestSpinIo:
     ids=[
         "spin-2d",
         "system-3d",
-        "kernel-scalar",
-        "kernel-non-finite",
         "gibbs-index-out-of-range",
-        "head-output-length-mismatch",
         "ctm-history-not-3d",
         "ctm-influence-shape",
         "ctm-no-ticks",
