@@ -33,9 +33,10 @@ in a mode that reads it, a non-finite or non-positive ``--dt``,
 non-finite or negative ``--damping`` or a bad ``--decoder``.  Apart
 from usage errors, a failure prints one ``error:`` line on stderr and
 writes no file: every output is computed before ``--out`` is created.
-A bad line of an input file raises ``_text.FormatError``
-(``planner.GraphFormatError`` for a graph), whose message starts
-``line N: ``, or ``config line N: `` for a config.
+A bad line of an input file, a graph's included, raises
+``_text.FormatError``, whose message starts ``line N: ``, or
+``config line N: `` for a config.  Every failure an input causes is a
+``ValueError``, so ``main`` catches it with ``OSError`` and converts none.
 """
 
 from __future__ import annotations
@@ -145,14 +146,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.which == 3:
         _check(opts, "dt", "steps")
         t_final = opts["steps"] * opts["dt"]
-        try:
-            csv_text = experiments.table_csv(3, t_final=t_final, h=opts["dt"], damping=opts["damping"])
-        except RuntimeError as exc:
-            from .manifold import IntegrationError  # loaded already by the run that raised one
-
-            if not isinstance(exc, IntegrationError):
-                raise
-            raise ValueError(exc) from None  # the same one error: line as any bad input
+        csv_text = experiments.table_csv(3, t_final=t_final, h=opts["dt"], damping=opts["damping"])
     else:
         csv_text = experiments.table_csv(args.which, experiments.parse_decoder_spec(opts["decoder"]))
     md_text = experiments.table_markdown(csv_text)
@@ -220,7 +214,7 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     try:
         _, residual = infophase.fit_info_hamiltonian(field)
         report.append(f"field_fit_residual: {fmt(residual)}")
-    except (infophase.DegenerateFieldError, infophase.FieldFitError) as exc:
+    except infophase.DegenerateFieldError as exc:
         report.append(f"field_fit_residual: unavailable ({exc})")
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

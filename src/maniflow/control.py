@@ -162,12 +162,15 @@ def ndm_layer(
 def running_cost(
     metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np.ndarray, ws_state=None
 ) -> float:
-    """Instantaneous cost u^T G(y) u / 2 + l_task + lam l_ws."""
+    """Instantaneous cost u^T G(y) u / 2 + l_task + lam l_ws; ValueError if it is NaN."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     g = metric_field.metric(y)
     kinetic = 0.5 * float(u @ g @ u)
-    return kinetic + cost.potential(metric_field.decoder(y), ws_state)
+    value = kinetic + cost.potential(metric_field.decoder(y), ws_state)
+    if math.isnan(value):
+        raise ValueError("running cost is nan")
+    return value
 
 
 def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj, ws_state=None) -> float:
@@ -175,12 +178,18 @@ def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj, ws_state=No
 
     ``traj`` is a sequence of ``(y, u, dt)`` records; each consecutive
     pair forms a segment weighted by the dt of its first record.  The dt
-    of the final record is unused.
+    of the final record is unused.  A NaN running cost raises ValueError
+    naming its record, and so does a NaN terminal cost or total.
     """
     entries = list(traj)
     if not entries:
         raise ValueError("trajectory must contain at least one record")
-    costs = [running_cost(metric_field, cost, y, u, ws_state) for y, u, _ in entries]
+    costs = []
+    for k, (y, u, _) in enumerate(entries):
+        try:
+            costs.append(running_cost(metric_field, cost, y, u, ws_state))
+        except ValueError as exc:
+            raise ValueError(f"record {k}: {exc}") from None
     total = 0.0
     for k in range(len(entries) - 1):
         dt = float(entries[k][2])
@@ -190,4 +199,6 @@ def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj, ws_state=No
     if cost.terminal is not None:
         y_final = np.atleast_1d(np.asarray(entries[-1][0], dtype=float))
         total += float(cost.terminal(metric_field.decoder(y_final)))
+    if math.isnan(total):
+        raise ValueError("trajectory cost is nan: a NaN terminal cost, or infinite costs of opposite sign")
     return total

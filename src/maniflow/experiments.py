@@ -327,8 +327,8 @@ def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> l
 
     All runs start from (y, p) = (1, 0); the energy error is the maximum
     deviation of (y^2 + p^2)/2 from 1/2 over the recorded nodes.  A run
-    that diverges raises IntegrationError (leapfrog runs) or ValueError, and
-    the message names the run.
+    that diverges raises ValueError, an IntegrationError for the leapfrog
+    runs, and the message names the run.
     """
     if h == 0 or not math.isfinite(h) or not math.isfinite(t_final / h):
         raise ValueError(f"t_final / h must be finite, got {t_final!r} / {h!r}")

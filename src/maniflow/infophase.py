@@ -25,7 +25,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DegenerateFieldError",
-    "FieldFitError",
     "PhasePortrait",
     "GridField",
     "entropy",
@@ -37,14 +36,12 @@ __all__ = [
 
 
 class DegenerateFieldError(ValueError):
-    """The empirical field cannot support the requested analysis."""
+    """The empirical field cannot support the requested analysis.
 
-
-class FieldFitError(RuntimeError):
-    """The scalar-field fit is rank deficient beyond its gauge freedom.
-
-    One rank verdict covers every cause: a disconnected occupied region,
-    occupied cells that share no adjacency at all among them.
+    That includes a scalar-field fit that is rank deficient beyond its
+    gauge freedom; one rank verdict covers every cause: a disconnected
+    occupied region, occupied cells that share no adjacency at all among
+    them.
     """
 
 
@@ -262,7 +259,7 @@ def fit_info_hamiltonian(field: GridField) -> tuple[np.ndarray, float]:
     the pair's first cell, the u-neighbour before the e-neighbour; the
     gauge is H = 0 at the first occupied cell in row-major order.
     Returns the fitted grid (NaN on unoccupied cells) and the residual
-    norm of the difference equations.  Raises FieldFitError when the
+    norm of the difference equations.  Raises DegenerateFieldError when the
     system has rank below n_occ - 1, the gauge's freedom: the occupied
     region is disconnected, which includes cells that share no adjacency
     at all (a design of zero rows has rank 0).
@@ -292,7 +289,7 @@ def fit_info_hamiltonian(field: GridField) -> tuple[np.ndarray, float]:
     design = design[:, 1:]  # gauge: H = 0 at the first occupied cell
     solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < n_occ - 1:
-        raise FieldFitError("fit is rank deficient beyond the gauge; the occupied region is likely disconnected")
+        raise DegenerateFieldError("fit is rank deficient beyond the gauge; the occupied region is likely disconnected")
     grid = np.full(occ.shape, np.nan)
     grid[occ] = np.concatenate([[0.0], solution])
     return grid, float(np.linalg.norm(design @ solution - target))

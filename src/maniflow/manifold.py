@@ -105,7 +105,7 @@ GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
 
 
-class SingularMetricError(RuntimeError):
+class SingularMetricError(ValueError):
     """Pullback metric failed to be positive definite after regularisation.
 
     ``y`` is the point whose G is worst and ``min_eigenvalue`` the smallest
@@ -117,7 +117,7 @@ class SingularMetricError(RuntimeError):
         self.y, self.min_eigenvalue = y, min_eigenvalue
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ValueError):
     """Leapfrog integration produced a non-finite state.
 
     ``step`` is the step that failed, ``y`` and ``p`` are the last finite
@@ -130,7 +130,7 @@ class IntegrationError(RuntimeError):
         self.step, self.y, self.p, self.drift = step, y, p, drift
 
 
-class ShootingError(RuntimeError):
+class ShootingError(ValueError):
     """Boundary-value shooting failed to reach the requested tolerance.
 
     ``residuals[k]`` is the endpoint residual norm after k iterations, and
@@ -170,7 +170,7 @@ class Decoder:
         if b.shape != (a.shape[0],):
             raise ValueError(f"offset must have length {a.shape[0]}")
         dec = cls(kind="linear", layers=[(a, b)], latent_dim=a.shape[1], ambient_dim=a.shape[0])
-        dec._validate_dims()
+        dec._validate()
         return dec
 
     @classmethod
@@ -192,16 +192,18 @@ class Decoder:
             latent_dim=layers[0][0].shape[1],
             ambient_dim=layers[-1][0].shape[0],
         )
-        dec._validate_dims()
+        dec._validate()
         return dec
 
     @classmethod
     def custom(cls, fn: Callable, latent_dim: int, ambient_dim: int) -> "Decoder":
         dec = cls(kind="custom", fn=fn, latent_dim=int(latent_dim), ambient_dim=int(ambient_dim))
-        dec._validate_dims()
+        dec._validate()
         return dec
 
-    def _validate_dims(self) -> None:
+    def _validate(self) -> None:
+        for idx, (w, b) in enumerate(self.layers):
+            _check_layer(idx, w, b)
         if self.latent_dim < 1:
             raise ValueError("latent dimension must be >= 1")
         if self.ambient_dim < self.latent_dim:
@@ -266,6 +268,13 @@ class Decoder:
         return jac, hess.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
 
 
+def _check_layer(idx: int, w: np.ndarray, b: np.ndarray) -> None:
+    """ValueError naming layer idx unless its weights and biases are finite."""
+    for name, values in (("weights", w), ("biases", b)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"layer {idx} {name} must be finite")
+
+
 def save_decoder(decoder: Decoder, path) -> None:
     """Write the format of ``load_decoder``; ValueError, before any write, for a custom decoder."""
     if decoder.kind == "custom":
@@ -315,6 +324,7 @@ def load_decoder(path) -> Decoder:
                 raise ValueError("linear decoder must have exactly one layer")
             if weights and in_n != weights[-1].shape[0]:
                 raise ValueError("layer input width must match previous layer output width")
+            _check_layer(len(weights), w, b)
             weights.append(w)
             biases.append(b)
             i += out_n + 2
@@ -589,11 +599,13 @@ def trajectory_csv(traj: PhaseTrajectory) -> str:
 
 
 def _latent_point(metric_field: MetricField, name: str, value) -> np.ndarray:
-    """value as a float array of shape (latent_dim,); ValueError naming it otherwise."""
+    """value as a finite float array of shape (latent_dim,); ValueError naming it otherwise."""
     point = np.atleast_1d(np.asarray(value, dtype=float))
     d = metric_field.decoder.latent_dim
     if point.shape != (d,):
         raise ValueError(f"{name} must have shape ({d},), got {point.shape}")
+    if not np.isfinite(point).all():
+        raise ValueError(f"{name} must be finite, got {point.tolist()}")
     return point
 
 
@@ -630,7 +642,12 @@ def solve_shooting(
     momentum tried is shot in one stack with its 2d stencil points, so an
     accepted step brings its sensitivity along and a rejected one keeps
     the sensitivity it had.  ShootingError carries the residual history.
+    ``tol`` must be a number >= 0 and ``max_iter`` an integer >= 0.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    if not (float(max_iter).is_integer() and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     y_a = _latent_point(metric_field, "y_a", y_a)
     y_b = _latent_point(metric_field, "y_b", y_b)
     d = y_a.shape[0]

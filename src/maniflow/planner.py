@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from . import _text
 
 __all__ = [
-    "GraphFormatError",
     "WeightedDigraph",
     "SsspResult",
     "dijkstra",
@@ -49,10 +48,6 @@ __all__ = [
 # temporary, (block, n, d) differences and a few (chunk, n) arrays
 _DIST_BLOCK = 8
 _PICK_CHUNK = 32
-
-
-class GraphFormatError(_text.FormatError):
-    """Raised when a graph text file cannot be parsed."""
 
 
 def _edge_weight(n: int, src: int, dst: int, weight) -> float:
@@ -302,20 +297,19 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
 
 
 def waypoints(path, stride: int):
-    """Every stride-th node of a path, always keeping the first and last."""
+    """Every stride-th node of a path, always keeping the first and last; stride is an integer >= 1."""
     if len(path) == 0:
         raise ValueError("cannot take waypoints of an empty path")
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    out = list(path[::stride])
+    if not (float(stride).is_integer() and float(stride) >= 1):
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    out = list(path[::int(stride)])
     if out[-1] != path[-1]:
         out.append(path[-1])
     return out
 
 
 def load_graph(path) -> WeightedDigraph:
-    """Parse the ``n``/``e`` text format; a bad line raises ``GraphFormatError`` starting ``line N: ``."""
+    """Parse the ``n``/``e`` text format; a bad line raises ``_text.FormatError`` starting ``line N: ``."""
     graph = WeightedDigraph()
     adjacency = graph.adjacency
     declared = False
@@ -344,9 +338,9 @@ def load_graph(path) -> WeightedDigraph:
             else:
                 raise ValueError(f"unknown directive {tokens[0]!r}")
         except ValueError as exc:
-            raise GraphFormatError.at(ln, exc) from None
+            raise _text.FormatError.at(ln, exc) from None
     if not declared:
-        raise GraphFormatError("missing 'n <count>' line")
+        raise _text.FormatError("missing 'n <count>' line")
     return graph
 
 

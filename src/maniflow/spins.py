@@ -19,7 +19,11 @@ J is supplied.  Read-outs that act on directed bonds (``bond_energies``,
 ``SpinSystem``, ``attention_couplings``, ``ctm_couplings``,
 ``micro_step``, ``ffn_target`` or ``gibbs_attention`` reads must be
 finite, and none of them returns a NaN or warns: a non-finite input or
-result raises ``ValueError``.
+result raises ``ValueError``.  A ``SpinSystem`` also rejects couplings and
+fields whose bound on |H| of unit spins, sum_{i<j} |J~_ij| + sum |h|, or
+three-body strengths whose bound 3 sum |K|, overflows the float range, so
+none of its read-outs overflows; ``lattice_energy``, which takes raw
+arrays, checks its own result.
 
 Spin matrices serialise to plain text, one whitespace-separated row per
 spin (see ``save_spin_matrix``).
@@ -56,6 +60,10 @@ __all__ = [
 
 _NORM_TOL = 1e-9
 _COLLAPSE_TOL = 1e-12
+# room a SpinSystem's energy bounds keep below the float maximum: spin norms up
+# to 1 + _NORM_TOL and the rounding of float sums (n eps for n terms) stay
+# inside it for sums of up to ~4e9 terms
+_BOUND_MARGIN = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,16 +128,29 @@ class SpinSystem:
                 raise ValueError(f"fields must match spins shape {spins.shape}, got {fields.shape}")
             if not np.isfinite(fields).all():
                 raise ValueError("fields must be finite")
+        strength_sum = 0.0
         for entry in self.three_body:
             i, j, k, strength = entry
             if not (0 <= i < j < k < n):
                 raise ValueError(f"three-body indices must satisfy 0 <= i < j < k < N, got {entry!r}")
             if not math.isfinite(strength):
                 raise ValueError(f"three-body strength of ({i}, {j}, {k}) must be finite, got {float(strength)!r}")
+            strength_sum += abs(strength)
+        sym = _symmetrised(couplings)
+        # |H| <= sum_{i<j} |J~_ij| + sum |h| bounds the energy and each gradient
+        # entry of unit spins, and |H3| <= 3 sum |K|
+        with np.errstate(over="ignore"):
+            half = np.abs(sym)
+            half *= 0.5
+            pair_bound = float(half.sum()) + float(np.abs(fields).sum())
+        if not math.isfinite(pair_bound * _BOUND_MARGIN):
+            raise ValueError("couplings and fields too large: sum_{i<j} |J~_ij| + sum |h| overflows the float range")
+        if not math.isfinite(3.0 * strength_sum * _BOUND_MARGIN):
+            raise ValueError("three-body strengths too large: 3 sum |K| overflows the float range")
         self.spins = spins
         self.couplings = couplings
         self.fields = fields
-        self._sym = _symmetrised(couplings)
+        self._sym = sym
 
     @property
     def n_spins(self) -> int:
@@ -221,7 +242,8 @@ def _symmetrised(couplings: np.ndarray) -> np.ndarray:
 
 
 def _pair_energy(sym: np.ndarray, spins: np.ndarray, fields: np.ndarray | None) -> float:
-    e = -0.5 * float(np.sum(spins * (sym @ spins)))
+    # halved before the sum, which the double count would overflow
+    e = -float(np.sum(0.5 * (spins * (sym @ spins))))
     if fields is not None:
         e -= float(np.sum(fields * spins))
     return e
@@ -232,9 +254,14 @@ def lattice_energy(couplings: np.ndarray, spins: np.ndarray, fields: np.ndarray 
 
     Uses the symmetrised couplings, built from ``couplings`` on each call
     (one N x N copy); exposed separately so callers can score
-    pre-normalisation states.
+    pre-normalisation states.  An energy that is not finite raises
+    ``ValueError``.
     """
-    return _pair_energy(_symmetrised(np.asarray(couplings, dtype=float)), spins, fields)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _pair_energy(_symmetrised(np.asarray(couplings, dtype=float)), spins, fields)
+    if not math.isfinite(e):
+        raise ValueError(f"lattice energy is {e!r}, not finite")
+    return e
 
 
 def two_body_energy(system: SpinSystem) -> float:

@@ -191,14 +191,17 @@ def ws_fact_loss(z: np.ndarray, facts, scorer: Callable) -> float:
     """Weighted binary cross-entropy of fact scores, averaged over facts.
 
     ``scorer(z, fact.key)`` returns a logit; the per-fact log terms are
-    floored at -30.
+    floored at -30, which a logit of +-inf reaches in the limit.  A NaN
+    logit raises ValueError naming its fact.
     """
     facts = list(facts)
     if not facts:
         raise ValueError("fact set is empty")
     total = 0.0
-    for fact in facts:
+    for i, fact in enumerate(facts):
         score = float(scorer(z, fact.key))
+        if math.isnan(score):
+            raise ValueError(f"fact {i} (key {fact.key!r}): score is nan")
         total += fact.weight * _bce(score, fact.truth)
     return total / len(facts)
 
@@ -207,19 +210,25 @@ def ws_geo_loss(pairs, f_map: Callable, dist_fn: Callable) -> float:
     """Sum of squared gaps between manifold distances and mapped graph distances.
 
     ``pairs`` holds (y_i, y_j, d_ws) records; ``f_map`` must be monotone
-    non-decreasing on the supplied d_ws samples.
+    non-decreasing on the supplied d_ws samples.  A NaN d_ws or gap raises
+    ValueError naming its pair.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
+    for i, pair in enumerate(pairs):
+        if math.isnan(float(pair[2])):
+            raise ValueError(f"pair {i}: d_ws is nan")
     d_samples = sorted({float(p[2]) for p in pairs})
     f_values = [float(f_map(d)) for d in d_samples]
     for a, b in zip(f_values, f_values[1:]):
         if b < a - 1e-12:
             raise ValueError("f_map is not monotone on the sampled graph distances")
     total = 0.0
-    for y_i, y_j, d_ws in pairs:
+    for i, (y_i, y_j, d_ws) in enumerate(pairs):
         gap = float(dist_fn(y_i, y_j)) - float(f_map(float(d_ws)))
+        if math.isnan(gap):
+            raise ValueError(f"pair {i}: distance gap is nan")
         total += gap * gap
     return total
 

@@ -1,5 +1,7 @@
 """Tests for optimal control, HJB residuals, and trajectory costs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,34 @@ class TestTrajectoryCost:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError, match="record"):
             control.trajectory_cost(identity_field(), quad_cost(), [])
+
+    def test_nan_running_cost_rejected(self):
+        # used to return nan as the cost
+        nan_cost = control.CostSpec(task_cost=lambda z: float("nan"))
+        with pytest.raises(ValueError, match="^running cost is nan$"):
+            control.running_cost(identity_field(), nan_cost, np.zeros(1), np.zeros(1))
+        cost = control.CostSpec(task_cost=lambda z: float("nan") if z[0] > 1.5 else 0.0)
+        traj = [(np.array([float(k)]), np.array([0.0]), 0.5) for k in range(3)]
+        with pytest.raises(ValueError, match="^record 2: running cost is nan$"):
+            control.trajectory_cost(identity_field(), cost, traj)
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            control.CostSpec(task_cost=lambda z: 0.0, terminal=lambda z: float("nan")),
+            control.CostSpec(task_cost=lambda z: math.inf if z[0] > 0.5 else -math.inf),
+        ],
+        ids=["nan-terminal", "opposite-infinities"],
+    )
+    def test_nan_total_rejected(self, cost):
+        traj = [(np.array([0.0]), np.array([0.0]), 0.5), (np.array([1.0]), np.array([0.0]), 0.5)]
+        with pytest.raises(ValueError, match="^trajectory cost is nan"):
+            control.trajectory_cost(identity_field(), cost, traj)
+
+    def test_infinite_cost_is_its_limit(self):
+        cost = control.CostSpec(task_cost=lambda z: math.inf)
+        traj = [(np.array([0.0]), np.array([0.0]), 0.5), (np.array([1.0]), np.array([0.0]), 0.5)]
+        assert control.trajectory_cost(identity_field(), cost, traj) == math.inf
 
     def test_workspace_state_threaded_through(self):
         mf = identity_field()

@@ -337,7 +337,7 @@ class TestFitInfoHamiltonian:
         ve = np.zeros((4, 1))
         field = infophase.GridField(u_edges, e_edges, vu, ve, count)
         # cells 0-1 are adjacent; cell 3 floats free
-        with pytest.raises(infophase.FieldFitError):
+        with pytest.raises(infophase.DegenerateFieldError, match="rank deficient"):
             infophase.fit_info_hamiltonian(field)
 
     def test_empty_field_raises(self):
@@ -358,7 +358,7 @@ class TestFitInfoHamiltonian:
         count = np.zeros((3, 3), dtype=int)
         count[tuple(np.transpose(cells))] = 1
         field = infophase.GridField(np.linspace(0, 3, 4), np.linspace(0, 3, 4), np.ones((3, 3)), np.ones((3, 3)), count)
-        with pytest.raises(infophase.FieldFitError):
+        with pytest.raises(infophase.DegenerateFieldError, match="rank deficient"):
             infophase.fit_info_hamiltonian(field)
 
 
@@ -412,12 +412,12 @@ def oracle_fit(field):
     residual_norm = 0.0
     if n_occ > 1:
         if not rows:
-            raise infophase.FieldFitError("occupied cells share no adjacencies")
+            raise infophase.DegenerateFieldError("occupied cells share no adjacencies")
         design = np.vstack(rows)[:, 1:]
         target = np.asarray(rhs)
         solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
         if rank < n_occ - 1:
-            raise infophase.FieldFitError("fit is rank deficient beyond the gauge")
+            raise infophase.DegenerateFieldError("fit is rank deficient beyond the gauge")
         h_flat[1:] = solution
         residual_norm = float(np.linalg.norm(design @ solution - target))
     grid = np.full(occ.shape, np.nan)
@@ -444,7 +444,7 @@ def grid_fields(draw):
 def outcome(fn, field):
     try:
         return fn(field)
-    except (infophase.DegenerateFieldError, infophase.FieldFitError) as exc:
+    except infophase.DegenerateFieldError as exc:
         return type(exc)
 
 

@@ -1,5 +1,6 @@
 """Tests for decoder geometry, leapfrog flows, shooting, and deviations."""
 
+import math
 import re
 
 import numpy as np
@@ -258,6 +259,18 @@ def _decoder_file(tmp_path, text):
             lambda tmp: manifold.load_decoder(_decoder_file(tmp, "decoder linear\nlayer 2 2\n1 0 0\n0 1 0\n0 0\n")),
             "line 2: layer block does not match its declared shape",
         ),
+        (lambda tmp: manifold.Decoder.linear([[np.nan]]), "layer 0 weights must be finite"),
+        (lambda tmp: manifold.Decoder.linear(np.eye(2), [0.0, np.inf]), "layer 0 biases must be finite"),
+        (
+            lambda tmp: manifold.Decoder.mlp_tanh([np.eye(2), np.eye(2)], [np.zeros(2), [np.inf, 0.0]]),
+            "layer 1 biases must be finite",
+        ),
+        (
+            lambda tmp: manifold.load_decoder(
+                _decoder_file(tmp, "decoder mlp-tanh\nlayer 2 2\n1 0\n0 1\n0 0\n# out\nlayer 1 2\n1 nan\n0\n")
+            ),
+            "line 7: layer 1 weights must be finite",
+        ),
     ],
     ids=[
         "linear-1d-matrix",
@@ -267,6 +280,10 @@ def _decoder_file(tmp_path, text):
         "custom-zero-latent",
         "load-comments-only",
         "load-wrong-width-row",
+        "linear-nan-weight",
+        "linear-inf-offset",
+        "mlp-inf-bias",
+        "load-nan-weight",
     ],
 )
 def test_guard_message(tmp_path, call, message):
@@ -356,9 +373,10 @@ class TestMetricField:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_metric_raises(self, bad):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]])
+        # the layered constructors refuse such weights; built past them, the metric check still rejects
         decoders = [
-            manifold.Decoder.linear(a),
-            manifold.Decoder.mlp_tanh([a, np.eye(3)], [np.zeros(3), np.zeros(3)]),
+            manifold.Decoder("linear", [(a, np.zeros(3))], latent_dim=2, ambient_dim=3),
+            manifold.Decoder("mlp-tanh", [(a, np.zeros(3)), (np.eye(3), np.zeros(3))], latent_dim=2, ambient_dim=3),
         ]
         for dec in decoders:
             mf = manifold.MetricField(dec)
@@ -648,6 +666,32 @@ class TestShooting:
         mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=0.0)
         with pytest.raises(ValueError, match=message):
             manifold.solve_shooting(mf, y_a, y_b, n_steps=8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_endpoint_rejected(self, bad):
+        # used to fail only once shot, as IntegrationError at step 1
+        mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=0.0)
+        shown = re.escape(f"[{bad}, 0.5]")
+        with pytest.raises(ValueError, match=f"^y_b must be finite, got {shown}$"):
+            manifold.solve_shooting(mf, np.zeros(2), [bad, 0.5])
+        with pytest.raises(ValueError, match=f"^y_b of pair 0 must be finite, got {shown}$"):
+            manifold.loss_geo(mf, [(np.zeros(2), [bad, 0.5])], 8)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tol": -1.0}, "tol must be a number >= 0, got -1.0"),
+            ({"tol": math.nan}, "tol must be a number >= 0, got nan"),
+            ({"max_iter": -1}, "max_iter must be an integer >= 0, got -1"),
+            ({"max_iter": 2.5}, "max_iter must be an integer >= 0, got 2.5"),
+            ({"max_iter": math.inf}, "max_iter must be an integer >= 0, got inf"),
+        ],
+        ids=["negative-tol", "nan-tol", "negative-max-iter", "fractional-max-iter", "inf-max-iter"],
+    )
+    def test_bad_tolerance_or_iteration_count_rejected(self, kwargs, message):
+        # a negative or NaN tol used to run every iteration and report a residual of 0
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            manifold.solve_shooting(self.flat_field(), np.zeros(2), np.array([0.9, 0.4]), **kwargs)
 
 
 def one_step_tangent(ham, y, p, h):

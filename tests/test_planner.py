@@ -289,6 +289,15 @@ class TestWaypoints:
         with pytest.raises(ValueError):
             planner.waypoints([0, 1], 0)
 
+    @pytest.mark.parametrize("stride", [2.5, math.inf, math.nan, 0.0, -1], ids=["fraction", "inf", "nan", "zero", "negative"])
+    def test_stride_must_be_an_integer_of_at_least_one(self, stride):
+        # 2.5 used to become 2, inf raised OverflowError and nan a numpy conversion error
+        with pytest.raises(ValueError, match=f"^stride must be an integer >= 1, got {re.escape(repr(stride))}$"):
+            planner.waypoints([0, 1, 2], stride)
+
+    def test_integral_float_stride_accepted(self):
+        assert planner.waypoints([0, 1, 2, 3, 4], 2.0) == [0, 2, 4]
+
 
 @st.composite
 def graphs(draw):
@@ -554,25 +563,25 @@ class TestGraphIo:
     def test_edge_before_count(self, tmp_path):
         p = tmp_path / "g.graph"
         p.write_text("e 0 1 1.0\n")
-        with pytest.raises(planner.GraphFormatError, match="line 1"):
+        with pytest.raises(_text.FormatError, match="line 1"):
             planner.load_graph(p)
 
     def test_bad_directive_line_number(self, tmp_path):
         p = tmp_path / "g.graph"
         p.write_text("n 2\nq 0 1\n")
-        with pytest.raises(planner.GraphFormatError, match="line 2"):
+        with pytest.raises(_text.FormatError, match="line 2"):
             planner.load_graph(p)
 
     def test_negative_weight_reported_with_line(self, tmp_path):
         p = tmp_path / "g.graph"
         p.write_text("n 2\ne 0 1 -3\n")
-        with pytest.raises(planner.GraphFormatError, match="line 2"):
+        with pytest.raises(_text.FormatError, match="line 2"):
             planner.load_graph(p)
 
     def test_missing_count(self, tmp_path):
         p = tmp_path / "g.graph"
         p.write_text("# nothing\n")
-        with pytest.raises(planner.GraphFormatError, match="missing"):
+        with pytest.raises(_text.FormatError, match="missing"):
             planner.load_graph(p)
 
     @given(g=graphs(), data=st.data())
@@ -589,7 +598,7 @@ class TestGraphIo:
         try:
             planner.load_graph(p)
         except _text.FormatError as exc:
-            assert isinstance(exc, planner.GraphFormatError)
+            assert isinstance(exc, _text.FormatError)
             named = re.match(r"line (\d+): ", str(exc))
             if named is None:
                 assert k == 1 and str(exc) == "missing 'n <count>' line"
@@ -622,7 +631,7 @@ class TestGraphIo:
     def test_error_names_exact_line(self, tmp_path, text, message):
         p = tmp_path / "g.graph"
         p.write_text(text)
-        with pytest.raises(planner.GraphFormatError) as caught:
+        with pytest.raises(_text.FormatError) as caught:
             planner.load_graph(p)
         assert str(caught.value) == message
 
@@ -652,7 +661,7 @@ def _graph_file(tmp_path, text):
         (lambda tmp: planner.shortest_path(TestShortestPath.overflow_graph(), 0, 4), ValueError,
          "target 4 is not a node index"),
         (lambda tmp: planner.build_ndm_graph([], ("knn", 1), l1_cost), ValueError, "need at least one sample"),
-        (lambda tmp: planner.load_graph(_graph_file(tmp, "# nodes\nn -1\n")), planner.GraphFormatError,
+        (lambda tmp: planner.load_graph(_graph_file(tmp, "# nodes\nn -1\n")), _text.FormatError,
          "line 2: negative node count"),
     ],
     ids=["shortest-path-target-out-of-range", "build-no-samples", "load-negative-count"],

@@ -190,6 +190,38 @@ class TestEnergies:
         # f = 1*1 + 1*1 + 1*1 = 3, energy = -K f
         np.testing.assert_allclose(spins.three_body_energy(sys1), -6.0)
 
+    @pytest.mark.parametrize(
+        "couplings, fields, three_body, message",
+        [
+            (np.full((3, 3), 1e308), None, [], "couplings and fields too large"),
+            (np.zeros((3, 3)), np.full((3, 1), 1e308), [], "couplings and fields too large"),
+            (np.full((3, 3), 5e307), np.full((3, 1), 1e307), [], "couplings and fields too large"),
+            (np.zeros((3, 3)), None, [(0, 1, 2, 1e308)], "three-body strengths too large"),
+        ],
+        ids=["couplings", "fields", "couplings-plus-fields", "three-body"],
+    )
+    def test_read_out_overflow_rejected_at_construction(self, couplings, fields, three_body, message):
+        # each used to warn in a read-out of aligned spins (or return -inf for the three-body energy)
+        with pytest.raises(ValueError, match=f"^{message}: .* overflows the float range$"):
+            spins.SpinSystem(np.ones((3, 1)), couplings, fields, three_body)
+
+    def test_largest_bounded_system_reads_out_finite(self):
+        # sum_{i<j} |J~_ij| = 1.35e308 is finite although sum |J~| is not
+        j = np.array([[0.0, 1e308], [1.7e308, 0.0]])
+        system = spins.SpinSystem(np.ones((2, 1)), j, three_body=[])
+        assert spins.two_body_energy(system) == -1.35e308
+        np.testing.assert_array_equal(spins.energy_gradient(system), [[-1.35e308], [-1.35e308]])
+        assert spins.lattice_energy(j, np.ones((2, 1))) == -1.35e308
+
+    @pytest.mark.parametrize(
+        "couplings, fields, shown",
+        [(np.full((3, 3), 1e308), None, "-inf"), (np.zeros((3, 3)), np.full((3, 1), np.nan), "nan")],
+        ids=["overflow", "nan-field"],
+    )
+    def test_lattice_energy_checks_its_result(self, couplings, fields, shown):
+        with pytest.raises(ValueError, match=f"^lattice energy is {shown}, not finite$"):
+            spins.lattice_energy(couplings, np.ones((3, 1)), fields)
+
     def test_bond_energies_use_raw_couplings(self):
         rng = np.random.default_rng(2)
         s = unit_spins(rng, 3, 2)

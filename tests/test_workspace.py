@@ -1,5 +1,6 @@
 """Tests for typed episode graphs, workspace losses, and explanation chains."""
 
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -163,6 +164,20 @@ class TestFactLoss:
         with pytest.raises(ValueError, match=f"^fact weight must be >= 0, got {weight!r}$"):
             Fact("k", 1, weight=weight)
 
+    def test_nan_score_names_its_fact(self):
+        # used to warn in logaddexp and return nan
+        facts = [Fact("a", 1), Fact("b", 0)]
+        with pytest.raises(ValueError, match="^fact 1 \\(key 'b'\\): score is nan$"):
+            workspace.ws_fact_loss(np.zeros(1), facts, scorer=lambda z, k: 0.0 if k == "a" else float("nan"))
+
+    @pytest.mark.parametrize(
+        "score, truth, expected",
+        [(math.inf, 1, 0.0), (-math.inf, 1, 30.0), (math.inf, 0, 30.0), (-math.inf, 0, 0.0)],
+        ids=["plus-inf-true", "minus-inf-true", "plus-inf-false", "minus-inf-false"],
+    )
+    def test_infinite_score_is_its_limit(self, score, truth, expected):
+        assert workspace.ws_fact_loss(np.zeros(1), [Fact("k", truth)], scorer=lambda z, k: score) == expected
+
 
 class TestGeoLoss:
     def test_sum_of_squared_gaps(self):
@@ -190,6 +205,16 @@ class TestGeoLoss:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="pair"):
             workspace.ws_geo_loss([], f_map=lambda d: d, dist_fn=lambda a, b: 0.0)
+
+    def test_nan_distance_names_its_pair(self):
+        # a NaN d_ws used to make the loss nan
+        pairs = [(np.zeros(1), np.ones(1), 1.0), (np.zeros(1), np.ones(1), float("nan"))]
+        with pytest.raises(ValueError, match="^pair 1: d_ws is nan$"):
+            workspace.ws_geo_loss(pairs, f_map=lambda d: 2.0, dist_fn=lambda a, b: 2.0)
+        pairs = [(np.zeros(1), np.ones(1), 1.0), (np.zeros(1), np.full(1, np.nan), 2.0)]
+        dist = lambda a, b: float(np.linalg.norm(b - a))
+        with pytest.raises(ValueError, match="^pair 1: distance gap is nan$"):
+            workspace.ws_geo_loss(pairs, f_map=lambda d: d, dist_fn=dist)
 
 
 class TestEdgeWeight:
