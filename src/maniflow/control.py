@@ -144,10 +144,17 @@ def hjb_residual(
     t: float = 0.0,
     ws_state=None,
 ) -> float:
-    """dV/dt + H(y, grad V); identically zero for an exact value function."""
+    """dV/dt + H(y, grad V); identically zero for an exact value function.
+
+    A residual past the float range is +-inf; ValueError if it is NaN.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     costate = np.atleast_1d(value_fn.gradient(y, t))
-    return value_fn.dt(y, t) + ReducedHamiltonian(metric_field, cost, ws_state)(y, costate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = value_fn.dt(y, t) + ReducedHamiltonian(metric_field, cost, ws_state)(y, costate)
+    if math.isnan(residual):
+        raise ValueError("HJB residual is nan")
+    return residual
 
 
 def ndm_layer(
@@ -162,11 +169,15 @@ def ndm_layer(
 def running_cost(
     metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np.ndarray, ws_state=None
 ) -> float:
-    """Instantaneous cost u^T G(y) u / 2 + l_task + lam l_ws; ValueError if it is NaN."""
+    """Instantaneous cost u^T G(y) u / 2 + l_task + lam l_ws; ValueError if it is NaN.
+
+    A control whose cost passes the float range costs +inf.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     g = metric_field.metric(y)
-    kinetic = 0.5 * float(u @ g @ u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = 0.5 * float(u @ g @ u)
     value = kinetic + cost.potential(metric_field.decoder(y), ws_state)
     if math.isnan(value):
         raise ValueError("running cost is nan")

@@ -5,11 +5,11 @@ A decoder maps latent points y in R^d to ambient points z in R^n
 
     G(y) = J(y)^T J(y) + eps_reg I,
 
-symmetrised by averaging with its transpose and validated by Cholesky
-factorisation.  Geodesics are driven by the kinetic Hamiltonian
-H(y, p) = p^T G(y)^{-1} p / 2 through a staged leapfrog; curvature
-information enters only through derivatives of H, so Christoffel symbols
-are never materialised.
+formed by one matmul, which numpy makes exactly symmetric, checked
+finite and validated by Cholesky factorisation.  Geodesics are driven
+by the kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2 through a
+staged leapfrog; curvature information enters only through derivatives
+of H, so Christoffel symbols are never materialised.
 
 Derivative conventions used throughout:
 
@@ -90,7 +90,6 @@ __all__ = [
     "pullback_metric",
     "leapfrog_step",
     "integrate",
-    "trajectory_csv",
     "shoot_geodesic",
     "solve_shooting",
     "jacobi_propagate",
@@ -122,7 +121,8 @@ class IntegrationError(ValueError):
 
     ``step`` is the step that failed, ``y`` and ``p`` are the last finite
     node (the one before it) and ``drift`` is max |H - H_0| over the nodes
-    up to it, or None for a run that records no energies.
+    up to it, or None for a run that records no energies.  Step 0 is a
+    start whose state or energy is not finite: y, p and drift are None.
     """
 
     def __init__(self, message: str, step: int | None = None, y=None, p=None, drift: float | None = None):
@@ -384,18 +384,21 @@ class MetricField:
         if not 0 <= self.eps_reg < math.inf:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg!r}")
 
-    def _metric(self, jac: np.ndarray) -> np.ndarray:
-        g = jac.swapaxes(-1, -2) @ jac
-        g = 0.5 * (g + g.swapaxes(-1, -2))
-        return g + self.eps_reg * np.eye(self.decoder.latent_dim)
+    def _metric(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """J, D2 and G at y, an array (..., d); ValueError, and no warning, unless every G is finite."""
+        # J^T J comes out exactly symmetric (syrk, or the same products summed in
+        # the same order), so no averaging pass: dropping it pays for the errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac, hess = self.decoder.jet(y)
+            g = jac.swapaxes(-1, -2) @ jac + self.eps_reg * np.eye(self.decoder.latent_dim)
+        if not np.isfinite(g).all():
+            raise ValueError(f"metric at y={y!r} contains infs or NaNs")
+        return jac, hess, g
 
     def at(self, y: np.ndarray) -> _Geometry:
         """The geometry at y, shape (..., d); raises unless every G there is finite and SPD."""
         y = np.asarray(y, dtype=float)
-        jac, hess = self.decoder.jet(y)
-        g = self._metric(jac)
-        if not np.isfinite(g).all():
-            raise ValueError(f"metric at y={y!r} contains infs or NaNs")
+        jac, hess, g = self._metric(y)
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -407,8 +410,8 @@ class MetricField:
         return _Geometry(jac, hess, g, np.linalg.inv(g))
 
     def metric(self, y: np.ndarray) -> np.ndarray:
-        """G at y, shape (..., d, d), whether or not it is positive definite."""
-        return self._metric(self.decoder.jet(y)[0])
+        """G at y, shape (..., d, d), whether or not it is positive definite; ValueError unless finite."""
+        return self._metric(np.asarray(y, dtype=float))[2]
 
     def solve(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return self.at(y).dp(np.asarray(rhs, dtype=float))
@@ -547,25 +550,25 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     at, dy, dp, energy = _parts(hamiltonian)
     d = y.shape[-1]
     nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
-    held = at(y)
-    nodes[0, ..., :d], nodes[0, ..., d : 2 * d] = y, p
-    if energies:
-        nodes[0, ..., -1] = energy(held, p)
     # overflow needs no warning: the finiteness check turns it into IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            p_half = p - 0.5 * h * dy(held, p)
-            y = y + h * dp(held, p_half)
-            held = at(y)
-            p = p_half - 0.5 * h * dy(held, p_half)
+        held = at(y)
+        for k in range(n_steps + 1):
+            if k:
+                p_half = p - 0.5 * h * dy(held, p)
+                y = y + h * dp(held, p_half)
+                held = at(y)
+                p = p_half - 0.5 * h * dy(held, p_half)
             row = nodes[k]
             row[..., :d], row[..., d : 2 * d] = y, p
             if energies:
                 row[..., -1] = energy(held, p)
             if not np.isfinite(row).all():
+                message = f"non-finite state or energy at step {k}"
+                if k == 0:
+                    raise IntegrationError(message, 0)
                 last = nodes[k - 1].copy()
                 drift = float(np.max(np.abs(nodes[:k, ..., -1] - nodes[0, ..., -1]))) if energies else None
-                message = f"non-finite state or energy at step {k}"
                 raise IntegrationError(message, k, last[..., :d], last[..., d : 2 * d], drift)
     return nodes[..., :d], nodes[..., d : 2 * d], nodes[..., -1] if energies else None
 
@@ -584,14 +587,6 @@ def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
     """One kick-drift-kick update of step h (h may be negative): the one-step ``integrate``, without energies."""
     ys, ps, _ = _leapfrog(hamiltonian, pt.y, pt.p, h, 1, energies=False)
     return PhasePoint(ys[1], ps[1])
-
-
-def trajectory_csv(traj: PhaseTrajectory) -> str:
-    """CSV dump with columns s, y..., p..., H (10 significant digits)."""
-    d = traj.ys.shape[-1]
-    header = ["s"] + [f"y{i}" for i in range(d)] + [f"p{i}" for i in range(d)] + ["H"]
-    s = [k * traj.step for k in range(len(traj))]
-    return _text.csv(header, zip(s, *traj.ys.T.tolist(), *traj.ps.T.tolist(), traj.energies.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +649,9 @@ def solve_shooting(
 
     def shots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The endpoint residual at q and its sensitivity."""
-        points, step = _stencil(q, GRAD_STEP)
+        # a |q| past the float range needs no warning: the run's step-0 check rejects its points
+        with np.errstate(over="ignore", invalid="ignore"):
+            points, step = _stencil(q, GRAD_STEP)
         ends = shoot_geodesic(metric_field, y_a, np.vstack([q, points]), n_steps)
         return ends[0] - y_b, _central(ends[1:], step)
 
@@ -739,7 +736,8 @@ def loss_geo(metric_field: MetricField, pairs, n_steps: int) -> float:
     """Mean squared endpoint error of shot geodesics over (y_a, y_b[, p0]) pairs.
 
     Without an explicit initial momentum the flat-chart guess
-    G(y_a)(y_b - y_a) is used.  All entries are shot as one stack.
+    G(y_a)(y_b - y_a) is used.  All entries are shot as one stack.  An
+    error past the float range makes the loss +inf.
     """
     if len(pairs) == 0:
         raise ValueError("need at least one endpoint pair")
@@ -754,7 +752,9 @@ def loss_geo(metric_field: MetricField, pairs, n_steps: int) -> float:
         targets.append(y_b)
         momenta.append(p0[0] if p0 else _flat_guess(metric_field, y_a, y_b))
     ends = shoot_geodesic(metric_field, np.stack(starts), np.stack(momenta), n_steps)
-    return sum(float(np.sum((end - y_b) ** 2)) for end, y_b in zip(ends, targets)) / len(pairs)
+    # ends are finite, so an error past the float range is +inf, not a warning
+    with np.errstate(over="ignore"):
+        return sum(float(np.sum((end - y_b) ** 2)) for end, y_b in zip(ends, targets)) / len(pairs)
 
 
 def loss_jac(hamiltonian, cases) -> float:

@@ -40,7 +40,6 @@ __all__ = [
     "waypoints",
     "load_graph",
     "save_graph",
-    "sssp_csv",
 ]
 
 
@@ -354,8 +353,3 @@ def save_graph(graph: WeightedDigraph, path) -> None:
         rows.append(f"e {u} {v} {text}")
     _text.write(path, rows)
 
-
-def sssp_csv(res: SsspResult) -> str:
-    """CSV dump of a Dijkstra result with columns node, dist, pred."""
-    rows = [(i, d, "" if p is None else p) for i, (d, p) in enumerate(zip(res.dist, res.pred))]
-    return _text.csv(["node", "dist", "pred"], rows)

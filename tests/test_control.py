@@ -110,6 +110,23 @@ class TestHjbResidual:
         r = control.hjb_residual(mf, cost, vf, np.array([1.5]), t=2.0)
         np.testing.assert_allclose(r, -1.0, atol=1e-12)
 
+    # V = 1e300 |y|^2, whose kinetic term p^2 / 2 at y = 1 passes the float range
+    STEEP = control.ValueFunction(
+        value=lambda y, t: 1e300 * float(y @ y),
+        grad=lambda y, t: 2e300 * np.asarray(y, dtype=float),
+        time_partial=lambda y, t: 0.0,
+    )
+
+    def test_residual_past_float_range_is_inf(self):
+        # the kinetic term used to warn in multiply
+        assert control.hjb_residual(identity_field(), quad_cost(), self.STEEP, np.array([1.0])) == math.inf
+
+    def test_nan_residual_rejected(self):
+        # an infinite kinetic term minus an infinite potential
+        cost = control.CostSpec(task_cost=lambda z: math.inf)
+        with pytest.raises(ValueError, match="^HJB residual is nan$"):
+            control.hjb_residual(identity_field(), cost, self.STEEP, np.array([1.0]))
+
 
 class TestNdmLayer:
     def test_matches_hand_leapfrog(self):
@@ -289,6 +306,18 @@ class TestTrajectoryCost:
         cost = control.CostSpec(task_cost=lambda z: math.inf)
         traj = [(np.array([0.0]), np.array([0.0]), 0.5), (np.array([1.0]), np.array([0.0]), 0.5)]
         assert control.trajectory_cost(identity_field(), cost, traj) == math.inf
+
+    def test_overflowing_control_costs_inf(self):
+        # u^T G u past the float range used to warn in matmul before returning inf
+        cost = control.CostSpec(task_cost=lambda z: 0.0)
+        assert control.running_cost(identity_field(), cost, [0.0], [1e200]) == math.inf
+
+    def test_overflowing_metric_named_by_record(self):
+        # metric() raises on a G past the float range, where it used to warn and return inf
+        huge = manifold.MetricField(manifold.Decoder.linear([[1e200]]))
+        traj = [(np.zeros(1), np.zeros(1), 0.5), (np.ones(1), np.zeros(1), 0.5)]
+        with pytest.raises(ValueError, match=r"^record 0: metric at y=array\(\[0\.\]\) contains infs or NaNs$"):
+            control.trajectory_cost(huge, quad_cost(), traj)
 
     def test_workspace_state_threaded_through(self):
         mf = identity_field()

@@ -369,7 +369,6 @@ class TestMetricField:
         np.testing.assert_array_equal(mf.metric(y), expected)
         np.testing.assert_allclose(mf.solve(y, expected[0]), [1.0, 0.0], atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_metric_raises(self, bad):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]])
@@ -385,6 +384,36 @@ class TestMetricField:
                 mf.solve(y, np.ones(2))
             with pytest.raises(ValueError, match="NaN"):
                 manifold.pullback_metric(mf, y)
+            with pytest.raises(ValueError, match="NaN"):
+                mf.metric(y)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e100])
+    @pytest.mark.parametrize("kind", ["linear", "mlp-tanh-2", "mlp-tanh-3", "custom"])
+    def test_metric_exactly_symmetric(self, kind, scale):
+        # G takes no averaging pass: J^T J itself must be symmetric bit for bit
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(4, 3))
+        if kind == "linear":
+            dec = manifold.Decoder.linear(scale * a)
+        elif kind == "custom":
+            dec = manifold.Decoder.custom(lambda y: scale * np.tanh(a @ y), 3, 4)
+        else:
+            tanh = random_tanh_decoder(rng, 3, 4, n_tanh=int(kind[-1]) - 1)
+            (*inner, (w, b)) = tanh.layers
+            dec = manifold.Decoder.mlp_tanh([*(wi for wi, _ in inner), scale * w], [*(bi for _, bi in inner), b])
+        for eps_reg in (0.0, 1e-8, 0.5):
+            mf = manifold.MetricField(dec, eps_reg=eps_reg)
+            for y in (rng.normal(size=3), rng.normal(size=(5, 3))):
+                g = mf.metric(y)
+                assert g.tobytes() == np.ascontiguousarray(g.swapaxes(-1, -2)).tobytes()
+                assert mf.at(y).metric.tobytes() == g.tobytes()
+
+    def test_overflowing_metric_raises_without_warning(self):
+        # finite weights whose J^T J passes the float range: the matmul used to warn first
+        mf = manifold.MetricField(manifold.Decoder.linear([[1e200, 0.0], [0.0, 1.0]]))
+        for call in (mf.metric, mf.at):
+            with pytest.raises(ValueError, match=r"^metric at y=array\(\[0\., 0\.\]\) contains infs or NaNs$"):
+                call(np.zeros(2))
 
 
 class TestGeodesicHamiltonian:
@@ -575,23 +604,6 @@ class TestLeapfrog:
         final = manifold.integrate(ham, pt, -0.05, 1).final()
         np.testing.assert_array_equal(step.y, final.y)
         np.testing.assert_array_equal(step.p, final.p)
-
-    def test_trajectory_csv_shape(self):
-        ham = Oscillator()
-        traj = manifold.integrate(ham, manifold.PhasePoint([1.0], [0.0]), 0.1, 3)
-        lines = manifold.trajectory_csv(traj).strip().split("\n")
-        assert lines[0] == "s,y0,p0,H"
-        assert len(lines) == 5
-
-    def test_trajectory_csv_text(self):
-        traj = manifold.integrate(Oscillator(), manifold.PhasePoint([1.0], [0.0]), 0.1, 3)
-        assert manifold.trajectory_csv(traj) == (
-            "s,y0,p0,H\n"
-            "0,1,0,0.5\n"
-            "0.1,0.995,-0.09975,0.4999875313\n"
-            "0.2,0.98005,-0.1985025,0.4999506225\n"
-            "0.3,0.9552995,-0.295269975,0.4998907464\n"
-        )
 
 
 class TestShooting:
@@ -856,6 +868,11 @@ class TestLosses:
         pairs = [(np.array([0.1, -0.2]), np.array([0.6, 0.3])), (np.array([0.0, 0.4]), np.array([-0.3, 0.1]))]
         assert manifold.loss_geo(mf, np.array(pairs), n_steps=8) == manifold.loss_geo(mf, pairs, n_steps=8)
 
+    def test_loss_geo_past_float_range_is_inf(self):
+        # the geodesic ends finite but ~1e300 off its target: the squared error used to warn
+        mf = manifold.MetricField(near_identity_decoder(seed=1))
+        assert manifold.loss_geo(mf, [([0.0, 0.0], [1e300, 0.0])], 4) == math.inf
+
     def test_loss_geo_shoots_all_entries_as_one_stack(self, monkeypatch):
         mf = manifold.MetricField(near_identity_decoder())
         rng = np.random.default_rng(5)
@@ -1028,6 +1045,20 @@ class TestFailureState:
         np.testing.assert_array_equal(err.p, before.ps[-1])
         assert err.drift == np.max(np.abs(before.energies - before.energies[0]))
         assert 1e300 < err.drift < np.inf
+
+    def test_non_finite_start_fails_at_step_zero(self):
+        # node 0's energy overflows: it used to warn in multiply, then fail at step 1 with drift nan
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        with pytest.raises(manifold.IntegrationError, match="^non-finite state or energy at step 0$") as info:
+            manifold.integrate(ham, manifold.PhasePoint([0.0, 0.0], [1e200, 0.0]), 0.1, 3)
+        err = info.value
+        assert (err.step, err.y, err.p, err.drift) == (0, None, None, None)
+
+    def test_shooting_past_float_range_fails_at_step_zero(self):
+        # the stencil of the flat guess overflowed in its norm's matmul
+        mf = manifold.MetricField(near_identity_decoder())
+        with pytest.raises(manifold.IntegrationError, match="^non-finite state or energy at step 0$"):
+            manifold.solve_shooting(mf, [0.0, 0.0], [1e200, 0.0])
 
     def test_shooting_error_keeps_residual_history(self):
         mf = manifold.MetricField(near_identity_decoder())

@@ -635,19 +635,6 @@ class TestGraphIo:
             planner.load_graph(p)
         assert str(caught.value) == message
 
-    def test_sssp_csv_format(self):
-        g = planner.WeightedDigraph()
-        for _ in range(3):
-            g.add_node()
-        g.add_edge(0, 1, 2.0)
-        res = planner.dijkstra(g, 0)
-        text = planner.sssp_csv(res)
-        lines = text.strip().split("\n")
-        assert lines[0] == "node,dist,pred"
-        assert lines[1] == "0,0,"
-        assert lines[2] == "1,2,0"
-        assert lines[3] == "2,inf,"
-
 
 def _graph_file(tmp_path, text):
     path = tmp_path / "g.graph"
