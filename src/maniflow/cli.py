@@ -51,9 +51,11 @@ from . import _text
 from ._text import fmt
 
 # The library modules, each imported by the first command that calls it, so
-# no command loads what it never runs: ``plan`` and the tables load no numpy
-# (nor table 3 ``manifold``, unless a run diverges), and only ``phase``
-# loads ``infophase``.
+# no command loads what it never runs: table 3 loads ``manifold`` only when
+# a run diverges, and only ``phase`` loads ``infophase``.  Only that
+# diverging run loads numpy: the tables and ``infophase`` compute over Python
+# floats, and ``phase --seed`` draws from ``_rng``'s replica of numpy's
+# default generator.
 experiments = infophase = planner = None
 
 
@@ -159,15 +161,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _portrait_csv(por: infophase.PhasePortrait) -> str:
-    return _text.csv(["t", "u", "e"], zip(range(len(por.u)), por.u.tolist(), por.e.tolist()))
+    return _text.csv(["t", "u", "e"], zip(range(len(por)), por._u, por._e))
 
 
 def _field_csv(field: infophase.GridField) -> str:
-    import numpy as np
-
-    u_center, e_center = np.meshgrid(field.u_centers, field.e_centers, indexing="ij")
-    columns = (u_center, e_center, field.vu, field.ve, field.count)
-    return _text.csv(["u_center", "e_center", "vu", "ve", "count"], zip(*(c.ravel().tolist() for c in columns)))
+    u_centers, e_centers = ([0.5 * (a + b) for a, b in zip(edges, edges[1:])] for edges in (field._u_edges, field._e_edges))
+    centers = ((u, e) for u in u_centers for e in e_centers)
+    rows = ((u, e, vu, ve, count) for (u, e), vu, ve, count in zip(centers, field._vu, field._ve, field._count))
+    return _text.csv(["u_center", "e_center", "vu", "ve", "count"], rows)
 
 
 def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
@@ -175,7 +176,7 @@ def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
     linenos, dists = [], []
     for ln, line in _text.lines(path):
         try:
-            dists.append([float(v) for v in line.split()])
+            dists.append(list(map(float, line.split())))
         except ValueError:
             raise _text.FormatError.at(ln, "bad probability value") from None
         linenos.append(ln)
@@ -200,11 +201,11 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         _check(opts, "window")
         portraits = [_input_portrait(opts["input"], opts["window"])]
     else:
-        import numpy as np
+        from ._rng import DefaultRng  # numpy's seeded draws, replayed without numpy
 
         _check(opts, "dt", "steps")
         _load("experiments")
-        rng = np.random.default_rng(opts["seed"])
+        rng = DefaultRng(opts["seed"])
         portraits = experiments.rotation_portraits(_PHASE_PORTRAITS, opts["steps"], opts["dt"], rng)
     field = infophase.empirical_field(portraits, _FIELD_BINS)
     try:
@@ -212,7 +213,7 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     except infophase.DegenerateFieldError as exc:
         report = [f"divergence_score: unavailable ({exc})"]
     try:
-        _, residual = infophase.fit_info_hamiltonian(field)
+        _, residual = infophase.fit_info_hamiltonian(field, grid=False)
         report.append(f"field_fit_residual: {fmt(residual)}")
     except infophase.DegenerateFieldError as exc:
         report.append(f"field_fit_residual: unavailable ({exc})")

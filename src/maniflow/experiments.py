@@ -20,14 +20,16 @@ The default toy read-out maps y to three outcomes with logits
 entropy strictly increasing in |y| on [0, 2]: runs that end closer to
 the origin shed more entropy per unit cost.
 
-No table needs arrays, so none loads numpy: the read-out's softmax and
-entropy run over Python floats, table 1's route is planned on a
-pure-Python graph, and table 3 steps the oscillator over Python floats in
-the operation order of ``manifold``'s leapfrog, so its nodes are bit-equal
-to ``integrate``'s.  numpy is imported only inside the functions that
-return or take arrays (``HarmonicOscillator.dp``, ``rotation_portraits``
-and ``ToyDecoder.distribution``), ``manifold`` only when a leapfrog run
-diverges, and ``infophase`` only inside ``rotation_portraits``.
+No table and no rotation portrait needs arrays, so none loads numpy: the
+read-out's softmax and entropy run over Python floats, table 1's route is
+planned on a pure-Python graph, table 3 steps the oscillator over Python
+floats in the operation order of ``manifold``'s leapfrog, so its nodes are
+bit-equal to ``integrate``'s, and ``rotation_portraits`` turns its circles
+with ``math.cos`` and ``math.sin``.  numpy is imported only inside the
+functions that return arrays (``HarmonicOscillator.dp`` and
+``ToyDecoder.distribution``) and by a leapfrog run that diverges, whose
+error carries arrays; ``manifold`` only by such a run, and ``infophase``
+only inside ``rotation_portraits``.
 """
 
 from __future__ import annotations
@@ -363,15 +365,15 @@ _ROTATION_CENTER = 2.0
 _ROTATION_RADII = (0.3, 1.5)
 
 
-def rotation_portraits(n_portraits: int, n_steps: int, dt: float, rng: np.random.Generator) -> list[PhasePortrait]:
+def rotation_portraits(n_portraits: int, n_steps: int, dt: float, rng) -> list[PhasePortrait]:
     """Sample portraits circling (2, 0) under u_dot = e, e_dot = -(u - 2).
 
     Each radius is drawn uniformly from [0.3, 1.5), below the center, so
     the entropy coordinate stays non-negative; the rotation is applied
-    exactly, so the underlying flow is divergence free.
+    exactly, so the underlying flow is divergence free.  ``rng`` is any
+    object with ``uniform(low, high)``, such as a ``np.random.Generator``;
+    the portraits are computed over Python floats.
     """
-    import numpy as np
-
     from .infophase import PhasePortrait  # the phase command's portraits alone need infophase
 
     if not math.isfinite(dt * n_steps):
@@ -379,9 +381,10 @@ def rotation_portraits(n_portraits: int, n_steps: int, dt: float, rng: np.random
     portraits = []
     for _ in range(int(n_portraits)):
         r = rng.uniform(*_ROTATION_RADII)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        t = phase - dt * np.arange(n_steps + 1)
-        portraits.append(PhasePortrait(u=_ROTATION_CENTER + r * np.cos(t), e=r * np.sin(t)))
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        t = [phase - dt * k for k in range(int(n_steps) + 1)]
+        u = [_ROTATION_CENTER + r * c for c in map(math.cos, t)]
+        portraits.append(PhasePortrait(u=u, e=[r * s for s in map(math.sin, t)]))
     return portraits
 
 

@@ -14,14 +14,26 @@ only cells two apart, which splits the unknowns into four decoupled
 parity classes and makes a single-gauge fit rank deficient by
 construction.  Compact differences agree with the centred ones to second
 order and keep the system connected.
+
+Every quantity has one implementation, over Python floats, so scoring a
+portrait and binning, scoring and fitting its field load no numpy.  Sums
+and means follow numpy's pairwise order (``_sum``) and ``_hypot`` is
+glibc's hypot, so they are bit-equal to ``np.sum``, ``np.mean`` and
+``np.hypot``; logs are ``math.log``, which may differ from numpy's SIMD
+log in the last bit.  ``PhasePortrait`` and ``GridField`` keep their
+series and cells as lists of floats and build each numpy array (read-only)
+on its first read; ``fit_info_hamiltonian`` returns its grid as an array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_right
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DegenerateFieldError",
@@ -39,63 +51,163 @@ class DegenerateFieldError(ValueError):
     """The empirical field cannot support the requested analysis.
 
     That includes a scalar-field fit that is rank deficient beyond its
-    gauge freedom; one rank verdict covers every cause: a disconnected
-    occupied region, occupied cells that share no adjacency at all among
-    them.
+    gauge freedom, which happens exactly when the occupied cells do not
+    form one region joined by shared sides: a disconnected occupied
+    region, occupied cells that share no side at all among them.
     """
 
 
-def _entropies(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row along the last axis; ValueError unless each row is a distribution.
+def _pairwise(a: list, lo: int, n: int) -> float:
+    """numpy's pairwise sum of a[lo : lo + n]: 8 accumulators up to 128 terms, halving above."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo : lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            res += a[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise(a, lo, n2) + _pairwise(a, lo + n2, n - n2)
 
-    A row must be non-empty, have no negative entry and sum to 1 within
-    1e-9.  A zero entry adds a 0 ln 1 term, so 0 ln 0 = 0 and a row sums
-    the same alone as in a stack: ``entropy`` scores its one row here and
-    ``portrait`` a whole stack, bit for bit alike.
+
+def _sum(a: list) -> float:
+    """Sum of a float list, bit-equal to ``np.sum`` (a reduction starts from 0.0)."""
+    return 0.0 + _pairwise(a, 0, len(a))
+
+
+_HYPOT_SCALE = 2.0**-600
+_HYPOT_LARGE = 2.0**511
+_HYPOT_TINY = 2.0**-511
+_HYPOT_EPS = 2.0**-54
+
+
+def _hypot_kernel(ax: float, ay: float) -> float:
+    """sqrt(ax^2 + ay^2) for ax >= ay >= 0, corrected once (Borges 2019, the variant without fma)."""
+    h = math.sqrt(ax * ax + ay * ay)
+    if h <= 2.0 * ay:
+        delta = h - ay
+        t1 = ax * (2.0 * delta - ax)
+        t2 = (delta - 2.0 * (ax - ay)) * delta
+    else:
+        delta = h - ax
+        t1 = 2.0 * delta * (ax - 2.0 * ay)
+        t2 = (4.0 * delta - ay) * ay + delta * delta
+    return h - (t1 + t2) / (2.0 * h)
+
+
+def _hypot(x: float, y: float) -> float:
+    """glibc's hypot (2.35 and later), which ``np.hypot`` calls; ``math.hypot`` rounds differently.
+
+    Bit-equal to it but for a NaN paired with an inf, which gives NaN here
+    and inf there.
     """
-    if p.shape[-1] == 0:
-        raise ValueError("distribution must be a non-empty 1-d array")
-    if np.any(p < 0):
-        raise ValueError("distribution has negative entries")
-    total = np.asarray(p.sum(axis=-1))
-    off = ~(np.abs(total - 1.0) <= 1e-9)
-    if np.any(off):
-        raise ValueError(f"distribution sums to {float(total[off][0])!r}, expected 1 within 1e-9")
-    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1) + 0.0  # + 0.0: a one-hot row is 0.0, not -0.0
+    x, y = abs(x), abs(y)
+    ax, ay = (y, x) if x < y else (x, y)
+    if ax > _HYPOT_LARGE:
+        if ay <= ax * _HYPOT_EPS:
+            return ax + ay
+        return _hypot_kernel(ax * _HYPOT_SCALE, ay * _HYPOT_SCALE) / _HYPOT_SCALE
+    if ay < _HYPOT_TINY:
+        if ax >= ay / _HYPOT_EPS:
+            return ax + ay
+        return _hypot_kernel(ax / _HYPOT_SCALE, ay / _HYPOT_SCALE) * _HYPOT_SCALE
+    if ay <= ax * _HYPOT_EPS:
+        return ax + ay
+    return _hypot_kernel(ax, ay)
+
+
+def _items(values):
+    """An array as nested lists, any other sequence as it is."""
+    return values.tolist() if hasattr(values, "tolist") else values
+
+
+def _array(values, shape=None) -> np.ndarray:
+    """A read-only array of ``values``, so it cannot drift from the lists an object keeps."""
+    import numpy as np
+
+    out = np.array(values)
+    if shape is not None:
+        out = out.reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
+def _rows(cells: list, n: int) -> list:
+    """A row-major cell list as rows of n cells."""
+    return [cells[i : i + n] for i in range(0, len(cells), n)]
 
 
 def entropy(dist) -> float:
-    """Shannon entropy -sum p ln p with the 0 ln 0 = 0 convention."""
-    p = np.asarray(dist, dtype=float)
-    if p.ndim != 1:
+    """Shannon entropy -sum p ln p with the 0 ln 0 = 0 convention.
+
+    ValueError unless ``dist`` is a distribution: a non-empty flat
+    sequence of numbers with no negative entry that sums to 1 within 1e-9.
+    """
+    try:
+        p = list(map(float, _items(dist)))
+    except TypeError:  # a scalar, or an entry that is itself a sequence
+        p = []
+    if not p:
         raise ValueError("distribution must be a non-empty 1-d array")
-    return float(_entropies(p))
+    total = _sum(p)
+    if not (min(p) >= 0.0 and abs(total - 1.0) <= 1e-9):
+        # a NaN entry can hide a negative one from min, and makes the sum NaN
+        if any(map((0.0).__gt__, p)):
+            raise ValueError("distribution has negative entries")
+        raise ValueError(f"distribution sums to {total!r}, expected 1 within 1e-9")
+    log = math.log
+    return -_sum([x * log(x) if x > 0.0 else 0.0 for x in p]) + 0.0  # + 0.0: a one-hot row is 0.0, not -0.0
 
 
-@dataclass
 class PhasePortrait:
-    """Paired entropy and effort series of equal length, finite, with u >= 0."""
+    """Paired entropy and effort series of equal length, finite, with u >= 0.
 
-    u: np.ndarray
-    e: np.ndarray
+    ``u`` and ``e`` are read-only arrays, built on first read from the
+    float lists ``_u`` and ``_e`` the portrait keeps; the CLI writes its
+    CSV from those lists.
+    """
 
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        e = np.asarray(self.e, dtype=float)
-        if u.shape != e.shape or u.ndim != 1:
+    def __init__(self, u, e):
+        try:
+            self._u = list(map(float, _items(u)))
+            self._e = list(map(float, _items(e)))
+        except TypeError:
+            raise ValueError("u and e must be 1-d arrays of equal length") from None
+        if len(self._u) != len(self._e):
             raise ValueError("u and e must be 1-d arrays of equal length")
-        if not (np.isfinite(u).all() and np.isfinite(e).all()):
+        if not (all(map(math.isfinite, self._u)) and all(map(math.isfinite, self._e))):
             raise ValueError("entropy and effort series must be finite")
-        if np.any(u < 0):
+        if any(map((0.0).__gt__, self._u)):
             raise ValueError("entropy series must be non-negative")
-        self.u = u
-        self.e = e
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _array(self._u)
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        return _array(self._e)
 
     def __len__(self) -> int:
-        return self.u.shape[0]
+        return len(self._u)
 
 
-def _smooth_centered(values: np.ndarray, window: int) -> np.ndarray:
+def _smooth_centered(values: list, window: int) -> list:
     """Centred moving average, truncated at the ends; each point is the np.mean of its window."""
     window = int(window)
     if window < 1:
@@ -105,29 +217,11 @@ def _smooth_centered(values: np.ndarray, window: int) -> np.ndarray:
     if window % 2 == 0:
         raise ValueError(f"smoothing window must be odd, got {window}")
     half = (window - 1) // 2
-    n = values.shape[0]
-    out = np.empty_like(values)
-    if n >= window:
-        out[half : n - half] = sliding_window_view(values, window).mean(axis=-1)
-        ends = [*range(half), *range(n - half, n)]
-    else:
-        ends = range(n)
-    for t in ends:
-        out[t] = float(np.mean(values[max(0, t - half) : t + half + 1]))
+    out = []
+    for t in range(len(values)):
+        span = values[max(0, t - half) : t + half + 1]
+        out.append(_sum(span) / len(span))
     return out
-
-
-def _row_entropies(dists) -> np.ndarray | None:
-    """``entropy`` of each row of a (rows, k) stack, or None where the rows are not one valid stack.
-
-    None sends the caller to the per-row path, which raises ``entropy``'s
-    error for the first bad row.
-    """
-    try:
-        p = np.asarray(dists, dtype=float, order="C")
-        return _entropies(p) if p.ndim == 2 else None
-    except (TypeError, ValueError):  # ragged rows, or a row entropy rejects
-        return None
 
 
 def portrait(dists, smoothing_window: int = 1) -> PhasePortrait:
@@ -135,33 +229,61 @@ def portrait(dists, smoothing_window: int = 1) -> PhasePortrait:
 
     Effort is the raw backward difference u_{t-1} - u_t with e_0 = 0,
     then a centred moving average of the requested odd width (truncated
-    at the ends; width 1 means no smoothing).  Rows of one length are
-    scored as one stack, ragged rows one at a time.
+    at the ends; width 1 means no smoothing).  A bad row raises
+    ``entropy``'s error for the first such row.
     """
-    u = _row_entropies(dists)
-    if u is None:
-        u = np.array([entropy(d) for d in dists])
-    if u.size == 0:
+    u = [entropy(d) for d in _items(dists)]
+    if not u:
         raise ValueError("need at least one distribution")
-    e = np.zeros_like(u)
-    if u.size > 1:
-        e[1:] = u[:-1] - u[1:]
+    e = [0.0] + [a - b for a, b in zip(u, u[1:])]
     return PhasePortrait(u=u, e=_smooth_centered(e, smoothing_window))
 
 
-@dataclass
 class GridField:
     """Mean displacement field on a regular (u, e) grid.
 
     vu/ve hold per-cell mean displacements indexed [iu, ie]; count holds
-    the number of contributing steps.
+    the number of contributing steps.  The field keeps the edges and the
+    cells as lists (``_u_edges``, ``_e_edges``, and ``_vu``, ``_ve`` and
+    ``_count`` in row-major order), which the CLI writes its CSV from; each
+    array attribute is read-only and built on first read.
     """
 
-    u_edges: np.ndarray
-    e_edges: np.ndarray
-    vu: np.ndarray
-    ve: np.ndarray
-    count: np.ndarray
+    def __init__(self, u_edges, e_edges, vu, ve, count):
+        self._u_edges = list(map(float, _items(u_edges)))
+        self._e_edges = list(map(float, _items(e_edges)))
+        for edges in (self._u_edges, self._e_edges):
+            if not all(a < b for a, b in zip(edges, edges[1:])):  # a cell of zero width divides by zero
+                raise ValueError(f"grid edges must be strictly increasing, got {edges!r}")
+        self._shape = (len(self._u_edges) - 1, len(self._e_edges) - 1)
+        self._vu, self._ve, self._count = (self._cells(v) for v in (vu, ve, count))
+
+    def _cells(self, values) -> list:
+        rows = _items(values)
+        nu, ne = self._shape
+        if len(rows) != nu or any(len(row) != ne for row in rows):
+            raise ValueError(f"vu, ve and count must have shape {self._shape}, one cell per pair of adjacent edges")
+        return [v for row in rows for v in row]
+
+    @cached_property
+    def u_edges(self) -> np.ndarray:
+        return _array(self._u_edges)
+
+    @cached_property
+    def e_edges(self) -> np.ndarray:
+        return _array(self._e_edges)
+
+    @cached_property
+    def vu(self) -> np.ndarray:
+        return _array(self._vu, self._shape)
+
+    @cached_property
+    def ve(self) -> np.ndarray:
+        return _array(self._ve, self._shape)
+
+    @cached_property
+    def count(self) -> np.ndarray:
+        return _array(self._count, self._shape)
 
     @property
     def u_centers(self) -> np.ndarray:
@@ -176,18 +298,30 @@ class GridField:
         return self.count > 0
 
 
-def _edges(values: np.ndarray, bins: int) -> np.ndarray:
-    lo = float(np.min(values))
-    hi = float(np.max(values))
+def _edges(values: list, bins: int) -> list:
+    """``np.linspace(lo, hi, bins + 1)`` over the values' range, a zero span widened to one unit."""
+    lo, hi = min(values), max(values)
     if lo == hi:
         lo -= 0.5
         hi += 0.5
-    return np.linspace(lo, hi, bins + 1)
+    delta = hi - lo
+    step = delta / bins
+    if step == 0.0:
+        edges = [i / bins * delta + lo for i in range(bins + 1)]
+    else:
+        edges = [i * step + lo for i in range(bins + 1)]
+    edges[-1] = hi
+    return edges
 
 
-def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(edges, x, side="right") - 1
-    return np.clip(idx, 0, edges.shape[0] - 2)
+def _bin_index(edges: list, values: list) -> list:
+    """``np.searchsorted(edges, values, side="right") - 1``, clipped to the cells.
+
+    Searching edges[1:-1] alone is the clip, as no value lies below the
+    first edge or above the last.
+    """
+    last = len(edges) - 1
+    return [bisect_right(edges, x, 1, last) - 1 for x in values]
 
 
 def empirical_field(portraits, bins: int) -> GridField:
@@ -201,32 +335,31 @@ def empirical_field(portraits, bins: int) -> GridField:
     bins = int(bins)
     if bins < 1:
         raise ValueError("bin count must be >= 1")
-    starts_u, starts_e, dus, des = [], [], [], []
+    su, se, du, de = [], [], [], []
     for por in portraits:
-        if len(por) < 2:
+        u, e = por._u, por._e
+        if len(u) < 2:
             continue
-        starts_u.append(por.u[:-1])
-        starts_e.append(por.e[:-1])
-        dus.append(np.diff(por.u))
-        des.append(np.diff(por.e))
-    if not starts_u:
+        su += u[:-1]
+        se += e[:-1]
+        du += [b - a for a, b in zip(u, u[1:])]
+        de += [b - a for a, b in zip(e, e[1:])]
+    if not su:
         raise ValueError("portraits contain no displacement steps")
-    su = np.concatenate(starts_u)
-    se = np.concatenate(starts_e)
-    du = np.concatenate(dus)
-    de = np.concatenate(des)
 
     u_edges = _edges(su, bins)
     e_edges = _edges(se, bins)
-    cell = _bin_index(u_edges, su) * bins + _bin_index(e_edges, se)
-    shape = (bins, bins)
-    count = np.bincount(cell, minlength=bins * bins).reshape(shape)
-    vu = np.bincount(cell, du, bins * bins).reshape(shape)
-    ve = np.bincount(cell, de, bins * bins).reshape(shape)
-    mask = count > 0
-    vu[mask] /= count[mask]
-    ve[mask] /= count[mask]
-    return GridField(u_edges=u_edges, e_edges=e_edges, vu=vu, ve=ve, count=count)
+    count = [0] * (bins * bins)
+    vu = [0.0] * (bins * bins)
+    ve = [0.0] * (bins * bins)
+    for iu, ie, a, b in zip(_bin_index(u_edges, su), _bin_index(e_edges, se), du, de):
+        k = iu * bins + ie
+        count[k] += 1
+        vu[k] += a
+        ve[k] += b
+    vu = [v / c if c else v for v, c in zip(vu, count)]
+    ve = [v / c if c else v for v, c in zip(ve, count)]
+    return GridField(u_edges, e_edges, _rows(vu, bins), _rows(ve, bins), _rows(count, bins))
 
 
 def divergence_score(field: GridField) -> float:
@@ -236,60 +369,144 @@ def divergence_score(field: GridField) -> float:
     when it and its four axis neighbours are occupied.  Raises on fields
     with no interior cell or with zero magnitude.
     """
-    occ = field.occupied
-    interior = occ[1:-1, 1:-1] & occ[:-2, 1:-1] & occ[2:, 1:-1] & occ[1:-1, :-2] & occ[1:-1, 2:]
-    if not interior.any():
+    nu, ne = field._shape
+    occ = [c > 0 for c in field._count]
+    vu, ve = field._vu, field._ve
+    du = field._u_edges[1] - field._u_edges[0]
+    de = field._e_edges[1] - field._e_edges[0]
+    divs = []
+    for iu in range(1, nu - 1):
+        for k in range(iu * ne + 1, iu * ne + ne - 1):
+            if occ[k] and occ[k - ne] and occ[k + ne] and occ[k - 1] and occ[k + 1]:
+                div = (vu[k + ne] - vu[k - ne]) / (2.0 * du)
+                div += (ve[k + 1] - ve[k - 1]) / (2.0 * de)
+                divs.append(abs(div))
+    if not divs:
         raise DegenerateFieldError("no interior occupied cell; need at least a 3x3 occupied block")
-    du = float(field.u_edges[1] - field.u_edges[0])
-    de = float(field.e_edges[1] - field.e_edges[0])
-    div = (field.vu[2:, 1:-1] - field.vu[:-2, 1:-1]) / (2.0 * du)
-    div += (field.ve[1:-1, 2:] - field.ve[1:-1, :-2]) / (2.0 * de)
-    mags = np.hypot(field.vu[occ], field.ve[occ])
-    mean_mag = float(np.mean(mags))
+    mags = [_hypot(vu[k], ve[k]) for k in range(nu * ne) if occ[k]]
+    mean_mag = _sum(mags) / len(mags)
     if mean_mag == 0.0:
         raise DegenerateFieldError("field magnitude is identically zero")
-    return float(np.mean(np.abs(div[interior]))) / (mean_mag + 1e-12)
+    return _sum(divs) / len(divs) / (mean_mag + 1e-12)
 
 
-def fit_info_hamiltonian(field: GridField) -> tuple[np.ndarray, float]:
+_RANK_DEFICIENT = "fit is rank deficient beyond the gauge; the occupied region is likely disconnected"
+
+
+def _cholesky(lower: list, band: int) -> None:
+    """Cholesky factor, in place, of a symmetric positive definite M with ``band`` off-diagonals.
+
+    ``lower[i][band - i + j]`` holds M[i][j] for i - band <= j <= i.
+    Raises DegenerateFieldError when a pivot is not positive, which
+    rounding can cause on a badly scaled grid.
+    """
+    for i, row in enumerate(lower):
+        start = max(0, i - band)
+        for j in range(start, i + 1):
+            other = lower[j]
+            acc = row[band - i + j]
+            for k in range(start, j):
+                acc -= row[band - i + k] * other[band - j + k]
+            if j < i:
+                row[band - i + j] = acc / other[band]
+            elif acc > 0.0:
+                row[band] = math.sqrt(acc)
+            else:
+                raise DegenerateFieldError(_RANK_DEFICIENT)
+
+
+def _cholesky_solve(lower: list, band: int, rhs: list) -> list:
+    """x with L L^T x = rhs for the factor L that ``_cholesky`` left in ``lower``."""
+    n = len(rhs)
+    y = []
+    for i in range(n):
+        acc = rhs[i]
+        for k in range(max(0, i - band), i):
+            acc -= lower[i][band - i + k] * y[k]
+        y.append(acc / lower[i][band])
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        acc = y[i]
+        for k in range(i + 1, min(n, i + band + 1)):
+            acc -= lower[k][band - k + i] * x[k]
+        x[i] = acc / lower[i][band]
+    return x
+
+
+def fit_info_hamiltonian(field: GridField, grid: bool = True) -> tuple[np.ndarray | None, float]:
     """Least-squares scalar field H with dH/de ~ vu and dH/du ~ -ve.
 
     Equations couple adjacent occupied cells (differences matched to the
-    averaged field values), one per adjacent pair in row-major order of
-    the pair's first cell, the u-neighbour before the e-neighbour; the
-    gauge is H = 0 at the first occupied cell in row-major order.
-    Returns the fitted grid (NaN on unoccupied cells) and the residual
-    norm of the difference equations.  Raises DegenerateFieldError when the
-    system has rank below n_occ - 1, the gauge's freedom: the occupied
-    region is disconnected, which includes cells that share no adjacency
-    at all (a design of zero rows has rank 0).
+    averaged field values); the gauge is H = 0 at the first occupied cell
+    in row-major order.  The normal equations are solved by banded
+    Cholesky.  Returns the fitted grid (NaN on unoccupied cells) and the
+    residual norm of the difference equations; a single occupied cell has
+    no unknowns and a residual of 0.  ``grid=False`` returns None for the
+    grid, so a caller after the residual alone loads no numpy.  Raises
+    DegenerateFieldError when the occupied cells are not one region
+    joined by shared sides: the system then has rank below n_occ - 1,
+    the gauge's freedom.
     """
-    occ = field.occupied
-    n_occ = int(np.count_nonzero(occ))
-    if n_occ == 0:
+    nu, ne = field._shape
+    cells = [k for k, c in enumerate(field._count) if c > 0]
+    if not cells:
         raise DegenerateFieldError("field has no occupied cells")
-    index = np.full(occ.shape, -1)
-    index[occ] = np.arange(n_occ)
-    du = float(field.u_edges[1] - field.u_edges[0])
-    de = float(field.e_edges[1] - field.e_edges[0])
+    index = {k: a for a, k in enumerate(cells)}
+    vu, ve = field._vu, field._ve
+    du = field._u_edges[1] - field._u_edges[0]
+    de = field._e_edges[1] - field._e_edges[0]
+    # The unknowns are z = H / scale, so each coefficient, scale / du or
+    # scale / de, is at most 1 and the normal equations cannot overflow on
+    # a fine grid (inverse spacings of 1e160 square past the float range).
+    scale = min(du, de)
+    cu, ce = scale / du, scale / de
+    equations = []  # (a, b, c, t): c (z_b - z_a) = t for occupied cells a, b
+    for a, k in enumerate(cells):
+        if k // ne + 1 < nu and k + ne in index:
+            equations.append((a, index[k + ne], cu, -0.5 * (ve[k] + ve[k + ne])))
+        if k % ne + 1 < ne and k + 1 in index:
+            equations.append((a, index[k + 1], ce, 0.5 * (vu[k] + vu[k + 1])))
 
-    pair_u = occ[:-1] & occ[1:]
-    pair_e = occ[:, :-1] & occ[:, 1:]
-    first = np.concatenate([index[:-1][pair_u], index[:, :-1][pair_e]])
-    order = np.argsort(first, kind="stable")  # a cell-by-cell sweep's row order: lstsq's rounding follows it
-    second = np.concatenate([index[1:][pair_u], index[:, 1:][pair_e]])[order]
-    inv_step = np.repeat([1.0 / du, 1.0 / de], [np.count_nonzero(pair_u), np.count_nonzero(pair_e)])[order]
-    target = np.concatenate(
-        [-0.5 * (field.ve[:-1] + field.ve[1:])[pair_u], 0.5 * (field.vu[:, :-1] + field.vu[:, 1:])[pair_e]]
-    )[order]
-    rows = np.arange(first.size)
-    design = np.zeros((first.size, n_occ))
-    design[rows, second] = inv_step
-    design[rows, first[order]] = -inv_step
-    design = design[:, 1:]  # gauge: H = 0 at the first occupied cell
-    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < n_occ - 1:
-        raise DegenerateFieldError("fit is rank deficient beyond the gauge; the occupied region is likely disconnected")
-    grid = np.full(occ.shape, np.nan)
-    grid[occ] = np.concatenate([[0.0], solution])
-    return grid, float(np.linalg.norm(design @ solution - target))
+    # rank = cells - components: only a connected region is fixed by one gauge
+    neighbours = [[] for _ in cells]
+    for a, b, _, _ in equations:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen, stack = {0}, [0]
+    while stack:
+        for b in neighbours[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    if len(seen) < len(cells):
+        raise DegenerateFieldError(_RANK_DEFICIENT)
+
+    # normal equations of the unknowns 1.. (cell 0 is the gauge, H = 0)
+    band = max((b - a for a, b, _, _ in equations), default=0)
+    lower = [[0.0] * (band + 1) for _ in cells[1:]]
+    for a, b, c, _ in equations:
+        lower[b - 1][band] += c * c
+        if a:
+            lower[a - 1][band] += c * c
+            lower[b - 1][band - b + a] -= c * c
+    _cholesky(lower, band)
+    # a solve, then one refinement: the normal equations square the
+    # condition number, and solving once more for the correction of the
+    # residual brings the grid within ~1e-11 of lstsq's
+    z = [0.0] * len(cells)
+    for _ in range(2):
+        residuals = [t - c * (z[b] - z[a]) for a, b, c, t in equations]
+        rhs = [0.0] * len(cells)
+        for (a, b, c, _), r in zip(equations, residuals):
+            rhs[b] += c * r
+            rhs[a] -= c * r
+        z = [0.0, *(v + dv for v, dv in zip(z[1:], _cholesky_solve(lower, band, rhs[1:])))]
+    residual = math.hypot(*(c * (z[b] - z[a]) - t for a, b, c, t in equations))
+    if not grid:
+        return None, residual
+    import numpy as np
+
+    values = [math.nan] * (nu * ne)
+    for k, value in zip(cells, z):
+        values[k] = scale * value
+    return np.array(values).reshape(field._shape), residual

@@ -550,26 +550,39 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     at, dy, dp, energy = _parts(hamiltonian)
     d = y.shape[-1]
     nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
+
+    def failure(k: int) -> IntegrationError:
+        message = f"non-finite state or energy at step {k}"
+        if k == 0:
+            return IntegrationError(message, 0)
+        last = nodes[k - 1].copy()
+        drift = float(np.max(np.abs(nodes[:k, ..., -1] - nodes[0, ..., -1]))) if energies else None
+        return IntegrationError(message, k, last[..., :d], last[..., d : 2 * d], drift)
+
+    def geometry(k: int):
+        """``at(y)``; a y that drifted to inf or NaN fails as step k, as the finiteness check would."""
+        try:
+            return at(y)
+        except ValueError:
+            if np.isfinite(y).all():
+                raise
+            raise failure(k) from None
+
     # overflow needs no warning: the finiteness check turns it into IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
-        held = at(y)
+        held = geometry(0)
         for k in range(n_steps + 1):
             if k:
                 p_half = p - 0.5 * h * dy(held, p)
                 y = y + h * dp(held, p_half)
-                held = at(y)
+                held = geometry(k)
                 p = p_half - 0.5 * h * dy(held, p_half)
             row = nodes[k]
             row[..., :d], row[..., d : 2 * d] = y, p
             if energies:
                 row[..., -1] = energy(held, p)
             if not np.isfinite(row).all():
-                message = f"non-finite state or energy at step {k}"
-                if k == 0:
-                    raise IntegrationError(message, 0)
-                last = nodes[k - 1].copy()
-                drift = float(np.max(np.abs(nodes[:k, ..., -1] - nodes[0, ..., -1]))) if energies else None
-                raise IntegrationError(message, k, last[..., :d], last[..., d : 2 * d], drift)
+                raise failure(k)
     return nodes[..., :d], nodes[..., d : 2 * d], nodes[..., -1] if energies else None
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maniflow import cli, experiments, infophase
+from maniflow import _rng, cli, experiments, infophase
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -252,6 +252,12 @@ class TestPhaseCommand:
         assert rows[0] == "u_center,e_center,vu,ve,count"
         assert len(rows) == 1 + 12 * 12
 
+    def test_negative_seed_is_numpys_error(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.default_rng(-1)
+        assert cli.main(["phase", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
     def test_seed_determinism(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -301,6 +307,32 @@ class TestPhaseCommand:
     def test_missing_input_file(self, tmp_path, capsys):
         code = cli.main(["phase", "--input", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
         assert code == 2
+
+
+class TestSeedReplica:
+    """``_rng.DefaultRng`` replays ``np.random.default_rng(seed).uniform`` bit for bit."""
+
+    @pytest.mark.parametrize("seed", [*range(8), 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 9])
+    def test_uniform_draws_are_numpys(self, seed):
+        want, got = np.random.default_rng(seed), _rng.DefaultRng(seed)
+        for k in range(300):  # the draws rotation_portraits makes, alternately
+            low, high = (0.3, 1.5) if k % 2 == 0 else (0.0, 2.0 * math.pi)
+            assert got.uniform(low, high) == want.uniform(low, high), k
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError) as want:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as got:
+            _rng.DefaultRng(-1)
+        assert str(got.value) == str(want.value)
+
+    def test_seeded_portraits_are_numpys(self):
+        args = (12, 30, 0.05)
+        mine = experiments.rotation_portraits(*args, _rng.DefaultRng(3))
+        numpys = experiments.rotation_portraits(*args, np.random.default_rng(3))
+        for a, b in zip(mine, numpys):
+            np.testing.assert_array_equal(a.u, b.u)
+            np.testing.assert_array_equal(a.e, b.e)
 
 
 class TestPlanCommand:
@@ -359,6 +391,7 @@ class TestNumericInput:
             (["table", "3", "--damping", "inf"], "table3.csv"),
             (["phase", "--dt", "1e306"], "portrait.csv"),
             (["phase", "--input", str(FIXTURES / "distributions.txt"), "--window", "0"], "portrait.csv"),
+            (["phase", "--seed", "-1"], "portrait.csv"),
             (["table", "3", "--damping", "1e300"], "table3.csv"),
             (["table", "3", "--dt", "1", "--steps", "2000"], "table3.csv"),
             (["table", "3", "--dt", "1.5", "--steps", "600", "--damping", "3"], "table3.csv"),
@@ -373,6 +406,7 @@ class TestNumericInput:
             "damping-inf",
             "phase-time-overflows",
             "phase-window-zero",
+            "phase-seed-negative",
             "damped-overflows",
             "euler-overflows",
             "damped-diverges",
@@ -551,8 +585,8 @@ NEVER_RUN_BY_THE_CLI = ("maniflow.spins", "maniflow.workspace", "maniflow.contro
         (["plan", str(FIXTURES / "triangle.graph"), "0", "2"],
          {"numpy", "maniflow.experiments", "maniflow.infophase", "maniflow.manifold"}),
         (["phase", "--input", str(FIXTURES / "distributions.txt"), "--window", "3"],
-         {"maniflow.experiments", "maniflow.manifold", "maniflow.planner"}),
-        (["phase", "--seed", "3"], {"maniflow.manifold"}),
+         {"numpy", "maniflow.experiments", "maniflow.manifold", "maniflow.planner"}),
+        (["phase", "--seed", "3"], {"numpy", "maniflow.manifold"}),
         (["table", "1"], {"numpy", "maniflow.infophase", "maniflow.manifold"}),
         (["table", "2"], {"numpy", "maniflow.infophase", "maniflow.manifold", "maniflow.planner"}),
         (["table", "3", "--steps", "10"], {"numpy", "maniflow.infophase", "maniflow.manifold", "maniflow.planner"}),

@@ -1,11 +1,14 @@
 """Tests for entropy portraits, empirical fields, and scalar-field fits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from maniflow import infophase
+from maniflow import experiments, infophase
 
 
 def rotation_portraits(n, steps, dt, seed=7, center=2.0):
@@ -40,7 +43,7 @@ class TestEntropy:
         assert infophase.entropy(np.array([0.0, 1.0, 0.0])) == 0.0
         # +0.0, not -0.0, which portrait.csv would print as -0
         assert str(infophase.entropy(np.array([0.0, 1.0, 0.0]))) == "0.0"
-        assert not np.signbit(infophase._row_entropies([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])).any()
+        assert not np.signbit(infophase.portrait([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]).u).any()
 
     def test_zero_entries_ignored(self):
         np.testing.assert_allclose(
@@ -465,3 +468,206 @@ class TestArrayRewriteMatchesLoops:
         (grid, residual), (grid0, residual0) = got, want
         np.testing.assert_allclose(grid, grid0, rtol=0.0, atol=1e-9)
         assert residual == pytest.approx(residual0, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The array formulas the float core replaced, kept as its reference
+
+
+def numpy_entropies(p):
+    """Row entropies of a (rows, k) stack of valid distributions."""
+    return -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1) + 0.0
+
+
+def numpy_smooth(values, window):
+    half = (window - 1) // 2
+    n = values.shape[0]
+    out = np.empty_like(values)
+    if n >= window:
+        out[half : n - half] = sliding_window_view(values, window).mean(axis=-1)
+        ends = [*range(half), *range(n - half, n)]
+    else:
+        ends = range(n)
+    for t in ends:
+        out[t] = float(np.mean(values[max(0, t - half) : t + half + 1]))
+    return out
+
+
+def numpy_field(portraits, bins):
+    """(u_edges, e_edges, vu, ve, count) by linspace, searchsorted and bincount."""
+    su = np.concatenate([p.u[:-1] for p in portraits if len(p) > 1])
+    se = np.concatenate([p.e[:-1] for p in portraits if len(p) > 1])
+    du = np.concatenate([np.diff(p.u) for p in portraits if len(p) > 1])
+    de = np.concatenate([np.diff(p.e) for p in portraits if len(p) > 1])
+
+    def edges(values):
+        lo, hi = float(np.min(values)), float(np.max(values))
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        return np.linspace(lo, hi, bins + 1)
+
+    def index(edges, x):
+        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bins - 1)
+
+    u_edges, e_edges = edges(su), edges(se)
+    cell = index(u_edges, su) * bins + index(e_edges, se)
+    count = np.bincount(cell, minlength=bins * bins).reshape(bins, bins)
+    vu = np.bincount(cell, du, bins * bins).reshape(bins, bins)
+    ve = np.bincount(cell, de, bins * bins).reshape(bins, bins)
+    mask = count > 0
+    vu[mask] /= count[mask]
+    ve[mask] /= count[mask]
+    return u_edges, e_edges, vu, ve, count
+
+
+def numpy_divergence_score(field):
+    occ = field.occupied
+    interior = occ[1:-1, 1:-1] & occ[:-2, 1:-1] & occ[2:, 1:-1] & occ[1:-1, :-2] & occ[1:-1, 2:]
+    if not interior.any():
+        raise infophase.DegenerateFieldError("no interior occupied cell")
+    du = float(field.u_edges[1] - field.u_edges[0])
+    de = float(field.e_edges[1] - field.e_edges[0])
+    div = (field.vu[2:, 1:-1] - field.vu[:-2, 1:-1]) / (2.0 * du)
+    div += (field.ve[1:-1, 2:] - field.ve[1:-1, :-2]) / (2.0 * de)
+    mean_mag = float(np.mean(np.hypot(field.vu[occ], field.ve[occ])))
+    if mean_mag == 0.0:
+        raise infophase.DegenerateFieldError("field magnitude is identically zero")
+    return float(np.mean(np.abs(div[interior]))) / (mean_mag + 1e-12)
+
+
+def numpy_fit(field):
+    """The incidence design solved by ``np.linalg.lstsq``; rank below n_occ - 1 raises."""
+    occ = field.occupied
+    n_occ = int(np.count_nonzero(occ))
+    if n_occ == 0:
+        raise infophase.DegenerateFieldError("field has no occupied cells")
+    index = np.full(occ.shape, -1)
+    index[occ] = np.arange(n_occ)
+    du = float(field.u_edges[1] - field.u_edges[0])
+    de = float(field.e_edges[1] - field.e_edges[0])
+    pair_u = occ[:-1] & occ[1:]
+    pair_e = occ[:, :-1] & occ[:, 1:]
+    first = np.concatenate([index[:-1][pair_u], index[:, :-1][pair_e]])
+    order = np.argsort(first, kind="stable")
+    second = np.concatenate([index[1:][pair_u], index[:, 1:][pair_e]])[order]
+    inv_step = np.repeat([1.0 / du, 1.0 / de], [np.count_nonzero(pair_u), np.count_nonzero(pair_e)])[order]
+    target = np.concatenate(
+        [-0.5 * (field.ve[:-1] + field.ve[1:])[pair_u], 0.5 * (field.vu[:, :-1] + field.vu[:, 1:])[pair_e]]
+    )[order]
+    rows = np.arange(first.size)
+    design = np.zeros((first.size, n_occ))
+    design[rows, second] = inv_step
+    design[rows, first[order]] = -inv_step
+    design = design[:, 1:]
+    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < n_occ - 1:
+        raise infophase.DegenerateFieldError("fit is rank deficient beyond the gauge")
+    grid = np.full(occ.shape, np.nan)
+    grid[occ] = np.concatenate([[0.0], solution])
+    return grid, float(np.linalg.norm(design @ solution - target))
+
+
+def seeded_field(seed=0):
+    """The 12x12 field ``phase --seed`` bins."""
+    portraits = experiments.rotation_portraits(150, 200, 0.05, np.random.default_rng(seed))
+    return infophase.empirical_field(portraits, 12)
+
+
+class TestFloatCoreMatchesArrays:
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e280])
+    def test_pairwise_sum_and_mean_bit_equal(self, scale):
+        rng = np.random.default_rng(21)
+        for n in range(1, 301):  # across 8 accumulators and the 128-term halving
+            x = scale * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            assert infophase._sum(x.tolist()) == np.sum(x)
+            assert infophase._sum(x.tolist()) / n == np.mean(x)
+        stack = rng.standard_normal((50, 37))
+        assert [infophase._sum(row) for row in stack.tolist()] == stack.sum(axis=-1).tolist()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200, 1e-310, 1e300])
+    def test_hypot_bit_equal(self, scale):
+        rng = np.random.default_rng(22)
+        x = scale * rng.uniform(-10.0, 10.0, 20000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x * 10.0 ** rng.integers(-20, 21, x.size) * rng.choice([0.0, 1.0, -1.0], x.size, p=[0.1, 0.45, 0.45])
+            y = np.where(np.isfinite(y), y, 0.0)
+            want = np.hypot(x, y).tolist()
+        assert [infophase._hypot(a, b) for a, b in zip(x.tolist(), y.tolist())] == want
+
+    def test_entropies_within_an_ulp_of_numpys(self):
+        rng = np.random.default_rng(23)
+        for k in (2, 7, 16, 33, 130):
+            p = random_rows(rng, 200, k, zero_share=0.3)
+            np.testing.assert_allclose(infophase.portrait(p).u, numpy_entropies(p), rtol=1e-15, atol=1e-16)
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 9, 17, 131])
+    def test_smoothing_bit_equal(self, window):
+        values = np.random.default_rng(window).standard_normal(400)
+        got = infophase._smooth_centered(values.tolist(), window)
+        np.testing.assert_array_equal(got, numpy_smooth(values, window) if window > 1 else values)
+
+    @pytest.mark.parametrize("bins", [1, 3, 12, 40])
+    def test_edges_counts_and_means_bit_equal(self, bins):
+        portraits = rotation_portraits(60, 90, 0.07) + [infophase.PhasePortrait([0.5], [0.0])]
+        field = infophase.empirical_field(portraits, bins)
+        for got, want in zip((field.u_edges, field.e_edges, field.vu, field.ve, field.count), numpy_field(portraits, bins)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_seeded_field_bit_equal(self):
+        field = seeded_field()
+        u_edges, e_edges, vu, ve, count = numpy_field(
+            experiments.rotation_portraits(150, 200, 0.05, np.random.default_rng(0)), 12
+        )
+        np.testing.assert_array_equal(field.vu, vu)
+        np.testing.assert_array_equal(field.ve, ve)
+        np.testing.assert_array_equal(field.count, count)
+        assert infophase.divergence_score(field) == numpy_divergence_score(field)
+
+    @settings(max_examples=200)
+    @given(field=grid_fields())
+    def test_divergence_and_fit_verdict_against_arrays(self, field):
+        # test_fit_matches compares the fitted values with the loop's lstsq
+        got, want = outcome(infophase.divergence_score, field), outcome(numpy_divergence_score, field)
+        assert got is want if isinstance(want, type) else got == pytest.approx(want, rel=1e-12)
+        fit, fit0 = outcome(infophase.fit_info_hamiltonian, field), outcome(numpy_fit, field)
+        assert isinstance(fit, type) == isinstance(fit0, type)  # connectivity decides as lstsq's rank
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_fit_residual_matches_lstsq(self, seed):
+        field = seeded_field(seed)
+        grid, residual = infophase.fit_info_hamiltonian(field)
+        grid0, residual0 = numpy_fit(field)
+        assert residual == pytest.approx(residual0, rel=1e-12)
+        np.testing.assert_allclose(grid, grid0, rtol=0.0, atol=1e-12)  # the grid spans ~0.05
+        assert infophase.fit_info_hamiltonian(field, grid=False) == (None, residual)
+
+    def test_fine_grid_fits_finite(self):
+        # spacings of ~1e-161 square past the float range in the plain normal equations
+        field = seeded_field()
+        fine = infophase.GridField(1e-160 * field.u_edges, 1e-160 * field.e_edges, field.vu, field.ve, field.count)
+        grid, residual = infophase.fit_info_hamiltonian(fine)
+        grid0, residual0 = infophase.fit_info_hamiltonian(field)
+        occ = field.occupied
+        assert np.isfinite(grid[occ]).all() and math.isfinite(residual)
+        np.testing.assert_allclose(grid[occ], 1e-160 * grid0[occ], rtol=1e-9)
+        assert residual == pytest.approx(residual0, rel=1e-9)
+
+
+class TestFloatBacking:
+    def test_arrays_are_read_only_copies_of_the_values(self):
+        por = infophase.PhasePortrait(u=[0.5, 0.25], e=np.array([0.0, 0.25]))
+        assert por.u is por.u and not por.u.flags.writeable
+        np.testing.assert_array_equal(por.e, [0.0, 0.25])
+        field = seeded_field()
+        assert not field.vu.flags.writeable
+        assert field.count.dtype.kind == "i" and field.count.shape == (12, 12)
+
+    @pytest.mark.parametrize("u_edges", [[0.0, 0.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0], [0.0, np.nan, 2.0, 3.0]])
+    def test_field_of_unordered_edges_rejected(self, u_edges):
+        # a zero-width cell used to divide by zero in the score and the fit
+        with pytest.raises(ValueError, match="strictly increasing"):
+            infophase.GridField(u_edges, np.linspace(0, 3, 4), np.ones((3, 3)), np.ones((3, 3)), np.ones((3, 3), dtype=int))
+
+    def test_field_of_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            infophase.GridField([0.0, 1.0, 2.0], [0.0, 1.0], np.zeros((2, 1)), np.zeros((2, 1)), np.ones((1, 1)))

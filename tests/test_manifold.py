@@ -1054,6 +1054,25 @@ class TestFailureState:
         err = info.value
         assert (err.step, err.y, err.p, err.drift) == (0, None, None, None)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_drift_to_non_finite_y_names_its_step(self, seed):
+        # y leaves the float range within one step; at(y) used to raise a plain ValueError
+        rng = np.random.default_rng(seed)
+        w1 = np.vstack([np.eye(2), np.zeros((1, 2))]) + 0.3 * rng.normal(size=(3, 2))
+        w2 = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+        dec = manifold.Decoder.mlp_tanh([w1, w2], [0.1 * rng.normal(size=3), np.zeros(3)])
+        with pytest.raises(manifold.IntegrationError, match="^non-finite state or energy at step 1$") as info:
+            manifold.loss_geo(manifold.MetricField(dec), [([0.0, 0.0], [1e300, 0.0])], 4)
+        assert info.value.step == 1
+        np.testing.assert_array_equal(info.value.y, [[0.0, 0.0]])
+        assert np.isfinite(info.value.p).all()
+
+    def test_singular_metric_at_finite_y_is_not_renamed(self):
+        fold = manifold.Decoder.custom(lambda y: np.array([y[0], y[0] * y[1]]), 2, 2)
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(fold, eps_reg=0.0))
+        with pytest.raises(manifold.SingularMetricError):
+            manifold.integrate(ham, manifold.PhasePoint([0.0, 2.0], [1.0, 0.0]), 0.1, 3)
+
     def test_shooting_past_float_range_fails_at_step_zero(self):
         # the stencil of the flat guess overflowed in its norm's matmul
         mf = manifold.MetricField(near_identity_decoder())
