@@ -160,17 +160,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _portrait_csv(por: infophase.PhasePortrait) -> str:
-    return _text.csv(["t", "u", "e"], zip(range(len(por)), por._u, por._e))
-
-
-def _field_csv(field: infophase.GridField) -> str:
-    u_centers, e_centers = ([0.5 * (a + b) for a, b in zip(edges, edges[1:])] for edges in (field._u_edges, field._e_edges))
-    centers = ((u, e) for u in u_centers for e in e_centers)
-    rows = ((u, e, vu, ve, count) for (u, e), vu, ve, count in zip(centers, field._vu, field._ve, field._count))
-    return _text.csv(["u_center", "e_center", "vu", "ve", "count"], rows)
-
-
 def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
     """The portrait of a distribution file; an error about a row names its line."""
     linenos, dists = [], []
@@ -213,14 +202,14 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     except infophase.DegenerateFieldError as exc:
         report = [f"divergence_score: unavailable ({exc})"]
     try:
-        _, residual = infophase.fit_info_hamiltonian(field, grid=False)
+        _, residual = infophase.fit_info_hamiltonian(field)
         report.append(f"field_fit_residual: {fmt(residual)}")
     except infophase.DegenerateFieldError as exc:
         report.append(f"field_fit_residual: unavailable ({exc})")
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _text.write(out_dir / "portrait.csv", _portrait_csv(portraits[0]))
-    _text.write(out_dir / "field.csv", _field_csv(field))
+    _text.write(out_dir / "portrait.csv", _text.csv(["t", "u", "e"], portraits[0].rows()))
+    _text.write(out_dir / "field.csv", _text.csv(["u_center", "e_center", "vu", "ve", "count"], field.rows()))
     print("\n".join(report))
     print(f"wrote {out_dir / 'portrait.csv'} and {out_dir / 'field.csv'}")
     return 0

@@ -17,12 +17,13 @@ order and keep the system connected.
 
 Every quantity has one implementation, over Python floats, so scoring a
 portrait and binning, scoring and fitting its field load no numpy.  Sums
-and means follow numpy's pairwise order (``_sum``) and ``_hypot`` is
-glibc's hypot, so they are bit-equal to ``np.sum``, ``np.mean`` and
-``np.hypot``; logs are ``math.log``, which may differ from numpy's SIMD
-log in the last bit.  ``PhasePortrait`` and ``GridField`` keep their
-series and cells as lists of floats and build each numpy array (read-only)
-on its first read; ``fit_info_hamiltonian`` returns its grid as an array.
+and means follow numpy's pairwise order (``_sum``), so they are bit-equal
+to ``np.sum`` and ``np.mean``; logs and magnitudes are ``math.log`` and
+``math.hypot``, which may differ from numpy's in the last bit.
+``PhasePortrait`` and ``GridField`` keep their series and cells as lists
+of floats, give them out as CSV-ready ``rows()``, and build each numpy
+array (read-only) on its first read; ``fit_info_hamiltonian`` returns its
+grid as rows of floats.
 """
 
 from __future__ import annotations
@@ -90,47 +91,6 @@ def _sum(a: list) -> float:
     return 0.0 + _pairwise(a, 0, len(a))
 
 
-_HYPOT_SCALE = 2.0**-600
-_HYPOT_LARGE = 2.0**511
-_HYPOT_TINY = 2.0**-511
-_HYPOT_EPS = 2.0**-54
-
-
-def _hypot_kernel(ax: float, ay: float) -> float:
-    """sqrt(ax^2 + ay^2) for ax >= ay >= 0, corrected once (Borges 2019, the variant without fma)."""
-    h = math.sqrt(ax * ax + ay * ay)
-    if h <= 2.0 * ay:
-        delta = h - ay
-        t1 = ax * (2.0 * delta - ax)
-        t2 = (delta - 2.0 * (ax - ay)) * delta
-    else:
-        delta = h - ax
-        t1 = 2.0 * delta * (ax - 2.0 * ay)
-        t2 = (4.0 * delta - ay) * ay + delta * delta
-    return h - (t1 + t2) / (2.0 * h)
-
-
-def _hypot(x: float, y: float) -> float:
-    """glibc's hypot (2.35 and later), which ``np.hypot`` calls; ``math.hypot`` rounds differently.
-
-    Bit-equal to it but for a NaN paired with an inf, which gives NaN here
-    and inf there.
-    """
-    x, y = abs(x), abs(y)
-    ax, ay = (y, x) if x < y else (x, y)
-    if ax > _HYPOT_LARGE:
-        if ay <= ax * _HYPOT_EPS:
-            return ax + ay
-        return _hypot_kernel(ax * _HYPOT_SCALE, ay * _HYPOT_SCALE) / _HYPOT_SCALE
-    if ay < _HYPOT_TINY:
-        if ax >= ay / _HYPOT_EPS:
-            return ax + ay
-        return _hypot_kernel(ax / _HYPOT_SCALE, ay / _HYPOT_SCALE) * _HYPOT_SCALE
-    if ay <= ax * _HYPOT_EPS:
-        return ax + ay
-    return _hypot_kernel(ax, ay)
-
-
 def _items(values):
     """An array as nested lists, any other sequence as it is."""
     return values.tolist() if hasattr(values, "tolist") else values
@@ -150,6 +110,11 @@ def _array(values, shape=None) -> np.ndarray:
 def _rows(cells: list, n: int) -> list:
     """A row-major cell list as rows of n cells."""
     return [cells[i : i + n] for i in range(0, len(cells), n)]
+
+
+def _centers(edges: list) -> list:
+    """The midpoint of each pair of adjacent edges."""
+    return [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
 
 
 def entropy(dist) -> float:
@@ -178,8 +143,7 @@ class PhasePortrait:
     """Paired entropy and effort series of equal length, finite, with u >= 0.
 
     ``u`` and ``e`` are read-only arrays, built on first read from the
-    float lists ``_u`` and ``_e`` the portrait keeps; the CLI writes its
-    CSV from those lists.
+    float lists the portrait keeps; ``rows()`` reads those lists.
     """
 
     def __init__(self, u, e):
@@ -205,6 +169,10 @@ class PhasePortrait:
 
     def __len__(self) -> int:
         return len(self._u)
+
+    def rows(self):
+        """(t, u, e) for each step t, as floats."""
+        return zip(range(len(self._u)), self._u, self._e)
 
 
 def _smooth_centered(values: list, window: int) -> list:
@@ -244,17 +212,13 @@ class GridField:
 
     vu/ve hold per-cell mean displacements indexed [iu, ie]; count holds
     the number of contributing steps.  The field keeps the edges and the
-    cells as lists (``_u_edges``, ``_e_edges``, and ``_vu``, ``_ve`` and
-    ``_count`` in row-major order), which the CLI writes its CSV from; each
-    array attribute is read-only and built on first read.
+    cells as lists of Python numbers, which ``rows()`` reads; each array
+    attribute is read-only and built on first read.
     """
 
     def __init__(self, u_edges, e_edges, vu, ve, count):
         self._u_edges = list(map(float, _items(u_edges)))
         self._e_edges = list(map(float, _items(e_edges)))
-        for edges in (self._u_edges, self._e_edges):
-            if not all(a < b for a, b in zip(edges, edges[1:])):  # a cell of zero width divides by zero
-                raise ValueError(f"grid edges must be strictly increasing, got {edges!r}")
         self._shape = (len(self._u_edges) - 1, len(self._e_edges) - 1)
         self._vu, self._ve, self._count = (self._cells(v) for v in (vu, ve, count))
 
@@ -287,15 +251,20 @@ class GridField:
 
     @property
     def u_centers(self) -> np.ndarray:
-        return 0.5 * (self.u_edges[:-1] + self.u_edges[1:])
+        return _array(_centers(self._u_edges))
 
     @property
     def e_centers(self) -> np.ndarray:
-        return 0.5 * (self.e_edges[:-1] + self.e_edges[1:])
+        return _array(_centers(self._e_edges))
 
     @property
     def occupied(self) -> np.ndarray:
         return self.count > 0
+
+    def rows(self):
+        """(u_center, e_center, vu, ve, count) for each cell in row-major order, as Python numbers."""
+        centers = ((u, e) for u in _centers(self._u_edges) for e in _centers(self._e_edges))
+        return ((u, e, vu, ve, c) for (u, e), vu, ve, c in zip(centers, self._vu, self._ve, self._count))
 
 
 def _edges(values: list, bins: int) -> list:
@@ -383,7 +352,7 @@ def divergence_score(field: GridField) -> float:
                 divs.append(abs(div))
     if not divs:
         raise DegenerateFieldError("no interior occupied cell; need at least a 3x3 occupied block")
-    mags = [_hypot(vu[k], ve[k]) for k in range(nu * ne) if occ[k]]
+    mags = [math.hypot(vu[k], ve[k]) for k in range(nu * ne) if occ[k]]
     mean_mag = _sum(mags) / len(mags)
     if mean_mag == 0.0:
         raise DegenerateFieldError("field magnitude is identically zero")
@@ -433,19 +402,18 @@ def _cholesky_solve(lower: list, band: int, rhs: list) -> list:
     return x
 
 
-def fit_info_hamiltonian(field: GridField, grid: bool = True) -> tuple[np.ndarray | None, float]:
+def fit_info_hamiltonian(field: GridField) -> tuple[list[list[float]], float]:
     """Least-squares scalar field H with dH/de ~ vu and dH/du ~ -ve.
 
     Equations couple adjacent occupied cells (differences matched to the
     averaged field values); the gauge is H = 0 at the first occupied cell
     in row-major order.  The normal equations are solved by banded
-    Cholesky.  Returns the fitted grid (NaN on unoccupied cells) and the
-    residual norm of the difference equations; a single occupied cell has
-    no unknowns and a residual of 0.  ``grid=False`` returns None for the
-    grid, so a caller after the residual alone loads no numpy.  Raises
-    DegenerateFieldError when the occupied cells are not one region
-    joined by shared sides: the system then has rank below n_occ - 1,
-    the gauge's freedom.
+    Cholesky.  Returns the fitted grid, as rows of floats indexed [iu][ie]
+    with NaN on unoccupied cells, and the residual norm of the difference
+    equations; a single occupied cell has no unknowns and a residual of 0.
+    Raises DegenerateFieldError when the occupied cells are not one region
+    joined by shared sides: the system then has rank below n_occ - 1, the
+    gauge's freedom.
     """
     nu, ne = field._shape
     cells = [k for k, c in enumerate(field._count) if c > 0]
@@ -502,11 +470,7 @@ def fit_info_hamiltonian(field: GridField, grid: bool = True) -> tuple[np.ndarra
             rhs[a] -= c * r
         z = [0.0, *(v + dv for v, dv in zip(z[1:], _cholesky_solve(lower, band, rhs[1:])))]
     residual = math.hypot(*(c * (z[b] - z[a]) - t for a, b, c, t in equations))
-    if not grid:
-        return None, residual
-    import numpy as np
-
     values = [math.nan] * (nu * ne)
     for k, value in zip(cells, z):
         values[k] = scale * value
-    return np.array(values).reshape(field._shape), residual
+    return _rows(values, ne), residual
