@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import math
 import sys
 from pathlib import Path
 
@@ -113,16 +112,6 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
-def _check(opts: dict, *keys: str) -> None:
-    """Reject a bad value of the named options: those the chosen mode reads."""
-    if "dt" in keys and not (math.isfinite(opts["dt"]) and opts["dt"] > 0):
-        raise ValueError(f"dt must be finite and > 0, got {opts['dt']!r}")
-    if "steps" in keys and opts["steps"] < 1:
-        raise ValueError(f"steps must be >= 1, got {opts['steps']!r}")
-    if "window" in keys and (opts["window"] < 1 or opts["window"] % 2 == 0):
-        raise ValueError(f"window must be an odd integer >= 1, got {opts['window']!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="maniflow", description="toy experiment tables, phase portraits, and path planning")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,9 +135,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     opts = _resolve(args, "table")
     _load("experiments")
     if args.which == 3:
-        _check(opts, "dt", "steps")
-        t_final = opts["steps"] * opts["dt"]
-        csv_text = experiments.table_csv(3, t_final=t_final, h=opts["dt"], damping=opts["damping"])
+        csv_text = experiments.table_csv(3, steps=opts["steps"], dt=opts["dt"], damping=opts["damping"])
     else:
         csv_text = experiments.table_csv(args.which, experiments.parse_decoder_spec(opts["decoder"]))
     md_text = experiments.table_markdown(csv_text)
@@ -187,12 +174,10 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     opts = _resolve(args, "phase")
     _load("infophase")
     if opts["input"]:
-        _check(opts, "window")
         portraits = [_input_portrait(opts["input"], opts["window"])]
     else:
         from ._rng import DefaultRng  # numpy's seeded draws, replayed without numpy
 
-        _check(opts, "dt", "steps")
         _load("experiments")
         rng = DefaultRng(opts["seed"])
         portraits = experiments.rotation_portraits(_PHASE_PORTRAITS, opts["steps"], opts["dt"], rng)

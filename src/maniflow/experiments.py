@@ -324,25 +324,37 @@ def _euler_nodes(h: float, n: int) -> tuple[list[float], list[float]]:
     return ys, ps
 
 
-def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> list[OscillatorReport]:
+def _span(steps: int, dt: float) -> float:
+    """``steps * dt``; ValueError unless dt is finite and > 0, steps >= 1 and the product finite."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    try:
+        span = steps * dt
+    except OverflowError:  # an int that float() cannot hold
+        span = math.inf
+    if not math.isfinite(span):
+        raise ValueError(f"steps * dt must be finite, got {steps!r} * {dt!r}")
+    return span
+
+
+def toy3_run(steps: int = 1000, dt: float = 0.1, damping: float = 0.05) -> list[OscillatorReport]:
     """Oscillator study: staged leapfrog vs forward Euler vs damped leapfrog.
 
-    All runs start from (y, p) = (1, 0); the energy error is the maximum
-    deviation of (y^2 + p^2)/2 from 1/2 over the recorded nodes.  A run
-    that diverges raises ValueError, an IntegrationError for the leapfrog
-    runs, and the message names the run.
+    All runs take ``steps`` steps of size ``dt`` from (y, p) = (1, 0);
+    the energy error is the maximum deviation of (y^2 + p^2)/2 from 1/2
+    over the recorded nodes.  A bad steps, dt or damping, or a steps * dt
+    past the float range, raises ValueError; so does a run that diverges,
+    an IntegrationError for the leapfrog runs, whose message names the run.
     """
-    if h == 0 or not math.isfinite(h) or not math.isfinite(t_final / h):
-        raise ValueError(f"t_final / h must be finite, got {t_final!r} / {h!r}")
-    n = int(round(t_final / h))
-    if n < 1 or abs(n * h - t_final) > 1e-9:
-        raise ValueError(f"t_final {t_final!r} must be an integer multiple of h {h!r}")
+    t_final = _span(steps, dt)
     if not (math.isfinite(damping) and damping >= 0):
         raise ValueError(f"damping must be finite and >= 0, got {damping!r}")
 
     leap = _report(
         "leapfrog",
-        *_leapfrog_nodes("leapfrog", 0.0, h, n),
+        *_leapfrog_nodes("leapfrog", 0.0, dt, steps),
         t_final,
         note="measured energy error ~ h^2/8; reference table lists 1.25e-2 where the "
         "derived value is 1.25e-3 (scale discrepancy flagged)",
@@ -350,13 +362,13 @@ def toy3_run(t_final: float = 100.0, h: float = 0.1, damping: float = 0.05) -> l
 
     euler = _report(
         "euler",
-        *_euler_nodes(h, n),
+        *_euler_nodes(dt, steps),
         t_final,
         note="reference energy error 1.05e-1 is inconsistent with the divergent final "
         "state; derived value ~ ((1+h^2)^N - 1)/2 is reported instead",
     )
 
-    damped = _report("damped", *_leapfrog_nodes("damped", damping, h, n), t_final)
+    damped = _report("damped", *_leapfrog_nodes("damped", damping, dt, steps), t_final)
 
     return [leap, euler, damped]
 
@@ -372,12 +384,12 @@ def rotation_portraits(n_portraits: int, n_steps: int, dt: float, rng) -> list[P
     the entropy coordinate stays non-negative; the rotation is applied
     exactly, so the underlying flow is divergence free.  ``rng`` is any
     object with ``uniform(low, high)``, such as a ``np.random.Generator``;
-    the portraits are computed over Python floats.
+    the portraits are computed over Python floats.  ``n_steps`` steps of
+    size ``dt`` are checked as ``toy3_run`` checks its ``steps`` and ``dt``.
     """
     from .infophase import PhasePortrait  # the phase command's portraits alone need infophase
 
-    if not math.isfinite(dt * n_steps):
-        raise ValueError(f"dt * n_steps must be finite, got {dt!r} * {n_steps!r}")
+    _span(n_steps, dt)
     portraits = []
     for _ in range(int(n_portraits)):
         r = rng.uniform(*_ROTATION_RADII)

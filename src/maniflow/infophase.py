@@ -178,12 +178,10 @@ class PhasePortrait:
 def _smooth_centered(values: list, window: int) -> list:
     """Centred moving average, truncated at the ends; each point is the np.mean of its window."""
     window = int(window)
-    if window < 1:
-        raise ValueError(f"smoothing window must be >= 1, got {window}")
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be an odd integer >= 1, got {window!r}")
     if window == 1:
         return values
-    if window % 2 == 0:
-        raise ValueError(f"smoothing window must be odd, got {window}")
     half = (window - 1) // 2
     out = []
     for t in range(len(values)):

@@ -41,7 +41,7 @@ class TestTableCommand:
             ["table", "3", "--out", str(tmp_path), "--steps", "10", "--dt", "0.1"]
         )
         assert code == 0
-        expected = experiments.table_csv(3, t_final=1.0, h=0.1, damping=0.05)
+        expected = experiments.table_csv(3, steps=10, dt=0.1, damping=0.05)
         assert (tmp_path / "table3.csv").read_text() == expected
 
     def test_decoder_flag(self, tmp_path):
@@ -202,7 +202,7 @@ class TestConfigFile:
         out = tmp_path / "out"
         code = cli.main(["table", "3", "--out", str(out), "--config", str(cfg)])
         assert code == 0
-        expected = experiments.table_csv(3, t_final=1.0, h=0.1, damping=0.05)
+        expected = experiments.table_csv(3, steps=10, dt=0.1, damping=0.05)
         assert (out / "table3.csv").read_text() == expected
 
     def test_flags_beat_config(self, tmp_path):
@@ -212,7 +212,7 @@ class TestConfigFile:
         cli.main(
             ["table", "3", "--out", str(out), "--config", str(cfg), "--damping", "0.05"]
         )
-        expected = experiments.table_csv(3, t_final=1.0, h=0.1, damping=0.05)
+        expected = experiments.table_csv(3, steps=10, dt=0.1, damping=0.05)
         assert (out / "table3.csv").read_text() == expected
 
     def test_unknown_key_rejected(self, tmp_path, capsys):

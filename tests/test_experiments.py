@@ -1,6 +1,7 @@
 """Tests for the toy descent, refinement, and oscillator studies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,24 +197,35 @@ class TestToy3:
         assert "inconsistent" in self.reports["euler"].note
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError, match="multiple"):
-            experiments.toy3_run(t_final=1.05, h=0.1)
-        with pytest.raises(ValueError, match="damping"):
-            experiments.toy3_run(damping=-0.1)
+        for kwargs, message in [
+            ({"dt": -0.1}, "dt must be finite and > 0, got -0.1"),
+            ({"steps": 0}, "steps must be >= 1, got 0"),
+            ({"steps": -3}, "steps must be >= 1, got -3"),
+            ({"damping": -0.1}, "damping must be finite and >= 0, got -0.1"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                experiments.toy3_run(**kwargs)
 
+    # h is the step size dt, t the span steps * dt, and their ratio the step count
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"h": 0.0}, {"h": math.inf}, {"h": math.nan}, {"t_final": math.inf}, {"t_final": 2e308, "h": 1e308}],
+        "kwargs, message",
+        [
+            ({"dt": 0.0}, "dt must be finite and > 0, got 0.0"),
+            ({"dt": math.inf}, "dt must be finite and > 0, got inf"),
+            ({"dt": math.nan}, "dt must be finite and > 0, got nan"),
+            ({"steps": 5, "dt": 1e308}, "steps * dt must be finite, got 5 * 1e+308"),
+            ({"steps": 10**400}, f"steps * dt must be finite, got {10**400} * 0.1"),
+        ],
         ids=["h-zero", "h-inf", "h-nan", "t-inf", "ratio-inf"],
     )
-    def test_step_count_must_be_finite(self, kwargs):
-        with pytest.raises(ValueError, match="t_final / h must be finite"):
+    def test_step_count_must_be_finite(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             experiments.toy3_run(**kwargs)
 
     def test_diverging_run_keeps_failure_state(self):
         # dt 50 over 200 steps: the leapfrog run overflows at step 46, as `table 3 --dt 50 --steps 200` reports
         with pytest.raises(IntegrationError) as info:
-            experiments.toy3_run(t_final=10000.0, h=50.0)
+            experiments.toy3_run(steps=200, dt=50.0)
         err = info.value
         assert str(err) == "leapfrog run: non-finite state or energy at step 46"
         assert err.step == 46
@@ -306,6 +318,21 @@ class TestRotationPortraits:
         portraits = experiments.rotation_portraits(100, 120, 0.05, rng)
         field = infophase.empirical_field(portraits, 10)
         assert infophase.divergence_score(field) <= 0.1
+
+    @pytest.mark.parametrize(
+        "n_steps, dt, message",
+        [
+            (50, 0.0, "dt must be finite and > 0, got 0.0"),
+            (50, -0.05, "dt must be finite and > 0, got -0.05"),
+            (0, 0.05, "steps must be >= 1, got 0"),
+            (5, 1e308, "steps * dt must be finite, got 5 * 1e+308"),
+            (10**400, 0.05, f"steps * dt must be finite, got {10**400} * 0.05"),
+        ],
+        ids=["dt-zero", "dt-negative", "steps-zero", "span-overflows", "steps-past-float-range"],
+    )
+    def test_step_grid_is_checked(self, n_steps, dt, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            experiments.rotation_portraits(3, n_steps, dt, np.random.default_rng(0))
 
 
 class TestTables:
