@@ -15,9 +15,10 @@ the divergence score and scalar-field fit residual.  Without ``--input``
 it samples portraits from the rotation generator, which reads ``--seed``,
 ``--steps`` and ``--dt``; with ``--input`` it reads one distribution per
 line (whitespace-separated probabilities), and ``--window`` smooths the
-effort series.  An option's value is checked only in a mode that reads
-it.  ``plan`` prints the cheapest path and its cost, or
-``unreachable``.
+effort series.  Each option's value is checked by the library function
+that reads it, so only in a mode that reads it; a bad row of an
+``--input`` file is found before a bad ``--window``.  ``plan`` prints the
+cheapest path and its cost, or ``unreachable``.
 
 Each command accepts only the options it reads; any other is a usage
 error.  ``--config FILE`` holds ``key=value`` lines whose keys are the
@@ -26,10 +27,10 @@ file.  All reals in outputs are printed with 10 significant digits, '.'
 decimal separator, and '\\n' line endings; identical configuration and
 seed give byte-identical files.  Exit status is 0 exactly when every
 requested output was written, and 2 otherwise: usage errors, unreadable
-or malformed input, a failed integration, a table 3 step count that is
-not finite, a non-finite table entry, a route whose cost overflows, or,
-in a mode that reads it, a non-finite or non-positive ``--dt``,
-``--steps`` below 1, a ``--window`` that is not odd and positive, a
+or malformed input, a failed integration, a non-finite table entry, a
+route whose cost overflows, or, in a mode that reads it, a non-finite or
+non-positive ``--dt``, ``--steps`` below 1, a ``--steps`` times ``--dt``
+past the float range, a ``--window`` that is not odd and positive, a
 non-finite or negative ``--damping`` or a bad ``--decoder``.  Apart
 from usage errors, a failure prints one ``error:`` line on stderr and
 writes no file: every output is computed before ``--out`` is created.

@@ -329,6 +329,15 @@ def empirical_field(portraits, bins: int) -> GridField:
     return GridField(u_edges, e_edges, _rows(vu, bins), _rows(ve, bins), _rows(count, bins))
 
 
+def _spacing(field: GridField) -> tuple[float, float]:
+    """The cell widths (du, de); DegenerateFieldError if a span below float resolution repeats an edge."""
+    du = field._u_edges[1] - field._u_edges[0]
+    de = field._e_edges[1] - field._e_edges[0]
+    if du == 0.0 or de == 0.0:
+        raise DegenerateFieldError(f"grid cells have zero width: du = {du!r}, de = {de!r}")
+    return du, de
+
+
 def divergence_score(field: GridField) -> float:
     """Mean |div| on interior occupied cells over the mean field magnitude.
 
@@ -339,8 +348,7 @@ def divergence_score(field: GridField) -> float:
     nu, ne = field._shape
     occ = [c > 0 for c in field._count]
     vu, ve = field._vu, field._ve
-    du = field._u_edges[1] - field._u_edges[0]
-    de = field._e_edges[1] - field._e_edges[0]
+    du, de = _spacing(field)
     divs = []
     for iu in range(1, nu - 1):
         for k in range(iu * ne + 1, iu * ne + ne - 1):
@@ -419,8 +427,7 @@ def fit_info_hamiltonian(field: GridField) -> tuple[list[list[float]], float]:
         raise DegenerateFieldError("field has no occupied cells")
     index = {k: a for a, k in enumerate(cells)}
     vu, ve = field._vu, field._ve
-    du = field._u_edges[1] - field._u_edges[0]
-    de = field._e_edges[1] - field._e_edges[0]
+    du, de = _spacing(field)
     # The unknowns are z = H / scale, so each coefficient, scale / du or
     # scale / de, is at most 1 and the normal equations cannot overflow on
     # a fine grid (inverse spacings of 1e160 square past the float range).

@@ -475,7 +475,9 @@ class GeodesicHamiltonian:
     dp is a symmetric solve and dy the one dH/dy formula of the module
     docstring, on the decoder's jet.  ``at(y)`` derives the geometry once
     for all three, and each of them is ``at(y)`` and its held method, so
-    a subclass (``control.ReducedHamiltonian``) overrides ``at`` alone.
+    a subclass (``control.ReducedHamiltonian``) overrides ``at`` alone;
+    ``dy`` also rejects a result that is not finite.  The leapfrog calls
+    the held methods, and checks its nodes instead.
     """
 
     def __init__(self, metric_field: MetricField):
@@ -491,7 +493,13 @@ class GeodesicHamiltonian:
         return self.at(y).dp(np.asarray(p, dtype=float))
 
     def dy(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self.at(y).dy(np.asarray(p, dtype=float))
+        """dH/dy at (y, p); ValueError, and no warning, unless it is finite."""
+        y = np.asarray(y, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = self.at(y).dy(np.asarray(p, dtype=float))
+        if not np.isfinite(grad).all():
+            raise ValueError(f"dH/dy at y={y!r} is not finite")
+        return grad
 
 
 def _stencil(x: np.ndarray, base_step: float) -> tuple[np.ndarray, np.ndarray]:

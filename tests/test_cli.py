@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -288,6 +289,26 @@ class TestPhaseCommand:
         assert cli.main(["phase", "--input", str(src), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "portrait.csv").read_text() == "t,u,e\n0,0,0\n1,0,0\n"
 
+    def test_zero_width_cells_are_unavailable(self, tmp_path, capsys):
+        # shuffles of one distribution differ in entropy by an ulp or two, so
+        # the u edges of the field repeat and a cell has zero width
+        rng = random.Random(0)
+        dist = [rng.random() for _ in range(16)]
+        dist = [p / sum(dist) for p in dist]
+        rows = []
+        for _ in range(300):
+            rng.shuffle(dist)
+            rows.append(" ".join(map(repr, dist)))
+        src = tmp_path / "shuffles.txt"
+        src.write_text("\n".join(rows) + "\n")
+        assert cli.main(["phase", "--input", str(src), "--out", str(tmp_path)]) == 0
+        report = capsys.readouterr().out.splitlines()[:2]
+        assert [line.partition(" (")[0] for line in report] == [
+            "divergence_score: unavailable",
+            "field_fit_residual: unavailable",
+        ]
+        assert all("(grid cells have zero width: du = 0.0, " in line for line in report)
+
     def test_smoothing_window_applied(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -378,7 +399,40 @@ class TestParser:
         assert cli.main(["publish"]) == 2
 
 
+# values at the edges of each option type: an int past the float range, zero,
+# negative, non-finite, huge and subnormal reals, and a decoder gap past them
+_BOUNDARY = {
+    int: ("0", "-1", str(10**400)),
+    float: ("0", "-1", "nan", "inf", "1e308", "5e-324"),
+    str: ("gap:inf", "gap:nan", "gap:1e308", "gap:-1e308"),
+}
+# each mode with each option it reads
+_READERS = [
+    ("table1", ["table", "1"], "decoder"),
+    ("table2", ["table", "2"], "decoder"),
+    ("table3", ["table", "3"], "steps"),
+    ("table3", ["table", "3"], "dt"),
+    ("table3", ["table", "3"], "damping"),
+    ("phase-seed", ["phase", "--seed", "1"], "steps"),
+    ("phase-seed", ["phase", "--seed", "1"], "dt"),
+    ("phase-seed", ["phase"], "seed"),
+    ("phase-input", ["phase", "--input", str(FIXTURES / "distributions.txt")], "window"),
+]
+_SWEEP = [
+    pytest.param([*argv, f"--{key}", value], id=f"{mode}-{key}-{'10**400' if len(value) > 20 else value}")
+    for mode, argv, key in _READERS
+    for value in _BOUNDARY[cli._OPTIONS[argv[0]][key][0]]
+]
+
+
 class TestNumericInput:
+    @pytest.mark.parametrize("argv", _SWEEP)
+    def test_boundary_value_exits_cleanly(self, tmp_path, capsys, argv):
+        # exit 0, or exit 2 with one error: line; never a traceback
+        code = cli.main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (code == 2 and err.startswith("error: ") and err.count("\n") == 1)
+
     @pytest.mark.parametrize(
         "argv, written",
         [
@@ -448,6 +502,13 @@ class TestNumericInput:
     def test_diverging_run_is_named(self, tmp_path, capsys, argv, run):
         assert cli.main(["table", "3", *argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {run} run: ")
+
+    def test_bad_row_is_reported_before_bad_window(self, tmp_path, capsys):
+        # the rows are scored before the effort series is smoothed
+        src = tmp_path / "dists.txt"
+        src.write_text("0.5 0.5\n0.5 0.4\n")
+        assert cli.main(["phase", "--input", str(src), "--window", "2", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: line 2: distribution sums to 0.9, expected 1 within 1e-9\n"
 
     def test_diverging_run_error_text(self, tmp_path, capsys):
         assert cli.main(["table", "3", "--dt", "50", "--steps", "200", "--out", str(tmp_path)]) == 2

@@ -180,6 +180,26 @@ class TestNdmLayer:
             fd = manifold._fd_gradient(lambda yy: ham(yy, p), y)
             assert np.linalg.norm(ham.dy(y, p) - fd) <= 1e-6 * np.linalg.norm(fd)
 
+    @pytest.mark.parametrize(
+        "w1, b1, p",
+        [
+            # w1^2 overflows in the jet while tanh(50)' is 0: D2 is 0 * inf = nan, quietly
+            (1e200, 50.0, 1.0),
+            # a finite jet, but the curvature term's matmul overflows, which numpy warns of
+            (1.0, 0.5, 1e200),
+        ],
+        ids=["nan-curvature", "overflow"],
+    )
+    @pytest.mark.parametrize("reduced", [False, True], ids=["geodesic", "reduced"])
+    def test_non_finite_dy_raises(self, reduced, w1, b1, p):
+        field = manifold.MetricField(manifold.Decoder.mlp_tanh([[[w1]], [[1.0]]], [[b1], [0.0]]))
+        if reduced:
+            ham = control.ReducedHamiltonian(field, control.CostSpec(task_cost=lambda z: 0.0))
+        else:
+            ham = manifold.GeodesicHamiltonian(field)
+        with pytest.raises(ValueError, match=r"^dH/dy at y=array\(\[0\.\]\) is not finite$"):
+            ham.dy([0.0], [p])
+
     def test_reduced_dp_is_the_metric_solve(self):
         rng = np.random.default_rng(4)
         ham = self.curved_reduced(rng)

@@ -371,6 +371,18 @@ class TestFitInfoHamiltonian:
             infophase.fit_info_hamiltonian(field)
 
 
+
+@pytest.mark.parametrize("analysis", [infophase.divergence_score, infophase.fit_info_hamiltonian])
+@pytest.mark.parametrize("axis", ["u", "e"])
+def test_zero_width_cells_are_degenerate(analysis, axis):
+    # start points spread over less than an edge's ulp repeat an edge, and du or de is 0
+    repeated, spread = [2.5] * 4, [0.0, 1.0, 2.0, 3.0]
+    edges = (repeated, spread) if axis == "u" else (spread, repeated)
+    field = infophase.GridField(*edges, np.ones((3, 3)), np.ones((3, 3)), np.ones((3, 3), dtype=int))
+    with pytest.raises(infophase.DegenerateFieldError, match=f"^grid cells have zero width: du = .*, de = "):
+        analysis(field)
+
+
 def oracle_divergence_score(field):
     """The per-cell loop that ``divergence_score`` replaces."""
     occ = field.occupied
