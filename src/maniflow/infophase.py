@@ -248,14 +248,6 @@ class GridField:
         return _array(self._count, self._shape)
 
     @property
-    def u_centers(self) -> np.ndarray:
-        return _array(_centers(self._u_edges))
-
-    @property
-    def e_centers(self) -> np.ndarray:
-        return _array(_centers(self._e_edges))
-
-    @property
     def occupied(self) -> np.ndarray:
         return self.count > 0
 

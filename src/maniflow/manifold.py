@@ -552,8 +552,12 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
-    h = float(h)
-    if h == 0.0 or not math.isfinite(h):
+    try:
+        h = float(h)
+        finite = h != 0.0 and math.isfinite(h)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise ValueError(f"step size must be finite and non-zero, got {h!r}")
     at, dy, dp, energy = _parts(hamiltonian)
     d = y.shape[-1]
@@ -662,7 +666,8 @@ def solve_shooting(
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
-    if not (float(max_iter).is_integer() and max_iter >= 0):
+    # an int is whole as it is, one past the float range included
+    if not ((isinstance(max_iter, int) or float(max_iter).is_integer()) and max_iter >= 0):
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     y_a = _latent_point(metric_field, "y_a", y_a)
     y_b = _latent_point(metric_field, "y_b", y_b)

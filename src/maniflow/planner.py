@@ -269,11 +269,15 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
 
     mode, param = connect
     if mode == "knn":
-        if not (float(param).is_integer() and float(param) >= 1):
+        # an int is whole as it is, one past the float range included
+        if not ((isinstance(param, int) or float(param).is_integer()) and param >= 1):
             raise ValueError(f"k-nearest rule needs an integer k >= 1, got {param!r}")
         src, dst = _knn_pairs(_pair_distances(flat), min(int(param), n - 1))
     elif mode == "radius":
-        r = float(param)
+        try:
+            r = float(param)
+        except OverflowError:  # an int past the float range
+            r = math.nan
         if not r >= 0:
             raise ValueError(f"radius must be a non-negative number, got {param!r}")
         near = _pair_distances(flat) <= r
@@ -299,7 +303,7 @@ def waypoints(path, stride: int):
     """Every stride-th node of a path, always keeping the first and last; stride is an integer >= 1."""
     if len(path) == 0:
         raise ValueError("cannot take waypoints of an empty path")
-    if not (float(stride).is_integer() and float(stride) >= 1):
+    if not ((isinstance(stride, int) or float(stride).is_integer()) and stride >= 1):
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     out = list(path[::int(stride)])
     if out[-1] != path[-1]:

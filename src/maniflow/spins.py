@@ -40,7 +40,6 @@ import numpy as np
 from . import _text
 
 __all__ = [
-    "Spin",
     "SpinSystem",
     "BathParams",
     "attention_couplings",
@@ -64,27 +63,6 @@ _COLLAPSE_TOL = 1e-12
 # to 1 + _NORM_TOL and the rounding of float sums (n eps for n terms) stay
 # inside it for sums of up to ~4e9 terms
 _BOUND_MARGIN = 1.0 + 1e-6
-
-
-@dataclass(frozen=True)
-class Spin:
-    """A single unit-norm spin vector."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("a spin is a 1-d vector")
-        with np.errstate(over="ignore"):  # a huge entry gives norm inf, rejected below
-            norm = float(np.linalg.norm(v))
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"spin norm {norm!r} deviates from 1 by more than {_NORM_TOL}")
-        object.__setattr__(self, "vec", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
 
 
 @dataclass
@@ -166,10 +144,9 @@ class BathParams:
     """Relaxation, feed-forward nudge, and leak parameters for micro updates.
 
     gamma may be a scalar or a per-neuron array.  W1/W2/b1/b2 define the
-    feed-forward map and are only required when eta_ff != 0.  W1 may carry
-    extra trailing columns that consume an external drive vector appended
-    to each spin.  Every parameter given must be finite; a NaN or inf one
-    raises ``ValueError`` naming it.
+    feed-forward map t = h + W2 tanh(W1 h + b1) + b2 and are only required
+    when eta_ff != 0.  Every parameter given must be finite; a NaN or inf
+    one raises ``ValueError`` naming it.
     """
 
     eta: float = 0.0
@@ -179,24 +156,12 @@ class BathParams:
     W2: np.ndarray | None = None
     b1: np.ndarray | None = None
     b2: np.ndarray | None = None
-    nonlinearity: str = "tanh"
 
     def __post_init__(self):
-        if self.nonlinearity not in ("tanh", "gelu"):
-            raise ValueError(f"nonlinearity must be 'tanh' or 'gelu', got {self.nonlinearity!r}")
         for name in ("eta", "eta_ff", "gamma", "W1", "W2", "b1", "b2"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
                 raise ValueError(f"{name} must be finite")
-
-
-_erf = np.vectorize(math.erf, otypes=[float])
-
-
-def _apply_nonlinearity(u: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(u)
-    return 0.5 * u * (1.0 + _erf(u / np.sqrt(2.0)))
 
 
 def attention_couplings(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -209,6 +174,8 @@ def attention_couplings(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     k = np.asarray(keys, dtype=float)
     if q.ndim != 2 or k.shape != q.shape:
         raise ValueError(f"queries and keys must share an (N, d) shape, got {q.shape} and {k.shape}")
+    if q.shape[1] == 0:  # J would be 0 / sqrt(0)
+        raise ValueError(f"queries and keys need d >= 1 columns, got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("queries must be finite")
     if not np.isfinite(k).all():
@@ -366,34 +333,28 @@ def _unit_rows(rows: np.ndarray, message: str) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def _ffn_targets(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None) -> np.ndarray:
+def _ffn_targets(h: np.ndarray, bath: BathParams) -> np.ndarray:
     """Row-wise ``ffn_target`` of an (m, d) spin matrix; the one feed-forward formula."""
     if bath.W1 is None or bath.W2 is None:
         raise ValueError("the feed-forward target needs W1 and W2 on the bath")
-    inp = h
-    if x_ext is not None:
-        x = np.asarray(x_ext, dtype=float)
-        inp = np.concatenate([h, np.broadcast_to(x, (h.shape[0], x.size))], axis=1)
     # an overflow leaves a row of non-finite norm, which _unit_rows rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        u = inp @ bath.W1.T
+        u = h @ bath.W1.T
         if bath.b1 is not None:
             u = u + bath.b1
-        t = h + _apply_nonlinearity(u, bath.nonlinearity) @ bath.W2.T
+        t = h + np.tanh(u) @ bath.W2.T
         if bath.b2 is not None:
             t = t + bath.b2
         return _unit_rows(t, "feed-forward target of neuron {i} {state}; cannot normalise")
 
 
-def ffn_target(h: np.ndarray, bath: BathParams, x_ext: np.ndarray | None = None) -> np.ndarray:
-    """Normalised residual feed-forward target (h + W2 sigma(W1 h + b1) + b2) / ||.||.
+def ffn_target(h: np.ndarray, bath: BathParams) -> np.ndarray:
+    """Normalised residual feed-forward target (h + W2 tanh(W1 h + b1) + b2) / ||.||.
 
-    When ``x_ext`` is given it is appended to ``h`` before the first layer;
-    the residual path always stays on ``h`` itself.  This is the one-row
-    case of the batch that ``micro_step`` computes, so a collapsed target
-    is reported as neuron 0.
+    This is the one-row case of the batch that ``micro_step`` computes, so
+    a collapsed target is reported as neuron 0.
     """
-    return _ffn_targets(np.asarray(h, dtype=float)[None, :], bath, x_ext)[0]
+    return _ffn_targets(np.asarray(h, dtype=float)[None, :], bath)[0]
 
 
 def energy_gradient(system: SpinSystem) -> np.ndarray:
@@ -401,14 +362,15 @@ def energy_gradient(system: SpinSystem) -> np.ndarray:
     return -(system._sym @ system.spins) - system.fields
 
 
-def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = None) -> SpinSystem:
+def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
     """One relax-nudge-leak update of every spin, then renormalisation.
 
     s_hat_i = s_i - eta dH/ds_i + eta_ff (t_i - s_i) - gamma_i s_i
 
-    with t_i the feed-forward target of s_i; the N targets are one batch
-    of matrix products.  Raises when a target or an updated spin collapses
-    below norm 1e-12 or has a non-finite norm, naming the neuron.
+    with t_i = ``ffn_target(s_i, bath)``, computed only when eta_ff != 0;
+    the N targets are one batch of matrix products.  Raises when a target
+    or an updated spin collapses below norm 1e-12 or has a non-finite norm,
+    naming the neuron.
     """
     s = system.spins
     gamma = np.asarray(bath.gamma, dtype=float)
@@ -420,7 +382,7 @@ def micro_step(system: SpinSystem, bath: BathParams, x_ext: np.ndarray | None = 
         if bath.eta != 0.0:
             update = update - bath.eta * energy_gradient(system)
         if bath.eta_ff != 0.0:
-            targets = _ffn_targets(s, bath, x_ext)
+            targets = _ffn_targets(s, bath)
             update = update + bath.eta_ff * (targets - s)
         update = update - gamma[..., None] * s
         new_spins = _unit_rows(update, "neuron {i} {state} during micro step")

@@ -23,12 +23,17 @@ def rotation_portraits(n, steps, dt, seed=7, center=2.0):
     return out
 
 
+def centers(edges):
+    """Cell centres of an edge array, the midpoints ``GridField.rows`` reports."""
+    edges = np.asarray(edges)
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
 def rotation_grid(nu=7, ne=7, center=2.0):
     """GridField holding the exact rotation field at the cell centres."""
     u_edges = np.linspace(center - 1.5, center + 1.5, nu + 1)
     e_edges = np.linspace(-1.5, 1.5, ne + 1)
-    uc = 0.5 * (u_edges[:-1] + u_edges[1:])
-    ec = 0.5 * (e_edges[:-1] + e_edges[1:])
+    uc, ec = centers(u_edges), centers(e_edges)
     vu = np.tile(ec[None, :], (nu, 1))
     ve = -np.tile((uc - center)[:, None], (1, ne))
     count = np.ones((nu, ne), dtype=int)
@@ -274,7 +279,7 @@ class TestDivergenceScore:
     def test_compressive_field_scores_high(self):
         # pure sink: V = (-(u - c), -e) has |div| = 2 everywhere
         grid = rotation_grid()
-        uc, ec = grid.u_centers, grid.e_centers
+        uc, ec = centers(grid.u_edges), centers(grid.e_edges)
         vu = -np.tile((uc - 2.0)[:, None], (1, ec.size))
         ve = -np.tile(ec[None, :], (uc.size, 1))
         sink = infophase.GridField(grid.u_edges, grid.e_edges, vu, ve, grid.count)
@@ -300,7 +305,7 @@ class TestFitInfoHamiltonian:
         field = rotation_grid()
         grid, residual = fit(field)
         assert residual <= 1e-10
-        uc, ec = field.u_centers, field.e_centers
+        uc, ec = centers(field.u_edges), centers(field.e_edges)
         ref = 0.5 * ((uc[:, None] - 2.0) ** 2 + ec[None, :] ** 2)
         ref = ref - ref[0, 0] + grid[0, 0]  # align the gauge
         np.testing.assert_allclose(grid, ref, atol=1e-10)
@@ -311,7 +316,7 @@ class TestFitInfoHamiltonian:
         field = infophase.empirical_field(portraits, 10)
         grid, _ = fit(field)
         occ = field.occupied
-        uc, ec = field.u_centers, field.e_centers
+        uc, ec = centers(field.u_edges), centers(field.e_edges)
         ref = 0.5 * ((uc[:, None] - 2.0) ** 2 + ec[None, :] ** 2)
         # displacements are dt-scaled field values
         fitted = grid[occ] / dt
@@ -678,7 +683,7 @@ class TestFloatBacking:
         por = infophase.PhasePortrait(u=[0.5, 0.25], e=[0.0, 0.25])
         assert list(por.rows()) == [(0, 0.5, 0.0), (1, 0.25, 0.25)]
         field = seeded_field()
-        u_center, e_center = np.meshgrid(field.u_centers, field.e_centers, indexing="ij")
+        u_center, e_center = np.meshgrid(centers(field.u_edges), centers(field.e_edges), indexing="ij")
         columns = (u_center, e_center, field.vu, field.ve, field.count)
         assert list(field.rows()) == list(zip(*(c.ravel().tolist() for c in columns)))
 
