@@ -29,6 +29,7 @@ grid as rows of floats.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -294,6 +295,8 @@ def empirical_field(portraits, bins: int) -> GridField:
     bins = int(bins)
     if bins < 1:
         raise ValueError("bin count must be >= 1")
+    if bins > sys.float_info.max:  # the cell width span / bins would raise OverflowError
+        raise ValueError(f"bins must be within the float range, got {bins!r}")
     su, se, du, de = [], [], [], []
     for por in portraits:
         u, e = por._u, por._e

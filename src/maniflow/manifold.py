@@ -642,8 +642,12 @@ def shoot_geodesic(metric_field: MetricField, y_a: np.ndarray, p_init: np.ndarra
     p = np.asarray(p_init, dtype=float)
     y = np.broadcast_to(np.asarray(y_a, dtype=float), p.shape)
     n_steps = int(n_steps)
-    # a count below one reaches _leapfrog's check instead of dividing by zero
-    return _leapfrog(GeodesicHamiltonian(metric_field), y, p, 1.0 / max(n_steps, 1), n_steps, energies=False)[0][-1]
+    try:
+        # a count below one reaches _leapfrog's check instead of dividing by zero
+        h = 1.0 / max(n_steps, 1)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"n_steps must be a count within the float range, got {n_steps!r}") from None
+    return _leapfrog(GeodesicHamiltonian(metric_field), y, p, h, n_steps, energies=False)[0][-1]
 
 
 def solve_shooting(

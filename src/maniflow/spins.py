@@ -1,8 +1,7 @@
 """Spin-lattice energies, Gibbs attention, and bath-driven micro updates.
 
 A configuration is N unit-norm spins in R^d coupled pairwise by a real
-matrix J and optionally by sparse three-spin terms, each scored by the
-symmetric form ``default_triple_product``.  The pair Hamiltonian
+matrix J.  The pair Hamiltonian
 
     H = - sum_{i<j} J~_ij (s_i . s_j) - sum_i h_i . s_i
 
@@ -14,16 +13,15 @@ builds J~ once, when it is constructed, and the systems ``micro_step``
 returns share it.  The energy and its analytic gradient
 -sum_{j != i} J~_ij s_j - h_i are written on one pair field J~ @ s, so
 the gradient is the derivative of the energy even when a raw asymmetric
-J is supplied.  Read-outs that act on directed bonds (``bond_energies``,
-``gibbs_attention``) use the raw rows of J.  Every number a
+J is supplied.  ``gibbs_attention``, which acts on directed bonds, uses
+the raw rows of J.  Every number a
 ``SpinSystem``, ``attention_couplings``, ``ctm_couplings``,
 ``micro_step``, ``ffn_target`` or ``gibbs_attention`` reads must be
 finite, and none of them returns a NaN or warns: a non-finite input or
 result raises ``ValueError``.  A ``SpinSystem`` also rejects couplings and
-fields whose bound on |H| of unit spins, sum_{i<j} |J~_ij| + sum |h|, or
-three-body strengths whose bound 3 sum |K|, overflows the float range, so
-none of its read-outs overflows; ``lattice_energy``, which takes raw
-arrays, checks its own result.
+fields whose bound on |H| of unit spins, sum_{i<j} |J~_ij| + sum |h|,
+overflows the float range, so none of its read-outs overflows;
+``lattice_energy``, which takes raw arrays, checks its own result.
 
 Spin matrices serialise to plain text, one whitespace-separated row per
 spin (see ``save_spin_matrix``).
@@ -45,16 +43,12 @@ __all__ = [
     "attention_couplings",
     "lattice_energy",
     "two_body_energy",
-    "default_triple_product",
-    "three_body_energy",
-    "bond_energies",
     "gibbs_attention",
     "ctm_couplings",
     "ffn_target",
     "energy_gradient",
     "micro_step",
     "save_spin_matrix",
-    "load_spin_matrix",
 ]
 
 _NORM_TOL = 1e-9
@@ -67,18 +61,16 @@ _BOUND_MARGIN = 1.0 + 1e-6
 
 @dataclass
 class SpinSystem:
-    """N unit spins with pair couplings, external fields, and sparse triples.
+    """N unit spins with pair couplings and external fields.
 
-    three_body entries are ``(i, j, k, K)`` with ``i < j < k``.  The
-    symmetrised couplings J~ (zero diagonal) are built once here, one N x N
-    float copy (8N^2 bytes), and read by every energy and gradient of the
-    system; replace the system rather than its ``couplings`` attribute.
+    The symmetrised couplings J~ (zero diagonal) are built once here, one
+    N x N float copy (8N^2 bytes), and read by every energy and gradient of
+    the system; replace the system rather than its ``couplings`` attribute.
     """
 
     spins: np.ndarray
     couplings: np.ndarray
     fields: np.ndarray | None = None
-    three_body: list[tuple[int, int, int, float]] = field(default_factory=list)
     _sym: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -106,25 +98,15 @@ class SpinSystem:
                 raise ValueError(f"fields must match spins shape {spins.shape}, got {fields.shape}")
             if not np.isfinite(fields).all():
                 raise ValueError("fields must be finite")
-        strength_sum = 0.0
-        for entry in self.three_body:
-            i, j, k, strength = entry
-            if not (0 <= i < j < k < n):
-                raise ValueError(f"three-body indices must satisfy 0 <= i < j < k < N, got {entry!r}")
-            if not math.isfinite(strength):
-                raise ValueError(f"three-body strength of ({i}, {j}, {k}) must be finite, got {float(strength)!r}")
-            strength_sum += abs(strength)
         sym = _symmetrised(couplings)
         # |H| <= sum_{i<j} |J~_ij| + sum |h| bounds the energy and each gradient
-        # entry of unit spins, and |H3| <= 3 sum |K|
+        # entry of unit spins
         with np.errstate(over="ignore"):
             half = np.abs(sym)
             half *= 0.5
             pair_bound = float(half.sum()) + float(np.abs(fields).sum())
         if not math.isfinite(pair_bound * _BOUND_MARGIN):
             raise ValueError("couplings and fields too large: sum_{i<j} |J~_ij| + sum |h| overflows the float range")
-        if not math.isfinite(3.0 * strength_sum * _BOUND_MARGIN):
-            raise ValueError("three-body strengths too large: 3 sum |K| overflows the float range")
         self.spins = spins
         self.couplings = couplings
         self.fields = fields
@@ -234,31 +216,6 @@ def lattice_energy(couplings: np.ndarray, spins: np.ndarray, fields: np.ndarray 
 def two_body_energy(system: SpinSystem) -> float:
     """H = -sum_{i<j} J~_ij s_i.s_j - sum_i h_i.s_i."""
     return _pair_energy(system._sym, system.spins, system.fields)
-
-
-def default_triple_product(si: np.ndarray, sj: np.ndarray, sk: np.ndarray) -> float:
-    """Symmetric trilinear form: sum of pairwise dot products taken two at a time."""
-    ab = float(si @ sj)
-    bc = float(sj @ sk)
-    ca = float(sk @ si)
-    return ab * bc + bc * ca + ca * ab
-
-
-def three_body_energy(system: SpinSystem) -> float:
-    """H3 = -sum_{i<j<k} K_ijk f(s_i, s_j, s_k) over the sparse triple list, f = ``default_triple_product``."""
-    s = system.spins
-    total = 0.0
-    for i, j, k, strength in system.three_body:
-        total -= strength * default_triple_product(s[i], s[j], s[k])
-    return float(total)
-
-
-def bond_energies(system: SpinSystem) -> np.ndarray:
-    """Directed bond energies E_ij = -J_ij s_i.s_j with a zero diagonal."""
-    gram = system.spins @ system.spins.T
-    e = -system.couplings * gram
-    np.fill_diagonal(e, 0.0)
-    return e
 
 
 def gibbs_attention(system: SpinSystem, i: int, beta: float) -> np.ndarray:
@@ -391,7 +348,6 @@ def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
     # shares its input's J~
     successor = copy.copy(system)
     successor.spins = new_spins
-    successor.three_body = list(system.three_body)
     return successor
 
 
@@ -402,22 +358,3 @@ def save_spin_matrix(path, spins: np.ndarray) -> None:
         raise ValueError(f"expected a 1-d or 2-d spin array, got shape {rows.shape}")
     _text.write(path, [_text.exact_row(row) for row in rows])
 
-
-def load_spin_matrix(path) -> np.ndarray:
-    """Parse the format of ``save_spin_matrix``.
-
-    A bad value or a ragged row raises ``_text.FormatError`` starting
-    ``line N: ``; a file with no row raises ``ValueError``.
-    """
-    rows = []
-    for ln, line in _text.lines(path):
-        try:
-            row = [float(v) for v in line.split()]
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"expected {len(rows[0])} values, got {len(row)}")
-        except ValueError as exc:
-            raise _text.FormatError.at(ln, exc) from None
-        rows.append(row)
-    if not rows:
-        raise ValueError(f"no spin rows found in {str(path)!r}")
-    return np.array(rows)

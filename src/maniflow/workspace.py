@@ -1,4 +1,4 @@
-"""Typed episode graphs, workspace losses, and explanation chains.
+"""Typed episode graphs and explanation chains.
 
 Nodes are actors, objects, events, states, and locations; edges carry one
 of six kinds with fixed endpoint conventions:
@@ -10,8 +10,7 @@ of six kinds with fixed endpoint conventions:
     spatial           state  -> location
     episodic-binding  state <-> event (either orientation)
 
-Graphs are built single-writer (optionally via proposal merging with
-last-write-wins node identity) and can be frozen.  For planning, temporal
+Graphs are built single-writer and can be frozen.  For planning, temporal
 and causal edges become directed weighted edges with weight
 alpha dt + beta jump + gamma uncertainty, while the remaining kinds become
 zero-weight bidirectional connectors.
@@ -25,11 +24,9 @@ Text format (``#`` starts a comment)::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
-
-import numpy as np
 
 from . import _text, planner
 
@@ -39,10 +36,7 @@ __all__ = [
     "WorkspaceNode",
     "WorkspaceEdge",
     "WorkspaceGraph",
-    "Fact",
     "EdgeCoeffs",
-    "ws_fact_loss",
-    "ws_geo_loss",
     "episodic_edge_weight",
     "to_weighted_digraph",
     "explanation_chain",
@@ -93,18 +87,6 @@ class WorkspaceEdge:
     t: float | None = None
 
 
-def _edge(record) -> WorkspaceEdge:
-    """The edge of a ``(kind, src, dst[, t])`` record; ValueError names a record of another length or a non-finite t."""
-    if len(record) not in (3, 4):
-        raise ValueError(f"edge record {tuple(record)!r} must be (kind, src, dst[, t])")
-    kind, src, dst, t = (*record, None)[:4]
-    if t is not None:
-        t = float(t)
-        if not math.isfinite(t):
-            raise ValueError(f"edge record {tuple(record)!r}: t must be finite, got {t!r}")
-    return WorkspaceEdge(EdgeKind(kind), src, dst, t)
-
-
 class WorkspaceGraph:
     """Single-writer typed graph; freeze() makes it immutable."""
 
@@ -126,111 +108,25 @@ class WorkspaceGraph:
 
     def add_edge(self, kind: EdgeKind | str, src: str, dst: str, t: float | None = None) -> None:
         self._writable()
-        edge = _edge((kind, src, dst, t))
-        self._validate_edge(edge)
-        self.edges.append(edge)
-
-    def _validate_edge(self, edge: WorkspaceEdge) -> None:
-        for endpoint in (edge.src, edge.dst):
+        record = (kind, src, dst, t)
+        if t is not None:
+            t = float(t)
+            if not math.isfinite(t):
+                raise ValueError(f"edge record {record!r}: t must be finite, got {t!r}")
+        kind = EdgeKind(kind)
+        for endpoint in (src, dst):
             if endpoint not in self.nodes:
                 raise ValueError(f"edge endpoint {endpoint!r} is not a node")
-        pair = (self.nodes[edge.src].kind, self.nodes[edge.dst].kind)
-        allowed = _ENDPOINT_RULES[edge.kind]
+        pair = (self.nodes[src].kind, self.nodes[dst].kind)
+        allowed = _ENDPOINT_RULES[kind]
         if pair not in allowed:
             want = " or ".join(f"{a.value}->{b.value}" for a, b in allowed)
-            raise ValueError(
-                f"{edge.kind.value} edge must connect {want}, got {pair[0].value}->{pair[1].value}"
-            )
-
-    def merge_proposals(self, nodes=(), edges=()) -> None:
-        """Reconcile extracted proposals: node identity is last-write-wins.
-
-        ``nodes`` holds (id, kind, label) triples; ``edges`` holds
-        (kind, src, dst[, t]) records; a malformed one raises before any
-        edge is added.  All edges (existing and proposed) are re-validated
-        against the merged node kinds.
-        """
-        self._writable()
-        for node_id, kind, label in nodes:
-            self.nodes[node_id] = WorkspaceNode(node_id, NodeKind(kind), label)
-        self.edges += [_edge(record) for record in edges]
-        for edge in self.edges:
-            self._validate_edge(edge)
+            raise ValueError(f"{kind.value} edge must connect {want}, got {pair[0].value}->{pair[1].value}")
+        self.edges.append(WorkspaceEdge(kind, src, dst, t))
 
     def freeze(self) -> "WorkspaceGraph":
         self._frozen = True
         return self
-
-
-@dataclass(frozen=True)
-class Fact:
-    """A scored assertion: opaque key, binary truth target, finite weight >= 0."""
-
-    key: object
-    truth: int
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.truth not in (0, 1):
-            raise ValueError(f"fact truth must be 0 or 1, got {self.truth!r}")
-        if not 0 <= self.weight < math.inf:
-            raise ValueError(f"fact weight must be >= 0, got {self.weight!r}")
-
-
-_BCE_CLAMP = 30.0
-
-
-def _bce(score: float, truth: int) -> float:
-    # -log sigma(s) computed as softplus(-s), clamped where log sigma < -30
-    s = -score if truth else score
-    loss = float(np.logaddexp(0.0, s))
-    return min(loss, _BCE_CLAMP)
-
-
-def ws_fact_loss(z: np.ndarray, facts, scorer: Callable) -> float:
-    """Weighted binary cross-entropy of fact scores, averaged over facts.
-
-    ``scorer(z, fact.key)`` returns a logit; the per-fact log terms are
-    floored at -30, which a logit of +-inf reaches in the limit.  A NaN
-    logit raises ValueError naming its fact.
-    """
-    facts = list(facts)
-    if not facts:
-        raise ValueError("fact set is empty")
-    total = 0.0
-    for i, fact in enumerate(facts):
-        score = float(scorer(z, fact.key))
-        if math.isnan(score):
-            raise ValueError(f"fact {i} (key {fact.key!r}): score is nan")
-        total += fact.weight * _bce(score, fact.truth)
-    return total / len(facts)
-
-
-def ws_geo_loss(pairs, f_map: Callable, dist_fn: Callable) -> float:
-    """Sum of squared gaps between manifold distances and mapped graph distances.
-
-    ``pairs`` holds (y_i, y_j, d_ws) records; ``f_map`` must be monotone
-    non-decreasing on the supplied d_ws samples.  A NaN d_ws or gap raises
-    ValueError naming its pair.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one pair")
-    for i, pair in enumerate(pairs):
-        if math.isnan(float(pair[2])):
-            raise ValueError(f"pair {i}: d_ws is nan")
-    d_samples = sorted({float(p[2]) for p in pairs})
-    f_values = [float(f_map(d)) for d in d_samples]
-    for a, b in zip(f_values, f_values[1:]):
-        if b < a - 1e-12:
-            raise ValueError("f_map is not monotone on the sampled graph distances")
-    total = 0.0
-    for i, (y_i, y_j, d_ws) in enumerate(pairs):
-        gap = float(dist_fn(y_i, y_j)) - float(f_map(float(d_ws)))
-        if math.isnan(gap):
-            raise ValueError(f"pair {i}: distance gap is nan")
-        total += gap * gap
-    return total
 
 
 def episodic_edge_weight(

@@ -1,18 +1,25 @@
 """Each submodule's ``__all__`` names exactly the public functions and classes it defines.
 
-Every exception class a submodule or ``_text`` defines is a ``ValueError``:
-a failure an input causes has one base, which the CLI catches as it is, and
-an int argument past the float range raises no ``OverflowError``.
+Every such name, and every public method or property of a listed class, has
+a reader beyond its own unit tests.  Every exception class a submodule or
+``_text`` defines is a ``ValueError``: a failure an input causes has one
+base, which the CLI catches as it is, and an int argument past the float
+range raises no ``OverflowError``.
 """
 
+import ast
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import maniflow
-from maniflow import manifold, planner
+from maniflow import infophase, manifold, planner
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SUBMODULES = [name for name in maniflow.__all__ if not name.startswith("_")]
 
@@ -33,6 +40,75 @@ def test_all_lists_public_definitions(name):
     # constants may be listed too; every listed function or class must be defined here
     listed_defs = {key for key in listed if inspect.isfunction(vars(module)[key]) or inspect.isclass(vars(module)[key])}
     assert listed_defs == defined
+
+
+def _reads(tree) -> set:
+    """Names a piece of code reads: loaded names, attributes, and names imported from a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def _read_names() -> set:
+    """Every name that the package, perfbench, the acceptance tests or README reads.
+
+    A read inside a top-level definition or a method counts only once that
+    definition is itself read, so a helper that only an unread function
+    calls is unread too.  A dunder method is read with its class.  README
+    counts what its backticks and code blocks name; docstrings and the unit
+    tests count for nothing.  Names match as identifiers, so a local
+    variable that shares a public name counts as a read of it.
+    """
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    bodies = []  # (name, what its body reads)
+    read = set()
+    for path in sorted((ROOT / "src" / "maniflow").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, defs):
+                read |= _reads(stmt)
+                continue
+            if isinstance(stmt, ast.ClassDef):
+                for member in stmt.body:
+                    if isinstance(member, defs):
+                        bodies.append((stmt.name if member.name.startswith("__") else member.name, _reads(member)))
+                rest = [member for member in stmt.body if not isinstance(member, defs)]
+                bodies.append((stmt.name, _reads(ast.Module([*rest, *stmt.decorator_list, *stmt.bases], []))))
+            else:
+                bodies.append((stmt.name, _reads(stmt)))
+    for path in [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
+        read |= _reads(ast.parse(path.read_text()))
+    for span in re.findall(r"```(.*?)```|`([^`]+)`", (ROOT / "README.md").read_text(), re.S):
+        read |= set(re.findall(r"[A-Za-z_]\w*", "".join(span)))
+    grown = True
+    while grown:
+        grown = False
+        for name, reads in bodies:
+            if name in read and not reads <= read:
+                read |= reads
+                grown = True
+    return read
+
+
+def test_every_public_name_has_a_reader():
+    read = _read_names()
+    unread = []
+    for module in (importlib.import_module(f"maniflow.{name}") for name in SUBMODULES):
+        for key in module.__all__:
+            if key not in read:
+                unread.append(f"{module.__name__}.{key}")
+            value = vars(module)[key]
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    if inspect.isfunction(member) or isinstance(member, property):
+                        if not attr.startswith("_") and attr not in read:
+                            unread.append(f"{module.__name__}.{key}.{attr}")
+    assert unread == []
 
 
 @pytest.mark.parametrize("name", [*SUBMODULES, "_text"])
@@ -74,8 +150,20 @@ def _integrate(h):
         (lambda: _shoot(BIG), lambda: _shoot(50)),
         (lambda: _edges(("radius", BIG)), f"radius must be a non-negative number, got {BIG!r}"),
         (lambda: _integrate(BIG), f"step size must be finite and non-zero, got {BIG!r}"),
+        (
+            lambda: manifold.solve_shooting(_flat_field(), [0.0, 0.0], [0.9, 0.4], n_steps=BIG),
+            f"n_steps must be a count within the float range, got {BIG!r}",
+        ),
+        (
+            lambda: manifold.loss_geo(_flat_field(), [([0.0, 0.0], [0.9, 0.4])], BIG),
+            f"n_steps must be a count within the float range, got {BIG!r}",
+        ),
+        (
+            lambda: infophase.empirical_field([infophase.portrait([[0.5, 0.5], [0.9, 0.1]])], BIG),
+            f"bins must be within the float range, got {BIG!r}",
+        ),
     ],
-    ids=["knn-k", "waypoint-stride", "shooting-max-iter", "radius", "step-size"],
+    ids=["knn-k", "waypoint-stride", "shooting-max-iter", "radius", "step-size", "shooting-n-steps", "loss-geo-n-steps", "field-bins"],
 )
 def test_int_past_the_float_range(call, want):
     """A whole number is the integer it is; a real that float() cannot hold is the function's ValueError.

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maniflow import _text, spins
+from maniflow import spins
 
 
 def unit_spins(rng, n, d):
@@ -56,15 +56,6 @@ class TestSpinValidation:
     def test_fields_shape(self):
         with pytest.raises(ValueError, match="fields"):
             spins.SpinSystem(np.eye(2), np.zeros((2, 2)), fields=np.zeros(2))
-
-    def test_three_body_index_order(self):
-        with pytest.raises(ValueError, match="i < j < k"):
-            spins.SpinSystem(np.eye(3), np.zeros((3, 3)), three_body=[(0, 2, 1, 1.0)])
-
-    @pytest.mark.parametrize("strength", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
-    def test_three_body_strength_finite(self, strength):
-        with pytest.raises(ValueError, match=r"^three-body strength of \(1, 2, 3\) must be finite, got "):
-            spins.SpinSystem(np.eye(4), np.zeros((4, 4)), three_body=[(0, 1, 2, 1.0), (1, 2, 3, strength)])
 
     def test_one_spin_shapes(self):
         system = spins.SpinSystem(np.array([0.6, 0.8]), np.zeros((1, 1)))
@@ -176,35 +167,24 @@ class TestEnergies:
                     ) / (2 * step)
                     assert abs(fd - grad[i, a]) <= 1e-5 * max(1.0, abs(fd))
 
-    def test_three_body_default_form(self):
-        s = np.eye(3)
-        sys0 = spins.SpinSystem(s, np.zeros((3, 3)), three_body=[(0, 1, 2, 2.0)])
-        # orthonormal spins: all pairwise dots vanish
-        assert spins.three_body_energy(sys0) == 0.0
-        aligned = np.tile(np.array([1.0, 0.0, 0.0]), (3, 1))
-        sys1 = spins.SpinSystem(aligned, np.zeros((3, 3)), three_body=[(0, 1, 2, 2.0)])
-        # f = 1*1 + 1*1 + 1*1 = 3, energy = -K f
-        np.testing.assert_allclose(spins.three_body_energy(sys1), -6.0)
-
     @pytest.mark.parametrize(
-        "couplings, fields, three_body, message",
+        "couplings, fields",
         [
-            (np.full((3, 3), 1e308), None, [], "couplings and fields too large"),
-            (np.zeros((3, 3)), np.full((3, 1), 1e308), [], "couplings and fields too large"),
-            (np.full((3, 3), 5e307), np.full((3, 1), 1e307), [], "couplings and fields too large"),
-            (np.zeros((3, 3)), None, [(0, 1, 2, 1e308)], "three-body strengths too large"),
+            (np.full((3, 3), 1e308), None),
+            (np.zeros((3, 3)), np.full((3, 1), 1e308)),
+            (np.full((3, 3), 5e307), np.full((3, 1), 1e307)),
         ],
-        ids=["couplings", "fields", "couplings-plus-fields", "three-body"],
+        ids=["couplings", "fields", "couplings-plus-fields"],
     )
-    def test_read_out_overflow_rejected_at_construction(self, couplings, fields, three_body, message):
-        # each used to warn in a read-out of aligned spins (or return -inf for the three-body energy)
-        with pytest.raises(ValueError, match=f"^{message}: .* overflows the float range$"):
-            spins.SpinSystem(np.ones((3, 1)), couplings, fields, three_body)
+    def test_read_out_overflow_rejected_at_construction(self, couplings, fields):
+        # each used to warn in a read-out of aligned spins
+        with pytest.raises(ValueError, match="^couplings and fields too large: .* overflows the float range$"):
+            spins.SpinSystem(np.ones((3, 1)), couplings, fields)
 
     def test_largest_bounded_system_reads_out_finite(self):
         # sum_{i<j} |J~_ij| = 1.35e308 is finite although sum |J~| is not
         j = np.array([[0.0, 1e308], [1.7e308, 0.0]])
-        system = spins.SpinSystem(np.ones((2, 1)), j, three_body=[])
+        system = spins.SpinSystem(np.ones((2, 1)), j)
         assert spins.two_body_energy(system) == -1.35e308
         np.testing.assert_array_equal(spins.energy_gradient(system), [[-1.35e308], [-1.35e308]])
         assert spins.lattice_energy(j, np.ones((2, 1))) == -1.35e308
@@ -218,16 +198,6 @@ class TestEnergies:
         with pytest.raises(ValueError, match=f"^lattice energy is {shown}, not finite$"):
             spins.lattice_energy(couplings, np.ones((3, 1)), fields)
 
-    def test_bond_energies_use_raw_couplings(self):
-        rng = np.random.default_rng(2)
-        s = unit_spins(rng, 3, 2)
-        j = rng.normal(size=(3, 3))
-        e = spins.bond_energies(spins.SpinSystem(s, j))
-        assert e.shape == (3, 3)
-        np.testing.assert_allclose(np.diag(e), 0.0)
-        np.testing.assert_allclose(e[0, 1], -j[0, 1] * float(s[0] @ s[1]))
-        np.testing.assert_allclose(e[1, 0], -j[1, 0] * float(s[0] @ s[1]))
-
 
 class TestGibbsAttention:
     def test_matches_direct_softmax(self):
@@ -238,7 +208,7 @@ class TestGibbsAttention:
             beta = float(rng.uniform(0.1, 3.0))
             i = int(rng.integers(0, n))
             pi = spins.gibbs_attention(sys0, i, beta)
-            e_row = spins.bond_energies(sys0)[i]
+            e_row = -sys0.couplings[i] * (sys0.spins @ sys0.spins[i])
             logits = np.array([-beta * e_row[j] for j in range(n) if j != i])
             ref = np.exp(logits) / np.sum(np.exp(logits))
             np.testing.assert_allclose(np.delete(pi, i), ref, atol=1e-12)
@@ -491,18 +461,15 @@ class TestMicroStep:
         # micro_step skips SpinSystem's checks on what it builds; the result
         # must be the system that validation gives, and the input unchanged
         rng = np.random.default_rng(31)
-        sys0 = spins.SpinSystem(
-            unit_spins(rng, 5, 3), rng.normal(size=(5, 5)), rng.normal(size=(5, 3)), three_body=[(0, 2, 4, 0.5)]
-        )
+        sys0 = spins.SpinSystem(unit_spins(rng, 5, 3), rng.normal(size=(5, 5)), rng.normal(size=(5, 3)))
         before = sys0.spins.copy()
         bath = spins.BathParams(eta=0.05, eta_ff=0.2, gamma=0.01, W1=rng.normal(size=(4, 3)), W2=rng.normal(size=(3, 4)))
         out = spins.micro_step(sys0, bath)
-        want = spins.SpinSystem(out.spins.copy(), sys0.couplings, sys0.fields, list(sys0.three_body))
+        want = spins.SpinSystem(out.spins.copy(), sys0.couplings, sys0.fields)
         assert type(out) is spins.SpinSystem
         for name in ("spins", "couplings", "fields"):
             got, ref = getattr(out, name), getattr(want, name)
             assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
-        assert out.three_body == sys0.three_body and out.three_body is not sys0.three_body
         assert sys0.spins.tobytes() == before.tobytes()
 
 
@@ -649,24 +616,8 @@ class TestSpinIo:
         s = unit_spins(rng, 5, 4)
         p = tmp_path / "spins.txt"
         spins.save_spin_matrix(p, s)
-        np.testing.assert_array_equal(spins.load_spin_matrix(p), s)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [("1 2\n3 x\n", "line 2: "), ("1 2\n# a comment\n3\n", "line 3: expected 2 values, got 1")],
-        ids=["bad-value", "ragged-row"],
-    )
-    def test_bad_line_is_named(self, tmp_path, text, message):
-        p = tmp_path / "bad.txt"
-        p.write_text(text)
-        with pytest.raises(_text.FormatError, match=f"^{message}"):
-            spins.load_spin_matrix(p)
-
-    def test_empty_file_rejected(self, tmp_path):
-        p = tmp_path / "empty.txt"
-        p.write_text("# no rows\n")
-        with pytest.raises(ValueError, match="no spin rows"):
-            spins.load_spin_matrix(p)
+        out = np.loadtxt(p, ndmin=2)
+        assert out.shape == s.shape and out.tobytes() == s.tobytes()
 
     def test_three_dimensional_array_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="shape"):
@@ -682,7 +633,7 @@ class TestSpinIo:
     def test_single_row_shape(self, tmp_path):
         p = tmp_path / "one.txt"
         spins.save_spin_matrix(p, np.array([1.0, 0.0]))
-        out = spins.load_spin_matrix(p)
+        out = np.loadtxt(p, ndmin=2)
         assert out.shape == (1, 2)
 
     @pytest.mark.parametrize(
@@ -700,7 +651,7 @@ class TestSpinIo:
         s = data.draw(arrays(np.float64, data.draw(shape), elements=finite))
         p = tmp_path_factory.mktemp("spins") / "spins.txt"
         spins.save_spin_matrix(p, s)
-        out = spins.load_spin_matrix(p)
+        out = np.loadtxt(p, ndmin=2)
         assert out.shape == s.shape
         assert out.tobytes() == s.tobytes()
 

@@ -1,6 +1,5 @@
-"""Tests for typed episode graphs, workspace losses, and explanation chains."""
+"""Tests for typed episode graphs and explanation chains."""
 
-import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from maniflow import _text, workspace
 from maniflow._text import fmt
-from maniflow.workspace import EdgeCoeffs, EdgeKind, Fact, NodeKind, WorkspaceGraph
+from maniflow.workspace import EdgeCoeffs, EdgeKind, NodeKind, WorkspaceGraph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -73,148 +72,33 @@ class TestEndpointRules:
             ws.add_node("X", "widget", "")
 
 
-class TestFreezeAndMerge:
+class TestFreezeAndEdgeTime:
     def test_frozen_graph_is_immutable(self):
         ws = small_graph().freeze()
         with pytest.raises(RuntimeError, match="frozen"):
             ws.add_node("B", "actor", "Bob")
         with pytest.raises(RuntimeError, match="frozen"):
             ws.add_edge("causal", "E1", "E2")
-        with pytest.raises(RuntimeError, match="frozen"):
-            ws.merge_proposals(nodes=[("B", "actor", "Bob")])
-
-    def test_merge_last_write_wins(self):
-        ws = small_graph()
-        ws.merge_proposals(nodes=[("A", "actor", "Alice, revised")])
-        assert ws.nodes["A"].label == "Alice, revised"
-
-    def test_merge_adds_edges(self):
-        ws = small_graph()
-        ws.merge_proposals(edges=[("temporal", "S1", "S2", 0.5), ("causal", "E1", "E2")])
-        assert ws.edges[0].t == 0.5
-        assert ws.edges[1].t is None
 
     @pytest.mark.parametrize(
         "record, message",
         [
-            (("temporal", "S1"), "edge record ('temporal', 'S1') must be (kind, src, dst[, t])"),
-            (("temporal", "S1", "S2", 0.5, "extra"), "edge record ('temporal', 'S1', 'S2', 0.5, 'extra') must be (kind, src, dst[, t])"),
             (("temporal", "S1", "S2", float("nan")), "edge record ('temporal', 'S1', 'S2', nan): t must be finite, got nan"),
             (("temporal", "S1", "S2", float("inf")), "edge record ('temporal', 'S1', 'S2', inf): t must be finite, got inf"),
         ],
-        ids=["two-fields", "five-fields", "t-nan", "t-inf"],
+        ids=["t-nan", "t-inf"],
     )
     def test_malformed_record_named(self, record, message):
         ws = small_graph()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ws.merge_proposals(edges=[record])
+            ws.add_edge(*record)
         assert ws.edges == []
-        if len(record) == 4:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                ws.add_edge(*record)
 
     def test_non_finite_time_in_file_names_its_line(self, tmp_path):
         p = tmp_path / "episode.txt"
         p.write_text("node S1 state a\nnode S2 state b\nedge temporal S1 S2 t=nan\n")
         with pytest.raises(ValueError, match="^line 3: edge record .*t must be finite, got nan$"):
             workspace.load_workspace(p)
-
-    def test_merge_revalidates_existing_edges(self):
-        ws = small_graph()
-        ws.add_edge("causal", "E1", "E2")
-        # retyping E2 to a state invalidates the existing causal edge
-        with pytest.raises(ValueError, match="must connect"):
-            ws.merge_proposals(nodes=[("E2", "state", "now a state")])
-
-
-class TestFactLoss:
-    def test_zero_logit_is_log_two(self):
-        loss = workspace.ws_fact_loss(
-            np.zeros(1), [Fact("k", 1)], scorer=lambda z, k: 0.0
-        )
-        np.testing.assert_allclose(loss, np.log(2.0))
-
-    def test_weighted_average(self):
-        facts = [Fact("a", 1, weight=2.0), Fact("b", 0, weight=1.0)]
-        scorer = lambda z, k: 1.0
-        # truth 1: softplus(-1); truth 0: softplus(1)
-        expected = (2.0 * np.logaddexp(0.0, -1.0) + np.logaddexp(0.0, 1.0)) / 2.0
-        np.testing.assert_allclose(
-            workspace.ws_fact_loss(np.zeros(1), facts, scorer), expected
-        )
-
-    def test_clamp_at_thirty(self):
-        loss = workspace.ws_fact_loss(
-            np.zeros(1), [Fact("k", 1)], scorer=lambda z, k: -100.0
-        )
-        np.testing.assert_allclose(loss, 30.0)
-
-    def test_empty_facts_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            workspace.ws_fact_loss(np.zeros(1), [], scorer=lambda z, k: 0.0)
-
-    def test_fact_validation(self):
-        with pytest.raises(ValueError, match="truth"):
-            Fact("k", 2)
-        with pytest.raises(ValueError, match="weight"):
-            Fact("k", 1, weight=-1.0)
-
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_weight_rejected(self, weight):
-        with pytest.raises(ValueError, match=f"^fact weight must be >= 0, got {weight!r}$"):
-            Fact("k", 1, weight=weight)
-
-    def test_nan_score_names_its_fact(self):
-        # used to warn in logaddexp and return nan
-        facts = [Fact("a", 1), Fact("b", 0)]
-        with pytest.raises(ValueError, match="^fact 1 \\(key 'b'\\): score is nan$"):
-            workspace.ws_fact_loss(np.zeros(1), facts, scorer=lambda z, k: 0.0 if k == "a" else float("nan"))
-
-    @pytest.mark.parametrize(
-        "score, truth, expected",
-        [(math.inf, 1, 0.0), (-math.inf, 1, 30.0), (math.inf, 0, 30.0), (-math.inf, 0, 0.0)],
-        ids=["plus-inf-true", "minus-inf-true", "plus-inf-false", "minus-inf-false"],
-    )
-    def test_infinite_score_is_its_limit(self, score, truth, expected):
-        assert workspace.ws_fact_loss(np.zeros(1), [Fact("k", truth)], scorer=lambda z, k: score) == expected
-
-
-class TestGeoLoss:
-    def test_sum_of_squared_gaps(self):
-        pairs = [
-            (np.array([0.0]), np.array([1.0]), 1.0),
-            (np.array([0.0]), np.array([3.0]), 2.0),
-        ]
-        dist = lambda a, b: float(np.linalg.norm(b - a))
-        loss = workspace.ws_geo_loss(pairs, f_map=lambda d: d, dist_fn=dist)
-        np.testing.assert_allclose(loss, 0.0 + 1.0)
-
-    def test_monotone_check(self):
-        pairs = [
-            (np.array([0.0]), np.array([1.0]), 1.0),
-            (np.array([0.0]), np.array([1.0]), 2.0),
-        ]
-        dist = lambda a, b: 1.0
-        with pytest.raises(ValueError, match="monotone"):
-            workspace.ws_geo_loss(pairs, f_map=lambda d: -d, dist_fn=dist)
-
-    def test_constant_map_allowed(self):
-        pairs = [(np.zeros(1), np.ones(1), 1.0), (np.zeros(1), np.ones(1), 5.0)]
-        workspace.ws_geo_loss(pairs, f_map=lambda d: 2.0, dist_fn=lambda a, b: 2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="pair"):
-            workspace.ws_geo_loss([], f_map=lambda d: d, dist_fn=lambda a, b: 0.0)
-
-    def test_nan_distance_names_its_pair(self):
-        # a NaN d_ws used to make the loss nan
-        pairs = [(np.zeros(1), np.ones(1), 1.0), (np.zeros(1), np.ones(1), float("nan"))]
-        with pytest.raises(ValueError, match="^pair 1: d_ws is nan$"):
-            workspace.ws_geo_loss(pairs, f_map=lambda d: 2.0, dist_fn=lambda a, b: 2.0)
-        pairs = [(np.zeros(1), np.ones(1), 1.0), (np.zeros(1), np.full(1, np.nan), 2.0)]
-        dist = lambda a, b: float(np.linalg.norm(b - a))
-        with pytest.raises(ValueError, match="^pair 1: distance gap is nan$"):
-            workspace.ws_geo_loss(pairs, f_map=lambda d: d, dist_fn=dist)
 
 
 class TestEdgeWeight:
