@@ -3,7 +3,7 @@
 With metric G(y) and costate p, the minimising control of the quadratic
 running cost u^T G u / 2 solves G(y) u = p, giving the reduced Hamiltonian
 
-    H(y, p) = p^T G(y)^{-1} p / 2 - l_task(z) - lam * l_ws(z, ws)
+    H(y, p) = p^T G(y)^{-1} p / 2 - l_task(z)
 
 evaluated on decoded outputs z = decoder(y): a ``GeodesicHamiltonian``
 whose held form ``at(y)`` subtracts the potential.  A candidate value
@@ -42,26 +42,12 @@ __all__ = [
 
 @dataclass
 class CostSpec:
-    """Task cost on decoded outputs plus an optional weighted workspace cost.
-
-    ``terminal`` scores the final decoded point of a trajectory and
-    defaults to zero.
-    """
+    """Task cost on decoded outputs, the potential of the reduced Hamiltonian."""
 
     task_cost: Callable[[np.ndarray], float]
-    ws_cost: Callable[[np.ndarray, object], float] | None = None
-    lam: float = 0.0
-    terminal: Callable[[np.ndarray], float] | None = None
 
-    def __post_init__(self):
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"workspace weight lam must be >= 0, got {self.lam!r}")
-
-    def potential(self, z: np.ndarray, ws_state=None) -> float:
-        value = float(self.task_cost(z))
-        if self.ws_cost is not None and ws_state is not None:
-            value += self.lam * float(self.ws_cost(z, ws_state))
-        return value
+    def potential(self, z: np.ndarray) -> float:
+        return float(self.task_cost(z))
 
 
 @dataclass
@@ -88,22 +74,21 @@ class ValueFunction:
 
 
 class ReducedHamiltonian(GeodesicHamiltonian):
-    """The kinetic Hamiltonian of a metric field minus potential costs; usable by the leapfrog stepper.
+    """The kinetic Hamiltonian of a metric field minus the task cost; usable by the leapfrog stepper.
 
     ``__call__``, ``dp`` and ``dy`` are GeodesicHamiltonian's, through
     ``at(y)``: dp stays analytic through the metric solve, and dy takes
-    the kinetic part from the decoder's jet (exact for layered decoders)
-    and differentiates the potential by central differences, once per
-    point and only when dy is asked for.  Its arrays are 1-d: one point.
+    the kinetic part from the decoder's exact jet and differentiates the
+    potential by central differences, once per point and only when dy is
+    asked for.  Its arrays are 1-d: one point.
     """
 
-    def __init__(self, metric_field: MetricField, cost: CostSpec, ws_state=None):
+    def __init__(self, metric_field: MetricField, cost: CostSpec):
         super().__init__(metric_field)
         self.cost = cost
-        self.ws_state = ws_state
 
     def _potential(self, y: np.ndarray) -> float:
-        return self.cost.potential(self.metric_field.decoder(y), self.ws_state)
+        return self.cost.potential(self.metric_field.decoder(y))
 
     def at(self, y: np.ndarray) -> "_HeldReduced":
         """The Hamiltonian held at one point y, for the leapfrog stepper."""
@@ -142,7 +127,6 @@ def hjb_residual(
     value_fn: ValueFunction,
     y: np.ndarray,
     t: float = 0.0,
-    ws_state=None,
 ) -> float:
     """dV/dt + H(y, grad V); identically zero for an exact value function.
 
@@ -151,25 +135,21 @@ def hjb_residual(
     y = np.atleast_1d(np.asarray(y, dtype=float))
     costate = np.atleast_1d(value_fn.gradient(y, t))
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = value_fn.dt(y, t) + ReducedHamiltonian(metric_field, cost, ws_state)(y, costate)
+        residual = value_fn.dt(y, t) + ReducedHamiltonian(metric_field, cost)(y, costate)
     if math.isnan(residual):
         raise ValueError("HJB residual is nan")
     return residual
 
 
-def ndm_layer(
-    metric_field: MetricField, cost: CostSpec, pt: PhasePoint, dt: float, ws_state=None
-) -> PhasePoint:
+def ndm_layer(metric_field: MetricField, cost: CostSpec, pt: PhasePoint, dt: float) -> PhasePoint:
     """One leapfrog step of the reduced Hamiltonian; dt must be positive."""
     if not dt > 0:
         raise ValueError(f"layer step dt must be > 0, got {dt!r}")
-    return leapfrog_step(ReducedHamiltonian(metric_field, cost, ws_state), pt, float(dt))
+    return leapfrog_step(ReducedHamiltonian(metric_field, cost), pt, float(dt))
 
 
-def running_cost(
-    metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np.ndarray, ws_state=None
-) -> float:
-    """Instantaneous cost u^T G(y) u / 2 + l_task + lam l_ws; ValueError if it is NaN.
+def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np.ndarray) -> float:
+    """Instantaneous cost u^T G(y) u / 2 + l_task; ValueError if it is NaN.
 
     A control whose cost passes the float range costs +inf.
     """
@@ -178,19 +158,20 @@ def running_cost(
     g = metric_field.metric(y)
     with np.errstate(over="ignore", invalid="ignore"):
         kinetic = 0.5 * float(u @ g @ u)
-    value = kinetic + cost.potential(metric_field.decoder(y), ws_state)
+    value = kinetic + cost.potential(metric_field.decoder(y))
     if math.isnan(value):
         raise ValueError("running cost is nan")
     return value
 
 
-def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj, ws_state=None) -> float:
-    """Trapezoidal accumulation of the running cost plus the terminal cost.
+def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj) -> float:
+    """Trapezoidal accumulation of the running cost.
 
     ``traj`` is a sequence of ``(y, u, dt)`` records; each consecutive
     pair forms a segment weighted by the dt of its first record.  The dt
-    of the final record is unused.  A NaN running cost raises ValueError
-    naming its record, and so does a NaN terminal cost or total.
+    of the final record is unused, and a single record costs 0.  A NaN
+    running cost raises ValueError naming its record, and a NaN total,
+    from infinite costs of opposite sign, raises ValueError.
     """
     entries = list(traj)
     if not entries:
@@ -198,7 +179,7 @@ def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj, ws_state=No
     costs = []
     for k, (y, u, _) in enumerate(entries):
         try:
-            costs.append(running_cost(metric_field, cost, y, u, ws_state))
+            costs.append(running_cost(metric_field, cost, y, u))
         except ValueError as exc:
             raise ValueError(f"record {k}: {exc}") from None
     total = 0.0
@@ -207,9 +188,6 @@ def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj, ws_state=No
         if not 0 < dt < math.inf:
             raise ValueError(f"segment {k} has non-positive dt {dt!r}")
         total += 0.5 * dt * (costs[k] + costs[k + 1])
-    if cost.terminal is not None:
-        y_final = np.atleast_1d(np.asarray(entries[-1][0], dtype=float))
-        total += float(cost.terminal(metric_field.decoder(y_final)))
     if math.isnan(total):
-        raise ValueError("trajectory cost is nan: a NaN terminal cost, or infinite costs of opposite sign")
+        raise ValueError("trajectory cost is nan: infinite costs of opposite sign")
     return total

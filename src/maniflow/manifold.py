@@ -14,18 +14,15 @@ of H, so Christoffel symbols are never materialised.
 Derivative conventions used throughout:
 
 * a decoder's only derivative method is ``Decoder.jet``, which returns
-  its Jacobian J and second derivatives D2; a decoder is either layered
-  (``linear`` is the one-layer case of ``mlp-tanh``), whose jet comes
-  from one forward pass, or custom, whose J and D2 come from central
-  differences; a one-layer decoder's D2 is None, since it vanishes
+  its Jacobian J and second derivatives D2 exactly, from one forward
+  pass over its layers (``linear`` is the one-layer case of
+  ``mlp-tanh``); a one-layer decoder's D2 is None, since it vanishes
 * dH/dy of the kinetic Hamiltonian is one formula for every decoder,
   dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for one-layer ones)
 * every finite difference takes its points from ``_stencil`` and its
-  quotient from ``_central``: steps base (1 + |arg|), base 1e-5
-  (``GRAD_STEP``) for first derivatives (``_fd_gradient``, a custom
-  decoder's J, the shooting sensitivity, the leapfrog tangent in
-  ``jacobi_propagate``) and 1e-4 (``HESS_STEP``) for the one second
-  derivative, a custom decoder's D2
+  quotient from ``_central``: steps 1e-5 (1 + |arg|) (``GRAD_STEP``), for
+  first derivatives only (``_fd_gradient``, the shooting sensitivity,
+  the leapfrog tangent in ``jacobi_propagate``)
 
 Arrays of shape (..., d) hold one latent point (d,) or a stack of them
 (B, d).  ``Decoder.jet``, ``MetricField`` and ``GeodesicHamiltonian``
@@ -101,7 +98,6 @@ __all__ = [
 ]
 
 GRAD_STEP = 1e-5
-HESS_STEP = 1e-4
 
 
 class SingularMetricError(ValueError):
@@ -148,16 +144,13 @@ class ShootingError(ValueError):
 
 @dataclass
 class Decoder:
-    """Latent-to-ambient map whose derivatives come from ``jet``.
+    """Latent-to-ambient map whose exact derivatives come from ``jet``.
 
-    Build through the ``linear``, ``mlp_tanh``, or ``custom`` constructors.
-    A layered decoder's jet is exact; a custom decoder's J and D2 are
-    central differences of its function.
+    Build through the ``linear`` or ``mlp_tanh`` constructors.
     """
 
     kind: str
     layers: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    fn: Callable | None = None
     latent_dim: int = 0
     ambient_dim: int = 0
 
@@ -195,12 +188,6 @@ class Decoder:
         dec._validate()
         return dec
 
-    @classmethod
-    def custom(cls, fn: Callable, latent_dim: int, ambient_dim: int) -> "Decoder":
-        dec = cls(kind="custom", fn=fn, latent_dim=int(latent_dim), ambient_dim=int(ambient_dim))
-        dec._validate()
-        return dec
-
     def _validate(self) -> None:
         for idx, (w, b) in enumerate(self.layers):
             _check_layer(idx, w, b)
@@ -215,11 +202,6 @@ class Decoder:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.latent_dim,):
             raise ValueError(f"expected latent point of shape ({self.latent_dim},), got {y.shape}")
-        if self.kind == "custom":
-            z = np.asarray(self.fn(y), dtype=float)
-            if z.shape != (self.ambient_dim,):
-                raise ValueError(f"custom decoder returned shape {z.shape}, expected ({self.ambient_dim},)")
-            return z
         x = y
         last = len(self.layers) - 1
         for idx, (w, b) in enumerate(self.layers):
@@ -233,17 +215,11 @@ class Decoder:
 
         D2 is an (..., n, d*d) array whose row i holds d^2 z_i / dy_j dy_k
         at column j*d + k, or None for a one-layer decoder, whose second
-        derivatives vanish.  A layered decoder carries both through one
-        forward pass over the whole stack.  A custom decoder takes, point
-        by point, J by central differences of itself and D2 by central
-        differences of that J at step base HESS_STEP: 2d + 4d^2 calls of
-        its function per point.
+        derivatives vanish.  Both come from one forward pass over the
+        whole stack.
         """
         y = np.asarray(y, dtype=float)
         d = self.latent_dim
-        if self.kind == "custom":
-            jets = [self._fd_jet(row) for row in y.reshape(-1, d)]
-            return tuple(np.array(part).reshape(*y.shape[:-1], *part[0].shape) for part in zip(*jets))
         jac, hess, x = self.layers[0][0], None, y
         if len(self.layers) == 1:
             return np.broadcast_to(jac, (*y.shape[:-1], *jac.shape)), None
@@ -259,14 +235,6 @@ class Decoder:
             hess = w @ hess
         return jac, hess
 
-    def _fd_jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A custom decoder's jet at one point, by central differences."""
-        d = self.latent_dim
-        jac = _fd_gradient(self, y)
-        # row i*d + k, column j: d/dy_j of J[i, k]
-        hess = _fd_gradient(lambda yy: _fd_gradient(self, yy).ravel(), y, HESS_STEP)
-        return jac, hess.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
-
 
 def _check_layer(idx: int, w: np.ndarray, b: np.ndarray) -> None:
     """ValueError naming layer idx unless its weights and biases are finite."""
@@ -276,9 +244,7 @@ def _check_layer(idx: int, w: np.ndarray, b: np.ndarray) -> None:
 
 
 def save_decoder(decoder: Decoder, path) -> None:
-    """Write the format of ``load_decoder``; ValueError, before any write, for a custom decoder."""
-    if decoder.kind == "custom":
-        raise ValueError("custom decoders have no serialisable weights")
+    """Write the format of ``load_decoder``."""
     rows = [f"decoder {decoder.kind}"]
     for w, b in decoder.layers:
         rows.append(f"layer {w.shape[0]} {w.shape[1]}")
@@ -502,12 +468,12 @@ class GeodesicHamiltonian:
         return grad
 
 
-def _stencil(x: np.ndarray, base_step: float) -> tuple[np.ndarray, np.ndarray]:
+def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Points x +/- step e_i (rows i and n + i) of x (..., n), shape (..., 2n, n), and step (..., 1, 1).
 
-    step = base_step (1 + |x|), |x| on the dot kernel ``np.linalg.norm`` runs for a 1-d x.
+    step = GRAD_STEP (1 + |x|), |x| on the dot kernel ``np.linalg.norm`` runs for a 1-d x.
     """
-    step = base_step * (1.0 + np.sqrt(x[..., None, :] @ x[..., :, None]))
+    step = GRAD_STEP * (1.0 + np.sqrt(x[..., None, :] @ x[..., :, None]))
     shifts = step * np.eye(x.shape[-1])
     return np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2), step
 
@@ -518,13 +484,13 @@ def _central(values: np.ndarray, step: np.ndarray) -> np.ndarray:
     return ((values[..., :n, :] - values[..., n:, :]) / (2.0 * step)).swapaxes(-1, -2)
 
 
-def _fd_gradient(f: Callable, x: np.ndarray, base_step: float = GRAD_STEP) -> np.ndarray:
+def _fd_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
     """Central differences of f at a point x, f evaluated at ``_stencil``'s points one by one.
 
     A scalar f gives its gradient, shape (n,); a vector f gives its
     Jacobian, one column per coordinate of x.
     """
-    points, step = _stencil(x, base_step)
+    points, step = _stencil(x)
     values = np.array([f(point) for point in points], dtype=float)
     grad = _central(values.reshape(len(points), -1), step)
     # a C-ordered copy, so callers' matmuls never meet a transposed view
@@ -681,7 +647,7 @@ def solve_shooting(
         """The endpoint residual at q and its sensitivity."""
         # a |q| past the float range needs no warning: the run's step-0 check rejects its points
         with np.errstate(over="ignore", invalid="ignore"):
-            points, step = _stencil(q, GRAD_STEP)
+            points, step = _stencil(q)
         ends = shoot_geodesic(metric_field, y_a, np.vstack([q, points]), n_steps)
         return ends[0] - y_b, _central(ends[1:], step)
 
@@ -730,7 +696,7 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
         )
     if delta.shape != (2 * d,):
         raise ValueError(f"deviation must have length {2 * d}, got {delta.shape}")
-    zs, step = _stencil(np.concatenate([traj.ys[:-1], traj.ps[:-1]], axis=-1), GRAD_STEP)
+    zs, step = _stencil(np.concatenate([traj.ys[:-1], traj.ps[:-1]], axis=-1))
     ys, ps, _ = _leapfrog(hamiltonian, zs[..., :d], zs[..., d:], traj.step, 1, energies=False)
     tangents = _central(np.concatenate([ys[1], ps[1]], axis=-1), step)
     out = np.empty((len(traj), 2 * d))

@@ -21,25 +21,6 @@ class TestCostSpec:
         cost = quad_cost()
         assert cost.potential(np.array([2.0])) == 2.0
 
-    def test_workspace_term_weighted(self):
-        cost = control.CostSpec(
-            task_cost=lambda z: 1.0,
-            ws_cost=lambda z, ws: float(ws),
-            lam=0.5,
-        )
-        assert cost.potential(np.zeros(1), ws_state=4.0) == 3.0
-        # no workspace state: the workspace term is dropped
-        assert cost.potential(np.zeros(1)) == 1.0
-
-    def test_negative_lam_rejected(self):
-        with pytest.raises(ValueError, match="lam"):
-            control.CostSpec(task_cost=lambda z: 0.0, lam=-0.1)
-
-    @pytest.mark.parametrize("lam", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_non_finite_lam_rejected(self, lam):
-        with pytest.raises(ValueError, match=f"^workspace weight lam must be >= 0, got {lam!r}$"):
-            control.CostSpec(task_cost=lambda z: 0.0, lam=lam)
-
 
 class TestValueFunction:
     def test_analytic_gradient_used(self):
@@ -265,19 +246,11 @@ class TestTrajectoryCost:
         # segment costs: 0.5*0.5*(0+2) + 0.5*0.25*(2+4)
         np.testing.assert_allclose(control.trajectory_cost(mf, cost, traj), 1.25)
 
-    def test_terminal_cost_added(self):
-        mf = identity_field()
-        cost = control.CostSpec(
-            task_cost=lambda z: 0.0, terminal=lambda z: float(z[0]) ** 2
-        )
-        traj = [(np.array([1.0]), np.array([0.0]), 0.1), (np.array([3.0]), np.array([0.0]), 0.1)]
-        np.testing.assert_allclose(control.trajectory_cost(mf, cost, traj), 9.0)
-
-    def test_single_record_is_terminal_only(self):
-        mf = identity_field()
-        cost = control.CostSpec(task_cost=lambda z: 5.0, terminal=lambda z: 2.0)
+    def test_single_record_costs_nothing(self):
+        # no segment to integrate over, whatever the running cost at the record
+        cost = control.CostSpec(task_cost=lambda z: 5.0)
         traj = [(np.array([0.0]), np.array([0.0]), 0.1)]
-        np.testing.assert_allclose(control.trajectory_cost(mf, cost, traj), 2.0)
+        assert control.trajectory_cost(identity_field(), cost, traj) == 0.0
 
     def test_bad_segment_dt_named(self):
         mf = identity_field()
@@ -312,10 +285,9 @@ class TestTrajectoryCost:
     @pytest.mark.parametrize(
         "cost",
         [
-            control.CostSpec(task_cost=lambda z: 0.0, terminal=lambda z: float("nan")),
             control.CostSpec(task_cost=lambda z: math.inf if z[0] > 0.5 else -math.inf),
         ],
-        ids=["nan-terminal", "opposite-infinities"],
+        ids=["opposite-infinities"],
     )
     def test_nan_total_rejected(self, cost):
         traj = [(np.array([0.0]), np.array([0.0]), 0.5), (np.array([1.0]), np.array([0.0]), 0.5)]
@@ -338,13 +310,3 @@ class TestTrajectoryCost:
         traj = [(np.zeros(1), np.zeros(1), 0.5), (np.ones(1), np.zeros(1), 0.5)]
         with pytest.raises(ValueError, match=r"^record 0: metric at y=array\(\[0\.\]\) contains infs or NaNs$"):
             control.trajectory_cost(huge, quad_cost(), traj)
-
-    def test_workspace_state_threaded_through(self):
-        mf = identity_field()
-        cost = control.CostSpec(
-            task_cost=lambda z: 0.0, ws_cost=lambda z, ws: float(ws), lam=2.0
-        )
-        traj = [(np.array([0.0]), np.array([0.0]), 1.0), (np.array([0.0]), np.array([0.0]), 1.0)]
-        np.testing.assert_allclose(
-            control.trajectory_cost(mf, cost, traj, ws_state=3.0), 6.0
-        )

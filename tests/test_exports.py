@@ -1,16 +1,17 @@
 """Each submodule's ``__all__`` names exactly the public functions and classes it defines.
 
-Every such name, and every public method or property of a listed class, has
-a reader beyond its own unit tests.  Every exception class a submodule or
-``_text`` defines is a ``ValueError``: a failure an input causes has one
-base, which the CLI catches as it is, and an int argument past the float
-range raises no ``OverflowError``.
+Every such name, and every public method, classmethod, property or cached
+property of a listed class, has a reader beyond its own unit tests.  Every
+exception class a submodule or ``_text`` defines is a ``ValueError``: a
+failure an input causes has one base, which the CLI catches as it is, and
+an int argument past the float range raises no ``OverflowError``.
 """
 
 import ast
 import importlib
 import inspect
 import re
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +106,7 @@ def test_every_public_name_has_a_reader():
             value = vars(module)[key]
             if inspect.isclass(value) and value.__module__ == module.__name__:
                 for attr, member in vars(value).items():
-                    if inspect.isfunction(member) or isinstance(member, property):
+                    if inspect.isfunction(member) or isinstance(member, (property, classmethod, cached_property)):
                         if not attr.startswith("_") and attr not in read:
                             unread.append(f"{module.__name__}.{key}.{attr}")
     assert unread == []
