@@ -15,10 +15,11 @@ values the runs are validated against; where a reference entry is
 inconsistent with its own reported dynamics, the row carries a note and
 the derived value is reported.
 
-The default toy read-out maps y to three outcomes with logits
-(g, 0, -g), g = scale * (1 - |y|/2) clipped at 0, making the read-out
-entropy strictly increasing in |y| on [0, 2]: runs that end closer to
-the origin shed more entropy per unit cost.
+The toy read-out maps y to three outcomes with logits (g, 0, -g),
+g = scale * (1 - |y|/2) clipped at 0; its one setting is the finite
+``scale`` (1 by default, ``gap:<scale>`` on the CLI).  For a positive
+scale the read-out entropy strictly increases in |y| on [0, 2]: runs
+that end closer to the origin shed more entropy per unit cost.
 
 No table and no rotation portrait needs arrays, so none loads numpy: the
 read-out's softmax and entropy run over Python floats, table 1's route is
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING
 
 from . import _text
 
@@ -69,31 +70,28 @@ __all__ = [
 
 @dataclass
 class ToyDecoder:
-    """Read-out head mapping a scalar state to logits over n_outcomes.
+    """Read-out head mapping a scalar state y to logits (g, 0, -g), g = scale * max(0, 1 - |y|/2).
 
     The softmax is taken once, over Python floats: the logits are shifted
     by their maximum, exponentiated with ``math.exp`` and divided by their
     left-to-right sum.  ``distribution`` and ``entropy_at`` both read those
-    floats.  A shift that overflows gives -inf and a zero probability.
+    floats.  A shift that overflows gives -inf and a zero probability.  A
+    scale that is not finite raises ``ValueError``.
     """
 
-    logit_map: Callable[[float], Sequence[float]]
-    n_outcomes: int
+    scale: float
 
     def __post_init__(self):
-        if self.n_outcomes < 2:
-            raise ValueError(f"need at least two outcomes, got {self.n_outcomes}")
+        try:
+            finite = math.isfinite(self.scale)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"decoder scale must be finite, got {self.scale!r}")
 
     def _probabilities(self, y: float) -> list[float]:
-        raw = self.logit_map(float(y))
-        try:
-            logits = [float(v) for v in raw]
-        except TypeError:
-            raise ValueError(f"logit map returned {raw!r}, expected {self.n_outcomes} numbers") from None
-        if len(logits) != self.n_outcomes:
-            raise ValueError(f"logit map returned {len(logits)} values, expected {self.n_outcomes}")
-        if not all(map(math.isfinite, logits)):
-            raise ValueError(f"logit map returned a non-finite value at y = {float(y)!r}: {logits!r}")
+        gap = float(self.scale * max(0.0, 1.0 - abs(float(y)) / 2.0))
+        logits = [gap, 0.0, -gap]
         top = max(logits)
         weights = [math.exp(v - top) for v in logits]
         total = 0.0
@@ -116,13 +114,8 @@ class ToyDecoder:
 
 
 def default_toy_decoder(scale: float = 1.0) -> ToyDecoder:
-    """Three-outcome read-out whose entropy strictly increases in |y| on [0, 2]."""
-
-    def logit_map(y: float) -> tuple[float, float, float]:
-        gap = scale * max(0.0, 1.0 - abs(y) / 2.0)
-        return (gap, 0.0, -gap)
-
-    return ToyDecoder(logit_map=logit_map, n_outcomes=3)
+    """The three-outcome read-out; for a positive scale its entropy strictly increases in |y| on [0, 2]."""
+    return ToyDecoder(scale)
 
 
 def parse_decoder_spec(text: str) -> ToyDecoder:
@@ -130,10 +123,7 @@ def parse_decoder_spec(text: str) -> ToyDecoder:
     if text == "default":
         return default_toy_decoder()
     if text.startswith("gap:"):
-        scale = float(text[len("gap:") :])
-        if not math.isfinite(scale):
-            raise ValueError(f"decoder scale must be finite, got {text!r}")
-        return default_toy_decoder(scale)
+        return default_toy_decoder(float(text[len("gap:") :]))
     raise ValueError(f"unknown decoder spec {text!r} (expected 'default' or 'gap:<scale>')")
 
 

@@ -16,7 +16,12 @@ Graph text format (line oriented, ``#`` starts a comment)::
     n <node_count>
     e <src> <dst> <weight>
 
-Node indices are 0-based and weights must be finite and non-negative.
+Node indices are 0-based and weights must be finite and non-negative;
+``save_graph`` writes each with the 17 digits that read back as the same
+float.
+
+``build_ndm_graph`` links each latent sample to its k nearest others,
+``connect = ("knn", k)``, the one connection rule.
 
 Graphs, Dijkstra and the text format are pure Python; numpy is imported
 only by ``build_ndm_graph`` and its helpers, so loading and searching a
@@ -54,7 +59,10 @@ def _edge_weight(n: int, src: int, dst: int, weight) -> float:
     for idx in (src, dst):
         if not 0 <= idx < n:
             raise ValueError(f"edge endpoint {idx} is not a node index")
-    w = float(weight)
+    try:
+        w = float(weight)
+    except OverflowError:  # an int past the float range
+        w = math.inf
     if not math.isfinite(w):
         raise ValueError(f"edge weight on ({src}, {dst}) must be finite, got {weight!r}")
     if w < 0.0:
@@ -238,7 +246,7 @@ def _knn_pairs(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     """Build a state graph over latent samples.
 
-    ``connect`` is ``("knn", k)`` or ``("radius", r)``; a complete graph is
+    ``connect`` is ``("knn", k)``, the one rule; a complete graph is
     ``("knn", len(samples) - 1)``.  ``edge_cost(a, b)`` must return a finite,
     non-negative cost for the directed edge a -> b; it is called once per
     edge, by source and then by rank.  k-nearest neighbours are chosen by
@@ -250,8 +258,7 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     (n, n) float matrix (8n^2 bytes), then a partial selection per row.
     Each distance is the per-pair ``np.linalg.norm`` bit for bit, so the
     edges and their order are exactly those of sorting every pair by that
-    norm.  A distance that overflows is +inf; it ranks by index and lies
-    within r only when r is inf.
+    norm.  A distance that overflows is +inf and ranks by index.
     """
     import numpy as np
 
@@ -268,32 +275,25 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
         raise ValueError(f"sample {int(np.argmin(finite))} is not finite")
 
     mode, param = connect
-    if mode == "knn":
-        # an int is whole as it is, one past the float range included
-        if not ((isinstance(param, int) or float(param).is_integer()) and param >= 1):
-            raise ValueError(f"k-nearest rule needs an integer k >= 1, got {param!r}")
-        src, dst = _knn_pairs(_pair_distances(flat), min(int(param), n - 1))
-    elif mode == "radius":
-        try:
-            r = float(param)
-        except OverflowError:  # an int past the float range
-            r = math.nan
-        if not r >= 0:
-            raise ValueError(f"radius must be a non-negative number, got {param!r}")
-        near = _pair_distances(flat) <= r
-        np.fill_diagonal(near, False)
-        src, dst = np.nonzero(near)
-    else:
+    if mode != "knn":
         raise ValueError(f"unknown connection rule {mode!r}")
+    # an int is whole as it is, one past the float range included
+    if not ((isinstance(param, int) or float(param).is_integer()) and param >= 1):
+        raise ValueError(f"k-nearest rule needs an integer k >= 1, got {param!r}")
+    src, dst = _knn_pairs(_pair_distances(flat), min(int(param), n - 1))
 
     payloads = list(samples)
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for i, j in zip(src.tolist(), dst.tolist()):
-        cost = float(edge_cost(payloads[i], payloads[j]))
+        raw = edge_cost(payloads[i], payloads[j])
+        try:
+            cost = float(raw)
+        except OverflowError:  # an int past the float range
+            cost = math.inf
         if not 0.0 <= cost < math.inf:
             raise ValueError(
                 f"edge cost between samples {i} and {j} must be finite and"
-                f" non-negative, got {cost!r}"
+                f" non-negative, got {raw!r}"
             )
         adjacency[i].append((j, cost))
     return WeightedDigraph(payloads, adjacency)
@@ -348,12 +348,7 @@ def load_graph(path) -> WeightedDigraph:
 
 
 def save_graph(graph: WeightedDigraph, path) -> None:
-    """Write the ``n``/``e`` format; ValueError, before any write, for a weight that would read back as inf."""
+    """Write the ``n``/``e`` format, each weight with the 17 digits that read back as the same float."""
     rows = [f"n {graph.n_nodes}"]
-    for u, v, w in graph.edges():
-        text = _text.fmt(w)
-        if math.isinf(float(text)):
-            raise ValueError(f"edge ({u}, {v}): weight too large for 10 digits, reads back as {text}")
-        rows.append(f"e {u} {v} {text}")
+    rows += [f"e {u} {v} {_text.exact_row((w,))}" for u, v, w in graph.edges()]
     _text.write(path, rows)
-

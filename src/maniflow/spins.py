@@ -23,6 +23,9 @@ fields whose bound on |H| of unit spins, sum_{i<j} |J~_ij| + sum |h|,
 overflows the float range, so none of its read-outs overflows;
 ``lattice_energy``, which takes raw arrays, checks its own result.
 
+The leak rate gamma that ``micro_step`` reads from a ``BathParams`` is one
+scalar shared by every spin.
+
 Spin matrices serialise to plain text, one whitespace-separated row per
 spin (see ``save_spin_matrix``).
 """
@@ -125,24 +128,31 @@ class SpinSystem:
 class BathParams:
     """Relaxation, feed-forward nudge, and leak parameters for micro updates.
 
-    gamma may be a scalar or a per-neuron array.  W1/W2/b1/b2 define the
-    feed-forward map t = h + W2 tanh(W1 h + b1) + b2 and are only required
-    when eta_ff != 0.  Every parameter given must be finite; a NaN or inf
-    one raises ``ValueError`` naming it.
+    gamma is one real leak rate shared by every neuron.  W1/W2/b1/b2
+    define the feed-forward map t = h + W2 tanh(W1 h + b1) + b2 and are
+    only required when eta_ff != 0.  Every parameter given must be finite;
+    a NaN or inf one, or an int past the float range, raises ``ValueError``
+    naming it, and so does a gamma that is not a scalar.
     """
 
     eta: float = 0.0
     eta_ff: float = 0.0
-    gamma: float | np.ndarray = 0.0
+    gamma: float = 0.0
     W1: np.ndarray | None = None
     W2: np.ndarray | None = None
     b1: np.ndarray | None = None
     b2: np.ndarray | None = None
 
     def __post_init__(self):
+        if np.ndim(self.gamma) != 0:
+            raise ValueError(f"gamma must be a scalar, got shape {np.shape(self.gamma)}")
         for name in ("eta", "eta_ff", "gamma", "W1", "W2", "b1", "b2"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+            try:
+                finite = value is None or np.isfinite(np.asarray(value, dtype=float)).all()
+            except OverflowError:  # an int past the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite")
 
 
@@ -322,7 +332,7 @@ def energy_gradient(system: SpinSystem) -> np.ndarray:
 def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
     """One relax-nudge-leak update of every spin, then renormalisation.
 
-    s_hat_i = s_i - eta dH/ds_i + eta_ff (t_i - s_i) - gamma_i s_i
+    s_hat_i = s_i - eta dH/ds_i + eta_ff (t_i - s_i) - gamma s_i
 
     with t_i = ``ffn_target(s_i, bath)``, computed only when eta_ff != 0;
     the N targets are one batch of matrix products.  Raises when a target
@@ -330,9 +340,6 @@ def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
     naming the neuron.
     """
     s = system.spins
-    gamma = np.asarray(bath.gamma, dtype=float)
-    if gamma.shape not in ((), (system.n_spins,)):
-        raise ValueError(f"gamma must be scalar or length {system.n_spins}")
     # an overflow leaves a row of non-finite norm, which _unit_rows rejects
     with np.errstate(over="ignore", invalid="ignore"):
         update = s  # every update below is out of place, so s is never written
@@ -341,7 +348,7 @@ def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
         if bath.eta_ff != 0.0:
             targets = _ffn_targets(s, bath)
             update = update + bath.eta_ff * (targets - s)
-        update = update - gamma[..., None] * s
+        update = update - bath.gamma * s
         new_spins = _unit_rows(update, "neuron {i} {state} during micro step")
     # the couplings and fields are the checked ones and each row has norm 1
     # by construction, so the successor skips SpinSystem's validation and

@@ -11,14 +11,18 @@ of six kinds with fixed endpoint conventions:
     episodic-binding  state <-> event (either orientation)
 
 Graphs are built single-writer and can be frozen.  For planning, temporal
-and causal edges become directed weighted edges with weight
-alpha dt + beta jump + gamma uncertainty, while the remaining kinds become
-zero-weight bidirectional connectors.
+and causal edges become directed edges weighted by their time t (0 when
+the edge has none), while the remaining kinds become zero-weight
+bidirectional connectors.  A negative t is refused when the graph is
+lowered, as the planner refuses any negative weight.
 
 Text format (``#`` starts a comment)::
 
     node <id> <kind> <label with spaces>
     edge <kind> <src> <dst> [t=<float>]
+
+``save_workspace`` writes t with the 17 digits that read back as the same
+float.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from . import _text, planner
 
@@ -37,7 +40,6 @@ __all__ = [
     "WorkspaceEdge",
     "WorkspaceGraph",
     "EdgeCoeffs",
-    "episodic_edge_weight",
     "to_weighted_digraph",
     "explanation_chain",
     "load_workspace",
@@ -110,7 +112,10 @@ class WorkspaceGraph:
         self._writable()
         record = (kind, src, dst, t)
         if t is not None:
-            t = float(t)
+            try:
+                t = float(t)
+            except OverflowError:  # an int past the float range
+                t = math.inf
             if not math.isfinite(t):
                 raise ValueError(f"edge record {record!r}: t must be finite, got {t!r}")
         kind = EdgeKind(kind)
@@ -129,57 +134,30 @@ class WorkspaceGraph:
         return self
 
 
-def episodic_edge_weight(
-    delta_t: float, jump: float, uncertainty: float, alpha: float, beta: float, gamma: float
-) -> float:
-    """alpha dt + beta jump + gamma uncertainty over non-negative inputs."""
-    values = {
-        "delta_t": delta_t,
-        "jump": jump,
-        "uncertainty": uncertainty,
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": gamma,
-    }
-    for name, v in values.items():
-        if not 0 <= float(v) < math.inf:
-            raise ValueError(f"{name} must be >= 0, got {v!r}")
-    return float(alpha) * float(delta_t) + float(beta) * float(jump) + float(gamma) * float(uncertainty)
-
-
-@dataclass
 class EdgeCoeffs:
-    """Weight coefficients plus caller-supplied jump/uncertainty scores."""
+    """No settings: an edge's weight is its time alone (see ``to_weighted_digraph``).
 
-    alpha: float = 1.0
-    beta: float = 0.0
-    gamma: float = 0.0
-    jump: Callable[[WorkspaceEdge], float] = lambda edge: 0.0
-    uncertainty: Callable[[WorkspaceEdge], float] = lambda edge: 0.0
+    Kept only because perfbench's relax_plan workload passes ``EdgeCoeffs()``
+    to ``explanation_chain``; the class and that parameter can go together.
+    """
 
 
-def to_weighted_digraph(ws: WorkspaceGraph, coeffs: EdgeCoeffs):
+def to_weighted_digraph(ws: WorkspaceGraph):
     """Lower a workspace graph to a planner digraph.
 
-    Temporal and causal edges become directed weighted edges (dt taken
-    from the edge's t attribute, 0 when absent); role, spatial, and
-    binding edges become zero-weight connectors in both directions.
-    Returns (digraph, node_id -> index map); payloads are node ids.
+    Temporal and causal edges become directed edges of weight t + 0.0
+    (0.0 when the edge has no t; the + 0.0 turns a -0.0 into 0.0); role,
+    spatial, and binding edges become zero-weight connectors in both
+    directions.  A negative or non-finite t raises the planner's
+    ``ValueError``.  Returns (digraph, node_id -> index map); payloads are
+    node ids.
     """
     graph = planner.WeightedDigraph()
     index = {node_id: graph.add_node(node_id) for node_id in ws.nodes}
     for edge in ws.edges:
         u, v = index[edge.src], index[edge.dst]
         if edge.kind in (EdgeKind.TEMPORAL, EdgeKind.CAUSAL):
-            weight = episodic_edge_weight(
-                edge.t if edge.t is not None else 0.0,
-                coeffs.jump(edge),
-                coeffs.uncertainty(edge),
-                coeffs.alpha,
-                coeffs.beta,
-                coeffs.gamma,
-            )
-            graph.add_edge(u, v, weight)
+            graph.add_edge(u, v, 0.0 if edge.t is None else edge.t + 0.0)
         else:
             graph.add_edge(u, v, 0.0)
             graph.add_edge(v, u, 0.0)
@@ -187,11 +165,15 @@ def to_weighted_digraph(ws: WorkspaceGraph, coeffs: EdgeCoeffs):
 
 
 def explanation_chain(ws: WorkspaceGraph, src: str, dst: str, coeffs: EdgeCoeffs):
-    """Cheapest chain of node ids from src to dst, or None when unreachable."""
+    """Cheapest chain of node ids from src to dst, or None when unreachable.
+
+    ``coeffs`` is not read; it stays only because perfbench's relax_plan
+    workload passes ``EdgeCoeffs()``.
+    """
     for node_id in (src, dst):
         if node_id not in ws.nodes:
             raise ValueError(f"{node_id!r} is not a node")
-    graph, index = to_weighted_digraph(ws, coeffs)
+    graph, index = to_weighted_digraph(ws)
     found = planner.shortest_path(graph, index[src], index[dst])
     if found is None:
         return None
@@ -235,6 +217,6 @@ def save_workspace(ws: WorkspaceGraph, path) -> None:
             raise ValueError(f"node {node.node_id!r}: label {node.label!r} must be single-spaced words without '#'")
         rows.append(f"node {node.node_id} {node.kind.value} {node.label}")
     for edge in ws.edges:
-        suffix = "" if edge.t is None else f" t={_text.fmt(edge.t)}"
+        suffix = "" if edge.t is None else f" t={_text.exact_row((edge.t,))}"
         rows.append(f"edge {edge.kind.value} {edge.src} {edge.dst}{suffix}")
     _text.write(path, rows)

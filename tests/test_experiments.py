@@ -12,7 +12,8 @@ from maniflow.manifold import IntegrationError
 
 def _numpy_entropy(decoder, y):
     """The read-out entropy through a numpy softmax and ``infophase.entropy``."""
-    logits = np.asarray(decoder.logit_map(float(y)), dtype=float)
+    gap = decoder.scale * max(0.0, 1.0 - abs(float(y)) / 2.0)
+    logits = np.array([gap, 0.0, -gap])
     shifted = np.exp(logits - np.max(logits))
     return infophase.entropy(shifted / np.sum(shifted))
 
@@ -44,16 +45,12 @@ class TestToyDecoder:
         np.testing.assert_allclose(dec.entropy_at(0.7), dec.entropy_at(-0.7))
 
     def test_parse_spec(self):
-        assert experiments.parse_decoder_spec("default").n_outcomes == 3
+        assert experiments.parse_decoder_spec("default").scale == 1.0
         sharp = experiments.parse_decoder_spec("gap:3.0")
         soft = experiments.parse_decoder_spec("gap:0.5")
         assert sharp.entropy_at(0.0) < soft.entropy_at(0.0)
         with pytest.raises(ValueError, match="decoder spec"):
             experiments.parse_decoder_spec("mlp")
-
-    def test_outcome_count_checked(self):
-        with pytest.raises(ValueError, match="two outcomes"):
-            experiments.ToyDecoder(logit_map=lambda y: np.zeros(1), n_outcomes=1)
 
     def test_entropy_matches_numpy_softmax(self):
         # the read-out's softmax and entropy run over Python floats (math.exp,
@@ -66,21 +63,13 @@ class TestToyDecoder:
                 worst = max(worst, abs(dec.entropy_at(y) - _numpy_entropy(dec, y)))
         assert worst <= 1e-15
 
-    @pytest.mark.parametrize("logits", [(1.0, 0.0), (1.0, 0.0, -1.0, 2.0), 1.0, [[1.0, 0.0, -1.0]]])
-    def test_wrong_logit_count_rejected(self, logits):
-        dec = experiments.ToyDecoder(logit_map=lambda y: logits, n_outcomes=3)
-        with pytest.raises(ValueError, match="logit map returned"):
-            dec.entropy_at(0.0)
-        with pytest.raises(ValueError, match="logit map returned"):
-            dec.distribution(0.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_logit_rejected(self, bad):
-        dec = experiments.ToyDecoder(logit_map=lambda y: (0.0, bad, 1.0), n_outcomes=3)
-        with pytest.raises(ValueError, match="non-finite"):
-            dec.entropy_at(0.5)
-        with pytest.raises(ValueError, match="non-finite"):
-            dec.distribution(0.5)
+        # a non-finite scale is the one way to a non-finite logit; it is refused at construction
+        with pytest.raises(ValueError, match=f"^decoder scale must be finite, got {bad!r}$"):
+            experiments.ToyDecoder(bad)
+        with pytest.raises(ValueError, match=f"^decoder scale must be finite, got {bad!r}$"):
+            experiments.parse_decoder_spec(f"gap:{bad}")
 
     @pytest.mark.parametrize("scale", [1e308, -1e308])
     def test_overflowing_shift_is_a_zero_probability(self, scale):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import maniflow
-from maniflow import infophase, manifold, planner
+from maniflow import experiments, infophase, manifold, planner, spins, workspace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,6 +131,19 @@ def _edges(connect):
     return [(u, v) for u, v, _ in graph.edges()]
 
 
+def _one_node_graph():
+    graph = planner.WeightedDigraph()
+    graph.add_node()
+    return graph
+
+
+def _two_states():
+    ws = workspace.WorkspaceGraph()
+    ws.add_node("S1", "state")
+    ws.add_node("S2", "state")
+    return ws
+
+
 def _flat_field():
     return manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=0.0)
 
@@ -149,7 +162,6 @@ def _integrate(h):
         (lambda: _edges(("knn", BIG)), lambda: _edges(("knn", 1))),
         (lambda: planner.waypoints([1, 2, 3], BIG), lambda: [1, 3]),
         (lambda: _shoot(BIG), lambda: _shoot(50)),
-        (lambda: _edges(("radius", BIG)), f"radius must be a non-negative number, got {BIG!r}"),
         (lambda: _integrate(BIG), f"step size must be finite and non-zero, got {BIG!r}"),
         (
             lambda: manifold.solve_shooting(_flat_field(), [0.0, 0.0], [0.9, 0.4], n_steps=BIG),
@@ -163,8 +175,34 @@ def _integrate(h):
             lambda: infophase.empirical_field([infophase.portrait([[0.5, 0.5], [0.9, 0.1]])], BIG),
             f"bins must be within the float range, got {BIG!r}",
         ),
+        (lambda: _one_node_graph().add_edge(0, 0, BIG), f"edge weight on (0, 0) must be finite, got {BIG!r}"),
+        (
+            lambda: planner.build_ndm_graph([[0.0], [1.0]], ("knn", 1), lambda a, b: BIG),
+            f"edge cost between samples 0 and 1 must be finite and non-negative, got {BIG!r}",
+        ),
+        (
+            lambda: _two_states().add_edge("temporal", "S1", "S2", BIG),
+            f"edge record {('temporal', 'S1', 'S2', BIG)!r}: t must be finite, got inf",
+        ),
+        (lambda: spins.BathParams(eta=BIG), "eta must be finite"),
+        (lambda: spins.BathParams(gamma=BIG), "gamma must be finite"),
+        (lambda: experiments.default_toy_decoder(BIG), f"decoder scale must be finite, got {BIG!r}"),
     ],
-    ids=["knn-k", "waypoint-stride", "shooting-max-iter", "radius", "step-size", "shooting-n-steps", "loss-geo-n-steps", "field-bins"],
+    ids=[
+        "knn-k",
+        "waypoint-stride",
+        "shooting-max-iter",
+        "step-size",
+        "shooting-n-steps",
+        "loss-geo-n-steps",
+        "field-bins",
+        "edge-weight",
+        "edge-cost",
+        "workspace-t",
+        "bath-eta",
+        "bath-gamma",
+        "toy-decoder-scale",
+    ],
 )
 def test_int_past_the_float_range(call, want):
     """A whole number is the integer it is; a real that float() cannot hold is the function's ValueError.

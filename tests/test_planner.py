@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maniflow import _text, planner
-from maniflow._text import fmt
 
 
 def brute_force_dist(graph, source):
@@ -211,13 +210,6 @@ class TestBuildNdmGraph:
         g = planner.build_ndm_graph(samples, ("knn", 3), lambda a, b: 1.0)
         assert sum(len(n) for n in g.adjacency) == 12
 
-    def test_radius_connectivity(self):
-        samples = [np.array([0.0]), np.array([1.0]), np.array([3.0])]
-        g = planner.build_ndm_graph(samples, ("radius", 1.5), lambda a, b: 1.0)
-        assert sorted(v for v, _ in g.adjacency[0]) == [1]
-        assert sorted(v for v, _ in g.adjacency[1]) == [0]
-        assert g.adjacency[2] == []
-
     def test_edge_cost_callback_receives_payloads(self):
         samples = [np.array([0.0]), np.array([2.0])]
         g = planner.build_ndm_graph(
@@ -243,10 +235,10 @@ class TestBuildNdmGraph:
         "samples,connect,message",
         [
             ([[0.0], [math.nan], [1.0], [2.0]], ("knn", 2), "sample 1 is not finite"),
-            ([[0.0], [1.0], [math.inf]], ("radius", 1.0), "sample 2 is not finite"),
+            ([[0.0], [1.0], [math.inf]], ("knn", 1), "sample 2 is not finite"),
             ([[0.0], [1.0, 2.0, 3.0]], ("knn", 1), r"sample 1 has shape \(3,\)"),
-            ([[0.0], [1.0]], ("radius", math.nan), "radius"),
-            ([[0.0], [1.0]], ("radius", -1.0), "radius"),
+            ([[0.0], [1.0]], ("radius", 1.0), "unknown connection rule 'radius'"),
+            ([[0.0], [1.0]], ("knn", math.inf), "integer k"),
             ([[0.0], [1.0], [2.0]], ("knn", 2.7), "integer k"),
             ([[0.0], [1.0], [2.0]], ("knn", math.nan), "integer k"),
             ([[0.0], [1.0], [2.0]], ("knn", 0), "integer k"),
@@ -334,16 +326,13 @@ def zero_cycle_graphs(draw):
 
 
 def oracle_pairs(samples, connect):
-    """The per-pair rule: every other sample ranked by (np.linalg.norm, index)."""
+    """The per-pair rule: each sample's k nearest others, ranked by (np.linalg.norm, index)."""
     pts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
-    mode, param = connect
+    _, k = connect
     pairs = []
     for i, pi in enumerate(pts):
         dist = {j: float(np.linalg.norm(pj - pi)) for j, pj in enumerate(pts) if j != i}
-        if mode == "knn":
-            pairs.extend((i, j) for j in sorted(dist, key=lambda j: (dist[j], j))[:param])
-        else:
-            pairs.extend((i, j) for j in dist if dist[j] <= param)
+        pairs.extend((i, j) for j in sorted(dist, key=lambda j: (dist[j], j))[:k])
     return pairs
 
 
@@ -389,13 +378,8 @@ class TestBuildNdmGraphProperty:
         for k in sorted({k for k in (1, 2, 8, n - 1, n + 1) if k >= 1}):
             g = planner.build_ndm_graph(pts, ("knn", k), lambda a, b: 1.0)
             assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(pts, ("knn", k)), f"k={k}"
-        i = data.draw(st.integers(0, n - 1))
-        exact = sorted({float(np.linalg.norm(p - pts[i])) for p in pts})
-        for r in data.draw(st.lists(st.sampled_from(exact), min_size=1, max_size=3, unique=True)):
-            g = planner.build_ndm_graph(pts, ("radius", r), lambda a, b: 1.0)
-            assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(pts, ("radius", r)), f"r={r!r}"
 
-    @pytest.mark.parametrize("connect", [("knn", 5), ("knn", 69), ("radius", 1.0), ("radius", np.inf)])
+    @pytest.mark.parametrize("connect", [("knn", 5), ("knn", 69), ("knn", 1), ("knn", 70)])
     def test_edge_cost_called_once_per_edge_in_order(self, connect):
         pts = list(np.random.default_rng(4).normal(size=(70, 3)))
         index = {id(p): i for i, p in enumerate(pts)}
@@ -415,15 +399,6 @@ class TestBuildNdmGraphProperty:
             want = [(i, j, l1_cost(pts[i], pts[j])) for i, j in oracle_pairs(pts, ("knn", k))]
             assert list(g.edges()) == want, f"k={k}"
 
-    @given(pts=point_sets(), data=st.data())
-    def test_radius_edges_match_oracle(self, pts, data):
-        # every exact distance from one node is a radius, so the <= r boundary is hit
-        i = data.draw(st.integers(0, len(pts) - 1))
-        for r in sorted({float(np.linalg.norm(p - pts[i])) for p in pts}):
-            g = planner.build_ndm_graph(pts, ("radius", r), l1_cost)
-            want = [(a, b, l1_cost(pts[a], pts[b])) for a, b in oracle_pairs(pts, ("radius", r))]
-            assert list(g.edges()) == want, f"r={r!r}"
-
     def test_knn_near_ties_in_32_dimensions(self):
         # coordinates in {-0.1, 0, 0.1}: many pairs tie exactly while their
         # vectorised sums of squares round apart, across the k-th place too
@@ -434,7 +409,7 @@ class TestBuildNdmGraphProperty:
                 g = planner.build_ndm_graph(pts, ("knn", k), lambda a, b: 1.0)
                 assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(pts, ("knn", k)), (seed, k)
 
-    @pytest.mark.parametrize("connect", [("knn", 1), ("knn", 2), ("knn", 4), ("radius", 1e300), ("radius", np.inf)])
+    @pytest.mark.parametrize("connect", [("knn", 1), ("knn", 2), ("knn", 4), ("knn", 3), ("knn", 5)])
     def test_overflowing_distances_rank_by_index(self, connect):
         # finite samples whose squared distances overflow: only 0 and 5 are a finite distance apart
         pts = [np.array([v]) for v in (3e200, 0.0, -2e200, 1e200, 5.0)]
@@ -449,7 +424,7 @@ class TestBuildNdmGraphProperty:
         from maniflow.experiments import SSSP_NODE_SET
 
         n = len(SSSP_NODE_SET)
-        for connect in (("knn", 1), ("knn", n - 1), ("radius", 0.4)):
+        for connect in (("knn", 1), ("knn", n - 1)):
             g = planner.build_ndm_graph(SSSP_NODE_SET, connect, lambda a, b: 1.0)
             assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(SSSP_NODE_SET, connect)
 
@@ -524,15 +499,10 @@ class TestGraphIo:
     @given(g=graphs())
     def test_round_trip_property(self, tmp_path_factory, g):
         p = tmp_path_factory.mktemp("graph") / "g.graph"
-        try:
-            planner.save_graph(g, p)
-        except ValueError as exc:
-            assert "too large" in str(exc)
-            assert not p.exists()
-            return
+        planner.save_graph(g, p)
         loaded = planner.load_graph(p)
         assert loaded.n_nodes == g.n_nodes
-        assert list(loaded.edges()) == [(u, v, float(fmt(w))) for u, v, w in g.edges()]
+        assert list(loaded.edges()) == list(g.edges())
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -543,15 +513,7 @@ class TestGraphIo:
         p.write_text(f"# saved graph\n\n{head}  # nodes\n{rest}")
         loaded = planner.load_graph(p)
         assert loaded.n_nodes == g.n_nodes
-        assert list(loaded.edges()) == [(u, v, float(f"{w:.10g}")) for u, v, w in g.edges()]
-
-    def test_weight_read_back_as_inf_refused(self, tmp_path):
-        g = planner.WeightedDigraph()
-        g.add_node()
-        g.add_edge(0, 0, 1.7976931348623157e308)
-        with pytest.raises(ValueError, match=r"^edge \(0, 0\): "):
-            planner.save_graph(g, tmp_path / "g.graph")
-        assert not (tmp_path / "g.graph").exists()
+        assert list(loaded.edges()) == list(g.edges())
 
     def test_comments_and_blanks(self, tmp_path):
         p = tmp_path / "g.graph"
@@ -587,10 +549,7 @@ class TestGraphIo:
     @given(g=graphs(), data=st.data())
     def test_junk_line_is_named(self, tmp_path_factory, g, data):
         p = tmp_path_factory.mktemp("graph") / "g.graph"
-        try:
-            planner.save_graph(g, p)
-        except ValueError:
-            return
+        planner.save_graph(g, p)
         rows = p.read_text().splitlines()
         k = data.draw(st.integers(1, len(rows)), label="replaced line")
         rows[k - 1] = data.draw(st.sampled_from(GRAPH_JUNK), label="junk")
