@@ -30,13 +30,16 @@ with ``math.cos`` and ``math.sin``.  numpy is imported only inside the
 functions that return arrays (``HarmonicOscillator.dp`` and
 ``ToyDecoder.distribution``) and by a leapfrog run that diverges, whose
 error carries arrays; ``manifold`` only by such a run, and ``infophase``
-only inside ``rotation_portraits``.
+only inside ``rotation_portraits``.  The classes are plain ones with
+hand-written ``__init__``s: the CLI's tables and ``phase --seed`` import
+this module, and the standard-library decorator that would write those
+``__init__``s loads ``inspect``, which costs each of those processes more
+time than its own work.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _text
@@ -48,7 +51,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ToyDecoder",
-    "default_toy_decoder",
     "parse_decoder_spec",
     "PathMetrics",
     "path_metrics",
@@ -68,7 +70,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class ToyDecoder:
     """Read-out head mapping a scalar state y to logits (g, 0, -g), g = scale * max(0, 1 - |y|/2).
 
@@ -79,15 +80,14 @@ class ToyDecoder:
     scale that is not finite raises ``ValueError``.
     """
 
-    scale: float
-
-    def __post_init__(self):
+    def __init__(self, scale: float = 1.0):
         try:
-            finite = math.isfinite(self.scale)
+            finite = math.isfinite(scale)
         except OverflowError:  # an int past the float range
             finite = False
         if not finite:
-            raise ValueError(f"decoder scale must be finite, got {self.scale!r}")
+            raise ValueError(f"decoder scale must be finite, got {scale!r}")
+        self.scale = scale
 
     def _probabilities(self, y: float) -> list[float]:
         gap = float(self.scale * max(0.0, 1.0 - abs(float(y)) / 2.0))
@@ -113,17 +113,12 @@ class ToyDecoder:
         return -acc + 0.0  # + 0.0: a one-hot read-out is 0.0, not -0.0
 
 
-def default_toy_decoder(scale: float = 1.0) -> ToyDecoder:
-    """The three-outcome read-out; for a positive scale its entropy strictly increases in |y| on [0, 2]."""
-    return ToyDecoder(scale)
-
-
 def parse_decoder_spec(text: str) -> ToyDecoder:
     """CLI decoder selection: ``default`` or ``gap:<scale>``."""
     if text == "default":
-        return default_toy_decoder()
+        return ToyDecoder()
     if text.startswith("gap:"):
-        return default_toy_decoder(float(text[len("gap:") :]))
+        return ToyDecoder(float(text[len("gap:") :]))
     raise ValueError(f"unknown decoder spec {text!r} (expected 'default' or 'gap:<scale>')")
 
 
@@ -131,16 +126,18 @@ def quadratic_value(y: float) -> float:
     return 0.5 * float(y) * float(y)
 
 
-@dataclass
 class PathMetrics:
     """Entropy change and trapezoidal cost of a scalar path."""
 
-    path: tuple[float, ...]
-    u_first: float
-    u_final: float
-    delta_u: float
-    cost: float
-    efficiency: float
+    def __init__(
+        self, path: tuple[float, ...], u_first: float, u_final: float, delta_u: float, cost: float, efficiency: float
+    ):
+        self.path = path
+        self.u_first = u_first
+        self.u_final = u_final
+        self.delta_u = delta_u
+        self.cost = cost
+        self.efficiency = efficiency
 
 
 def path_metrics(path, decoder: ToyDecoder) -> PathMetrics:
@@ -194,7 +191,7 @@ def _sssp_path() -> tuple[float, ...]:
 
 def toy1_run(decoder: ToyDecoder | None = None) -> dict[str, PathMetrics]:
     """Descent study: linear schedule vs value halving vs shortest path."""
-    decoder = decoder or default_toy_decoder()
+    decoder = decoder or ToyDecoder()
     return {
         "linear": path_metrics(LINEAR_PATH, decoder),
         "hjb_like": path_metrics(HALVING_PATH_5, decoder),
@@ -212,7 +209,7 @@ def contraction_path(start: float, ratio: float, ticks: int) -> tuple[float, ...
 
 def toy2_run(decoder: ToyDecoder | None = None) -> dict[str, PathMetrics]:
     """Refinement study: three halvings vs six contraction ticks of ratio 0.6."""
-    decoder = decoder or default_toy_decoder()
+    decoder = decoder or ToyDecoder()
     return {
         "hjb_only": path_metrics(HALVING_PATH_3, decoder),
         "ctm_style": path_metrics(contraction_path(2.0, 0.6, 6), decoder),
@@ -237,17 +234,26 @@ class HarmonicOscillator:
         return np.asarray(p, dtype=float)
 
 
-@dataclass
 class OscillatorReport:
     """Integrator outcome against the exact oscillator solution."""
 
-    method: str
-    final_y: float
-    final_p: float
-    eps_state: float
-    eps_h_max: float
-    final_radius: float
-    note: str = ""
+    def __init__(
+        self,
+        method: str,
+        final_y: float,
+        final_p: float,
+        eps_state: float,
+        eps_h_max: float,
+        final_radius: float,
+        note: str = "",
+    ):
+        self.method = method
+        self.final_y = final_y
+        self.final_p = final_p
+        self.eps_state = eps_state
+        self.eps_h_max = eps_h_max
+        self.final_radius = final_radius
+        self.note = note
 
 
 def _energy_errors(ys, ps) -> list[float]:

@@ -25,14 +25,17 @@ float.
 
 Graphs, Dijkstra and the text format are pure Python; numpy is imported
 only by ``build_ndm_graph`` and its helpers, so loading and searching a
-graph file does not load it.
+graph file does not load it.  The classes are plain ones with hand-written
+``__init__``s: the CLI's ``plan`` and ``table 1`` import this module, and
+the standard-library decorator that would write those ``__init__``s loads
+``inspect``, which costs each of those processes more time than its own
+work.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 
 from . import _text
 
@@ -70,16 +73,17 @@ def _edge_weight(n: int, src: int, dst: int, weight) -> float:
     return w
 
 
-@dataclass
 class WeightedDigraph:
     """Directed graph with non-negative edge weights.
 
     ``payloads[i]`` carries arbitrary per-node data; the graph itself only
-    cares about indices.
+    cares about indices.  Given lists are kept, not copied; each one left
+    out starts as a new empty list.
     """
 
-    payloads: list = field(default_factory=list)
-    adjacency: list[list[tuple[int, float]]] = field(default_factory=list)
+    def __init__(self, payloads: list | None = None, adjacency: list[list[tuple[int, float]]] | None = None):
+        self.payloads = [] if payloads is None else payloads
+        self.adjacency = [] if adjacency is None else adjacency
 
     @property
     def n_nodes(self) -> int:
@@ -101,7 +105,6 @@ class WeightedDigraph:
                 yield u, v, w
 
 
-@dataclass
 class SsspResult:
     """Distances and predecessor tree from a single Dijkstra run.
 
@@ -109,9 +112,10 @@ class SsspResult:
     itself has ``pred = None``.
     """
 
-    source: int
-    dist: list[float]
-    pred: list[int | None]
+    def __init__(self, source: int, dist: list[float], pred: list[int | None]):
+        self.source = source
+        self.dist = dist
+        self.pred = pred
 
 
 def _search(graph: WeightedDigraph, source: int, target: int | None = None):

@@ -128,11 +128,11 @@ class SpinSystem:
 class BathParams:
     """Relaxation, feed-forward nudge, and leak parameters for micro updates.
 
-    gamma is one real leak rate shared by every neuron.  W1/W2/b1/b2
+    eta, eta_ff and gamma are real scalars shared by every neuron.  W1/W2/b1/b2
     define the feed-forward map t = h + W2 tanh(W1 h + b1) + b2 and are
     only required when eta_ff != 0.  Every parameter given must be finite;
     a NaN or inf one, or an int past the float range, raises ``ValueError``
-    naming it, and so does a gamma that is not a scalar.
+    naming it, and so does an eta, eta_ff or gamma that is not a scalar.
     """
 
     eta: float = 0.0
@@ -144,8 +144,10 @@ class BathParams:
     b2: np.ndarray | None = None
 
     def __post_init__(self):
-        if np.ndim(self.gamma) != 0:
-            raise ValueError(f"gamma must be a scalar, got shape {np.shape(self.gamma)}")
+        for name in ("eta", "eta_ff", "gamma"):
+            value = getattr(self, name)
+            if np.ndim(value) != 0:
+                raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
         for name in ("eta", "eta_ff", "gamma", "W1", "W2", "b1", "b2"):
             value = getattr(self, name)
             try:

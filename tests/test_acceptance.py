@@ -153,7 +153,7 @@ def test_criterion_6_entropy_accounting():
         runs2["ctm_style"].delta_u > runs2["hjb_only"].delta_u
         and runs2["hjb_only"].efficiency > runs2["ctm_style"].efficiency
     )
-    dec = experiments.default_toy_decoder()
+    dec = experiments.ToyDecoder()
     gaps = []
     for path in (experiments.LINEAR_PATH, experiments.HALVING_PATH_5, experiments.HALVING_PATH_3):
         por = infophase.portrait([dec.distribution(y) for y in path])

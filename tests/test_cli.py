@@ -628,7 +628,7 @@ def test_cli_import_loads_only_what_commands_use():
         "import sys, maniflow.cli\n"
         "unused = {'numpy', 'maniflow.experiments', 'maniflow.infophase', 'maniflow.planner'} & set(sys.modules)\n"
         "assert not unused, sorted(unused)\n"
-        "unused = {'maniflow.spins', 'maniflow.workspace', 'maniflow.control'} & set(sys.modules)\n"
+        "unused = {'maniflow.spins', 'maniflow.workspace', 'maniflow.control', 'dataclasses'} & set(sys.modules)\n"
         "assert not unused, sorted(unused)\n"
         "import maniflow\n"
         "assert maniflow.spins.save_spin_matrix and maniflow.workspace.load_workspace\n"
@@ -638,6 +638,9 @@ def test_cli_import_loads_only_what_commands_use():
 
 
 NEVER_RUN_BY_THE_CLI = ("maniflow.spins", "maniflow.workspace", "maniflow.control")
+# no command builds a dataclass: importing dataclasses, and the inspect it
+# loads, would cost a fresh process more than a table's own work
+NEVER_LOADED_BY_A_COMMAND = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize(
@@ -657,7 +660,7 @@ NEVER_RUN_BY_THE_CLI = ("maniflow.spins", "maniflow.workspace", "maniflow.contro
 def test_command_loads_only_what_it_runs(tmp_path, argv, unused):
     if argv[0] != "plan":
         argv = argv + ["--out", str(tmp_path)]
-    unused = sorted(unused.union(NEVER_RUN_BY_THE_CLI))
+    unused = sorted(unused.union(NEVER_RUN_BY_THE_CLI, NEVER_LOADED_BY_A_COMMAND))
     _run_fresh(
         "import sys\n"
         "from maniflow import cli\n"

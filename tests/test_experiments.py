@@ -20,7 +20,7 @@ def _numpy_entropy(decoder, y):
 
 class TestToyDecoder:
     def test_distribution_normalised(self):
-        dec = experiments.default_toy_decoder()
+        dec = experiments.ToyDecoder()
         for y in (-3.0, -0.5, 0.0, 0.7, 2.0, 5.0):
             p = dec.distribution(y)
             assert isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (3,)
@@ -30,18 +30,18 @@ class TestToyDecoder:
             assert infophase.entropy(p) == pytest.approx(dec.entropy_at(y), rel=0, abs=1e-15)
 
     def test_entropy_increases_with_distance(self):
-        dec = experiments.default_toy_decoder()
+        dec = experiments.ToyDecoder()
         ys = [0.0, 0.0625, 0.25, 0.5, 1.0, 2.0]
         us = [dec.entropy_at(y) for y in ys]
         assert all(a < b for a, b in zip(us, us[1:]))
 
     def test_entropy_saturates_at_uniform(self):
-        dec = experiments.default_toy_decoder()
+        dec = experiments.ToyDecoder()
         np.testing.assert_allclose(dec.entropy_at(2.0), math.log(3.0), atol=1e-12)
         np.testing.assert_allclose(dec.entropy_at(-4.0), math.log(3.0), atol=1e-12)
 
     def test_even_in_y(self):
-        dec = experiments.default_toy_decoder()
+        dec = experiments.ToyDecoder()
         np.testing.assert_allclose(dec.entropy_at(0.7), dec.entropy_at(-0.7))
 
     def test_parse_spec(self):
@@ -58,7 +58,7 @@ class TestToyDecoder:
         # differently in the last place
         worst = 0.0
         for scale in [*np.geomspace(1e-3, 1e3, 40), *-np.geomspace(1e-3, 1e3, 40), 0.0, 1.0]:
-            dec = experiments.default_toy_decoder(float(scale))
+            dec = experiments.ToyDecoder(float(scale))
             for y in np.linspace(-3.0, 3.0, 121):
                 worst = max(worst, abs(dec.entropy_at(y) - _numpy_entropy(dec, y)))
         assert worst <= 1e-15
@@ -74,7 +74,7 @@ class TestToyDecoder:
     @pytest.mark.parametrize("scale", [1e308, -1e308])
     def test_overflowing_shift_is_a_zero_probability(self, scale):
         # gap - (-gap) overflows to inf; the shifted logit is -inf and its weight 0
-        dec = experiments.default_toy_decoder(scale)
+        dec = experiments.ToyDecoder(scale)
         assert dec.distribution(0.0).tolist() == ([1.0, 0.0, 0.0] if scale > 0 else [0.0, 0.0, 1.0])
         assert dec.entropy_at(0.0) == 0.0
         assert str(dec.entropy_at(0.0)) == "0.0"  # not -0.0
@@ -82,25 +82,25 @@ class TestToyDecoder:
 
 class TestPathMetrics:
     def test_trapezoid_cost(self):
-        dec = experiments.default_toy_decoder()
+        dec = experiments.ToyDecoder()
         m = experiments.path_metrics((2.0, 0.0), dec)
         # (V(2) + V(0)) / 2 = 1
         np.testing.assert_allclose(m.cost, 1.0)
 
     def test_delta_u_consistency(self):
-        dec = experiments.default_toy_decoder()
+        dec = experiments.ToyDecoder()
         m = experiments.path_metrics(experiments.LINEAR_PATH, dec)
         np.testing.assert_allclose(m.delta_u, m.u_first - m.u_final, atol=1e-15)
         np.testing.assert_allclose(m.efficiency, m.delta_u / m.cost, atol=1e-15)
 
     def test_zero_cost_rejected(self):
-        dec = experiments.default_toy_decoder()
+        dec = experiments.ToyDecoder()
         with pytest.raises(ValueError, match="zero"):
             experiments.path_metrics((0.0, 0.0), dec)
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            experiments.path_metrics((), experiments.default_toy_decoder())
+            experiments.path_metrics((), experiments.ToyDecoder())
 
     def test_contraction_path(self):
         np.testing.assert_allclose(
@@ -126,7 +126,7 @@ class TestToy1:
         assert runs["hjb_like"].efficiency <= runs["sssp"].efficiency
 
     def test_entropy_telescoping(self):
-        dec = experiments.default_toy_decoder()
+        dec = experiments.ToyDecoder()
         dists = [dec.distribution(y) for y in experiments.HALVING_PATH_5]
         por = infophase.portrait(dists)
         u0, ut = por.u[0], por.u[-1]
@@ -151,6 +151,14 @@ class TestToy2:
 class TestToy3:
     def setup_method(self):
         self.reports = {r.method: r for r in experiments.toy3_run()}
+
+    def test_report_fields(self):
+        # table_csv reads a report's cells by these attribute names
+        rep = experiments.OscillatorReport("m", 1.0, 0.0, 0.0, 0.0, 1.0)
+        assert rep.note == ""
+        assert list(vars(rep)) == [
+            "method", "final_y", "final_p", "eps_state", "eps_h_max", "final_radius", "note"
+        ]
 
     def test_leapfrog_stays_on_circle(self):
         leap = self.reports["leapfrog"]

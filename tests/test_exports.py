@@ -186,7 +186,7 @@ def _integrate(h):
         ),
         (lambda: spins.BathParams(eta=BIG), "eta must be finite"),
         (lambda: spins.BathParams(gamma=BIG), "gamma must be finite"),
-        (lambda: experiments.default_toy_decoder(BIG), f"decoder scale must be finite, got {BIG!r}"),
+        (lambda: experiments.ToyDecoder(BIG), f"decoder scale must be finite, got {BIG!r}"),
     ],
     ids=[
         "knn-k",

@@ -45,6 +45,22 @@ def random_graph(rng, max_nodes=8):
     return g
 
 
+class TestWeightedDigraph:
+    def test_default_lists_are_per_instance(self):
+        a, b = planner.WeightedDigraph(), planner.WeightedDigraph()
+        a.add_node("x")
+        assert (a.n_nodes, b.n_nodes) == (1, 0)
+        assert b.payloads == [] and b.adjacency == []
+
+    def test_given_lists_are_kept(self):
+        # build_ndm_graph hands over the lists it filled, without a copy
+        payloads, adjacency = ["a", "b"], [[(1, 0.5)], []]
+        g = planner.WeightedDigraph(payloads, adjacency)
+        assert g.payloads is payloads and g.adjacency is adjacency
+        g.add_edge(1, 0, 2.0)
+        assert adjacency == [[(1, 0.5)], [(0, 2.0)]]
+
+
 class TestDijkstra:
     def test_line_graph(self):
         g = planner.WeightedDigraph()

@@ -386,6 +386,12 @@ class TestMicroStep:
         with pytest.raises(ValueError, match=r"^gamma must be a scalar, got shape \(2,\)$"):
             spins.BathParams(gamma=np.array([0.5, 0.9]))
 
+    @pytest.mark.parametrize("name", ["eta", "eta_ff"])
+    def test_rate_length_checked(self, name):
+        # refused, by name, when the bath is built: micro_step's `bath.eta != 0.0` needs a scalar
+        with pytest.raises(ValueError, match=rf"^{name} must be a scalar, got shape \(2,\)$"):
+            spins.BathParams(**{name: np.array([0.1, 0.2])})
+
     def test_non_finite_spin_named(self):
         # a bath changed after it was checked: the normaliser still refuses
         sys0 = spins.SpinSystem(np.eye(2), np.zeros((2, 2)))
