@@ -16,7 +16,9 @@ Derivative conventions used throughout:
 * a decoder's only derivative method is ``Decoder.jet``, which returns
   its Jacobian J and second derivatives D2 exactly, from one forward
   pass over its layers (``linear`` is the one-layer case of
-  ``mlp-tanh``); a one-layer decoder's D2 is None, since it vanishes
+  ``mlp-tanh``), and raises ValueError, never a warning, unless both are
+  finite; a one-layer decoder's D2 is None, since it vanishes.
+  ``MetricField`` runs the same pass unchecked and checks G instead
 * dH/dy of the kinetic Hamiltonian is one formula for every decoder,
   dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for one-layer ones)
 * every finite difference takes its points from ``_stencil`` and its
@@ -55,7 +57,11 @@ A ``PhaseTrajectory`` holds the node rows ``ys`` and ``ps``, shape
 (n+1, d) for a single point, and ``energies``, shape (n+1,).  Its
 ``points`` list of ``PhasePoint`` views is built on first use.
 
-Decoder text format (blank lines and ``#`` comments allowed)::
+A decoder is its (w, b) layers, each checked by one rule in ``Decoder``
+and ``load_decoder``: a matrix taking the previous layer's output width,
+a matching bias, both finite (an int past the float range is not).  Its
+text format (blank lines and ``#`` comments allowed; one layer is saved
+as ``decoder linear``)::
 
     decoder linear|mlp-tanh
     layer <out> <in>
@@ -67,9 +73,9 @@ Decoder text format (blank lines and ``#`` comments allowed)::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -142,73 +148,62 @@ class ShootingError(ValueError):
 # decoders
 
 
-@dataclass
 class Decoder:
-    """Latent-to-ambient map whose exact derivatives come from ``jet``.
+    """Latent-to-ambient map of (w, b) layers, a tanh between consecutive ones; exact derivatives from ``jet``.
 
-    Build through the ``linear`` or ``mlp_tanh`` constructors.
+    ``linear`` and ``mlp_tanh`` build it from their own arguments; ``kind``,
+    ``latent_dim`` and ``ambient_dim`` follow from ``layers``.
     """
 
-    kind: str
-    layers: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    latent_dim: int = 0
-    ambient_dim: int = 0
+    def __init__(self, layers: Iterable[tuple[np.ndarray, np.ndarray]]):
+        self.layers = []
+        for w, b in layers:
+            self.layers.append(_check_layer(self.layers, w, b))
+        if not self.layers:
+            raise ValueError("decoder needs at least one layer")
+        d, n = self.latent_dim, self.ambient_dim
+        if d < 1:
+            raise ValueError("latent dimension must be >= 1")
+        if n < d:
+            raise ValueError(f"ambient dimension {n} must be >= latent dimension {d}")
 
     @classmethod
     def linear(cls, matrix: np.ndarray, offset: np.ndarray | None = None) -> "Decoder":
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2:
+        shape = np.shape(matrix)
+        if len(shape) != 2:
             raise ValueError("linear decoder needs a 2-d matrix")
-        b = np.zeros(a.shape[0]) if offset is None else np.asarray(offset, dtype=float)
-        if b.shape != (a.shape[0],):
-            raise ValueError(f"offset must have length {a.shape[0]}")
-        dec = cls(kind="linear", layers=[(a, b)], latent_dim=a.shape[1], ambient_dim=a.shape[0])
-        dec._validate()
-        return dec
+        offset = np.zeros(shape[0]) if offset is None else offset
+        if np.shape(offset) != shape[:1]:
+            raise ValueError(f"offset must have length {shape[0]}")
+        return cls([(matrix, offset)])
 
     @classmethod
     def mlp_tanh(cls, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> "Decoder":
         if len(weights) != len(biases) or not weights:
             raise ValueError("need matching, non-empty weight and bias lists")
-        layers = []
-        for w, b in zip(weights, biases):
-            w = np.asarray(w, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if w.ndim != 2 or b.shape != (w.shape[0],):
-                raise ValueError("each layer needs a matrix and a matching bias vector")
-            if layers and w.shape[1] != layers[-1][0].shape[0]:
-                raise ValueError("layer input width must match previous layer output width")
-            layers.append((w, b))
-        dec = cls(
-            kind="mlp-tanh",
-            layers=layers,
-            latent_dim=layers[0][0].shape[1],
-            ambient_dim=layers[-1][0].shape[0],
-        )
-        dec._validate()
-        return dec
+        return cls(zip(weights, biases))
 
-    def _validate(self) -> None:
-        for idx, (w, b) in enumerate(self.layers):
-            _check_layer(idx, w, b)
-        if self.latent_dim < 1:
-            raise ValueError("latent dimension must be >= 1")
-        if self.ambient_dim < self.latent_dim:
-            raise ValueError(
-                f"ambient dimension {self.ambient_dim} must be >= latent dimension {self.latent_dim}"
-            )
+    @property
+    def kind(self) -> str:
+        """``linear`` for one layer, ``mlp-tanh`` for more."""
+        return "linear" if len(self.layers) == 1 else "mlp-tanh"
+
+    @property
+    def latent_dim(self) -> int:
+        return self.layers[0][0].shape[1]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.layers[-1][0].shape[0]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.latent_dim,):
             raise ValueError(f"expected latent point of shape ({self.latent_dim},), got {y.shape}")
-        x = y
-        last = len(self.layers) - 1
-        for idx, (w, b) in enumerate(self.layers):
-            x = w @ x + b
-            if idx < last:
-                x = np.tanh(x)
-        return x
+        for w, b in self.layers[:-1]:
+            y = np.tanh(w @ y + b)
+        w, b = self.layers[-1]
+        return w @ y + b
 
     def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Jacobian J, shape (..., n, d), and second derivatives D2 at y, shape (..., d).
@@ -216,9 +211,17 @@ class Decoder:
         D2 is an (..., n, d*d) array whose row i holds d^2 z_i / dy_j dy_k
         at column j*d + k, or None for a one-layer decoder, whose second
         derivatives vanish.  Both come from one forward pass over the
-        whole stack.
+        whole stack.  ValueError, and no warning, unless both are finite.
         """
         y = np.asarray(y, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac, hess = self._jet(y)
+        if not (np.isfinite(jac).all() and (hess is None or np.isfinite(hess).all())):
+            raise ValueError(f"jet at y={y!r} is not finite")
+        return jac, hess
+
+    def _jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``jet`` of a float array y without its finiteness check."""
         d = self.latent_dim
         jac, hess, x = self.layers[0][0], None, y
         if len(self.layers) == 1:
@@ -236,11 +239,23 @@ class Decoder:
         return jac, hess
 
 
-def _check_layer(idx: int, w: np.ndarray, b: np.ndarray) -> None:
-    """ValueError naming layer idx unless its weights and biases are finite."""
+def _check_layer(previous: list, w, b) -> tuple[np.ndarray, np.ndarray]:
+    """The layer after ``previous`` as float arrays (w, b); ValueError unless it fits them and is finite."""
+    pair = []
+    for values in (w, b):
+        try:
+            pair.append(np.asarray(values, dtype=float))
+        except OverflowError:  # an int past the float range is not finite
+            pair.append(np.full(np.shape(values), np.inf))
+    w, b = pair
+    if w.ndim != 2 or b.shape != (w.shape[0],):
+        raise ValueError("each layer needs a matrix and a matching bias vector")
+    if previous and w.shape[1] != previous[-1][0].shape[0]:
+        raise ValueError("layer input width must match previous layer output width")
     for name, values in (("weights", w), ("biases", b)):
         if not np.isfinite(values).all():
-            raise ValueError(f"layer {idx} {name} must be finite")
+            raise ValueError(f"layer {len(previous)} {name} must be finite")
+    return w, b
 
 
 def save_decoder(decoder: Decoder, path) -> None:
@@ -262,7 +277,7 @@ def load_decoder(path) -> Decoder:
     if not numbered:
         raise ValueError("decoder file must start with a 'decoder <kind>' line")
     linenos, rows = zip(*numbered)
-    weights, biases, i = [], [], 0
+    layers, i = [], 0
     try:
         if not rows[0].startswith("decoder "):
             raise ValueError("decoder file must start with a 'decoder <kind>' line")
@@ -286,19 +301,13 @@ def load_decoder(path) -> Decoder:
             b = np.array([float(v) for v in block[out_n].split()])
             if w.shape != (out_n, in_n) or b.shape != (out_n,):
                 raise ValueError("layer block does not match its declared shape")
-            if kind == "linear" and weights:
+            if kind == "linear" and layers:
                 raise ValueError("linear decoder must have exactly one layer")
-            if weights and in_n != weights[-1].shape[0]:
-                raise ValueError("layer input width must match previous layer output width")
-            _check_layer(len(weights), w, b)
-            weights.append(w)
-            biases.append(b)
+            layers.append(_check_layer(layers, w, b))
             i += out_n + 2
     except ValueError as exc:
         raise _text.FormatError.at(linenos[i], exc) from None
-    if kind == "linear":
-        return Decoder.linear(weights[0], biases[0])
-    return Decoder.mlp_tanh(weights, biases)
+    return Decoder(layers)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +356,11 @@ class MetricField:
     eps_reg: float = 1e-8
 
     def __post_init__(self):
-        if not 0 <= self.eps_reg < math.inf:
+        try:
+            valid = 0 <= float(self.eps_reg) < math.inf
+        except OverflowError:  # an int past the float range
+            valid = False
+        if not valid:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg!r}")
 
     def _metric(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -355,7 +368,7 @@ class MetricField:
         # J^T J comes out exactly symmetric (syrk, or the same products summed in
         # the same order), so no averaging pass: dropping it pays for the errstate
         with np.errstate(over="ignore", invalid="ignore"):
-            jac, hess = self.decoder.jet(y)
+            jac, hess = self.decoder._jet(y)
             g = jac.swapaxes(-1, -2) @ jac + self.eps_reg * np.eye(self.decoder.latent_dim)
         if not np.isfinite(g).all():
             raise ValueError(f"metric at y={y!r} contains infs or NaNs")

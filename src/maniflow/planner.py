@@ -78,12 +78,14 @@ class WeightedDigraph:
 
     ``payloads[i]`` carries arbitrary per-node data; the graph itself only
     cares about indices.  Given lists are kept, not copied; each one left
-    out starts as a new empty list.
+    out starts as a new empty list.  The two must have equal lengths.
     """
 
     def __init__(self, payloads: list | None = None, adjacency: list[list[tuple[int, float]]] | None = None):
         self.payloads = [] if payloads is None else payloads
         self.adjacency = [] if adjacency is None else adjacency
+        if len(self.payloads) != len(self.adjacency):
+            raise ValueError(f"{len(self.payloads)} payloads but {len(self.adjacency)} adjacency lists")
 
     @property
     def n_nodes(self) -> int:

@@ -208,8 +208,8 @@ class TestNdmLayer:
     def test_layer_derives_geometry_once_per_point(self):
         dec = manifold.Decoder.mlp_tanh([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
         jets = []
-        jet = dec.jet
-        dec.jet = lambda y: jets.append(1) or jet(y)
+        jet = dec._jet  # the unchecked kernel the metric field calls
+        dec._jet = lambda y: jets.append(1) or jet(y)
         pt = manifold.PhasePoint(np.array([0.2, -0.1]), np.array([0.3, 0.4]))
         control.ndm_layer(manifold.MetricField(dec), quad_cost(), pt, 0.1)
         assert len(jets) == 2  # at y and at the drifted y

@@ -187,6 +187,12 @@ def _integrate(h):
         (lambda: spins.BathParams(eta=BIG), "eta must be finite"),
         (lambda: spins.BathParams(gamma=BIG), "gamma must be finite"),
         (lambda: experiments.ToyDecoder(BIG), f"decoder scale must be finite, got {BIG!r}"),
+        (
+            lambda: manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=BIG),
+            f"eps_reg must be >= 0, got {BIG!r}",
+        ),
+        (lambda: manifold.Decoder.linear([[BIG]]), "layer 0 weights must be finite"),
+        (lambda: manifold.Decoder.linear([[1.0]], [BIG]), "layer 0 biases must be finite"),
     ],
     ids=[
         "knn-k",
@@ -202,6 +208,9 @@ def _integrate(h):
         "bath-eta",
         "bath-gamma",
         "toy-decoder-scale",
+        "eps-reg",
+        "decoder-weight",
+        "decoder-bias",
     ],
 )
 def test_int_past_the_float_range(call, want):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from maniflow import manifold
 
@@ -94,6 +94,36 @@ def layered_decoders(draw):
     return manifold.Decoder.mlp_tanh(weights, biases)
 
 
+# ints past the float range, which np.asarray(..., dtype=float) refuses with OverflowError
+BIG_INTS = st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024))
+
+
+@st.composite
+def raw_arrays(draw, shape, elements):
+    """An object array of the given shape, so that it can hold ints past the float range."""
+    out = np.empty(shape, dtype=object)
+    out.flat = draw(st.lists(elements, min_size=out.size, max_size=out.size))
+    return out
+
+
+@st.composite
+def raw_layer_lists(draw):
+    """(w, b) lists of 0 to 3 layers, each fitting its neighbours (3 in 4) or of any shape.
+
+    Entries come from all floats (±inf and NaN included) and ints past the
+    float range, or from finite floats only, so that some decoders build.
+    """
+    elements = draw(st.sampled_from([st.floats(allow_nan=False, allow_infinity=False), st.floats() | BIG_INTS]))
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    any_shape = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+    layers = []
+    for i, o in zip(widths, widths[1:]):
+        fits = draw(st.sampled_from([True, True, True, False]))
+        shapes = ((o, i), (o,)) if fits else (draw(any_shape), draw(any_shape))
+        layers.append(tuple(draw(raw_arrays(shape, elements)) for shape in shapes))
+    return layers
+
+
 class TestDecoder:
     def test_linear_eval(self):
         a = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
@@ -139,6 +169,50 @@ class TestDecoder:
         dec = manifold.Decoder.linear(np.eye(2))
         with pytest.raises(ValueError, match="latent"):
             dec(np.zeros(3))
+
+    def test_derived_fields_are_read_only(self):
+        dec = near_identity_decoder()
+        assert (dec.kind, dec.latent_dim, dec.ambient_dim) == ("mlp-tanh", 2, 3)
+        for name in ("kind", "latent_dim", "ambient_dim"):
+            with pytest.raises(AttributeError):
+                setattr(dec, name, 1)
+        assert list(vars(dec)) == ["layers"]
+
+    def test_one_layer_mlp_is_linear(self, tmp_path):
+        rng = np.random.default_rng(3)
+        w, b = rng.normal(size=(3, 2)), rng.normal(size=3)
+        dec = manifold.Decoder.mlp_tanh([w], [b])
+        assert dec.kind == "linear"
+        path = tmp_path / "dec.txt"
+        manifold.save_decoder(dec, path)
+        assert path.read_text().startswith("decoder linear\n")
+        for text in (path.read_text(), path.read_text().replace("decoder linear", "decoder mlp-tanh", 1)):
+            path.write_text(text)
+            [(lw, lb)] = manifold.load_decoder(path).layers
+            assert lw.tobytes() == w.tobytes() and lb.tobytes() == b.tobytes()
+
+    @given(layers=raw_layer_lists(), data=st.data())
+    def test_builds_or_value_error(self, layers, data):
+        # no OverflowError, IndexError or warning (warnings fail the test): a decoder or a ValueError,
+        # and a built decoder's jet is finite at any finite point or a ValueError
+        builds = [
+            lambda: manifold.Decoder(layers),
+            lambda: manifold.Decoder.mlp_tanh([w for w, _ in layers], [b for _, b in layers]),
+            *(lambda w=w, b=b: manifold.Decoder.linear(w, b) for w, b in layers),
+            *(lambda w=w: manifold.Decoder.linear(w) for w, _ in layers),
+        ]
+        for build in builds:
+            try:
+                dec = build()
+            except ValueError:
+                continue
+            y = data.draw(arrays(np.float64, dec.latent_dim, elements=st.floats(allow_nan=False, allow_infinity=False)))
+            try:
+                jac, hess = dec.jet(y)
+            except ValueError:
+                continue
+            assert jac.shape == (dec.ambient_dim, dec.latent_dim) and np.isfinite(jac).all()
+            assert hess is None or np.isfinite(hess).all()
 
 
 class TestDecoderIo:
@@ -238,6 +312,16 @@ def _decoder_file(tmp_path, text):
             "each layer needs a matrix and a matching bias vector",
         ),
         (lambda tmp: manifold.Decoder.linear(np.zeros((1, 0))), "latent dimension must be >= 1"),
+        (lambda tmp: manifold.Decoder([]), "decoder needs at least one layer"),
+        (
+            # the outer product of the first layer's weights overflows and D2 turns NaN: it used to warn
+            lambda tmp: manifold.Decoder.mlp_tanh([[[1e200]], [[1e200]]], [[0], [0]]).jet([1.0]),
+            "jet at y=array([1.]) is not finite",
+        ),
+        (
+            lambda tmp: manifold.Decoder([(np.eye(2), np.zeros(3))]),
+            "each layer needs a matrix and a matching bias vector",
+        ),
         (
             lambda tmp: manifold.load_decoder(_decoder_file(tmp, "# no weights\n\n")),
             "decoder file must start with a 'decoder <kind>' line",
@@ -265,6 +349,9 @@ def _decoder_file(tmp_path, text):
         "mlp-empty-lists",
         "mlp-bad-bias",
         "linear-zero-latent",
+        "decoder-no-layers",
+        "jet-overflow",
+        "decoder-bias-mismatch",
         "load-comments-only",
         "load-wrong-width-row",
         "linear-nan-weight",
@@ -358,12 +445,11 @@ class TestMetricField:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_metric_raises(self, bad):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]])
-        # the layered constructors refuse such weights; built past them, the metric check still rejects
-        decoders = [
-            manifold.Decoder("linear", [(a, np.zeros(3))], latent_dim=2, ambient_dim=3),
-            manifold.Decoder("mlp-tanh", [(a, np.zeros(3)), (np.eye(3), np.zeros(3))], latent_dim=2, ambient_dim=3),
-        ]
-        for dec in decoders:
+        # the constructor refuses such weights; set on a built decoder, the metric check still rejects
+        linear, tanh = manifold.Decoder.linear(np.eye(3, 2)), near_identity_decoder()
+        linear.layers = [(a, np.zeros(3))]
+        tanh.layers = [(a, np.zeros(3)), (np.eye(3), np.zeros(3))]
+        for dec in (linear, tanh):
             mf = manifold.MetricField(dec)
             y = np.array([0.5, 0.5])
             with pytest.raises(ValueError, match="NaN"):
@@ -925,8 +1011,8 @@ class TestStackContract:
     def test_geometry_is_derived_once_per_node(self):
         dec = near_identity_decoder()
         shapes = []
-        jet = dec.jet
-        dec.jet = lambda y: shapes.append(np.shape(y)) or jet(y)
+        jet = dec._jet  # the unchecked kernel the metric field calls
+        dec._jet = lambda y: shapes.append(np.shape(y)) or jet(y)
         ham = manifold.GeodesicHamiltonian(manifold.MetricField(dec))
         pt = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
         traj = manifold.integrate(ham, pt, 0.1, 7)

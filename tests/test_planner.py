@@ -60,6 +60,12 @@ class TestWeightedDigraph:
         g.add_edge(1, 0, 2.0)
         assert adjacency == [[(1, 0.5)], [(0, 2.0)]]
 
+    @pytest.mark.parametrize("payloads, adjacency", [(["a", "b"], [[]]), (["a"], None), (None, [[]])])
+    def test_unequal_lists_refused(self, payloads, adjacency):
+        # such a graph used to report n_nodes from payloads alone and fail later with IndexError
+        with pytest.raises(ValueError, match=r"^\d payloads but \d adjacency lists$"):
+            planner.WeightedDigraph(payloads, adjacency)
+
 
 class TestDijkstra:
     def test_line_graph(self):
