@@ -6,16 +6,15 @@ running cost u^T G u / 2 solves G(y) u = p, giving the reduced Hamiltonian
     H(y, p) = p^T G(y)^{-1} p / 2 - l_task(z)
 
 evaluated on decoded outputs z = decoder(y): a ``GeodesicHamiltonian``
-whose held form ``at(y)`` subtracts the potential.  A candidate value
-function V is scored by the residual dV/dt + H(y, grad V); layer updates
-advance phase points by one leapfrog step of the reduced Hamiltonian.
+that subtracts the potential.  A candidate value function V is scored by
+the residual dV/dt + H(y, grad V); layer updates advance phase points by
+one chord step of the reduced Hamiltonian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,7 +23,9 @@ from .manifold import (
     GeodesicHamiltonian,
     MetricField,
     PhasePoint,
+    _central,
     _fd_gradient,
+    _stencil,
     leapfrog_step,
 )
 
@@ -74,46 +75,33 @@ class ValueFunction:
 
 
 class ReducedHamiltonian(GeodesicHamiltonian):
-    """The kinetic Hamiltonian of a metric field minus the task cost; usable by the leapfrog stepper.
+    """The kinetic Hamiltonian of a metric field minus the task cost; integrated by the chord step.
 
-    ``__call__``, ``dp`` and ``dy`` are GeodesicHamiltonian's, through
-    ``at(y)``: dp stays analytic through the metric solve, and dy takes
-    the kinetic part from the decoder's exact jet and differentiates the
-    potential by central differences, once per point and only when dy is
-    asked for.  Its arrays are 1-d: one point.
+    ``dp`` is GeodesicHamiltonian's metric solve.  The chord step adds
+    h (V(q0) + V(q1)) / 2 to the discrete Lagrangian and takes the
+    potential's gradient ``_force`` by central differences: the decoder
+    makes one stacked pass over the 2d stencil points, and the task cost
+    scores each row.
     """
 
     def __init__(self, metric_field: MetricField, cost: CostSpec):
         super().__init__(metric_field)
         self.cost = cost
 
-    def _potential(self, y: np.ndarray) -> float:
-        return self.cost.potential(self.metric_field.decoder(y))
+    def __call__(self, y: np.ndarray, p: np.ndarray):
+        y = np.asarray(y, dtype=float)
+        return super().__call__(y, p) - self._potential(self.metric_field.decoder(y))
 
-    def at(self, y: np.ndarray) -> "_HeldReduced":
-        """The Hamiltonian held at one point y, for the leapfrog stepper."""
-        return _HeldReduced(self, np.asarray(y, dtype=float))
+    def _potential(self, z: np.ndarray):
+        """The task cost of each decoded output z (..., n), shape (...)."""
+        flat = z.reshape(-1, z.shape[-1])
+        return np.array([self.cost.potential(row) for row in flat]).reshape(z.shape[:-1])
 
-
-class _HeldReduced:
-    """A ReducedHamiltonian at fixed y: G, and on first use the potential's gradient, are derived once."""
-
-    def __init__(self, hamiltonian: ReducedHamiltonian, y: np.ndarray):
-        self.hamiltonian, self.y = hamiltonian, y
-        self.kinetic = hamiltonian.metric_field.at(y)
-
-    @cached_property
-    def grad(self) -> np.ndarray:
-        return _fd_gradient(self.hamiltonian._potential, self.y)
-
-    def dy(self, p: np.ndarray) -> np.ndarray:
-        return self.kinetic.dy(p) - self.grad
-
-    def dp(self, p: np.ndarray) -> np.ndarray:
-        return self.kinetic.dp(p)
-
-    def __call__(self, p: np.ndarray) -> float:
-        return self.kinetic(p) - self.hamiltonian._potential(self.y)
+    def _force(self, y: np.ndarray) -> np.ndarray:
+        """Central differences of the potential at y (..., d), from one decoder pass over the stencil."""
+        points, step = _stencil(y)
+        values = self._potential(self.metric_field.decoder._forward(points)[0])
+        return _central(values[..., None], step)[..., 0, :]
 
 
 def optimal_control(metric_field: MetricField, y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -142,7 +130,7 @@ def hjb_residual(
 
 
 def ndm_layer(metric_field: MetricField, cost: CostSpec, pt: PhasePoint, dt: float) -> PhasePoint:
-    """One leapfrog step of the reduced Hamiltonian; dt must be positive."""
+    """One chord step of the reduced Hamiltonian; dt must be positive."""
     if not dt > 0:
         raise ValueError(f"layer step dt must be > 0, got {dt!r}")
     return leapfrog_step(ReducedHamiltonian(metric_field, cost), pt, float(dt))
@@ -155,10 +143,11 @@ def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    g = metric_field.metric(y)
+    # z and G from one decoder pass
     with np.errstate(over="ignore", invalid="ignore"):
-        kinetic = 0.5 * float(u @ g @ u)
-    value = kinetic + cost.potential(metric_field.decoder(y))
+        z, jac = metric_field.decoder._forward(y)
+        kinetic = 0.5 * float(u @ metric_field._metric(y, jac) @ u)
+    value = kinetic + cost.potential(z)
     if math.isnan(value):
         raise ValueError("running cost is nan")
     return value

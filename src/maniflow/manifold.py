@@ -1,61 +1,55 @@
 """Decoder-induced geometry and Hamiltonian geodesic flows.
 
-A decoder maps latent points y in R^d to ambient points z in R^n
+A decoder maps latent points y in R^d to ambient points f(y) in R^n
 (n >= d).  Its Jacobian J(y) induces the pullback metric
 
     G(y) = J(y)^T J(y) + eps_reg I,
 
 formed by one matmul, which numpy makes exactly symmetric, checked
 finite and validated by Cholesky factorisation.  Geodesics are driven
-by the kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2 through a
-staged leapfrog; curvature information enters only through derivatives
-of H, so Christoffel symbols are never materialised.
+by the kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2.  The only
+derivative of a decoder is its order-1 jet (f, J), from one pass over
+its layers (``linear`` is the one-layer case of ``mlp-tanh``) for a
+point (d,) or a stack (..., d): ``Decoder.jet`` checks it finite, and
+the engine runs the unchecked pass and checks G or its nodes instead.
 
-Derivative conventions used throughout:
+**The chord step.**  A Hamiltonian with a ``metric_field``
+(``GeodesicHamiltonian``, ``control.ReducedHamiltonian``) takes the
+variational step (Marsden & West 2001) of the discrete Lagrangian
 
-* a decoder's only derivative method is ``Decoder.jet``, which returns
-  its Jacobian J and second derivatives D2 exactly, from one forward
-  pass over its layers (``linear`` is the one-layer case of
-  ``mlp-tanh``), and raises ValueError, never a warning, unless both are
-  finite; a one-layer decoder's D2 is None, since it vanishes.
-  ``MetricField`` runs the same pass unchecked and checks G instead
-* dH/dy of the kinetic Hamiltonian is one formula for every decoder,
-  dH/dy_k = -(J v) . (d_k J) v with v = G^{-1} p (zero for one-layer ones)
-* every finite difference takes its points from ``_stencil`` and its
-  quotient from ``_central``: steps 1e-5 (1 + |arg|) (``GRAD_STEP``), for
-  first derivatives only (``_fd_gradient``, the shooting sensitivity,
-  the leapfrog tangent in ``jacobi_propagate``)
+    L_d(q0, q1) = |f(q1) - f(q0)|^2 / 2h + eps_reg |q1 - q0|^2 / 2h,
 
-Arrays of shape (..., d) hold one latent point (d,) or a stack of them
-(B, d).  ``Decoder.jet``, ``MetricField`` and ``GeodesicHamiltonian``
-take either, and one leapfrog loop runs either: ``leapfrog_step`` is the
-one-step ``integrate`` without energies (h finite and non-zero,
-IntegrationError on a non-finite state).  Shooting shoots each momentum
-it tries in one stack with its 2d stencil points, ``jacobi_propagate``
-takes one leapfrog step from the 4d stencil points of all n nodes as one
-stack, whose central differences are the tangents of the steps, and
-``empirical_deviations`` integrates its base and shifted runs as a stack
-of two.  A stacked call runs the per-point kernels slice by slice, so
-each row is bit-equal to the single-point call.  ``MetricField.at(y)``
-derives J, D2, G and G^{-1} once for all of y; the stepper carries the
-geometry of each step's end point into the next kick, so G is factorised
-once per point per step and nothing is memoised.
+plus h (V(q0) + V(q1)) / 2 for a potential V.  Newton solves
+J0^T (f1 - f0) + eps_reg (q1 - q0) = h p0 (+ h^2/2 grad V(q0)) for q1,
+with matrix J0^T J1 + eps_reg I; then
+p1 = [J1^T (f1 - f0) + eps_reg (q1 - q0)] / h (+ h/2 grad V(q1)), and
+the end point's (f, J) starts the next step.  The schedule is fixed and
+the same for every row: step 1 starts at q0 + h G(q0)^{-1} p0 and runs 3
+iterations, step 2 starts at 2 q0 - q_-1 and later steps at
+3 q0 - 3 q_-1 + q_-2, each running 2, so an n-step run makes
+1 + 4 + 3 (n - 1) decoder passes.  Each node's G is checked positive
+definite.  Any other Hamiltonian provides ``__call__(y, p)`` and the
+partials ``dy(y, p)`` and ``dp(y, p)`` and takes the staged
+kick-drift-kick, which is symplectic for a separable H.
 
-A Hamiltonian passed to ``integrate``, ``leapfrog_step``,
-``jacobi_propagate`` or ``empirical_deviations`` provides ``__call__(y, p)``
-(a float for a single point) and the partials ``dy(y, p)`` and
-``dp(y, p)``; the engine never differentiates H itself.  1-d arrays
-suffice for ``integrate`` of a single point and for ``leapfrog_step``.
-``jacobi_propagate`` passes (n, 4d, d) stacks and ``empirical_deviations``
-(2, d) stacks to ``dy`` and ``dp``, and ``integrate`` of a stacked
-``PhasePoint`` passes stacks to all three.  A Hamiltonian may also offer
-``at(y)``, an object with ``dy(p)``, ``dp(p)`` and ``__call__(p)`` at
-fixed y, which the stepper then uses to derive what it needs once per
-point.
+**The boundary-value solve.**  ``solve_shooting`` makes the action
+S = sum_k L_d(q_k, q_k+1), h = 1/N, stationary over the interior nodes
+of q_0 = y_a, ..., q_N = y_b by damped Gauss-Newton from the straight
+line: one stacked pass over the N + 1 nodes per iteration, and a
+block-tridiagonal Hessian, 2 (J_k^T J_k + eps_reg I) / h on the diagonal
+and -(J_k^T J_k+1 + eps_reg I) / h off it.  Its momentum is that of the
+first chord, so the chord step from it retraces the nodes to y_b.
 
-A ``PhaseTrajectory`` holds the node rows ``ys`` and ``ps``, shape
-(n+1, d) for a single point, and ``energies``, shape (n+1,).  Its
-``points`` list of ``PhasePoint`` views is built on first use.
+Finite differences take their points from ``_stencil`` and their
+quotient from ``_central``: steps 1e-5 (1 + |arg|) (``GRAD_STEP``), for
+first derivatives only (``_fd_gradient``, a potential's gradient, the
+step's tangent in ``jacobi_propagate``).  One loop runs a point or a
+stack, kernel by kernel slice by slice, so each row is bit-equal to its
+single-point run: ``leapfrog_step`` is the one-step ``integrate``
+without energies, ``jacobi_propagate`` steps the 4d stencil points of
+all n nodes as one stack, and ``empirical_deviations`` runs its base and
+shifted points as a stack of two.  A ``PhaseTrajectory`` holds the node
+rows ``ys`` and ``ps``, (n+1, d) for one point, and ``energies``.
 
 A decoder is its (w, b) layers, each checked by one rule in ``Decoder``
 and ``load_decoder``: a matrix taking the previous layer's output width,
@@ -133,10 +127,10 @@ class IntegrationError(ValueError):
 
 
 class ShootingError(ValueError):
-    """Boundary-value shooting failed to reach the requested tolerance.
+    """The boundary-value solve failed to reach the requested tolerance.
 
-    ``residuals[k]`` is the endpoint residual norm after k iterations, and
-    ``p`` the momentum the solver stopped at.
+    ``residuals[k]`` is the norm of the action's gradient after k
+    iterations, and ``p`` the momentum of the nodes the solver stopped at.
     """
 
     def __init__(self, message: str, residuals=(), p=None):
@@ -197,46 +191,41 @@ class Decoder:
         return self.layers[-1][0].shape[0]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
+        """f at y, shape (..., n) for latent points (..., d); ValueError, and no warning, unless finite."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.latent_dim,):
-            raise ValueError(f"expected latent point of shape ({self.latent_dim},), got {y.shape}")
-        for w, b in self.layers[:-1]:
-            y = np.tanh(w @ y + b)
-        w, b = self.layers[-1]
-        return w @ y + b
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._forward(y)[0]
+        if not np.isfinite(out).all():
+            raise ValueError(f"decoder output at y={y!r} is not finite")
+        return out
 
-    def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Jacobian J, shape (..., n, d), and second derivatives D2 at y, shape (..., d).
+    def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The order-1 jet at y, shape (..., d): f, shape (..., n), and J, shape (..., n, d).
 
-        D2 is an (..., n, d*d) array whose row i holds d^2 z_i / dy_j dy_k
-        at column j*d + k, or None for a one-layer decoder, whose second
-        derivatives vanish.  Both come from one forward pass over the
-        whole stack.  ValueError, and no warning, unless both are finite.
+        ValueError, and no warning, unless both are finite.
         """
         y = np.asarray(y, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            jac, hess = self._jet(y)
-        if not (np.isfinite(jac).all() and (hess is None or np.isfinite(hess).all())):
+            out, jac = self._forward(y)
+        if not (np.isfinite(out).all() and np.isfinite(jac).all()):
             raise ValueError(f"jet at y={y!r} is not finite")
-        return jac, hess
+        return out, jac
 
-    def _jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """``jet`` of a float array y without its finiteness check."""
-        d = self.latent_dim
-        jac, hess, x = self.layers[0][0], None, y
-        if len(self.layers) == 1:
-            return np.broadcast_to(jac, (*y.shape[:-1], *jac.shape)), None
+    def _forward(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and J at a float array y (..., d) from one pass over the layers, unchecked."""
+        if y.shape[-1:] != (self.latent_dim,):
+            raise ValueError(f"expected latent points of width {self.latent_dim}, got shape {y.shape}")
+        (w, b), *rest = self.layers
+        out = _mv(w, y) + b
+        if not rest:  # a read-only view: J is the layer's own weights
+            return out, np.broadcast_to(w, (*y.shape[:-1], *w.shape))
+        jac = w
         # the first tanh broadcasts J, the first layer's weights, over the stack
-        for (w_in, b_in), (w, _) in zip(self.layers, self.layers[1:]):
-            x = np.tanh(_mv(w_in, x) + b_in)
-            slope = 1.0 - x * x
-            # tanh'' = -2 tanh tanh'
-            outer = (jac[..., :, :, None] * jac[..., :, None, :]).reshape(*jac.shape[:-1], d * d)
-            curvature = (2.0 * x * slope)[..., None] * outer
-            hess = -curvature if hess is None else slope[..., None] * hess - curvature
-            jac = w @ (slope[..., None] * jac)
-            hess = w @ hess
-        return jac, hess
+        for w, b in rest:
+            x = np.tanh(out)
+            jac = w @ ((1.0 - x * x)[..., None] * jac)
+            out = _mv(w, x) + b
+        return out, jac
 
 
 def _check_layer(previous: list, w, b) -> tuple[np.ndarray, np.ndarray]:
@@ -320,29 +309,21 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _Geometry:
-    """A metric field at y, one point or a stack (..., d), and the kinetic Hamiltonian there.
+    """G at y, one point or a stack (..., d), and the kinetic Hamiltonian there.
 
-    Holds J, D2 (None for a one-layer decoder), G and G^-1; its methods
-    take momenta of y's shape.
+    Its methods take momenta of y's shape; ``dp`` solves G v = p.
     """
 
-    __slots__ = ("jacobian", "hessian", "metric", "inverse")
+    __slots__ = ("metric",)
 
-    def __init__(self, jacobian, hessian, metric, inverse):
-        self.jacobian, self.hessian, self.metric, self.inverse = jacobian, hessian, metric, inverse
+    def __init__(self, metric):
+        self.metric = metric
 
     def dp(self, p: np.ndarray) -> np.ndarray:
-        return _mv(self.inverse, p)
+        return np.linalg.solve(self.metric, p[..., None])[..., 0]
 
     def __call__(self, p: np.ndarray):
         return 0.5 * (p * self.dp(p)).sum(axis=-1)
-
-    def dy(self, p: np.ndarray) -> np.ndarray:
-        if self.hessian is None:
-            return np.zeros(p.shape)
-        v = self.dp(p)
-        curvature = (_mv(self.jacobian, v)[..., None, :] @ self.hessian)[..., 0, :]
-        return -_mv(curvature.reshape(*v.shape, -1), v)
 
 
 @dataclass
@@ -363,21 +344,21 @@ class MetricField:
         if not valid:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg!r}")
 
-    def _metric(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """J, D2 and G at y, an array (..., d); ValueError, and no warning, unless every G is finite."""
+    def _metric(self, y: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
+        """G at y, an array (..., d), from J there if given; ValueError, and no warning, unless every G is finite."""
         # J^T J comes out exactly symmetric (syrk, or the same products summed in
         # the same order), so no averaging pass: dropping it pays for the errstate
         with np.errstate(over="ignore", invalid="ignore"):
-            jac, hess = self.decoder._jet(y)
-            g = jac.swapaxes(-1, -2) @ jac + self.eps_reg * np.eye(self.decoder.latent_dim)
+            if jac is None:
+                jac = self.decoder._forward(y)[1]
+            g = jac.swapaxes(-1, -2) @ jac + self.eps_reg * np.eye(jac.shape[-1])
         if not np.isfinite(g).all():
             raise ValueError(f"metric at y={y!r} contains infs or NaNs")
-        return jac, hess, g
+        return g
 
-    def at(self, y: np.ndarray) -> _Geometry:
-        """The geometry at y, shape (..., d); raises unless every G there is finite and SPD."""
-        y = np.asarray(y, dtype=float)
-        jac, hess, g = self._metric(y)
+    def _geometry(self, y: np.ndarray, jac: np.ndarray | None = None) -> _Geometry:
+        """The geometry at y, from J there if given; raises unless every G there is finite and SPD."""
+        g = self._metric(y, jac)
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -386,14 +367,22 @@ class MetricField:
             raise SingularMetricError(
                 f"metric at y={y!r} is not positive definite", y[worst], float(lowest[worst])
             ) from None
-        return _Geometry(jac, hess, g, np.linalg.inv(g))
+        return _Geometry(g)
+
+    def at(self, y: np.ndarray) -> _Geometry:
+        """The geometry at y, shape (..., d); raises unless every G there is finite and SPD."""
+        return self._geometry(np.asarray(y, dtype=float))
 
     def metric(self, y: np.ndarray) -> np.ndarray:
         """G at y, shape (..., d, d), whether or not it is positive definite; ValueError unless finite."""
-        return self._metric(np.asarray(y, dtype=float))[2]
+        return self._metric(np.asarray(y, dtype=float))
 
     def solve(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return self.at(y).dp(np.asarray(rhs, dtype=float))
+        """G(y)^-1 rhs; ValueError, and no warning, unless it is finite."""
+        out = self.at(y).dp(np.asarray(rhs, dtype=float))
+        if not np.isfinite(out).all():
+            raise ValueError(f"metric solve at y={y!r} is not finite")
+        return out
 
 
 def pullback_metric(metric_field: MetricField, y: np.ndarray) -> np.ndarray:
@@ -409,8 +398,10 @@ class PhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
+        try:
+            y, p = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.y, self.p))
+        except OverflowError:  # an int past the float range
+            raise ValueError("y and p must hold floats, and an int past the float range is not one") from None
         if y.shape != p.shape:
             raise ValueError(f"y and p must have equal length and shape, got {y.shape} and {p.shape}")
         self.y = y
@@ -449,36 +440,22 @@ class PhaseTrajectory:
 
 
 class GeodesicHamiltonian:
-    """Kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2 of a metric field.
+    """Kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2 of a metric field; integrated by the chord step.
 
-    dp is a symmetric solve and dy the one dH/dy formula of the module
-    docstring, on the decoder's jet.  ``at(y)`` derives the geometry once
-    for all three, and each of them is ``at(y)`` and its held method, so
-    a subclass (``control.ReducedHamiltonian``) overrides ``at`` alone;
-    ``dy`` also rejects a result that is not finite.  The leapfrog calls
-    the held methods, and checks its nodes instead.
+    ``dp`` is the metric solve.  ``_force``, the gradient of a potential,
+    is None here; ``control.ReducedHamiltonian`` sets it.
     """
+
+    _force = None
 
     def __init__(self, metric_field: MetricField):
         self.metric_field = metric_field
 
-    def at(self, y: np.ndarray) -> _Geometry:
-        return self.metric_field.at(y)
-
     def __call__(self, y: np.ndarray, p: np.ndarray):
-        return self.at(y)(np.asarray(p, dtype=float))
+        return self.metric_field.at(y)(np.asarray(p, dtype=float))
 
     def dp(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self.at(y).dp(np.asarray(p, dtype=float))
-
-    def dy(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """dH/dy at (y, p); ValueError, and no warning, unless it is finite."""
-        y = np.asarray(y, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = self.at(y).dy(np.asarray(p, dtype=float))
-        if not np.isfinite(grad).all():
-            raise ValueError(f"dH/dy at y={y!r} is not finite")
-        return grad
+        return self.metric_field.solve(y, p)
 
 
 def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -510,19 +487,59 @@ def _fd_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(grad.reshape(*values.shape[1:], x.shape[0]))
 
 
-def _parts(hamiltonian) -> tuple:
-    """``(at, dy, dp, energy)`` with ``dy(at(y), p) == hamiltonian.dy(y, p)``, and so on.
+def _staged(hamiltonian, y, p, h, n_steps, energies, failure):
+    """Nodes (y, p, H or None) of the staged kick-drift-kick from the partials ``dy`` and ``dp``."""
+    for k in range(n_steps + 1):
+        if k:
+            p_half = p - 0.5 * h * hamiltonian.dy(y, p)
+            y = y + h * hamiltonian.dp(y, p_half)
+            p = p_half - 0.5 * h * hamiltonian.dy(y, p_half)
+        yield y, p, hamiltonian(y, p) if energies else None
 
-    A Hamiltonian's own ``at(y)`` derives what it needs at y once for the
-    three; for one without ``at``, ``at`` passes y through.
-    """
-    if getattr(hamiltonian, "at", None) is None:
-        return (lambda y: y), hamiltonian.dy, hamiltonian.dp, hamiltonian
-    return hamiltonian.at, lambda held, p: held.dy(p), lambda held, p: held.dp(p), lambda held, p: held(p)
+
+def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
+    """Nodes (y, p, H or None) of the chord step's fixed schedule (module docstring)."""
+    field, force, grad = hamiltonian.metric_field, hamiltonian._force, None
+    forward, eps = field.decoder._forward, field.eps_reg
+    reg = eps * np.eye(y.shape[-1])
+    out, jac = forward(y)
+    before = []  # the two nodes before y
+    for k in range(n_steps + 1):
+        if k:
+            if k == 1:
+                q, iterations = y + h * held.dp(p), 3
+            elif k == 2:
+                q, iterations = 2.0 * y - before[-1], 2
+            else:
+                q, iterations = 3.0 * (y - before[-1]) + before[-2], 2
+            rhs = h * p if grad is None else h * p + 0.5 * h * h * grad
+            jac_t = jac.swapaxes(-1, -2)
+            for _ in range(iterations):
+                out_q, jac_q = forward(q)
+                residual = _mv(jac_t, out_q - out) + eps * (q - y) - rhs
+                q = q - np.linalg.solve(jac_t @ jac_q + reg, residual[..., None])[..., 0]
+            out_q, jac_q = forward(q)
+            p = (_mv(jac_q.swapaxes(-1, -2), out_q - out) + eps * (q - y)) / h
+            before = [*before[-1:], y]
+            y, out, jac = q, out_q, jac_q
+        try:
+            held = field._geometry(y, jac)
+        except ValueError:  # a y that drifted to inf or NaN fails as step k, as the finiteness check would
+            if np.isfinite(y).all():
+                raise
+            raise failure(k) from None
+        if force is not None:
+            grad = force(y)
+            if k:
+                p = p + 0.5 * h * grad
+        if not energies:
+            yield y, p, None
+        else:
+            yield y, p, held(p) if force is None else held(p) - hamiltonian._potential(out)
 
 
 def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int, energies: bool = True):
-    """n_steps staged kick-drift-kick updates from (y, p) of shape (..., d).
+    """n_steps updates from (y, p) of shape (..., d): the chord step for a Hamiltonian with a metric field.
 
     Returns the node rows of y and p, shape (n+1, ..., d), and of H,
     shape (n+1, ...), or None for H when ``energies`` is false.  All are
@@ -538,7 +555,7 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
         finite = False
     if not finite:
         raise ValueError(f"step size must be finite and non-zero, got {h!r}")
-    at, dy, dp, energy = _parts(hamiltonian)
+    steps = _staged if getattr(hamiltonian, "metric_field", None) is None else _chord
     d = y.shape[-1]
     nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
 
@@ -550,35 +567,20 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
         drift = float(np.max(np.abs(nodes[:k, ..., -1] - nodes[0, ..., -1]))) if energies else None
         return IntegrationError(message, k, last[..., :d], last[..., d : 2 * d], drift)
 
-    def geometry(k: int):
-        """``at(y)``; a y that drifted to inf or NaN fails as step k, as the finiteness check would."""
-        try:
-            return at(y)
-        except ValueError:
-            if np.isfinite(y).all():
-                raise
-            raise failure(k) from None
-
     # overflow needs no warning: the finiteness check turns it into IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
-        held = geometry(0)
-        for k in range(n_steps + 1):
-            if k:
-                p_half = p - 0.5 * h * dy(held, p)
-                y = y + h * dp(held, p_half)
-                held = geometry(k)
-                p = p_half - 0.5 * h * dy(held, p_half)
+        for k, (y, p, energy) in enumerate(steps(hamiltonian, y, p, h, n_steps, energies, failure)):
             row = nodes[k]
             row[..., :d], row[..., d : 2 * d] = y, p
             if energies:
-                row[..., -1] = energy(held, p)
+                row[..., -1] = energy
             if not np.isfinite(row).all():
                 raise failure(k)
     return nodes[..., :d], nodes[..., d : 2 * d], nodes[..., -1] if energies else None
 
 
 def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTrajectory:
-    """n_steps leapfrog updates, recording all n+1 nodes and their energies.
+    """n_steps steps of size h, recording all n+1 nodes and their energies.
 
     A stacked ``pt0`` (..., d) integrates every row at once.  h must be
     finite and non-zero; a non-finite state raises IntegrationError.
@@ -588,13 +590,13 @@ def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTraj
 
 
 def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
-    """One kick-drift-kick update of step h (h may be negative): the one-step ``integrate``, without energies."""
+    """One step of size h (h may be negative): the one-step ``integrate``, without energies."""
     ys, ps, _ = _leapfrog(hamiltonian, pt.y, pt.p, h, 1, energies=False)
     return PhasePoint(ys[1], ps[1])
 
 
 # ---------------------------------------------------------------------------
-# boundary-value shooting
+# boundary values
 
 
 def _latent_point(metric_field: MetricField, name: str, value) -> np.ndarray:
@@ -608,9 +610,15 @@ def _latent_point(metric_field: MetricField, name: str, value) -> np.ndarray:
     return point
 
 
-def _flat_guess(metric_field: MetricField, y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:
-    """The flat-chart initial momentum G(y_a)(y_b - y_a)."""
-    return pullback_metric(metric_field, y_a) @ (y_b - y_a)
+def _unit_steps(n_steps) -> tuple[int, float]:
+    """n_steps as a count >= 1, and the step 1 / n_steps that spans unit time."""
+    n_steps = int(n_steps)
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got {n_steps}")
+    try:
+        return n_steps, 1.0 / n_steps
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"n_steps must be a count within the float range, got {n_steps!r}") from None
 
 
 def shoot_geodesic(metric_field: MetricField, y_a: np.ndarray, p_init: np.ndarray, n_steps: int) -> np.ndarray:
@@ -620,12 +628,7 @@ def shoot_geodesic(metric_field: MetricField, y_a: np.ndarray, p_init: np.ndarra
     """
     p = np.asarray(p_init, dtype=float)
     y = np.broadcast_to(np.asarray(y_a, dtype=float), p.shape)
-    n_steps = int(n_steps)
-    try:
-        # a count below one reaches _leapfrog's check instead of dividing by zero
-        h = 1.0 / max(n_steps, 1)
-    except OverflowError:  # an int past the float range
-        raise ValueError(f"n_steps must be a count within the float range, got {n_steps!r}") from None
+    n_steps, h = _unit_steps(n_steps)
     return _leapfrog(GeodesicHamiltonian(metric_field), y, p, h, n_steps, energies=False)[0][-1]
 
 
@@ -637,15 +640,17 @@ def solve_shooting(
     tol: float = 1e-8,
     max_iter: int = 50,
 ) -> np.ndarray:
-    """Damped Gauss-Newton on the endpoint residual of shoot_geodesic.
+    """Momentum at y_a of the discrete geodesic to y_b: damped Gauss-Newton on its action.
 
-    Initial momentum is the flat-chart guess G(y_a)(y_b - y_a); the
-    sensitivity of the endpoint is taken by central differences and the
-    damping parameter is halved after every residual decrease.  Each
-    momentum tried is shot in one stack with its 2d stencil points, so an
-    accepted step brings its sensitivity along and a rejected one keeps
-    the sensitivity it had.  ShootingError carries the residual history.
-    ``tol`` must be a number >= 0 and ``max_iter`` an integer >= 0.
+    The n_steps - 1 interior nodes start on the straight line.  Each
+    iteration takes one stacked pass over all nodes and solves the
+    block-tridiagonal system of the module docstring; a step that does not
+    lower the gradient's norm is halved and tried again.  The solve stops
+    once a Gauss-Newton step would move no node by more than ``tol``, takes
+    that step, and returns the first chord's momentum
+    [J_0^T (f_1 - f_0) + eps_reg (q_1 - q_0)] / h.  ShootingError carries
+    the gradient norms.  ``tol`` must be a number >= 0 and ``max_iter`` an
+    integer >= 0.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
@@ -654,38 +659,56 @@ def solve_shooting(
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     y_a = _latent_point(metric_field, "y_a", y_a)
     y_b = _latent_point(metric_field, "y_b", y_b)
-    d = y_a.shape[0]
+    n_steps, h = _unit_steps(n_steps)
+    forward, eps = metric_field.decoder._forward, metric_field.eps_reg
+    d, inner = y_a.shape[0], n_steps - 1
+    reg = eps * np.eye(d)
+    rows = np.arange(inner)
 
-    def shots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The endpoint residual at q and its sensitivity."""
-        # a |q| past the float range needs no warning: the run's step-0 check rejects its points
-        with np.errstate(over="ignore", invalid="ignore"):
-            points, step = _stencil(q)
-        ends = shoot_geodesic(metric_field, y_a, np.vstack([q, points]), n_steps)
-        return ends[0] - y_b, _central(ends[1:], step)
+    def local(nodes: np.ndarray):
+        """f and J at the nodes, the action's gradient at the interior ones, and the Gauss-Newton step."""
+        out, jac = forward(nodes)
+        jac_t = jac.swapaxes(-1, -2)
+        chords, moves = np.diff(out, axis=0), np.diff(nodes, axis=0)
+        grad = (_mv(jac_t[1:-1], chords[:-1] - chords[1:]) + eps * (moves[:-1] - moves[1:])) / h
+        hess = np.zeros((inner, d, inner, d))
+        hess[rows, :, rows, :] = 2.0 * (jac_t[1:-1] @ jac[1:-1] + reg) / h
+        off = -(jac_t[1:-2] @ jac[2:-1] + reg) / h
+        hess[rows[:-1], :, rows[1:], :] = off
+        hess[rows[1:], :, rows[:-1], :] = off.swapaxes(-1, -2)
+        step = np.linalg.solve(hess.reshape(inner * d, inner * d), -grad.ravel()).reshape(inner, d)
+        return out, jac, float(np.linalg.norm(grad)), step
 
-    p = _flat_guess(metric_field, y_a, y_b)
-    residual, sens = shots(p)
-    res_norm = float(np.linalg.norm(residual))
-    history = [res_norm]
-    damping = 1e-3
-    for _ in range(int(max_iter)):
-        if res_norm <= tol:
-            return p
-        lhs = sens.T @ sens + damping * np.eye(d)
-        delta = np.linalg.solve(lhs, -sens.T @ residual)
-        candidate = p + delta
-        cand_res, cand_sens = shots(candidate)
-        cand_norm = float(np.linalg.norm(cand_res))
-        if cand_norm < res_norm:
-            p, residual, res_norm, sens = candidate, cand_res, cand_norm, cand_sens
-            damping *= 0.5
-        else:
-            damping *= 10.0
-        history.append(res_norm)
-    if res_norm <= tol:
-        return p
-    raise ShootingError(f"no convergence after {max_iter} iterations; final residual {res_norm:.3e}", history, p)
+    # an action past the float range needs no warning: its gradient fails the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = y_a + np.arange(n_steps + 1)[:, None] / n_steps * (y_b - y_a)
+        nodes[-1] = y_b
+        out, jac, norm, full = local(nodes)
+        if not (math.isfinite(norm) and np.isfinite(full).all()):
+            raise ShootingError(f"the action's gradient norm on the straight line is not finite: {norm!r}", [norm])
+        history, trial = [norm], full
+        for _ in range(int(max_iter)):
+            if np.linalg.norm(full, axis=-1).max(initial=0.0) <= tol:
+                break
+            candidate = nodes.copy()
+            candidate[1:-1] += trial
+            found = local(candidate)
+            if found[2] < norm:
+                nodes, (out, jac, norm, full) = candidate, found
+                trial = full
+            else:
+                trial = 0.5 * trial
+            history.append(norm)
+        converged = np.linalg.norm(full, axis=-1).max(initial=0.0) <= tol
+        if converged:
+            nodes[1:-1] += full
+        # the first chord's momentum; q_0 = y_a, so only f(q_1) is new
+        p = (jac[0].T @ (forward(nodes[1])[0] - out[0]) + eps * (nodes[1] - y_a)) / h
+    if not converged:
+        raise ShootingError(f"no convergence after {max_iter} iterations; final residual {norm:.3e}", history, p)
+    if not np.isfinite(p).all():
+        raise ShootingError(f"the momentum of the first chord is not finite: {p.tolist()}", history, p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +716,10 @@ def solve_shooting(
 
 
 def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> np.ndarray:
-    """Propagate a phase-space deviation along a recorded one-point trajectory by the leapfrog's tangent.
+    """Propagate a phase-space deviation along a recorded one-point trajectory by the step's tangent.
 
-    The tangent T_k of one leapfrog step of size ``traj.step`` at node k
-    is the central difference of that step over the 4d stencil points of
+    The tangent T_k of one step of size ``traj.step`` at node k is the
+    central difference of that step over the 4d stencil points of
     (y_k, p_k); the points of all n nodes take their step as one stack.
     Returns the (n+1, 2d) deviations delta_{k+1} = T_k delta_k, starting
     at delta0.
@@ -759,7 +782,7 @@ def loss_geo(metric_field: MetricField, pairs, n_steps: int) -> float:
         )
         starts.append(y_a)
         targets.append(y_b)
-        momenta.append(p0[0] if p0 else _flat_guess(metric_field, y_a, y_b))
+        momenta.append(p0[0] if p0 else pullback_metric(metric_field, y_a) @ (y_b - y_a))
     ends = shoot_geodesic(metric_field, np.stack(starts), np.stack(momenta), n_steps)
     # ends are finite, so an error past the float range is +inf, not a warning
     with np.errstate(over="ignore"):

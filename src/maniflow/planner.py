@@ -268,7 +268,12 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     """
     import numpy as np
 
-    pts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
+    pts = []
+    for s in samples:
+        try:
+            pts.append(np.atleast_1d(np.asarray(s, dtype=float)))
+        except OverflowError:  # an int past the float range is not finite
+            pts.append(np.atleast_1d(np.full(np.shape(s), np.inf)))
     if not pts:
         raise ValueError("need at least one sample")
     for i, p in enumerate(pts):

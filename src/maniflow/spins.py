@@ -62,6 +62,14 @@ _COLLAPSE_TOL = 1e-12
 _BOUND_MARGIN = 1.0 + 1e-6
 
 
+def _floats(values) -> np.ndarray:
+    """values as a float array; an int past the float range is inf, which the finiteness checks reject."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.full(np.shape(values), np.inf)
+
+
 @dataclass
 class SpinSystem:
     """N unit spins with pair couplings and external fields.
@@ -77,7 +85,7 @@ class SpinSystem:
     _sym: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        spins = np.asarray(self.spins, dtype=float)
+        spins = _floats(self.spins)
         if spins.ndim == 1:
             spins = spins[None, :]
         if spins.ndim != 2:
@@ -88,7 +96,7 @@ class SpinSystem:
         if bad.size:
             raise ValueError(f"spin {bad[0]} has norm {float(norms[bad[0]])!r}, expected 1 within {_NORM_TOL}")
         n = spins.shape[0]
-        couplings = np.asarray(self.couplings, dtype=float)
+        couplings = _floats(self.couplings)
         if couplings.shape != (n, n):
             raise ValueError(f"couplings must be ({n}, {n}), got {couplings.shape}")
         if not np.isfinite(couplings).all():
@@ -96,7 +104,7 @@ class SpinSystem:
         if self.fields is None:
             fields = np.zeros_like(spins)
         else:
-            fields = np.asarray(self.fields, dtype=float)
+            fields = _floats(self.fields)
             if fields.shape != spins.shape:
                 raise ValueError(f"fields must match spins shape {spins.shape}, got {fields.shape}")
             if not np.isfinite(fields).all():

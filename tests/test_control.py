@@ -153,33 +153,26 @@ class TestNdmLayer:
         return control.ReducedHamiltonian(manifold.MetricField(dec), control.CostSpec(task_cost=task_cost))
 
     def test_reduced_dy_matches_fd_of_full_value(self):
+        # the reduced step's momenta are the y-derivatives of its full discrete Lagrangian,
+        # L_d = |f1 - f0|^2 / 2h + eps |q1 - q0|^2 / 2h + h (V(q0) + V(q1)) / 2: p0 = -dL_d/dq0, p1 = dL_d/dq1
         rng = np.random.default_rng(3)
         ham = self.curved_reduced(rng)
+        field, h = ham.metric_field, 0.1
+
+        def action(q0, q1):
+            chord, move = field.decoder(q1) - field.decoder(q0), q1 - q0
+            kinetic = (chord @ chord + field.eps_reg * (move @ move)) / (2.0 * h)
+            return kinetic + 0.5 * h * (ham.cost.potential(field.decoder(q0)) + ham.cost.potential(field.decoder(q1)))
+
         for _ in range(5):
             y = rng.uniform(-0.5, 0.5, size=2)
-            p = rng.normal(size=2)
-            fd = manifold._fd_gradient(lambda yy: ham(yy, p), y)
-            assert np.linalg.norm(ham.dy(y, p) - fd) <= 1e-6 * np.linalg.norm(fd)
-
-    @pytest.mark.parametrize(
-        "w1, b1, p",
-        [
-            # w1^2 overflows in the jet while tanh(50)' is 0: D2 is 0 * inf = nan, quietly
-            (1e200, 50.0, 1.0),
-            # a finite jet, but the curvature term's matmul overflows, which numpy warns of
-            (1.0, 0.5, 1e200),
-        ],
-        ids=["nan-curvature", "overflow"],
-    )
-    @pytest.mark.parametrize("reduced", [False, True], ids=["geodesic", "reduced"])
-    def test_non_finite_dy_raises(self, reduced, w1, b1, p):
-        field = manifold.MetricField(manifold.Decoder.mlp_tanh([[[w1]], [[1.0]]], [[b1], [0.0]]))
-        if reduced:
-            ham = control.ReducedHamiltonian(field, control.CostSpec(task_cost=lambda z: 0.0))
-        else:
-            ham = manifold.GeodesicHamiltonian(field)
-        with pytest.raises(ValueError, match=r"^dH/dy at y=array\(\[0\.\]\) is not finite$"):
-            ham.dy([0.0], [p])
+            p = field.metric(y) @ rng.normal(size=2)
+            end = control.ndm_layer(field, ham.cost, manifold.PhasePoint(y, p), h)
+            for exact, fd in (
+                (p, -manifold._fd_gradient(lambda q: action(q, end.y), y)),
+                (end.p, manifold._fd_gradient(lambda q: action(y, q), end.y)),
+            ):
+                assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_reduced_dp_is_the_metric_solve(self):
         rng = np.random.default_rng(4)
@@ -202,17 +195,22 @@ class TestNdmLayer:
         ham(y, p)
         ham.dp(y, p)
         assert len(calls) == 1
-        ham.dy(y, p)
-        assert len(calls) == 1 + 2 * 2  # dy adds the potential at the 2d stencil points
+        # a layer takes the potential's gradient at its two nodes, at the 2d stencil points of each
+        control.ndm_layer(ham.metric_field, ham.cost, manifold.PhasePoint(y, p), 0.1)
+        assert len(calls) == 1 + 2 * (2 * 2)
 
     def test_layer_derives_geometry_once_per_point(self):
+        # the kinetic part makes one step's passes, 1 + 4; each potential gradient one pass over its stencil
         dec = manifold.Decoder.mlp_tanh([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
-        jets = []
-        jet = dec._jet  # the unchecked kernel the metric field calls
-        dec._jet = lambda y: jets.append(1) or jet(y)
+        field = manifold.MetricField(dec)
+        shapes, nodes = [], []
+        forward, geometry = dec._forward, field._geometry  # the unchecked pass and the node check
+        dec._forward = lambda y: shapes.append(np.shape(y)) or forward(y)
+        field._geometry = lambda y, jac: nodes.append(np.shape(y)) or geometry(y, jac)
         pt = manifold.PhasePoint(np.array([0.2, -0.1]), np.array([0.3, 0.4]))
-        control.ndm_layer(manifold.MetricField(dec), quad_cost(), pt, 0.1)
-        assert len(jets) == 2  # at y and at the drifted y
+        control.ndm_layer(field, quad_cost(), pt, 0.1)
+        assert shapes == [(2,), (4, 2)] + [(2,)] * 4 + [(4, 2)]
+        assert nodes == [(2,)] * 2  # at y and at the step's end
 
     def test_stack_of_layers_runs(self):
         mf = identity_field()

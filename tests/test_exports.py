@@ -193,6 +193,12 @@ def _integrate(h):
         ),
         (lambda: manifold.Decoder.linear([[BIG]]), "layer 0 weights must be finite"),
         (lambda: manifold.Decoder.linear([[1.0]], [BIG]), "layer 0 biases must be finite"),
+        (
+            lambda: manifold.PhasePoint([BIG], [0.0]),
+            "y and p must hold floats, and an int past the float range is not one",
+        ),
+        (lambda: spins.SpinSystem([[1.0]], [[BIG]]), "couplings must be finite"),
+        (lambda: planner.build_ndm_graph([[BIG], [0.0]], ("knn", 1), lambda a, b: 1.0), "sample 0 is not finite"),
     ],
     ids=[
         "knn-k",
@@ -211,6 +217,9 @@ def _integrate(h):
         "eps-reg",
         "decoder-weight",
         "decoder-bias",
+        "phase-point",
+        "spin-couplings",
+        "graph-sample",
     ],
 )
 def test_int_past_the_float_range(call, want):
