@@ -77,11 +77,10 @@ class ValueFunction:
 class ReducedHamiltonian(GeodesicHamiltonian):
     """The kinetic Hamiltonian of a metric field minus the task cost; integrated by the chord step.
 
-    ``dp`` is GeodesicHamiltonian's metric solve.  The chord step adds
-    h (V(q0) + V(q1)) / 2 to the discrete Lagrangian and takes the
-    potential's gradient ``_force`` by central differences: the decoder
-    makes one stacked pass over the 2d stencil points, and the task cost
-    scores each row.
+    The chord step adds h (V(q0) + V(q1)) / 2 to the discrete Lagrangian
+    and takes the potential's gradient ``_force`` by central differences:
+    the decoder makes one stacked pass over the 2d stencil points, and the
+    task cost scores each row.
     """
 
     def __init__(self, metric_field: MetricField, cost: CostSpec):
@@ -121,8 +120,8 @@ def hjb_residual(
     A residual past the float range is +-inf; ValueError if it is NaN.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    costate = np.atleast_1d(value_fn.gradient(y, t))
     with np.errstate(over="ignore", invalid="ignore"):
+        costate = np.atleast_1d(value_fn.gradient(y, t))
         residual = value_fn.dt(y, t) + ReducedHamiltonian(metric_field, cost)(y, costate)
     if math.isnan(residual):
         raise ValueError("HJB residual is nan")

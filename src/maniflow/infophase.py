@@ -21,9 +21,9 @@ and means follow numpy's pairwise order (``_sum``), so they are bit-equal
 to ``np.sum`` and ``np.mean``; logs and magnitudes are ``math.log`` and
 ``math.hypot``, which may differ from numpy's in the last bit.
 ``PhasePortrait`` and ``GridField`` keep their series and cells as lists
-of floats, give them out as CSV-ready ``rows()``, and build each numpy
-array (read-only) on its first read; ``fit_info_hamiltonian`` returns its
-grid as rows of floats.
+of floats and give them out as CSV-ready ``rows()``; a portrait's ``u``
+and ``e`` and a field's ``count`` are read-only numpy arrays built on
+first read.  ``fit_info_hamiltonian`` returns its grid as rows of floats.
 """
 
 from __future__ import annotations
@@ -209,10 +209,10 @@ def portrait(dists, smoothing_window: int = 1) -> PhasePortrait:
 class GridField:
     """Mean displacement field on a regular (u, e) grid.
 
-    vu/ve hold per-cell mean displacements indexed [iu, ie]; count holds
-    the number of contributing steps.  The field keeps the edges and the
-    cells as lists of Python numbers, which ``rows()`` reads; each array
-    attribute is read-only and built on first read.
+    Built from the u and e edges and, indexed [iu][ie], each cell's mean
+    displacements vu and ve and its count of contributing steps.  The
+    field keeps them as lists of Python numbers, which ``rows()`` reads;
+    ``count`` and ``occupied`` are read-only arrays of the counts.
     """
 
     def __init__(self, u_edges, e_edges, vu, ve, count):
@@ -227,22 +227,6 @@ class GridField:
         if len(rows) != nu or any(len(row) != ne for row in rows):
             raise ValueError(f"vu, ve and count must have shape {self._shape}, one cell per pair of adjacent edges")
         return [v for row in rows for v in row]
-
-    @cached_property
-    def u_edges(self) -> np.ndarray:
-        return _array(self._u_edges)
-
-    @cached_property
-    def e_edges(self) -> np.ndarray:
-        return _array(self._e_edges)
-
-    @cached_property
-    def vu(self) -> np.ndarray:
-        return _array(self._vu, self._shape)
-
-    @cached_property
-    def ve(self) -> np.ndarray:
-        return _array(self._ve, self._shape)
 
     @cached_property
     def count(self) -> np.ndarray:

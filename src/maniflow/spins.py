@@ -24,7 +24,8 @@ overflows the float range, so none of its read-outs overflows;
 ``lattice_energy``, which takes raw arrays, checks its own result.
 
 The leak rate gamma that ``micro_step`` reads from a ``BathParams`` is one
-scalar shared by every spin.
+scalar shared by every spin, and its feed-forward target is the residual
+map h + W2 tanh(W1 h + b1), normalised.
 
 Spin matrices serialise to plain text, one whitespace-separated row per
 spin (see ``save_spin_matrix``).
@@ -127,18 +128,14 @@ class SpinSystem:
     def n_spins(self) -> int:
         return self.spins.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.spins.shape[1]
-
 
 @dataclass
 class BathParams:
     """Relaxation, feed-forward nudge, and leak parameters for micro updates.
 
-    eta, eta_ff and gamma are real scalars shared by every neuron.  W1/W2/b1/b2
-    define the feed-forward map t = h + W2 tanh(W1 h + b1) + b2 and are
-    only required when eta_ff != 0.  Every parameter given must be finite;
+    eta, eta_ff and gamma are real scalars shared by every neuron.  W1/W2/b1
+    define the feed-forward map t = h + W2 tanh(W1 h + b1) and are only
+    required when eta_ff != 0.  Every parameter given must be finite;
     a NaN or inf one, or an int past the float range, raises ``ValueError``
     naming it, and so does an eta, eta_ff or gamma that is not a scalar.
     """
@@ -149,14 +146,13 @@ class BathParams:
     W1: np.ndarray | None = None
     W2: np.ndarray | None = None
     b1: np.ndarray | None = None
-    b2: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("eta", "eta_ff", "gamma"):
             value = getattr(self, name)
             if np.ndim(value) != 0:
                 raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
-        for name in ("eta", "eta_ff", "gamma", "W1", "W2", "b1", "b2"):
+        for name in ("eta", "eta_ff", "gamma", "W1", "W2", "b1"):
             value = getattr(self, name)
             try:
                 finite = value is None or np.isfinite(np.asarray(value, dtype=float)).all()
@@ -320,13 +316,11 @@ def _ffn_targets(h: np.ndarray, bath: BathParams) -> np.ndarray:
         if bath.b1 is not None:
             u = u + bath.b1
         t = h + np.tanh(u) @ bath.W2.T
-        if bath.b2 is not None:
-            t = t + bath.b2
         return _unit_rows(t, "feed-forward target of neuron {i} {state}; cannot normalise")
 
 
 def ffn_target(h: np.ndarray, bath: BathParams) -> np.ndarray:
-    """Normalised residual feed-forward target (h + W2 tanh(W1 h + b1) + b2) / ||.||.
+    """Normalised residual feed-forward target (h + W2 tanh(W1 h + b1)) / ||.||.
 
     This is the one-row case of the batch that ``micro_step`` computes, so
     a collapsed target is reported as neuron 0.

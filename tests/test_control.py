@@ -166,7 +166,7 @@ class TestNdmLayer:
 
         for _ in range(5):
             y = rng.uniform(-0.5, 0.5, size=2)
-            p = field.metric(y) @ rng.normal(size=2)
+            p = manifold.pullback_metric(field, y) @ rng.normal(size=2)
             end = control.ndm_layer(field, ham.cost, manifold.PhasePoint(y, p), h)
             for exact, fd in (
                 (p, -manifold._fd_gradient(lambda q: action(q, end.y), y)),
@@ -174,26 +174,18 @@ class TestNdmLayer:
             ):
                 assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
 
-    def test_reduced_dp_is_the_metric_solve(self):
-        rng = np.random.default_rng(4)
-        ham = self.curved_reduced(rng)
-        for _ in range(5):
-            y, p = rng.uniform(-0.5, 0.5, size=2), rng.normal(size=2)
-            assert ham.dp(y, p).tobytes() == ham.metric_field.solve(y, p).tobytes()
-
     def test_recorded_energies_are_the_hamiltonian(self):
         rng = np.random.default_rng(5)
         ham = self.curved_reduced(rng)
         traj = manifold.integrate(ham, manifold.PhasePoint([0.2, -0.1], [0.3, 0.4]), 0.05, 8)
         assert [ham(y, p) for y, p in zip(traj.ys, traj.ps)] == traj.energies.tolist()
 
-    def test_value_and_dp_take_no_potential_gradient(self):
-        # H(y, p) evaluates the potential once and dp not at all: hjb_residual runs no finite differences
+    def test_value_takes_no_potential_gradient(self):
+        # H(y, p) evaluates the potential once: hjb_residual runs no finite differences
         calls = []
         ham = self.curved_reduced(np.random.default_rng(6), calls)
         y, p = np.array([0.1, 0.2]), np.array([0.3, -0.4])
         ham(y, p)
-        ham.dp(y, p)
         assert len(calls) == 1
         # a layer takes the potential's gradient at its two nodes, at the 2d stencil points of each
         control.ndm_layer(ham.metric_field, ham.cost, manifold.PhasePoint(y, p), 0.1)

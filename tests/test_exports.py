@@ -1,10 +1,11 @@
 """Each submodule's ``__all__`` names exactly the public functions and classes it defines.
 
 Every such name, and every public method, classmethod, property or cached
-property of a listed class, has a reader beyond its own unit tests.  Every
-exception class a submodule or ``_text`` defines is a ``ValueError``: a
-failure an input causes has one base, which the CLI catches as it is, and
-an int argument past the float range raises no ``OverflowError``.
+property of a listed class, has a reader beyond its own unit tests; a
+member's reader must read it as an attribute.  Every exception class a
+submodule or ``_text`` defines is a ``ValueError``: a failure an input
+causes has one base, which the CLI catches as it is, and an int argument
+past the float range raises no ``OverflowError``.
 """
 
 import ast
@@ -44,13 +45,13 @@ def test_all_lists_public_definitions(name):
 
 
 def _reads(tree) -> set:
-    """Names a piece of code reads: loaded names, attributes, and names imported from a module."""
+    """Names a piece of code reads: loaded names, ``.name`` attributes, and names imported from a module."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found.add(node.attr)
+            found.update((node.attr, f".{node.attr}"))
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
     return found
@@ -59,12 +60,12 @@ def _reads(tree) -> set:
 def _read_names() -> set:
     """Every name that the package, perfbench, the acceptance tests or README reads.
 
-    A read inside a top-level definition or a method counts only once that
-    definition is itself read, so a helper that only an unread function
-    calls is unread too.  A dunder method is read with its class.  README
-    counts what its backticks and code blocks name; docstrings and the unit
-    tests count for nothing.  Names match as identifiers, so a local
-    variable that shares a public name counts as a read of it.
+    A name read as an attribute appears twice, as ``name`` and as
+    ``.name``.  A read inside a top-level definition or a method counts
+    only once that definition is itself read, so a helper that only an
+    unread function calls is unread too.  A dunder method is read with its
+    class.  README counts what its backticks and code blocks name;
+    docstrings and the unit tests count for nothing.
     """
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     bodies = []  # (name, what its body reads)
@@ -85,7 +86,8 @@ def _read_names() -> set:
     for path in [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
         read |= _reads(ast.parse(path.read_text()))
     for span in re.findall(r"```(.*?)```|`([^`]+)`", (ROOT / "README.md").read_text(), re.S):
-        read |= set(re.findall(r"[A-Za-z_]\w*", "".join(span)))
+        names = re.findall(r"\.?[A-Za-z_]\w*", "".join(span))
+        read |= {*names, *(name.lstrip(".") for name in names)}
     grown = True
     while grown:
         grown = False
@@ -97,6 +99,11 @@ def _read_names() -> set:
 
 
 def test_every_public_name_has_a_reader():
+    """A top-level name may be read as an identifier; a class member only as an attribute, ``.name``.
+
+    So a local variable or a CSV header that shares a member's name is no
+    read of it.
+    """
     read = _read_names()
     unread = []
     for module in (importlib.import_module(f"maniflow.{name}") for name in SUBMODULES):
@@ -107,7 +114,7 @@ def test_every_public_name_has_a_reader():
             if inspect.isclass(value) and value.__module__ == module.__name__:
                 for attr, member in vars(value).items():
                     if inspect.isfunction(member) or isinstance(member, (property, classmethod, cached_property)):
-                        if not attr.startswith("_") and attr not in read:
+                        if not attr.startswith("_") and f".{attr}" not in read:
                             unread.append(f"{module.__name__}.{key}.{attr}")
     assert unread == []
 

@@ -29,6 +29,16 @@ def centers(edges):
     return 0.5 * (edges[:-1] + edges[1:])
 
 
+def arrays(field):
+    """A field's (u_edges, e_edges, vu, ve, count) as arrays: its edge lists, and its cells [iu, ie] from ``rows()``."""
+    cells = list(field.rows())
+    return (
+        np.array(field._u_edges),
+        np.array(field._e_edges),
+        *(np.reshape([cell[k] for cell in cells], field.count.shape) for k in (2, 3, 4)),
+    )
+
+
 def rotation_grid(nu=7, ne=7, center=2.0):
     """GridField holding the exact rotation field at the cell centres."""
     u_edges = np.linspace(center - 1.5, center + 1.5, nu + 1)
@@ -228,32 +238,32 @@ class TestEmpiricalField:
         por = infophase.PhasePortrait(
             u=np.array([0.0, 1.0, 2.0]), e=np.array([0.0, -1.0, -1.0])
         )
-        field = infophase.empirical_field([por], 2)
-        np.testing.assert_allclose(field.u_edges, [0.0, 0.5, 1.0])
-        np.testing.assert_allclose(field.e_edges, [-1.0, -0.5, 0.0])
+        u_edges, e_edges, vu, ve, count = arrays(infophase.empirical_field([por], 2))
+        np.testing.assert_allclose(u_edges, [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(e_edges, [-1.0, -0.5, 0.0])
         # step 1 starts at (u=0, e=0) -> cell (0, 1); step 2 at (1, -1) -> (1, 0)
-        assert field.count[0, 1] == 1 and field.count[1, 0] == 1
-        assert field.count.sum() == 2
-        np.testing.assert_allclose(field.vu[0, 1], 1.0)
-        np.testing.assert_allclose(field.ve[0, 1], -1.0)
-        np.testing.assert_allclose(field.vu[1, 0], 1.0)
-        np.testing.assert_allclose(field.ve[1, 0], 0.0)
+        assert count[0, 1] == 1 and count[1, 0] == 1
+        assert count.sum() == 2
+        np.testing.assert_allclose(vu[0, 1], 1.0)
+        np.testing.assert_allclose(ve[0, 1], -1.0)
+        np.testing.assert_allclose(vu[1, 0], 1.0)
+        np.testing.assert_allclose(ve[1, 0], 0.0)
 
     def test_cell_averaging(self):
         por = infophase.PhasePortrait(
             u=np.array([0.0, 2.0, 0.0, 4.0]), e=np.array([0.0, 0.0, 0.0, 0.0])
         )
         # steps from u = 0 (twice, du 2 and 4) and one from u = 2
-        field = infophase.empirical_field([por], 1)
-        assert field.count[0, 0] == 3
-        np.testing.assert_allclose(field.vu[0, 0], (2.0 - 2.0 + 4.0) / 3.0)
+        _, _, vu, _, count = arrays(infophase.empirical_field([por], 1))
+        assert count[0, 0] == 3
+        np.testing.assert_allclose(vu[0, 0], (2.0 - 2.0 + 4.0) / 3.0)
 
     def test_degenerate_range_widened(self):
         por = infophase.PhasePortrait(u=np.array([5.0, 6.0]), e=np.array([0.0, 0.0]))
-        field = infophase.empirical_field([por], 2)
-        np.testing.assert_allclose(field.u_edges, [4.5, 5.0, 5.5])
-        np.testing.assert_allclose(field.e_edges, [-0.5, 0.0, 0.5])
-        assert field.count.sum() == 1
+        u_edges, e_edges, _, _, count = arrays(infophase.empirical_field([por], 2))
+        np.testing.assert_allclose(u_edges, [4.5, 5.0, 5.5])
+        np.testing.assert_allclose(e_edges, [-0.5, 0.0, 0.5])
+        assert count.sum() == 1
 
     def test_short_portraits_skipped(self):
         single = infophase.PhasePortrait(u=np.array([1.0]), e=np.array([0.0]))
@@ -278,11 +288,11 @@ class TestDivergenceScore:
 
     def test_compressive_field_scores_high(self):
         # pure sink: V = (-(u - c), -e) has |div| = 2 everywhere
-        grid = rotation_grid()
-        uc, ec = centers(grid.u_edges), centers(grid.e_edges)
+        u_edges, e_edges, _, _, count = arrays(rotation_grid())
+        uc, ec = centers(u_edges), centers(e_edges)
         vu = -np.tile((uc - 2.0)[:, None], (1, ec.size))
         ve = -np.tile(ec[None, :], (uc.size, 1))
-        sink = infophase.GridField(grid.u_edges, grid.e_edges, vu, ve, grid.count)
+        sink = infophase.GridField(u_edges, e_edges, vu, ve, count)
         assert infophase.divergence_score(sink) > 1.0
 
     def test_no_interior_cell_raises(self):
@@ -292,10 +302,8 @@ class TestDivergenceScore:
             infophase.divergence_score(field)
 
     def test_zero_magnitude_raises(self):
-        grid = rotation_grid()
-        zero = infophase.GridField(
-            grid.u_edges, grid.e_edges, np.zeros_like(grid.vu), np.zeros_like(grid.ve), grid.count
-        )
+        u_edges, e_edges, vu, ve, count = arrays(rotation_grid())
+        zero = infophase.GridField(u_edges, e_edges, np.zeros_like(vu), np.zeros_like(ve), count)
         with pytest.raises(infophase.DegenerateFieldError, match="magnitude"):
             infophase.divergence_score(zero)
 
@@ -305,7 +313,8 @@ class TestFitInfoHamiltonian:
         field = rotation_grid()
         grid, residual = fit(field)
         assert residual <= 1e-10
-        uc, ec = centers(field.u_edges), centers(field.e_edges)
+        u_edges, e_edges, *_ = arrays(field)
+        uc, ec = centers(u_edges), centers(e_edges)
         ref = 0.5 * ((uc[:, None] - 2.0) ** 2 + ec[None, :] ** 2)
         ref = ref - ref[0, 0] + grid[0, 0]  # align the gauge
         np.testing.assert_allclose(grid, ref, atol=1e-10)
@@ -316,7 +325,8 @@ class TestFitInfoHamiltonian:
         field = infophase.empirical_field(portraits, 10)
         grid, _ = fit(field)
         occ = field.occupied
-        uc, ec = centers(field.u_edges), centers(field.e_edges)
+        u_edges, e_edges, *_ = arrays(field)
+        uc, ec = centers(u_edges), centers(e_edges)
         ref = 0.5 * ((uc[:, None] - 2.0) ** 2 + ec[None, :] ** 2)
         # displacements are dt-scaled field values
         fitted = grid[occ] / dt
@@ -392,19 +402,20 @@ def oracle_divergence_score(field):
     """The per-cell loop that ``divergence_score`` replaces."""
     occ = field.occupied
     nu, ne = occ.shape
-    du = float(field.u_edges[1] - field.u_edges[0])
-    de = float(field.e_edges[1] - field.e_edges[0])
+    u_edges, e_edges, vu, ve, _ = arrays(field)
+    du = float(u_edges[1] - u_edges[0])
+    de = float(e_edges[1] - e_edges[0])
     divs = []
     for iu in range(1, nu - 1):
         for ie in range(1, ne - 1):
             if not (occ[iu, ie] and occ[iu - 1, ie] and occ[iu + 1, ie] and occ[iu, ie - 1] and occ[iu, ie + 1]):
                 continue
-            div = (field.vu[iu + 1, ie] - field.vu[iu - 1, ie]) / (2.0 * du)
-            div += (field.ve[iu, ie + 1] - field.ve[iu, ie - 1]) / (2.0 * de)
+            div = (vu[iu + 1, ie] - vu[iu - 1, ie]) / (2.0 * du)
+            div += (ve[iu, ie + 1] - ve[iu, ie - 1]) / (2.0 * de)
             divs.append(abs(div))
     if not divs:
         raise infophase.DegenerateFieldError("no interior occupied cell")
-    mean_mag = float(np.mean(np.hypot(field.vu[occ], field.ve[occ])))
+    mean_mag = float(np.mean(np.hypot(vu[occ], ve[occ])))
     if mean_mag == 0.0:
         raise infophase.DegenerateFieldError("field magnitude is identically zero")
     return float(np.mean(divs)) / (mean_mag + 1e-12)
@@ -418,8 +429,9 @@ def oracle_fit(field):
     if n_occ == 0:
         raise infophase.DegenerateFieldError("field has no occupied cells")
     index = {tuple(c): k for k, c in enumerate(cells)}
-    du = float(field.u_edges[1] - field.u_edges[0])
-    de = float(field.e_edges[1] - field.e_edges[0])
+    u_edges, e_edges, vu, ve, _ = arrays(field)
+    du = float(u_edges[1] - u_edges[0])
+    de = float(e_edges[1] - e_edges[0])
     rows, rhs = [], []
     for iu, ie in map(tuple, cells):
         if (iu + 1, ie) in index:
@@ -427,13 +439,13 @@ def oracle_fit(field):
             row[index[(iu + 1, ie)]] = 1.0 / du
             row[index[(iu, ie)]] = -1.0 / du
             rows.append(row)
-            rhs.append(-0.5 * (field.ve[iu, ie] + field.ve[iu + 1, ie]))
+            rhs.append(-0.5 * (ve[iu, ie] + ve[iu + 1, ie]))
         if (iu, ie + 1) in index:
             row = np.zeros(n_occ)
             row[index[(iu, ie + 1)]] = 1.0 / de
             row[index[(iu, ie)]] = -1.0 / de
             rows.append(row)
-            rhs.append(0.5 * (field.vu[iu, ie] + field.vu[iu, ie + 1]))
+            rhs.append(0.5 * (vu[iu, ie] + vu[iu, ie + 1]))
     h_flat = np.zeros(n_occ)
     residual_norm = 0.0
     if n_occ > 1:
@@ -548,11 +560,12 @@ def numpy_divergence_score(field):
     interior = occ[1:-1, 1:-1] & occ[:-2, 1:-1] & occ[2:, 1:-1] & occ[1:-1, :-2] & occ[1:-1, 2:]
     if not interior.any():
         raise infophase.DegenerateFieldError("no interior occupied cell")
-    du = float(field.u_edges[1] - field.u_edges[0])
-    de = float(field.e_edges[1] - field.e_edges[0])
-    div = (field.vu[2:, 1:-1] - field.vu[:-2, 1:-1]) / (2.0 * du)
-    div += (field.ve[1:-1, 2:] - field.ve[1:-1, :-2]) / (2.0 * de)
-    mean_mag = float(np.mean(np.hypot(field.vu[occ], field.ve[occ])))
+    u_edges, e_edges, vu, ve, _ = arrays(field)
+    du = float(u_edges[1] - u_edges[0])
+    de = float(e_edges[1] - e_edges[0])
+    div = (vu[2:, 1:-1] - vu[:-2, 1:-1]) / (2.0 * du)
+    div += (ve[1:-1, 2:] - ve[1:-1, :-2]) / (2.0 * de)
+    mean_mag = float(np.mean(np.hypot(vu[occ], ve[occ])))
     if mean_mag == 0.0:
         raise infophase.DegenerateFieldError("field magnitude is identically zero")
     return float(np.mean(np.abs(div[interior]))) / (mean_mag + 1e-12)
@@ -566,8 +579,9 @@ def numpy_fit(field):
         raise infophase.DegenerateFieldError("field has no occupied cells")
     index = np.full(occ.shape, -1)
     index[occ] = np.arange(n_occ)
-    du = float(field.u_edges[1] - field.u_edges[0])
-    de = float(field.e_edges[1] - field.e_edges[0])
+    u_edges, e_edges, vu, ve, _ = arrays(field)
+    du = float(u_edges[1] - u_edges[0])
+    de = float(e_edges[1] - e_edges[0])
     pair_u = occ[:-1] & occ[1:]
     pair_e = occ[:, :-1] & occ[:, 1:]
     first = np.concatenate([index[:-1][pair_u], index[:, :-1][pair_e]])
@@ -575,7 +589,7 @@ def numpy_fit(field):
     second = np.concatenate([index[1:][pair_u], index[:, 1:][pair_e]])[order]
     inv_step = np.repeat([1.0 / du, 1.0 / de], [np.count_nonzero(pair_u), np.count_nonzero(pair_e)])[order]
     target = np.concatenate(
-        [-0.5 * (field.ve[:-1] + field.ve[1:])[pair_u], 0.5 * (field.vu[:, :-1] + field.vu[:, 1:])[pair_e]]
+        [-0.5 * (ve[:-1] + ve[1:])[pair_u], 0.5 * (vu[:, :-1] + vu[:, 1:])[pair_e]]
     )[order]
     rows = np.arange(first.size)
     design = np.zeros((first.size, n_occ))
@@ -623,16 +637,15 @@ class TestFloatCoreMatchesArrays:
     def test_edges_counts_and_means_bit_equal(self, bins):
         portraits = rotation_portraits(60, 90, 0.07) + [infophase.PhasePortrait([0.5], [0.0])]
         field = infophase.empirical_field(portraits, bins)
-        for got, want in zip((field.u_edges, field.e_edges, field.vu, field.ve, field.count), numpy_field(portraits, bins)):
+        for got, want in zip(arrays(field), numpy_field(portraits, bins), strict=True):
             np.testing.assert_array_equal(got, want)
 
     def test_seeded_field_bit_equal(self):
         field = seeded_field()
-        u_edges, e_edges, vu, ve, count = numpy_field(
-            experiments.rotation_portraits(150, 200, 0.05, np.random.default_rng(0)), 12
-        )
-        np.testing.assert_array_equal(field.vu, vu)
-        np.testing.assert_array_equal(field.ve, ve)
+        _, _, vu, ve, count = numpy_field(experiments.rotation_portraits(150, 200, 0.05, np.random.default_rng(0)), 12)
+        _, _, got_vu, got_ve, _ = arrays(field)
+        np.testing.assert_array_equal(got_vu, vu)
+        np.testing.assert_array_equal(got_ve, ve)
         np.testing.assert_array_equal(field.count, count)
         assert infophase.divergence_score(field) == numpy_divergence_score(field)
 
@@ -656,7 +669,8 @@ class TestFloatCoreMatchesArrays:
     def test_fine_grid_fits_finite(self):
         # spacings of ~1e-161 square past the float range in the plain normal equations
         field = seeded_field()
-        fine = infophase.GridField(1e-160 * field.u_edges, 1e-160 * field.e_edges, field.vu, field.ve, field.count)
+        u_edges, e_edges, vu, ve, count = arrays(field)
+        fine = infophase.GridField(1e-160 * u_edges, 1e-160 * e_edges, vu, ve, count)
         grid, residual = fit(fine)
         grid0, residual0 = fit(field)
         occ = field.occupied
@@ -671,7 +685,7 @@ class TestFloatBacking:
         assert por.u is por.u and not por.u.flags.writeable
         np.testing.assert_array_equal(por.e, [0.0, 0.25])
         field = seeded_field()
-        assert not field.vu.flags.writeable
+        assert field.count is field.count and not field.count.flags.writeable
         assert field.count.dtype.kind == "i" and field.count.shape == (12, 12)
 
     def test_fit_grid_is_rows_of_floats(self):
@@ -682,10 +696,12 @@ class TestFloatBacking:
     def test_rows_read_the_arrays_values(self):
         por = infophase.PhasePortrait(u=[0.5, 0.25], e=[0.0, 0.25])
         assert list(por.rows()) == [(0, 0.5, 0.0), (1, 0.25, 0.25)]
-        field = seeded_field()
-        u_center, e_center = np.meshgrid(centers(field.u_edges), centers(field.e_edges), indexing="ij")
-        columns = (u_center, e_center, field.vu, field.ve, field.count)
-        assert list(field.rows()) == list(zip(*(c.ravel().tolist() for c in columns)))
+        u_edges, e_edges, vu, ve, count = numpy_field(
+            experiments.rotation_portraits(150, 200, 0.05, np.random.default_rng(0)), 12
+        )
+        u_center, e_center = np.meshgrid(centers(u_edges), centers(e_edges), indexing="ij")
+        columns = (u_center, e_center, vu, ve, count)
+        assert list(seeded_field().rows()) == list(zip(*(c.ravel().tolist() for c in columns)))
 
     @pytest.mark.parametrize("ulps", [2, 7])
     def test_span_of_a_few_ulps_binned_as_arrays(self, ulps):
@@ -697,7 +713,7 @@ class TestFloatBacking:
         u = np.linspace(lo, hi, 40)
         portraits = [infophase.PhasePortrait(u, np.linspace(0.0, 1.0, 40))]
         field = infophase.empirical_field(portraits, 12)
-        for got, want in zip((field.u_edges, field.e_edges, field.vu, field.ve, field.count), numpy_field(portraits, 12)):
+        for got, want in zip(arrays(field), numpy_field(portraits, 12), strict=True):
             np.testing.assert_array_equal(got, want)
 
     def test_field_of_mismatched_shapes_rejected(self):

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -176,7 +176,7 @@ class TestDecoder:
         # the one-layer pass used to broadcast its weights over any point and return a (3, 2) J
         dec = manifold.Decoder.linear(np.eye(3, 2))
         message = r"^expected latent points of width 2, got shape \(5,\)$"
-        for call in (dec, dec.jet, manifold.MetricField(dec).metric):
+        for call in (dec, dec.jet, lambda y: manifold.pullback_metric(manifold.MetricField(dec), y)):
             with pytest.raises(ValueError, match=message):
                 call(np.zeros(5))
 
@@ -391,7 +391,7 @@ class TestMetricField:
     def test_metric_formula(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         mf = manifold.MetricField(manifold.Decoder.linear(a), eps_reg=1e-8)
-        g = mf.metric(np.zeros(2))
+        g = manifold.pullback_metric(mf, np.zeros(2))
         np.testing.assert_allclose(g, a.T @ a + 1e-8 * np.eye(2))
 
     def test_spd_on_random_points(self):
@@ -417,7 +417,7 @@ class TestMetricField:
         # a stack names its worst point: tanh(40) rounds to 1, so the slope in y0 is exactly 0
         ys = np.array([[1.0, 0.5], [40.0, 2.0], [2.0, -1.0]])
         with pytest.raises(manifold.SingularMetricError) as info:
-            manifold.MetricField(saturating_decoder(), eps_reg=0.0).at(ys)
+            manifold.pullback_metric(manifold.MetricField(saturating_decoder(), eps_reg=0.0), ys)
         np.testing.assert_array_equal(info.value.y, ys[1])
         assert info.value.min_eigenvalue == 0.0
 
@@ -428,7 +428,7 @@ class TestMetricField:
         y = rng.normal(size=2)
         rhs = rng.normal(size=2)
         np.testing.assert_allclose(
-            mf.solve(y, rhs), np.linalg.solve(mf.metric(y), rhs), atol=1e-12
+            mf.solve(y, rhs), np.linalg.solve(manifold.pullback_metric(mf, y), rhs), atol=1e-12
         )
 
     def test_negative_eps_rejected(self):
@@ -458,10 +458,9 @@ class TestMetricField:
     def test_memoised_arrays_not_handed_out(self):
         mf = manifold.MetricField(near_identity_decoder())
         y = np.array([0.3, -0.2])
-        expected = mf.metric(y).copy()
-        mf.metric(y)[:] = 0.0
+        expected = manifold.pullback_metric(mf, y).copy()
         manifold.pullback_metric(mf, y)[:] = 0.0
-        np.testing.assert_array_equal(mf.metric(y), expected)
+        np.testing.assert_array_equal(manifold.pullback_metric(mf, y), expected)
         np.testing.assert_allclose(mf.solve(y, expected[0]), [1.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -479,7 +478,7 @@ class TestMetricField:
             with pytest.raises(ValueError, match="NaN"):
                 manifold.pullback_metric(mf, y)
             with pytest.raises(ValueError, match="NaN"):
-                mf.metric(y)
+                mf._metric(y)
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e100])
     @pytest.mark.parametrize("kind", ["linear", "mlp-tanh-2", "mlp-tanh-3"])
@@ -496,21 +495,20 @@ class TestMetricField:
         for eps_reg in (0.0, 1e-8, 0.5):
             mf = manifold.MetricField(dec, eps_reg=eps_reg)
             for y in (rng.normal(size=3), rng.normal(size=(5, 3))):
-                g = mf.metric(y)
+                g = mf._metric(y)
                 assert g.tobytes() == np.ascontiguousarray(g.swapaxes(-1, -2)).tobytes()
-                assert mf.at(y).metric.tobytes() == g.tobytes()
+                assert manifold.pullback_metric(mf, y).tobytes() == g.tobytes()
 
     def test_overflowing_solve_raises_without_warning(self):
         # G = 1e-200 is positive definite, but G^-1 rhs passes the float range: G^-1 @ rhs used to warn in matmul
         mf = manifold.MetricField(manifold.Decoder.linear([[1e-100]]), eps_reg=0.0)
-        for call in (mf.solve, manifold.GeodesicHamiltonian(mf).dp):
-            with pytest.raises(ValueError, match=r"^metric solve at y=array\(\[0\.\]\) is not finite$"):
-                call(np.zeros(1), np.array([1e200]))
+        with pytest.raises(ValueError, match=r"^metric solve at y=array\(\[0\.\]\) is not finite$"):
+            mf.solve(np.zeros(1), np.array([1e200]))
 
     def test_overflowing_metric_raises_without_warning(self):
         # finite weights whose J^T J passes the float range: the matmul used to warn first
         mf = manifold.MetricField(manifold.Decoder.linear([[1e200, 0.0], [0.0, 1.0]]))
-        for call in (mf.metric, mf.at):
+        for call in (mf._metric, lambda y: manifold.pullback_metric(mf, y)):
             with pytest.raises(ValueError, match=r"^metric at y=array\(\[0\., 0\.\]\) contains infs or NaNs$"):
                 call(np.zeros(2))
 
@@ -524,7 +522,8 @@ class TestGeodesicHamiltonian:
         p = np.array([2.0, 3.0])
         # G = diag(4, 1), H = p^T G^-1 p / 2 = (4/4 + 9)/2
         np.testing.assert_allclose(ham(y, p), 5.0)
-        np.testing.assert_allclose(ham.dp(y, p), [0.5, 3.0])
+        # dH/dp = G^-1 p, the metric solve
+        np.testing.assert_allclose(mf.solve(y, p), [0.5, 3.0])
 
     @pytest.mark.parametrize("n_tanh", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -545,7 +544,7 @@ class TestGeodesicHamiltonian:
 
             for _ in range(3):
                 y = rng.uniform(-0.5, 0.5, size=d)
-                p = field.metric(y) @ rng.normal(size=d)
+                p = manifold.pullback_metric(field, y) @ rng.normal(size=d)
                 end = manifold.leapfrog_step(ham, manifold.PhasePoint(y, p), h)
                 for exact, fd in (
                     (p, -manifold._fd_gradient(lambda q: action(q, end.y), y)),
@@ -569,7 +568,7 @@ class TestGeodesicHamiltonian:
             mf = manifold.MetricField(dec)
             ham = manifold.GeodesicHamiltonian(mf)
             traj = manifold.integrate(ham, manifold.PhasePoint(y, p), 0.1, 10)
-            states = [np.concatenate([pt.y, pt.p]) for pt in traj]
+            states = [np.concatenate([pt.y, pt.p]) for pt in traj.points]
             return [dec(y), *dec.jet(y), mf.solve(y, p), *states, traj.energies]
 
         linear = outputs(manifold.Decoder.linear(a, b))
@@ -814,7 +813,8 @@ class TestVariationalFlow:
             field = manifold.MetricField(pool_decoder(rng, d))
             omega = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
             y = rng.uniform(-0.5, 0.5, size=d)
-            tangent = one_step_tangent(manifold.GeodesicHamiltonian(field), y, field.metric(y) @ rng.normal(size=d), 0.1)
+            p = manifold.pullback_metric(field, y) @ rng.normal(size=d)
+            tangent = one_step_tangent(manifold.GeodesicHamiltonian(field), y, p, 0.1)
             np.testing.assert_allclose(tangent.T @ omega @ tangent, omega, rtol=0, atol=1e-7)
 
     def test_curved_deviation_is_the_tangent_of_the_n_step_map(self):
@@ -929,19 +929,76 @@ def test_pool_geodesics_retrace_their_nodes():
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@pytest.mark.parametrize("call", ["integrate", "leapfrog_step", "solve_shooting", "optimal_control"])
-@given(data=st.data(), d=st.integers(1, 3))
-def test_finite_input_gives_finite_result_or_value_error(call, data, d):
-    # points, momenta and steps from all finite floats; a warning fails the test
+# d, then a point y, a momentum p and a deviation delta0 of width 2d, from all finite floats
+POINTS = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(*(arrays(np.float64, n, elements=FINITE) for n in (d, d, 2 * d)))
+)
+COSTS = {"loss_geo", "loss_jac", "running_cost", "trajectory_cost", "hjb_residual"}
+
+
+def _squares(x) -> float:
+    """sum x_i^2 / 2 over Python floats: inf past the float range, and no warning."""
+    return 0.5 * sum(v * v for v in np.ravel(x).tolist())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "integrate",
+        "leapfrog_step",
+        "solve_shooting",
+        "optimal_control",
+        "jacobi_propagate",
+        "empirical_deviations",
+        "shoot_geodesic",
+        "loss_geo",
+        "loss_jac",
+        "pullback_metric",
+        "MetricField.solve",
+        "ndm_layer",
+        "running_cost",
+        "trajectory_cost",
+        "hjb_residual",
+    ],
+)
+@given(point=POINTS, h=FINITE, n_steps=st.integers(1, 4))
+# a node past the float range's square root: _stencil's |x|^2 overflowed
+@example(point=(np.array([1e200]), np.array([0.0]), np.ones(2)), h=0.1, n_steps=2)
+# a momentum whose shift by 1e-5 delta0 overflows
+@example(point=(np.array([0.0]), np.array([1.79767516e308]), np.array([0.0, 1.79767516e308])), h=0.1, n_steps=2)
+def test_finite_input_gives_finite_result_or_value_error(call, point, h, n_steps):
+    """Each public function of manifold and control gives a finite result, +-inf for a cost, or a ValueError.
+
+    A warning fails the test.
+    """
+    y, p, delta0 = point
+    d = y.shape[0]
     field = manifold.MetricField(random_tanh_decoder(np.random.default_rng(d), d, d + 1, 1))
     ham = manifold.GeodesicHamiltonian(field)
-    y, p = (data.draw(arrays(np.float64, d, elements=FINITE)) for _ in range(2))
-    h, n_steps = data.draw(FINITE), data.draw(st.integers(1, 4))
+    spec = control.CostSpec(_squares)
+    value_fn = control.ValueFunction(lambda x, t: (1.0 + t) * _squares(x))
+
+    pt = manifold.PhasePoint(y, p)
+
+    def traj():
+        return manifold.integrate(ham, pt, h, n_steps)
+
     run = {
-        "integrate": lambda: manifold.integrate(ham, manifold.PhasePoint(y, p), h, n_steps),
-        "leapfrog_step": lambda: manifold.leapfrog_step(ham, manifold.PhasePoint(y, p), h),
+        "integrate": traj,
+        "leapfrog_step": lambda: manifold.leapfrog_step(ham, pt, h),
         "solve_shooting": lambda: manifold.solve_shooting(field, y, p, n_steps=n_steps, max_iter=5),
         "optimal_control": lambda: control.optimal_control(field, y, p),
+        "jacobi_propagate": lambda: manifold.jacobi_propagate(ham, traj(), delta0),
+        "empirical_deviations": lambda: manifold.empirical_deviations(ham, pt, delta0, h, n_steps),
+        "shoot_geodesic": lambda: manifold.shoot_geodesic(field, y, p, n_steps),
+        "loss_geo": lambda: manifold.loss_geo(field, [(y, p), (p, y, delta0[:d])], n_steps),
+        "loss_jac": lambda: manifold.loss_jac(ham, [(traj(), delta0, np.full((n_steps + 1, 2 * d), h))]),
+        "pullback_metric": lambda: manifold.pullback_metric(field, y),
+        "MetricField.solve": lambda: field.solve(y, p),
+        "ndm_layer": lambda: control.ndm_layer(field, spec, pt, h),
+        "running_cost": lambda: control.running_cost(field, spec, y, p),
+        "trajectory_cost": lambda: control.trajectory_cost(field, spec, [(y, p, h), (p, y, h)]),
+        "hjb_residual": lambda: control.hjb_residual(field, spec, value_fn, y, h),
     }[call]
     try:
         out = run()
@@ -949,8 +1006,10 @@ def test_finite_input_gives_finite_result_or_value_error(call, data, d):
         return
     if call == "integrate":
         assert all(np.isfinite(values).all() for values in (out.ys, out.ps, out.energies))
-    elif call == "leapfrog_step":
+    elif call in ("leapfrog_step", "ndm_layer"):
         assert np.isfinite(out.y).all() and np.isfinite(out.p).all()
+    elif call in COSTS:
+        assert not math.isnan(out)
     else:
         assert np.isfinite(out).all()
 

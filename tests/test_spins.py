@@ -60,7 +60,7 @@ class TestSpinValidation:
 
     def test_one_spin_shapes(self):
         system = spins.SpinSystem(np.array([0.6, 0.8]), np.zeros((1, 1)))
-        assert (system.n_spins, system.dim) == (1, 2)
+        assert (system.n_spins, system.spins.shape[1]) == (1, 2)
 
     # a NaN norm compares False against any tolerance, so it must fail the check, not pass it
     @pytest.mark.parametrize(
@@ -308,20 +308,14 @@ class TestFfnTarget:
             W1=rng.normal(size=(hidden, d)),
             W2=rng.normal(size=(d, hidden)),
             b1=rng.normal(size=hidden),
-            b2=rng.normal(size=d),
         )
         h = unit_spins(rng, 1, 3)[0]
         t = spins.ffn_target(h, bath)
         np.testing.assert_allclose(np.linalg.norm(t), 1.0, atol=1e-12)
 
     def test_collapse_raises(self):
-        d = 2
-        bath = spins.BathParams(
-            eta_ff=1.0,
-            W1=np.zeros((2, d)),
-            W2=np.zeros((d, 2)),
-            b2=np.array([-1.0, 0.0]),
-        )
+        # tanh(20) rounds to exactly 1, so t = h + W2 = h - e_0 vanishes at h = e_0
+        bath = spins.BathParams(eta_ff=1.0, W1=np.zeros((1, 2)), W2=np.array([[-1.0], [0.0]]), b1=np.array([20.0]))
         with pytest.raises(ValueError, match="collapsed"):
             spins.ffn_target(np.array([1.0, 0.0]), bath)
 
@@ -336,9 +330,8 @@ class TestFfnTarget:
             ("W1", np.array([[1.0, np.nan]])),
             ("W2", np.array([[np.inf], [0.0]])),
             ("b1", np.array([np.nan])),
-            ("b2", np.array([0.0, -np.inf])),
         ],
-        ids=["eta-nan", "eta-inf", "eta_ff-nan", "eta_ff-minus-inf", "gamma-nan", "W1", "W2", "b1", "b2"],
+        ids=["eta-nan", "eta-inf", "eta_ff-nan", "eta_ff-minus-inf", "gamma-nan", "W1", "W2", "b1"],
     )
     def test_non_finite_parameter_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
@@ -421,7 +414,6 @@ class TestMicroStep:
             W1=data.draw(arrays(np.float64, (hidden, d))),
             W2=data.draw(arrays(np.float64, (d, hidden))),
             b1=data.draw(arrays(np.float64, hidden)),
-            b2=data.draw(arrays(np.float64, d)),
         )
         try:
             out = spins.micro_step(sys0, spins.BathParams(eta, eta_ff, gamma, **weights))
@@ -571,7 +563,6 @@ class TestBatchedFfn:
             W1=rng.normal(size=(hidden, d)),
             W2=rng.normal(size=(d, hidden)),
             b1=rng.normal(size=hidden) if biases else None,
-            b2=rng.normal(size=d) if biases else None,
         )
         s = unit_spins(rng, n, d)
         single = np.stack([spins.ffn_target(row, bath) for row in s])
@@ -581,8 +572,8 @@ class TestBatchedFfn:
         np.testing.assert_allclose(out.spins, single, rtol=0, atol=1e-15)
 
     def test_collapse_on_later_spin_names_it(self):
-        # t_i = s_i + b2 with b2 = -s_2 vanishes for spin 2 only
-        bath = spins.BathParams(eta_ff=0.5, W1=np.zeros((2, 3)), W2=np.zeros((3, 2)), b2=-np.eye(3)[2])
+        # tanh(20) rounds to exactly 1, so t_i = s_i + W2 = s_i - s_2 vanishes for spin 2 only
+        bath = spins.BathParams(eta_ff=0.5, W1=np.zeros((1, 3)), W2=-np.eye(3)[:, 2:], b1=np.array([20.0]))
         sys0 = spins.SpinSystem(np.eye(3), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="neuron 2 collapsed"):
             spins.micro_step(sys0, bath)
@@ -591,7 +582,7 @@ class TestBatchedFfn:
             spins.ffn_target(sys0.spins[2], bath)
 
     def test_collapse_reports_plain_norm(self):
-        bath = spins.BathParams(eta_ff=1.0, W1=np.zeros((2, 2)), W2=np.zeros((2, 2)), b2=np.array([-1.0, 0.0]))
+        bath = spins.BathParams(eta_ff=1.0, W1=np.zeros((1, 2)), W2=np.array([[-1.0], [0.0]]), b1=np.array([20.0]))
         with pytest.raises(ValueError) as ffn_err:
             spins.ffn_target(np.array([1.0, 0.0]), bath)
         assert str(ffn_err.value) == "feed-forward target of neuron 0 collapsed to norm 0.0; cannot normalise"
