@@ -457,11 +457,18 @@ def _fd_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
     """Central differences of f at a point x, f evaluated at ``_stencil``'s points one by one.
 
     A scalar f gives its gradient, shape (n,); a vector f gives its
-    Jacobian, one column per coordinate of x.
+    Jacobian, one column per coordinate of x.  ValueError unless the
+    stencil and the derivative are finite: past ~1e154, |x|^2 overflows.
     """
-    points, step = _stencil(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        points, step = _stencil(x)
+    if not np.isfinite(points).all():
+        raise ValueError(f"finite-difference stencil around {x.tolist()} is not finite")
     values = np.array([f(point) for point in points], dtype=float)
-    grad = _central(values.reshape(len(points), -1), step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = _central(values.reshape(len(points), -1), step)
+    if not np.isfinite(grad).all():
+        raise ValueError(f"finite-difference derivative at {x.tolist()} is not finite")
     # a C-ordered copy, so callers' matmuls never meet a transposed view
     return np.ascontiguousarray(grad.reshape(*values.shape[1:], x.shape[0]))
 
@@ -718,6 +725,9 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
     # engine's finiteness check or the one below turns it into ValueError
     with np.errstate(over="ignore", invalid="ignore"):
         zs, step = _stencil(np.concatenate([traj.ys[:-1], traj.ps[:-1]], axis=-1))
+        if not np.isfinite(step).all():
+            node = int(np.argmin(np.isfinite(step).ravel()))
+            raise ValueError(f"stencil step at node {node} overflows: |(y, p)| is past the float range's square root")
         ys, ps, _ = _leapfrog(hamiltonian, zs[..., :d], zs[..., d:], traj.step, 1, energies=False)
         tangents = _central(np.concatenate([ys[1], ps[1]], axis=-1), step)
         out = np.empty((len(traj), 2 * d))

@@ -21,7 +21,8 @@ Node indices are 0-based and weights must be finite and non-negative;
 float.
 
 ``build_ndm_graph`` links each latent sample to its k nearest others,
-``connect = ("knn", k)``, the one connection rule.
+``connect = ("knn", k)``, the one connection rule, from one matmul per
+block of rows and exact norms only where rounding leaves a rank in doubt.
 
 Graphs, Dijkstra and the text format are pure Python; numpy is imported
 only by ``build_ndm_graph`` and its helpers, so loading and searching a
@@ -51,10 +52,8 @@ __all__ = [
 ]
 
 
-# rows per distance block and per k-NN selection chunk: each bounds a
-# temporary, (block, n, d) differences and a few (chunk, n) arrays
-_DIST_BLOCK = 8
-_PICK_CHUNK = 32
+# floats per (rows, n) block, of 16 rows at least, and per (pairs, d) difference slice
+_BLOCK = 1 << 14
 
 
 def _edge_weight(n: int, src: int, dst: int, weight) -> float:
@@ -197,56 +196,54 @@ def shortest_path(graph: WeightedDigraph, source: int, target: int):
     return path, dist[target]
 
 
-def _pair_distances(flat: np.ndarray) -> np.ndarray:
-    """The (n, n) Euclidean distance matrix of the rows of flat.
+def _knn_pairs(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of each row's k nearest others, ranked by (|x_j - x_i|, index).
 
-    Row block [i0, i1) takes the differences x_j - x_i for j >= i0 as one
-    (i1 - i0, n - i0, 1, d) stack, and each entry is a (1, d) @ (d, 1)
-    matmul on the dot kernel of ``ndarray.dot``, which ``np.linalg.norm``
-    also runs: the entry is the per-pair norm bit for bit.  x_i - x_j is exactly
-    -(x_j - x_i), so the mirror entry is that norm too, and each pair is
-    computed once.  A sum of squares that overflows is +inf.
+    y is flat scaled by 2^-e to entries below 1 (exact but below the normal
+    range), and a row block takes g_ij = |y_j|^2 - 2 y_i.y_j, the squared
+    distance less |y_i|^2, from one matmul.  Each g_ij is within err of its
+    exact value (Higham's gamma_{d+2}, plus d subnormal spacings), so each
+    of row i's k nearest has g_ij within a margin of its (k+1)-th g, self
+    pinned first; the margin also covers the exact norms' rounding (alpha:
+    their underflow) and the ties sqrt makes, and is +inf where the (k+1)-th
+    could overflow.  Candidates get the exact norm, a (1, d) @ (d, 1) matmul
+    on ``np.linalg.norm``'s ``ndarray.dot`` kernel; a stable sort ranks them.
     """
     import numpy as np
 
-    n = flat.shape[0]
-    dist = np.empty((n, n))
+    n, d = flat.shape
+    dst = np.empty((n, k), dtype=np.intp)  # k = 0 (one sample) runs no block
+    gamma = (d + 2) * 2.0**-53 / (1 - (d + 2) * 2.0**-53)
+    tiny = d * 2.0**-1074
+    _, e = np.frexp(np.abs(flat).max())
+    y = np.ldexp(flat, -e)
+    sq = np.einsum("ij,ij->i", y, y)
+    minus_2yt = -2.0 * y.T
+    err = 4 * gamma * sq.max() + 8 * tiny
+    rows, pairs = max(16, _BLOCK // n), max(1, _BLOCK // d)
     with np.errstate(over="ignore"):
-        for i0 in range(0, n, _DIST_BLOCK):
-            i1 = min(i0 + _DIST_BLOCK, n)
-            diff = flat[None, i0:, :] - flat[i0:i1, None, :]
-            block = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-            dist[i0:i1, i0:] = block
-            dist[i0:, i0:i1] = block.T
-    return dist
-
-
-def _knn_pairs(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(src, dst) of each node's k nearest others, ranked by (distance, index).
-
-    With self pinned first, a row's k + 1 smallest entries in that order
-    are the ones below its (k+1)-th value and, of the entries equal to
-    it, the first in index order; one stable sort of those k + 1 ranks
-    them.  Writes -inf on the diagonal of dist.
-    """
-    import numpy as np
-
-    n = dist.shape[0]
-    np.fill_diagonal(dist, -np.inf)
-    picked = np.empty((n, k), dtype=np.intp)
-    for r0 in range(0, n, _PICK_CHUNK):
-        rows = dist[r0 : r0 + _PICK_CHUNK]
-        kth = np.partition(rows, k, axis=1)[:, k : k + 1]
-        keep = rows <= kth
-        extra = keep.sum(axis=1, keepdims=True) - (k + 1)
-        if extra.any():
-            # drop the last `extra` entries tied at the (k+1)-th value
-            tied = rows == kth
-            keep &= ~tied | (np.cumsum(tied, axis=1) <= tied.sum(axis=1, keepdims=True) - extra)
-        cols = np.flatnonzero(keep).reshape(len(rows), k + 1) % n
-        order = np.argsort(np.take_along_axis(rows, cols, axis=1), axis=1, kind="stable")
-        picked[r0 : r0 + _PICK_CHUNK] = np.take_along_axis(cols, order, axis=1)[:, 1:]
-    return np.repeat(np.arange(n), k), picked.ravel()
+        # alpha: an exact norm's underflow in y; a squared distance of y below limit is finite in x
+        alpha, limit = np.ldexp([tiny, 2.0**1022], -2 * e)
+        for i0 in range(0, n if k else 0, rows):
+            g = y[i0 : i0 + rows] @ minus_2yt
+            g += sq
+            np.fill_diagonal(g[:, i0:], -np.inf)
+            t = np.partition(g, k, axis=1)[:, k]
+            q = t + 2 * err + sq[i0 : i0 + rows]
+            cut = np.where(q * (1 + 4 * gamma) < limit, t + 4 * gamma * q + 3 * err + 3 * alpha, np.inf)
+            keep = g <= cut[:, None]
+            np.fill_diagonal(keep[:, i0:], False)
+            r, j = np.divmod(np.flatnonzero(keep), n)
+            norm = np.empty(len(j))
+            for c0 in range(0, len(j), pairs):
+                diff = flat[j[c0 : c0 + pairs]] - flat[i0 + r[c0 : c0 + pairs]]
+                norm[c0 : c0 + pairs] = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+            count = np.bincount(r, minlength=len(g))
+            first = np.cumsum(count) - count
+            box = np.full((len(g), count.max()), np.inf)  # a row's candidates in index order, then +inf
+            box[r, np.arange(len(j)) - first[r]] = norm
+            dst[i0 : i0 + rows] = j[first[:, None] + np.argsort(box, axis=1, kind="stable")[:, :k]]
+    return np.repeat(np.arange(n), k), dst.ravel()
 
 
 def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
@@ -258,29 +255,32 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     edge, by source and then by rank.  k-nearest neighbours are chosen by
     Euclidean distance with index order breaking ties.
 
-    Samples must be finite and share one shape.  For n samples in d
-    dimensions the cost is n(n+1)/2 per-pair dot products of length d,
-    taken in blocks of rows on the kernel of ``ndarray.dot``, into one
-    (n, n) float matrix (8n^2 bytes), then a partial selection per row.
-    Each distance is the per-pair ``np.linalg.norm`` bit for bit, so the
-    edges and their order are exactly those of sorting every pair by that
-    norm.  A distance that overflows is +inf and ranks by index.
+    Samples must be finite and share one shape.  n samples in d
+    dimensions cost O(n^2 d) work and O(n) floats beside the samples: the
+    per-pair ``np.linalg.norm`` is taken, bit for bit, only where rounding
+    leaves a pair's rank in doubt, so the edges and their order are exactly
+    those of sorting every pair by that norm.  A distance that overflows is
+    +inf and ranks by index.
     """
     import numpy as np
 
-    pts = []
-    for s in samples:
-        try:
-            pts.append(np.atleast_1d(np.asarray(s, dtype=float)))
-        except OverflowError:  # an int past the float range is not finite
-            pts.append(np.atleast_1d(np.full(np.shape(s), np.inf)))
-    if not pts:
+    try:
+        flat = np.array(samples, dtype=float)
+    except (ValueError, OverflowError):  # ragged shapes, or an int past the float range
+        pts = []
+        for i, s in enumerate(samples):
+            try:
+                p = np.atleast_1d(np.asarray(s, dtype=float))
+            except OverflowError:  # an int past the float range is not finite
+                p = np.atleast_1d(np.full(np.shape(s), np.inf))
+            if pts and p.shape != pts[0].shape:
+                raise ValueError(f"sample {i} has shape {p.shape}, sample 0 has {pts[0].shape}")
+            pts.append(p)
+        flat = np.stack(pts)
+    n = len(flat)
+    if n == 0:
         raise ValueError("need at least one sample")
-    for i, p in enumerate(pts):
-        if p.shape != pts[0].shape:
-            raise ValueError(f"sample {i} has shape {p.shape}, sample 0 has {pts[0].shape}")
-    n = len(pts)
-    flat = np.stack(pts).reshape(n, -1)
+    flat = flat.reshape(n, -1)
     finite = np.isfinite(flat).all(axis=1)
     if not finite.all():
         raise ValueError(f"sample {int(np.argmin(finite))} is not finite")
@@ -291,7 +291,7 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     # an int is whole as it is, one past the float range included
     if not ((isinstance(param, int) or float(param).is_integer()) and param >= 1):
         raise ValueError(f"k-nearest rule needs an integer k >= 1, got {param!r}")
-    src, dst = _knn_pairs(_pair_distances(flat), min(int(param), n - 1))
+    src, dst = _knn_pairs(flat, min(int(param), n - 1))
 
     payloads = list(samples)
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]

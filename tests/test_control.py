@@ -39,6 +39,22 @@ class TestValueFunction:
         vf = control.ValueFunction(value=lambda y, t: float(y[0]) * t * t)
         np.testing.assert_allclose(vf.dt(np.array([2.0]), 3.0), 12.0, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            # past ~1e154 the stencil step's |x|^2 overflowed: both used to warn in matmul
+            (lambda vf: vf.gradient(np.array([1e200]), 0.0), r"stencil around \[1e\+200\] is not finite"),
+            (lambda vf: vf.dt(np.array([0.0]), 1e300), r"stencil around \[1e\+300\] is not finite"),
+            # an infinite value on both sides used to warn in subtract and give nan
+            (lambda vf: control.ValueFunction(lambda y, t: math.inf).gradient(np.array([1.0]), 0.0),
+             r"derivative at \[1\.0\] is not finite"),
+        ],
+        ids=["gradient", "dt", "infinite value"],
+    )
+    def test_fd_that_is_not_finite_is_value_error(self, call, message):
+        with pytest.raises(ValueError, match=f"^finite-difference {message}$"):
+            call(control.ValueFunction(lambda y, t: float(np.sum(y))))
+
 
 class TestOptimalControl:
     def test_identity_metric(self):

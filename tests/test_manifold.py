@@ -872,6 +872,17 @@ class TestVariationalFlow:
         with pytest.raises(ValueError, match=message):
             manifold.loss_jac(ham, [(traj, np.ones(4), np.zeros((5, 4)))])
 
+    @pytest.mark.parametrize("node", [0, 2])
+    def test_node_past_square_root_of_float_range_is_named(self, node):
+        # its stencil step GRAD_STEP (1 + |z|) overflows; this used to raise
+        # IntegrationError "non-finite state or energy at step 0"
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(random_tanh_decoder(np.random.default_rng(1), 1, 2, 1)))
+        ys = np.zeros((4, 1))
+        ys[node] = 1e200
+        traj = manifold.PhaseTrajectory(0.1, ys, np.zeros((4, 1)), np.zeros(4))
+        with pytest.raises(ValueError, match=rf"^stencil step at node {node} overflows: \|\(y, p\)\| is past"):
+            manifold.jacobi_propagate(ham, traj, np.ones(2))
+
     @pytest.mark.parametrize(
         "y,delta0,message",
         [

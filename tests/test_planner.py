@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -390,9 +391,32 @@ def grid_points(draw, n):
     return list(scale * np.array(values, dtype=float).reshape(n, d))
 
 
+@st.composite
+def gram_weak_spots(draw):
+    """Up to 24 points in 1 to 32 dimensions where |x_j|^2 - 2 x_i.x_j rounds
+    worst: clusters of multiples of 1e-9 around a shared offset of up to 1e6
+    (the squared norms swamp the squared distances), or entries m 10^e at up
+    to three scales e from -323 to 300 (subnormals, squares that underflow,
+    squares and sums that overflow)."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.sampled_from([1, 2, 3, 8, 32]))
+    if draw(st.booleans()):
+        offset = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+        return list(offset + 1e-9 * np.array(steps, dtype=float).reshape(n, d))
+    scales = draw(st.lists(st.integers(-323, 300), min_size=1, max_size=3))
+    entry = st.tuples(st.integers(-9, 9), st.sampled_from(scales)).map(lambda me: me[0] * 10.0 ** me[1])
+    return list(np.array(draw(st.lists(entry, min_size=n * d, max_size=n * d))).reshape(n, d))
+
+
+# the smallest n whose rows take two Gram blocks
+TWO_BLOCKS = math.isqrt(planner._BLOCK) + 1
+
+
 class TestBuildNdmGraphProperty:
-    # sizes at and past the 8-row distance blocks and the 32-row selection chunks
-    @pytest.mark.parametrize("n", [1, 2, 8, 9, 31, 32, 33, 64, 65, 70])
+    # sizes at and past the row-block boundary; at k = n - 1 and d >= 2 a
+    # block's candidates at n >= TWO_BLOCKS span several difference slices
+    @pytest.mark.parametrize("n", [1, 2, 9, TWO_BLOCKS - 1, TWO_BLOCKS, TWO_BLOCKS + 1])
     @settings(max_examples=4)
     @given(data=st.data())
     def test_edges_across_blocks_and_chunks_match_oracle(self, n, data):
@@ -400,6 +424,30 @@ class TestBuildNdmGraphProperty:
         for k in sorted({k for k in (1, 2, 8, n - 1, n + 1) if k >= 1}):
             g = planner.build_ndm_graph(pts, ("knn", k), lambda a, b: 1.0)
             assert [(u, v) for u, v, _ in g.edges()] == oracle_pairs(pts, ("knn", k)), f"k={k}"
+
+    @settings(max_examples=150)
+    @given(pts=gram_weak_spots())
+    def test_gram_weak_spots_match_oracle(self, pts):
+        n = len(pts)
+        for k in sorted({k for k in (1, 2, 5, n - 1, n + 1) if k >= 1}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = planner.build_ndm_graph(pts, ("knn", k), lambda a, b: 1.0)
+            with np.errstate(over="ignore"):
+                want = oracle_pairs(pts, ("knn", k))
+            assert [(u, v) for u, v, _ in g.edges()] == want, f"k={k}"
+
+    def test_memory_stays_below_half_the_distance_matrix(self):
+        # the (n, n) distance matrix alone held 8n^2 bytes, 32 MB here
+        n = 2000
+        pts = list(np.random.default_rng(0).normal(size=(n, 32)))
+        tracemalloc.start()
+        try:
+            planner.build_ndm_graph(pts, ("knn", 8), lambda a, b: 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2
 
     @pytest.mark.parametrize("connect", [("knn", 5), ("knn", 69), ("knn", 1), ("knn", 70)])
     def test_edge_cost_called_once_per_edge_in_order(self, connect):
