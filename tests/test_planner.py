@@ -414,9 +414,12 @@ TWO_BLOCKS = math.isqrt(planner._BLOCK) + 1
 
 
 class TestBuildNdmGraphProperty:
-    # sizes at and past the row-block boundary; at k = n - 1 and d >= 2 a
-    # block's candidates at n >= TWO_BLOCKS span several difference slices
-    @pytest.mark.parametrize("n", [1, 2, 9, TWO_BLOCKS - 1, TWO_BLOCKS, TWO_BLOCKS + 1])
+    # small sizes around powers of two, and sizes at and past the row-block
+    # boundary; at k = n - 1 and d >= 2 a block's candidates at
+    # n >= TWO_BLOCKS span several difference slices
+    @pytest.mark.parametrize(
+        "n", sorted({1, 2, 8, 9, 31, 32, 33, 64, 65, 70, TWO_BLOCKS - 1, TWO_BLOCKS, TWO_BLOCKS + 1})
+    )
     @settings(max_examples=4)
     @given(data=st.data())
     def test_edges_across_blocks_and_chunks_match_oracle(self, n, data):
