@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._numbers import floats, real
 from .manifold import (
     GeodesicHamiltonian,
     MetricField,
@@ -48,7 +49,7 @@ class CostSpec:
     task_cost: Callable[[np.ndarray], float]
 
     def potential(self, z: np.ndarray) -> float:
-        return float(self.task_cost(z))
+        return real(self.task_cost(z))
 
 
 @dataclass
@@ -65,13 +66,13 @@ class ValueFunction:
 
     def gradient(self, y: np.ndarray, t: float) -> np.ndarray:
         if self.grad is not None:
-            return np.asarray(self.grad(y, t), dtype=float)
-        return _fd_gradient(lambda yy: float(self.value(yy, t)), np.asarray(y, dtype=float))
+            return floats(self.grad(y, t))
+        return _fd_gradient(lambda yy: real(self.value(yy, t)), floats(y))
 
     def dt(self, y: np.ndarray, t: float) -> float:
         if self.time_partial is not None:
-            return float(self.time_partial(y, t))
-        return float(_fd_gradient(lambda tt: float(self.value(y, tt[0])), np.array([float(t)]))[0])
+            return real(self.time_partial(y, t))
+        return float(_fd_gradient(lambda tt: real(self.value(y, tt[0])), np.array([real(t)]))[0])
 
 
 class ReducedHamiltonian(GeodesicHamiltonian):
@@ -88,7 +89,7 @@ class ReducedHamiltonian(GeodesicHamiltonian):
         self.cost = cost
 
     def __call__(self, y: np.ndarray, p: np.ndarray):
-        y = np.asarray(y, dtype=float)
+        y = floats(y)
         return super().__call__(y, p) - self._potential(self.metric_field.decoder(y))
 
     def _potential(self, z: np.ndarray):
@@ -105,7 +106,7 @@ class ReducedHamiltonian(GeodesicHamiltonian):
 
 def optimal_control(metric_field: MetricField, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Minimiser of the quadratic control cost: the solution of G(y) u = p."""
-    return metric_field.solve(np.atleast_1d(np.asarray(y, dtype=float)), np.asarray(p, dtype=float))
+    return metric_field.solve(np.atleast_1d(floats(y)), floats(p))
 
 
 def hjb_residual(
@@ -119,7 +120,7 @@ def hjb_residual(
 
     A residual past the float range is +-inf; ValueError if it is NaN.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = np.atleast_1d(floats(y))
     with np.errstate(over="ignore", invalid="ignore"):
         costate = np.atleast_1d(value_fn.gradient(y, t))
         residual = value_fn.dt(y, t) + ReducedHamiltonian(metric_field, cost)(y, costate)
@@ -130,9 +131,9 @@ def hjb_residual(
 
 def ndm_layer(metric_field: MetricField, cost: CostSpec, pt: PhasePoint, dt: float) -> PhasePoint:
     """One chord step of the reduced Hamiltonian; dt must be positive."""
-    if not dt > 0:
+    if not real(dt) > 0:
         raise ValueError(f"layer step dt must be > 0, got {dt!r}")
-    return leapfrog_step(ReducedHamiltonian(metric_field, cost), pt, float(dt))
+    return leapfrog_step(ReducedHamiltonian(metric_field, cost), pt, real(dt))
 
 
 def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np.ndarray) -> float:
@@ -140,8 +141,8 @@ def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np
 
     A control whose cost passes the float range costs +inf.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    y = np.atleast_1d(floats(y))
+    u = np.atleast_1d(floats(u))
     # z and G from one decoder pass
     with np.errstate(over="ignore", invalid="ignore"):
         z, jac = metric_field.decoder._forward(y)
@@ -172,7 +173,7 @@ def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj) -> float:
             raise ValueError(f"record {k}: {exc}") from None
     total = 0.0
     for k in range(len(entries) - 1):
-        dt = float(entries[k][2])
+        dt = real(entries[k][2])
         if not 0 < dt < math.inf:
             raise ValueError(f"segment {k} has non-positive dt {dt!r}")
         total += 0.5 * dt * (costs[k] + costs[k + 1])

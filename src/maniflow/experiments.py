@@ -43,6 +43,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import _text
+from ._numbers import floats, is_count, real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,16 +82,12 @@ class ToyDecoder:
     """
 
     def __init__(self, scale: float = 1.0):
-        try:
-            finite = math.isfinite(scale)
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
+        if not math.isfinite(real(scale)):
             raise ValueError(f"decoder scale must be finite, got {scale!r}")
         self.scale = scale
 
     def _probabilities(self, y: float) -> list[float]:
-        gap = float(self.scale * max(0.0, 1.0 - abs(float(y)) / 2.0))
+        gap = float(self.scale * max(0.0, 1.0 - abs(real(y)) / 2.0))
         logits = [gap, 0.0, -gap]
         top = max(logits)
         weights = [math.exp(v - top) for v in logits]
@@ -123,7 +120,7 @@ def parse_decoder_spec(text: str) -> ToyDecoder:
 
 
 def quadratic_value(y: float) -> float:
-    return 0.5 * float(y) * float(y)
+    return 0.5 * real(y) * real(y)
 
 
 class PathMetrics:
@@ -142,7 +139,7 @@ class PathMetrics:
 
 def path_metrics(path, decoder: ToyDecoder) -> PathMetrics:
     """Score a path: delta_u = u_0 - u_T, J = trapezoid of V(y) = y^2 / 2, efficiency = delta_u / J."""
-    nodes = [float(y) for y in path]
+    nodes = [real(y) for y in path]
     if not nodes:
         raise ValueError("path is empty")
     cost = sum(0.5 * (quadratic_value(a) + quadratic_value(b)) for a, b in zip(nodes[:-1], nodes[1:]))
@@ -201,7 +198,9 @@ def toy1_run(decoder: ToyDecoder | None = None) -> dict[str, PathMetrics]:
 
 def contraction_path(start: float, ratio: float, ticks: int) -> tuple[float, ...]:
     """start, start * ratio, ... over ``ticks`` multiplications, each term the previous one times ratio."""
-    out = [float(start)]
+    if not is_count(ticks, 0):
+        raise ValueError(f"ticks must be an integer >= 0, got {ticks!r}")
+    out, ratio = [real(start)], real(ratio)
     for _ in range(int(ticks)):
         out.append(out[-1] * ratio)
     return tuple(out)
@@ -229,9 +228,7 @@ class HarmonicOscillator:
         return y + self.damping * p
 
     def dp(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(p, dtype=float)
+        return floats(p)
 
 
 class OscillatorReport:
@@ -320,19 +317,17 @@ def _euler_nodes(h: float, n: int) -> tuple[list[float], list[float]]:
     return ys, ps
 
 
-def _span(steps: int, dt: float) -> float:
-    """``steps * dt``; ValueError unless dt is finite and > 0, steps >= 1 and the product finite."""
-    if not (math.isfinite(dt) and dt > 0):
+def _span(steps: int, dt: float) -> tuple[int, float, float]:
+    """(steps, dt, steps * dt); ValueError unless dt is finite and > 0, steps a count >= 1 and the product finite."""
+    h = real(dt)
+    if not (math.isfinite(h) and h > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
-    try:
-        span = steps * dt
-    except OverflowError:  # an int that float() cannot hold
-        span = math.inf
+    if not is_count(steps, 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    span = real(steps) * h
     if not math.isfinite(span):
         raise ValueError(f"steps * dt must be finite, got {steps!r} * {dt!r}")
-    return span
+    return int(steps), h, span
 
 
 def toy3_run(steps: int = 1000, dt: float = 0.1, damping: float = 0.05) -> list[OscillatorReport]:
@@ -344,8 +339,8 @@ def toy3_run(steps: int = 1000, dt: float = 0.1, damping: float = 0.05) -> list[
     past the float range, raises ValueError; so does a run that diverges,
     an IntegrationError for the leapfrog runs, whose message names the run.
     """
-    t_final = _span(steps, dt)
-    if not (math.isfinite(damping) and damping >= 0):
+    steps, dt, t_final = _span(steps, dt)
+    if not (math.isfinite(real(damping)) and damping >= 0):
         raise ValueError(f"damping must be finite and >= 0, got {damping!r}")
 
     leap = _report(
@@ -364,7 +359,7 @@ def toy3_run(steps: int = 1000, dt: float = 0.1, damping: float = 0.05) -> list[
         "state; derived value ~ ((1+h^2)^N - 1)/2 is reported instead",
     )
 
-    damped = _report("damped", *_leapfrog_nodes("damped", damping, dt, steps), t_final)
+    damped = _report("damped", *_leapfrog_nodes("damped", real(damping), dt, steps), t_final)
 
     return [leap, euler, damped]
 
@@ -385,12 +380,14 @@ def rotation_portraits(n_portraits: int, n_steps: int, dt: float, rng) -> list[P
     """
     from .infophase import PhasePortrait  # the phase command's portraits alone need infophase
 
-    _span(n_steps, dt)
+    n_steps, dt, _ = _span(n_steps, dt)
+    if not is_count(n_portraits, 0):
+        raise ValueError(f"n_portraits must be an integer >= 0, got {n_portraits!r}")
     portraits = []
     for _ in range(int(n_portraits)):
         r = rng.uniform(*_ROTATION_RADII)
         phase = rng.uniform(0.0, 2.0 * math.pi)
-        t = [phase - dt * k for k in range(int(n_steps) + 1)]
+        t = [phase - dt * k for k in range(n_steps + 1)]
         u = [_ROTATION_CENTER + r * c for c in map(math.cos, t)]
         portraits.append(PhasePortrait(u=u, e=[r * s for s in map(math.sin, t)]))
     return portraits

@@ -29,10 +29,11 @@ first read.  ``fit_info_hamiltonian`` returns its grid as rows of floats.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING
+
+from ._numbers import is_count, real, reals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -125,7 +126,7 @@ def entropy(dist) -> float:
     sequence of numbers with no negative entry that sums to 1 within 1e-9.
     """
     try:
-        p = list(map(float, _items(dist)))
+        p = reals(_items(dist))
     except TypeError:  # a scalar, or an entry that is itself a sequence
         p = []
     if not p:
@@ -149,8 +150,8 @@ class PhasePortrait:
 
     def __init__(self, u, e):
         try:
-            self._u = list(map(float, _items(u)))
-            self._e = list(map(float, _items(e)))
+            self._u = reals(_items(u))
+            self._e = reals(_items(e))
         except TypeError:
             raise ValueError("u and e must be 1-d arrays of equal length") from None
         if len(self._u) != len(self._e):
@@ -178,9 +179,9 @@ class PhasePortrait:
 
 def _smooth_centered(values: list, window: int) -> list:
     """Centred moving average, truncated at the ends; each point is the np.mean of its window."""
-    window = int(window)
-    if window < 1 or window % 2 == 0:
+    if not (is_count(window, 1) and window % 2 == 1):
         raise ValueError(f"window must be an odd integer >= 1, got {window!r}")
+    window = int(window)
     if window == 1:
         return values
     half = (window - 1) // 2
@@ -216,8 +217,8 @@ class GridField:
     """
 
     def __init__(self, u_edges, e_edges, vu, ve, count):
-        self._u_edges = list(map(float, _items(u_edges)))
-        self._e_edges = list(map(float, _items(e_edges)))
+        self._u_edges = reals(_items(u_edges))
+        self._e_edges = reals(_items(e_edges))
         self._shape = (len(self._u_edges) - 1, len(self._e_edges) - 1)
         self._vu, self._ve, self._count = (self._cells(v) for v in (vu, ve, count))
 
@@ -276,11 +277,11 @@ def empirical_field(portraits, bins: int) -> GridField:
     goes to one flat cell ``iu * bins + ie``; counts and displacement sums
     accumulate in step order, and each occupied cell holds the mean.
     """
-    bins = int(bins)
-    if bins < 1:
-        raise ValueError("bin count must be >= 1")
-    if bins > sys.float_info.max:  # the cell width span / bins would raise OverflowError
+    if not is_count(bins, 1):
+        raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
+    if real(bins) == math.inf:  # the cell width span / bins would not be a float
         raise ValueError(f"bins must be within the float range, got {bins!r}")
+    bins = int(bins)
     su, se, du, de = [], [], [], []
     for por in portraits:
         u, e = por._u, por._e

@@ -79,6 +79,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _text
+from ._numbers import floats, is_count, real
 
 __all__ = [
     "SingularMetricError",
@@ -92,7 +93,6 @@ __all__ = [
     "pullback_metric",
     "leapfrog_step",
     "integrate",
-    "shoot_geodesic",
     "solve_shooting",
     "jacobi_propagate",
     "empirical_deviations",
@@ -197,7 +197,7 @@ class Decoder:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """f at y, shape (..., n) for latent points (..., d); ValueError, and no warning, unless finite."""
-        y = np.asarray(y, dtype=float)
+        y = floats(y)
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._forward(y)[0]
         if not np.isfinite(out).all():
@@ -209,7 +209,7 @@ class Decoder:
 
         ValueError, and no warning, unless both are finite.
         """
-        y = np.asarray(y, dtype=float)
+        y = floats(y)
         with np.errstate(over="ignore", invalid="ignore"):
             out, jac = self._forward(y)
         if not (np.isfinite(out).all() and np.isfinite(jac).all()):
@@ -235,13 +235,7 @@ class Decoder:
 
 def _check_layer(previous: list, w, b) -> tuple[np.ndarray, np.ndarray]:
     """The layer after ``previous`` as float arrays (w, b); ValueError unless it fits them and is finite."""
-    pair = []
-    for values in (w, b):
-        try:
-            pair.append(np.asarray(values, dtype=float))
-        except OverflowError:  # an int past the float range is not finite
-            pair.append(np.full(np.shape(values), np.inf))
-    w, b = pair
+    w, b = floats(w), floats(b)
     if w.ndim != 2 or b.shape != (w.shape[0],):
         raise ValueError("each layer needs a matrix and a matching bias vector")
     if previous and w.shape[1] != previous[-1][0].shape[0]:
@@ -329,11 +323,7 @@ class MetricField:
     eps_reg: float = 1e-8
 
     def __post_init__(self):
-        try:
-            valid = 0 <= float(self.eps_reg) < math.inf
-        except OverflowError:  # an int past the float range
-            valid = False
-        if not valid:
+        if not 0 <= real(self.eps_reg) < math.inf:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg!r}")
 
     def _metric(self, y: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
@@ -363,8 +353,8 @@ class MetricField:
 
     def solve(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """G(y)^-1 rhs; ValueError, and no warning, unless it is finite."""
-        g = self._geometry(np.asarray(y, dtype=float))
-        out = np.linalg.solve(g, np.asarray(rhs, dtype=float)[..., None])[..., 0]
+        g = self._geometry(floats(y))
+        out = np.linalg.solve(g, floats(rhs)[..., None])[..., 0]
         if not np.isfinite(out).all():
             raise ValueError(f"metric solve at y={y!r} is not finite")
         return out
@@ -372,7 +362,7 @@ class MetricField:
 
 def pullback_metric(metric_field: MetricField, y: np.ndarray) -> np.ndarray:
     """G(y), shape (..., d, d) for points (..., d); raises SingularMetricError when not positive definite."""
-    return metric_field._geometry(np.asarray(y, dtype=float))
+    return metric_field._geometry(floats(y))
 
 
 @dataclass
@@ -434,7 +424,7 @@ class GeodesicHamiltonian:
         self.metric_field = metric_field
 
     def __call__(self, y: np.ndarray, p: np.ndarray):
-        return _kinetic(self.metric_field._geometry(np.asarray(y, dtype=float)), np.asarray(p, dtype=float))
+        return _kinetic(self.metric_field._geometry(floats(y)), floats(p))
 
 
 def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -532,16 +522,11 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     shape (n+1, ...), or None for H when ``energies`` is false.  All are
     views of one buffer whose rows are checked finite a node at a time.
     """
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
-    try:
-        h = float(h)
-        finite = h != 0.0 and math.isfinite(h)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
+    if not is_count(n_steps, 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if not (real(h) != 0.0 and math.isfinite(real(h))):
         raise ValueError(f"step size must be finite and non-zero, got {h!r}")
+    n_steps, h = int(n_steps), real(h)
     steps = _staged if getattr(hamiltonian, "metric_field", None) is None else _chord
     d = y.shape[-1]
     nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
@@ -575,7 +560,7 @@ def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTraj
     bound stops a step that has not converged (module docstring).
     """
     ys, ps, energies = _leapfrog(hamiltonian, pt0.y, pt0.p, h, n_steps)
-    return PhaseTrajectory(step=float(h), ys=ys, ps=ps, energies=energies)
+    return PhaseTrajectory(step=real(h), ys=ys, ps=ps, energies=energies)
 
 
 def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
@@ -590,7 +575,7 @@ def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
 
 def _latent_point(metric_field: MetricField, name: str, value) -> np.ndarray:
     """value as a finite float array of shape (latent_dim,); ValueError naming it otherwise."""
-    point = np.atleast_1d(np.asarray(value, dtype=float))
+    point = np.atleast_1d(floats(value))
     d = metric_field.decoder.latent_dim
     if point.shape != (d,):
         raise ValueError(f"{name} must have shape ({d},), got {point.shape}")
@@ -601,24 +586,11 @@ def _latent_point(metric_field: MetricField, name: str, value) -> np.ndarray:
 
 def _unit_steps(n_steps) -> tuple[int, float]:
     """n_steps as a count >= 1, and the step 1 / n_steps that spans unit time."""
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
-    try:
-        return n_steps, 1.0 / n_steps
-    except OverflowError:  # an int past the float range
-        raise ValueError(f"n_steps must be a count within the float range, got {n_steps!r}") from None
-
-
-def shoot_geodesic(metric_field: MetricField, y_a: np.ndarray, p_init: np.ndarray, n_steps: int) -> np.ndarray:
-    """Endpoint y(1) of the geodesic leaving y_a with momentum p_init.
-
-    A stack of momenta (..., d) gives the stack of their endpoints.
-    """
-    p = np.asarray(p_init, dtype=float)
-    y = np.broadcast_to(np.asarray(y_a, dtype=float), p.shape)
-    n_steps, h = _unit_steps(n_steps)
-    return _leapfrog(GeodesicHamiltonian(metric_field), y, p, h, n_steps, energies=False)[0][-1]
+    if not is_count(n_steps, 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if real(n_steps) == math.inf:
+        raise ValueError(f"n_steps must be a count within the float range, got {n_steps!r}")
+    return int(n_steps), 1.0 / n_steps
 
 
 def solve_shooting(
@@ -641,10 +613,10 @@ def solve_shooting(
     the gradient norms.  ``tol`` must be a number >= 0 and ``max_iter`` an
     integer >= 0.
     """
-    if not tol >= 0:
+    if not real(tol) >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
-    # an int is whole as it is, one past the float range included
-    if not ((isinstance(max_iter, int) or float(max_iter).is_integer()) and max_iter >= 0):
+    tol = real(tol)
+    if not is_count(max_iter, 0):
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     y_a = _latent_point(metric_field, "y_a", y_a)
     y_b = _latent_point(metric_field, "y_b", y_b)
@@ -713,7 +685,7 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
     Returns the (n+1, 2d) deviations delta_{k+1} = T_k delta_k, starting
     at delta0.
     """
-    delta = np.asarray(delta0, dtype=float)
+    delta = floats(delta0)
     d = traj.ys.shape[-1]
     if traj.ys.ndim != 2 or traj.ps.shape != traj.ys.shape:
         raise ValueError(
@@ -745,7 +717,7 @@ _DEVIATION_SHIFT = 1e-5
 
 def empirical_deviations(hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """Deviation oracle: difference the runs from one point pt0 and from pt0 + 1e-5 delta0, as one stack."""
-    delta0 = np.asarray(delta0, dtype=float)
+    delta0 = floats(delta0)
     d = pt0.dim
     if pt0.y.shape != (d,):
         raise ValueError(f"pt0 must be one phase point of shape ({d},), got shape {pt0.y.shape}")
@@ -788,7 +760,9 @@ def loss_geo(metric_field: MetricField, pairs, n_steps: int) -> float:
         # a guess past the float range needs no warning: the engine rejects it
         with np.errstate(over="ignore", invalid="ignore"):
             momenta.append(p0[0] if p0 else pullback_metric(metric_field, y_a) @ (y_b - y_a))
-    ends = shoot_geodesic(metric_field, np.stack(starts), np.stack(momenta), n_steps)
+    n_steps, h = _unit_steps(n_steps)
+    geodesic = GeodesicHamiltonian(metric_field)
+    ends = _leapfrog(geodesic, np.stack(starts), np.stack(momenta), h, n_steps, energies=False)[0][-1]
     # ends are finite, so an error past the float range is +inf, not a warning
     with np.errstate(over="ignore"):
         return sum(float(np.sum((end - y_b) ** 2)) for end, y_b in zip(ends, targets)) / len(pairs)
@@ -806,7 +780,7 @@ def loss_jac(hamiltonian, cases) -> float:
     total = 0.0
     for traj, delta0, observed in cases:
         model = jacobi_propagate(hamiltonian, traj, delta0)
-        observed = np.asarray(observed, dtype=float)
+        observed = floats(observed)
         if observed.shape != model.shape:
             raise ValueError(f"observed deviations must have shape {model.shape}, got {observed.shape}")
         # the model is finite, so with finite observations the overflow is +inf

@@ -39,6 +39,7 @@ import heapq
 import math
 
 from . import _text
+from ._numbers import floats, is_count, real
 
 __all__ = [
     "WeightedDigraph",
@@ -61,10 +62,7 @@ def _edge_weight(n: int, src: int, dst: int, weight) -> float:
     for idx in (src, dst):
         if not 0 <= idx < n:
             raise ValueError(f"edge endpoint {idx} is not a node index")
-    try:
-        w = float(weight)
-    except OverflowError:  # an int past the float range
-        w = math.inf
+    w = real(weight)
     if not math.isfinite(w):
         raise ValueError(f"edge weight on ({src}, {dst}) must be finite, got {weight!r}")
     if w < 0.0:
@@ -119,6 +117,13 @@ class SsspResult:
         self.pred = pred
 
 
+def _node(graph: WeightedDigraph, index, what: str) -> int:
+    """index as an int; ValueError naming it as ``what`` unless it is a whole number below the node count."""
+    if not (is_count(index, 0) and index < graph.n_nodes):
+        raise ValueError(f"{what} {index} is not a node index")
+    return int(index)
+
+
 def _search(graph: WeightedDigraph, source: int, target: int | None = None):
     """Binary-heap Dijkstra from source; ``(dist, pred)`` lists.
 
@@ -128,8 +133,6 @@ def _search(graph: WeightedDigraph, source: int, target: int | None = None):
     search.  Nodes left open may hold provisional entries.
     """
     n = graph.n_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} is not a node index")
     dist = [math.inf] * n
     pred: list[int | None] = [None] * n
     done = [False] * n
@@ -161,6 +164,7 @@ def dijkstra(graph: WeightedDigraph, source: int) -> SsspResult:
     short route to a still-open node is found, the smaller predecessor
     index is kept.
     """
+    source = _node(graph, source, "source")
     dist, pred = _search(graph, source)
     return SsspResult(source, dist, pred)
 
@@ -174,8 +178,8 @@ def shortest_path(graph: WeightedDigraph, source: int, target: int):
     search to exhaustion.  A target that edges reach but only at a cost
     that overflows to inf raises ValueError.
     """
-    if not 0 <= target < graph.n_nodes:
-        raise ValueError(f"target {target} is not a node index")
+    target = _node(graph, target, "target")
+    source = _node(graph, source, "source")
     dist, pred = _search(graph, source, target)
     if math.isinf(dist[target]):
         seen, stack = {source}, [source]
@@ -269,10 +273,7 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     except (ValueError, OverflowError):  # ragged shapes, or an int past the float range
         pts = []
         for i, s in enumerate(samples):
-            try:
-                p = np.atleast_1d(np.asarray(s, dtype=float))
-            except OverflowError:  # an int past the float range is not finite
-                p = np.atleast_1d(np.full(np.shape(s), np.inf))
+            p = np.atleast_1d(floats(s))
             if pts and p.shape != pts[0].shape:
                 raise ValueError(f"sample {i} has shape {p.shape}, sample 0 has {pts[0].shape}")
             pts.append(p)
@@ -288,8 +289,7 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     mode, param = connect
     if mode != "knn":
         raise ValueError(f"unknown connection rule {mode!r}")
-    # an int is whole as it is, one past the float range included
-    if not ((isinstance(param, int) or float(param).is_integer()) and param >= 1):
+    if not is_count(param, 1):
         raise ValueError(f"k-nearest rule needs an integer k >= 1, got {param!r}")
     src, dst = _knn_pairs(flat, min(int(param), n - 1))
 
@@ -297,10 +297,7 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for i, j in zip(src.tolist(), dst.tolist()):
         raw = edge_cost(payloads[i], payloads[j])
-        try:
-            cost = float(raw)
-        except OverflowError:  # an int past the float range
-            cost = math.inf
+        cost = real(raw)
         if not 0.0 <= cost < math.inf:
             raise ValueError(
                 f"edge cost between samples {i} and {j} must be finite and"
@@ -314,10 +311,11 @@ def waypoints(path, stride: int):
     """Every stride-th node of a path, always keeping the first and last; stride is an integer >= 1."""
     if len(path) == 0:
         raise ValueError("cannot take waypoints of an empty path")
-    if not ((isinstance(stride, int) or float(stride).is_integer()) and stride >= 1):
+    if not is_count(stride, 1):
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
-    out = list(path[::int(stride)])
-    if out[-1] != path[-1]:
+    stride = int(stride)
+    out = list(path[::stride])
+    if (len(path) - 1) % stride:
         out.append(path[-1])
     return out
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _text
+from ._numbers import floats, is_count, real
 
 __all__ = [
     "SpinSystem",
@@ -63,14 +64,6 @@ _COLLAPSE_TOL = 1e-12
 _BOUND_MARGIN = 1.0 + 1e-6
 
 
-def _floats(values) -> np.ndarray:
-    """values as a float array; an int past the float range is inf, which the finiteness checks reject."""
-    try:
-        return np.asarray(values, dtype=float)
-    except OverflowError:
-        return np.full(np.shape(values), np.inf)
-
-
 @dataclass
 class SpinSystem:
     """N unit spins with pair couplings and external fields.
@@ -86,7 +79,7 @@ class SpinSystem:
     _sym: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        spins = _floats(self.spins)
+        spins = floats(self.spins)
         if spins.ndim == 1:
             spins = spins[None, :]
         if spins.ndim != 2:
@@ -97,7 +90,7 @@ class SpinSystem:
         if bad.size:
             raise ValueError(f"spin {bad[0]} has norm {float(norms[bad[0]])!r}, expected 1 within {_NORM_TOL}")
         n = spins.shape[0]
-        couplings = _floats(self.couplings)
+        couplings = floats(self.couplings)
         if couplings.shape != (n, n):
             raise ValueError(f"couplings must be ({n}, {n}), got {couplings.shape}")
         if not np.isfinite(couplings).all():
@@ -105,7 +98,7 @@ class SpinSystem:
         if self.fields is None:
             fields = np.zeros_like(spins)
         else:
-            fields = _floats(self.fields)
+            fields = floats(self.fields)
             if fields.shape != spins.shape:
                 raise ValueError(f"fields must match spins shape {spins.shape}, got {fields.shape}")
             if not np.isfinite(fields).all():
@@ -154,11 +147,7 @@ class BathParams:
                 raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
         for name in ("eta", "eta_ff", "gamma", "W1", "W2", "b1"):
             value = getattr(self, name)
-            try:
-                finite = value is None or np.isfinite(np.asarray(value, dtype=float)).all()
-            except OverflowError:  # an int past the float range
-                finite = False
-            if not finite:
+            if not (value is None or np.isfinite(floats(value)).all()):
                 raise ValueError(f"{name} must be finite")
 
 
@@ -168,8 +157,8 @@ def attention_couplings(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     Non-finite queries or keys, or a coupling past the float range, raise
     ``ValueError``.
     """
-    q = np.asarray(queries, dtype=float)
-    k = np.asarray(keys, dtype=float)
+    q = floats(queries)
+    k = floats(keys)
     if q.ndim != 2 or k.shape != q.shape:
         raise ValueError(f"queries and keys must share an (N, d) shape, got {q.shape} and {k.shape}")
     if q.shape[1] == 0:  # J would be 0 / sqrt(0)
@@ -222,8 +211,9 @@ def lattice_energy(couplings: np.ndarray, spins: np.ndarray, fields: np.ndarray 
     pre-normalisation states.  An energy that is not finite raises
     ``ValueError``.
     """
+    fields = None if fields is None else floats(fields)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = _pair_energy(_symmetrised(np.asarray(couplings, dtype=float)), spins, fields)
+        e = _pair_energy(_symmetrised(floats(couplings)), floats(spins), fields)
     if not math.isfinite(e):
         raise ValueError(f"lattice energy is {e!r}, not finite")
     return e
@@ -243,12 +233,13 @@ def gibbs_attention(system: SpinSystem, i: int, beta: float) -> np.ndarray:
     scales a bond energy past the float range, raises ``ValueError``.
     """
     n = system.n_spins
-    if not 0 <= i < n:
+    if not (is_count(i, 0) and i < n):
         raise ValueError(f"spin index {i} out of range")
     if n < 2:
         raise ValueError("gibbs attention needs at least two spins (no j != i otherwise)")
-    if not math.isfinite(beta):
+    if not math.isfinite(real(beta)):
         raise ValueError(f"beta must be finite, got {beta!r}")
+    i, beta = int(i), real(beta)
     e_row = -system.couplings[i] * (system.spins @ system.spins[i])
     mask = np.ones(n, dtype=bool)
     mask[i] = False
@@ -271,8 +262,8 @@ def ctm_couplings(influence: np.ndarray, spin_history: np.ndarray, alpha: float)
     A non-finite influence or history, or a blend past the float range,
     raises ``ValueError``.
     """
-    w = np.asarray(influence, dtype=float)
-    hist = np.asarray(spin_history, dtype=float)
+    w = floats(influence)
+    hist = floats(spin_history)
     if hist.ndim != 3:
         raise ValueError("spin history must be (T, N, d)")
     t_len, n, _ = hist.shape
@@ -325,7 +316,7 @@ def ffn_target(h: np.ndarray, bath: BathParams) -> np.ndarray:
     This is the one-row case of the batch that ``micro_step`` computes, so
     a collapsed target is reported as neuron 0.
     """
-    return _ffn_targets(np.asarray(h, dtype=float)[None, :], bath)[0]
+    return _ffn_targets(floats(h)[None, :], bath)[0]
 
 
 def energy_gradient(system: SpinSystem) -> np.ndarray:
@@ -364,7 +355,7 @@ def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
 
 def save_spin_matrix(path, spins: np.ndarray) -> None:
     """One whitespace-separated row per spin, each value with 17 significant digits."""
-    rows = np.atleast_2d(np.asarray(spins, dtype=float))
+    rows = np.atleast_2d(floats(spins))
     if rows.ndim != 2:
         raise ValueError(f"expected a 1-d or 2-d spin array, got shape {rows.shape}")
     _text.write(path, [_text.exact_row(row) for row in rows])

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import _text, planner
+from ._numbers import real
 
 __all__ = [
     "NodeKind",
@@ -112,10 +113,7 @@ class WorkspaceGraph:
         self._writable()
         record = (kind, src, dst, t)
         if t is not None:
-            try:
-                t = float(t)
-            except OverflowError:  # an int past the float range
-                t = math.inf
+            t = real(t)
             if not math.isfinite(t):
                 raise ValueError(f"edge record {record!r}: t must be finite, got {t!r}")
         kind = EdgeKind(kind)

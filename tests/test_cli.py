@@ -180,7 +180,7 @@ class TestOptionChecks:
         "argv, text, error",
         [
             (["table", "3", "--config"], "steps 10\n", "config line 1: expected key=value, got 'steps 10'"),
-            (["table", "3", "--steps", "0"], None, "steps must be >= 1, got 0"),
+            (["table", "3", "--steps", "0"], None, "steps must be an integer >= 1, got 0"),
             (["phase", "--input"], "# no rows\n\n", "no distributions found in {path!r}"),
         ],
         ids=["config-line-without-equals", "table3-steps-zero", "phase-input-comments-only"],

@@ -196,8 +196,8 @@ class TestToy3:
     def test_grid_validation(self):
         for kwargs, message in [
             ({"dt": -0.1}, "dt must be finite and > 0, got -0.1"),
-            ({"steps": 0}, "steps must be >= 1, got 0"),
-            ({"steps": -3}, "steps must be >= 1, got -3"),
+            ({"steps": 0}, "steps must be an integer >= 1, got 0"),
+            ({"steps": -3}, "steps must be an integer >= 1, got -3"),
             ({"damping": -0.1}, "damping must be finite and >= 0, got -0.1"),
         ]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -321,7 +321,7 @@ class TestRotationPortraits:
         [
             (50, 0.0, "dt must be finite and > 0, got 0.0"),
             (50, -0.05, "dt must be finite and > 0, got -0.05"),
-            (0, 0.05, "steps must be >= 1, got 0"),
+            (0, 0.05, "steps must be an integer >= 1, got 0"),
             (5, 1e308, "steps * dt must be finite, got 5 * 1e+308"),
             (10**400, 0.05, f"steps * dt must be finite, got {10**400} * 0.05"),
         ],

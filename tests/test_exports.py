@@ -11,6 +11,8 @@ past the float range raises no ``OverflowError``.
 import ast
 import importlib
 import inspect
+import math
+import os
 import re
 from functools import cached_property
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import maniflow
-from maniflow import experiments, infophase, manifold, planner, spins, workspace
+from maniflow import control, experiments, infophase, manifold, planner, spins, workspace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -240,3 +242,149 @@ def test_int_past_the_float_range(call, want):
         assert str(err.value) == want
     else:
         assert call() == want()
+
+
+def _unit_field():
+    return manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=0.0)
+
+
+def _start():
+    return manifold.PhasePoint(np.zeros(2), np.ones(2))
+
+
+def _trajectory():
+    return manifold.integrate(manifold.GeodesicHamiltonian(_unit_field()), _start(), 0.1, 2)
+
+
+def _four_spins():
+    return spins.SpinSystem(np.eye(4), np.ones((4, 4)) - np.eye(4))
+
+
+def _path_graph():
+    graph = planner.WeightedDigraph()
+    for i in range(5):
+        graph.add_node()
+        if i:
+            graph.add_edge(i - 1, i, 1.0)
+    return graph
+
+
+def _rows(portraits):
+    return [list(por.rows()) for por in portraits]
+
+
+_DISTS = [[0.5, 0.5], [0.7, 0.3], [0.9, 0.1], [0.6, 0.4], [0.8, 0.2]]
+_NO_COST = control.CostSpec(lambda z: 0.0)
+
+# each count argument of the package, as a function of the count n
+COUNTS = {
+    "integrate-n-steps": lambda n: manifold.integrate(
+        manifold.GeodesicHamiltonian(_unit_field()), _start(), 0.1, n
+    ).ys.tolist(),
+    "deviations-n-steps": lambda n: manifold.empirical_deviations(
+        manifold.GeodesicHamiltonian(_unit_field()), _start(), np.ones(4), 0.1, n
+    ).tolist(),
+    "shooting-n-steps": lambda n: manifold.solve_shooting(_unit_field(), [0.0, 0.0], [0.9, 0.4], n_steps=n).tolist(),
+    "shooting-max-iter": lambda n: manifold.solve_shooting(_unit_field(), [0.0, 0.0], [0.9, 0.4], max_iter=n).tolist(),
+    "loss-geo-n-steps": lambda n: manifold.loss_geo(_unit_field(), [([0.0, 0.0], [0.9, 0.4])], n),
+    "field-bins": lambda n: list(infophase.empirical_field([infophase.portrait(_DISTS)], n).rows()),
+    "smoothing-window": lambda n: list(infophase.portrait(_DISTS, n).rows()),
+    "contraction-ticks": lambda n: experiments.contraction_path(2.0, 0.6, n),
+    "toy3-steps": lambda n: [vars(report) for report in experiments.toy3_run(steps=n)],
+    "rotation-n-portraits": lambda n: _rows(experiments.rotation_portraits(n, 4, 0.1, np.random.default_rng(0))),
+    "rotation-steps": lambda n: _rows(experiments.rotation_portraits(2, n, 0.1, np.random.default_rng(0))),
+    "knn-k": lambda n: [(u, v) for u, v, _ in planner.build_ndm_graph(np.eye(5), ("knn", n), lambda a, b: 1.0).edges()],
+    "waypoint-stride": lambda n: planner.waypoints(list(range(8)), n),
+    "gibbs-index": lambda n: spins.gibbs_attention(_four_spins(), n, 1.0).tolist(),
+    "path-source": lambda n: planner.shortest_path(_path_graph(), n, 4),
+    "path-target": lambda n: planner.shortest_path(_path_graph(), 0, n),
+    "dijkstra-source": lambda n: vars(planner.dijkstra(_path_graph(), n)),
+}
+
+
+@pytest.mark.parametrize("call", COUNTS.values(), ids=COUNTS.keys())
+def test_count_is_a_whole_number(call):
+    """A count is an int or a float with no fraction part: 3.0 gives what 3 gives, and 2.5, inf and nan raise.
+
+    A fraction used to be truncated, or to raise TypeError or IndexError,
+    and inf an OverflowError; each ValueError names the value it refuses.
+    """
+    for bad in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            call(bad)
+    np.testing.assert_equal(call(3.0), call(3))
+
+
+# each real argument that an int past the float range used to turn into an OverflowError, as a function of it
+REALS = {
+    "decoder-point": lambda x: manifold.Decoder.linear(np.eye(2))([x, 0.0]).tolist(),
+    "decoder-jet": lambda x: manifold.Decoder.linear(np.eye(2)).jet([x, 0.0])[0].tolist(),
+    "metric-solve-point": lambda x: _unit_field().solve([x, 0.0], [1.0, 0.0]).tolist(),
+    "metric-solve-rhs": lambda x: _unit_field().solve([0.0, 0.0], [x, 0.0]).tolist(),
+    "pullback-metric": lambda x: manifold.pullback_metric(_unit_field(), [x, 0.0]).tolist(),
+    "geodesic-hamiltonian": lambda x: float(manifold.GeodesicHamiltonian(_unit_field())([0.0, 0.0], [x, 0.0])),
+    "shooting-tol": lambda x: manifold.solve_shooting(_unit_field(), [0.0, 0.0], [0.9, 0.4], tol=x).tolist(),
+    "shooting-endpoint": lambda x: manifold.solve_shooting(_unit_field(), [0.0, 0.0], [x, 0.4]).tolist(),
+    "jacobi-deviation": lambda x: manifold.jacobi_propagate(
+        manifold.GeodesicHamiltonian(_unit_field()), _trajectory(), [x, 0.0, 0.0, 0.0]
+    ).tolist(),
+    "empirical-deviation": lambda x: manifold.empirical_deviations(
+        manifold.GeodesicHamiltonian(_unit_field()), _start(), [x, 0.0, 0.0, 0.0], 0.1, 2
+    ).tolist(),
+    "loss-geo-endpoint": lambda x: manifold.loss_geo(_unit_field(), [([0.0, 0.0], [x, 0.0])], 4),
+    "loss-jac-observed": lambda x: manifold.loss_jac(
+        manifold.GeodesicHamiltonian(_unit_field()), [(_trajectory(), np.ones(4), np.full((3, 4), x))]
+    ),
+    "task-cost": lambda x: control.CostSpec(lambda z: x).potential(np.zeros(2)),
+    "value-gradient": lambda x: control.ValueFunction(lambda y, t: 0.0, grad=lambda y, t: [x, 0.0])
+    .gradient(np.zeros(2), 0.0)
+    .tolist(),
+    "value-time-partial": lambda x: control.ValueFunction(lambda y, t: 0.0, time_partial=lambda y, t: x).dt(
+        np.zeros(2), 0.0
+    ),
+    "value": lambda x: control.ValueFunction(lambda y, t: x).gradient(np.zeros(2), 0.0).tolist(),
+    "reduced-hamiltonian": lambda x: float(control.ReducedHamiltonian(_unit_field(), _NO_COST)([x, 0.0], [0.0, 0.0])),
+    "optimal-control": lambda x: control.optimal_control(_unit_field(), [0.0, 0.0], [x, 0.0]).tolist(),
+    "hjb-point": lambda x: control.hjb_residual(_unit_field(), _NO_COST, control.ValueFunction(lambda y, t: 0.0), [x, 0.0]),
+    "hjb-time": lambda x: control.hjb_residual(
+        _unit_field(), _NO_COST, control.ValueFunction(lambda y, t: 0.0), [0.0, 0.0], x
+    ),
+    "ndm-layer-dt": lambda x: control.ndm_layer(_unit_field(), _NO_COST, _start(), x),
+    "running-cost": lambda x: control.running_cost(_unit_field(), _NO_COST, [0.0, 0.0], [x, 0.0]),
+    "trajectory-dt": lambda x: control.trajectory_cost(
+        _unit_field(), _NO_COST, [([0.0, 0.0], [1.0, 0.0], x), ([0.0, 0.0], [1.0, 0.0], 1.0)]
+    ),
+    "attention-query": lambda x: spins.attention_couplings([[x]], [[1.0]]).tolist(),
+    "lattice-couplings": lambda x: spins.lattice_energy([[0.0, x], [0.0, 0.0]], np.eye(2)),
+    "lattice-spins": lambda x: spins.lattice_energy(np.ones((2, 2)), [[x, 0.0], [0.0, 1.0]]),
+    "lattice-fields": lambda x: spins.lattice_energy(np.ones((2, 2)), np.eye(2), [[x, 0.0], [0.0, 0.0]]),
+    "gibbs-beta": lambda x: spins.gibbs_attention(_four_spins(), 0, x).tolist(),
+    "ctm-influence": lambda x: spins.ctm_couplings([[0.0, x], [0.0, 0.0]], np.ones((1, 2, 1)), 0.5).tolist(),
+    "ctm-history": lambda x: spins.ctm_couplings(np.zeros((2, 2)), [[[x], [0.0]]], 0.5).tolist(),
+    "ffn-target": lambda x: spins.ffn_target([x, 0.0], spins.BathParams(W1=np.eye(2), W2=np.eye(2))).tolist(),
+    "spin-matrix-file": lambda x: spins.save_spin_matrix(os.devnull, [[x]]),
+    "entropy": lambda x: infophase.entropy([x, 0.0]),
+    "portrait-series": lambda x: len(infophase.PhasePortrait([x], [0.0])),
+    "grid-edge": lambda x: list(infophase.GridField([0.0, x], [0.0, 1.0], [[0.0]], [[0.0]], [[1]]).rows()),
+    "readout-point": lambda x: experiments.ToyDecoder().entropy_at(x),
+    "quadratic-value": lambda x: experiments.quadratic_value(x),
+    "path-node": lambda x: experiments.path_metrics([x, 0.0], experiments.ToyDecoder()).cost,
+    "contraction-start": lambda x: experiments.contraction_path(x, 0.5, 2),
+    "contraction-ratio": lambda x: experiments.contraction_path(2.0, x, 2),
+    "toy3-dt": lambda x: experiments.toy3_run(steps=3, dt=x),
+    "toy3-damping": lambda x: experiments.toy3_run(steps=3, damping=x),
+    "rotation-dt": lambda x: experiments.rotation_portraits(1, 3, x, np.random.default_rng(0)),
+    "oscillator-momentum": lambda x: experiments.HarmonicOscillator().dp(np.zeros(1), [x]).tolist(),
+}
+
+
+@pytest.mark.parametrize("call", REALS.values(), ids=REALS.keys())
+def test_real_past_the_float_range_is_inf(call):
+    """An int past the float range is read as inf: the call raises ValueError, or returns what it returns for inf."""
+    try:
+        want = call(math.inf)
+    except ValueError:
+        with pytest.raises(ValueError):
+            call(BIG)
+    else:
+        np.testing.assert_equal(call(BIG), want)

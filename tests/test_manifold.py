@@ -74,6 +74,12 @@ def random_tanh_decoder(rng, d, n, n_tanh, noise=0.3):
     return manifold.Decoder.mlp_tanh(weights, biases)
 
 
+def shot_end(mf, y_a, p, n_steps):
+    """y(1) of the chord-step geodesic from y_a with momentum p, over n_steps steps of 1 / n_steps."""
+    ham = manifold.GeodesicHamiltonian(mf)
+    return manifold.integrate(ham, manifold.PhasePoint(y_a, p), 1 / n_steps, n_steps).ys[-1]
+
+
 def saturating_decoder():
     """y -> tanh(y), coordinatewise: the slope in y_i rounds to exactly 0 at |y_i| = 40, so G is singular there."""
     return manifold.Decoder.mlp_tanh([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
@@ -675,29 +681,26 @@ class TestShooting:
         y_a = np.array([0.0, 0.0])
         y_b = np.array([1.0, -0.5])
         p = manifold.solve_shooting(mf, y_a, y_b, n_steps=8)
-        np.testing.assert_allclose(
-            manifold.shoot_geodesic(mf, y_a, p, 8), y_b, atol=1e-12
-        )
+        np.testing.assert_allclose(shot_end(mf, y_a, p, 8), y_b, atol=1e-12)
 
     def test_curved_shot_converges(self):
         mf = manifold.MetricField(near_identity_decoder())
         y_a = np.array([0.0, 0.0])
         y_b = np.array([0.8, 0.5])
         p = manifold.solve_shooting(mf, y_a, y_b, n_steps=24, tol=1e-8)
-        end = manifold.shoot_geodesic(mf, y_a, p, 24)
+        end = shot_end(mf, y_a, p, 24)
         assert np.linalg.norm(end - y_b) <= 1e-8
 
-    @pytest.mark.parametrize("call", ["shoot_geodesic", "solve_shooting", "loss_geo"])
+    @pytest.mark.parametrize("call", ["solve_shooting", "loss_geo"])
     def test_no_steps_rejected(self, call):
         # 1 / n_steps used to raise ZeroDivisionError before the step count was checked
         mf = manifold.MetricField(near_identity_decoder())
         y_a, y_b = np.zeros(2), np.array([0.5, 0.2])
         run = {
-            "shoot_geodesic": lambda: manifold.shoot_geodesic(mf, y_a, y_b, 0),
             "solve_shooting": lambda: manifold.solve_shooting(mf, y_a, y_b, n_steps=0),
             "loss_geo": lambda: manifold.loss_geo(mf, [(y_a, y_b)], 0),
         }[call]
-        with pytest.raises(ValueError, match="need at least one step, got 0"):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got 0"):
             run()
 
     def test_exhausted_iterations_raise(self):
@@ -961,7 +964,6 @@ def _squares(x) -> float:
         "optimal_control",
         "jacobi_propagate",
         "empirical_deviations",
-        "shoot_geodesic",
         "loss_geo",
         "loss_jac",
         "pullback_metric",
@@ -1001,7 +1003,6 @@ def test_finite_input_gives_finite_result_or_value_error(call, point, h, n_steps
         "optimal_control": lambda: control.optimal_control(field, y, p),
         "jacobi_propagate": lambda: manifold.jacobi_propagate(ham, traj(), delta0),
         "empirical_deviations": lambda: manifold.empirical_deviations(ham, pt, delta0, h, n_steps),
-        "shoot_geodesic": lambda: manifold.shoot_geodesic(field, y, p, n_steps),
         "loss_geo": lambda: manifold.loss_geo(field, [(y, p), (p, y, delta0[:d])], n_steps),
         "loss_jac": lambda: manifold.loss_jac(ham, [(traj(), delta0, np.full((n_steps + 1, 2 * d), h))]),
         "pullback_metric": lambda: manifold.pullback_metric(field, y),
@@ -1104,8 +1105,8 @@ class TestLosses:
         rng = np.random.default_rng(5)
         entries = [tuple(rng.normal(size=(3 if i % 3 == 0 else 2, 2)) * 0.4) for i in range(7)]
         each = [manifold.loss_geo(mf, [entry], n_steps=8) for entry in entries]
-        shoot, calls = manifold.shoot_geodesic, []
-        monkeypatch.setattr(manifold, "shoot_geodesic", lambda *args: calls.append(args) or shoot(*args))
+        leapfrog, calls = manifold._leapfrog, []
+        monkeypatch.setattr(manifold, "_leapfrog", lambda *args, **kw: calls.append(args) or leapfrog(*args, **kw))
         assert manifold.loss_geo(mf, entries, n_steps=8) == sum(each) / len(entries)
         assert len(calls) == 1
 
@@ -1190,9 +1191,9 @@ class TestStackContract:
         rng = np.random.default_rng(23)
         mf = manifold.MetricField(near_identity_decoder())
         y_a, momenta = np.array([0.1, -0.2]), rng.normal(size=(5, 2))
-        ends = manifold.shoot_geodesic(mf, y_a, momenta, 12)
+        ends = shot_end(mf, np.tile(y_a, (5, 1)), momenta, 12)
         for end, p in zip(ends, momenta, strict=True):
-            np.testing.assert_array_equal(end, manifold.shoot_geodesic(mf, y_a, p, 12))
+            np.testing.assert_array_equal(end, shot_end(mf, y_a, p, 12))
 
     def test_stacked_tangents_equal_single_steps(self):
         rng = np.random.default_rng(24)
@@ -1329,5 +1330,5 @@ class TestFailureState:
         y_a, y_b = np.zeros(2), np.array([0.9, 0.4])
         with pytest.raises(manifold.ShootingError) as info:
             manifold.solve_shooting(mf, y_a, y_b, n_steps=8, tol=0.0, max_iter=3)
-        assert np.linalg.norm(manifold.shoot_geodesic(mf, y_a, info.value.p, 8) - y_b) <= 1e-8
+        assert np.linalg.norm(shot_end(mf, y_a, info.value.p, 8) - y_b) <= 1e-8
         np.testing.assert_allclose(info.value.p, manifold.solve_shooting(mf, y_a, y_b, n_steps=8), rtol=1e-8)

@@ -296,6 +296,13 @@ class TestWaypoints:
     def test_single_node(self):
         assert planner.waypoints([7], 2) == [7]
 
+    def test_last_node_kept_by_position(self):
+        # the last node used to be compared by value: a repeated value lost it, and array payloads raised
+        assert planner.waypoints([1, 2, 1, 1], 2) == [1, 1, 1]
+        points = [np.zeros(2), np.ones(2), np.zeros(2)]
+        kept = planner.waypoints(points, 3)
+        assert len(kept) == 2 and kept[0] is points[0] and kept[1] is points[2]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             planner.waypoints([], 1)
