@@ -1,7 +1,7 @@
-"""Conventions shared by maniflow's plain-text formats.
+"""Conventions of the text a command reads or writes: the graph, distribution and config files, and CSV.
 
 Reals a reader sees carry 10 significant digits (``fmt``); reals in a file
-that is read back carry 17 (``exact_row``), so they round-trip exactly.
+that is read back carry 17 (``exact``), so they round-trip exactly.
 """
 
 
@@ -37,9 +37,9 @@ def fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def exact_row(values) -> str:
-    """One space-joined row of reals, each with the 17 significant digits that round-trip a float."""
-    return " ".join(f"{v:.17g}" for v in values)
+def exact(x: float) -> str:
+    """A real with the 17 significant digits that round-trip a float."""
+    return f"{x:.17g}"
 
 
 def csv(header, rows) -> str:

@@ -56,17 +56,9 @@ all n nodes as one stack, and ``empirical_deviations`` runs its base and
 shifted points as a stack of two.  A ``PhaseTrajectory`` holds the node
 rows ``ys`` and ``ps``, (n+1, d) for one point, and ``energies``.
 
-A decoder is its (w, b) layers, each checked by one rule in ``Decoder``
-and ``load_decoder``: a matrix taking the previous layer's output width,
-a matching bias, both finite (an int past the float range is not).  Its
-text format (blank lines and ``#`` comments allowed; one layer is saved
-as ``decoder linear``)::
-
-    decoder linear|mlp-tanh
-    layer <out> <in>
-    <out> rows of <in> weights
-    <one row of out biases>
-    ... further layer blocks for mlp-tanh ...
+A decoder is its (w, b) layers, each checked by one rule in ``Decoder``:
+a matrix taking the previous layer's output width, a matching bias, both
+finite (an int past the float range is not).
 """
 
 from __future__ import annotations
@@ -78,7 +70,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import _text
 from ._numbers import floats, is_count, real
 
 __all__ = [
@@ -98,8 +89,6 @@ __all__ = [
     "empirical_deviations",
     "loss_geo",
     "loss_jac",
-    "save_decoder",
-    "load_decoder",
 ]
 
 GRAD_STEP = 1e-5
@@ -150,7 +139,7 @@ class ShootingError(ValueError):
 class Decoder:
     """Latent-to-ambient map of (w, b) layers, a tanh between consecutive ones; exact derivatives from ``jet``.
 
-    ``linear`` and ``mlp_tanh`` build it from their own arguments; ``kind``,
+    ``linear`` and ``mlp_tanh`` build it from their own arguments;
     ``latent_dim`` and ``ambient_dim`` follow from ``layers``.
     """
 
@@ -181,11 +170,6 @@ class Decoder:
         if len(weights) != len(biases) or not weights:
             raise ValueError("need matching, non-empty weight and bias lists")
         return cls(zip(weights, biases))
-
-    @property
-    def kind(self) -> str:
-        """``linear`` for one layer, ``mlp-tanh`` for more."""
-        return "linear" if len(self.layers) == 1 else "mlp-tanh"
 
     @property
     def latent_dim(self) -> int:
@@ -244,58 +228,6 @@ def _check_layer(previous: list, w, b) -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(values).all():
             raise ValueError(f"layer {len(previous)} {name} must be finite")
     return w, b
-
-
-def save_decoder(decoder: Decoder, path) -> None:
-    """Write the format of ``load_decoder``."""
-    rows = [f"decoder {decoder.kind}"]
-    for w, b in decoder.layers:
-        rows.append(f"layer {w.shape[0]} {w.shape[1]}")
-        rows += [_text.exact_row(row) for row in w]
-        rows.append(_text.exact_row(b))
-    _text.write(path, rows)
-
-
-def load_decoder(path) -> Decoder:
-    """Parse the format of ``save_decoder``; a bad line raises ``_text.FormatError`` starting ``line N: ``.
-
-    An error inside a layer block names the block's ``layer`` line.
-    """
-    numbered = list(_text.lines(path))
-    if not numbered:
-        raise ValueError("decoder file must start with a 'decoder <kind>' line")
-    linenos, rows = zip(*numbered)
-    layers, i = [], 0
-    try:
-        if not rows[0].startswith("decoder "):
-            raise ValueError("decoder file must start with a 'decoder <kind>' line")
-        kind = rows[0].split()[1]
-        if kind not in ("linear", "mlp-tanh"):
-            raise ValueError(f"unknown decoder kind {kind!r}")
-        if len(rows) == 1:
-            raise ValueError("decoder has no layers")
-        i = 1
-        while i < len(rows):
-            head = rows[i].split()
-            if head[0] != "layer" or len(head) != 3:
-                raise ValueError(f"expected 'layer <out> <in>', got {rows[i]!r}")
-            out_n, in_n = int(head[1]), int(head[2])
-            if out_n < 1 or in_n < 1:
-                raise ValueError(f"layer sizes must be >= 1, got {out_n} {in_n}")
-            block = rows[i + 1 : i + 1 + out_n + 1]
-            if len(block) != out_n + 1:
-                raise ValueError("truncated layer block")
-            w = np.array([[float(v) for v in r.split()] for r in block[:out_n]])
-            b = np.array([float(v) for v in block[out_n].split()])
-            if w.shape != (out_n, in_n) or b.shape != (out_n,):
-                raise ValueError("layer block does not match its declared shape")
-            if kind == "linear" and layers:
-                raise ValueError("linear decoder must have exactly one layer")
-            layers.append(_check_layer(layers, w, b))
-            i += out_n + 2
-    except ValueError as exc:
-        raise _text.FormatError.at(linenos[i], exc) from None
-    return Decoder(layers)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +305,7 @@ class PhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
-        try:
-            y, p = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.y, self.p))
-        except OverflowError:  # an int past the float range
-            raise ValueError("y and p must hold floats, and an int past the float range is not one") from None
+        y, p = (np.atleast_1d(floats(v)) for v in (self.y, self.p))
         if y.shape != p.shape:
             raise ValueError(f"y and p must have equal length and shape, got {y.shape} and {p.shape}")
         self.y = y
@@ -424,7 +353,12 @@ class GeodesicHamiltonian:
         self.metric_field = metric_field
 
     def __call__(self, y: np.ndarray, p: np.ndarray):
-        return _kinetic(self.metric_field._geometry(floats(y)), floats(p))
+        """H at (y, p); ValueError if it is NaN (an infinite momentum gives one)."""
+        y, p = floats(y), floats(p)
+        energy = _kinetic(self.metric_field._geometry(y), p)
+        if np.isnan(energy).any():
+            raise ValueError(f"energy at y={y.tolist()}, p={p.tolist()} is nan")
+        return energy
 
 
 def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -529,7 +463,10 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     n_steps, h = int(n_steps), real(h)
     steps = _staged if getattr(hamiltonian, "metric_field", None) is None else _chord
     d = y.shape[-1]
-    nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
+    try:
+        nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
+    except (ValueError, MemoryError):  # numpy refuses the buffer's size
+        raise ValueError(f"n_steps {n_steps} needs a node buffer too large to allocate") from None
 
     def failure(k: int) -> IntegrationError:
         message = f"non-finite state or energy at step {k}"

@@ -107,7 +107,7 @@ class WeightedDigraph:
 class SsspResult:
     """Distances and predecessor tree from a single Dijkstra run.
 
-    Unreachable nodes get ``dist = inf`` and ``pred = None``; the source
+    Unreached nodes get ``dist = inf`` and ``pred = None``; the source
     itself has ``pred = None``.
     """
 
@@ -130,7 +130,9 @@ def _search(graph: WeightedDigraph, source: int, target: int | None = None):
     With a target, the search stops when it pops the target: every node on
     the target's route was settled before it, and a settled node's
     predecessor is frozen, so that route and its cost are those of the full
-    search.  Nodes left open may hold provisional entries.
+    search.  Nodes left open may hold provisional entries.  A node first
+    reached at a cost that overflows to inf is pushed at inf, so every node
+    the source reaches gets a predecessor.
     """
     n = graph.n_nodes
     dist = [math.inf] * n
@@ -151,15 +153,21 @@ def _search(graph: WeightedDigraph, source: int, target: int | None = None):
                 dist[v] = nd
                 pred[v] = u
                 heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and not done[v] and pred[v] is not None and u < pred[v]:
-                pred[v] = u
+            elif nd == dist[v] and not done[v]:
+                if pred[v] is None:  # first reached at a cost that overflowed to inf
+                    pred[v] = u
+                    heapq.heappush(heap, (nd, v))
+                elif u < pred[v]:
+                    pred[v] = u
     return dist, pred
 
 
 def dijkstra(graph: WeightedDigraph, source: int) -> SsspResult:
     """Single-source shortest paths over non-negative weights.
 
-    Settles every node the source reaches.  Deterministic for identical
+    Settles every node the source reaches.  ``pred`` is None only for the
+    source and for unreached nodes: a node reached only at a cost that
+    overflows has ``dist`` inf and a predecessor.  Deterministic for identical
     inputs: the heap orders by (distance, node index), and when an equally
     short route to a still-open node is found, the smaller predecessor
     index is kept.
@@ -182,13 +190,7 @@ def shortest_path(graph: WeightedDigraph, source: int, target: int):
     source = _node(graph, source, "source")
     dist, pred = _search(graph, source, target)
     if math.isinf(dist[target]):
-        seen, stack = {source}, [source]
-        while stack:
-            for v, _ in graph.adjacency[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if target in seen:
+        if pred[target] is not None:
             raise ValueError(f"node {target} is reachable from {source}, but the route's cost overflows")
         return None
     path = [target]
@@ -269,8 +271,8 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     import numpy as np
 
     try:
-        flat = np.array(samples, dtype=float)
-    except (ValueError, OverflowError):  # ragged shapes, or an int past the float range
+        flat = floats(samples)
+    except ValueError:  # ragged shapes
         pts = []
         for i, s in enumerate(samples):
             p = np.atleast_1d(floats(s))
@@ -359,5 +361,5 @@ def load_graph(path) -> WeightedDigraph:
 def save_graph(graph: WeightedDigraph, path) -> None:
     """Write the ``n``/``e`` format, each weight with the 17 digits that read back as the same float."""
     rows = [f"n {graph.n_nodes}"]
-    rows += [f"e {u} {v} {_text.exact_row((w,))}" for u, v, w in graph.edges()]
+    rows += [f"e {u} {v} {_text.exact(w)}" for u, v, w in graph.edges()]
     _text.write(path, rows)

@@ -26,9 +26,6 @@ overflows the float range, so none of its read-outs overflows;
 The leak rate gamma that ``micro_step`` reads from a ``BathParams`` is one
 scalar shared by every spin, and its feed-forward target is the residual
 map h + W2 tanh(W1 h + b1), normalised.
-
-Spin matrices serialise to plain text, one whitespace-separated row per
-spin (see ``save_spin_matrix``).
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _text
 from ._numbers import floats, is_count, real
 
 __all__ = [
@@ -53,7 +49,6 @@ __all__ = [
     "ffn_target",
     "energy_gradient",
     "micro_step",
-    "save_spin_matrix",
 ]
 
 _NORM_TOL = 1e-9
@@ -351,12 +346,4 @@ def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
     successor = copy.copy(system)
     successor.spins = new_spins
     return successor
-
-
-def save_spin_matrix(path, spins: np.ndarray) -> None:
-    """One whitespace-separated row per spin, each value with 17 significant digits."""
-    rows = np.atleast_2d(floats(spins))
-    if rows.ndim != 2:
-        raise ValueError(f"expected a 1-d or 2-d spin array, got shape {rows.shape}")
-    _text.write(path, [_text.exact_row(row) for row in rows])
 

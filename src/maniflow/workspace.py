@@ -10,19 +10,11 @@ of six kinds with fixed endpoint conventions:
     spatial           state  -> location
     episodic-binding  state <-> event (either orientation)
 
-Graphs are built single-writer and can be frozen.  For planning, temporal
-and causal edges become directed edges weighted by their time t (0 when
-the edge has none), while the remaining kinds become zero-weight
-bidirectional connectors.  A negative t is refused when the graph is
-lowered, as the planner refuses any negative weight.
-
-Text format (``#`` starts a comment)::
-
-    node <id> <kind> <label with spaces>
-    edge <kind> <src> <dst> [t=<float>]
-
-``save_workspace`` writes t with the 17 digits that read back as the same
-float.
+Graphs are built single-writer.  For planning, temporal and causal edges
+become directed edges weighted by their time t (0 when the edge has none),
+while the remaining kinds become zero-weight bidirectional connectors.  A
+negative t is refused when the graph is lowered, as the planner refuses
+any negative weight.
 """
 
 from __future__ import annotations
@@ -31,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import _text, planner
+from . import planner
 from ._numbers import real
 
 __all__ = [
@@ -43,8 +35,6 @@ __all__ = [
     "EdgeCoeffs",
     "to_weighted_digraph",
     "explanation_chain",
-    "load_workspace",
-    "save_workspace",
 ]
 
 
@@ -91,26 +81,19 @@ class WorkspaceEdge:
 
 
 class WorkspaceGraph:
-    """Single-writer typed graph; freeze() makes it immutable."""
+    """Single-writer typed graph."""
 
     def __init__(self):
         self.nodes: dict[str, WorkspaceNode] = {}
         self.edges: list[WorkspaceEdge] = []
-        self._frozen = False
-
-    def _writable(self) -> None:
-        if self._frozen:
-            raise RuntimeError("workspace graph is frozen; rebuild to change it")
 
     def add_node(self, node_id: str, kind: NodeKind | str, label: str = "") -> None:
-        self._writable()
         kind = NodeKind(kind)
         if node_id in self.nodes:
             raise ValueError(f"duplicate node id {node_id!r}")
         self.nodes[node_id] = WorkspaceNode(node_id, kind, label)
 
     def add_edge(self, kind: EdgeKind | str, src: str, dst: str, t: float | None = None) -> None:
-        self._writable()
         record = (kind, src, dst, t)
         if t is not None:
             t = real(t)
@@ -126,10 +109,6 @@ class WorkspaceGraph:
             want = " or ".join(f"{a.value}->{b.value}" for a, b in allowed)
             raise ValueError(f"{kind.value} edge must connect {want}, got {pair[0].value}->{pair[1].value}")
         self.edges.append(WorkspaceEdge(kind, src, dst, t))
-
-    def freeze(self) -> "WorkspaceGraph":
-        self._frozen = True
-        return self
 
 
 class EdgeCoeffs:
@@ -178,43 +157,3 @@ def explanation_chain(ws: WorkspaceGraph, src: str, dst: str, coeffs: EdgeCoeffs
     path, cost = found
     return [graph.payloads[i] for i in path], cost
 
-
-def load_workspace(path) -> WorkspaceGraph:
-    """Parse the node/edge text format; a bad line raises ``_text.FormatError`` starting ``line N: ``."""
-    ws = WorkspaceGraph()
-    for ln, line in _text.lines(path):
-        tokens = line.split()
-        try:
-            if tokens[0] == "node":
-                if len(tokens) < 3:
-                    raise ValueError("expected 'node <id> <kind> <label>'")
-                ws.add_node(tokens[1], tokens[2], " ".join(tokens[3:]))
-            elif tokens[0] == "edge":
-                if len(tokens) not in (4, 5):
-                    raise ValueError("expected 'edge <kind> <src> <dst> [t=<float>]'")
-                t = None
-                if len(tokens) == 5:
-                    if not tokens[4].startswith("t="):
-                        raise ValueError(f"expected 't=<float>', got {tokens[4]!r}")
-                    t = float(tokens[4][2:])
-                ws.add_edge(tokens[1], tokens[2], tokens[3], t)
-            else:
-                raise ValueError(f"unknown directive {tokens[0]!r}")
-        except ValueError as exc:
-            raise _text.FormatError.at(ln, exc) from None
-    return ws.freeze()
-
-
-def save_workspace(ws: WorkspaceGraph, path) -> None:
-    """Write the text format; ValueError, before any write, for an id or label it would not load back."""
-    rows = []
-    for node in ws.nodes.values():
-        if "#" in node.node_id or node.node_id.split() != [node.node_id]:
-            raise ValueError(f"node {node.node_id!r}: an id must be one token without '#'")
-        if "#" in node.label or " ".join(node.label.split()) != node.label:
-            raise ValueError(f"node {node.node_id!r}: label {node.label!r} must be single-spaced words without '#'")
-        rows.append(f"node {node.node_id} {node.kind.value} {node.label}")
-    for edge in ws.edges:
-        suffix = "" if edge.t is None else f" t={_text.exact_row((edge.t,))}"
-        rows.append(f"edge {edge.kind.value} {edge.src} {edge.dst}{suffix}")
-    _text.write(path, rows)

@@ -631,7 +631,7 @@ def test_cli_import_loads_only_what_commands_use():
         "unused = {'maniflow.spins', 'maniflow.workspace', 'maniflow.control', 'dataclasses'} & set(sys.modules)\n"
         "assert not unused, sorted(unused)\n"
         "import maniflow\n"
-        "assert maniflow.spins.save_spin_matrix and maniflow.workspace.load_workspace\n"
+        "assert maniflow.spins.micro_step and maniflow.workspace.explanation_chain\n"
         "from maniflow import control\n"
         "assert control is maniflow.control"
     )

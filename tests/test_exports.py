@@ -12,7 +12,6 @@ import ast
 import importlib
 import inspect
 import math
-import os
 import re
 from functools import cached_property
 from pathlib import Path
@@ -203,8 +202,10 @@ def _integrate(h):
         (lambda: manifold.Decoder.linear([[BIG]]), "layer 0 weights must be finite"),
         (lambda: manifold.Decoder.linear([[1.0]], [BIG]), "layer 0 biases must be finite"),
         (
-            lambda: manifold.PhasePoint([BIG], [0.0]),
-            "y and p must hold floats, and an int past the float range is not one",
+            lambda: manifold.integrate(
+                manifold.GeodesicHamiltonian(_flat_field()), manifold.PhasePoint([BIG, 0.0], [0.0, 0.0]), 0.1, 1
+            ),
+            "non-finite state or energy at step 0",
         ),
         (lambda: spins.SpinSystem([[1.0]], [[BIG]]), "couplings must be finite"),
         (lambda: planner.build_ndm_graph([[BIG], [0.0]], ("knn", 1), lambda a, b: 1.0), "sample 0 is not finite"),
@@ -362,7 +363,6 @@ REALS = {
     "ctm-influence": lambda x: spins.ctm_couplings([[0.0, x], [0.0, 0.0]], np.ones((1, 2, 1)), 0.5).tolist(),
     "ctm-history": lambda x: spins.ctm_couplings(np.zeros((2, 2)), [[[x], [0.0]]], 0.5).tolist(),
     "ffn-target": lambda x: spins.ffn_target([x, 0.0], spins.BathParams(W1=np.eye(2), W2=np.eye(2))).tolist(),
-    "spin-matrix-file": lambda x: spins.save_spin_matrix(os.devnull, [[x]]),
     "entropy": lambda x: infophase.entropy([x, 0.0]),
     "portrait-series": lambda x: len(infophase.PhasePortrait([x], [0.0])),
     "grid-edge": lambda x: list(infophase.GridField([0.0, x], [0.0, 1.0], [[0.0]], [[0.0]], [[1]]).rows()),

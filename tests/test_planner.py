@@ -197,6 +197,12 @@ class TestShortestPath:
     def test_disconnected_target_beside_overflowing_route(self):
         assert planner.shortest_path(self.overflow_graph(), 0, 3) is None
 
+    def test_overflow_reached_node_has_a_predecessor(self):
+        # node 2 is reached, at a cost that overflows; node 3 is not reached
+        result = planner.dijkstra(self.overflow_graph(), 0)
+        assert result.dist == [0.0, 1e308, math.inf, math.inf]
+        assert result.pred == [None, 0, 1, None]
+
     def test_stops_at_target(self):
         # a chain 0 -> 1 -> ... -> 9: only the nodes settled before the target are expanded
         class Recording(list):

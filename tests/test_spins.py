@@ -598,52 +598,6 @@ class TestBatchedFfn:
             spins.ffn_target(np.array([9.9e-13, 0.0]), bath)
 
 
-class TestSpinIo:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(12)
-        s = unit_spins(rng, 5, 4)
-        p = tmp_path / "spins.txt"
-        spins.save_spin_matrix(p, s)
-        out = np.loadtxt(p, ndmin=2)
-        assert out.shape == s.shape and out.tobytes() == s.tobytes()
-
-    def test_three_dimensional_array_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="shape"):
-            spins.save_spin_matrix(tmp_path / "s.txt", np.zeros((2, 2, 2)))
-        assert not (tmp_path / "s.txt").exists()
-
-    def test_writes_what_savetxt_writes(self, tmp_path):
-        s = np.array([[-0.0, 1e308, 5e-324], [0.1, -1.0 / 3.0, 2.0]])
-        spins.save_spin_matrix(tmp_path / "a.txt", s)
-        np.savetxt(tmp_path / "b.txt", s, fmt="%.17g")
-        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
-
-    def test_single_row_shape(self, tmp_path):
-        p = tmp_path / "one.txt"
-        spins.save_spin_matrix(p, np.array([1.0, 0.0]))
-        out = np.loadtxt(p, ndmin=2)
-        assert out.shape == (1, 2)
-
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            st.tuples(st.integers(2, 6), st.just(1)),
-            st.tuples(st.just(1), st.integers(1, 5)),
-            st.tuples(st.integers(1, 6), st.integers(1, 5)),
-        ],
-        ids=["one-dimensional-spins", "one-spin", "any"],
-    )
-    @given(data=st.data())
-    def test_round_trip_property(self, tmp_path_factory, shape, data):
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        s = data.draw(arrays(np.float64, data.draw(shape), elements=finite))
-        p = tmp_path_factory.mktemp("spins") / "spins.txt"
-        spins.save_spin_matrix(p, s)
-        out = np.loadtxt(p, ndmin=2)
-        assert out.shape == s.shape
-        assert out.tobytes() == s.tobytes()
-
-
 @pytest.mark.parametrize(
     "call, message",
     [

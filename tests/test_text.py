@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maniflow import _text, cli, manifold, planner, workspace
+from maniflow import _text, cli, planner
 
 SRC = Path(_text.__file__).parent
 
@@ -15,16 +15,24 @@ def test_text_module_owns_line_prefix_and_file_open():
     assert owners == ["_text.py"]
 
 
+def test_text_is_read_only_where_a_command_reads_it():
+    # the graph file (plan), the distribution file (phase --input) and the config
+    assert sorted(p.name for p in SRC.glob("*.py") if "_text.lines(" in p.read_text()) == ["cli.py", "planner.py"]
+
+
+def test_numbers_module_owns_overflow_handling():
+    assert sorted(p.name for p in SRC.glob("*.py") if "except OverflowError" in p.read_text()) == ["_numbers.py"]
+
+
+def test_no_runtime_error_is_raised():
+    # a failure an input causes is a ValueError
+    assert [p.name for p in SRC.glob("*.py") if "RuntimeError" in p.read_text()] == []
+
+
 @pytest.mark.parametrize(
     "read, text, message",
     [
         (planner.load_graph, "n 2\n# edges\ne 0 1 x\n", "line 3: could not convert string to float: 'x'"),
-        (
-            workspace.load_workspace,
-            "node A actor Alice\n\nedge causal A A\n",
-            "line 3: causal edge must connect event->event, got actor->actor",
-        ),
-        (manifold.load_decoder, "decoder linear\nlayer 1 1\n1\nx\n", "line 2: could not convert string to float: 'x'"),
         (
             lambda p: cli._load_config(p, "table"),
             "# grid\nsteps=abc\n",
@@ -32,7 +40,7 @@ def test_text_module_owns_line_prefix_and_file_open():
         ),
         (lambda p: cli._input_portrait(p, 1), "0.5 0.5\n0.5 x\n", "line 2: bad probability value"),
     ],
-    ids=["graph", "workspace", "decoder", "config", "distributions"],
+    ids=["graph", "config", "distributions"],
 )
 def test_bad_line_is_format_error(tmp_path, read, text, message):
     p = tmp_path / "input.txt"
