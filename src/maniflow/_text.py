@@ -1,7 +1,6 @@
 """Conventions of the text a command reads or writes: the graph, distribution and config files, and CSV.
 
-Reals a reader sees carry 10 significant digits (``fmt``); reals in a file
-that is read back carry 17 (``exact``), so they round-trip exactly.
+Reals a reader sees carry 10 significant digits (``fmt``).
 """
 
 
@@ -35,11 +34,6 @@ def write(path, text) -> None:
 def fmt(x: float) -> str:
     """Reals in text outputs carry 10 significant digits."""
     return f"{x:.10g}"
-
-
-def exact(x: float) -> str:
-    """A real with the 17 significant digits that round-trip a float."""
-    return f"{x:.17g}"
 
 
 def csv(header, rows) -> str:

@@ -11,10 +11,10 @@ by the kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2.  G is reached
 one way, ``MetricField._geometry``: ``pullback_metric`` returns it,
 ``MetricField.solve`` solves G v = rhs, and ``GeodesicHamiltonian`` and
 the chord step's energies take H from it.  The only derivative of a
-decoder is its order-1 jet (f, J), from one pass over its layers
-(``linear`` is the one-layer case of ``mlp-tanh``) for a point (d,) or a
-stack (..., d): ``Decoder.jet`` checks it finite, and the engine runs the
-unchecked pass and checks G or its nodes instead.
+decoder is its order-1 jet (f, J), from ``Decoder._forward``, one pass
+over its layers (``linear`` is the one-layer case of ``mlp-tanh``) for a
+point (d,) or a stack (..., d); it is unchecked, and the engine checks G
+or its nodes instead.
 
 **The chord step.**  A Hamiltonian with a ``metric_field``
 (``GeodesicHamiltonian``, ``control.ReducedHamiltonian``) takes the
@@ -87,8 +87,6 @@ __all__ = [
     "solve_shooting",
     "jacobi_propagate",
     "empirical_deviations",
-    "loss_geo",
-    "loss_jac",
 ]
 
 GRAD_STEP = 1e-5
@@ -137,7 +135,7 @@ class ShootingError(ValueError):
 
 
 class Decoder:
-    """Latent-to-ambient map of (w, b) layers, a tanh between consecutive ones; exact derivatives from ``jet``.
+    """Latent-to-ambient map of (w, b) layers, a tanh between consecutive ones; exact derivatives from ``_forward``.
 
     ``linear`` and ``mlp_tanh`` build it from their own arguments;
     ``latent_dim`` and ``ambient_dim`` follow from ``layers``.
@@ -187,18 +185,6 @@ class Decoder:
         if not np.isfinite(out).all():
             raise ValueError(f"decoder output at y={y!r} is not finite")
         return out
-
-    def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The order-1 jet at y, shape (..., d): f, shape (..., n), and J, shape (..., n, d).
-
-        ValueError, and no warning, unless both are finite.
-        """
-        y = floats(y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out, jac = self._forward(y)
-        if not (np.isfinite(out).all() and np.isfinite(jac).all()):
-            raise ValueError(f"jet at y={y!r} is not finite")
-        return out, jac
 
     def _forward(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f and J at a float array y (..., d) from one pass over the layers, unchecked."""
@@ -521,15 +507,6 @@ def _latent_point(metric_field: MetricField, name: str, value) -> np.ndarray:
     return point
 
 
-def _unit_steps(n_steps) -> tuple[int, float]:
-    """n_steps as a count >= 1, and the step 1 / n_steps that spans unit time."""
-    if not is_count(n_steps, 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    if real(n_steps) == math.inf:
-        raise ValueError(f"n_steps must be a count within the float range, got {n_steps!r}")
-    return int(n_steps), 1.0 / n_steps
-
-
 def solve_shooting(
     metric_field: MetricField,
     y_a: np.ndarray,
@@ -548,7 +525,8 @@ def solve_shooting(
     that step, and returns the first chord's momentum
     [J_0^T (f_1 - f_0) + eps_reg (q_1 - q_0)] / h.  ShootingError carries
     the gradient norms.  ``tol`` must be a number >= 0 and ``max_iter`` an
-    integer >= 0.
+    integer >= 0.  An ``n_steps`` whose dense ((n_steps - 1) d)^2 Hessian
+    numpy refuses raises ValueError before the first decoder pass.
     """
     if not real(tol) >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
@@ -557,10 +535,18 @@ def solve_shooting(
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     y_a = _latent_point(metric_field, "y_a", y_a)
     y_b = _latent_point(metric_field, "y_b", y_b)
-    n_steps, h = _unit_steps(n_steps)
+    if not is_count(n_steps, 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if real(n_steps) == math.inf:
+        raise ValueError(f"n_steps must be a count within the float range, got {n_steps!r}")
+    n_steps, h = int(n_steps), 1.0 / n_steps
     forward, eps = metric_field.decoder._forward, metric_field.eps_reg
     d, inner = y_a.shape[0], n_steps - 1
     reg = eps * np.eye(d)
+    try:  # each iteration rewrites the blocks on and beside the diagonal; the rest stays 0
+        hess = np.zeros((inner, d, inner, d))
+    except (ValueError, MemoryError):  # numpy refuses the Hessian's size
+        raise ValueError(f"n_steps {n_steps} needs a dense Hessian too large to allocate") from None
     rows = np.arange(inner)
 
     def local(nodes: np.ndarray):
@@ -569,7 +555,6 @@ def solve_shooting(
         jac_t = jac.swapaxes(-1, -2)
         chords, moves = np.diff(out, axis=0), np.diff(nodes, axis=0)
         grad = (_mv(jac_t[1:-1], chords[:-1] - chords[1:]) + eps * (moves[:-1] - moves[1:])) / h
-        hess = np.zeros((inner, d, inner, d))
         hess[rows, :, rows, :] = 2.0 * (jac_t[1:-1] @ jac[1:-1] + reg) / h
         off = -(jac_t[1:-2] @ jac[2:-1] + reg) / h
         hess[rows[:-1], :, rows[1:], :] = off
@@ -670,57 +655,3 @@ def empirical_deviations(hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: fl
     if not np.isfinite(out).all():
         raise ValueError("empirical deviations are not finite")
     return out
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-
-def loss_geo(metric_field: MetricField, pairs, n_steps: int) -> float:
-    """Mean squared endpoint error of shot geodesics over (y_a, y_b[, p0]) pairs.
-
-    Without an explicit initial momentum the flat-chart guess
-    G(y_a)(y_b - y_a) is used.  All entries are shot as one stack.  An
-    error past the float range makes the loss +inf.
-    """
-    if len(pairs) == 0:
-        raise ValueError("need at least one endpoint pair")
-    starts, targets, momenta = [], [], []
-    for i, entry in enumerate(pairs):
-        if len(entry) not in (2, 3):
-            raise ValueError(f"expected (y_a, y_b) or (y_a, y_b, p0), got {len(entry)} entries")
-        y_a, y_b, *p0 = (
-            _latent_point(metric_field, f"{name} of pair {i}", v) for name, v in zip(("y_a", "y_b", "p0"), entry)
-        )
-        starts.append(y_a)
-        targets.append(y_b)
-        # a guess past the float range needs no warning: the engine rejects it
-        with np.errstate(over="ignore", invalid="ignore"):
-            momenta.append(p0[0] if p0 else pullback_metric(metric_field, y_a) @ (y_b - y_a))
-    n_steps, h = _unit_steps(n_steps)
-    geodesic = GeodesicHamiltonian(metric_field)
-    ends = _leapfrog(geodesic, np.stack(starts), np.stack(momenta), h, n_steps, energies=False)[0][-1]
-    # ends are finite, so an error past the float range is +inf, not a warning
-    with np.errstate(over="ignore"):
-        return sum(float(np.sum((end - y_b) ** 2)) for end, y_b in zip(ends, targets)) / len(pairs)
-
-
-def loss_jac(hamiltonian, cases) -> float:
-    """Mean squared mismatch between propagated and observed deviations.
-
-    Each case is ``(trajectory, delta0, observed)`` with ``observed`` of
-    shape (n+1, 2d) as produced by ``empirical_deviations``.  A mismatch
-    past the float range makes the loss +inf.
-    """
-    if len(cases) == 0:
-        raise ValueError("need at least one deviation case")
-    total = 0.0
-    for traj, delta0, observed in cases:
-        model = jacobi_propagate(hamiltonian, traj, delta0)
-        observed = floats(observed)
-        if observed.shape != model.shape:
-            raise ValueError(f"observed deviations must have shape {model.shape}, got {observed.shape}")
-        # the model is finite, so with finite observations the overflow is +inf
-        with np.errstate(over="ignore"):
-            total += float(np.mean(np.sum((model - observed) ** 2, axis=1)))
-    return total / len(cases)

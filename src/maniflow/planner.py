@@ -16,9 +16,7 @@ Graph text format (line oriented, ``#`` starts a comment)::
     n <node_count>
     e <src> <dst> <weight>
 
-Node indices are 0-based and weights must be finite and non-negative;
-``save_graph`` writes each with the 17 digits that read back as the same
-float.
+Node indices are 0-based and weights must be finite and non-negative.
 
 ``build_ndm_graph`` links each latent sample to its k nearest others,
 ``connect = ("knn", k)``, the one connection rule, from one matmul per
@@ -47,9 +45,7 @@ __all__ = [
     "dijkstra",
     "shortest_path",
     "build_ndm_graph",
-    "waypoints",
     "load_graph",
-    "save_graph",
 ]
 
 
@@ -309,19 +305,6 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     return WeightedDigraph(payloads, adjacency)
 
 
-def waypoints(path, stride: int):
-    """Every stride-th node of a path, always keeping the first and last; stride is an integer >= 1."""
-    if len(path) == 0:
-        raise ValueError("cannot take waypoints of an empty path")
-    if not is_count(stride, 1):
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
-    stride = int(stride)
-    out = list(path[::stride])
-    if (len(path) - 1) % stride:
-        out.append(path[-1])
-    return out
-
-
 def load_graph(path) -> WeightedDigraph:
     """Parse the ``n``/``e`` text format; a bad line raises ``_text.FormatError`` starting ``line N: ``."""
     graph = WeightedDigraph()
@@ -356,10 +339,3 @@ def load_graph(path) -> WeightedDigraph:
     if not declared:
         raise _text.FormatError("missing 'n <count>' line")
     return graph
-
-
-def save_graph(graph: WeightedDigraph, path) -> None:
-    """Write the ``n``/``e`` format, each weight with the 17 digits that read back as the same float."""
-    rows = [f"n {graph.n_nodes}"]
-    rows += [f"e {u} {v} {_text.exact(w)}" for u, v, w in graph.edges()]
-    _text.write(path, rows)

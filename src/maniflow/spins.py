@@ -8,20 +8,19 @@ matrix J.  The pair Hamiltonian
 is always evaluated through the symmetrised couplings J~ = (J + J^T)/2
 with a zero diagonal.  The symmetric part is formed as J/2 + (J/2)^T,
 halved before the sum, so finite couplings up to the float maximum never
-overflow; ``ctm_couplings`` uses the same formula.  A ``SpinSystem``
-builds J~ once, when it is constructed, and the systems ``micro_step``
-returns share it.  The energy and its analytic gradient
--sum_{j != i} J~_ij s_j - h_i are written on one pair field J~ @ s, so
-the gradient is the derivative of the energy even when a raw asymmetric
-J is supplied.  ``gibbs_attention``, which acts on directed bonds, uses
-the raw rows of J.  Every number a
-``SpinSystem``, ``attention_couplings``, ``ctm_couplings``,
-``micro_step``, ``ffn_target`` or ``gibbs_attention`` reads must be
-finite, and none of them returns a NaN or warns: a non-finite input or
-result raises ``ValueError``.  A ``SpinSystem`` also rejects couplings and
-fields whose bound on |H| of unit spins, sum_{i<j} |J~_ij| + sum |h|,
-overflows the float range, so none of its read-outs overflows;
-``lattice_energy``, which takes raw arrays, checks its own result.
+overflow.  A ``SpinSystem`` builds J~ once, when it is constructed, and
+the systems ``micro_step`` returns share it.  The energy and its analytic
+gradient -sum_{j != i} J~_ij s_j - h_i are written on one pair field
+J~ @ s, so the gradient is the derivative of the energy even when a raw
+asymmetric J is supplied.  ``gibbs_attention``, which acts on directed
+bonds, uses the raw rows of J.  Every number a ``SpinSystem``,
+``attention_couplings``, ``micro_step`` or ``gibbs_attention`` reads
+must be finite, and none of them returns a NaN or warns: a non-finite
+input or result raises ``ValueError``.  A ``SpinSystem`` also rejects
+couplings and fields whose bound on |H| of unit spins,
+sum_{i<j} |J~_ij| + sum |h|, overflows the float range, so none of its
+read-outs overflows; ``lattice_energy``, which takes raw arrays, checks
+its own result.
 
 The leak rate gamma that ``micro_step`` reads from a ``BathParams`` is one
 scalar shared by every spin, and its feed-forward target is the residual
@@ -45,8 +44,6 @@ __all__ = [
     "lattice_energy",
     "two_body_energy",
     "gibbs_attention",
-    "ctm_couplings",
-    "ffn_target",
     "energy_gradient",
     "micro_step",
 ]
@@ -169,23 +166,17 @@ def attention_couplings(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return j
 
 
-def _symmetric_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2, halved before the sum so that finite entries never overflow.
-
-    Halving is exact for normal floats, so this equals the sum halved bit
-    for bit; only an entry whose half is subnormal can differ, by one bit.
-    Two N x N allocations, one of them temporary.
-    """
-    half = 0.5 * a
-    return half + half.T
-
-
 def _symmetrised(couplings: np.ndarray) -> np.ndarray:
     """J~ = (J + J^T)/2 with a zero diagonal, the one place the pair interaction is written.
 
-    Row i of J~ @ s is sum_{j != i} J~_ij s_j.
+    Row i of J~ @ s is sum_{j != i} J~_ij s_j.  J is halved before the sum,
+    so finite entries never overflow; halving is exact for normal floats,
+    so this equals the sum halved bit for bit, and only an entry whose half
+    is subnormal can differ, by one bit.  Two N x N allocations, one of
+    them temporary.
     """
-    sym = _symmetric_part(couplings)
+    half = 0.5 * couplings
+    sym = half + half.T
     np.fill_diagonal(sym, 0.0)
     return sym
 
@@ -249,37 +240,6 @@ def gibbs_attention(system: SpinSystem, i: int, beta: float) -> np.ndarray:
     return out
 
 
-def ctm_couplings(influence: np.ndarray, spin_history: np.ndarray, alpha: float) -> np.ndarray:
-    """Blend of symmetrised influence and time-averaged spin correlations.
-
-    J = alpha (W + W^T)/2 + (1 - alpha) (1/T) sum_t s_i(t) . s_j(t)
-
-    A non-finite influence or history, or a blend past the float range,
-    raises ``ValueError``.
-    """
-    w = floats(influence)
-    hist = floats(spin_history)
-    if hist.ndim != 3:
-        raise ValueError("spin history must be (T, N, d)")
-    t_len, n, _ = hist.shape
-    if w.shape != (n, n):
-        raise ValueError(f"influence must be ({n}, {n}), got {w.shape}")
-    if t_len < 1:
-        raise ValueError("spin history needs at least one tick")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if not np.isfinite(w).all():
-        raise ValueError("influence must be finite")
-    if not np.isfinite(hist).all():
-        raise ValueError("spin history must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        corr = np.einsum("tid,tjd->ij", hist, hist) / t_len
-        j = alpha * _symmetric_part(w) + (1.0 - alpha) * corr
-    if not np.isfinite(j).all():
-        raise ValueError("a blended coupling overflows the float range")
-    return j
-
-
 def _unit_rows(rows: np.ndarray, message: str) -> np.ndarray:
     """rows scaled to norm 1; ValueError(message.format(i=..., state=...)) names the first row whose norm is below 1e-12 or not finite."""
     norms = np.linalg.norm(rows, axis=1)
@@ -292,8 +252,8 @@ def _unit_rows(rows: np.ndarray, message: str) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def _ffn_targets(h: np.ndarray, bath: BathParams) -> np.ndarray:
-    """Row-wise ``ffn_target`` of an (m, d) spin matrix; the one feed-forward formula."""
+def _feed_forward_targets(h: np.ndarray, bath: BathParams) -> np.ndarray:
+    """Feed-forward targets (h + W2 tanh(W1 h + b1)) / ||.|| of the rows h of an (m, d) spin matrix; the one formula."""
     if bath.W1 is None or bath.W2 is None:
         raise ValueError("the feed-forward target needs W1 and W2 on the bath")
     # an overflow leaves a row of non-finite norm, which _unit_rows rejects
@@ -303,15 +263,6 @@ def _ffn_targets(h: np.ndarray, bath: BathParams) -> np.ndarray:
             u = u + bath.b1
         t = h + np.tanh(u) @ bath.W2.T
         return _unit_rows(t, "feed-forward target of neuron {i} {state}; cannot normalise")
-
-
-def ffn_target(h: np.ndarray, bath: BathParams) -> np.ndarray:
-    """Normalised residual feed-forward target (h + W2 tanh(W1 h + b1)) / ||.||.
-
-    This is the one-row case of the batch that ``micro_step`` computes, so
-    a collapsed target is reported as neuron 0.
-    """
-    return _ffn_targets(floats(h)[None, :], bath)[0]
 
 
 def energy_gradient(system: SpinSystem) -> np.ndarray:
@@ -324,10 +275,10 @@ def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
 
     s_hat_i = s_i - eta dH/ds_i + eta_ff (t_i - s_i) - gamma s_i
 
-    with t_i = ``ffn_target(s_i, bath)``, computed only when eta_ff != 0;
-    the N targets are one batch of matrix products.  Raises when a target
-    or an updated spin collapses below norm 1e-12 or has a non-finite norm,
-    naming the neuron.
+    with the feed-forward target t_i = (s_i + W2 tanh(W1 s_i + b1)) / ||.||,
+    computed only when eta_ff != 0; the N targets are one batch of matrix
+    products.  Raises when a target or an updated spin collapses below norm
+    1e-12 or has a non-finite norm, naming the neuron.
     """
     s = system.spins
     # an overflow leaves a row of non-finite norm, which _unit_rows rejects
@@ -336,7 +287,7 @@ def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
         if bath.eta != 0.0:
             update = update - bath.eta * energy_gradient(system)
         if bath.eta_ff != 0.0:
-            targets = _ffn_targets(s, bath)
+            targets = _feed_forward_targets(s, bath)
             update = update + bath.eta_ff * (targets - s)
         update = update - bath.gamma * s
         new_spins = _unit_rows(update, "neuron {i} {state} during micro step")

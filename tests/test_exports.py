@@ -1,8 +1,10 @@
 """Each submodule's ``__all__`` names exactly the public functions and classes it defines.
 
 Every such name, and every public method, classmethod, property or cached
-property of a listed class, has a reader beyond its own unit tests; a
-member's reader must read it as an attribute.  Every exception class a
+property of a listed class, has a reader in code: the package, perfbench
+or the acceptance tests.  Its own unit tests and the README, which
+documents names, do not count; a member's reader must read it as an
+attribute.  Every exception class a
 submodule or ``_text`` defines is a ``ValueError``: a failure an input
 causes has one base, which the CLI catches as it is, and an int argument
 past the float range raises no ``OverflowError``.
@@ -59,14 +61,13 @@ def _reads(tree) -> set:
 
 
 def _read_names() -> set:
-    """Every name that the package, perfbench, the acceptance tests or README reads.
+    """Every name that the package, perfbench or the acceptance tests read.
 
     A name read as an attribute appears twice, as ``name`` and as
     ``.name``.  A read inside a top-level definition or a method counts
     only once that definition is itself read, so a helper that only an
     unread function calls is unread too.  A dunder method is read with its
-    class.  README counts what its backticks and code blocks name;
-    docstrings and the unit tests count for nothing.
+    class.  Docstrings, the README and the unit tests count for nothing.
     """
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     bodies = []  # (name, what its body reads)
@@ -86,9 +87,6 @@ def _read_names() -> set:
                 bodies.append((stmt.name, _reads(stmt)))
     for path in [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
         read |= _reads(ast.parse(path.read_text()))
-    for span in re.findall(r"```(.*?)```|`([^`]+)`", (ROOT / "README.md").read_text(), re.S):
-        names = re.findall(r"\.?[A-Za-z_]\w*", "".join(span))
-        read |= {*names, *(name.lstrip(".") for name in names)}
     grown = True
     while grown:
         grown = False
@@ -168,15 +166,10 @@ def _integrate(h):
     "call, want",
     [
         (lambda: _edges(("knn", BIG)), lambda: _edges(("knn", 1))),
-        (lambda: planner.waypoints([1, 2, 3], BIG), lambda: [1, 3]),
         (lambda: _shoot(BIG), lambda: _shoot(50)),
         (lambda: _integrate(BIG), f"step size must be finite and non-zero, got {BIG!r}"),
         (
             lambda: manifold.solve_shooting(_flat_field(), [0.0, 0.0], [0.9, 0.4], n_steps=BIG),
-            f"n_steps must be a count within the float range, got {BIG!r}",
-        ),
-        (
-            lambda: manifold.loss_geo(_flat_field(), [([0.0, 0.0], [0.9, 0.4])], BIG),
             f"n_steps must be a count within the float range, got {BIG!r}",
         ),
         (
@@ -212,11 +205,9 @@ def _integrate(h):
     ],
     ids=[
         "knn-k",
-        "waypoint-stride",
         "shooting-max-iter",
         "step-size",
         "shooting-n-steps",
-        "loss-geo-n-steps",
         "field-bins",
         "edge-weight",
         "edge-cost",
@@ -287,7 +278,6 @@ COUNTS = {
     ).tolist(),
     "shooting-n-steps": lambda n: manifold.solve_shooting(_unit_field(), [0.0, 0.0], [0.9, 0.4], n_steps=n).tolist(),
     "shooting-max-iter": lambda n: manifold.solve_shooting(_unit_field(), [0.0, 0.0], [0.9, 0.4], max_iter=n).tolist(),
-    "loss-geo-n-steps": lambda n: manifold.loss_geo(_unit_field(), [([0.0, 0.0], [0.9, 0.4])], n),
     "field-bins": lambda n: list(infophase.empirical_field([infophase.portrait(_DISTS)], n).rows()),
     "smoothing-window": lambda n: list(infophase.portrait(_DISTS, n).rows()),
     "contraction-ticks": lambda n: experiments.contraction_path(2.0, 0.6, n),
@@ -295,7 +285,6 @@ COUNTS = {
     "rotation-n-portraits": lambda n: _rows(experiments.rotation_portraits(n, 4, 0.1, np.random.default_rng(0))),
     "rotation-steps": lambda n: _rows(experiments.rotation_portraits(2, n, 0.1, np.random.default_rng(0))),
     "knn-k": lambda n: [(u, v) for u, v, _ in planner.build_ndm_graph(np.eye(5), ("knn", n), lambda a, b: 1.0).edges()],
-    "waypoint-stride": lambda n: planner.waypoints(list(range(8)), n),
     "gibbs-index": lambda n: spins.gibbs_attention(_four_spins(), n, 1.0).tolist(),
     "path-source": lambda n: planner.shortest_path(_path_graph(), n, 4),
     "path-target": lambda n: planner.shortest_path(_path_graph(), 0, n),
@@ -319,7 +308,6 @@ def test_count_is_a_whole_number(call):
 # each real argument that an int past the float range used to turn into an OverflowError, as a function of it
 REALS = {
     "decoder-point": lambda x: manifold.Decoder.linear(np.eye(2))([x, 0.0]).tolist(),
-    "decoder-jet": lambda x: manifold.Decoder.linear(np.eye(2)).jet([x, 0.0])[0].tolist(),
     "metric-solve-point": lambda x: _unit_field().solve([x, 0.0], [1.0, 0.0]).tolist(),
     "metric-solve-rhs": lambda x: _unit_field().solve([0.0, 0.0], [x, 0.0]).tolist(),
     "pullback-metric": lambda x: manifold.pullback_metric(_unit_field(), [x, 0.0]).tolist(),
@@ -332,10 +320,6 @@ REALS = {
     "empirical-deviation": lambda x: manifold.empirical_deviations(
         manifold.GeodesicHamiltonian(_unit_field()), _start(), [x, 0.0, 0.0, 0.0], 0.1, 2
     ).tolist(),
-    "loss-geo-endpoint": lambda x: manifold.loss_geo(_unit_field(), [([0.0, 0.0], [x, 0.0])], 4),
-    "loss-jac-observed": lambda x: manifold.loss_jac(
-        manifold.GeodesicHamiltonian(_unit_field()), [(_trajectory(), np.ones(4), np.full((3, 4), x))]
-    ),
     "task-cost": lambda x: control.CostSpec(lambda z: x).potential(np.zeros(2)),
     "value-gradient": lambda x: control.ValueFunction(lambda y, t: 0.0, grad=lambda y, t: [x, 0.0])
     .gradient(np.zeros(2), 0.0)
@@ -360,9 +344,6 @@ REALS = {
     "lattice-spins": lambda x: spins.lattice_energy(np.ones((2, 2)), [[x, 0.0], [0.0, 1.0]]),
     "lattice-fields": lambda x: spins.lattice_energy(np.ones((2, 2)), np.eye(2), [[x, 0.0], [0.0, 0.0]]),
     "gibbs-beta": lambda x: spins.gibbs_attention(_four_spins(), 0, x).tolist(),
-    "ctm-influence": lambda x: spins.ctm_couplings([[0.0, x], [0.0, 0.0]], np.ones((1, 2, 1)), 0.5).tolist(),
-    "ctm-history": lambda x: spins.ctm_couplings(np.zeros((2, 2)), [[[x], [0.0]]], 0.5).tolist(),
-    "ffn-target": lambda x: spins.ffn_target([x, 0.0], spins.BathParams(W1=np.eye(2), W2=np.eye(2))).tolist(),
     "entropy": lambda x: infophase.entropy([x, 0.0]),
     "portrait-series": lambda x: len(infophase.PhasePortrait([x], [0.0])),
     "grid-edge": lambda x: list(infophase.GridField([0.0, x], [0.0, 1.0], [[0.0]], [[0.0]], [[1]]).rows()),

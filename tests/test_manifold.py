@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from maniflow import control, manifold
+from maniflow._numbers import floats
 
 
 class Oscillator:
@@ -49,7 +50,7 @@ class DecoderPotential:
         return 0.5 * float(p @ p + z @ z)
 
     def dy(self, y, p):
-        z, jac = self.decoder.jet(y)
+        z, jac = self.decoder._forward(floats(y))
         return (z[..., None, :] @ jac)[..., 0, :]
 
     def dp(self, y, p):
@@ -120,7 +121,7 @@ class TestDecoder:
         a = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
         dec = manifold.Decoder.linear(a, offset=np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(dec(np.array([1.0, 2.0])), [3.0, 6.0, 3.0])
-        out, jac = dec.jet(np.zeros(2))
+        out, jac = dec._forward(np.zeros(2))
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0])
         np.testing.assert_allclose(jac, a)
 
@@ -140,7 +141,7 @@ class TestDecoder:
             [rng.normal(size=4), rng.normal(size=5)],
         )
         y = rng.normal(size=3)
-        jac = dec.jet(y)[1]
+        jac = dec._forward(y)[1]
         step = 1e-6
         for i in range(3):
             e = np.zeros(3)
@@ -167,7 +168,7 @@ class TestDecoder:
         # the one-layer pass used to broadcast its weights over any point and return a (3, 2) J
         dec = manifold.Decoder.linear(np.eye(3, 2))
         message = r"^expected latent points of width 2, got shape \(5,\)$"
-        for call in (dec, dec.jet, lambda y: manifold.pullback_metric(manifold.MetricField(dec), y)):
+        for call in (dec, dec._forward, lambda y: manifold.pullback_metric(manifold.MetricField(dec), y)):
             with pytest.raises(ValueError, match=message):
                 call(np.zeros(5))
 
@@ -187,8 +188,9 @@ class TestDecoder:
 
     @given(layers=raw_layer_lists(), data=st.data())
     def test_builds_or_value_error(self, layers, data):
-        # no OverflowError, IndexError or warning (warnings fail the test): a decoder or a ValueError,
-        # and a built decoder's jet is finite at any finite point or a ValueError
+        # no OverflowError, IndexError or warning (warnings fail the test): a decoder or a ValueError;
+        # a built decoder's f is finite at any finite point or a ValueError, and its unchecked pass
+        # gives f and J of the stack's shape
         builds = [
             lambda: manifold.Decoder(layers),
             lambda: manifold.Decoder.mlp_tanh([w for w, _ in layers], [b for _, b in layers]),
@@ -207,12 +209,10 @@ class TestDecoder:
             except ValueError:
                 out = None
             assert out is None or (out.shape == (*shape[:-1], dec.ambient_dim) and np.isfinite(out).all())
-            try:
-                out, jac = dec.jet(y)
-            except ValueError:
-                continue
-            assert out.shape == (*shape[:-1], dec.ambient_dim) and np.isfinite(out).all()
-            assert jac.shape == (*shape[:-1], dec.ambient_dim, dec.latent_dim) and np.isfinite(jac).all()
+            with np.errstate(over="ignore", invalid="ignore"):
+                out, jac = dec._forward(y)
+            assert out.shape == (*shape[:-1], dec.ambient_dim)
+            assert jac.shape == (*shape[:-1], dec.ambient_dim, dec.latent_dim)
 
 
 @pytest.mark.parametrize(
@@ -227,11 +227,6 @@ class TestDecoder:
         ),
         (lambda: manifold.Decoder.linear(np.zeros((1, 0))), "latent dimension must be >= 1"),
         (lambda: manifold.Decoder([]), "decoder needs at least one layer"),
-        (
-            # f is finite, but J = w2 tanh' w1 overflows: it used to warn
-            lambda: manifold.Decoder.mlp_tanh([[[1e200]], [[1e200]]], [[0], [0]]).jet([1e-200]),
-            "jet at y=array([1.e-200]) is not finite",
-        ),
         (
             lambda: manifold.Decoder([(np.eye(2), np.zeros(3))]),
             "each layer needs a matrix and a matching bias vector",
@@ -250,7 +245,6 @@ class TestDecoder:
         "mlp-bad-bias",
         "linear-zero-latent",
         "decoder-no-layers",
-        "jet-overflow",
         "decoder-bias-mismatch",
         "linear-nan-weight",
         "linear-inf-offset",
@@ -438,7 +432,7 @@ class TestGeodesicHamiltonian:
     def test_tanh_jet_matches_jacobian(self):
         dec = random_tanh_decoder(np.random.default_rng(5), 3, 4, 2)
         y = np.array([0.2, -0.1, 0.4])
-        out, jac = dec.jet(y)
+        out, jac = dec._forward(y)
         assert out.tobytes() == dec(y).tobytes()
         np.testing.assert_allclose(jac, manifold._fd_gradient(dec, y), atol=1e-9)
 
@@ -452,7 +446,7 @@ class TestGeodesicHamiltonian:
             ham = manifold.GeodesicHamiltonian(mf)
             traj = manifold.integrate(ham, manifold.PhasePoint(y, p), 0.1, 10)
             states = [np.concatenate([pt.y, pt.p]) for pt in traj.points]
-            return [dec(y), *dec.jet(y), mf.solve(y, p), *states, traj.energies]
+            return [dec(y), *dec._forward(y), mf.solve(y, p), *states, traj.energies]
 
         linear = outputs(manifold.Decoder.linear(a, b))
         layered = outputs(manifold.Decoder.mlp_tanh([a], [b]))
@@ -527,11 +521,39 @@ class TestLeapfrog:
         with pytest.raises(ValueError, match="step"):
             manifold.integrate(Oscillator(), manifold.PhasePoint([1.0], [0.0]), 0.1, 0)
 
-    @pytest.mark.parametrize("n_steps", [10**30, 10**18], ids=["past-max-dimension", "array-too-big"])
-    def test_unallocatable_step_count_is_named(self, n_steps):
-        # numpy refuses both buffers before allocating; its message named neither n_steps nor the size
-        with pytest.raises(ValueError, match=f"^n_steps {n_steps} needs a node buffer too large to allocate$"):
-            manifold.integrate(Oscillator(), manifold.PhasePoint([1.0], [0.0]), 0.1, n_steps)
+    @pytest.mark.parametrize(
+        "call, n_steps",
+        [
+            ("integrate", 10**30),
+            ("integrate", 10**18),
+            ("solve_shooting", 10**30),
+            ("solve_shooting", 2**63),
+            ("solve_shooting", 10**12),
+            ("solve_shooting", 10**6),
+        ],
+        ids=[
+            "past-max-dimension",
+            "array-too-big",
+            "shooting-past-max-dimension",
+            "shooting-past-index-range",
+            "shooting-node-grid",
+            "shooting-dense-hessian",
+        ],
+    )
+    def test_unallocatable_step_count_is_named(self, call, n_steps):
+        # numpy refuses each buffer before allocating; its message named neither n_steps nor the size.
+        # solve_shooting's node grid and its dense ((n_steps - 1) d)^2 Hessian, 29 TiB at 10**6, used to
+        # fail with numpy's message, an IndexError or a MemoryError; now it fails before any decoder pass
+        if call == "integrate":
+            with pytest.raises(ValueError, match=f"^n_steps {n_steps} needs a node buffer too large to allocate$"):
+                manifold.integrate(Oscillator(), manifold.PhasePoint([1.0], [0.0]), 0.1, n_steps)
+            return
+        dec = near_identity_decoder()
+        passes, forward = [], dec._forward
+        dec._forward = lambda y: passes.append(np.shape(y)) or forward(y)
+        with pytest.raises(ValueError, match=f"^n_steps {n_steps} needs a dense Hessian too large to allocate$"):
+            manifold.solve_shooting(manifold.MetricField(dec), np.zeros(2), np.array([0.9, 0.4]), n_steps=n_steps)
+        assert passes == []
 
     def test_divergence_reports_step_index(self):
         with pytest.raises(manifold.IntegrationError, match="step 3"):
@@ -574,17 +596,11 @@ class TestShooting:
         end = shot_end(mf, y_a, p, 24)
         assert np.linalg.norm(end - y_b) <= 1e-8
 
-    @pytest.mark.parametrize("call", ["solve_shooting", "loss_geo"])
-    def test_no_steps_rejected(self, call):
+    def test_no_steps_rejected(self):
         # 1 / n_steps used to raise ZeroDivisionError before the step count was checked
         mf = manifold.MetricField(near_identity_decoder())
-        y_a, y_b = np.zeros(2), np.array([0.5, 0.2])
-        run = {
-            "solve_shooting": lambda: manifold.solve_shooting(mf, y_a, y_b, n_steps=0),
-            "loss_geo": lambda: manifold.loss_geo(mf, [(y_a, y_b)], 0),
-        }[call]
         with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got 0"):
-            run()
+            manifold.solve_shooting(mf, np.zeros(2), np.array([0.5, 0.2]), n_steps=0)
 
     def test_exhausted_iterations_raise(self):
         mf = manifold.MetricField(near_identity_decoder())
@@ -647,8 +663,6 @@ class TestShooting:
         shown = re.escape(f"[{bad}, 0.5]")
         with pytest.raises(ValueError, match=f"^y_b must be finite, got {shown}$"):
             manifold.solve_shooting(mf, np.zeros(2), [bad, 0.5])
-        with pytest.raises(ValueError, match=f"^y_b of pair 0 must be finite, got {shown}$"):
-            manifold.loss_geo(mf, [(np.zeros(2), [bad, 0.5])], 8)
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -755,8 +769,6 @@ class TestVariationalFlow:
         message = r"trajectory must hold one point's \(n\+1, d\) nodes, got ys \(5, 3, 2\) and ps \(5, 3, 2\)"
         with pytest.raises(ValueError, match=message):
             manifold.jacobi_propagate(ham, traj, np.ones(4))
-        with pytest.raises(ValueError, match=message):
-            manifold.loss_jac(ham, [(traj, np.ones(4), np.zeros((5, 4)))])
 
     @pytest.mark.parametrize("node", [0, 2])
     def test_node_past_square_root_of_float_range_is_named(self, node):
@@ -830,7 +842,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POINTS = st.integers(1, 3).flatmap(
     lambda d: st.tuples(*(arrays(np.float64, n, elements=FINITE) for n in (d, d, 2 * d)))
 )
-COSTS = {"loss_geo", "loss_jac", "running_cost", "trajectory_cost", "hjb_residual"}
+COSTS = {"running_cost", "trajectory_cost", "hjb_residual"}
 
 
 def _squares(x) -> float:
@@ -847,8 +859,6 @@ def _squares(x) -> float:
         "optimal_control",
         "jacobi_propagate",
         "empirical_deviations",
-        "loss_geo",
-        "loss_jac",
         "pullback_metric",
         "MetricField.solve",
         "ndm_layer",
@@ -886,8 +896,6 @@ def test_finite_input_gives_finite_result_or_value_error(call, point, h, n_steps
         "optimal_control": lambda: control.optimal_control(field, y, p),
         "jacobi_propagate": lambda: manifold.jacobi_propagate(ham, traj(), delta0),
         "empirical_deviations": lambda: manifold.empirical_deviations(ham, pt, delta0, h, n_steps),
-        "loss_geo": lambda: manifold.loss_geo(field, [(y, p), (p, y, delta0[:d])], n_steps),
-        "loss_jac": lambda: manifold.loss_jac(ham, [(traj(), delta0, np.full((n_steps + 1, 2 * d), h))]),
         "pullback_metric": lambda: manifold.pullback_metric(field, y),
         "MetricField.solve": lambda: field.solve(y, p),
         "ndm_layer": lambda: control.ndm_layer(field, spec, pt, h),
@@ -946,91 +954,6 @@ class TestStencil:
             np.testing.assert_array_equal(grad, loop_fd_gradient(f, x, base_step))
 
 
-class TestLosses:
-    def test_loss_geo_flat_is_zero(self):
-        dec = manifold.Decoder.linear(np.array([[1.0, 0.2], [0.1, 1.0], [0.0, 0.5]]))
-        mf = manifold.MetricField(dec, eps_reg=0.0)
-        pairs = [(np.zeros(2), np.array([1.0, 0.5])), (np.ones(2), np.array([0.0, 2.0]))]
-        assert manifold.loss_geo(mf, pairs, n_steps=16) <= 1e-20
-
-    def test_loss_geo_explicit_momentum(self):
-        dec = manifold.Decoder.linear(np.eye(2))
-        mf = manifold.MetricField(dec, eps_reg=0.0)
-        # shoot with p = (1, 0) from origin: lands at (1, 0); target (0, 0)
-        pairs = [(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))]
-        np.testing.assert_allclose(manifold.loss_geo(mf, pairs, n_steps=8), 1.0)
-
-    def test_loss_geo_pair_is_triple_with_flat_guess(self):
-        mf = manifold.MetricField(near_identity_decoder())
-        y_a, y_b = np.array([0.1, -0.2]), np.array([0.6, 0.3])
-        guess = manifold.pullback_metric(mf, y_a) @ (y_b - y_a)
-        pair = manifold.loss_geo(mf, [(y_a, y_b)], n_steps=8)
-        assert pair > 0 and pair == manifold.loss_geo(mf, [(y_a, y_b, guess)], n_steps=8)
-
-    @pytest.mark.parametrize("n_entries", [1, 4])
-    def test_loss_geo_entry_length_checked(self, n_entries):
-        mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)))
-        with pytest.raises(ValueError, match=f"got {n_entries} entries"):
-            manifold.loss_geo(mf, [(np.zeros(2),) * n_entries], n_steps=8)
-
-    def test_loss_geo_takes_stacked_pairs(self):
-        mf = manifold.MetricField(near_identity_decoder())
-        pairs = [(np.array([0.1, -0.2]), np.array([0.6, 0.3])), (np.array([0.0, 0.4]), np.array([-0.3, 0.1]))]
-        assert manifold.loss_geo(mf, np.array(pairs), n_steps=8) == manifold.loss_geo(mf, pairs, n_steps=8)
-
-    def test_loss_geo_past_float_range_is_inf(self):
-        # the geodesic ends finite but ~1e300 off its target: the squared error used to warn
-        mf = manifold.MetricField(near_identity_decoder(seed=1))
-        assert manifold.loss_geo(mf, [([0.0, 0.0], [1e300, 0.0])], 4) == math.inf
-
-    def test_loss_geo_shoots_all_entries_as_one_stack(self, monkeypatch):
-        mf = manifold.MetricField(near_identity_decoder())
-        rng = np.random.default_rng(5)
-        entries = [tuple(rng.normal(size=(3 if i % 3 == 0 else 2, 2)) * 0.4) for i in range(7)]
-        each = [manifold.loss_geo(mf, [entry], n_steps=8) for entry in entries]
-        leapfrog, calls = manifold._leapfrog, []
-        monkeypatch.setattr(manifold, "_leapfrog", lambda *args, **kw: calls.append(args) or leapfrog(*args, **kw))
-        assert manifold.loss_geo(mf, entries, n_steps=8) == sum(each) / len(entries)
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize(
-        "entry,message",
-        [
-            ((np.zeros(2), 0.5), r"y_b of pair 0 must have shape \(2,\), got \(1,\)"),
-            ((np.zeros(3), np.zeros(2)), r"y_a of pair 0 must have shape \(2,\), got \(3,\)"),
-            ((np.zeros(2), np.zeros(2), np.ones(3)), r"p0 of pair 0 must have shape \(2,\), got \(3,\)"),
-        ],
-    )
-    def test_loss_geo_endpoint_of_wrong_shape_rejected(self, entry, message):
-        # a scalar y_b used to broadcast against the 2-d endpoint and score 6.2e-33
-        mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=0.0)
-        with pytest.raises(ValueError, match=message):
-            manifold.loss_geo(mf, [entry], n_steps=8)
-
-    def test_loss_geo_empty_rejected(self):
-        mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)))
-        with pytest.raises(ValueError, match="pair"):
-            manifold.loss_geo(mf, [], n_steps=8)
-
-    def test_loss_jac_small_for_consistent_case(self):
-        ham = Oscillator()
-        pt = manifold.PhasePoint(np.array([0.5]), np.array([0.2]))
-        d0 = np.array([1.0, -0.5])
-        traj = manifold.integrate(ham, pt, 0.01, 100)
-        observed = manifold.empirical_deviations(ham, pt, d0, 0.01, 100)
-        assert manifold.loss_jac(ham, [(traj, d0, observed)]) < 1e-8
-
-    def test_loss_jac_shape_checked(self):
-        ham = Oscillator()
-        traj = manifold.integrate(ham, manifold.PhasePoint([1.0], [0.0]), 0.1, 2)
-        with pytest.raises(ValueError, match="shape"):
-            manifold.loss_jac(ham, [(traj, np.zeros(2), np.zeros((5, 2)))])
-
-    def test_loss_jac_empty_rejected(self):
-        with pytest.raises(ValueError, match="case"):
-            manifold.loss_jac(Oscillator(), [])
-
-
 class TestPhasePoint:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -1049,11 +972,11 @@ class TestStackContract:
         dec = random_tanh_decoder(rng, 3, 4, 2)
         dec = {"mlp-tanh": dec, "linear": manifold.Decoder.linear(*dec.layers[0])}[kind]
         ys = rng.uniform(-0.5, 0.5, size=(2, 5, 3))
-        out, jac = dec.jet(ys)
+        out, jac = dec._forward(ys)
         assert out.shape == (2, 5, 4) and jac.shape == (2, 5, 4, 3)
         np.testing.assert_array_equal(dec(ys), out)
         for idx in np.ndindex(2, 5):
-            point_out, point_jac = dec.jet(ys[idx])
+            point_out, point_jac = dec._forward(ys[idx])
             np.testing.assert_array_equal(out[idx], point_out)
             np.testing.assert_array_equal(jac[idx], point_jac)
 
@@ -1168,8 +1091,13 @@ class TestFailureState:
         w1 = np.vstack([np.eye(2), np.zeros((1, 2))]) + 0.3 * rng.normal(size=(3, 2))
         w2 = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
         dec = manifold.Decoder.mlp_tanh([w1, w2], [0.1 * rng.normal(size=3), np.zeros(3)])
+        field = manifold.MetricField(dec)
+        # the first step of the shot from the flat-chart guess G(y_a)(y_b - y_a) towards y_b = (1e302, 0), as a
+        # stack of one; integrate would fail at step 0 instead, since that momentum's energy overflows
+        p = manifold.pullback_metric(field, [0.0, 0.0]) @ [1e302, 0.0]
+        pt = manifold.PhasePoint([[0.0, 0.0]], [p])
         with pytest.raises(manifold.IntegrationError, match="^non-finite state or energy at step 1$") as info:
-            manifold.loss_geo(manifold.MetricField(dec), [([0.0, 0.0], [1e302, 0.0])], 4)
+            manifold.leapfrog_step(manifold.GeodesicHamiltonian(field), pt, 0.25)
         assert info.value.step == 1
         np.testing.assert_array_equal(info.value.y, [[0.0, 0.0]])
         assert np.isfinite(info.value.p).all()
@@ -1196,7 +1124,7 @@ class TestFailureState:
         residuals = info.value.residuals
         # the action's gradient on the straight line, node by node
         nodes = y_a + np.linspace(0.0, 1.0, 9)[:, None] * (y_b - y_a)
-        out, jac = mf.decoder.jet(nodes)
+        out, jac = mf.decoder._forward(nodes)
         grad = [
             (jac[k].T @ (2 * out[k] - out[k - 1] - out[k + 1]) + mf.eps_reg * (2 * nodes[k] - nodes[k - 1] - nodes[k + 1])) * 8
             for k in range(1, 8)

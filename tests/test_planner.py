@@ -286,47 +286,6 @@ class TestBuildNdmGraph:
         assert [v for v, _ in g.adjacency[0]] == [1, 2]
 
 
-class TestWaypoints:
-    @pytest.mark.parametrize(
-        "stride,expected",
-        [
-            (1, [0, 1, 2, 3, 4]),
-            (2, [0, 2, 4]),
-            (3, [0, 3, 4]),
-            (10, [0, 4]),
-        ],
-    )
-    def test_stride(self, stride, expected):
-        assert planner.waypoints([0, 1, 2, 3, 4], stride) == expected
-
-    def test_single_node(self):
-        assert planner.waypoints([7], 2) == [7]
-
-    def test_last_node_kept_by_position(self):
-        # the last node used to be compared by value: a repeated value lost it, and array payloads raised
-        assert planner.waypoints([1, 2, 1, 1], 2) == [1, 1, 1]
-        points = [np.zeros(2), np.ones(2), np.zeros(2)]
-        kept = planner.waypoints(points, 3)
-        assert len(kept) == 2 and kept[0] is points[0] and kept[1] is points[2]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            planner.waypoints([], 1)
-
-    def test_bad_stride(self):
-        with pytest.raises(ValueError):
-            planner.waypoints([0, 1], 0)
-
-    @pytest.mark.parametrize("stride", [2.5, math.inf, math.nan, 0.0, -1], ids=["fraction", "inf", "nan", "zero", "negative"])
-    def test_stride_must_be_an_integer_of_at_least_one(self, stride):
-        # 2.5 used to become 2, inf raised OverflowError and nan a numpy conversion error
-        with pytest.raises(ValueError, match=f"^stride must be an integer >= 1, got {re.escape(repr(stride))}$"):
-            planner.waypoints([0, 1, 2], stride)
-
-    def test_integral_float_stride_accepted(self):
-        assert planner.waypoints([0, 1, 2, 3, 4], 2.0) == [0, 2, 4]
-
-
 @st.composite
 def graphs(draw):
     """Graphs of up to 6 nodes with any finite non-negative weights, self-loops included."""
@@ -581,11 +540,17 @@ class TestShortestPathStopProperty:
 GRAPH_JUNK = ["", "q 0 1", "n", "e 0 1", "n x", "e 0 x 1.5", "e 0 9 1.5", "e 0 0 -1", "n 2"]
 
 
+def write_graph(graph, path):
+    """Write the n/e text format, each weight as its repr, which reads back as the same float."""
+    rows = [f"n {graph.n_nodes}", *(f"e {u} {v} {w!r}" for u, v, w in graph.edges())]
+    path.write_text("".join(f"{row}\n" for row in rows))
+
+
 class TestGraphIo:
     @given(g=graphs())
     def test_round_trip_property(self, tmp_path_factory, g):
         p = tmp_path_factory.mktemp("graph") / "g.graph"
-        planner.save_graph(g, p)
+        write_graph(g, p)
         loaded = planner.load_graph(p)
         assert loaded.n_nodes == g.n_nodes
         assert list(loaded.edges()) == list(g.edges())
@@ -594,7 +559,7 @@ class TestGraphIo:
         rng = np.random.default_rng(3)
         g = random_graph(rng)
         p = tmp_path / "g.graph"
-        planner.save_graph(g, p)
+        write_graph(g, p)
         head, rest = p.read_text().split("\n", 1)
         p.write_text(f"# saved graph\n\n{head}  # nodes\n{rest}")
         loaded = planner.load_graph(p)
@@ -635,7 +600,7 @@ class TestGraphIo:
     @given(g=graphs(), data=st.data())
     def test_junk_line_is_named(self, tmp_path_factory, g, data):
         p = tmp_path_factory.mktemp("graph") / "g.graph"
-        planner.save_graph(g, p)
+        write_graph(g, p)
         rows = p.read_text().splitlines()
         k = data.draw(st.integers(1, len(rows)), label="replaced line")
         rows[k - 1] = data.draw(st.sampled_from(GRAPH_JUNK), label="junk")

@@ -29,6 +29,13 @@ def brute_two_body(system):
     return e
 
 
+def ffn_reference(h, bath):
+    """The feed-forward target (h + W2 tanh(W1 h + b1)) / ||.|| of one spin h alone."""
+    u = bath.W1 @ h if bath.b1 is None else bath.W1 @ h + bath.b1
+    t = h + bath.W2 @ np.tanh(u)
+    return t / np.linalg.norm(t)
+
+
 class TestSpinValidation:
     def test_unit_spin_accepted(self):
         assert spins.SpinSystem(np.array([[1.0, 0.0]]), np.zeros((1, 1))).spins.tolist() == [[1.0, 0.0]]
@@ -262,90 +269,6 @@ class TestGibbsAttention:
             spins.gibbs_attention(sys0, 0, 1.0)
 
 
-class TestCtmCouplings:
-    def test_blend_endpoints(self):
-        rng = np.random.default_rng(8)
-        w = rng.normal(size=(3, 3))
-        hist = unit_spins(rng, 3, 2)[None, :, :].repeat(4, axis=0)
-        j1 = spins.ctm_couplings(w, hist, alpha=1.0)
-        np.testing.assert_allclose(j1, 0.5 * (w + w.T))
-        j0 = spins.ctm_couplings(w, hist, alpha=0.0)
-        corr = hist[0] @ hist[0].T
-        np.testing.assert_allclose(j0, corr)
-
-    def test_result_symmetric(self):
-        rng = np.random.default_rng(13)
-        w = rng.normal(size=(4, 4))
-        hist = np.stack([unit_spins(rng, 4, 3) for _ in range(5)])
-        j = spins.ctm_couplings(w, hist, alpha=0.4)
-        np.testing.assert_allclose(j, j.T, atol=1e-14)
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError, match="alpha"):
-            spins.ctm_couplings(np.zeros((2, 2)), np.zeros((1, 2, 3)), alpha=1.5)
-
-    @pytest.mark.parametrize(
-        "w, hist, alpha, message",
-        [
-            (np.array([[0.0, np.nan], [0.0, 0.0]]), np.zeros((1, 2, 2)), 0.5, "influence must be finite"),
-            (np.zeros((2, 2)), np.full((2, 2, 2), np.nan), 0.5, "spin history must be finite"),
-            (np.zeros((2, 2)), np.full((1, 2, 2), 1e200), 0.5, "a blended coupling overflows the float range"),
-            (np.zeros((2, 2)), np.full((1, 2, 2), 1e200), 1.0, "a blended coupling overflows the float range"),
-        ],
-        ids=["nan-influence", "nan-history", "overflow", "overflow-times-zero"],
-    )
-    def test_non_finite_rejected(self, w, hist, alpha, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            spins.ctm_couplings(w, hist, alpha)
-
-
-class TestFfnTarget:
-    def test_unit_norm_output(self):
-        rng = np.random.default_rng(3)
-        d, hidden = 3, 5
-        bath = spins.BathParams(
-            eta_ff=0.5,
-            W1=rng.normal(size=(hidden, d)),
-            W2=rng.normal(size=(d, hidden)),
-            b1=rng.normal(size=hidden),
-        )
-        h = unit_spins(rng, 1, 3)[0]
-        t = spins.ffn_target(h, bath)
-        np.testing.assert_allclose(np.linalg.norm(t), 1.0, atol=1e-12)
-
-    def test_collapse_raises(self):
-        # tanh(20) rounds to exactly 1, so t = h + W2 = h - e_0 vanishes at h = e_0
-        bath = spins.BathParams(eta_ff=1.0, W1=np.zeros((1, 2)), W2=np.array([[-1.0], [0.0]]), b1=np.array([20.0]))
-        with pytest.raises(ValueError, match="collapsed"):
-            spins.ffn_target(np.array([1.0, 0.0]), bath)
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("eta", np.nan),
-            ("eta", np.inf),
-            ("eta_ff", np.nan),
-            ("eta_ff", -np.inf),
-            ("gamma", np.nan),
-            ("W1", np.array([[1.0, np.nan]])),
-            ("W2", np.array([[np.inf], [0.0]])),
-            ("b1", np.array([np.nan])),
-        ],
-        ids=["eta-nan", "eta-inf", "eta_ff-nan", "eta_ff-minus-inf", "gamma-nan", "W1", "W2", "b1"],
-    )
-    def test_non_finite_parameter_named(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            spins.BathParams(**{name: value})
-
-    def test_huge_weights_end_like_micro_step(self):
-        bath = spins.BathParams(eta_ff=1.0, W1=np.full((2, 2), 1e300), W2=np.full((2, 2), 1e300))
-        message = "^feed-forward target of neuron 0 has norm inf; cannot normalise$"
-        with pytest.raises(ValueError, match=message):
-            spins.ffn_target(np.array([1.0, 0.0]), bath)
-        with pytest.raises(ValueError, match=message):
-            spins.micro_step(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), bath)
-
-
 class TestMicroStep:
     def test_norms_preserved(self):
         rng = np.random.default_rng(21)
@@ -373,6 +296,31 @@ class TestMicroStep:
         bath = spins.BathParams(gamma=1.0)  # update = s - s = 0
         with pytest.raises(ValueError, match="neuron 0"):
             spins.micro_step(sys0, bath)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("eta", np.nan),
+            ("eta", np.inf),
+            ("eta_ff", np.nan),
+            ("eta_ff", -np.inf),
+            ("gamma", np.nan),
+            ("W1", np.array([[1.0, np.nan]])),
+            ("W2", np.array([[np.inf], [0.0]])),
+            ("b1", np.array([np.nan])),
+        ],
+        ids=["eta-nan", "eta-inf", "eta_ff-nan", "eta_ff-minus-inf", "gamma-nan", "W1", "W2", "b1"],
+    )
+    def test_non_finite_parameter_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            spins.BathParams(**{name: value})
+
+    def test_huge_feed_forward_weights_name_the_neuron(self):
+        # the target's row norm overflows, and the normaliser names the neuron
+        bath = spins.BathParams(eta_ff=1.0, W1=np.full((2, 2), 1e300), W2=np.full((2, 2), 1e300))
+        message = "^feed-forward target of neuron 0 has norm inf; cannot normalise$"
+        with pytest.raises(ValueError, match=message):
+            spins.micro_step(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), bath)
 
     def test_gamma_length_checked(self):
         # gamma is one scalar: an array is refused when the bath is built, even one per neuron
@@ -440,7 +388,7 @@ class TestMicroStep:
             W2=rng.normal(size=(2, 4)),
         )
         sys0 = spins.SpinSystem(np.eye(2), np.zeros((2, 2)))
-        target = spins.ffn_target(sys0.spins[0], bath)
+        target = ffn_reference(sys0.spins[0], bath)
         out = spins.micro_step(sys0, bath)
         d_before = np.linalg.norm(target - sys0.spins[0])
         d_after = np.linalg.norm(target - out.spins[0])
@@ -528,11 +476,11 @@ class TestSymmetrisedOnce:
             assert spins.SpinSystem(unit_spins(rng, n, 2), j)._sym.tobytes() == want.tobytes()
 
     def test_huge_couplings_do_not_overflow(self):
-        # the system's J~ and ctm_couplings share the one symmetric-part formula
+        # J~ halves before the sum, in the system and in lattice_energy's own J~ alike
         j = np.array([[0.0, 1e308], [1.7e308, 0.0]])
         half_sum = 0.5 * 1e308 + 0.5 * 1.7e308
         np.testing.assert_array_equal(spins.SpinSystem(np.eye(2), j)._sym, [[0.0, half_sum], [half_sum, 0.0]])
-        np.testing.assert_array_equal(spins.ctm_couplings(j, np.zeros((1, 2, 2)), 1.0), [[0.0, half_sum], [half_sum, 0.0]])
+        np.testing.assert_array_equal(spins._symmetrised(j), [[0.0, half_sum], [half_sum, 0.0]])
 
     @pytest.mark.parametrize("seed", range(2))
     def test_sixteen_ticks(self, seed):
@@ -543,7 +491,7 @@ class TestSymmetrisedOnce:
         for _ in range(16):
             out = spins.micro_step(out, bath)
             assert out._sym is system._sym
-            targets = spins._ffn_targets(s, bath)
+            targets = spins._feed_forward_targets(s, bath)
             u = s + bath.eta * (two_product_pair_field(j, s) + h) + bath.eta_ff * (targets - s) - bath.gamma * s
             s = u / np.linalg.norm(u, axis=1, keepdims=True)
         assert np.max(np.abs(out.spins - s)) <= 4e-15
@@ -552,7 +500,7 @@ class TestSymmetrisedOnce:
 
 class TestBatchedFfn:
     """micro_step computes all N feed-forward targets as one batch; each row
-    must be ffn_target of its spin (summation order differs: 1e-15)."""
+    must be the target of its spin alone (summation order differs: 1e-15)."""
 
     @pytest.mark.parametrize("biases", [True, False])
     def test_rows_match_single_spin(self, biases):
@@ -565,8 +513,8 @@ class TestBatchedFfn:
             b1=rng.normal(size=hidden) if biases else None,
         )
         s = unit_spins(rng, n, d)
-        single = np.stack([spins.ffn_target(row, bath) for row in s])
-        np.testing.assert_allclose(spins._ffn_targets(s, bath), single, rtol=0, atol=1e-15)
+        single = np.stack([ffn_reference(row, bath) for row in s])
+        np.testing.assert_allclose(spins._feed_forward_targets(s, bath), single, rtol=0, atol=1e-15)
         # with eta_ff = 1 and no relaxation or leak, the update is the target
         out = spins.micro_step(spins.SpinSystem(s, np.zeros((n, n))), bath)
         np.testing.assert_allclose(out.spins, single, rtol=0, atol=1e-15)
@@ -577,14 +525,11 @@ class TestBatchedFfn:
         sys0 = spins.SpinSystem(np.eye(3), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="neuron 2 collapsed"):
             spins.micro_step(sys0, bath)
-        # the single-spin API is the one-row batch
-        with pytest.raises(ValueError, match="neuron 0 collapsed"):
-            spins.ffn_target(sys0.spins[2], bath)
 
     def test_collapse_reports_plain_norm(self):
         bath = spins.BathParams(eta_ff=1.0, W1=np.zeros((1, 2)), W2=np.array([[-1.0], [0.0]]), b1=np.array([20.0]))
         with pytest.raises(ValueError) as ffn_err:
-            spins.ffn_target(np.array([1.0, 0.0]), bath)
+            spins.micro_step(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), bath)
         assert str(ffn_err.value) == "feed-forward target of neuron 0 collapsed to norm 0.0; cannot normalise"
         with pytest.raises(ValueError) as step_err:
             spins.micro_step(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), spins.BathParams(gamma=1.0))
@@ -593,9 +538,9 @@ class TestBatchedFfn:
     def test_collapse_bound_is_strict(self):
         # a target of norm exactly 1e-12 is kept, as micro_step keeps such a spin
         bath = spins.BathParams(eta_ff=1.0, W1=np.zeros((2, 2)), W2=np.zeros((2, 2)))
-        np.testing.assert_array_equal(spins.ffn_target(np.array([1e-12, 0.0]), bath), [1.0, 0.0])
+        np.testing.assert_array_equal(spins._feed_forward_targets(np.array([[1e-12, 0.0]]), bath), [[1.0, 0.0]])
         with pytest.raises(ValueError, match="collapsed to norm 9.9"):
-            spins.ffn_target(np.array([9.9e-13, 0.0]), bath)
+            spins._feed_forward_targets(np.array([[9.9e-13, 0.0]]), bath)
 
 
 @pytest.mark.parametrize(
@@ -608,11 +553,8 @@ class TestBatchedFfn:
             "queries and keys need d >= 1 columns, got shape (2, 0)",
         ),
         (lambda: spins.gibbs_attention(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), 2, 1.0), "spin index 2 out of range"),
-        (lambda: spins.ctm_couplings(np.zeros((2, 2)), np.zeros((2, 2)), 0.5), "spin history must be (T, N, d)"),
-        (lambda: spins.ctm_couplings(np.zeros((3, 3)), np.zeros((1, 2, 2)), 0.5), "influence must be (2, 2), got (3, 3)"),
-        (lambda: spins.ctm_couplings(np.zeros((2, 2)), np.zeros((0, 2, 2)), 0.5), "spin history needs at least one tick"),
         (
-            lambda: spins.ffn_target(np.array([1.0, 0.0]), spins.BathParams(eta_ff=1.0)),
+            lambda: spins.micro_step(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), spins.BathParams(eta_ff=1.0)),
             "the feed-forward target needs W1 and W2 on the bath",
         ),
     ],
@@ -620,9 +562,6 @@ class TestBatchedFfn:
         "system-3d",
         "attention-zero-width",
         "gibbs-index-out-of-range",
-        "ctm-history-not-3d",
-        "ctm-influence-shape",
-        "ctm-no-ticks",
         "ffn-without-weights",
     ],
 )
