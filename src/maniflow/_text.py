@@ -20,13 +20,8 @@ def lines(path):
                 yield lineno, line
 
 
-def write(path, text) -> None:
-    """Write ``text`` as UTF-8: a str as it is, or rows, one ``\\n`` after each.
-
-    Everything is rendered before the file is opened.
-    """
-    if not isinstance(text, str):
-        text = "".join(f"{row}\n" for row in text)
+def write(path, text: str) -> None:
+    """Write the rendered ``text`` as UTF-8, as it is."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

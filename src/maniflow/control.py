@@ -6,9 +6,10 @@ running cost u^T G u / 2 solves G(y) u = p, giving the reduced Hamiltonian
     H(y, p) = p^T G(y)^{-1} p / 2 - l_task(z)
 
 evaluated on decoded outputs z = decoder(y): a ``GeodesicHamiltonian``
-that subtracts the potential.  A candidate value function V is scored by
-the residual dV/dt + H(y, grad V); layer updates advance phase points by
-one chord step of the reduced Hamiltonian.
+that subtracts the potential.  A candidate value function V, given with
+its analytic grad V and dV/dt, is scored by the residual
+dV/dt + H(y, grad V); layer updates advance phase points by one chord
+step of the reduced Hamiltonian.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .manifold import (
     MetricField,
     PhasePoint,
     _central,
-    _fd_gradient,
     _stencil,
     leapfrog_step,
 )
@@ -54,25 +54,11 @@ class CostSpec:
 
 @dataclass
 class ValueFunction:
-    """Candidate value function V(y, t) with optional analytic derivatives.
-
-    Missing derivatives fall back to central differences with step
-    1e-5 (1 + |arg|).
-    """
+    """Candidate value function V(y, t) with its analytic derivatives grad V and dV/dt."""
 
     value: Callable[[np.ndarray, float], float]
-    grad: Callable[[np.ndarray, float], np.ndarray] | None = None
-    time_partial: Callable[[np.ndarray, float], float] | None = None
-
-    def gradient(self, y: np.ndarray, t: float) -> np.ndarray:
-        if self.grad is not None:
-            return floats(self.grad(y, t))
-        return _fd_gradient(lambda yy: real(self.value(yy, t)), floats(y))
-
-    def dt(self, y: np.ndarray, t: float) -> float:
-        if self.time_partial is not None:
-            return real(self.time_partial(y, t))
-        return float(_fd_gradient(lambda tt: real(self.value(y, tt[0])), np.array([real(t)]))[0])
+    grad: Callable[[np.ndarray, float], np.ndarray]
+    time_partial: Callable[[np.ndarray, float], float]
 
 
 class ReducedHamiltonian(GeodesicHamiltonian):
@@ -122,8 +108,8 @@ def hjb_residual(
     """
     y = np.atleast_1d(floats(y))
     with np.errstate(over="ignore", invalid="ignore"):
-        costate = np.atleast_1d(value_fn.gradient(y, t))
-        residual = value_fn.dt(y, t) + ReducedHamiltonian(metric_field, cost)(y, costate)
+        costate = np.atleast_1d(floats(value_fn.grad(y, t)))
+        residual = real(value_fn.time_partial(y, t)) + ReducedHamiltonian(metric_field, cost)(y, costate)
     if math.isnan(residual):
         raise ValueError("HJB residual is nan")
     return residual

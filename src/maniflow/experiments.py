@@ -174,8 +174,8 @@ def _sssp_path() -> tuple[float, ...]:
     from .planner import WeightedDigraph, shortest_path  # table 1's route alone plans
 
     graph = WeightedDigraph()
-    for y in SSSP_NODE_SET:
-        graph.add_node(y)
+    for _ in SSSP_NODE_SET:
+        graph.add_node()
     for i, a in enumerate(SSSP_NODE_SET):
         for j, b in enumerate(SSSP_NODE_SET):
             if i != j:

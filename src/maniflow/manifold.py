@@ -12,7 +12,7 @@ one way, ``MetricField._geometry``: ``pullback_metric`` returns it,
 ``MetricField.solve`` solves G v = rhs, and ``GeodesicHamiltonian`` and
 the chord step's energies take H from it.  The only derivative of a
 decoder is its order-1 jet (f, J), from ``Decoder._forward``, one pass
-over its layers (``linear`` is the one-layer case of ``mlp-tanh``) for a
+over its layers (``linear`` is one layer with a zero bias) for a
 point (d,) or a stack (..., d); it is unchecked, and the engine checks G
 or its nodes instead.
 
@@ -47,7 +47,7 @@ first chord, so the chord step from it retraces the nodes to y_b.
 
 Finite differences take their points from ``_stencil`` and their
 quotient from ``_central``: steps 1e-5 (1 + |arg|) (``GRAD_STEP``), for
-first derivatives only (``_fd_gradient``, a potential's gradient, the
+first derivatives only (a potential's gradient in ``control``, the
 step's tangent in ``jacobi_propagate``).  One loop runs a point or a
 stack, kernel by kernel slice by slice, so each row is bit-equal to its
 single-point run: ``leapfrog_step`` is the one-step ``integrate``
@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -154,14 +154,11 @@ class Decoder:
             raise ValueError(f"ambient dimension {n} must be >= latent dimension {d}")
 
     @classmethod
-    def linear(cls, matrix: np.ndarray, offset: np.ndarray | None = None) -> "Decoder":
+    def linear(cls, matrix: np.ndarray) -> "Decoder":
         shape = np.shape(matrix)
         if len(shape) != 2:
             raise ValueError("linear decoder needs a 2-d matrix")
-        offset = np.zeros(shape[0]) if offset is None else offset
-        if np.shape(offset) != shape[:1]:
-            raise ValueError(f"offset must have length {shape[0]}")
-        return cls([(matrix, offset)])
+        return cls([(matrix, np.zeros(shape[0]))])
 
     @classmethod
     def mlp_tanh(cls, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> "Decoder":
@@ -363,26 +360,6 @@ def _central(values: np.ndarray, step: np.ndarray) -> np.ndarray:
     return ((values[..., :n, :] - values[..., n:, :]) / (2.0 * step)).swapaxes(-1, -2)
 
 
-def _fd_gradient(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Central differences of f at a point x, f evaluated at ``_stencil``'s points one by one.
-
-    A scalar f gives its gradient, shape (n,); a vector f gives its
-    Jacobian, one column per coordinate of x.  ValueError unless the
-    stencil and the derivative are finite: past ~1e154, |x|^2 overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        points, step = _stencil(x)
-    if not np.isfinite(points).all():
-        raise ValueError(f"finite-difference stencil around {x.tolist()} is not finite")
-    values = np.array([f(point) for point in points], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grad = _central(values.reshape(len(points), -1), step)
-    if not np.isfinite(grad).all():
-        raise ValueError(f"finite-difference derivative at {x.tolist()} is not finite")
-    # a C-ordered copy, so callers' matmuls never meet a transposed view
-    return np.ascontiguousarray(grad.reshape(*values.shape[1:], x.shape[0]))
-
-
 def _staged(hamiltonian, y, p, h, n_steps, energies, failure):
     """Nodes (y, p, H or None) of the staged kick-drift-kick from the partials ``dy`` and ``dp``."""
     for k in range(n_steps + 1):
@@ -507,13 +484,15 @@ def _latent_point(metric_field: MetricField, name: str, value) -> np.ndarray:
     return point
 
 
+_SHOOTING_ITERATIONS = 50
+
+
 def solve_shooting(
     metric_field: MetricField,
     y_a: np.ndarray,
     y_b: np.ndarray,
     n_steps: int = 32,
     tol: float = 1e-8,
-    max_iter: int = 50,
 ) -> np.ndarray:
     """Momentum at y_a of the discrete geodesic to y_b: damped Gauss-Newton on its action.
 
@@ -523,16 +502,15 @@ def solve_shooting(
     lower the gradient's norm is halved and tried again.  The solve stops
     once a Gauss-Newton step would move no node by more than ``tol``, takes
     that step, and returns the first chord's momentum
-    [J_0^T (f_1 - f_0) + eps_reg (q_1 - q_0)] / h.  ShootingError carries
-    the gradient norms.  ``tol`` must be a number >= 0 and ``max_iter`` an
-    integer >= 0.  An ``n_steps`` whose dense ((n_steps - 1) d)^2 Hessian
-    numpy refuses raises ValueError before the first decoder pass.
+    [J_0^T (f_1 - f_0) + eps_reg (q_1 - q_0)] / h.  After 50 iterations
+    (``_SHOOTING_ITERATIONS``) it raises ShootingError, which carries the
+    gradient norms.  ``tol`` must be a number >= 0.  An ``n_steps``
+    whose dense ((n_steps - 1) d)^2 Hessian numpy refuses raises
+    ValueError before the first decoder pass.
     """
     if not real(tol) >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     tol = real(tol)
-    if not is_count(max_iter, 0):
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     y_a = _latent_point(metric_field, "y_a", y_a)
     y_b = _latent_point(metric_field, "y_b", y_b)
     if not is_count(n_steps, 1):
@@ -570,7 +548,7 @@ def solve_shooting(
         if not (math.isfinite(norm) and np.isfinite(full).all()):
             raise ShootingError(f"the action's gradient norm on the straight line is not finite: {norm!r}", [norm])
         history, trial = [norm], full
-        for _ in range(int(max_iter)):
+        for _ in range(_SHOOTING_ITERATIONS):
             if np.linalg.norm(full, axis=-1).max(initial=0.0) <= tol:
                 break
             candidate = nodes.copy()
@@ -588,7 +566,7 @@ def solve_shooting(
         # the first chord's momentum; q_0 = y_a, so only f(q_1) is new
         p = (jac[0].T @ (forward(nodes[1])[0] - out[0]) + eps * (nodes[1] - y_a)) / h
     if not converged:
-        raise ShootingError(f"no convergence after {max_iter} iterations; final residual {norm:.3e}", history, p)
+        raise ShootingError(f"no convergence after {_SHOOTING_ITERATIONS} iterations; final residual {norm:.3e}", history, p)
     if not np.isfinite(p).all():
         raise ShootingError(f"the momentum of the first chord is not finite: {p.tolist()}", history, p)
     return p

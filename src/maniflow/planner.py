@@ -1,12 +1,13 @@
 """Weighted digraphs and deterministic single-source shortest paths.
 
-The planner works on directed graphs with non-negative, finite edge
-weights and opaque node payloads (latent points, workspace node ids, or
-nothing at all).  Shortest paths are computed with a binary-heap Dijkstra
-whose tie-breaking is deterministic: among equal-cost routes discovered
-while a node is still open, the predecessor with the smaller index wins.
-Once a node is settled its predecessor is frozen, which keeps the
-predecessor structure a tree even in the presence of zero-weight cycles.
+The planner works on directed graphs of indexed nodes with non-negative,
+finite edge weights; what a node stands for (a latent sample, a
+workspace node id) stays with the caller.  Shortest paths are computed
+with a binary-heap Dijkstra whose tie-breaking is deterministic: among
+equal-cost routes discovered while a node is still open, the predecessor
+with the smaller index wins.  Once a node is settled its predecessor is
+frozen, which keeps the predecessor structure a tree even in the
+presence of zero-weight cycles.
 ``dijkstra`` settles every reachable node; ``shortest_path`` runs the same
 search but stops when its target is settled, which leaves the route
 unchanged.
@@ -67,27 +68,21 @@ def _edge_weight(n: int, src: int, dst: int, weight) -> float:
 
 
 class WeightedDigraph:
-    """Directed graph with non-negative edge weights.
+    """Directed graph with non-negative edge weights: ``adjacency[i]`` lists node i's (dst, weight) pairs.
 
-    ``payloads[i]`` carries arbitrary per-node data; the graph itself only
-    cares about indices.  Given lists are kept, not copied; each one left
-    out starts as a new empty list.  The two must have equal lengths.
+    A given ``adjacency`` is kept, not copied; left out, it starts empty.
     """
 
-    def __init__(self, payloads: list | None = None, adjacency: list[list[tuple[int, float]]] | None = None):
-        self.payloads = [] if payloads is None else payloads
+    def __init__(self, adjacency: list[list[tuple[int, float]]] | None = None):
         self.adjacency = [] if adjacency is None else adjacency
-        if len(self.payloads) != len(self.adjacency):
-            raise ValueError(f"{len(self.payloads)} payloads but {len(self.adjacency)} adjacency lists")
 
     @property
     def n_nodes(self) -> int:
-        return len(self.payloads)
+        return len(self.adjacency)
 
-    def add_node(self, payload=None) -> int:
-        self.payloads.append(payload)
+    def add_node(self) -> int:
         self.adjacency.append([])
-        return len(self.payloads) - 1
+        return len(self.adjacency) - 1
 
     def add_edge(self, src: int, dst: int, weight: float) -> None:
         w = _edge_weight(self.n_nodes, src, dst, weight)
@@ -291,10 +286,10 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
         raise ValueError(f"k-nearest rule needs an integer k >= 1, got {param!r}")
     src, dst = _knn_pairs(flat, min(int(param), n - 1))
 
-    payloads = list(samples)
+    samples = list(samples)
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for i, j in zip(src.tolist(), dst.tolist()):
-        raw = edge_cost(payloads[i], payloads[j])
+        raw = edge_cost(samples[i], samples[j])
         cost = real(raw)
         if not 0.0 <= cost < math.inf:
             raise ValueError(
@@ -302,13 +297,11 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
                 f" non-negative, got {raw!r}"
             )
         adjacency[i].append((j, cost))
-    return WeightedDigraph(payloads, adjacency)
+    return WeightedDigraph(adjacency)
 
 
 def load_graph(path) -> WeightedDigraph:
     """Parse the ``n``/``e`` text format; a bad line raises ``_text.FormatError`` starting ``line N: ``."""
-    graph = WeightedDigraph()
-    adjacency = graph.adjacency
     declared = False
     for ln, line in _text.lines(path):
         tokens = line.split()
@@ -321,8 +314,7 @@ def load_graph(path) -> WeightedDigraph:
                 count = int(tokens[1])
                 if count < 0:
                     raise ValueError("negative node count")
-                for _ in range(count):
-                    graph.add_node()
+                adjacency = [[] for _ in range(count)]
                 declared = True
             elif tokens[0] == "e":
                 if not declared:
@@ -338,4 +330,4 @@ def load_graph(path) -> WeightedDigraph:
             raise _text.FormatError.at(ln, exc) from None
     if not declared:
         raise _text.FormatError("missing 'n <count>' line")
-    return graph
+    return WeightedDigraph(adjacency)

@@ -126,11 +126,10 @@ def to_weighted_digraph(ws: WorkspaceGraph):
     (0.0 when the edge has no t; the + 0.0 turns a -0.0 into 0.0); role,
     spatial, and binding edges become zero-weight connectors in both
     directions.  A negative or non-finite t raises the planner's
-    ``ValueError``.  Returns (digraph, node_id -> index map); payloads are
-    node ids.
+    ``ValueError``.  Returns (digraph, node_id -> index map).
     """
     graph = planner.WeightedDigraph()
-    index = {node_id: graph.add_node(node_id) for node_id in ws.nodes}
+    index = {node_id: graph.add_node() for node_id in ws.nodes}
     for edge in ws.edges:
         u, v = index[edge.src], index[edge.dst]
         if edge.kind in (EdgeKind.TEMPORAL, EdgeKind.CAUSAL):
@@ -155,5 +154,6 @@ def explanation_chain(ws: WorkspaceGraph, src: str, dst: str, coeffs: EdgeCoeffs
     if found is None:
         return None
     path, cost = found
-    return [graph.payloads[i] for i in path], cost
+    ids = list(index)
+    return [ids[i] for i in path], cost
 

@@ -7,6 +7,8 @@ import pytest
 
 from maniflow import control, manifold
 
+from conftest import loop_fd_gradient
+
 
 def identity_field(eps_reg=0.0):
     return manifold.MetricField(manifold.Decoder.linear(np.eye(1)), eps_reg=eps_reg)
@@ -24,36 +26,13 @@ class TestCostSpec:
 
 class TestValueFunction:
     def test_analytic_gradient_used(self):
+        # V = y^2/2 given with grad 10 y: the residual reads the given grad, 0 + (10 y)^2/2 - y^2/2 at y = 1
         vf = control.ValueFunction(
             value=lambda y, t: 0.5 * float(y @ y),
             grad=lambda y, t: 10.0 * np.asarray(y),
+            time_partial=lambda y, t: 0.0,
         )
-        np.testing.assert_allclose(vf.gradient(np.array([1.0]), 0.0), [10.0])
-
-    def test_fd_gradient_fallback(self):
-        vf = control.ValueFunction(value=lambda y, t: 0.5 * float(y @ y))
-        y = np.array([1.3, -0.4])
-        np.testing.assert_allclose(vf.gradient(y, 0.0), y, atol=1e-8)
-
-    def test_time_partial_fd(self):
-        vf = control.ValueFunction(value=lambda y, t: float(y[0]) * t * t)
-        np.testing.assert_allclose(vf.dt(np.array([2.0]), 3.0), 12.0, atol=1e-6)
-
-    @pytest.mark.parametrize(
-        "call,message",
-        [
-            # past ~1e154 the stencil step's |x|^2 overflowed: both used to warn in matmul
-            (lambda vf: vf.gradient(np.array([1e200]), 0.0), r"stencil around \[1e\+200\] is not finite"),
-            (lambda vf: vf.dt(np.array([0.0]), 1e300), r"stencil around \[1e\+300\] is not finite"),
-            # an infinite value on both sides used to warn in subtract and give nan
-            (lambda vf: control.ValueFunction(lambda y, t: math.inf).gradient(np.array([1.0]), 0.0),
-             r"derivative at \[1\.0\] is not finite"),
-        ],
-        ids=["gradient", "dt", "infinite value"],
-    )
-    def test_fd_that_is_not_finite_is_value_error(self, call, message):
-        with pytest.raises(ValueError, match=f"^finite-difference {message}$"):
-            call(control.ValueFunction(lambda y, t: float(np.sum(y))))
+        np.testing.assert_allclose(control.hjb_residual(identity_field(), quad_cost(), vf, np.array([1.0])), 49.5)
 
 
 class TestOptimalControl:
@@ -185,8 +164,8 @@ class TestNdmLayer:
             p = manifold.pullback_metric(field, y) @ rng.normal(size=2)
             end = control.ndm_layer(field, ham.cost, manifold.PhasePoint(y, p), h)
             for exact, fd in (
-                (p, -manifold._fd_gradient(lambda q: action(q, end.y), y)),
-                (end.p, manifold._fd_gradient(lambda q: action(y, q), end.y)),
+                (p, -loop_fd_gradient(lambda q: action(q, end.y), y)),
+                (end.p, loop_fd_gradient(lambda q: action(y, q), end.y)),
             ):
                 assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(fd)
 

@@ -4,7 +4,9 @@ Every such name, and every public method, classmethod, property or cached
 property of a listed class, has a reader in code: the package, perfbench
 or the acceptance tests.  Its own unit tests and the README, which
 documents names, do not count; a member's reader must read it as an
-attribute.  Every exception class a
+attribute.  So has every defaulted parameter of those callables: some
+call in the same code passes it, or ``KEPT_DEFAULTS`` says why it stays.
+Every exception class a
 submodule or ``_text`` defines is a ``ValueError``: a failure an input
 causes has one base, which the CLI catches as it is, and an int argument
 past the float range raises no ``OverflowError``.
@@ -60,6 +62,15 @@ def _reads(tree) -> set:
     return found
 
 
+def _package_files() -> list:
+    return sorted((ROOT / "src" / "maniflow").glob("*.py"))
+
+
+def _reader_files() -> list:
+    """The code outside the package whose reads count: perfbench and the acceptance tests."""
+    return [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+
 def _read_names() -> set:
     """Every name that the package, perfbench or the acceptance tests read.
 
@@ -72,7 +83,7 @@ def _read_names() -> set:
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     bodies = []  # (name, what its body reads)
     read = set()
-    for path in sorted((ROOT / "src" / "maniflow").glob("*.py")):
+    for path in _package_files():
         for stmt in ast.parse(path.read_text()).body:
             if not isinstance(stmt, defs):
                 read |= _reads(stmt)
@@ -85,7 +96,7 @@ def _read_names() -> set:
                 bodies.append((stmt.name, _reads(ast.Module([*rest, *stmt.decorator_list, *stmt.bases], []))))
             else:
                 bodies.append((stmt.name, _reads(stmt)))
-    for path in [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
+    for path in _reader_files():
         read |= _reads(ast.parse(path.read_text()))
     grown = True
     while grown:
@@ -116,6 +127,80 @@ def test_every_public_name_has_a_reader():
                         if not attr.startswith("_") and f".{attr}" not in read:
                             unread.append(f"{module.__name__}.{key}.{attr}")
     assert unread == []
+
+
+# defaulted parameters that no call passes, each kept for its own reason
+KEPT_DEFAULTS = {
+    "maniflow.control.hjb_residual(t)": "the residual's time coordinate, not a setting: V(y, t) is scored at any t",
+    "maniflow.experiments.HarmonicOscillator(damping)": (
+        "the reference that tests/test_experiments.py::TestLeapfrogNodesAreIntegrates checks table 3's damped"
+        " float run against, bit for bit (c = 0.05 and 3.0)"
+    ),
+}
+
+
+def _calls() -> dict:
+    """Every call in the package, perfbench and the acceptance tests, by the name it calls (``f`` or ``x.f``)."""
+    calls = {}
+    for path in [*_package_files(), *_reader_files()]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(node.func, "id", None) or node.func.attr, []).append(node)
+    return calls
+
+
+def _defaulted_parameters():
+    """(label, called name, position, name) of each defaulted parameter of a public function, class or method.
+
+    A parameter that cannot be passed by position has position None.  A
+    class's parameters are its constructor's, when the class defines one.
+    """
+    for module in (importlib.import_module(f"maniflow.{name}") for name in SUBMODULES):
+        for key in module.__all__:
+            value = vars(module)[key]
+            if inspect.isfunction(value):
+                targets = [(key, key, value, 0)]
+            elif inspect.isclass(value) and value.__module__ == module.__name__:
+                targets = [(key, key, value.__init__, 1)] if "__init__" in vars(value) else []
+                for attr, member in vars(value).items():
+                    if not attr.startswith("_") and isinstance(member, classmethod):
+                        targets.append((f"{key}.{attr}", attr, member.__func__, 1))
+                    elif not attr.startswith("_") and inspect.isfunction(member):
+                        targets.append((f"{key}.{attr}", attr, member, 1))
+            else:
+                continue
+            for label, called, function, bound in targets:
+                params = list(inspect.signature(function).parameters.values())[bound:]
+                positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+                for param in params:
+                    if param.default is not param.empty:
+                        position = positional.index(param) if param in positional else None
+                        yield f"{module.__name__}.{label}({param.name})", called, position, param.name
+
+
+def _passes(call: ast.Call, position, name: str) -> bool:
+    """A call passes a parameter by keyword, by position, or through ``*args`` (by position) or ``**kwargs``."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    return position is not None and (
+        position < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args)
+    )
+
+
+def test_every_defaulted_parameter_has_a_reader():
+    """An option needs a caller outside the unit tests: some call of its name in the package or its readers passes it.
+
+    The files are those ``_read_names`` reads.  A call is matched by the name
+    it calls, ``f(...)`` or ``x.f(...)``, whatever ``x`` is.  ``KEPT_DEFAULTS``
+    lists exactly the parameters that no call passes, each with its reason.
+    """
+    calls = _calls()
+    unread = sorted(
+        label
+        for label, called, position, name in _defaulted_parameters()
+        if not any(_passes(call, position, name) for call in calls.get(called, []))
+    )
+    assert unread == sorted(KEPT_DEFAULTS)
 
 
 @pytest.mark.parametrize("name", [*SUBMODULES, "_text"])
@@ -154,10 +239,6 @@ def _flat_field():
     return manifold.MetricField(manifold.Decoder.linear(np.eye(2)), eps_reg=0.0)
 
 
-def _shoot(max_iter):
-    return manifold.solve_shooting(_flat_field(), [0.0, 0.0], [0.9, 0.4], max_iter=max_iter).tolist()
-
-
 def _integrate(h):
     return manifold.integrate(manifold.GeodesicHamiltonian(_flat_field()), manifold.PhasePoint(np.zeros(2), np.ones(2)), h, 1)
 
@@ -166,7 +247,6 @@ def _integrate(h):
     "call, want",
     [
         (lambda: _edges(("knn", BIG)), lambda: _edges(("knn", 1))),
-        (lambda: _shoot(BIG), lambda: _shoot(50)),
         (lambda: _integrate(BIG), f"step size must be finite and non-zero, got {BIG!r}"),
         (
             lambda: manifold.solve_shooting(_flat_field(), [0.0, 0.0], [0.9, 0.4], n_steps=BIG),
@@ -193,7 +273,7 @@ def _integrate(h):
             f"eps_reg must be >= 0, got {BIG!r}",
         ),
         (lambda: manifold.Decoder.linear([[BIG]]), "layer 0 weights must be finite"),
-        (lambda: manifold.Decoder.linear([[1.0]], [BIG]), "layer 0 biases must be finite"),
+        (lambda: manifold.Decoder([([[1.0]], [BIG])]), "layer 0 biases must be finite"),
         (
             lambda: manifold.integrate(
                 manifold.GeodesicHamiltonian(_flat_field()), manifold.PhasePoint([BIG, 0.0], [0.0, 0.0]), 0.1, 1
@@ -205,7 +285,6 @@ def _integrate(h):
     ],
     ids=[
         "knn-k",
-        "shooting-max-iter",
         "step-size",
         "shooting-n-steps",
         "field-bins",
@@ -268,6 +347,15 @@ def _rows(portraits):
 _DISTS = [[0.5, 0.5], [0.7, 0.3], [0.9, 0.1], [0.6, 0.4], [0.8, 0.2]]
 _NO_COST = control.CostSpec(lambda z: 0.0)
 
+
+def _still(grad=lambda y, t: [0.0, 0.0], time_partial=lambda y, t: 0.0):
+    """V = 0 over R^2, with the derivatives given."""
+    return control.ValueFunction(lambda y, t: 0.0, grad, time_partial)
+
+
+def _hjb(value_fn, y=(0.0, 0.0), t=0.0):
+    return control.hjb_residual(_unit_field(), _NO_COST, value_fn, y, t)
+
 # each count argument of the package, as a function of the count n
 COUNTS = {
     "integrate-n-steps": lambda n: manifold.integrate(
@@ -277,7 +365,6 @@ COUNTS = {
         manifold.GeodesicHamiltonian(_unit_field()), _start(), np.ones(4), 0.1, n
     ).tolist(),
     "shooting-n-steps": lambda n: manifold.solve_shooting(_unit_field(), [0.0, 0.0], [0.9, 0.4], n_steps=n).tolist(),
-    "shooting-max-iter": lambda n: manifold.solve_shooting(_unit_field(), [0.0, 0.0], [0.9, 0.4], max_iter=n).tolist(),
     "field-bins": lambda n: list(infophase.empirical_field([infophase.portrait(_DISTS)], n).rows()),
     "smoothing-window": lambda n: list(infophase.portrait(_DISTS, n).rows()),
     "contraction-ticks": lambda n: experiments.contraction_path(2.0, 0.6, n),
@@ -321,19 +408,12 @@ REALS = {
         manifold.GeodesicHamiltonian(_unit_field()), _start(), [x, 0.0, 0.0, 0.0], 0.1, 2
     ).tolist(),
     "task-cost": lambda x: control.CostSpec(lambda z: x).potential(np.zeros(2)),
-    "value-gradient": lambda x: control.ValueFunction(lambda y, t: 0.0, grad=lambda y, t: [x, 0.0])
-    .gradient(np.zeros(2), 0.0)
-    .tolist(),
-    "value-time-partial": lambda x: control.ValueFunction(lambda y, t: 0.0, time_partial=lambda y, t: x).dt(
-        np.zeros(2), 0.0
-    ),
-    "value": lambda x: control.ValueFunction(lambda y, t: x).gradient(np.zeros(2), 0.0).tolist(),
+    "value-gradient": lambda x: _hjb(_still(grad=lambda y, t: [x, 0.0])),
+    "value-time-partial": lambda x: _hjb(_still(time_partial=lambda y, t: x)),
     "reduced-hamiltonian": lambda x: float(control.ReducedHamiltonian(_unit_field(), _NO_COST)([x, 0.0], [0.0, 0.0])),
     "optimal-control": lambda x: control.optimal_control(_unit_field(), [0.0, 0.0], [x, 0.0]).tolist(),
-    "hjb-point": lambda x: control.hjb_residual(_unit_field(), _NO_COST, control.ValueFunction(lambda y, t: 0.0), [x, 0.0]),
-    "hjb-time": lambda x: control.hjb_residual(
-        _unit_field(), _NO_COST, control.ValueFunction(lambda y, t: 0.0), [0.0, 0.0], x
-    ),
+    "hjb-point": lambda x: _hjb(_still(), [x, 0.0]),
+    "hjb-time": lambda x: _hjb(_still(time_partial=lambda y, t: t), t=x),
     "ndm-layer-dt": lambda x: control.ndm_layer(_unit_field(), _NO_COST, _start(), x),
     "running-cost": lambda x: control.running_cost(_unit_field(), _NO_COST, [0.0, 0.0], [x, 0.0]),
     "trajectory-dt": lambda x: control.trajectory_cost(

@@ -12,6 +12,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from maniflow import control, manifold
 from maniflow._numbers import floats
 
+from conftest import loop_fd_gradient
+
 
 class Oscillator:
     """Separable H = (y^2 + p^2)/2 with analytic partials."""
@@ -119,7 +121,8 @@ def raw_layer_lists(draw):
 class TestDecoder:
     def test_linear_eval(self):
         a = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-        dec = manifold.Decoder.linear(a, offset=np.array([1.0, 0.0, 0.0]))
+        np.testing.assert_allclose(manifold.Decoder.linear(a)(np.array([1.0, 2.0])), [2.0, 6.0, 3.0])
+        dec = manifold.Decoder([(a, np.array([1.0, 0.0, 0.0]))])
         np.testing.assert_allclose(dec(np.array([1.0, 2.0])), [3.0, 6.0, 3.0])
         out, jac = dec._forward(np.zeros(2))
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0])
@@ -174,7 +177,7 @@ class TestDecoder:
 
     def test_overflowing_output_raises_without_warning(self):
         # w y + b past the float range used to warn in matmul and return inf
-        dec = manifold.Decoder.linear([[1e300]], [1e300])
+        dec = manifold.Decoder([([[1e300]], [1e300])])
         with pytest.raises(ValueError, match=r"^decoder output at y=array\(\[1\.e\+300\]\) is not finite$"):
             dec([1e300])
 
@@ -194,7 +197,7 @@ class TestDecoder:
         builds = [
             lambda: manifold.Decoder(layers),
             lambda: manifold.Decoder.mlp_tanh([w for w, _ in layers], [b for _, b in layers]),
-            *(lambda w=w, b=b: manifold.Decoder.linear(w, b) for w, b in layers),
+            *(lambda w=w, b=b: manifold.Decoder([(w, b)]) for w, b in layers),
             *(lambda w=w: manifold.Decoder.linear(w) for w, _ in layers),
         ]
         for build in builds:
@@ -219,7 +222,6 @@ class TestDecoder:
     "call, message",
     [
         (lambda: manifold.Decoder.linear(np.ones(3)), "linear decoder needs a 2-d matrix"),
-        (lambda: manifold.Decoder.linear(np.ones((3, 2)), np.zeros(2)), "offset must have length 3"),
         (lambda: manifold.Decoder.mlp_tanh([], []), "need matching, non-empty weight and bias lists"),
         (
             lambda: manifold.Decoder.mlp_tanh([np.ones((3, 2))], [np.zeros(2)]),
@@ -232,7 +234,7 @@ class TestDecoder:
             "each layer needs a matrix and a matching bias vector",
         ),
         (lambda: manifold.Decoder.linear([[np.nan]]), "layer 0 weights must be finite"),
-        (lambda: manifold.Decoder.linear(np.eye(2), [0.0, np.inf]), "layer 0 biases must be finite"),
+        (lambda: manifold.Decoder([(np.eye(2), [0.0, np.inf])]), "layer 0 biases must be finite"),
         (
             lambda: manifold.Decoder.mlp_tanh([np.eye(2), np.eye(2)], [np.zeros(2), [np.inf, 0.0]]),
             "layer 1 biases must be finite",
@@ -240,14 +242,13 @@ class TestDecoder:
     ],
     ids=[
         "linear-1d-matrix",
-        "linear-wrong-offset",
         "mlp-empty-lists",
         "mlp-bad-bias",
         "linear-zero-latent",
         "decoder-no-layers",
         "decoder-bias-mismatch",
         "linear-nan-weight",
-        "linear-inf-offset",
+        "decoder-inf-bias",
         "mlp-inf-bias",
     ],
 )
@@ -424,8 +425,8 @@ class TestGeodesicHamiltonian:
                 p = manifold.pullback_metric(field, y) @ rng.normal(size=d)
                 end = manifold.leapfrog_step(ham, manifold.PhasePoint(y, p), h)
                 for exact, fd in (
-                    (p, -manifold._fd_gradient(lambda q: action(q, end.y), y)),
-                    (end.p, manifold._fd_gradient(lambda q: action(y, q), end.y)),
+                    (p, -loop_fd_gradient(lambda q: action(q, end.y), y)),
+                    (end.p, loop_fd_gradient(lambda q: action(y, q), end.y)),
                 ):
                     assert np.linalg.norm(exact - fd) <= 1e-5 * np.linalg.norm(fd)
 
@@ -434,11 +435,11 @@ class TestGeodesicHamiltonian:
         y = np.array([0.2, -0.1, 0.4])
         out, jac = dec._forward(y)
         assert out.tobytes() == dec(y).tobytes()
-        np.testing.assert_allclose(jac, manifold._fd_gradient(dec, y), atol=1e-9)
+        np.testing.assert_allclose(jac, loop_fd_gradient(dec, y), atol=1e-9)
 
     def test_linear_is_the_one_layer_case(self):
         rng = np.random.default_rng(11)
-        a, b = np.eye(3, 2) + 0.3 * rng.normal(size=(3, 2)), rng.normal(size=3)
+        a = np.eye(3, 2) + 0.3 * rng.normal(size=(3, 2))
         y, p = np.array([0.3, -0.6]), np.array([0.8, 0.2])
 
         def outputs(dec):
@@ -448,8 +449,8 @@ class TestGeodesicHamiltonian:
             states = [np.concatenate([pt.y, pt.p]) for pt in traj.points]
             return [dec(y), *dec._forward(y), mf.solve(y, p), *states, traj.energies]
 
-        linear = outputs(manifold.Decoder.linear(a, b))
-        layered = outputs(manifold.Decoder.mlp_tanh([a], [b]))
+        linear = outputs(manifold.Decoder.linear(a))
+        layered = outputs(manifold.Decoder.mlp_tanh([a], [np.zeros(3)]))
         for u, v in zip(linear, layered, strict=True):
             assert u.shape == v.shape and u.tobytes() == v.tobytes()
 
@@ -602,28 +603,29 @@ class TestShooting:
         with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got 0"):
             manifold.solve_shooting(mf, np.zeros(2), np.array([0.5, 0.2]), n_steps=0)
 
-    def test_exhausted_iterations_raise(self):
+    def test_exhausted_iterations_raise(self, monkeypatch):
+        monkeypatch.setattr(manifold, "_SHOOTING_ITERATIONS", 0)
         mf = manifold.MetricField(near_identity_decoder())
         with pytest.raises(manifold.ShootingError, match="residual"):
-            manifold.solve_shooting(
-                mf, np.zeros(2), np.array([0.9, 0.4]), n_steps=8, max_iter=0
-            )
+            manifold.solve_shooting(mf, np.zeros(2), np.array([0.9, 0.4]), n_steps=8)
 
     @staticmethod
     def flat_field():
         return manifold.MetricField(manifold.Decoder.linear([[2, 0.3], [0.1, 1], [0.5, -0.4]]), eps_reg=0)
 
-    def test_flat_guess_within_tol_is_returned_without_iterating(self):
+    def test_flat_guess_within_tol_is_returned_without_iterating(self, monkeypatch):
         # on a flat metric the straight line is the discrete geodesic, and its first chord's
         # momentum is the flat-chart guess G(y_a)(y_b - y_a)
-        p = manifold.solve_shooting(self.flat_field(), np.zeros(2), np.array([0.9, 0.4]), max_iter=0)
+        monkeypatch.setattr(manifold, "_SHOOTING_ITERATIONS", 0)
+        p = manifold.solve_shooting(self.flat_field(), np.zeros(2), np.array([0.9, 0.4]))
         np.testing.assert_allclose(p, [4.034, 0.95], rtol=1e-15)
 
-    def test_steps_that_raise_the_residual_are_rejected(self):
+    def test_steps_that_raise_the_residual_are_rejected(self, monkeypatch):
         # tol 0 cannot be met at rounding level, so every iteration tries a step;
         # a rejected step keeps the residual, and the history never rises
+        monkeypatch.setattr(manifold, "_SHOOTING_ITERATIONS", 5)
         with pytest.raises(manifold.ShootingError, match="no convergence after 5 iterations") as info:
-            manifold.solve_shooting(self.flat_field(), np.zeros(2), np.array([0.9, 0.4]), tol=0.0, max_iter=5)
+            manifold.solve_shooting(self.flat_field(), np.zeros(2), np.array([0.9, 0.4]), tol=0.0)
         residuals = info.value.residuals
         assert len(residuals) == 6
         assert 0.0 < residuals[-1] <= 1e-12
@@ -634,12 +636,13 @@ class TestShooting:
     def test_solve_runs_one_pass_per_iteration_and_no_shot(self, monkeypatch):
         # each iteration is one stacked pass over the n + 1 nodes; the momentum needs one more pass, over q_1
         monkeypatch.setattr(manifold, "_leapfrog", None)  # no shot and no integration
+        monkeypatch.setattr(manifold, "_SHOOTING_ITERATIONS", 3)
         dec = near_identity_decoder()
         shapes = []
         forward = dec._forward
         dec._forward = lambda y: shapes.append(np.shape(y)) or forward(y)
         with pytest.raises(manifold.ShootingError) as info:
-            manifold.solve_shooting(manifold.MetricField(dec), np.zeros(2), np.array([0.8, 0.5]), 16, 0.0, 3)
+            manifold.solve_shooting(manifold.MetricField(dec), np.zeros(2), np.array([0.8, 0.5]), 16, 0.0)
         assert len(info.value.residuals) == 4
         assert shapes == [(17, 2)] * 4 + [(2,)]
 
@@ -669,11 +672,8 @@ class TestShooting:
         [
             ({"tol": -1.0}, "tol must be a number >= 0, got -1.0"),
             ({"tol": math.nan}, "tol must be a number >= 0, got nan"),
-            ({"max_iter": -1}, "max_iter must be an integer >= 0, got -1"),
-            ({"max_iter": 2.5}, "max_iter must be an integer >= 0, got 2.5"),
-            ({"max_iter": math.inf}, "max_iter must be an integer >= 0, got inf"),
         ],
-        ids=["negative-tol", "nan-tol", "negative-max-iter", "fractional-max-iter", "inf-max-iter"],
+        ids=["negative-tol", "nan-tol"],
     )
     def test_bad_tolerance_or_iteration_count_rejected(self, kwargs, message):
         # a negative or NaN tol used to run every iteration and report a residual of 0
@@ -726,7 +726,7 @@ class TestVariationalFlow:
             traj = manifold.integrate(ham, manifold.PhasePoint(z[:2], z[2:]), h, n)
             return np.hstack([traj.ys, traj.ps]).ravel()
 
-        oracle = (loop_fd_gradient(nodes, z0, manifold.GRAD_STEP) @ d0).reshape(n + 1, 4)
+        oracle = (loop_fd_gradient(nodes, z0) @ d0).reshape(n + 1, 4)
         model = manifold.jacobi_propagate(ham, manifold.integrate(ham, manifold.PhasePoint(z0[:2], z0[2:]), h, n), d0)
         gap = np.max(np.linalg.norm(model - oracle, axis=1)) / np.max(np.linalg.norm(oracle, axis=1))
         assert gap <= 1e-7
@@ -882,7 +882,9 @@ def test_finite_input_gives_finite_result_or_value_error(call, point, h, n_steps
     field = manifold.MetricField(random_tanh_decoder(np.random.default_rng(d), d, d + 1, 1))
     ham = manifold.GeodesicHamiltonian(field)
     spec = control.CostSpec(_squares)
-    value_fn = control.ValueFunction(lambda x, t: (1.0 + t) * _squares(x))
+    value_fn = control.ValueFunction(
+        lambda x, t: (1.0 + t) * _squares(x), lambda x, t: (1.0 + t) * np.asarray(x), lambda x, t: _squares(x)
+    )
 
     pt = manifold.PhasePoint(y, p)
 
@@ -892,7 +894,7 @@ def test_finite_input_gives_finite_result_or_value_error(call, point, h, n_steps
     run = {
         "integrate": traj,
         "leapfrog_step": lambda: manifold.leapfrog_step(ham, pt, h),
-        "solve_shooting": lambda: manifold.solve_shooting(field, y, p, n_steps=n_steps, max_iter=5),
+        "solve_shooting": lambda: manifold.solve_shooting(field, y, p, n_steps=n_steps),
         "optimal_control": lambda: control.optimal_control(field, y, p),
         "jacobi_propagate": lambda: manifold.jacobi_propagate(ham, traj(), delta0),
         "empirical_deviations": lambda: manifold.empirical_deviations(ham, pt, delta0, h, n_steps),
@@ -917,17 +919,6 @@ def test_finite_input_gives_finite_result_or_value_error(call, point, h, n_steps
         assert np.isfinite(out).all()
 
 
-def loop_fd_gradient(f, x, base_step):
-    """Central differences one coordinate at a time, each shifted point built by hand."""
-    step = base_step * (1.0 + float(np.linalg.norm(x)))
-    cols = []
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = step
-        cols.append((f(x + e) - f(x - e)) / (2.0 * step))
-    return np.array(cols, dtype=float).T
-
-
 class TestStencil:
     """Every finite difference of the engine comes from one stencil."""
 
@@ -944,14 +935,16 @@ class TestStencil:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("base_step", [manifold.GRAD_STEP])
     def test_fd_gradient_equals_loop_oracle(self, seed, base_step):
+        # the quotient the engine takes of values at the stencil's points is the oracle's, bit for bit
         rng = np.random.default_rng([26, seed])
         n = 1 + seed
         x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
         a, w, b = rng.normal(size=n), rng.normal(size=(n + 2, n)), rng.normal(size=n + 2)
         for f in (lambda v: float(np.sin(a @ v) + v @ v), lambda v: np.tanh(w @ v + b)):
-            grad = manifold._fd_gradient(f, x)
-            assert grad.flags.c_contiguous
-            np.testing.assert_array_equal(grad, loop_fd_gradient(f, x, base_step))
+            oracle = loop_fd_gradient(f, x, base_step)
+            points, step = manifold._stencil(x)
+            values = np.array([f(point) for point in points], dtype=float).reshape(2 * n, -1)
+            np.testing.assert_array_equal(manifold._central(values, step).reshape(oracle.shape), oracle)
 
 
 class TestPhasePoint:
@@ -970,7 +963,7 @@ class TestStackContract:
     def test_batched_jet_equals_pointwise(self, kind):
         rng = np.random.default_rng(21)
         dec = random_tanh_decoder(rng, 3, 4, 2)
-        dec = {"mlp-tanh": dec, "linear": manifold.Decoder.linear(*dec.layers[0])}[kind]
+        dec = {"mlp-tanh": dec, "linear": manifold.Decoder.linear(dec.layers[0][0])}[kind]
         ys = rng.uniform(-0.5, 0.5, size=(2, 5, 3))
         out, jac = dec._forward(ys)
         assert out.shape == (2, 5, 4) and jac.shape == (2, 5, 4, 3)
@@ -1116,11 +1109,12 @@ class TestFailureState:
             manifold.solve_shooting(mf, [0.0, 0.0], [1e200, 0.0])
         assert info.value.residuals == [math.inf] and info.value.p is None
 
-    def test_shooting_error_keeps_residual_history(self):
+    def test_shooting_error_keeps_residual_history(self, monkeypatch):
+        monkeypatch.setattr(manifold, "_SHOOTING_ITERATIONS", 3)
         mf = manifold.MetricField(near_identity_decoder())
         y_a, y_b = np.zeros(2), np.array([0.9, 0.4])
         with pytest.raises(manifold.ShootingError) as info:
-            manifold.solve_shooting(mf, y_a, y_b, n_steps=8, tol=0.0, max_iter=3)
+            manifold.solve_shooting(mf, y_a, y_b, n_steps=8, tol=0.0)
         residuals = info.value.residuals
         # the action's gradient on the straight line, node by node
         nodes = y_a + np.linspace(0.0, 1.0, 9)[:, None] * (y_b - y_a)
@@ -1135,11 +1129,13 @@ class TestFailureState:
         assert residuals[-1] <= 1e-6 * residuals[0]
         assert str(info.value).endswith(f"final residual {residuals[-1]:.3e}")
 
-    def test_shooting_error_keeps_last_momentum(self):
+    def test_shooting_error_keeps_last_momentum(self, monkeypatch):
         # the momentum of the nodes the solve stopped at, which after 3 iterations already retrace the geodesic
         mf = manifold.MetricField(near_identity_decoder())
         y_a, y_b = np.zeros(2), np.array([0.9, 0.4])
-        with pytest.raises(manifold.ShootingError) as info:
-            manifold.solve_shooting(mf, y_a, y_b, n_steps=8, tol=0.0, max_iter=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(manifold, "_SHOOTING_ITERATIONS", 3)
+            with pytest.raises(manifold.ShootingError) as info:
+                manifold.solve_shooting(mf, y_a, y_b, n_steps=8, tol=0.0)
         assert np.linalg.norm(shot_end(mf, y_a, info.value.p, 8) - y_b) <= 1e-8
         np.testing.assert_allclose(info.value.p, manifold.solve_shooting(mf, y_a, y_b, n_steps=8), rtol=1e-8)

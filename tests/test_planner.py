@@ -49,23 +49,17 @@ def random_graph(rng, max_nodes=8):
 class TestWeightedDigraph:
     def test_default_lists_are_per_instance(self):
         a, b = planner.WeightedDigraph(), planner.WeightedDigraph()
-        a.add_node("x")
+        assert a.add_node() == 0
         assert (a.n_nodes, b.n_nodes) == (1, 0)
-        assert b.payloads == [] and b.adjacency == []
+        assert b.adjacency == []
 
     def test_given_lists_are_kept(self):
-        # build_ndm_graph hands over the lists it filled, without a copy
-        payloads, adjacency = ["a", "b"], [[(1, 0.5)], []]
-        g = planner.WeightedDigraph(payloads, adjacency)
-        assert g.payloads is payloads and g.adjacency is adjacency
+        # build_ndm_graph and load_graph hand over the lists they filled, without a copy
+        adjacency = [[(1, 0.5)], []]
+        g = planner.WeightedDigraph(adjacency)
+        assert g.adjacency is adjacency and g.n_nodes == 2
         g.add_edge(1, 0, 2.0)
         assert adjacency == [[(1, 0.5)], [(0, 2.0)]]
-
-    @pytest.mark.parametrize("payloads, adjacency", [(["a", "b"], [[]]), (["a"], None), (None, [[]])])
-    def test_unequal_lists_refused(self, payloads, adjacency):
-        # such a graph used to report n_nodes from payloads alone and fail later with IndexError
-        with pytest.raises(ValueError, match=r"^\d payloads but \d adjacency lists$"):
-            planner.WeightedDigraph(payloads, adjacency)
 
 
 class TestDijkstra:

@@ -50,22 +50,9 @@ def test_bad_line_is_format_error(tmp_path, read, text, message):
     assert str(caught.value) == message
 
 
-def test_write_renders_rows_before_opening(tmp_path):
-    def rows():
-        yield "first"
-        raise ValueError("row 2 cannot be rendered")
-
-    p = tmp_path / "out.txt"
-    with pytest.raises(ValueError, match="row 2"):
-        _text.write(p, rows())
-    assert not p.exists()
-
-
 def test_rendered_text_is_written_as_is(tmp_path):
     p = tmp_path / "out.csv"
     _text.write(p, "a,b\n1,2\n")
-    assert p.read_bytes() == b"a,b\n1,2\n"
-    _text.write(p, ["a,b", "1,2"])
     assert p.read_bytes() == b"a,b\n1,2\n"
 
 

@@ -173,11 +173,12 @@ class TestLowering:
         edges = {(u, v): w for u, v, w in graph.edges()}
         assert edges[(index["E1"], index["E2"])] == 0.0
 
-    def test_payloads_are_node_ids(self):
+    def test_index_map_numbers_node_ids_in_order(self):
+        # explanation_chain reads a route's node ids back from this map's order
         ws = self.episode()
         graph, index = workspace.to_weighted_digraph(ws)
-        for node_id, idx in index.items():
-            assert graph.payloads[idx] == node_id
+        assert list(index) == list(ws.nodes)
+        assert list(index.values()) == list(range(graph.n_nodes))
 
 
 class TestExplanationChain:
