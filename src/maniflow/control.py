@@ -6,10 +6,10 @@ running cost u^T G u / 2 solves G(y) u = p, giving the reduced Hamiltonian
     H(y, p) = p^T G(y)^{-1} p / 2 - l_task(z)
 
 evaluated on decoded outputs z = decoder(y): a ``GeodesicHamiltonian``
-that subtracts the potential.  A candidate value function V, given with
-its analytic grad V and dV/dt, is scored by the residual
-dV/dt + H(y, grad V); layer updates advance phase points by one chord
-step of the reduced Hamiltonian.
+that subtracts the potential.  A candidate value function V is given by
+its analytic grad V and dV/dt alone, since those are all the residual
+dV/dt + H(y, grad V) reads; layer updates advance phase points by one
+chord step of the reduced Hamiltonian.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ class CostSpec:
 
 @dataclass
 class ValueFunction:
-    """Candidate value function V(y, t) with its analytic derivatives grad V and dV/dt."""
+    """Candidate value function V(y, t), given by its analytic derivatives grad V and dV/dt."""
 
-    value: Callable[[np.ndarray, float], float]
     grad: Callable[[np.ndarray, float], np.ndarray]
     time_partial: Callable[[np.ndarray, float], float]
 

@@ -126,11 +126,8 @@ def quadratic_value(y: float) -> float:
 class PathMetrics:
     """Entropy change and trapezoidal cost of a scalar path."""
 
-    def __init__(
-        self, path: tuple[float, ...], u_first: float, u_final: float, delta_u: float, cost: float, efficiency: float
-    ):
+    def __init__(self, path: tuple[float, ...], u_final: float, delta_u: float, cost: float, efficiency: float):
         self.path = path
-        self.u_first = u_first
         self.u_final = u_final
         self.delta_u = delta_u
         self.cost = cost
@@ -145,12 +142,10 @@ def path_metrics(path, decoder: ToyDecoder) -> PathMetrics:
     cost = sum(0.5 * (quadratic_value(a) + quadratic_value(b)) for a, b in zip(nodes[:-1], nodes[1:]))
     if cost == 0.0:
         raise ValueError("path cost J is zero; efficiency is undefined")
-    u_first = decoder.entropy_at(nodes[0])
     u_final = decoder.entropy_at(nodes[-1])
-    delta_u = u_first - u_final
+    delta_u = decoder.entropy_at(nodes[0]) - u_final
     return PathMetrics(
         path=tuple(nodes),
-        u_first=u_first,
         u_final=u_final,
         delta_u=delta_u,
         cost=cost,

@@ -54,9 +54,9 @@ class DegenerateFieldError(ValueError):
     """The empirical field cannot support the requested analysis.
 
     That includes a scalar-field fit that is rank deficient beyond its
-    gauge freedom, which happens exactly when the occupied cells do not
-    form one region joined by shared sides: a disconnected occupied
-    region, occupied cells that share no side at all among them.
+    gauge freedom, which happens when the occupied cells do not form one
+    region joined by shared sides, or when rounding loses rank on a grid
+    whose cell width and height differ by a factor past about 1e162.
     """
 
 
@@ -345,14 +345,11 @@ def divergence_score(field: GridField) -> float:
     return _sum(divs) / len(divs) / (mean_mag + 1e-12)
 
 
-_RANK_DEFICIENT = "fit is rank deficient beyond the gauge; the occupied region is likely disconnected"
-
-
-def _cholesky(lower: list, band: int) -> None:
+def _cholesky(lower: list, band: int) -> bool:
     """Cholesky factor, in place, of a symmetric positive definite M with ``band`` off-diagonals.
 
     ``lower[i][band - i + j]`` holds M[i][j] for i - band <= j <= i.
-    Raises DegenerateFieldError when a pivot is not positive, which
+    False, with the factor unfinished, when a pivot is not positive, which
     rounding can cause on a badly scaled grid.
     """
     for i, row in enumerate(lower):
@@ -367,7 +364,8 @@ def _cholesky(lower: list, band: int) -> None:
             elif acc > 0.0:
                 row[band] = math.sqrt(acc)
             else:
-                raise DegenerateFieldError(_RANK_DEFICIENT)
+                return False
+    return True
 
 
 def _cholesky_solve(lower: list, band: int, rhs: list) -> list:
@@ -399,7 +397,9 @@ def fit_info_hamiltonian(field: GridField) -> tuple[list[list[float]], float]:
     equations; a single occupied cell has no unknowns and a residual of 0.
     Raises DegenerateFieldError when the occupied cells are not one region
     joined by shared sides: the system then has rank below n_occ - 1, the
-    gauge's freedom.
+    gauge's freedom.  Rounding can cost a connected region rank too, when
+    the coarser spacing's coupling (min(du, de) / max(du, de))^2 underflows
+    to 0; the DegenerateFieldError then gives du and de.
     """
     nu, ne = field._shape
     cells = [k for k, c in enumerate(field._count) if c > 0]
@@ -432,7 +432,7 @@ def fit_info_hamiltonian(field: GridField) -> tuple[list[list[float]], float]:
                 seen.add(b)
                 stack.append(b)
     if len(seen) < len(cells):
-        raise DegenerateFieldError(_RANK_DEFICIENT)
+        raise DegenerateFieldError("fit is rank deficient beyond the gauge; the occupied region is disconnected")
 
     # normal equations of the unknowns 1.. (cell 0 is the gauge, H = 0)
     band = max((b - a for a, b, _, _ in equations), default=0)
@@ -442,7 +442,8 @@ def fit_info_hamiltonian(field: GridField) -> tuple[list[list[float]], float]:
         if a:
             lower[a - 1][band] += c * c
             lower[b - 1][band - b + a] -= c * c
-    _cholesky(lower, band)
+    if not _cholesky(lower, band):
+        raise DegenerateFieldError(f"rounding made the connected fit rank deficient: du = {du!r}, de = {de!r}")
     # a solve, then one refinement: the normal equations square the
     # condition number, and solving once more for the correction of the
     # residual brings the grid within ~1e-11 of lstsq's

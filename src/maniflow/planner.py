@@ -8,9 +8,10 @@ equal-cost routes discovered while a node is still open, the predecessor
 with the smaller index wins.  Once a node is settled its predecessor is
 frozen, which keeps the predecessor structure a tree even in the
 presence of zero-weight cycles.
-``dijkstra`` settles every reachable node; ``shortest_path`` runs the same
-search but stops when its target is settled, which leaves the route
-unchanged.
+``dijkstra`` settles every reachable node and returns the distances;
+``shortest_path`` runs the same search but stops when its target is
+settled, which leaves the route unchanged, and walks the predecessors
+back from the target.
 
 Graph text format (line oriented, ``#`` starts a comment)::
 
@@ -42,7 +43,6 @@ from ._numbers import floats, is_count, real
 
 __all__ = [
     "WeightedDigraph",
-    "SsspResult",
     "dijkstra",
     "shortest_path",
     "build_ndm_graph",
@@ -95,19 +95,6 @@ class WeightedDigraph:
                 yield u, v, w
 
 
-class SsspResult:
-    """Distances and predecessor tree from a single Dijkstra run.
-
-    Unreached nodes get ``dist = inf`` and ``pred = None``; the source
-    itself has ``pred = None``.
-    """
-
-    def __init__(self, source: int, dist: list[float], pred: list[int | None]):
-        self.source = source
-        self.dist = dist
-        self.pred = pred
-
-
 def _node(graph: WeightedDigraph, index, what: str) -> int:
     """index as an int; ValueError naming it as ``what`` unless it is a whole number below the node count."""
     if not (is_count(index, 0) and index < graph.n_nodes):
@@ -116,7 +103,7 @@ def _node(graph: WeightedDigraph, index, what: str) -> int:
 
 
 def _search(graph: WeightedDigraph, source: int, target: int | None = None):
-    """Binary-heap Dijkstra from source; ``(dist, pred)`` lists.
+    """Binary-heap Dijkstra from source; ``(dist, pred)`` lists, ``pred`` None at the source and unreached nodes.
 
     With a target, the search stops when it pops the target: every node on
     the target's route was settled before it, and a settled node's
@@ -153,27 +140,22 @@ def _search(graph: WeightedDigraph, source: int, target: int | None = None):
     return dist, pred
 
 
-def dijkstra(graph: WeightedDigraph, source: int) -> SsspResult:
-    """Single-source shortest paths over non-negative weights.
+def dijkstra(graph: WeightedDigraph, source: int) -> list[float]:
+    """Single-source shortest-path distances over non-negative weights, ``inf`` for unreached nodes.
 
-    Settles every node the source reaches.  ``pred`` is None only for the
-    source and for unreached nodes: a node reached only at a cost that
-    overflows has ``dist`` inf and a predecessor.  Deterministic for identical
-    inputs: the heap orders by (distance, node index), and when an equally
-    short route to a still-open node is found, the smaller predecessor
-    index is kept.
+    Settles every node the source reaches; a node reached only at a cost
+    that overflows also has distance inf.  Deterministic for identical
+    inputs: the heap orders by (distance, node index).
     """
-    source = _node(graph, source, "source")
-    dist, pred = _search(graph, source)
-    return SsspResult(source, dist, pred)
+    return _search(graph, _node(graph, source, "source"))[0]
 
 
 def shortest_path(graph: WeightedDigraph, source: int, target: int):
     """Return ``(node_indices, cost)`` or ``None`` when target is unreachable.
 
     Runs ``dijkstra``'s search but stops once the target is settled, so the
-    route, its cost and its tie-breaks are those of the full
-    ``dijkstra(graph, source)`` result.  An unreachable target runs the
+    route, its cost and its tie-breaks are those of the predecessor tree
+    that the full search from source leaves.  An unreachable target runs the
     search to exhaustion.  A target that edges reach but only at a cost
     that overflows to inf raises ValueError.
     """

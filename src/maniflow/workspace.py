@@ -67,7 +67,6 @@ _ENDPOINT_RULES: dict[EdgeKind, tuple[tuple[NodeKind, NodeKind], ...]] = {
 
 @dataclass(frozen=True)
 class WorkspaceNode:
-    node_id: str
     kind: NodeKind
     label: str
 
@@ -81,7 +80,7 @@ class WorkspaceEdge:
 
 
 class WorkspaceGraph:
-    """Single-writer typed graph."""
+    """Single-writer typed graph; ``nodes`` maps each node id to its ``WorkspaceNode``, its kind and label."""
 
     def __init__(self):
         self.nodes: dict[str, WorkspaceNode] = {}
@@ -91,7 +90,7 @@ class WorkspaceGraph:
         kind = NodeKind(kind)
         if node_id in self.nodes:
             raise ValueError(f"duplicate node id {node_id!r}")
-        self.nodes[node_id] = WorkspaceNode(node_id, kind, label)
+        self.nodes[node_id] = WorkspaceNode(kind, label)
 
     def add_edge(self, kind: EdgeKind | str, src: str, dst: str, t: float | None = None) -> None:
         record = (kind, src, dst, t)

@@ -298,7 +298,7 @@ def _check_dijkstra_brute_force():
             if u != v:
                 g.add_edge(u, v, 0.0 if rng.random() < 0.2 else float(rng.random() * 4.0))
         src = int(rng.integers(0, n))
-        got = planner.dijkstra(g, src).dist
+        got = planner.dijkstra(g, src)
         want = [math.inf] * n
         want[src] = 0.0
         for _ in range(n):
@@ -314,7 +314,6 @@ def _check_hjb_residual():
     mf = manifold.MetricField(manifold.Decoder.linear(np.eye(1)), eps_reg=0.0)
     cost = control.CostSpec(task_cost=lambda z: 0.5 * float(z @ z))
     vf = control.ValueFunction(
-        value=lambda y, t: 0.5 * float(y @ y),
         grad=lambda y, t: np.asarray(y, dtype=float),
         time_partial=lambda y, t: 0.0,
     )

@@ -28,7 +28,6 @@ class TestValueFunction:
     def test_analytic_gradient_used(self):
         # V = y^2/2 given with grad 10 y: the residual reads the given grad, 0 + (10 y)^2/2 - y^2/2 at y = 1
         vf = control.ValueFunction(
-            value=lambda y, t: 0.5 * float(y @ y),
             grad=lambda y, t: 10.0 * np.asarray(y),
             time_partial=lambda y, t: 0.0,
         )
@@ -55,7 +54,6 @@ class TestHjbResidual:
         mf = identity_field(eps_reg=0.0)
         cost = quad_cost()
         vf = control.ValueFunction(
-            value=lambda y, t: 0.5 * float(y @ y),
             grad=lambda y, t: np.asarray(y, dtype=float),
             time_partial=lambda y, t: 0.0,
         )
@@ -67,8 +65,7 @@ class TestHjbResidual:
         mf = identity_field()
         cost = quad_cost()
         vf = control.ValueFunction(
-            value=lambda y, t: float(y @ y),  # wrong scale
-            grad=lambda y, t: 2.0 * np.asarray(y, dtype=float),
+            grad=lambda y, t: 2.0 * np.asarray(y, dtype=float),  # V = y^2, the wrong scale
             time_partial=lambda y, t: 0.0,
         )
         r = control.hjb_residual(mf, cost, vf, np.array([2.0]))
@@ -76,10 +73,10 @@ class TestHjbResidual:
         np.testing.assert_allclose(r, 6.0, atol=1e-8)
 
     def test_time_dependent_value(self):
+        # V = y^2/2 - t
         mf = identity_field()
         cost = quad_cost()
         vf = control.ValueFunction(
-            value=lambda y, t: 0.5 * float(y @ y) - t,
             grad=lambda y, t: np.asarray(y, dtype=float),
             time_partial=lambda y, t: -1.0,
         )
@@ -88,7 +85,6 @@ class TestHjbResidual:
 
     # V = 1e300 |y|^2, whose kinetic term p^2 / 2 at y = 1 passes the float range
     STEEP = control.ValueFunction(
-        value=lambda y, t: 1e300 * float(y @ y),
         grad=lambda y, t: 2e300 * np.asarray(y, dtype=float),
         time_partial=lambda y, t: 0.0,
     )

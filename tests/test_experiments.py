@@ -90,7 +90,7 @@ class TestPathMetrics:
     def test_delta_u_consistency(self):
         dec = experiments.ToyDecoder()
         m = experiments.path_metrics(experiments.LINEAR_PATH, dec)
-        np.testing.assert_allclose(m.delta_u, m.u_first - m.u_final, atol=1e-15)
+        np.testing.assert_allclose(m.delta_u, dec.entropy_at(experiments.LINEAR_PATH[0]) - m.u_final, atol=1e-15)
         np.testing.assert_allclose(m.efficiency, m.delta_u / m.cost, atol=1e-15)
 
     def test_zero_cost_rejected(self):

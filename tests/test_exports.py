@@ -4,8 +4,9 @@ Every such name, and every public method, classmethod, property or cached
 property of a listed class, has a reader in code: the package, perfbench
 or the acceptance tests.  Its own unit tests and the README, which
 documents names, do not count; a member's reader must read it as an
-attribute.  So has every defaulted parameter of those callables: some
-call in the same code passes it, or ``KEPT_DEFAULTS`` says why it stays.
+attribute.  So has every field such a class stores, unless ``KEPT_FIELDS``
+says why it stays, and every defaulted parameter of those callables:
+some call in the same code passes it, or ``KEPT_DEFAULTS`` says why.
 Every exception class a
 submodule or ``_text`` defines is a ``ValueError``: a failure an input
 causes has one base, which the CLI catches as it is, and an int argument
@@ -13,10 +14,12 @@ past the float range raises no ``OverflowError``.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import math
 import re
+import textwrap
 from functools import cached_property
 from pathlib import Path
 
@@ -127,6 +130,72 @@ def test_every_public_name_has_a_reader():
                         if not attr.startswith("_") and f".{attr}" not in read:
                             unread.append(f"{module.__name__}.{key}.{attr}")
     assert unread == []
+
+
+# stored fields that no code reads, each kept for its own reason
+KEPT_FIELDS = {
+    "maniflow.manifold.SingularMetricError.min_eigenvalue": (
+        "state a caught failure carries: how far from positive definite the metric at y is"
+    ),
+    "maniflow.manifold.IntegrationError.drift": "state a caught failure carries: the energy drift up to the failing step",
+    "maniflow.manifold.ShootingError.residuals": "state a caught failure carries: the solver's gradient-norm history",
+    "maniflow.workspace.WorkspaceNode.label": (
+        "perfbench's relax_plan passes a label to each add_node; the field and that parameter go with EdgeCoeffs"
+    ),
+}
+
+
+def _stored_fields(cls) -> set:
+    """A class's public dataclass fields, or the public attributes its own ``__init__`` stores on ``self``."""
+    if dataclasses.is_dataclass(cls):
+        names = {field.name for field in dataclasses.fields(cls)}
+    elif "__init__" in vars(cls):
+        init = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+        names = {
+            node.attr
+            for node in ast.walk(init)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        }
+    else:
+        names = set()
+    return {name for name in names if not name.startswith("_")}
+
+
+def _string_constants() -> set:
+    """Every string constant in the package: column names that pick fields out of ``vars()``."""
+    return {
+        node.value
+        for path in _package_files()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_every_field_has_a_reader():
+    """A stored field of a public class is read as ``.name`` by the package or its readers, or named by a string.
+
+    The files are those ``_read_names`` reads; a string constant counts
+    because the table emitters pick their fields out of ``vars()`` by the
+    column names in ``experiments._COLUMNS``.  ``KEPT_FIELDS`` lists exactly
+    the fields that nothing reads, each with its reason.  The blind spot:
+    a read is matched by name, whatever object it is read from, so any
+    ``.value`` read hides a field called ``value``.  The Enum ``.value``
+    reads in ``workspace.py`` hid ``control.ValueFunction.value`` this way.
+    """
+    read = _read_names()
+    strings = _string_constants()
+    unread = []
+    for module in (importlib.import_module(f"maniflow.{name}") for name in SUBMODULES):
+        for key in module.__all__:
+            value = vars(module)[key]
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                for field in _stored_fields(value):
+                    if f".{field}" not in read and field not in strings:
+                        unread.append(f"{module.__name__}.{key}.{field}")
+    assert sorted(unread) == sorted(KEPT_FIELDS)
 
 
 # defaulted parameters that no call passes, each kept for its own reason
@@ -350,7 +419,7 @@ _NO_COST = control.CostSpec(lambda z: 0.0)
 
 def _still(grad=lambda y, t: [0.0, 0.0], time_partial=lambda y, t: 0.0):
     """V = 0 over R^2, with the derivatives given."""
-    return control.ValueFunction(lambda y, t: 0.0, grad, time_partial)
+    return control.ValueFunction(grad, time_partial)
 
 
 def _hjb(value_fn, y=(0.0, 0.0), t=0.0):
@@ -375,7 +444,7 @@ COUNTS = {
     "gibbs-index": lambda n: spins.gibbs_attention(_four_spins(), n, 1.0).tolist(),
     "path-source": lambda n: planner.shortest_path(_path_graph(), n, 4),
     "path-target": lambda n: planner.shortest_path(_path_graph(), 0, n),
-    "dijkstra-source": lambda n: vars(planner.dijkstra(_path_graph(), n)),
+    "dijkstra-source": lambda n: planner.dijkstra(_path_graph(), n),
 }
 
 

@@ -142,6 +142,8 @@ class TestPortrait:
             infophase.PhasePortrait(u=np.array([-0.1]), e=np.array([0.0]))
         with pytest.raises(ValueError, match="equal length"):
             infophase.PhasePortrait(u=np.array([0.1]), e=np.array([0.0, 0.0]))
+        with pytest.raises(ValueError, match="^u and e must be 1-d arrays of equal length$"):
+            infophase.PhasePortrait(1.0, 2.0)  # scalars, which are no series at all
 
     @pytest.mark.parametrize(
         "u, e",
@@ -265,6 +267,12 @@ class TestEmpiricalField:
         np.testing.assert_allclose(e_edges, [-0.5, 0.0, 0.5])
         assert count.sum() == 1
 
+    def test_span_whose_step_underflows_is_linspace(self):
+        # 5e-324 / 12 rounds to 0, so each edge is i / bins * span, as np.linspace takes it
+        por = infophase.PhasePortrait([0.0, 5e-324, 0.0], [0.0] * 3)
+        u_edges = arrays(infophase.empirical_field([por], 12))[0]
+        np.testing.assert_array_equal(u_edges, np.linspace(0.0, 5e-324, 13))
+
     def test_short_portraits_skipped(self):
         single = infophase.PhasePortrait(u=np.array([1.0]), e=np.array([0.0]))
         with pytest.raises(ValueError, match="displacement"):
@@ -384,6 +392,13 @@ class TestFitInfoHamiltonian:
         field = infophase.GridField(np.linspace(0, 3, 4), np.linspace(0, 3, 4), np.ones((3, 3)), np.ones((3, 3)), count)
         with pytest.raises(infophase.DegenerateFieldError, match="rank deficient"):
             infophase.fit_info_hamiltonian(field)
+
+    def test_rank_lost_to_rounding_names_the_spacings(self):
+        # three cells joined by sides, but the u coupling (de / du)^2 = 1e-400 underflows to 0
+        field = infophase.empirical_field([infophase.PhasePortrait([0, 1, 1, 0.5], [0, 0, 1e-200, 0])], 2)
+        with pytest.raises(infophase.DegenerateFieldError) as caught:
+            infophase.fit_info_hamiltonian(field)
+        assert str(caught.value) == "rounding made the connected fit rank deficient: du = 0.5, de = 5e-201"
 
 
 

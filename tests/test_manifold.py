@@ -795,6 +795,13 @@ class TestVariationalFlow:
         with pytest.raises(ValueError, match=message):
             manifold.empirical_deviations(Oscillator(), pt, delta0, 0.1, 3)
 
+    def test_empirical_deviations_past_float_range_rejected(self):
+        # the shifted run moves 1.7e303 a step, so three steps apart over the 1e-5 shift pass the float range
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(manifold.Decoder.linear(np.eye(2))))
+        pt = manifold.PhasePoint([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="^empirical deviations are not finite$"):
+            manifold.empirical_deviations(ham, pt, [0.0, 0.0, 1.7e308, 0.0], 1.0, 3)
+
 
 def pool_decoder(rng, d):
     """Near-identity two-layer tanh decoder R^d -> R^(d+1), as the geodesic benchmark draws them."""
@@ -882,9 +889,8 @@ def test_finite_input_gives_finite_result_or_value_error(call, point, h, n_steps
     field = manifold.MetricField(random_tanh_decoder(np.random.default_rng(d), d, d + 1, 1))
     ham = manifold.GeodesicHamiltonian(field)
     spec = control.CostSpec(_squares)
-    value_fn = control.ValueFunction(
-        lambda x, t: (1.0 + t) * _squares(x), lambda x, t: (1.0 + t) * np.asarray(x), lambda x, t: _squares(x)
-    )
+    # V = (1 + t) * _squares
+    value_fn = control.ValueFunction(lambda x, t: (1.0 + t) * np.asarray(x), lambda x, t: _squares(x))
 
     pt = manifold.PhasePoint(y, p)
 
@@ -1108,6 +1114,13 @@ class TestFailureState:
         with pytest.raises(manifold.ShootingError, match=message) as info:
             manifold.solve_shooting(mf, [0.0, 0.0], [1e200, 0.0])
         assert info.value.residuals == [math.inf] and info.value.p is None
+
+    def test_first_chord_momentum_past_float_range_rejected(self):
+        # one step has no interior node to solve for, so the solve converges at once; its chord y_b - y_a overflows
+        mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)))
+        with pytest.raises(manifold.ShootingError, match="^the momentum of the first chord is not finite: ") as info:
+            manifold.solve_shooting(mf, [-1.7e308, 0.0], [1.7e308, 0.0], n_steps=1)
+        assert info.value.residuals == [0.0] and not np.isfinite(info.value.p).any()
 
     def test_shooting_error_keeps_residual_history(self, monkeypatch):
         monkeypatch.setattr(manifold, "_SHOOTING_ITERATIONS", 3)

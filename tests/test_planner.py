@@ -70,18 +70,19 @@ class TestDijkstra:
         g.add_edge(0, 1, 1.0)
         g.add_edge(1, 2, 2.0)
         g.add_edge(2, 3, 0.5)
-        res = planner.dijkstra(g, 0)
-        assert res.dist == [0.0, 1.0, 3.0, 3.5]
-        assert res.pred == [None, 0, 1, 2]
+        dist, pred = planner._search(g, 0)
+        assert planner.dijkstra(g, 0) == dist == [0.0, 1.0, 3.0, 3.5]
+        assert pred == [None, 0, 1, 2]
 
     def test_unreachable_nodes(self):
         g = planner.WeightedDigraph()
         for _ in range(3):
             g.add_node()
         g.add_edge(0, 1, 1.0)
-        res = planner.dijkstra(g, 0)
-        assert math.isinf(res.dist[2])
-        assert res.pred[2] is None
+        dist, pred = planner._search(g, 0)
+        assert planner.dijkstra(g, 0) == dist
+        assert math.isinf(dist[2])
+        assert pred[2] is None
         assert planner.shortest_path(g, 0, 2) is None
 
     def test_matches_brute_force(self):
@@ -89,9 +90,8 @@ class TestDijkstra:
         for _ in range(200):
             g = random_graph(rng)
             src = int(rng.integers(0, g.n_nodes))
-            res = planner.dijkstra(g, src)
             expected = brute_force_dist(g, src)
-            np.testing.assert_allclose(res.dist, expected)
+            np.testing.assert_allclose(planner.dijkstra(g, src), expected)
 
     def test_deterministic_tie_break(self):
         # two equal-cost routes to node 3: via 1 and via 2
@@ -102,32 +102,31 @@ class TestDijkstra:
         g.add_edge(0, 1, 1.0)
         g.add_edge(2, 3, 1.0)
         g.add_edge(1, 3, 1.0)
-        res = planner.dijkstra(g, 0)
-        assert res.pred[3] == 1
+        assert planner._search(g, 0)[1][3] == 1
 
     def test_repeat_runs_identical(self):
         rng = np.random.default_rng(7)
         g = random_graph(rng)
-        first = planner.dijkstra(g, 0)
+        first_dist, first_pred = planner._search(g, 0)
         for _ in range(5):
-            again = planner.dijkstra(g, 0)
-            assert again.dist == first.dist
-            assert again.pred == first.pred
+            dist, pred = planner._search(g, 0)
+            assert dist == first_dist
+            assert pred == first_pred
 
     def test_pred_tree_acyclic_with_zero_weights(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             g = random_graph(rng)
-            res = planner.dijkstra(g, 0)
+            dist, pred = planner._search(g, 0)
             for v in range(g.n_nodes):
-                if math.isinf(res.dist[v]):
+                if math.isinf(dist[v]):
                     continue
                 seen = set()
                 node = v
                 while node is not None:
                     assert node not in seen
                     seen.add(node)
-                    node = res.pred[node]
+                    node = pred[node]
                 assert 0 in seen
 
     def test_negative_weight_rejected(self):
@@ -193,9 +192,9 @@ class TestShortestPath:
 
     def test_overflow_reached_node_has_a_predecessor(self):
         # node 2 is reached, at a cost that overflows; node 3 is not reached
-        result = planner.dijkstra(self.overflow_graph(), 0)
-        assert result.dist == [0.0, 1e308, math.inf, math.inf]
-        assert result.pred == [None, 0, 1, None]
+        dist, pred = planner._search(self.overflow_graph(), 0)
+        assert planner.dijkstra(self.overflow_graph(), 0) == dist == [0.0, 1e308, math.inf, math.inf]
+        assert pred == [None, 0, 1, None]
 
     def test_stops_at_target(self):
         # a chain 0 -> 1 -> ... -> 9: only the nodes settled before the target are expanded
@@ -273,6 +272,13 @@ class TestBuildNdmGraph:
 
         with pytest.raises(ValueError, match=message):
             planner.build_ndm_graph([np.array(s) for s in samples], connect, edge_cost)
+
+    def test_scalar_and_one_element_samples_build_together(self):
+        # 1.0 and [2.0] make no one array, so each sample is read alone; both then have shape (1,)
+        calls = []
+        g = planner.build_ndm_graph([1.0, [2.0]], ("knn", 1), lambda a, b: calls.append((a, b)) or 1.0)
+        assert list(g.edges()) == [(0, 1, 1.0), (1, 0, 1.0)]
+        assert calls == [(1.0, [2.0]), ([2.0], 1.0)]
 
     def test_integral_float_k_accepted(self):
         samples = [np.array([float(i)]) for i in range(4)]
@@ -484,39 +490,39 @@ class TestDijkstraProperty:
     @given(case=integer_weight_graphs())
     def test_pred_is_smallest_tight_predecessor(self, case):
         g, src = case
-        res = planner.dijkstra(g, src)
+        dist, pred = planner._search(g, src)
         for v in range(g.n_nodes):
-            if v == src or math.isinf(res.dist[v]):
+            if v == src or math.isinf(dist[v]):
                 continue
-            tight = [u for u, x, w in g.edges() if x == v and res.dist[u] + w == res.dist[v]]
-            assert res.pred[v] == min(tight)
+            tight = [u for u, x, w in g.edges() if x == v and dist[u] + w == dist[v]]
+            assert pred[v] == min(tight)
 
     @given(case=zero_cycle_graphs())
     def test_matches_bellman_ford(self, case):
         g, src = case
-        res = planner.dijkstra(g, src)
-        assert res.dist == brute_force_dist(g, src)
-        assert res.pred[src] is None
+        dist, pred = planner._search(g, src)
+        assert planner.dijkstra(g, src) == dist == brute_force_dist(g, src)
+        assert pred[src] is None
         for v in range(g.n_nodes):
-            u = res.pred[v]
+            u = pred[v]
             if u is None:
-                assert v == src or math.isinf(res.dist[v])
+                assert v == src or math.isinf(dist[v])
                 continue
-            assert any(x == v and res.dist[u] + w == res.dist[v] for x, w in g.adjacency[u])
+            assert any(x == v and dist[u] + w == dist[v] for x, w in g.adjacency[u])
             chain = [v]
             while chain[-1] != src:
-                chain.append(res.pred[chain[-1]])
+                chain.append(pred[chain[-1]])
                 assert chain[-1] is not None and chain[-1] not in chain[:-1]
 
 
-def route_from_full_search(res, target):
-    """The ``shortest_path`` answer walked back through a full ``dijkstra`` result."""
-    if math.isinf(res.dist[target]):
+def route_from_full_search(dist, pred, source, target):
+    """The ``shortest_path`` answer walked back through the lists of a full search from source."""
+    if math.isinf(dist[target]):
         return None
     path = [target]
-    while path[-1] != res.source:
-        path.append(res.pred[path[-1]])
-    return path[::-1], res.dist[target]
+    while path[-1] != source:
+        path.append(pred[path[-1]])
+    return path[::-1], dist[target]
 
 
 class TestShortestPathStopProperty:
@@ -524,9 +530,9 @@ class TestShortestPathStopProperty:
     @given(case=st.one_of(integer_weight_graphs(), zero_cycle_graphs()))
     def test_matches_full_search_for_every_target(self, case):
         g, src = case
-        res = planner.dijkstra(g, src)
+        dist, pred = planner._search(g, src)
         for t in range(g.n_nodes):
-            assert planner.shortest_path(g, src, t) == route_from_full_search(res, t), t
+            assert planner.shortest_path(g, src, t) == route_from_full_search(dist, pred, src, t), t
 
 
 # One bad line of each kind: blank, unknown directive, missing field,
