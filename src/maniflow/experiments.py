@@ -26,15 +26,14 @@ read-out's softmax and entropy run over Python floats, table 1's route is
 planned on a pure-Python graph, table 3 steps the oscillator over Python
 floats in the operation order of ``manifold``'s leapfrog, so its nodes are
 bit-equal to ``integrate``'s, and ``rotation_portraits`` turns its circles
-with ``math.cos`` and ``math.sin``.  numpy is imported only inside the
-functions that return arrays (``HarmonicOscillator.dp`` and
-``ToyDecoder.distribution``) and by a leapfrog run that diverges, whose
-error carries arrays; ``manifold`` only by such a run, and ``infophase``
-only inside ``rotation_portraits``.  The classes are plain ones with
-hand-written ``__init__``s: the CLI's tables and ``phase --seed`` import
-this module, and the standard-library decorator that would write those
-``__init__``s loads ``inspect``, which costs each of those processes more
-time than its own work.
+with ``math.cos`` and ``math.sin``.  numpy is imported only by the one
+function that returns an array, ``HarmonicOscillator.dp``, and by a
+leapfrog run that diverges, whose error carries arrays; ``manifold`` only
+by such a run, and ``infophase`` only inside ``rotation_portraits``.  The
+classes are plain ones with hand-written ``__init__``s: the CLI's tables
+and ``phase --seed`` import this module, and the standard-library
+decorator that would write those ``__init__``s loads ``inspect``, which
+costs each of those processes more time than its own work.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "path_metrics",
     "quadratic_value",
     "toy1_run",
-    "contraction_path",
     "toy2_run",
     "OscillatorReport",
     "HarmonicOscillator",
@@ -76,9 +74,9 @@ class ToyDecoder:
 
     The softmax is taken once, over Python floats: the logits are shifted
     by their maximum, exponentiated with ``math.exp`` and divided by their
-    left-to-right sum.  ``distribution`` and ``entropy_at`` both read those
-    floats.  A shift that overflows gives -inf and a zero probability.  A
-    scale that is not finite raises ``ValueError``.
+    left-to-right sum.  ``distribution`` returns those floats, and
+    ``entropy_at`` reads them.  A shift that overflows gives -inf and a
+    zero probability.  A scale that is not finite raises ``ValueError``.
     """
 
     def __init__(self, scale: float = 1.0):
@@ -86,7 +84,7 @@ class ToyDecoder:
             raise ValueError(f"decoder scale must be finite, got {scale!r}")
         self.scale = scale
 
-    def _probabilities(self, y: float) -> list[float]:
+    def distribution(self, y: float) -> list[float]:
         gap = float(self.scale * max(0.0, 1.0 - abs(real(y)) / 2.0))
         logits = [gap, 0.0, -gap]
         top = max(logits)
@@ -96,15 +94,10 @@ class ToyDecoder:
             total += w
         return [w / total for w in weights]
 
-    def distribution(self, y: float) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self._probabilities(y))
-
     def entropy_at(self, y: float) -> float:
         """-sum p ln p over the read-out at y, summed left to right, with 0 ln 0 = 0."""
         acc = 0.0
-        for p in self._probabilities(y):
+        for p in self.distribution(y):
             if p > 0.0:
                 acc += p * math.log(p)
         return -acc + 0.0  # + 0.0: a one-hot read-out is 0.0, not -0.0
@@ -156,6 +149,16 @@ def path_metrics(path, decoder: ToyDecoder) -> PathMetrics:
 LINEAR_PATH = (2.0, 1.6, 1.2, 0.8, 0.4, 0.0)
 HALVING_PATH_5 = (2.0, 1.0, 0.5, 0.25, 0.125, 0.0625)
 HALVING_PATH_3 = (2.0, 1.0, 0.5, 0.25)
+# six contraction ticks of ratio 0.6 from 2, each term the previous one times 0.6
+CONTRACTION_PATH = (
+    2.0,
+    2.0 * 0.6,
+    2.0 * 0.6 * 0.6,
+    2.0 * 0.6 * 0.6 * 0.6,
+    2.0 * 0.6 * 0.6 * 0.6 * 0.6,
+    2.0 * 0.6 * 0.6 * 0.6 * 0.6 * 0.6,
+    2.0 * 0.6 * 0.6 * 0.6 * 0.6 * 0.6 * 0.6,
+)
 SSSP_NODE_SET = (2.0, 1.6, 1.2, 0.8, 0.4, 0.0, 1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
@@ -191,22 +194,12 @@ def toy1_run(decoder: ToyDecoder | None = None) -> dict[str, PathMetrics]:
     }
 
 
-def contraction_path(start: float, ratio: float, ticks: int) -> tuple[float, ...]:
-    """start, start * ratio, ... over ``ticks`` multiplications, each term the previous one times ratio."""
-    if not is_count(ticks, 0):
-        raise ValueError(f"ticks must be an integer >= 0, got {ticks!r}")
-    out, ratio = [real(start)], real(ratio)
-    for _ in range(int(ticks)):
-        out.append(out[-1] * ratio)
-    return tuple(out)
-
-
 def toy2_run(decoder: ToyDecoder | None = None) -> dict[str, PathMetrics]:
     """Refinement study: three halvings vs six contraction ticks of ratio 0.6."""
     decoder = decoder or ToyDecoder()
     return {
         "hjb_only": path_metrics(HALVING_PATH_3, decoder),
-        "ctm_style": path_metrics(contraction_path(2.0, 0.6, 6), decoder),
+        "ctm_style": path_metrics(CONTRACTION_PATH, decoder),
     }
 
 

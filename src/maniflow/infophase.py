@@ -20,10 +20,10 @@ portrait and binning, scoring and fitting its field load no numpy.  Sums
 and means follow numpy's pairwise order (``_sum``), so they are bit-equal
 to ``np.sum`` and ``np.mean``; logs and magnitudes are ``math.log`` and
 ``math.hypot``, which may differ from numpy's in the last bit.
-``PhasePortrait`` and ``GridField`` keep their series and cells as lists
-of floats and give them out as CSV-ready ``rows()``; a portrait's ``u``
-and ``e`` and a field's ``count`` are read-only numpy arrays built on
-first read.  ``fit_info_hamiltonian`` returns its grid as rows of floats.
+A portrait's ``u`` and ``e`` are tuples of floats, a field's cells lists
+of floats, and both give them out as CSV-ready ``rows()``; only a field's
+``count`` and ``occupied`` are numpy arrays, built on first read.
+``fit_info_hamiltonian`` returns its grid as rows of floats.
 """
 
 from __future__ import annotations
@@ -98,17 +98,6 @@ def _items(values):
     return values.tolist() if hasattr(values, "tolist") else values
 
 
-def _array(values, shape=None) -> np.ndarray:
-    """A read-only array of ``values``, so it cannot drift from the lists an object keeps."""
-    import numpy as np
-
-    out = np.array(values)
-    if shape is not None:
-        out = out.reshape(shape)
-    out.flags.writeable = False
-    return out
-
-
 def _rows(cells: list, n: int) -> list:
     """A row-major cell list as rows of n cells."""
     return [cells[i : i + n] for i in range(0, len(cells), n)]
@@ -144,37 +133,28 @@ def entropy(dist) -> float:
 class PhasePortrait:
     """Paired entropy and effort series of equal length, finite, with u >= 0.
 
-    ``u`` and ``e`` are read-only arrays, built on first read from the
-    float lists the portrait keeps; ``rows()`` reads those lists.
+    ``u`` and ``e`` are tuples of floats, so they stay as checked.
     """
 
     def __init__(self, u, e):
         try:
-            self._u = reals(_items(u))
-            self._e = reals(_items(e))
+            self.u = tuple(reals(_items(u)))
+            self.e = tuple(reals(_items(e)))
         except TypeError:
             raise ValueError("u and e must be 1-d arrays of equal length") from None
-        if len(self._u) != len(self._e):
+        if len(self.u) != len(self.e):
             raise ValueError("u and e must be 1-d arrays of equal length")
-        if not (all(map(math.isfinite, self._u)) and all(map(math.isfinite, self._e))):
+        if not (all(map(math.isfinite, self.u)) and all(map(math.isfinite, self.e))):
             raise ValueError("entropy and effort series must be finite")
-        if any(map((0.0).__gt__, self._u)):
+        if any(map((0.0).__gt__, self.u)):
             raise ValueError("entropy series must be non-negative")
 
-    @cached_property
-    def u(self) -> np.ndarray:
-        return _array(self._u)
-
-    @cached_property
-    def e(self) -> np.ndarray:
-        return _array(self._e)
-
     def __len__(self) -> int:
-        return len(self._u)
+        return len(self.u)
 
     def rows(self):
         """(t, u, e) for each step t, as floats."""
-        return zip(range(len(self._u)), self._u, self._e)
+        return zip(range(len(self.u)), self.u, self.e)
 
 
 def _smooth_centered(values: list, window: int) -> list:
@@ -212,8 +192,9 @@ class GridField:
 
     Built from the u and e edges and, indexed [iu][ie], each cell's mean
     displacements vu and ve and its count of contributing steps.  The
-    field keeps them as lists of Python numbers, which ``rows()`` reads;
-    ``count`` and ``occupied`` are read-only arrays of the counts.
+    field keeps them as lists of Python numbers, which ``rows()`` reads.
+    ``count`` and ``occupied`` are read-only arrays of the counts, kept
+    as arrays because perfbench's CLI child calls ``.sum()`` on them.
     """
 
     def __init__(self, u_edges, e_edges, vu, ve, count):
@@ -231,7 +212,11 @@ class GridField:
 
     @cached_property
     def count(self) -> np.ndarray:
-        return _array(self._count, self._shape)
+        import numpy as np
+
+        out = np.array(self._count).reshape(self._shape)
+        out.flags.writeable = False
+        return out
 
     @property
     def occupied(self) -> np.ndarray:
@@ -284,7 +269,7 @@ def empirical_field(portraits, bins: int) -> GridField:
     bins = int(bins)
     su, se, du, de = [], [], [], []
     for por in portraits:
-        u, e = por._u, por._e
+        u, e = por.u, por.e
         if len(u) < 2:
             continue
         su += u[:-1]

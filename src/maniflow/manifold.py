@@ -294,10 +294,6 @@ class PhasePoint:
         self.y = y
         self.p = p
 
-    @property
-    def dim(self) -> int:
-        return self.y.shape[-1]
-
 
 @dataclass
 class PhaseTrajectory:
@@ -542,8 +538,8 @@ def solve_shooting(
 
     # an action past the float range needs no warning: its gradient fails the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes = y_a + np.arange(n_steps + 1)[:, None] / n_steps * (y_b - y_a)
-        nodes[-1] = y_b
+        t = np.arange(n_steps + 1)[:, None] / n_steps
+        nodes = (1.0 - t) * y_a + t * y_b  # each endpoint exact, and no y_b - y_a to overflow
         out, jac, norm, full = local(nodes)
         if not (math.isfinite(norm) and np.isfinite(full).all()):
             raise ShootingError(f"the action's gradient norm on the straight line is not finite: {norm!r}", [norm])
@@ -618,7 +614,7 @@ _DEVIATION_SHIFT = 1e-5
 def empirical_deviations(hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """Deviation oracle: difference the runs from one point pt0 and from pt0 + 1e-5 delta0, as one stack."""
     delta0 = floats(delta0)
-    d = pt0.dim
+    d = pt0.y.shape[-1]
     if pt0.y.shape != (d,):
         raise ValueError(f"pt0 must be one phase point of shape ({d},), got shape {pt0.y.shape}")
     if delta0.shape != (2 * d,):

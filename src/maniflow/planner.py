@@ -76,16 +76,12 @@ class WeightedDigraph:
     def __init__(self, adjacency: list[list[tuple[int, float]]] | None = None):
         self.adjacency = [] if adjacency is None else adjacency
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.adjacency)
-
     def add_node(self) -> int:
         self.adjacency.append([])
         return len(self.adjacency) - 1
 
     def add_edge(self, src: int, dst: int, weight: float) -> None:
-        w = _edge_weight(self.n_nodes, src, dst, weight)
+        w = _edge_weight(len(self.adjacency), src, dst, weight)
         self.adjacency[src].append((dst, w))
 
     def edges(self):
@@ -97,7 +93,7 @@ class WeightedDigraph:
 
 def _node(graph: WeightedDigraph, index, what: str) -> int:
     """index as an int; ValueError naming it as ``what`` unless it is a whole number below the node count."""
-    if not (is_count(index, 0) and index < graph.n_nodes):
+    if not (is_count(index, 0) and index < len(graph.adjacency)):
         raise ValueError(f"{what} {index} is not a node index")
     return int(index)
 
@@ -112,7 +108,7 @@ def _search(graph: WeightedDigraph, source: int, target: int | None = None):
     reached at a cost that overflows to inf is pushed at inf, so every node
     the source reaches gets a predecessor.
     """
-    n = graph.n_nodes
+    n = len(graph.adjacency)
     dist = [math.inf] * n
     pred: list[int | None] = [None] * n
     done = [False] * n

@@ -109,10 +109,6 @@ class SpinSystem:
         self.fields = fields
         self._sym = sym
 
-    @property
-    def n_spins(self) -> int:
-        return self.spins.shape[0]
-
 
 @dataclass
 class BathParams:
@@ -218,7 +214,7 @@ def gibbs_attention(system: SpinSystem, i: int, beta: float) -> np.ndarray:
     energies are scaled by beta.  A non-finite beta, or a finite one that
     scales a bond energy past the float range, raises ``ValueError``.
     """
-    n = system.n_spins
+    n = system.spins.shape[0]
     if not (is_count(i, 0) and i < n):
         raise ValueError(f"spin index {i} out of range")
     if n < 2:

@@ -637,6 +637,22 @@ def test_cli_import_loads_only_what_commands_use():
     )
 
 
+def test_numpy_free_modules_give_out_no_arrays():
+    # every value experiments and infophase give out, but a field's count and occupied, is Python numbers
+    _run_fresh(
+        "import sys\n"
+        "from maniflow import experiments, infophase\n"
+        "from maniflow._rng import DefaultRng\n"
+        "dec = experiments.ToyDecoder()\n"
+        "dec.distribution(0.5), dec.entropy_at(0.5), experiments.toy1_run(), experiments.toy2_run()\n"
+        "por = infophase.portrait([dec.distribution(y) for y in experiments.LINEAR_PATH], 3)\n"
+        "por.u, por.e, list(por.rows())\n"
+        "field = infophase.empirical_field(experiments.rotation_portraits(40, 60, 0.05, DefaultRng(0)), 12)\n"
+        "infophase.divergence_score(field), infophase.fit_info_hamiltonian(field), list(field.rows())\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'"
+    )
+
+
 NEVER_RUN_BY_THE_CLI = ("maniflow.spins", "maniflow.workspace", "maniflow.control")
 # no command builds a dataclass: importing dataclasses, and the inspect it
 # loads, would cost a fresh process more than a table's own work

@@ -23,10 +23,10 @@ class TestToyDecoder:
         dec = experiments.ToyDecoder()
         for y in (-3.0, -0.5, 0.0, 0.7, 2.0, 5.0):
             p = dec.distribution(y)
-            assert isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (3,)
+            assert isinstance(p, list) and len(p) == 3 and all(type(v) is float for v in p)
             np.testing.assert_allclose(np.sum(p), 1.0, atol=1e-12)
-            assert np.all(p >= 0)
-            # the array holds the floats entropy_at sums
+            assert min(p) >= 0
+            # the list holds the floats entropy_at sums
             assert infophase.entropy(p) == pytest.approx(dec.entropy_at(y), rel=0, abs=1e-15)
 
     def test_entropy_increases_with_distance(self):
@@ -75,7 +75,7 @@ class TestToyDecoder:
     def test_overflowing_shift_is_a_zero_probability(self, scale):
         # gap - (-gap) overflows to inf; the shifted logit is -inf and its weight 0
         dec = experiments.ToyDecoder(scale)
-        assert dec.distribution(0.0).tolist() == ([1.0, 0.0, 0.0] if scale > 0 else [0.0, 0.0, 1.0])
+        assert dec.distribution(0.0) == ([1.0, 0.0, 0.0] if scale > 0 else [0.0, 0.0, 1.0])
         assert dec.entropy_at(0.0) == 0.0
         assert str(dec.entropy_at(0.0)) == "0.0"  # not -0.0
 
@@ -103,9 +103,12 @@ class TestPathMetrics:
             experiments.path_metrics((), experiments.ToyDecoder())
 
     def test_contraction_path(self):
-        np.testing.assert_allclose(
-            experiments.contraction_path(2.0, 0.5, 3), (2.0, 1.0, 0.5, 0.25)
-        )
+        # six ticks of ratio 0.6 from 2, each term the previous one times 0.6, bit for bit
+        terms = [2.0]
+        for _ in range(6):
+            terms.append(terms[-1] * 0.6)
+        assert experiments.CONTRACTION_PATH == tuple(terms)
+        np.testing.assert_allclose(experiments.CONTRACTION_PATH, 2.0 * 0.6 ** np.arange(7), rtol=1e-15)
 
 
 class TestToy1:
@@ -308,7 +311,7 @@ class TestRotationPortraits:
         assert len(portraits) == 20
         for por in portraits:
             assert len(por) == 51
-            assert np.all(por.u >= 0)
+            assert min(por.u) >= 0
 
     def test_sampled_field_has_low_divergence(self):
         rng = np.random.default_rng(0)

@@ -2,7 +2,8 @@
 
 Every such name, and every public method, classmethod, property or cached
 property of a listed class, has a reader in code: the package, perfbench
-or the acceptance tests.  Its own unit tests and the README, which
+or the acceptance tests.  A property also needs the reason that
+``KEPT_PROPERTIES`` gives for it.  Its own unit tests and the README, which
 documents names, do not count; a member's reader must read it as an
 attribute.  So has every field such a class stores, unless ``KEPT_FIELDS``
 says why it stays, and every defaulted parameter of those callables:
@@ -130,6 +131,37 @@ def test_every_public_name_has_a_reader():
                         if not attr.startswith("_") and f".{attr}" not in read:
                             unread.append(f"{module.__name__}.{key}.{attr}")
     assert unread == []
+
+
+# public properties, each kept for its own reason
+KEPT_PROPERTIES = {
+    "maniflow.infophase.GridField.count": "perfbench/cli_child.py calls .sum() on it; it goes with ROADMAP item 1b",
+    "maniflow.infophase.GridField.occupied": "perfbench/cli_child.py calls .sum() on it; it goes with ROADMAP item 1b",
+    "maniflow.manifold.Decoder.latent_dim": "hides the layer layout: layers[0][0].shape[1]",
+    "maniflow.manifold.Decoder.ambient_dim": "hides the layer layout: layers[-1][0].shape[0]",
+    "maniflow.manifold.PhaseTrajectory.points": (
+        "final() returns its last entry, which perfbench/wl_geodesic.py reads, and perfbench/selfcheck.py"
+        " corrupts points[-1] to show that the geodesic check catches it"
+    ),
+}
+
+
+def test_every_property_has_its_reason():
+    """Every public property or cached property of a public class is in ``KEPT_PROPERTIES``.
+
+    A property that renames or copies a value its object already exposes,
+    as ``len(adjacency)`` or ``y.shape[-1]``, is a second route to that
+    value, so a new one needs a reason here or its readers read the value.
+    """
+    found = []
+    for module in (importlib.import_module(f"maniflow.{name}") for name in SUBMODULES):
+        for key in module.__all__:
+            value = vars(module)[key]
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    if not attr.startswith("_") and isinstance(member, (property, cached_property)):
+                        found.append(f"{module.__name__}.{key}.{attr}")
+    assert sorted(found) == sorted(KEPT_PROPERTIES)
 
 
 # stored fields that no code reads, each kept for its own reason
@@ -436,7 +468,6 @@ COUNTS = {
     "shooting-n-steps": lambda n: manifold.solve_shooting(_unit_field(), [0.0, 0.0], [0.9, 0.4], n_steps=n).tolist(),
     "field-bins": lambda n: list(infophase.empirical_field([infophase.portrait(_DISTS)], n).rows()),
     "smoothing-window": lambda n: list(infophase.portrait(_DISTS, n).rows()),
-    "contraction-ticks": lambda n: experiments.contraction_path(2.0, 0.6, n),
     "toy3-steps": lambda n: [vars(report) for report in experiments.toy3_run(steps=n)],
     "rotation-n-portraits": lambda n: _rows(experiments.rotation_portraits(n, 4, 0.1, np.random.default_rng(0))),
     "rotation-steps": lambda n: _rows(experiments.rotation_portraits(2, n, 0.1, np.random.default_rng(0))),
@@ -499,8 +530,6 @@ REALS = {
     "readout-point": lambda x: experiments.ToyDecoder().entropy_at(x),
     "quadratic-value": lambda x: experiments.quadratic_value(x),
     "path-node": lambda x: experiments.path_metrics([x, 0.0], experiments.ToyDecoder()).cost,
-    "contraction-start": lambda x: experiments.contraction_path(x, 0.5, 2),
-    "contraction-ratio": lambda x: experiments.contraction_path(2.0, x, 2),
     "toy3-dt": lambda x: experiments.toy3_run(steps=3, dt=x),
     "toy3-damping": lambda x: experiments.toy3_run(steps=3, damping=x),
     "rotation-dt": lambda x: experiments.rotation_portraits(1, 3, x, np.random.default_rng(0)),

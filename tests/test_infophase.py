@@ -697,8 +697,8 @@ class TestFloatCoreMatchesArrays:
 class TestFloatBacking:
     def test_arrays_are_read_only_copies_of_the_values(self):
         por = infophase.PhasePortrait(u=[0.5, 0.25], e=np.array([0.0, 0.25]))
-        assert por.u is por.u and not por.u.flags.writeable
-        np.testing.assert_array_equal(por.e, [0.0, 0.25])
+        assert por.u == (0.5, 0.25) and por.e == (0.0, 0.25)  # tuples: read-only
+        assert all(type(v) is float for v in (*por.u, *por.e))
         field = seeded_field()
         assert field.count is field.count and not field.count.flags.writeable
         assert field.count.dtype.kind == "i" and field.count.shape == (12, 12)

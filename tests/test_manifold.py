@@ -530,7 +530,7 @@ class TestLeapfrog:
             ("solve_shooting", 10**30),
             ("solve_shooting", 2**63),
             ("solve_shooting", 10**12),
-            ("solve_shooting", 10**6),
+            ("solve_shooting", 10**7),
         ],
         ids=[
             "past-max-dimension",
@@ -543,8 +543,11 @@ class TestLeapfrog:
     )
     def test_unallocatable_step_count_is_named(self, call, n_steps):
         # numpy refuses each buffer before allocating; its message named neither n_steps nor the size.
-        # solve_shooting's node grid and its dense ((n_steps - 1) d)^2 Hessian, 29 TiB at 10**6, used to
-        # fail with numpy's message, an IndexError or a MemoryError; now it fails before any decoder pass
+        # solve_shooting's node grid and its dense ((n_steps - 1) d)^2 Hessian used to fail with numpy's
+        # message, an IndexError or a MemoryError; now it fails before any decoder pass.  The Hessian case
+        # asks for 2.84 PiB at 10**7: past a 47-bit user address space, so no overcommit policy can grant
+        # it, yet within numpy's size limit, so it reaches the MemoryError branch.  At 10**6 it asked for
+        # 29.1 TiB, which only the kernel's heuristic overcommit refused
         if call == "integrate":
             with pytest.raises(ValueError, match=f"^n_steps {n_steps} needs a node buffer too large to allocate$"):
                 manifold.integrate(Oscillator(), manifold.PhasePoint([1.0], [0.0]), 0.1, n_steps)
@@ -958,9 +961,6 @@ class TestPhasePoint:
         with pytest.raises(ValueError, match="equal length"):
             manifold.PhasePoint(np.zeros(2), np.zeros(3))
 
-    def test_dim(self):
-        assert manifold.PhasePoint([1.0, 2.0], [0.0, 0.0]).dim == 2
-
 
 class TestStackContract:
     """A (B, d) stack runs the per-point kernels slice by slice, so it is bit-equal to B single-point calls."""
@@ -1121,6 +1121,18 @@ class TestFailureState:
         with pytest.raises(manifold.ShootingError, match="^the momentum of the first chord is not finite: ") as info:
             manifold.solve_shooting(mf, [-1.7e308, 0.0], [1.7e308, 0.0], n_steps=1)
         assert info.value.residuals == [0.0] and not np.isfinite(info.value.p).any()
+
+    def test_straight_line_past_float_range_reports_its_state(self):
+        # the straight line (1 - t) y_a + t y_b has finite nodes and exact ends; y_a + t (y_b - y_a) made
+        # node 0 NaN once y_b - y_a overflowed, so the error reported a NaN norm and a NaN momentum
+        mf = manifold.MetricField(manifold.Decoder.linear(np.eye(2)))
+        y_a, y_b = [-1.7e308, 0.0], [1.7e308, 0.0]
+        with pytest.raises(manifold.ShootingError, match="^the action's gradient norm on the straight line") as info:
+            manifold.solve_shooting(mf, y_a, y_b, n_steps=4)
+        assert info.value.residuals == [math.inf]
+        with pytest.raises(manifold.ShootingError, match="^the momentum of the first chord is not finite: ") as info:
+            manifold.solve_shooting(mf, y_a, y_b, n_steps=1)
+        np.testing.assert_equal(info.value.p, [math.inf, math.nan])  # J^T (y_b - y_a) with y_b - y_a = [inf, 0]
 
     def test_shooting_error_keeps_residual_history(self, monkeypatch):
         monkeypatch.setattr(manifold, "_SHOOTING_ITERATIONS", 3)

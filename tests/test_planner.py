@@ -15,7 +15,7 @@ from maniflow import _text, planner
 
 def brute_force_dist(graph, source):
     """Bellman-Ford style relaxation, used as an independent oracle."""
-    n = graph.n_nodes
+    n = len(graph.adjacency)
     dist = [math.inf] * n
     dist[source] = 0.0
     for _ in range(n):
@@ -50,14 +50,14 @@ class TestWeightedDigraph:
     def test_default_lists_are_per_instance(self):
         a, b = planner.WeightedDigraph(), planner.WeightedDigraph()
         assert a.add_node() == 0
-        assert (a.n_nodes, b.n_nodes) == (1, 0)
+        assert (len(a.adjacency), len(b.adjacency)) == (1, 0)
         assert b.adjacency == []
 
     def test_given_lists_are_kept(self):
         # build_ndm_graph and load_graph hand over the lists they filled, without a copy
         adjacency = [[(1, 0.5)], []]
         g = planner.WeightedDigraph(adjacency)
-        assert g.adjacency is adjacency and g.n_nodes == 2
+        assert g.adjacency is adjacency and len(g.adjacency) == 2
         g.add_edge(1, 0, 2.0)
         assert adjacency == [[(1, 0.5)], [(0, 2.0)]]
 
@@ -89,7 +89,7 @@ class TestDijkstra:
         rng = np.random.default_rng(42)
         for _ in range(200):
             g = random_graph(rng)
-            src = int(rng.integers(0, g.n_nodes))
+            src = int(rng.integers(0, len(g.adjacency)))
             expected = brute_force_dist(g, src)
             np.testing.assert_allclose(planner.dijkstra(g, src), expected)
 
@@ -118,7 +118,7 @@ class TestDijkstra:
         for _ in range(50):
             g = random_graph(rng)
             dist, pred = planner._search(g, 0)
-            for v in range(g.n_nodes):
+            for v in range(len(g.adjacency)):
                 if math.isinf(dist[v]):
                     continue
                 seen = set()
@@ -292,8 +292,8 @@ def graphs(draw):
     g = planner.WeightedDigraph()
     for _ in range(draw(st.integers(0, 6))):
         g.add_node()
-    if g.n_nodes:
-        node = st.integers(0, g.n_nodes - 1)
+    if len(g.adjacency):
+        node = st.integers(0, len(g.adjacency) - 1)
         weight = st.floats(min_value=0.0, allow_infinity=False)
         for u, v, w in draw(st.lists(st.tuples(node, node, weight), max_size=12)):
             g.add_edge(u, v, w)
@@ -310,7 +310,7 @@ def zero_cycle_graphs(draw):
     g = planner.WeightedDigraph()
     for _ in range(draw(st.integers(1, 40))):
         g.add_node()
-    node = st.integers(0, g.n_nodes - 1)
+    node = st.integers(0, len(g.adjacency) - 1)
     weight = st.integers(0, 63).map(lambda k: k / 8)
     for u, v, w in draw(st.lists(st.tuples(node, node, weight), max_size=120)):
         g.add_edge(u, v, w)
@@ -480,7 +480,7 @@ def integer_weight_graphs(draw):
     g = planner.WeightedDigraph()
     for _ in range(draw(st.integers(1, 12))):
         g.add_node()
-    node = st.integers(0, g.n_nodes - 1)
+    node = st.integers(0, len(g.adjacency) - 1)
     for u, v, w in draw(st.lists(st.tuples(node, node, st.integers(1, 4)), max_size=40)):
         g.add_edge(u, v, float(w))
     return g, draw(node)
@@ -491,7 +491,7 @@ class TestDijkstraProperty:
     def test_pred_is_smallest_tight_predecessor(self, case):
         g, src = case
         dist, pred = planner._search(g, src)
-        for v in range(g.n_nodes):
+        for v in range(len(g.adjacency)):
             if v == src or math.isinf(dist[v]):
                 continue
             tight = [u for u, x, w in g.edges() if x == v and dist[u] + w == dist[v]]
@@ -503,7 +503,7 @@ class TestDijkstraProperty:
         dist, pred = planner._search(g, src)
         assert planner.dijkstra(g, src) == dist == brute_force_dist(g, src)
         assert pred[src] is None
-        for v in range(g.n_nodes):
+        for v in range(len(g.adjacency)):
             u = pred[v]
             if u is None:
                 assert v == src or math.isinf(dist[v])
@@ -531,7 +531,7 @@ class TestShortestPathStopProperty:
     def test_matches_full_search_for_every_target(self, case):
         g, src = case
         dist, pred = planner._search(g, src)
-        for t in range(g.n_nodes):
+        for t in range(len(g.adjacency)):
             assert planner.shortest_path(g, src, t) == route_from_full_search(dist, pred, src, t), t
 
 
@@ -542,7 +542,7 @@ GRAPH_JUNK = ["", "q 0 1", "n", "e 0 1", "n x", "e 0 x 1.5", "e 0 9 1.5", "e 0 0
 
 def write_graph(graph, path):
     """Write the n/e text format, each weight as its repr, which reads back as the same float."""
-    rows = [f"n {graph.n_nodes}", *(f"e {u} {v} {w!r}" for u, v, w in graph.edges())]
+    rows = [f"n {len(graph.adjacency)}", *(f"e {u} {v} {w!r}" for u, v, w in graph.edges())]
     path.write_text("".join(f"{row}\n" for row in rows))
 
 
@@ -552,7 +552,7 @@ class TestGraphIo:
         p = tmp_path_factory.mktemp("graph") / "g.graph"
         write_graph(g, p)
         loaded = planner.load_graph(p)
-        assert loaded.n_nodes == g.n_nodes
+        assert len(loaded.adjacency) == len(g.adjacency)
         assert list(loaded.edges()) == list(g.edges())
 
     def test_round_trip(self, tmp_path):
@@ -563,14 +563,14 @@ class TestGraphIo:
         head, rest = p.read_text().split("\n", 1)
         p.write_text(f"# saved graph\n\n{head}  # nodes\n{rest}")
         loaded = planner.load_graph(p)
-        assert loaded.n_nodes == g.n_nodes
+        assert len(loaded.adjacency) == len(g.adjacency)
         assert list(loaded.edges()) == list(g.edges())
 
     def test_comments_and_blanks(self, tmp_path):
         p = tmp_path / "g.graph"
         p.write_text("# header\nn 2\n\ne 0 1 1.5  # note\n")
         g = planner.load_graph(p)
-        assert g.n_nodes == 2
+        assert len(g.adjacency) == 2
         assert list(g.edges()) == [(0, 1, 1.5)]
 
     def test_edge_before_count(self, tmp_path):

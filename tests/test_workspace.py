@@ -178,7 +178,7 @@ class TestLowering:
         ws = self.episode()
         graph, index = workspace.to_weighted_digraph(ws)
         assert list(index) == list(ws.nodes)
-        assert list(index.values()) == list(range(graph.n_nodes))
+        assert list(index.values()) == list(range(len(graph.adjacency)))
 
 
 class TestExplanationChain:
