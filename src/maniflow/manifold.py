@@ -26,16 +26,23 @@ plus h (V(q0) + V(q1)) / 2 for a potential V.  Newton solves
 J0^T (f1 - f0) + eps_reg (q1 - q0) = h p0 (+ h^2/2 grad V(q0)) for q1,
 with matrix J0^T J1 + eps_reg I; then
 p1 = [J1^T (f1 - f0) + eps_reg (q1 - q0)] / h (+ h/2 grad V(q1)), and
-the end point's (f, J) starts the next step.  The schedule is fixed and
-the same for every row: step 1 starts at q0 + h G(q0)^{-1} p0 and runs 3
-iterations, step 2 starts at 2 q0 - q_-1 and later steps at
-3 q0 - 3 q_-1 + q_-2, each running 2, so an n-step run makes
-1 + 4 + 3 (n - 1) decoder passes.  Nothing checks that Newton has
-converged: a long step can stop short of the exact chord (a relative
-residual of 2.8e-6 on a step of length 0.35).  Each node's G is checked
-positive definite.  Any other Hamiltonian provides ``__call__(y, p)``
-and the partials ``dy(y, p)`` and ``dp(y, p)`` and takes the staged
-kick-drift-kick, which is symplectic for a separable H.
+the end point's (f, J) starts the next step.  Step 1 starts Newton at
+q0 + h G(q0)^{-1} p0, steps 2 to 4 at the polynomial through their 2 to
+4 nodes, and later steps at the quartic through the last five,
+5 (q0 - q_-3) + 10 (q_-2 - q_-1) + q_-4 (Hairer, Lubich & Wanner,
+*Geometric Numerical Integration* VIII.6).  Every step takes one update;
+then each row iterates until its residual, in max-norms, is at most
+``_CHORD_TOL`` = 1e-12 of the right-hand side, or, from the third
+iterate on, within the rounding floor of its terms (``_round_off``).  A
+row that stops keeps its iterate while the others update, so a stacked
+row is bit-equal to its single run.  The decoder pass at each iterate
+gives its residual, and the last one ends the step: from step 5 on, a
+smooth run makes 2 passes and 1 solve per step.  A row above both after
+30 updates (``_CHORD_UPDATES``) raises IntegrationError naming the step
+and the residual.  Each node's G is checked positive definite.  Any
+other Hamiltonian provides ``__call__(y, p)`` and the partials
+``dy(y, p)`` and ``dp(y, p)`` and takes the staged kick-drift-kick,
+which is symplectic for a separable H.
 
 **The boundary-value solve.**  ``solve_shooting`` makes the action
 S = sum_k L_d(q_k, q_k+1), h = 1/N, stationary over the interior nodes
@@ -65,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,12 +112,15 @@ class SingularMetricError(ValueError):
 
 
 class IntegrationError(ValueError):
-    """Leapfrog integration produced a non-finite state.
+    """Integration produced a non-finite state, or a chord step whose Newton solve did not converge.
 
-    ``step`` is the step that failed, ``y`` and ``p`` are the last finite
+    ``step`` is the step that failed, ``y`` and ``p`` are the last good
     node (the one before it) and ``drift`` is max |H - H_0| over the nodes
     up to it, or None for a run that records no energies.  Step 0 is a
     start whose state or energy is not finite: y, p and drift are None.
+    A chord step fails when a row's Newton residual is still above its
+    bound after 30 updates; the message gives it relative to the step's
+    right-hand side h p (+ h^2/2 grad V).
     """
 
     def __init__(self, message: str, step: int | None = None, y=None, p=None, drift: float | None = None):
@@ -217,6 +227,14 @@ def _check_layer(previous: list, w, b) -> tuple[np.ndarray, np.ndarray]:
 # metric and Hamiltonians
 
 
+@lru_cache(maxsize=8)
+def _scaled_eye(eps: float, d: int) -> np.ndarray:
+    """eps I of size d, read-only: made once for each eps_reg and d, not at every node."""
+    out = eps * np.eye(d)
+    out.flags.writeable = False
+    return out
+
+
 def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x for matrices (..., m, k) and vectors (..., k)."""
     return (a @ x[..., None])[..., 0]
@@ -242,13 +260,15 @@ class MetricField:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg!r}")
 
     def _metric(self, y: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
-        """G at y, an array (..., d), from J there if given; ValueError, and no warning, unless every G is finite."""
+        """G at y, an array (..., d), from J there if given; ValueError unless every G is finite.
+
+        It sets no errstate: its callers run it with overflow and invalid ignored.
+        """
         # J^T J comes out exactly symmetric (syrk, or the same products summed in
-        # the same order), so no averaging pass: dropping it pays for the errstate
-        with np.errstate(over="ignore", invalid="ignore"):
-            if jac is None:
-                jac = self.decoder._forward(y)[1]
-            g = jac.swapaxes(-1, -2) @ jac + self.eps_reg * np.eye(jac.shape[-1])
+        # the same order), so no averaging pass
+        if jac is None:
+            jac = self.decoder._forward(y)[1]
+        g = jac.swapaxes(-1, -2) @ jac + _scaled_eye(float(self.eps_reg), jac.shape[-1])
         if not np.isfinite(g).all():
             raise ValueError(f"metric at y={y!r} contains infs or NaNs")
         return g
@@ -268,8 +288,9 @@ class MetricField:
 
     def solve(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """G(y)^-1 rhs; ValueError, and no warning, unless it is finite."""
-        g = self._geometry(floats(y))
-        out = np.linalg.solve(g, floats(rhs)[..., None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self._geometry(floats(y))
+            out = np.linalg.solve(g, floats(rhs)[..., None])[..., 0]
         if not np.isfinite(out).all():
             raise ValueError(f"metric solve at y={y!r} is not finite")
         return out
@@ -277,7 +298,8 @@ class MetricField:
 
 def pullback_metric(metric_field: MetricField, y: np.ndarray) -> np.ndarray:
     """G(y), shape (..., d, d) for points (..., d); raises SingularMetricError when not positive definite."""
-    return metric_field._geometry(floats(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return metric_field._geometry(floats(y))
 
 
 @dataclass
@@ -334,7 +356,8 @@ class GeodesicHamiltonian:
     def __call__(self, y: np.ndarray, p: np.ndarray):
         """H at (y, p); ValueError if it is NaN (an infinite momentum gives one)."""
         y, p = floats(y), floats(p)
-        energy = _kinetic(self.metric_field._geometry(y), p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = _kinetic(self.metric_field._geometry(y), p)
         if np.isnan(energy).any():
             raise ValueError(f"energy at y={y.tolist()}, p={p.tolist()} is nan")
         return energy
@@ -366,30 +389,77 @@ def _staged(hamiltonian, y, p, h, n_steps, energies, failure):
         yield y, p, hamiltonian(y, p) if energies else None
 
 
+_CHORD_TOL = 1e-12
+_CHORD_UPDATES = 30
+
+
+def _round_off(jac: np.ndarray, matrix: np.ndarray, q: np.ndarray, out_q: np.ndarray) -> np.ndarray:
+    """The chord residual's rounding floor at q, per row: 4 eps (|J0^T J1 + eps_reg I| |q| + |J0| |f(q)|), max-norms.
+
+    The first term is the rounding of the decoder's first products at q,
+    carried by the step's matrix; the second that of f(q), carried by J0^T.
+    No update lowers a residual below it.  A step shorter than about
+    1e-4 |J| |f| stops there above ``_CHORD_TOL``, and so can a step far
+    out in a saturated, ill-conditioned chart.
+    """
+    return 4.0 * np.finfo(float).eps * (
+        np.abs(matrix).max(axis=(-2, -1)) * np.abs(q).max(axis=-1)
+        + np.abs(jac).max(axis=(-2, -1)) * np.abs(out_q).max(axis=-1)
+    )
+
+
+def _predict(y: np.ndarray, before: list) -> np.ndarray:
+    """Newton's start for a step after the first: the polynomial through y and the 1 to 4 nodes ``before`` it."""
+    if len(before) == 1:
+        return 2.0 * y - before[-1]
+    if len(before) == 2:
+        return 3.0 * (y - before[-1]) + before[-2]
+    if len(before) == 3:
+        return 4.0 * (y + before[-2]) - 6.0 * before[-1] - before[-3]
+    return 5.0 * (y - before[-3]) + 10.0 * (before[-2] - before[-1]) + before[-4]
+
+
 def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
-    """Nodes (y, p, H or None) of the chord step's fixed schedule (module docstring)."""
+    """Nodes (y, p, H or None) of the chord step, each Newton-solved to its residual bound (module docstring)."""
     field, force, grad = hamiltonian.metric_field, hamiltonian._force, None
     forward, eps = field.decoder._forward, field.eps_reg
-    reg = eps * np.eye(y.shape[-1])
+    reg = _scaled_eye(float(eps), y.shape[-1])
     out, jac = forward(y)
-    before = []  # the two nodes before y
+    before = []  # the (up to) four nodes before y, oldest first
+    # whether any row is still above its bound: a single point's test is a numpy scalar, which bool
+    # reads ~30x faster than .any() does
+    stacked = y.ndim > 1
+    pending = np.ndarray.any if stacked else bool
     for k in range(n_steps + 1):
         if k:
-            if k == 1:
-                q, iterations = y + h * np.linalg.solve(g, p[..., None])[..., 0], 3
-            elif k == 2:
-                q, iterations = 2.0 * y - before[-1], 2
-            else:
-                q, iterations = 3.0 * (y - before[-1]) + before[-2], 2
+            q = y + h * np.linalg.solve(g, p[..., None])[..., 0] if k == 1 else _predict(y, before)
             rhs = h * p if grad is None else h * p + 0.5 * h * h * grad
+            bound = _CHORD_TOL * np.abs(rhs).max(axis=-1)
             jac_t = jac.swapaxes(-1, -2)
-            for _ in range(iterations):
+            above = np.True_  # every row takes one update: a start within the bound is still no Newton iterate
+            for update in range(_CHORD_UPDATES + 1):
+                # the pass at each iterate gives its residual, and the last one ends the step
                 out_q, jac_q = forward(q)
-                residual = _mv(jac_t, out_q - out) + eps * (q - y) - rhs
-                q = q - np.linalg.solve(jac_t @ jac_q + reg, residual[..., None])[..., 0]
-            out_q, jac_q = forward(q)
-            p = (_mv(jac_q.swapaxes(-1, -2), out_q - out) + eps * (q - y)) / h
-            before = [*before[-1:], y]
+                chord, move = out_q - out, eps * (q - y)
+                residual = _mv(jac_t, chord) + move - rhs
+                if update:
+                    size = np.abs(residual).max(axis=-1)
+                    above = size > bound  # a NaN row is not above: the finiteness check names it
+                    if not pending(above):
+                        break
+                    if update >= 2:  # a row that two updates left above the bound may be at round-off
+                        above &= size > _round_off(jac, jac_t @ jac_q + reg, q, out_q)
+                        if not pending(above):
+                            break
+                if update == _CHORD_UPDATES:
+                    with np.errstate(divide="ignore"):
+                        worst = float(np.max(size[above] / bound[above])) * _CHORD_TOL
+                    raise failure(k, f"relative Newton residual {worst:.1e} after {update} updates")
+                delta = np.linalg.solve(jac_t @ jac_q + reg, residual[..., None])[..., 0]
+                # a row that met the bound keeps its iterate, as in its single run
+                q = np.where(above[..., None], q - delta, q) if stacked else q - delta
+            p = (_mv(jac_q.swapaxes(-1, -2), chord) + move) / h
+            before = [*before[-3:], y]
             y, out, jac = q, out_q, jac_q
         try:
             g = field._geometry(y, jac)
@@ -427,8 +497,8 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     except (ValueError, MemoryError):  # numpy refuses the buffer's size
         raise ValueError(f"n_steps {n_steps} needs a node buffer too large to allocate") from None
 
-    def failure(k: int) -> IntegrationError:
-        message = f"non-finite state or energy at step {k}"
+    def failure(k: int, cause: str = "non-finite state or energy") -> IntegrationError:
+        message = f"{cause} at step {k}"
         if k == 0:
             return IntegrationError(message, 0)
         last = nodes[k - 1].copy()
@@ -451,9 +521,9 @@ def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTraj
     """n_steps steps of size h, recording all n+1 nodes and their energies.
 
     A stacked ``pt0`` (..., d) integrates every row at once.  h must be
-    finite and non-zero; a non-finite state raises IntegrationError.  The
-    chord step's fixed 3, 2, 2 Newton schedule is unchecked: no residual
-    bound stops a step that has not converged (module docstring).
+    finite and non-zero; a non-finite state, or a chord step whose Newton
+    residual does not meet its bound within 30 updates, raises
+    IntegrationError (module docstring).
     """
     ys, ps, energies = _leapfrog(hamiltonian, pt0.y, pt0.p, h, n_steps)
     return PhaseTrajectory(step=real(h), ys=ys, ps=ps, energies=energies)

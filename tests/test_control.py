@@ -183,7 +183,8 @@ class TestNdmLayer:
         assert len(calls) == 1 + 2 * (2 * 2)
 
     def test_layer_derives_geometry_once_per_point(self):
-        # the kinetic part makes one step's passes, 1 + 4; each potential gradient one pass over its stencil
+        # the kinetic part makes one step's passes, 1 + 3 (two updates meet the bound); each potential
+        # gradient one pass over its stencil
         dec = manifold.Decoder.mlp_tanh([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
         field = manifold.MetricField(dec)
         shapes, nodes = [], []
@@ -192,7 +193,7 @@ class TestNdmLayer:
         field._geometry = lambda y, jac: nodes.append(np.shape(y)) or geometry(y, jac)
         pt = manifold.PhasePoint(np.array([0.2, -0.1]), np.array([0.3, 0.4]))
         control.ndm_layer(field, quad_cost(), pt, 0.1)
-        assert shapes == [(2,), (4, 2)] + [(2,)] * 4 + [(4, 2)]
+        assert shapes == [(2,), (4, 2)] + [(2,)] * 3 + [(4, 2)]
         assert nodes == [(2,)] * 2  # at y and at the step's end
 
     def test_stack_of_layers_runs(self):

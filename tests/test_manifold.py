@@ -347,7 +347,8 @@ class TestMetricField:
                 mf.solve(y, np.ones(2))
             with pytest.raises(ValueError, match="NaN"):
                 manifold.pullback_metric(mf, y)
-            with pytest.raises(ValueError, match="NaN"):
+            # _metric sets no errstate: its callers ignore overflow and invalid around it
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="NaN"):
                 mf._metric(y)
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e100])
@@ -376,9 +377,20 @@ class TestMetricField:
             mf.solve(np.zeros(1), np.array([1e200]))
 
     def test_overflowing_metric_raises_without_warning(self):
-        # finite weights whose J^T J passes the float range: the matmul used to warn first
+        # finite weights whose J^T J passes the float range: the matmul used to warn first.  _metric
+        # sets no errstate, so it runs under the one its callers set
         mf = manifold.MetricField(manifold.Decoder.linear([[1e200, 0.0], [0.0, 1.0]]))
-        for call in (mf._metric, lambda y: manifold.pullback_metric(mf, y)):
+
+        def metric(y):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return mf._metric(y)
+
+        for call in (
+            metric,
+            lambda y: manifold.pullback_metric(mf, y),
+            lambda y: mf.solve(y, np.ones(2)),
+            lambda y: manifold.GeodesicHamiltonian(mf)(y, np.ones(2)),
+        ):
             with pytest.raises(ValueError, match=r"^metric at y=array\(\[0\., 0\.\]\) contains infs or NaNs$"):
                 call(np.zeros(2))
 
@@ -407,9 +419,9 @@ class TestGeodesicHamiltonian:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_exact_dy_matches_fd(self, d, n_tanh):
         # the step's momenta are the exact y-derivatives of its discrete Lagrangian, taken from J:
-        # p0 = -dL_d/dq0 and p1 = dL_d/dq1, against central differences of L_d itself.  The band
-        # holds the fixed schedule's Newton residual: 2.8e-6 relative at worst over these 54 steps
-        # (d = 1, two tanh layers, a step of 0.35), below 1e-12 on most
+        # p0 = -dL_d/dq0 and p1 = dL_d/dq1, against central differences of L_d itself.  Each step is
+        # Newton-solved to its residual bound, so the gap is the differences' own error: 4.0e-8 relative
+        # at worst over these 54 steps
         rng = np.random.default_rng(100 * d + n_tanh)
         h = 0.1
         for n in (d, d + 2):
@@ -845,6 +857,45 @@ def test_pool_geodesics_retrace_their_nodes():
         assert np.max(np.linalg.norm(jac - emp, axis=1)) <= 1e-4 * np.max(np.linalg.norm(emp, axis=1))
 
 
+def test_pool_runs_come_back_or_raise():
+    """40 steps of h = 0.05 from each pool query's momentum, then 40 of -h, return to the start or raise.
+
+    The fixed Newton schedule returned query 18 5.8e-2 off and query 28
+    4.2e8 off, both as successes.  Now 29 queries come back within 3.2e-12,
+    and query 28's step 37 stays above the bound after 30 updates.
+    """
+    for index in range(30):
+        decoder, y_a, y_b, _ = pool_query(index)
+        field = manifold.MetricField(decoder)
+        ham = manifold.GeodesicHamiltonian(field)
+        p = manifold.solve_shooting(field, y_a, y_b, n_steps=32, tol=1e-8)
+        if index == 28:
+            with pytest.raises(manifold.IntegrationError, match="^relative Newton residual .* at step 37$"):
+                manifold.integrate(ham, manifold.PhasePoint(y_a, p), 0.05, 40)
+            continue
+        there = manifold.integrate(ham, manifold.PhasePoint(y_a, p), 0.05, 40).final()
+        back = manifold.integrate(ham, there, -0.05, 40).final()
+        assert np.abs(back.y - y_a).max() <= 1e-10 and np.abs(back.p - p).max() <= 1e-10
+
+
+def test_two_step_shot_lands_on_its_end():
+    # the fixed schedule's step 1 ran 3 iterations from an O(h^2) start, and at h = 0.5 missed y_b by 2.7e-5
+    field = manifold.MetricField(near_identity_decoder())
+    y_b = np.array([0.8, 0.5])
+    p = manifold.solve_shooting(field, np.zeros(2), y_b, n_steps=2)
+    assert np.linalg.norm(shot_end(field, np.zeros(2), p, 2) - y_b) <= 1e-8
+
+
+def test_converged_run_retraces_with_negative_step():
+    # L_d(q1, q0, -h) = -L_d(q0, q1, h), so a step of -h from a converged step's end returns to its start
+    ham = manifold.GeodesicHamiltonian(manifold.MetricField(random_tanh_decoder(np.random.default_rng(46), 3, 4, 2)))
+    start = manifold.PhasePoint([0.2, -0.1, 0.3], [0.2, 0.05, -0.15])
+    there = manifold.integrate(ham, start, 0.1, 12)
+    back = manifold.integrate(ham, there.final(), -0.1, 12)
+    np.testing.assert_allclose(back.ys[::-1], there.ys, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(back.ps[::-1], there.ps, rtol=0, atol=1e-12)
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -979,10 +1030,18 @@ class TestStackContract:
             np.testing.assert_array_equal(out[idx], point_out)
             np.testing.assert_array_equal(jac[idx], point_jac)
 
-    def test_stacked_integrate_equals_single_runs(self):
+    @staticmethod
+    def seed_22_rows(scale):
+        """The three-layer tanh decoder of seed 22, with four starts whose momenta are ``scale`` normal draws."""
         rng = np.random.default_rng(22)
         ham = manifold.GeodesicHamiltonian(manifold.MetricField(random_tanh_decoder(rng, 3, 4, 2)))
-        y0, p0 = rng.uniform(-0.5, 0.5, size=(4, 3)), 0.5 * rng.normal(size=(4, 3))
+        return ham, rng.uniform(-0.5, 0.5, size=(4, 3)), scale * rng.normal(size=(4, 3))
+
+    def test_stacked_integrate_equals_single_runs(self):
+        # every step of these rows converges, each row after its own number of updates (18 to 34 over
+        # the 16 steps): a row that meets the bound keeps its iterate while the others update, so it
+        # stays bit-equal to its single run
+        ham, y0, p0 = self.seed_22_rows(0.1)
         stacked = manifold.integrate(ham, manifold.PhasePoint(y0, p0), 0.05, 16)
         assert stacked.ys.shape == stacked.ps.shape == (17, 4, 3)
         assert stacked.energies.shape == (17, 4)
@@ -993,12 +1052,34 @@ class TestStackContract:
             np.testing.assert_array_equal(stacked.energies[:, b], single.energies)
 
     def test_stacked_shots_equal_single_shots(self):
+        # momenta of 0.3 normal draws, whose steps all converge, each row after its own number of updates
         rng = np.random.default_rng(23)
         mf = manifold.MetricField(near_identity_decoder())
-        y_a, momenta = np.array([0.1, -0.2]), rng.normal(size=(5, 2))
+        y_a, momenta = np.array([0.1, -0.2]), 0.3 * rng.normal(size=(5, 2))
         ends = shot_end(mf, np.tile(y_a, (5, 1)), momenta, 12)
         for end, p in zip(ends, momenta, strict=True):
             np.testing.assert_array_equal(end, shot_end(mf, y_a, p, 12))
+
+    def test_unconverged_rows_raise_at_their_step(self):
+        # the rows these stack tests used to run: the fixed Newton schedule returned them as successes, with
+        # relative step residuals up to 2e+1 and energy drifts up to 1.1e5.  Each now raises at the step whose
+        # residual stays above the bound after 30 updates, and a stack at the first such step among its rows
+        ham, y0, p0 = self.seed_22_rows(0.5)
+        for b, step in ((0, 6), (1, 5), (3, 15)):
+            message = f"^relative Newton residual .* after 30 updates at step {step}$"
+            with pytest.raises(manifold.IntegrationError, match=message) as info:
+                manifold.integrate(ham, manifold.PhasePoint(y0[b], p0[b]), 0.05, 16)
+            before = manifold.integrate(ham, manifold.PhasePoint(y0[b], p0[b]), 0.05, step - 1)
+            np.testing.assert_array_equal(info.value.y, before.ys[-1])
+            np.testing.assert_array_equal(info.value.p, before.ps[-1])
+        manifold.integrate(ham, manifold.PhasePoint(y0[2], p0[2]), 0.05, 16)
+        with pytest.raises(manifold.IntegrationError, match="at step 5$"):
+            manifold.integrate(ham, manifold.PhasePoint(y0, p0), 0.05, 16)
+        mf = manifold.MetricField(near_identity_decoder())
+        momenta = np.random.default_rng(23).normal(size=(5, 2))
+        for b, step in ((1, 7), (2, 6)):
+            with pytest.raises(manifold.IntegrationError, match=f"at step {step}$"):
+                shot_end(mf, np.array([0.1, -0.2]), momenta[b], 12)
 
     def test_stacked_tangents_equal_single_steps(self):
         rng = np.random.default_rng(24)
@@ -1011,8 +1092,9 @@ class TestStackContract:
             np.testing.assert_array_equal(manifold.jacobi_propagate(ham, step, deltas[k])[1], deltas[k + 1])
 
     def test_geometry_is_derived_once_per_node(self):
-        # the decoder pass runs as the schedule says: 1 at the start, 4 for step 1 (3 iterations and
-        # the end point) and 3 for each later step; G is formed and checked once per node
+        # one decoder pass at the start and one at each Newton iterate, the last of which ends the step:
+        # at h = 0.1 every step of this run takes two updates to meet the bound, so 3 passes.  G is formed
+        # and checked once per node
         dec = near_identity_decoder()
         field = manifold.MetricField(dec)
         shapes, nodes = [], []
@@ -1024,14 +1106,41 @@ class TestStackContract:
         for n in (1, 2, 7):
             shapes.clear(), nodes.clear()
             traj = manifold.integrate(ham, pt, 0.1, n)
-            assert shapes == [(2,)] * (1 + 4 + 3 * (n - 1)) and nodes == [(2,)] * (n + 1)
+            assert shapes == [(2,)] * (1 + 3 * n) and nodes == [(2,)] * (n + 1)
         shapes.clear(), nodes.clear()
         manifold.jacobi_propagate(ham, traj, np.ones(4))
         # one step from 7 nodes' 4d = 8 stencil points
-        assert shapes == [(7, 8, 2)] * 5 and nodes == [(7, 8, 2)] * 2
+        assert shapes == [(7, 8, 2)] * 4 and nodes == [(7, 8, 2)] * 2
         shapes.clear(), nodes.clear()
         manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 7)
-        assert shapes == [(2, 2)] * 23 and nodes == [(2, 2)] * 8
+        assert shapes == [(2, 2)] * 22 and nodes == [(2, 2)] * 8
+
+    @pytest.mark.parametrize("h, scale", [(0.1, 1e-4), (1e-3, 1e-2), (1e-4, 1e-8)])
+    def test_short_step_stops_at_round_off(self, h, scale):
+        # |h p| of 5e-6 to 5e-13 against |J| |f| near 1: the residual's rounding is above 1e-12 |h p|, so
+        # the bound alone would run these steps to 30 updates and raise.  Each stops at the rounding
+        # floor and moves by h G^-1 p
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        pt = manifold.PhasePoint([0.1, -0.2], scale * np.array([0.3, 0.4]))
+        traj = manifold.integrate(ham, pt, h, 8)
+        move = 8 * h * ham.metric_field.solve(pt.y, pt.p)
+        np.testing.assert_allclose(traj.ys[-1] - pt.y, move, rtol=1e-3)
+
+    def test_quartic_start_needs_one_update_per_step(self):
+        # from step 5 on, the start extrapolated through the last five nodes is close enough that one
+        # update meets the bound (with a 100x margin here), so each step makes 2 passes: the start's and
+        # the update's.  Every step makes at least 2, so 56 passes over steps 5 to 32 means 2 at each
+        dec, y_a, y_b, _ = pool_query(10)
+        field = manifold.MetricField(dec)
+        ham = manifold.GeodesicHamiltonian(field)
+        pt = manifold.PhasePoint(y_a, manifold.pullback_metric(field, y_a) @ (y_b - y_a))
+        passes, forward = [], dec._forward
+        dec._forward = lambda y: passes.append(np.shape(y)) or forward(y)
+        manifold.integrate(ham, pt, 1 / 32, 4)
+        first = len(passes)
+        passes.clear()
+        manifold.integrate(ham, pt, 1 / 32, 32)
+        assert len(passes) - first == 2 * 28
 
 
 class TestOneLayerDecoder:
