@@ -6,7 +6,12 @@ A decoder maps latent points y in R^d to ambient points f(y) in R^n
     G(y) = J(y)^T J(y) + eps_reg I,
 
 formed by one matmul, which numpy makes exactly symmetric, checked
-finite and validated by Cholesky factorisation.  Geodesics are driven
+finite and validated by Cholesky factorisation.  The engine's small
+solves and factorisations call numpy's linalg gufuncs ``solve1`` and
+``cholesky_lo`` directly, without the ``np.linalg`` wrappers' argument
+checks: a singular or non-SPD matrix comes back NaN-filled and raises
+numpy's invalid flag, so every caller runs them with invalid ignored and
+reads the NaN.  Geodesics are driven
 by the kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2.  G is reached
 one way, ``MetricField._geometry``: ``pullback_metric`` returns it,
 ``MetricField.solve`` solves G v = rhs, and ``GeodesicHamiltonian`` and
@@ -39,7 +44,9 @@ row is bit-equal to its single run.  The decoder pass at each iterate
 gives its residual, and the last one ends the step: from step 5 on, a
 smooth run makes 2 passes and 1 solve per step.  A row above both after
 30 updates (``_CHORD_UPDATES``) raises IntegrationError naming the step
-and the residual.  Each node's G is checked positive definite.  Any
+and the residual; a row whose Newton matrix is singular, so that its
+iterate turns NaN, raises IntegrationError naming that matrix and the
+step.  Each node's G is checked positive definite.  Any
 other Hamiltonian provides ``__call__(y, p)`` and the partials
 ``dy(y, p)`` and ``dp(y, p)`` and takes the staged kick-drift-kick,
 which is symplectic for a separable H.
@@ -76,6 +83,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo, solve1
 
 from ._numbers import floats, is_count, real
 
@@ -120,7 +128,10 @@ class IntegrationError(ValueError):
     start whose state or energy is not finite: y, p and drift are None.
     A chord step fails when a row's Newton residual is still above its
     bound after 30 updates; the message gives it relative to the step's
-    right-hand side h p (+ h^2/2 grad V).
+    right-hand side h p (+ h^2/2 grad V).  It also fails when a row's
+    Newton matrix J0^T J1 + eps_reg I is singular (a saturated tanh with
+    eps_reg = 0 zeroes J1): the solve turns its iterate NaN, and the
+    message names the singular Newton matrix and the step.
     """
 
     def __init__(self, message: str, step: int | None = None, y=None, p=None, drift: float | None = None):
@@ -129,7 +140,7 @@ class IntegrationError(ValueError):
 
 
 class ShootingError(ValueError):
-    """The boundary-value solve failed to reach the requested tolerance.
+    """The boundary-value solve failed: no convergence, a singular Hessian, or a non-finite state.
 
     ``residuals[k]`` is the norm of the action's gradient after k
     iterations, and ``p`` the momentum of the nodes the solver stopped at.
@@ -242,7 +253,7 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _kinetic(g: np.ndarray, p: np.ndarray):
     """p^T G^-1 p / 2 for metrics G (..., d, d) and momenta p (..., d)."""
-    return 0.5 * (p * np.linalg.solve(g, p[..., None])[..., 0]).sum(axis=-1)
+    return 0.5 * (p * solve1(g, p)).sum(axis=-1)
 
 
 @dataclass
@@ -262,7 +273,8 @@ class MetricField:
     def _metric(self, y: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
         """G at y, an array (..., d), from J there if given; ValueError unless every G is finite.
 
-        It sets no errstate: its callers run it with overflow and invalid ignored.
+        It sets no errstate: its callers run it, and ``_geometry`` after it,
+        with overflow and invalid ignored.
         """
         # J^T J comes out exactly symmetric (syrk, or the same products summed in
         # the same order), so no averaging pass
@@ -274,23 +286,25 @@ class MetricField:
         return g
 
     def _geometry(self, y: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
-        """G at y, an array (..., d), from J there if given; raises unless every G there is finite and SPD."""
+        """G at y, an array (..., d), from J there if given; raises unless every G there is finite and SPD.
+
+        ``cholesky_lo`` NaN-fills the factor of a G that is not SPD and
+        raises numpy's invalid flag, which callers must ignore (``_metric``);
+        only then are the eigenvalues taken, to name the worst point.
+        """
         g = self._metric(y, jac)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
+        if np.isnan(cholesky_lo(g)).any():
             lowest = np.linalg.eigvalsh(g).min(axis=-1)
             worst = np.unravel_index(np.argmin(lowest), lowest.shape)
-            raise SingularMetricError(
-                f"metric at y={y!r} is not positive definite", y[worst], float(lowest[worst])
-            ) from None
+            raise SingularMetricError(f"metric at y={y!r} is not positive definite", y[worst], float(lowest[worst]))
         return g
 
     def solve(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """G(y)^-1 rhs; ValueError, and no warning, unless it is finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            g = self._geometry(floats(y))
-            out = np.linalg.solve(g, floats(rhs)[..., None])[..., 0]
+            g, rhs = self._geometry(floats(y)), floats(rhs)
+            # a 0-d rhs solves as width 1, as np.linalg.solve read rhs[..., None]
+            out = solve1(g, rhs) if rhs.ndim else solve1(g, rhs[None])[..., 0]
         if not np.isfinite(out).all():
             raise ValueError(f"metric solve at y={y!r} is not finite")
         return out
@@ -355,7 +369,7 @@ class GeodesicHamiltonian:
 
     def __call__(self, y: np.ndarray, p: np.ndarray):
         """H at (y, p); ValueError if it is NaN (an infinite momentum gives one)."""
-        y, p = floats(y), floats(p)
+        y, p = floats(y), np.atleast_1d(floats(p))  # a 0-d p has width 1, as np.linalg.solve read p[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
             energy = _kinetic(self.metric_field._geometry(y), p)
         if np.isnan(energy).any():
@@ -432,7 +446,7 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
     pending = np.ndarray.any if stacked else bool
     for k in range(n_steps + 1):
         if k:
-            q = y + h * np.linalg.solve(g, p[..., None])[..., 0] if k == 1 else _predict(y, before)
+            q = y + h * solve1(g, p) if k == 1 else _predict(y, before)
             rhs = h * p if grad is None else h * p + 0.5 * h * h * grad
             bound = _CHORD_TOL * np.abs(rhs).max(axis=-1)
             jac_t = jac.swapaxes(-1, -2)
@@ -455,7 +469,8 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
                     with np.errstate(divide="ignore"):
                         worst = float(np.max(size[above] / bound[above])) * _CHORD_TOL
                     raise failure(k, f"relative Newton residual {worst:.1e} after {update} updates")
-                delta = np.linalg.solve(jac_t @ jac_q + reg, residual[..., None])[..., 0]
+                matrix = jac_t @ jac_q + reg
+                delta = solve1(matrix, residual)
                 # a row that met the bound keeps its iterate, as in its single run
                 q = np.where(above[..., None], q - delta, q) if stacked else q - delta
             p = (_mv(jac_q.swapaxes(-1, -2), chord) + move) / h
@@ -464,8 +479,13 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
         try:
             g = field._geometry(y, jac)
         except ValueError:  # a y that drifted to inf or NaN fails as step k, as the finiteness check would
-            if np.isfinite(y).all():
+            lost = ~np.isfinite(y).all(axis=-1)
+            if not lost.any():
                 raise
+            if k:  # solve1 NaN-fills the solve of a finite, singular matrix; read here only, on the failure path
+                singular = np.isnan(solve1(matrix, np.zeros(y.shape))).any(axis=-1)
+                if (singular & np.isfinite(matrix).all(axis=(-2, -1)))[lost].any():
+                    raise failure(k, "singular Newton matrix J0^T J1 + eps_reg I") from None
             raise failure(k) from None
         if force is not None:
             grad = force(y)
@@ -570,7 +590,9 @@ def solve_shooting(
     that step, and returns the first chord's momentum
     [J_0^T (f_1 - f_0) + eps_reg (q_1 - q_0)] / h.  After 50 iterations
     (``_SHOOTING_ITERATIONS``) it raises ShootingError, which carries the
-    gradient norms.  ``tol`` must be a number >= 0.  An ``n_steps``
+    gradient norms; so does a singular Hessian, with the norms of the
+    nodes accepted so far (the straight line's, if it is singular there).
+    ``tol`` must be a number >= 0.  An ``n_steps``
     whose dense ((n_steps - 1) d)^2 Hessian numpy refuses raises
     ValueError before the first decoder pass.
     """
@@ -592,6 +614,7 @@ def solve_shooting(
     except (ValueError, MemoryError):  # numpy refuses the Hessian's size
         raise ValueError(f"n_steps {n_steps} needs a dense Hessian too large to allocate") from None
     rows = np.arange(inner)
+    history = []  # the gradient norm after each iteration, from the straight line's on
 
     def local(nodes: np.ndarray):
         """f and J at the nodes, the action's gradient at the interior ones, and the Gauss-Newton step."""
@@ -603,8 +626,13 @@ def solve_shooting(
         off = -(jac_t[1:-2] @ jac[2:-1] + reg) / h
         hess[rows[:-1], :, rows[1:], :] = off
         hess[rows[1:], :, rows[:-1], :] = off.swapaxes(-1, -2)
-        step = np.linalg.solve(hess.reshape(inner * d, inner * d), -grad.ravel()).reshape(inner, d)
-        return out, jac, float(np.linalg.norm(grad)), step
+        norm = float(np.linalg.norm(grad))
+        try:
+            step = np.linalg.solve(hess.reshape(inner * d, inner * d), -grad.ravel()).reshape(inner, d)
+        except np.linalg.LinAlgError:  # numpy's error carries no state; the straight line's norm starts the history
+            message = f"singular Gauss-Newton Hessian at gradient norm {norm:.3e}"
+            raise ShootingError(message, history or [norm]) from None
+        return out, jac, norm, step
 
     # an action past the float range needs no warning: its gradient fails the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -613,7 +641,8 @@ def solve_shooting(
         out, jac, norm, full = local(nodes)
         if not (math.isfinite(norm) and np.isfinite(full).all()):
             raise ShootingError(f"the action's gradient norm on the straight line is not finite: {norm!r}", [norm])
-        history, trial = [norm], full
+        history.append(norm)
+        trial = full
         for _ in range(_SHOOTING_ITERATIONS):
             if np.linalg.norm(full, axis=-1).max(initial=0.0) <= tol:
                 break

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,83 @@ class TestMetricField:
         ):
             with pytest.raises(ValueError, match=r"^metric at y=array\(\[0\., 0\.\]\) contains infs or NaNs$"):
                 call(np.zeros(2))
+
+
+def _seed_route_failure(mf, ys):
+    """SingularMetricError's y and min_eigenvalue as np.linalg.cholesky and eigvalsh find them at the points ys."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = mf._metric(ys)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(g)
+    lowest = np.linalg.eigvalsh(g).min(axis=-1)
+    worst = np.unravel_index(np.argmin(lowest), lowest.shape)
+    return ys[worst], float(lowest[worst])
+
+
+class TestGufuncRoute:
+    """The engine's small solves and factorisations call numpy's linalg gufuncs, not the np.linalg wrappers."""
+
+    def test_gufunc_signatures(self):
+        # numpy.linalg._umath_linalg is private: a numpy that changes it fails here, by name
+        assert manifold.solve1.signature == "(m,m),(m)->(m)"
+        assert manifold.cholesky_lo.signature == "(m,m)->(m,m)"
+
+    @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_same_bits_as_the_public_calls(self, d, stack):
+        rng = np.random.default_rng([46, d, len(stack)])
+        a = rng.normal(size=(*stack, d, d)) + d * np.eye(d)
+        b = rng.normal(size=(*stack, d))
+        assert manifold.solve1(a, b).tobytes() == np.linalg.solve(a, b[..., None])[..., 0].tobytes()
+        g = a @ a.swapaxes(-1, -2) + np.eye(d)
+        assert manifold.cholesky_lo(g).tobytes() == np.linalg.cholesky(g).tobytes()
+
+    @pytest.mark.parametrize(
+        "decoder, ys",
+        [
+            # G = w^T w of a rank-one w: rounding leaves its least eigenvalue just below 0
+            (manifold.Decoder.linear(np.outer([0.3, -1.2, 0.7, 2.0], [1.1, -0.4, 0.9])), np.zeros(3)),
+            (manifold.Decoder.linear(np.outer([0.3, -1.2, 0.7, 2.0], [1.1, -0.4, 0.9])), np.zeros((5, 3))),
+            (saturating_decoder(), np.array([[1.0, 0.5], [40.0, 2.0], [2.0, -1.0]])),
+            (saturating_decoder(), np.array([[[1.0, 0.5], [0.2, 2.0]], [[2.0, -1.0], [0.3, -40.0]]])),
+        ],
+        ids=["rank-one", "rank-one-stack", "saturated-stack", "saturated-2x2-stack"],
+    )
+    def test_non_spd_metric_names_the_seed_point(self, decoder, ys):
+        mf = manifold.MetricField(decoder, eps_reg=0.0)
+        y, lowest = _seed_route_failure(mf, ys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(manifold.SingularMetricError) as info:
+                manifold.pullback_metric(mf, ys)
+        np.testing.assert_array_equal(info.value.y, y)
+        assert info.value.min_eigenvalue == lowest
+
+    def test_zero_d_rhs_solves_as_width_one(self):
+        # np.linalg.solve read rhs[..., None], so a 0-d rhs was a width-1 vector and its solve 0-d
+        mf = manifold.MetricField(manifold.Decoder.linear([[2.0]]), eps_reg=0.0)
+        out = mf.solve([0.0], 1.0)
+        assert out.shape == () and out == 0.25
+        assert control.optimal_control(mf, 0.0, 1.0) == 0.25
+        assert manifold.GeodesicHamiltonian(mf)([0.0], 1.0) == manifold.GeodesicHamiltonian(mf)([0.0], [1.0])
+
+    def test_engine_calls_no_linalg_wrapper(self, monkeypatch):
+        # each wrapper's argument checks cost several times its gufunc (README); an edit that brings one back fails here
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg wrapper called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        mf = manifold.MetricField(near_identity_decoder())
+        ham = manifold.GeodesicHamiltonian(mf)
+        pt = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
+        traj = manifold.integrate(ham, pt, 0.1, 6)
+        assert np.isfinite(manifold.jacobi_propagate(ham, traj, np.ones(4))).all()
+        assert np.isfinite(manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 6)).all()
+        spec = control.CostSpec(lambda z: 0.5 * float(z @ z))
+        assert np.isfinite(control.ndm_layer(mf, spec, pt, 0.1).y).all()
+        assert np.isfinite(control.optimal_control(mf, pt.y, pt.p)).all()
+        assert np.isfinite(ham(pt.y, pt.p))
 
 
 class TestGeodesicHamiltonian:
@@ -967,7 +1045,10 @@ def test_finite_input_gives_finite_result_or_value_error(call, point, h, n_steps
     }[call]
     try:
         out = run()
-    except ValueError:
+    except ValueError as error:
+        # the package's own error, or a plain ValueError: no numpy class (LinAlgError, AxisError) escapes
+        assert not isinstance(error, np.linalg.LinAlgError)
+        assert not type(error).__module__.startswith("numpy")
         return
     if call == "integrate":
         assert all(np.isfinite(values).all() for values in (out.ys, out.ps, out.energies))
@@ -1242,6 +1323,44 @@ class TestFailureState:
         with pytest.raises(manifold.ShootingError, match="^the momentum of the first chord is not finite: ") as info:
             manifold.solve_shooting(mf, y_a, y_b, n_steps=1)
         np.testing.assert_equal(info.value.p, [math.inf, math.nan])  # J^T (y_b - y_a) with y_b - y_a = [inf, 0]
+
+    @staticmethod
+    def steep_field():
+        """A 1 -> 1 tanh decoder of weight 100 and eps_reg = 0: tanh' is exactly 0 from |y| ~ 0.2 on."""
+        decoder = manifold.Decoder.mlp_tanh([np.array([[100.0]]), np.array([[1.0]])], [np.zeros(1), np.zeros(1)])
+        return manifold.MetricField(decoder, eps_reg=0)
+
+    def test_singular_newton_matrix_names_itself(self):
+        # step 1's second iterate lies where tanh' is 0, so J0^T J1 + 0 I is 0: np.linalg.solve raised a bare
+        # LinAlgError, and the gufunc's NaN read as a non-finite state
+        ham = manifold.GeodesicHamiltonian(self.steep_field())
+        message = r"^singular Newton matrix J0\^T J1 \+ eps_reg I at step 1$"
+        for pt in (manifold.PhasePoint([0.0], [1e4]), manifold.PhasePoint([[0.0], [0.0]], [[1.0], [1e4]])):
+            with pytest.raises(manifold.IntegrationError, match=message) as info:
+                manifold.integrate(ham, pt, 0.1, 3)
+            err = info.value
+            assert err.step == 1 and err.drift == 0.0
+            np.testing.assert_array_equal(err.y, pt.y)
+            np.testing.assert_array_equal(err.p, pt.p)
+
+    def test_singular_shooting_hessian_raises_shooting_error(self):
+        # from 0.5 to 1.0 every node is saturated: J = 0, so the Hessian is 0 and the gradient's norm 0
+        message = r"^singular Gauss-Newton Hessian at gradient norm 0\.000e\+00$"
+        with pytest.raises(manifold.ShootingError, match=message) as info:
+            manifold.solve_shooting(self.steep_field(), [0.5], [1.0], 4)
+        assert info.value.residuals == [0.0] and info.value.p is None
+
+    @pytest.mark.parametrize("case", ["integrate", "solve_shooting"])
+    def test_singular_system_is_the_packages_error(self, case):
+        field = self.steep_field()
+        ham = manifold.GeodesicHamiltonian(field)
+        run = {
+            "integrate": lambda: manifold.integrate(ham, manifold.PhasePoint([0.0], [1e4]), 0.1, 3),
+            "solve_shooting": lambda: manifold.solve_shooting(field, [0.5], [1.0], 4),
+        }[case]
+        with pytest.raises(ValueError) as info:
+            run()
+        assert type(info.value).__module__ == "maniflow.manifold"
 
     def test_shooting_error_keeps_residual_history(self, monkeypatch):
         monkeypatch.setattr(manifold, "_SHOOTING_ITERATIONS", 3)
