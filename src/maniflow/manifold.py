@@ -5,15 +5,19 @@ A decoder maps latent points y in R^d to ambient points f(y) in R^n
 
     G(y) = J(y)^T J(y) + eps_reg I,
 
-formed by one matmul, which numpy makes exactly symmetric, checked
-finite and validated by Cholesky factorisation.  The engine's small
-solves and factorisations call numpy's linalg gufuncs ``solve1`` and
-``cholesky_lo`` directly, without the ``np.linalg`` wrappers' argument
-checks: a singular or non-SPD matrix comes back NaN-filled and raises
-numpy's invalid flag, so every caller runs them with invalid ignored and
-reads the NaN.  Geodesics are driven
-by the kinetic Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2.  G is reached
-one way, ``MetricField._geometry``: ``pullback_metric`` returns it,
+formed by one matmul, which numpy makes exactly symmetric.  A finite
+Cholesky factor is the one check of a G that passes: a G with an inf or
+NaN, or one that is not SPD, has none, and only then is the cause
+decided.  The engine's small solves and factorisations call numpy's
+linalg gufuncs ``solve1`` and ``cholesky_lo`` directly, without the
+``np.linalg`` wrappers' argument checks: a singular or non-SPD matrix
+comes back NaN-filled and raises numpy's invalid flag, so every caller
+runs them with invalid ignored and reads the NaN.  Its per-iterate and
+per-node reductions call the ufunc reductions that the ndarray methods
+wrap (``np.maximum.reduce`` for ``.max()``, ``np.logical_and.reduce``
+for ``.all()``, ...).  Geodesics are driven by the kinetic
+Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2.  G is reached one way,
+``MetricField._geometry``: ``pullback_metric`` returns it,
 ``MetricField.solve`` solves G v = rhs, and ``GeodesicHamiltonian`` and
 the chord step's energies take H from it.  The only derivative of a
 decoder is its order-1 jet (f, J), from ``Decoder._forward``, one pass
@@ -46,10 +50,12 @@ smooth run makes 2 passes and 1 solve per step.  A row above both after
 30 updates (``_CHORD_UPDATES``) raises IntegrationError naming the step
 and the residual; a row whose Newton matrix is singular, so that its
 iterate turns NaN, raises IntegrationError naming that matrix and the
-step.  Each node's G is checked positive definite.  Any
-other Hamiltonian provides ``__call__(y, p)`` and the partials
-``dy(y, p)`` and ``dp(y, p)`` and takes the staged kick-drift-kick,
-which is symplectic for a separable H.
+step.  In a stack the rows that update on rebuild a lost row's matrix
+from its NaN, so on that failure path each lost row reruns alone, which
+is bit-equal, to name it.  Each node's G is checked by one Cholesky
+factorisation.  Any other Hamiltonian provides ``__call__(y, p)`` and
+the partials ``dy(y, p)`` and ``dp(y, p)`` and takes the staged
+kick-drift-kick, which is symplectic for a separable H.
 
 **The boundary-value solve.**  ``solve_shooting`` makes the action
 S = sum_k L_d(q_k, q_k+1), h = 1/N, stationary over the interior nodes
@@ -79,7 +85,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -206,9 +212,9 @@ class Decoder:
 
     def _forward(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f and J at a float array y (..., d) from one pass over the layers, unchecked."""
-        if y.shape[-1:] != (self.latent_dim,):
-            raise ValueError(f"expected latent points of width {self.latent_dim}, got shape {y.shape}")
         (w, b), *rest = self.layers
+        if y.shape[-1:] != (w.shape[1],):
+            raise ValueError(f"expected latent points of width {w.shape[1]}, got shape {y.shape}")
         out = _mv(w, y) + b
         if not rest:  # a read-only view: J is the layer's own weights
             return out, np.broadcast_to(w, (*y.shape[:-1], *w.shape))
@@ -253,7 +259,7 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _kinetic(g: np.ndarray, p: np.ndarray):
     """p^T G^-1 p / 2 for metrics G (..., d, d) and momenta p (..., d)."""
-    return 0.5 * (p * solve1(g, p)).sum(axis=-1)
+    return 0.5 * np.add.reduce(p * solve1(g, p), axis=-1)
 
 
 @dataclass
@@ -270,17 +276,22 @@ class MetricField:
         if not 0 <= real(self.eps_reg) < math.inf:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg!r}")
 
-    def _metric(self, y: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
-        """G at y, an array (..., d), from J there if given; ValueError unless every G is finite.
-
-        It sets no errstate: its callers run it, and ``_geometry`` after it,
-        with overflow and invalid ignored.
-        """
+    def _product(self, y: np.ndarray, jac: np.ndarray | None) -> np.ndarray:
+        """G = J^T J + eps_reg I at y, an array (..., d), from J there if given; unchecked."""
         # J^T J comes out exactly symmetric (syrk, or the same products summed in
         # the same order), so no averaging pass
         if jac is None:
             jac = self.decoder._forward(y)[1]
-        g = jac.swapaxes(-1, -2) @ jac + _scaled_eye(float(self.eps_reg), jac.shape[-1])
+        return jac.swapaxes(-1, -2) @ jac + _scaled_eye(float(self.eps_reg), jac.shape[-1])
+
+    def _metric(self, y: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
+        """G at y, an array (..., d), from J there if given; ValueError unless every G is finite.
+
+        ``control.running_cost`` reads it, and ``_geometry`` on its failure
+        path.  It sets no errstate: its callers run it with overflow and
+        invalid ignored.
+        """
+        g = self._product(y, jac)
         if not np.isfinite(g).all():
             raise ValueError(f"metric at y={y!r} contains infs or NaNs")
         return g
@@ -288,12 +299,16 @@ class MetricField:
     def _geometry(self, y: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
         """G at y, an array (..., d), from J there if given; raises unless every G there is finite and SPD.
 
-        ``cholesky_lo`` NaN-fills the factor of a G that is not SPD and
-        raises numpy's invalid flag, which callers must ignore (``_metric``);
-        only then are the eigenvalues taken, to name the worst point.
+        A finite Cholesky factor is the one check of a G that passes: a G
+        with an inf or NaN in it has none, and ``cholesky_lo`` NaN-fills the
+        factor of a G that is not SPD and raises numpy's invalid flag, which
+        callers must ignore.  Only a factor that fails decides the cause:
+        ``_metric`` rejects a G that is not finite, and the eigenvalues of
+        any other name the worst point.
         """
-        g = self._metric(y, jac)
-        if np.isnan(cholesky_lo(g)).any():
+        g = self._product(y, jac)
+        if not np.logical_and.reduce(np.isfinite(cholesky_lo(g)), axis=None):
+            g = self._metric(y, jac)
             lowest = np.linalg.eigvalsh(g).min(axis=-1)
             worst = np.unravel_index(np.argmin(lowest), lowest.shape)
             raise SingularMetricError(f"metric at y={y!r} is not positive definite", y[worst], float(lowest[worst]))
@@ -305,7 +320,7 @@ class MetricField:
             g, rhs = self._geometry(floats(y)), floats(rhs)
             # a 0-d rhs solves as width 1, as np.linalg.solve read rhs[..., None]
             out = solve1(g, rhs) if rhs.ndim else solve1(g, rhs[None])[..., 0]
-        if not np.isfinite(out).all():
+        if not np.logical_and.reduce(np.isfinite(out), axis=None):
             raise ValueError(f"metric solve at y={y!r} is not finite")
         return out
 
@@ -372,7 +387,7 @@ class GeodesicHamiltonian:
         y, p = floats(y), np.atleast_1d(floats(p))  # a 0-d p has width 1, as np.linalg.solve read p[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
             energy = _kinetic(self.metric_field._geometry(y), p)
-        if np.isnan(energy).any():
+        if np.logical_or.reduce(np.isnan(energy), axis=None):
             raise ValueError(f"energy at y={y.tolist()}, p={p.tolist()} is nan")
         return energy
 
@@ -405,6 +420,7 @@ def _staged(hamiltonian, y, p, h, n_steps, energies, failure):
 
 _CHORD_TOL = 1e-12
 _CHORD_UPDATES = 30
+_SINGULAR = "singular Newton matrix J0^T J1 + eps_reg I"
 
 
 def _round_off(jac: np.ndarray, matrix: np.ndarray, q: np.ndarray, out_q: np.ndarray) -> np.ndarray:
@@ -437,18 +453,19 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
     """Nodes (y, p, H or None) of the chord step, each Newton-solved to its residual bound (module docstring)."""
     field, force, grad = hamiltonian.metric_field, hamiltonian._force, None
     forward, eps = field.decoder._forward, field.eps_reg
+    y0, p0 = y, p  # read only on the failure path, by a stacked run's lost rows
     reg = _scaled_eye(float(eps), y.shape[-1])
     out, jac = forward(y)
     before = []  # the (up to) four nodes before y, oldest first
     # whether any row is still above its bound: a single point's test is a numpy scalar, which bool
-    # reads ~30x faster than .any() does
+    # reads ~30x faster than .any() does; a stack's goes to the ufunc reduction .any() calls
     stacked = y.ndim > 1
-    pending = np.ndarray.any if stacked else bool
+    pending = partial(np.logical_or.reduce, axis=None) if stacked else bool
     for k in range(n_steps + 1):
         if k:
             q = y + h * solve1(g, p) if k == 1 else _predict(y, before)
             rhs = h * p if grad is None else h * p + 0.5 * h * h * grad
-            bound = _CHORD_TOL * np.abs(rhs).max(axis=-1)
+            bound = _CHORD_TOL * np.maximum.reduce(np.abs(rhs), axis=-1)
             jac_t = jac.swapaxes(-1, -2)
             above = np.True_  # every row takes one update: a start within the bound is still no Newton iterate
             for update in range(_CHORD_UPDATES + 1):
@@ -457,7 +474,7 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
                 chord, move = out_q - out, eps * (q - y)
                 residual = _mv(jac_t, chord) + move - rhs
                 if update:
-                    size = np.abs(residual).max(axis=-1)
+                    size = np.maximum.reduce(np.abs(residual), axis=-1)
                     above = size > bound  # a NaN row is not above: the finiteness check names it
                     if not pending(above):
                         break
@@ -482,10 +499,19 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
             lost = ~np.isfinite(y).all(axis=-1)
             if not lost.any():
                 raise
-            if k:  # solve1 NaN-fills the solve of a finite, singular matrix; read here only, on the failure path
-                singular = np.isnan(solve1(matrix, np.zeros(y.shape))).any(axis=-1)
-                if (singular & np.isfinite(matrix).all(axis=(-2, -1)))[lost].any():
-                    raise failure(k, "singular Newton matrix J0^T J1 + eps_reg I") from None
+            if k and not stacked:  # solve1 NaN-fills the solve of a finite, singular matrix
+                if np.isfinite(matrix).all() and np.isnan(solve1(matrix, np.zeros(y.shape))).any():
+                    raise failure(k, _SINGULAR) from None
+            elif k:
+                # the rows that updated on rebuilt a lost row's matrix from its NaN Jacobian, so each lost
+                # row reruns alone, bit-equal to its row here, and its own run names a singular matrix
+                for row in zip(*np.nonzero(lost)):
+                    try:
+                        for _ in _chord(hamiltonian, y0[row], p0[row], h, k, False, failure):
+                            pass
+                    except IntegrationError as error:
+                        if str(error).startswith(_SINGULAR):
+                            raise failure(k, _SINGULAR) from None
             raise failure(k) from None
         if force is not None:
             grad = force(y)
@@ -532,7 +558,7 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
             row[..., :d], row[..., d : 2 * d] = y, p
             if energies:
                 row[..., -1] = energy
-            if not np.isfinite(row).all():
+            if not np.logical_and.reduce(np.isfinite(row), axis=None):
                 raise failure(k)
     return nodes[..., :d], nodes[..., d : 2 * d], nodes[..., -1] if energies else None
 

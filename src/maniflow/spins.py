@@ -237,7 +237,11 @@ def gibbs_attention(system: SpinSystem, i: int, beta: float) -> np.ndarray:
 
 
 def _unit_rows(rows: np.ndarray, message: str) -> np.ndarray:
-    """rows scaled to norm 1; ValueError(message.format(i=..., state=...)) names the first row whose norm is below 1e-12 or not finite."""
+    """rows, which the caller made itself, scaled to norm 1 in place.
+
+    ValueError(message.format(i=..., state=...)) names the first row whose
+    norm is below 1e-12 or not finite.
+    """
     norms = np.linalg.norm(rows, axis=1)
     ok = (norms >= _COLLAPSE_TOL) & np.isfinite(norms)
     if not ok.all():
@@ -245,7 +249,8 @@ def _unit_rows(rows: np.ndarray, message: str) -> np.ndarray:
         norm = float(norms[i])
         state = f"collapsed to norm {norm!r}" if norm < _COLLAPSE_TOL else f"has norm {norm!r}"
         raise ValueError(message.format(i=i, state=state))
-    return rows / norms[:, None]
+    rows /= norms[:, None]
+    return rows
 
 
 def _feed_forward_targets(h: np.ndarray, bath: BathParams) -> np.ndarray:
@@ -256,14 +261,18 @@ def _feed_forward_targets(h: np.ndarray, bath: BathParams) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         u = h @ bath.W1.T
         if bath.b1 is not None:
-            u = u + bath.b1
-        t = h + np.tanh(u) @ bath.W2.T
+            u += bath.b1
+        t = np.tanh(u, out=u) @ bath.W2.T
+        t += h
         return _unit_rows(t, "feed-forward target of neuron {i} {state}; cannot normalise")
 
 
 def energy_gradient(system: SpinSystem) -> np.ndarray:
-    """Analytic dH/ds_i = -sum_{j != i} J~_ij s_j - h_i, one row per spin."""
-    return -(system._sym @ system.spins) - system.fields
+    """Analytic dH/ds_i = -sum_{j != i} J~_ij s_j - h_i, one row per spin, as a fresh array."""
+    g = system._sym @ system.spins
+    np.negative(g, out=g)
+    g -= system.fields
+    return g
 
 
 def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
@@ -275,17 +284,28 @@ def micro_step(system: SpinSystem, bath: BathParams) -> SpinSystem:
     computed only when eta_ff != 0; the N targets are one batch of matrix
     products.  Raises when a target or an updated spin collapses below norm
     1e-12 or has a non-finite norm, naming the neuron.
+
+    Each term is formed in place on an array the tick made itself, in the
+    order of the formula, so the formula allocates five arrays of N rows a
+    tick: the gradient, the update, gamma s, and the target's hidden layer
+    and rows (``np.linalg.norm`` squares each matrix it normalises besides).
     """
     s = system.spins
     # an overflow leaves a row of non-finite norm, which _unit_rows rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        update = s  # every update below is out of place, so s is never written
+        # s is never written: the update is a fresh array from here on
         if bath.eta != 0.0:
-            update = update - bath.eta * energy_gradient(system)
+            step = energy_gradient(system)
+            step *= bath.eta
+            update = s - step
+        else:
+            update = s.copy()
         if bath.eta_ff != 0.0:
             targets = _feed_forward_targets(s, bath)
-            update = update + bath.eta_ff * (targets - s)
-        update = update - bath.gamma * s
+            targets -= s
+            targets *= bath.eta_ff
+            update += targets
+        update -= bath.gamma * s
         new_spins = _unit_rows(update, "neuron {i} {state} during micro step")
     # the couplings and fields are the checked ones and each row has norm 1
     # by construction, so the successor skips SpinSystem's validation and

@@ -472,6 +472,43 @@ class TestGufuncRoute:
         assert np.isfinite(control.optimal_control(mf, pt.y, pt.p)).all()
         assert np.isfinite(ham(pt.y, pt.p))
 
+    @pytest.mark.parametrize("n_steps", [1, 6])
+    def test_one_factorisation_checks_each_node(self, monkeypatch, n_steps):
+        # a node's finite Cholesky factor is its one check on the success path: G is not also tested finite
+        calls = {"cholesky_lo": 0, "_metric": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(manifold, "cholesky_lo", counted("cholesky_lo", manifold.cholesky_lo))
+        monkeypatch.setattr(manifold.MetricField, "_metric", counted("_metric", manifold.MetricField._metric))
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        manifold.integrate(ham, manifold.PhasePoint([0.1, -0.2], [0.3, 0.4]), 0.1, n_steps)
+        assert calls == {"cholesky_lo": n_steps + 1, "_metric": 0}
+
+    def test_infinite_metric_on_the_chord_path_is_not_called_singular(self):
+        # G = diag(inf, 1) has the factor diag(inf, 1), which holds no NaN: only a test of the factor's
+        # finiteness rejects it, and the failure path names it non-finite, not singular
+        mf = manifold.MetricField(manifold.Decoder.linear([[1e200, 0.0], [0.0, 1.0]]))
+        ham = manifold.GeodesicHamiltonian(mf)
+        pt = manifold.PhasePoint(np.zeros(2), np.ones(2))
+        spec = control.CostSpec(lambda z: 0.5 * float(z @ z))
+        for call in (
+            lambda: manifold.integrate(ham, pt, 0.1, 3),
+            lambda: manifold.leapfrog_step(ham, pt, 0.1),
+            lambda: manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 3),
+            lambda: control.ndm_layer(mf, spec, pt, 0.1),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"(?s)^metric at y=array\(.*\) contains infs or NaNs$") as info:
+                    call()
+            assert not isinstance(info.value, manifold.SingularMetricError)
+
 
 class TestGeodesicHamiltonian:
     def test_value_and_partials(self):
@@ -1335,7 +1372,12 @@ class TestFailureState:
         # LinAlgError, and the gufunc's NaN read as a non-finite state
         ham = manifold.GeodesicHamiltonian(self.steep_field())
         message = r"^singular Newton matrix J0\^T J1 \+ eps_reg I at step 1$"
-        for pt in (manifold.PhasePoint([0.0], [1e4]), manifold.PhasePoint([[0.0], [0.0]], [[1.0], [1e4]])):
+        # in the last stack the other row updates on after the lost one turns NaN, rebuilding its matrix
+        for pt in (
+            manifold.PhasePoint([0.0], [1e4]),
+            manifold.PhasePoint([[0.0], [0.0]], [[1.0], [1e4]]),
+            manifold.PhasePoint([[0.0], [0.0]], [[1e4], [200.0]]),
+        ):
             with pytest.raises(manifold.IntegrationError, match=message) as info:
                 manifold.integrate(ham, pt, 0.1, 3)
             err = info.value
