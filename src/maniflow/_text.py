@@ -15,7 +15,7 @@ def lines(path):
     """Yield ``(lineno, line)``, 1-based, for each line left non-empty once its ``#`` comment is cut."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
             if line:
                 yield lineno, line
 

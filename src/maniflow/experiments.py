@@ -23,17 +23,16 @@ that end closer to the origin shed more entropy per unit cost.
 
 No table and no rotation portrait needs arrays, so none loads numpy: the
 read-out's softmax and entropy run over Python floats, table 1's route is
-planned on a pure-Python graph, table 3 steps the oscillator over Python
-floats in the operation order of ``manifold``'s leapfrog, so its nodes are
-bit-equal to ``integrate``'s, and ``rotation_portraits`` turns its circles
-with ``math.cos`` and ``math.sin``.  numpy is imported only by the one
-function that returns an array, ``HarmonicOscillator.dp``, and by a
-leapfrog run that diverges, whose error carries arrays; ``manifold`` only
-by such a run, and ``infophase`` only inside ``rotation_portraits``.  The
-classes are plain ones with hand-written ``__init__``s: the CLI's tables
-and ``phase --seed`` import this module, and the standard-library
-decorator that would write those ``__init__``s loads ``inspect``, which
-costs each of those processes more time than its own work.
+planned on a pure-Python graph, table 3 runs ``_staged``'s kick-drift-kick,
+the one ``manifold.integrate`` runs, on ``HarmonicOscillator`` over Python
+floats, and ``rotation_portraits`` turns its circles with ``math.cos`` and
+``math.sin``.  numpy and ``manifold`` are imported only by a leapfrog run
+that diverges, whose error carries arrays, and ``infophase`` only inside
+``rotation_portraits``.  The classes are plain ones with hand-written
+``__init__``s: the CLI's tables and ``phase --seed`` import this module,
+and the standard-library decorator that would write those ``__init__``s
+loads ``inspect``, which costs each of those processes more time than its
+own work.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ import math
 from typing import TYPE_CHECKING
 
 from . import _text
-from ._numbers import floats, is_count, real
+from ._numbers import is_count, real
+from ._staged import staged
 
 if TYPE_CHECKING:
     import numpy as np
@@ -128,11 +128,17 @@ class PathMetrics:
 
 
 def path_metrics(path, decoder: ToyDecoder) -> PathMetrics:
-    """Score a path: delta_u = u_0 - u_T, J = trapezoid of V(y) = y^2 / 2, efficiency = delta_u / J."""
+    """Score a path: delta_u = u_0 - u_T, J = trapezoid of V(y) = y^2 / 2, efficiency = delta_u / J.
+
+    J is summed left to right: builtin ``sum`` compensates a float sum from
+    Python 3.12 on, which would move its last bit with the interpreter.
+    """
     nodes = [real(y) for y in path]
     if not nodes:
         raise ValueError("path is empty")
-    cost = sum(0.5 * (quadratic_value(a) + quadratic_value(b)) for a, b in zip(nodes[:-1], nodes[1:]))
+    cost = 0.0
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        cost += 0.5 * (quadratic_value(a) + quadratic_value(b))
     if cost == 0.0:
         raise ValueError("path cost J is zero; efficiency is undefined")
     u_final = decoder.entropy_at(nodes[-1])
@@ -204,7 +210,11 @@ def toy2_run(decoder: ToyDecoder | None = None) -> dict[str, PathMetrics]:
 
 
 class HarmonicOscillator:
-    """H(y, p) = (y^2 + p^2) / 2 with analytic partials; ``damping`` adds damping * p to dH/dy."""
+    """H(y, p) = (y^2 + p^2) / 2 with analytic partials; ``damping`` adds damping * p to dH/dy.
+
+    H takes arrays; the partials take arrays or Python floats and return p
+    itself for dH/dp, so table 3 steps it over floats.
+    """
 
     def __init__(self, damping: float = 0.0):
         self.damping = damping
@@ -216,7 +226,7 @@ class HarmonicOscillator:
         return y + self.damping * p
 
     def dp(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return floats(p)
+        return p
 
 
 class OscillatorReport:
@@ -269,18 +279,13 @@ def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorRe
 def _leapfrog_nodes(method: str, damping: float, h: float, n: int) -> tuple[list[float], list[float]]:
     """y and p at the n + 1 leapfrog nodes of ``HarmonicOscillator(damping)`` from (1, 0).
 
-    The staged kick-drift-kick of ``manifold.integrate`` over Python floats,
-    in its operation order, so each node is bit-equal to its run.  A node
-    whose y, p or energy is not finite raises the IntegrationError
-    ``integrate`` raises, its message prefixed with the run's name.
+    ``integrate``'s stepper over Python floats, so each node is bit-equal
+    to its run.  A node whose y, p or energy is not finite raises the
+    IntegrationError ``integrate`` raises, its message prefixed with the
+    run's name.
     """
-    half = 0.5 * h
-    y, p = 1.0, 0.0
-    ys, ps = [y], [p]
-    for k in range(1, n + 1):
-        p_half = p - half * (y + damping * p)
-        y = y + h * p_half
-        p = p_half - half * (y + damping * p_half)
+    ys, ps = [], []
+    for k, (y, p, _) in enumerate(staged(HarmonicOscillator(damping), 1.0, 0.0, h, n, False, None)):
         if not (math.isfinite(y) and math.isfinite(p) and math.isfinite(0.5 * (y * y + p * p))):
             import numpy as np
 

@@ -55,7 +55,8 @@ from its NaN, so on that failure path each lost row reruns alone, which
 is bit-equal, to name it.  Each node's G is checked by one Cholesky
 factorisation.  Any other Hamiltonian provides ``__call__(y, p)`` and
 the partials ``dy(y, p)`` and ``dp(y, p)`` and takes the staged
-kick-drift-kick, which is symplectic for a separable H.
+kick-drift-kick of ``_staged``, which is symplectic for a separable H;
+table 3 runs the same stepper over Python floats.
 
 **The boundary-value solve.**  ``solve_shooting`` makes the action
 S = sum_k L_d(q_k, q_k+1), h = 1/N, stationary over the interior nodes
@@ -92,6 +93,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo, solve1
 
 from ._numbers import floats, is_count, real
+from ._staged import staged
 
 __all__ = [
     "SingularMetricError",
@@ -408,16 +410,6 @@ def _central(values: np.ndarray, step: np.ndarray) -> np.ndarray:
     return ((values[..., :n, :] - values[..., n:, :]) / (2.0 * step)).swapaxes(-1, -2)
 
 
-def _staged(hamiltonian, y, p, h, n_steps, energies, failure):
-    """Nodes (y, p, H or None) of the staged kick-drift-kick from the partials ``dy`` and ``dp``."""
-    for k in range(n_steps + 1):
-        if k:
-            p_half = p - 0.5 * h * hamiltonian.dy(y, p)
-            y = y + h * hamiltonian.dp(y, p_half)
-            p = p_half - 0.5 * h * hamiltonian.dy(y, p_half)
-        yield y, p, hamiltonian(y, p) if energies else None
-
-
 _CHORD_TOL = 1e-12
 _CHORD_UPDATES = 30
 _SINGULAR = "singular Newton matrix J0^T J1 + eps_reg I"
@@ -536,7 +528,7 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     if not (real(h) != 0.0 and math.isfinite(real(h))):
         raise ValueError(f"step size must be finite and non-zero, got {h!r}")
     n_steps, h = int(n_steps), real(h)
-    steps = _staged if getattr(hamiltonian, "metric_field", None) is None else _chord
+    steps = staged if getattr(hamiltonian, "metric_field", None) is None else _chord
     d = y.shape[-1]
     try:
         nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))

@@ -55,16 +55,20 @@ _BLOCK = 1 << 14
 
 
 def _edge_weight(n: int, src: int, dst: int, weight) -> float:
-    """The one check of an edge: both endpoints among n nodes, a finite non-negative weight."""
+    """The one check of an edge: both endpoints among n nodes, a finite non-negative weight.
+
+    A good edge passes one chained test; a bad one is then named by its
+    first fault: an endpoint, then the weight's finiteness, then its sign.
+    """
+    if 0 <= src < n and 0 <= dst < n and 0.0 <= (w := real(weight)) < math.inf:
+        return w
     for idx in (src, dst):
         if not 0 <= idx < n:
             raise ValueError(f"edge endpoint {idx} is not a node index")
     w = real(weight)
     if not math.isfinite(w):
         raise ValueError(f"edge weight on ({src}, {dst}) must be finite, got {weight!r}")
-    if w < 0.0:
-        raise ValueError(f"negative edge weight {w!r} on ({src}, {dst})")
-    return w
+    raise ValueError(f"negative edge weight {w!r} on ({src}, {dst})")
 
 
 class WeightedDigraph:
@@ -175,14 +179,20 @@ def _knn_pairs(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(src, dst) of each row's k nearest others, ranked by (|x_j - x_i|, index).
 
     y is flat scaled by 2^-e to entries below 1 (exact but below the normal
-    range), and a row block takes g_ij = |y_j|^2 - 2 y_i.y_j, the squared
-    distance less |y_i|^2, from one matmul.  Each g_ij is within err of its
-    exact value (Higham's gamma_{d+2}, plus d subnormal spacings), so each
-    of row i's k nearest has g_ij within a margin of its (k+1)-th g, self
-    pinned first; the margin also covers the exact norms' rounding (alpha:
-    their underflow) and the ties sqrt makes, and is +inf where the (k+1)-th
-    could overflow.  Candidates get the exact norm, a (1, d) @ (d, 1) matmul
-    on ``np.linalg.norm``'s ``ndarray.dot`` kernel; a stable sort ranks them.
+    range), less its column mean, scaled by 2^-c to entries below 1 again
+    (exact), so a cluster far from the origin ranks on its own spread.  A
+    row block takes g_ij = |y_j|^2 - 2 y_i.y_j, the squared distance less
+    |y_i|^2, from one matmul.  Each g_ij is within err of its exact value
+    (Higham's gamma_{d+2}, plus d subnormal spacings).  The centring's one
+    rounded subtraction per entry moves a squared distance by at most
+    9 u max_i |y_i|^2 (u = 2^-53), and the two scalings' underflow by at
+    most 9 d subnormal spacings, times 2^-c where c < 0 magnifies them; err
+    holds these too.  So each of row i's k nearest has g_ij within a margin
+    of its (k+1)-th g, self pinned first; the margin also covers the exact
+    norms' rounding (alpha: their underflow) and the ties sqrt makes, and is
+    +inf where the (k+1)-th could overflow.  Candidates get the exact norm
+    of the uncentred samples, a (1, d) @ (d, 1) matmul on
+    ``np.linalg.norm``'s ``ndarray.dot`` kernel; a stable sort ranks them.
     """
     import numpy as np
 
@@ -192,13 +202,16 @@ def _knn_pairs(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     tiny = d * 2.0**-1074
     _, e = np.frexp(np.abs(flat).max())
     y = np.ldexp(flat, -e)
+    y -= y.mean(axis=0)
+    _, c = np.frexp(np.abs(y).max())
+    np.ldexp(y, -c, out=y)
     sq = np.einsum("ij,ij->i", y, y)
     minus_2yt = -2.0 * y.T
-    err = 4 * gamma * sq.max() + 8 * tiny
+    err = (4 * gamma + 9 * 2.0**-53) * sq.max() + 8 * tiny + np.ldexp(9 * tiny, max(0, -c))
     rows, pairs = max(16, _BLOCK // n), max(1, _BLOCK // d)
     with np.errstate(over="ignore"):
         # alpha: an exact norm's underflow in y; a squared distance of y below limit is finite in x
-        alpha, limit = np.ldexp([tiny, 2.0**1022], -2 * e)
+        alpha, limit = np.ldexp([tiny, 2.0**1022], -2 * (e + c))
         for i0 in range(0, n if k else 0, rows):
             g = y[i0 : i0 + rows] @ minus_2yt
             g += sq

@@ -118,7 +118,10 @@ class BathParams:
     define the feed-forward map t = h + W2 tanh(W1 h + b1) and are only
     required when eta_ff != 0.  Every parameter given must be finite;
     a NaN or inf one, or an int past the float range, raises ``ValueError``
-    naming it, and so does an eta, eta_ff or gamma that is not a scalar.
+    naming it, and so does an eta, eta_ff or gamma that is not a scalar, a
+    W1 that is not an (h, d) matrix, a W2 that is not a (d', h) one, or a b1
+    whose shape is not (h,), h being W1's rows when W1 is given.  The
+    feed-forward target checks d and d' against the spins' width.
     """
 
     eta: float = 0.0
@@ -137,6 +140,15 @@ class BathParams:
             value = getattr(self, name)
             if not (value is None or np.isfinite(floats(value)).all()):
                 raise ValueError(f"{name} must be finite")
+        hidden = "h"
+        if self.W1 is not None:
+            if np.ndim(self.W1) != 2:
+                raise ValueError(f"W1 must be an (h, d) matrix, got shape {np.shape(self.W1)}")
+            hidden = np.shape(self.W1)[0]
+        if self.W2 is not None and (np.ndim(self.W2) != 2 or hidden not in ("h", np.shape(self.W2)[1])):
+            raise ValueError(f"W2 must be a (d, {hidden}) matrix, got shape {np.shape(self.W2)}")
+        if self.b1 is not None and (np.ndim(self.b1) != 1 or hidden not in ("h", len(self.b1))):
+            raise ValueError(f"b1 must have shape ({hidden},), got {np.shape(self.b1)}")
 
 
 def attention_couplings(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -257,6 +269,11 @@ def _feed_forward_targets(h: np.ndarray, bath: BathParams) -> np.ndarray:
     """Feed-forward targets (h + W2 tanh(W1 h + b1)) / ||.|| of the rows h of an (m, d) spin matrix; the one formula."""
     if bath.W1 is None or bath.W2 is None:
         raise ValueError("the feed-forward target needs W1 and W2 on the bath")
+    d = h.shape[1]
+    if np.shape(bath.W1)[1] != d:
+        raise ValueError(f"W1 must have the spins' width {d} as its columns, got shape {np.shape(bath.W1)}")
+    if np.shape(bath.W2)[0] != d:
+        raise ValueError(f"W2 must have the spins' width {d} as its rows, got shape {np.shape(bath.W2)}")
     # an overflow leaves a row of non-finite norm, which _unit_rows rejects
     with np.errstate(over="ignore", invalid="ignore"):
         u = h @ bath.W1.T

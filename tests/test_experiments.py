@@ -110,6 +110,12 @@ class TestPathMetrics:
         assert experiments.CONTRACTION_PATH == tuple(terms)
         np.testing.assert_allclose(experiments.CONTRACTION_PATH, 2.0 * 0.6 ** np.arange(7), rtol=1e-15)
 
+    def test_cost_is_summed_left_to_right_on_every_python(self):
+        # Python 3.12's compensated builtin sum gave ...552p+1 and ...bccp-4
+        m = experiments.path_metrics(experiments.CONTRACTION_PATH, experiments.ToyDecoder())
+        assert m.cost.hex() == "0x1.0f686d217f553p+1"
+        assert m.efficiency.hex() == "0x1.dc313fd6a0bcap-4"
+
 
 class TestToy1:
     def test_costs(self):
@@ -267,7 +273,7 @@ class TestToy3:
 
 
 class TestLeapfrogNodesAreIntegrates:
-    """``_leapfrog_nodes`` over floats against ``manifold.integrate`` over (1,) arrays, bit for bit."""
+    """The shared stepper over floats (``_leapfrog_nodes``) against it over (1,) arrays (``integrate``), bit for bit."""
 
     @staticmethod
     def _same_run(h, c, n):

@@ -233,10 +233,6 @@ def test_every_field_has_a_reader():
 # defaulted parameters that no call passes, each kept for its own reason
 KEPT_DEFAULTS = {
     "maniflow.control.hjb_residual(t)": "the residual's time coordinate, not a setting: V(y, t) is scored at any t",
-    "maniflow.experiments.HarmonicOscillator(damping)": (
-        "the reference that tests/test_experiments.py::TestLeapfrogNodesAreIntegrates checks table 3's damped"
-        " float run against, bit for bit (c = 0.05 and 3.0)"
-    ),
 }
 
 
@@ -533,7 +529,9 @@ REALS = {
     "toy3-dt": lambda x: experiments.toy3_run(steps=3, dt=x),
     "toy3-damping": lambda x: experiments.toy3_run(steps=3, damping=x),
     "rotation-dt": lambda x: experiments.rotation_portraits(1, 3, x, np.random.default_rng(0)),
-    "oscillator-momentum": lambda x: experiments.HarmonicOscillator().dp(np.zeros(1), [x]).tolist(),
+    "oscillator-momentum": lambda x: manifold.integrate(
+        experiments.HarmonicOscillator(), manifold.PhasePoint([0.0], [x]), 0.1, 1
+    ).ys.tolist(),
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -464,6 +465,30 @@ class TestBuildNdmGraphProperty:
         with np.errstate(over="ignore"):
             want = oracle_pairs(pts, connect)
         assert [(u, v) for u, v, _ in g.edges()] == want
+
+    def test_far_cluster_builds_as_fast_as_one_at_the_origin(self):
+        # uncentred, squared norms near 1e12 swamp squared distances near 1e-6,
+        # so every pair's rank is in doubt and takes an exact norm
+        pts = 1e-3 * np.random.default_rng(5).normal(size=(2000, 32))
+
+        def build_seconds(samples):
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                planner.build_ndm_graph(samples, ("knn", 8), lambda a, b: 1.0)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert build_seconds(pts + 1e6) < 5 * build_seconds(pts)
+
+    def test_centring_magnified_underflow_keeps_the_nearest(self):
+        # the second coordinates scale below the normal range, rounding to whole
+        # subnormal spacings u: 0.375u, -u and 1.625u become 0, -u and 2u, and
+        # centring on the first coordinate scales those spacings up to the spread
+        base, u = 2.0**-30, 2.0**-77
+        pts = [np.array([1e300, base + shift * u]) for shift in (0.375, -1.0, 1.625)]
+        g = planner.build_ndm_graph(pts, ("knn", 1), lambda a, b: 1.0)
+        assert [(a, b) for a, b, _ in g.edges()] == oracle_pairs(pts, ("knn", 1)) == [(0, 2), (1, 0), (2, 0)]
 
     def test_table1_node_set_matches_oracle(self):
         from maniflow.experiments import SSSP_NODE_SET

@@ -543,6 +543,11 @@ class TestBatchedFfn:
             spins._feed_forward_targets(np.array([[9.9e-13, 0.0]]), bath)
 
 
+def _ffn_on_four_wide_spins(w1_shape, w2_shape):
+    bath = spins.BathParams(eta_ff=0.5, W1=np.zeros(w1_shape), W2=np.zeros(w2_shape))
+    return spins.micro_step(spins.SpinSystem(np.eye(4), np.zeros((4, 4))), bath)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -557,12 +562,35 @@ class TestBatchedFfn:
             lambda: spins.micro_step(spins.SpinSystem(np.eye(2), np.zeros((2, 2))), spins.BathParams(eta_ff=1.0)),
             "the feed-forward target needs W1 and W2 on the bath",
         ),
+        # numpy's matmul and broadcast messages named none of these
+        (
+            lambda: _ffn_on_four_wide_spins((5, 3), (4, 5)),
+            "W1 must have the spins' width 4 as its columns, got shape (5, 3)",
+        ),
+        (
+            lambda: spins.BathParams(eta_ff=0.5, W1=np.zeros((5, 4)), W2=np.zeros((4, 5)), b1=np.zeros(7)),
+            "b1 must have shape (5,), got (7,)",
+        ),
+        (
+            lambda: _ffn_on_four_wide_spins((5, 4), (3, 5)),
+            "W2 must have the spins' width 4 as its rows, got shape (3, 5)",
+        ),
+        (
+            lambda: spins.BathParams(W1=np.zeros((5, 4)), W2=np.zeros((4, 6))),
+            "W2 must be a (d, 5) matrix, got shape (4, 6)",
+        ),
+        (lambda: spins.BathParams(W1=np.zeros(5)), "W1 must be an (h, d) matrix, got shape (5,)"),
     ],
     ids=[
         "system-3d",
         "attention-zero-width",
         "gibbs-index-out-of-range",
         "ffn-without-weights",
+        "ffn-w1-width",
+        "bath-b1-length",
+        "ffn-w2-height",
+        "bath-w2-hidden",
+        "bath-w1-matrix",
     ],
 )
 def test_guard_message(call, message):
