@@ -21,9 +21,13 @@ that reads it, so only in a mode that reads it; a bad row of an
 cheapest path and its cost, or ``unreachable``.
 
 Each command accepts only the options it reads; any other is a usage
-error.  ``--config FILE`` holds ``key=value`` lines whose keys are the
-command's other long option names; explicit flags win over the config
-file.  All reals in outputs are printed with 10 significant digits, '.'
+error.  A flag is its option's exact long name, with no abbreviation,
+and takes its value from the next argument or after ``=``
+(``--steps=10``); a repeated flag keeps its last value, and ``-h`` or
+``--help`` prints the command's usage and options.  ``--config FILE``
+holds ``key=value`` lines whose keys are the command's other long option
+names; a flag's value and a config value are converted alike, and
+explicit flags win over the config file.  All reals in outputs are printed with 10 significant digits, '.'
 decimal separator, and '\\n' line endings; identical configuration and
 seed give byte-identical files.  Exit status is 0 exactly when every
 requested output was written, and 2 otherwise: usage errors, unreadable
@@ -31,9 +35,9 @@ or malformed input, a failed integration, a non-finite table entry, a
 route whose cost overflows, or, in a mode that reads it, a non-finite or
 non-positive ``--dt``, ``--steps`` below 1, a ``--steps`` times ``--dt``
 past the float range, a ``--window`` that is not odd and positive, a
-non-finite or negative ``--damping`` or a bad ``--decoder``.  Apart
-from usage errors, a failure prints one ``error:`` line on stderr and
-writes no file: every output is computed before ``--out`` is created.
+non-finite or negative ``--damping`` or a bad ``--decoder``.  A
+failure, a usage error included, prints one ``error:`` line on stderr
+and writes no file: every output is computed before ``--out`` is created.
 A bad line of an input file, a graph's included, raises
 ``_text.FormatError``, whose message starts ``line N: ``, or
 ``config line N: `` for a config.  Every failure an input causes is a
@@ -42,7 +46,6 @@ A bad line of an input file, a graph's included, raises
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import sys
 from pathlib import Path
@@ -105,46 +108,97 @@ def _load_config(path: str, command: str) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
+def _resolve(flags: dict, command: str) -> dict:
     resolved = {key: default for key, (_, default, _) in _OPTIONS[command].items()}
-    if args.config:
-        resolved.update(_load_config(args.config, command))
-    resolved.update({key: getattr(args, key) for key in _OPTIONS[command] if getattr(args, key) is not None})
+    if flags.get("config"):
+        resolved.update(_load_config(flags["config"], command))
+    resolved.update({key: value for key, value in flags.items() if key != "config"})
     return resolved
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="maniflow", description="toy experiment tables, phase portraits, and path planning")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    table = sub.add_parser("table", help="emit an experiment table as CSV and markdown")
-    table.add_argument("which", type=int, choices=(1, 2, 3), help="table number")
-    phase = sub.add_parser("phase", help="portrait, empirical field, divergence, and field fit")
-    for command, command_parser in (("table", table), ("phase", phase)):
-        command_parser.add_argument("--config", help="key=value config file; explicit flags win")
-        for key, (kind, _, help_text) in _OPTIONS[command].items():
-            command_parser.add_argument(f"--{key}", type=kind, help=help_text)
-
-    plan = sub.add_parser("plan", help="cheapest path in a graph file")
-    plan.add_argument("graph", help="graph file in the n/e text format")
-    plan.add_argument("src", type=int, help="source node index")
-    plan.add_argument("dst", type=int, help="target node index")
-    return parser
+# Each command's positional arguments as its usage line shows them, their types, and its summary.
+_COMMANDS = {
+    "table": ("<1|2|3>", (int,), "emit an experiment table as CSV and markdown"),
+    "phase": ("", (), "portrait, empirical field, divergence, and field fit"),
+    "plan": ("<graph-file> <src> <dst>", (str, int, int), "cheapest path in a graph file"),
+}
+_HELP_FLAGS = ("-h", "--help")
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "table")
+def _help(commands) -> str:
+    """The usage line, summary and options of each command named."""
+    lines = []
+    for command in commands:
+        args, _, summary = _COMMANDS[command]
+        lines += [f"usage: maniflow {command} {args}".rstrip(), f"  {summary}", f"  {'-h, --help':<20}show this help"]
+        if command in _OPTIONS:
+            lines.append(f"  {'--config FILE':<20}key=value config file; explicit flags win")
+            lines += [f"  {f'--{key} {key.upper()}':<20}{text}" for key, (_, _, text) in _OPTIONS[command].items()]
+    return "\n".join(lines)
+
+
+def _converted(kind, text: str, name: str):
+    """``kind(text)``, the conversion a config value gets, its ValueError naming the argument."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {name}: {exc}") from None
+
+
+def _parse(argv: list) -> tuple | None:
+    """The command, its flags and its positional values; None once help is printed.
+
+    A flag is its exact long name followed by its value, as the next
+    argument or after ``=``; a repeated flag keeps its last value.  A usage
+    error raises ValueError.
+    """
+    if argv[:1] and argv[0] in _HELP_FLAGS:
+        print(_help(_COMMANDS))
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError(f"expected a command, one of {', '.join(_COMMANDS)}" + (f"; got {argv[0]!r}" if argv else ""))
+    command, args = argv[0], iter(argv[1:])
+    kinds = {"config": str, **{key: kind for key, (kind, _, _) in _OPTIONS[command].items()}} if command in _OPTIONS else {}
+    flags, values = {}, []
+    for arg in args:
+        if arg in _HELP_FLAGS:
+            print(_help([command]))
+            return None
+        if not arg.startswith("--"):
+            values.append(arg)
+            continue
+        key, eq, text = arg[2:].partition("=")
+        if key not in kinds:
+            raise ValueError(f"unrecognized arguments: {arg}")
+        if not eq:
+            text = next(args, None)
+            if text is None or text.startswith("--"):
+                raise ValueError(f"argument --{key}: expected one value")
+        flags[key] = _converted(kinds[key], text, f"--{key}")
+    names, types = _COMMANDS[command][0].split(), _COMMANDS[command][1]
+    if len(values) > len(names):
+        raise ValueError(f"unrecognized arguments: {' '.join(values[len(names):])}")
+    if len(values) < len(names):
+        raise ValueError(f"missing arguments: {' '.join(names[len(values):])}")
+    values = [_converted(kind, text, name) for kind, text, name in zip(types, values, names)]
+    if command == "table" and values[0] not in (1, 2, 3):
+        raise ValueError(f"argument <1|2|3>: expected 1, 2 or 3, got {values[0]}")
+    return command, flags, values
+
+
+def _cmd_table(flags: dict, which: int) -> int:
+    opts = _resolve(flags, "table")
     _load("experiments")
-    if args.which == 3:
+    if which == 3:
         csv_text = experiments.table_csv(3, steps=opts["steps"], dt=opts["dt"], damping=opts["damping"])
     else:
-        csv_text = experiments.table_csv(args.which, experiments.parse_decoder_spec(opts["decoder"]))
+        csv_text = experiments.table_csv(which, experiments.parse_decoder_spec(opts["decoder"]))
     md_text = experiments.table_markdown(csv_text)
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _text.write(out_dir / f"table{args.which}.csv", csv_text)
-    _text.write(out_dir / f"table{args.which}.md", md_text)
-    print(f"wrote {out_dir / f'table{args.which}.csv'} and {out_dir / f'table{args.which}.md'}")
+    _text.write(out_dir / f"table{which}.csv", csv_text)
+    _text.write(out_dir / f"table{which}.md", md_text)
+    print(f"wrote {out_dir / f'table{which}.csv'} and {out_dir / f'table{which}.md'}")
     return 0
 
 
@@ -171,8 +225,8 @@ def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
         raise
 
 
-def _cmd_phase(args: argparse.Namespace) -> int:
-    opts = _resolve(args, "phase")
+def _cmd_phase(flags: dict) -> int:
+    opts = _resolve(flags, "phase")
     _load("infophase")
     if opts["input"]:
         portraits = [_input_portrait(opts["input"], opts["window"])]
@@ -201,10 +255,10 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
+def _cmd_plan(path: str, src: int, dst: int) -> int:
     _load("planner")
-    graph = planner.load_graph(args.graph)
-    found = planner.shortest_path(graph, args.src, args.dst)
+    graph = planner.load_graph(path)
+    found = planner.shortest_path(graph, src, dst)
     if found is None:
         print("unreachable")
         return 0
@@ -215,17 +269,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "phase":
-            return _cmd_phase(args)
-        return _cmd_plan(args)
+        parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:  # help was printed
+            return 0
+        command, flags, values = parsed
+        if command == "table":
+            return _cmd_table(flags, *values)
+        if command == "phase":
+            return _cmd_phase(flags)
+        return _cmd_plan(*values)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

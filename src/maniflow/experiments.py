@@ -276,17 +276,15 @@ def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorRe
     return report
 
 
-def _leapfrog_nodes(method: str, damping: float, h: float, n: int) -> tuple[list[float], list[float]]:
-    """y and p at the n + 1 leapfrog nodes of ``HarmonicOscillator(damping)`` from (1, 0).
+def _nodes(method: str, states) -> tuple[list[float], list[float]]:
+    """The y and p of each (y, p, _) node of a run that starts at (1, 0).
 
-    ``integrate``'s stepper over Python floats, so each node is bit-equal
-    to its run.  A node whose y, p or energy is not finite raises the
-    IntegrationError ``integrate`` raises, its message prefixed with the
-    run's name.
+    A node whose y, p or energy is not finite raises the IntegrationError
+    ``integrate`` raises, its message prefixed with the run's name.
     """
     ys, ps = [], []
-    for k, (y, p, _) in enumerate(staged(HarmonicOscillator(damping), 1.0, 0.0, h, n, False, None)):
-        if not (math.isfinite(y) and math.isfinite(p) and math.isfinite(0.5 * (y * y + p * p))):
+    for k, (y, p, _) in enumerate(states):
+        if not math.isfinite(y * y + p * p):  # finite exactly when y, p and the energy are
             import numpy as np
 
             from .manifold import IntegrationError  # only a diverging run needs manifold
@@ -299,15 +297,26 @@ def _leapfrog_nodes(method: str, damping: float, h: float, n: int) -> tuple[list
     return ys, ps
 
 
+def _leapfrog_nodes(method: str, damping: float, h: float, n: int) -> tuple[list[float], list[float]]:
+    """y and p at the n + 1 leapfrog nodes of ``HarmonicOscillator(damping)`` from (1, 0).
+
+    ``integrate``'s stepper over Python floats, so each node is bit-equal
+    to its run.
+    """
+    return _nodes(method, staged(HarmonicOscillator(damping), 1.0, 0.0, h, n, False, None))
+
+
 def _euler_nodes(h: float, n: int) -> tuple[list[float], list[float]]:
     """y and p at the n + 1 forward-Euler nodes of the undamped oscillator from (1, 0)."""
-    y, p = 1.0, 0.0
-    ys, ps = [y], [p]
-    for _ in range(n):
-        y, p = y + h * p, p - h * y
-        ys.append(y)
-        ps.append(p)
-    return ys, ps
+
+    def states():
+        y, p = 1.0, 0.0
+        yield y, p, None
+        for _ in range(n):
+            y, p = y + h * p, p - h * y
+            yield y, p, None
+
+    return _nodes("euler", states())
 
 
 def _span(steps: int, dt: float) -> tuple[int, float, float]:

@@ -228,9 +228,8 @@ class GridField:
         return ((u, e, vu, ve, c) for (u, e), vu, ve, c in zip(centers, self._vu, self._ve, self._count))
 
 
-def _edges(values: list, bins: int) -> list:
-    """``np.linspace(lo, hi, bins + 1)`` over the values' range, a zero span widened to one unit."""
-    lo, hi = min(values), max(values)
+def _edges(lo: float, hi: float, bins: int) -> list:
+    """``np.linspace(lo, hi, bins + 1)``, a zero span widened to one unit."""
     if lo == hi:
         lo -= 0.5
         hi += 0.5
@@ -244,51 +243,39 @@ def _edges(values: list, bins: int) -> list:
     return edges
 
 
-def _bin_index(edges: list, values: list) -> list:
-    """``np.searchsorted(edges, values, side="right") - 1``, clipped to the cells.
-
-    Searching edges[1:-1] alone is the clip, as no value lies below the
-    first edge or above the last.
-    """
-    last = len(edges) - 1
-    return [bisect_right(edges, x, 1, last) - 1 for x in values]
-
-
 def empirical_field(portraits, bins: int) -> GridField:
     """Bin per-step (du, de) displacements by their start point and average.
 
     The grid has ``bins`` equal cells along u and along e, spanning the
-    step start points (a zero span is widened to one unit).  Each step
-    goes to one flat cell ``iu * bins + ie``; counts and displacement sums
-    accumulate in step order, and each occupied cell holds the mean.
+    step start points (a zero span is widened to one unit); the edges come
+    from each portrait's least and greatest start point.  One pass over
+    the steps then puts each in one flat cell ``iu * bins + ie``, the
+    ``np.searchsorted(edges, x, side="right") - 1`` of its start point
+    clipped to the grid, and accumulates counts and displacement sums in
+    step order; each occupied cell holds the mean.
     """
     if not is_count(bins, 1):
         raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
     if real(bins) == math.inf:  # the cell width span / bins would not be a float
         raise ValueError(f"bins must be within the float range, got {bins!r}")
     bins = int(bins)
-    su, se, du, de = [], [], [], []
-    for por in portraits:
-        u, e = por.u, por.e
-        if len(u) < 2:
-            continue
-        su += u[:-1]
-        se += e[:-1]
-        du += [b - a for a, b in zip(u, u[1:])]
-        de += [b - a for a, b in zip(e, e[1:])]
-    if not su:
+    series = [(por.u, por.e) for por in portraits if len(por.u) >= 2]
+    if not series:
         raise ValueError("portraits contain no displacement steps")
-
-    u_edges = _edges(su, bins)
-    e_edges = _edges(se, bins)
+    starts_u = [u[:-1] for u, _ in series]
+    starts_e = [e[:-1] for _, e in series]
+    u_edges = _edges(min(map(min, starts_u)), max(map(max, starts_u)), bins)
+    e_edges = _edges(min(map(min, starts_e)), max(map(max, starts_e)), bins)
     count = [0] * (bins * bins)
     vu = [0.0] * (bins * bins)
     ve = [0.0] * (bins * bins)
-    for iu, ie, a, b in zip(_bin_index(u_edges, su), _bin_index(e_edges, se), du, de):
-        k = iu * bins + ie
-        count[k] += 1
-        vu[k] += a
-        ve[k] += b
+    # searching edges[1:-1] alone is the clip, as no start point lies outside the edges
+    for u, e in series:
+        for a, b, c, d in zip(u, u[1:], e, e[1:]):
+            k = (bisect_right(u_edges, a, 1, bins) - 1) * bins + bisect_right(e_edges, c, 1, bins) - 1
+            count[k] += 1
+            vu[k] += b - a
+            ve[k] += d - c
     vu = [v / c if c else v for v, c in zip(vu, count)]
     ve = [v / c if c else v for v, c in zip(ve, count)]
     return GridField(u_edges, e_edges, _rows(vu, bins), _rows(ve, bins), _rows(count, bins))

@@ -217,7 +217,7 @@ class Decoder:
         (w, b), *rest = self.layers
         if y.shape[-1:] != (w.shape[1],):
             raise ValueError(f"expected latent points of width {w.shape[1]}, got shape {y.shape}")
-        out = _mv(w, y) + b
+        out = np.matvec(w, y) + b
         if not rest:  # a read-only view: J is the layer's own weights
             return out, np.broadcast_to(w, (*y.shape[:-1], *w.shape))
         jac = w
@@ -225,7 +225,7 @@ class Decoder:
         for w, b in rest:
             x = np.tanh(out)
             jac = w @ ((1.0 - x * x)[..., None] * jac)
-            out = _mv(w, x) + b
+            out = np.matvec(w, x) + b
         return out, jac
 
 
@@ -252,11 +252,6 @@ def _scaled_eye(eps: float, d: int) -> np.ndarray:
     out = eps * np.eye(d)
     out.flags.writeable = False
     return out
-
-
-def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for matrices (..., m, k) and vectors (..., k)."""
-    return (a @ x[..., None])[..., 0]
 
 
 def _kinetic(g: np.ndarray, p: np.ndarray):
@@ -399,7 +394,7 @@ def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     step = GRAD_STEP (1 + |x|), |x| on the dot kernel ``np.linalg.norm`` runs for a 1-d x.
     """
-    step = GRAD_STEP * (1.0 + np.sqrt(x[..., None, :] @ x[..., :, None]))
+    step = GRAD_STEP * (1.0 + np.sqrt(np.vecdot(x, x))[..., None, None])
     shifts = step * np.eye(x.shape[-1])
     return np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2), step
 
@@ -464,7 +459,7 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
                 # the pass at each iterate gives its residual, and the last one ends the step
                 out_q, jac_q = forward(q)
                 chord, move = out_q - out, eps * (q - y)
-                residual = _mv(jac_t, chord) + move - rhs
+                residual = np.vecmat(chord, jac) + move - rhs
                 if update:
                     size = np.maximum.reduce(np.abs(residual), axis=-1)
                     above = size > bound  # a NaN row is not above: the finiteness check names it
@@ -482,7 +477,7 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
                 delta = solve1(matrix, residual)
                 # a row that met the bound keeps its iterate, as in its single run
                 q = np.where(above[..., None], q - delta, q) if stacked else q - delta
-            p = (_mv(jac_q.swapaxes(-1, -2), chord) + move) / h
+            p = (np.vecmat(chord, jac_q) + move) / h
             before = [*before[-3:], y]
             y, out, jac = q, out_q, jac_q
         try:
@@ -639,7 +634,7 @@ def solve_shooting(
         out, jac = forward(nodes)
         jac_t = jac.swapaxes(-1, -2)
         chords, moves = np.diff(out, axis=0), np.diff(nodes, axis=0)
-        grad = (_mv(jac_t[1:-1], chords[:-1] - chords[1:]) + eps * (moves[:-1] - moves[1:])) / h
+        grad = (np.vecmat(chords[:-1] - chords[1:], jac[1:-1]) + eps * (moves[:-1] - moves[1:])) / h
         hess[rows, :, rows, :] = 2.0 * (jac_t[1:-1] @ jac[1:-1] + reg) / h
         off = -(jac_t[1:-2] @ jac[2:-1] + reg) / h
         hess[rows[:-1], :, rows[1:], :] = off

@@ -398,6 +398,79 @@ class TestParser:
     def test_unknown_command(self, capsys):
         assert cli.main(["publish"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["publish"],
+            ["table"],
+            ["plan", "g.graph", "0"],
+            ["table", "1", "2"],
+            ["plan", "g.graph", "0", "1", "2"],
+            ["table", "9"],
+            ["table", "x"],
+            ["table", "1", "--seed", "3"],
+            ["table", "1", "--ou", "DIR"],
+            ["phase", "-x"],
+            ["table", "1", "--steps"],
+            ["table", "1", "--steps", "--dt", "0.1"],
+            ["table", "1", "--steps", "x"],
+            ["table", "1", "--steps=x"],
+            ["phase", "--seed", "1.5"],
+            ["plan", "g.graph", "x", "1"],
+        ],
+        ids=[
+            "no-command",
+            "unknown-command",
+            "missing-table-number",
+            "missing-plan-target",
+            "extra-table-positional",
+            "extra-plan-positional",
+            "table-9",
+            "table-x",
+            "unknown-flag",
+            "flag-prefix",
+            "unknown-short-flag",
+            "flag-without-value",
+            "flag-followed-by-flag",
+            "value-does-not-convert",
+            "inline-value-does-not-convert",
+            "seed-not-an-int",
+            "plan-source-not-an-int",
+        ],
+    )
+    def test_usage_error_is_one_line(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        if argv[:1] in (["table"], ["phase"]):
+            argv = argv[:1] + ["--out", "out"] + argv[1:]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_inline_value_equals_separate_value(self, tmp_path):
+        # and a repeated flag keeps its last value
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["table", "3", "--steps", "7", "--steps=10", f"--out={a}"]) == 0
+        assert cli.main(["table", "3", "--steps", "10", "--out", str(b)]) == 0
+        assert (a / "table3.csv").read_bytes() == (b / "table3.csv").read_bytes()
+        assert (a / "table3.csv").read_text() == experiments.table_csv(3, steps=10, dt=0.1, damping=0.05)
+
+    def test_flag_and_config_value_share_one_conversion(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=x\n")
+        assert cli.main(["table", "3", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert cli.main(["table", "3", "--steps", "x", "--out", str(tmp_path / "b")]) == 2
+        reason = "invalid literal for int() with base 10: 'x'"
+        assert capsys.readouterr().err == f"error: config line 1: {reason}\nerror: argument --steps: {reason}\n"
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["plan", "--help"]], ids=["short", "long", "plan"])
+    def test_help_goes_to_stdout(self, capsys, argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: maniflow") and captured.err == ""
+
 
 # values at the edges of each option type: an int past the float range, zero,
 # negative, non-finite, huge and subnormal reals, and a decoder gap past them
@@ -513,6 +586,15 @@ class TestNumericInput:
     def test_diverging_run_error_text(self, tmp_path, capsys):
         assert cli.main(["table", "3", "--dt", "50", "--steps", "200", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: leapfrog run: non-finite state or energy at step 46\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_euler_overflow_names_its_step(self, tmp_path, capsys):
+        # forward Euler's energy grows as (1 + dt^2)^k / 2: at dt 1.02 it first overflows at node 996
+        assert cli.main(["table", "3", "--dt", "1.01", "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["table", "3", "--dt", "1.02", "--out", str(tmp_path / "b")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: euler run: non-finite state or energy at step 996\n"
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_distribution_rejected_with_one_line(self, tmp_path, capsys):
@@ -654,9 +736,10 @@ def test_numpy_free_modules_give_out_no_arrays():
 
 
 NEVER_RUN_BY_THE_CLI = ("maniflow.spins", "maniflow.workspace", "maniflow.control")
-# no command builds a dataclass: importing dataclasses, and the inspect it
-# loads, would cost a fresh process more than a table's own work
-NEVER_LOADED_BY_A_COMMAND = ("dataclasses", "inspect")
+# no command builds a dataclass or an argparse parser: importing dataclasses
+# (and the inspect it loads) or argparse (and the gettext and locale its
+# messages load) would cost a fresh process more than a table's own work
+NEVER_LOADED_BY_A_COMMAND = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 
 
 @pytest.mark.parametrize(

@@ -425,6 +425,22 @@ class TestGufuncRoute:
         g = a @ a.swapaxes(-1, -2) + np.eye(d)
         assert manifold.cholesky_lo(g).tobytes() == np.linalg.cholesky(g).tobytes()
 
+    @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_vector_products_are_the_matmul_forms(self, d, stack):
+        # the decoder pass, the chord step and the shooting gradient call np.matvec and
+        # np.vecmat, and _stencil's norm np.vecdot, in place of matmul on an added axis
+        rng = np.random.default_rng([50, d, len(stack)])
+        for _ in range(20):
+            w, y = rng.normal(size=(d + 3, d)), rng.normal(size=(*stack, d)) * 10.0 ** rng.uniform(-3, 3)
+            assert np.matvec(w, y).tobytes() == (w @ y[..., None])[..., 0].tobytes()
+            jac, chord = rng.normal(size=(*stack, d + 3, d)), rng.normal(size=(*stack, d + 3))
+            assert np.vecmat(chord, jac).tobytes() == (jac.swapaxes(-1, -2) @ chord[..., None])[..., 0].tobytes()
+            norm = np.sqrt(y[..., None, :] @ y[..., :, None])
+            assert np.sqrt(np.vecdot(y, y))[..., None, None].tobytes() == norm.tobytes()
+            _, step = manifold._stencil(y)
+            assert step.tobytes() == (manifold.GRAD_STEP * (1.0 + norm)).tobytes()
+
     @pytest.mark.parametrize(
         "decoder, ys",
         [
