@@ -251,17 +251,8 @@ class OscillatorReport:
         self.note = note
 
 
-def _energy_errors(ys, ps) -> list[float]:
-    """|H - 1/2| at each node, H = (y^2 + p^2)/2; every run starts at (1, 0), where H = 1/2."""
-    return [abs(0.5 * (y * y + p * p) - 0.5) for y, p in zip(ys, ps)]
-
-
-def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorReport:
-    y_n, p_n = float(ys[-1]), float(ps[-1])
+def _report(method: str, y_n: float, p_n: float, eps_h_max: float, t_final: float, note: str = "") -> OscillatorReport:
     exact_y, exact_p = math.cos(t_final), -math.sin(t_final)
-    errors = _energy_errors(ys, ps)
-    # max() skips a NaN that is not first; a NaN energy must fail the report
-    eps_h_max = math.nan if any(map(math.isnan, errors)) else max(errors)
     report = OscillatorReport(
         method=method,
         final_y=y_n,
@@ -276,29 +267,32 @@ def _report(method: str, ys, ps, t_final: float, note: str = "") -> OscillatorRe
     return report
 
 
-def _nodes(method: str, states) -> tuple[list[float], list[float]]:
-    """The y and p of each (y, p, _) node of a run that starts at (1, 0).
+def _nodes(method: str, states) -> tuple[float, float, float]:
+    """The last node's y and p, and max |H - 1/2| over the nodes, of a run of (y, p, _) nodes from (1, 0).
 
-    A node whose y, p or energy is not finite raises the IntegrationError
-    ``integrate`` raises, its message prefixed with the run's name.
+    H = (y^2 + p^2)/2 is 1/2 at the start.  It keeps the last node and the
+    running maximum, not the nodes, so a run takes constant memory.  A
+    node whose y, p or energy is not finite raises the IntegrationError
+    ``integrate`` raises, its message prefixed with the run's name; a
+    running maximum never meets a NaN.
     """
-    ys, ps = [], []
+    eps_h_max = 0.0
     for k, (y, p, _) in enumerate(states):
-        if not math.isfinite(y * y + p * p):  # finite exactly when y, p and the energy are
+        energy = y * y + p * p
+        if not math.isfinite(energy):  # finite exactly when y, p and the energy are
             import numpy as np
 
             from .manifold import IntegrationError  # only a diverging run needs manifold
 
             message = f"{method} run: non-finite state or energy at step {k}"
-            drift = max(_energy_errors(ys, ps))  # max |H - H_0| over the finite nodes
-            raise IntegrationError(message, k, np.array(ys[-1:]), np.array(ps[-1:]), drift)
-        ys.append(y)
-        ps.append(p)
-    return ys, ps
+            raise IntegrationError(message, k, np.array([last[0]]), np.array([last[1]]), eps_h_max)
+        eps_h_max = max(eps_h_max, abs(0.5 * energy - 0.5))
+        last = y, p
+    return *last, eps_h_max
 
 
-def _leapfrog_nodes(method: str, damping: float, h: float, n: int) -> tuple[list[float], list[float]]:
-    """y and p at the n + 1 leapfrog nodes of ``HarmonicOscillator(damping)`` from (1, 0).
+def _leapfrog_nodes(method: str, damping: float, h: float, n: int) -> tuple[float, float, float]:
+    """``_nodes`` of the n + 1 leapfrog nodes of ``HarmonicOscillator(damping)`` from (1, 0).
 
     ``integrate``'s stepper over Python floats, so each node is bit-equal
     to its run.
@@ -306,8 +300,8 @@ def _leapfrog_nodes(method: str, damping: float, h: float, n: int) -> tuple[list
     return _nodes(method, staged(HarmonicOscillator(damping), 1.0, 0.0, h, n, False, None))
 
 
-def _euler_nodes(h: float, n: int) -> tuple[list[float], list[float]]:
-    """y and p at the n + 1 forward-Euler nodes of the undamped oscillator from (1, 0)."""
+def _euler_nodes(h: float, n: int) -> tuple[float, float, float]:
+    """``_nodes`` of the n + 1 forward-Euler nodes of the undamped oscillator from (1, 0)."""
 
     def states():
         y, p = 1.0, 0.0

@@ -19,11 +19,13 @@ for ``.all()``, ...).  Geodesics are driven by the kinetic
 Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2.  G is reached one way,
 ``MetricField._geometry``: ``pullback_metric`` returns it,
 ``MetricField.solve`` solves G v = rhs, and ``GeodesicHamiltonian`` and
-the chord step's energies take H from it.  The only derivative of a
-decoder is its order-1 jet (f, J), from ``Decoder._forward``, one pass
-over its layers (``linear`` is one layer with a zero bias) for a
-point (d,) or a stack (..., d); it is unchecked, and the engine checks G
-or its nodes instead.
+the chord step's energies take H from it.  A decoder's derivatives are
+exact and unchecked (the engine checks G or its nodes instead): its
+order-1 jet (f, J) from ``Decoder._forward``, one pass over its layers
+(``linear`` is one layer with a zero bias) for a point (d,) or a stack
+(..., d), and the contraction C = sum_i c_i Hess f_i from
+``Decoder._curvature``, one forward and one backward pass that form no
+second-derivative tensor, which only the chord step's tangent reads.
 
 **The chord step.**  A Hamiltonian with a ``metric_field``
 (``GeodesicHamiltonian``, ``control.ReducedHamiltonian``) takes the
@@ -66,14 +68,22 @@ block-tridiagonal Hessian, 2 (J_k^T J_k + eps_reg I) / h on the diagonal
 and -(J_k^T J_k+1 + eps_reg I) / h off it.  Its momentum is that of the
 first chord, so the chord step from it retraces the nodes to y_b.
 
-Finite differences take their points from ``_stencil`` and their
-quotient from ``_central``: steps 1e-5 (1 + |arg|) (``GRAD_STEP``), for
-first derivatives only (a potential's gradient in ``control``, the
-step's tangent in ``jacobi_propagate``).  One loop runs a point or a
-stack, kernel by kernel slice by slice, so each row is bit-equal to its
-single-point run: ``leapfrog_step`` is the one-step ``integrate``
-without energies, ``jacobi_propagate`` steps the 4d stencil points of
-all n nodes as one stack, and ``empirical_deviations`` runs its base and
+**Deviations.**  ``jacobi_propagate`` carries a deviation by the
+tangent of each recorded step.  For the chord step without a potential
+the tangent is exact: implicit differentiation of the step's equation at
+the recorded nodes, from one decoder pass, one curvature contraction and
+one stacked solve, with no step re-run (``_chord_tangents``).
+
+Finite differences remain where no exact derivative is written: the
+tangent of the staged step and of the chord step with a potential
+(``control.ReducedHamiltonian``), and a potential's gradient in
+``control``.  They take their points from ``_stencil`` and their quotient
+from ``_central``: steps 1e-5 (1 + |arg|) (``GRAD_STEP``), for first
+derivatives only.  One loop runs a point or a stack, kernel by kernel
+slice by slice, so each row is bit-equal to its single-point run:
+``leapfrog_step`` is the one-step ``integrate`` without energies,
+``jacobi_propagate``'s stencil route steps the 4d stencil points of all n
+nodes as one stack, and ``empirical_deviations`` runs its base and
 shifted points as a stack of two.  A ``PhaseTrajectory`` holds the node
 rows ``ys`` and ``ps``, (n+1, d) for one point, and ``energies``.
 
@@ -90,7 +100,7 @@ from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo, solve1
+from numpy.linalg._umath_linalg import cholesky_lo, solve, solve1
 
 from ._numbers import floats, is_count, real
 from ._staged import staged
@@ -227,6 +237,32 @@ class Decoder:
             jac = w @ ((1.0 - x * x)[..., None] * jac)
             out = np.matvec(w, x) + b
         return out, jac
+
+    def _curvature(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """C = sum_i c_i Hess f_i (..., m, d, d) at a float array y (m, d), for c (..., m, n); unchecked.
+
+        A forward pass keeps each tanh layer's x = tanh(a) and the Jacobian
+        A = da/dy of its input a; one backward pass from g = c then adds
+        A^T diag(tanh''(a) g) A per tanh layer, tanh'' = -2 x (1 - x^2), with
+        g the gradient of c.f at that layer's output.  No (m, n, d, d)
+        second-derivative tensor is formed, and a linear decoder gives 0.
+        """
+        (w, b), *rest = self.layers
+        a, jac = np.matvec(w, y) + b, w
+        states = []  # (x, A) of each tanh layer; the first A is the first layer's weights, broadcast by matmul
+        for k, (w, b) in enumerate(rest):
+            x = np.tanh(a)
+            states.append((x, jac))
+            if k + 1 < len(rest):  # the output layer's a and A are not needed
+                a, jac = np.matvec(w, x) + b, w @ ((1.0 - x * x)[..., None] * jac)
+        curv = np.zeros((*c.shape[:-1], y.shape[-1], y.shape[-1]))
+        g = c
+        for (w, _), (x, jac) in zip(reversed(rest), reversed(states)):
+            g = np.vecmat(g, w)
+            slope = 1.0 - x * x
+            curv += (jac.swapaxes(-1, -2) * (-2.0 * x * slope * g)[..., None, :]) @ jac
+            g = slope * g
+        return curv
 
 
 def _check_layer(previous: list, w, b) -> tuple[np.ndarray, np.ndarray]:
@@ -684,14 +720,60 @@ def solve_shooting(
 # deviations along a trajectory
 
 
-def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> np.ndarray:
-    """Propagate a phase-space deviation along a recorded one-point trajectory by the step's tangent.
+def _chord_tangents(field: MetricField, ys: np.ndarray, h: float) -> np.ndarray:
+    """The exact tangents (n, 2d, 2d) of the chord steps between the recorded nodes ys (n+1, d), no potential.
 
-    The tangent T_k of one step of size ``traj.step`` at node k is the
-    central difference of that step over the 4d stencil points of
-    (y_k, p_k); the points of all n nodes take their step as one stack.
-    Returns the (n+1, 2d) deviations delta_{k+1} = T_k delta_k, starting
-    at delta0.
+    Implicit differentiation of the step's equation J0^T c + eps_reg (q1 - q0)
+    = h p0, c = f1 - f0, with M = J0^T J1 + eps_reg I (the Newton matrix),
+    G_k = J_k^T J_k + eps_reg I and C(q) = sum_i c_i Hess f_i(q):
+    dq1/dq0 = M^-1 (G0 - C(q0)), dq1/dp0 = h M^-1, and from
+    h p1 = J1^T c + eps_reg (q1 - q0), dp1 = [(C(q1) + G1) dq1 - M^T dq0] / h.
+    A singular or non-finite M (a node given by hand may be inf or NaN)
+    raises ValueError naming its node.
+    """
+    decoder, d = field.decoder, ys.shape[-1]
+    out, jac = decoder._forward(ys)
+    ends = np.zeros((2, *out.shape))  # c at each step's start node (row 0) and end node (row 1)
+    ends[0, :-1] = ends[1, 1:] = out[1:] - out[:-1]
+    curv = decoder._curvature(ys, ends)
+    g = field._product(ys, jac)
+    matrix = jac[:-1].swapaxes(-1, -2) @ jac[1:] + _scaled_eye(float(field.eps_reg), d)
+    # one solve for both halves: [dq1/dq0, dq1/dp0] = M^-1 [G0 - C(q0), h I]
+    dq = solve(matrix, np.concatenate([g[:-1] - curv[0, :-1], np.broadcast_to(h * np.eye(d), matrix.shape)], axis=-1))
+    lost = ~np.logical_and.reduce(np.isfinite(dq[..., d:]), axis=(-2, -1))
+    if lost.any():
+        k = int(np.argmax(lost))
+        cause = _SINGULAR if np.isfinite(matrix[k]).all() else "non-finite Newton matrix J0^T J1 + eps_reg I"
+        raise ValueError(f"{cause} at node {k}")
+    dp = (curv[1, 1:] + g[1:]) @ dq
+    dp[..., :d] -= matrix.swapaxes(-1, -2)
+    return np.concatenate([dq, dp / h], axis=-2)
+
+
+def _stencil_tangents(hamiltonian, traj: PhaseTrajectory) -> np.ndarray:
+    """The central-difference tangents (n, 2d, 2d) of one step from each node but the last: 4d stencil points each."""
+    d = traj.ys.shape[-1]
+    zs, step = _stencil(np.concatenate([traj.ys[:-1], traj.ps[:-1]], axis=-1))
+    if not np.isfinite(step).all():
+        node = int(np.argmin(np.isfinite(step).ravel()))
+        raise ValueError(f"stencil step at node {node} overflows: |(y, p)| is past the float range's square root")
+    ys, ps, _ = _leapfrog(hamiltonian, zs[..., :d], zs[..., d:], traj.step, 1, energies=False)
+    return _central(np.concatenate([ys[1], ps[1]], axis=-1), step)
+
+
+def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> np.ndarray:
+    """Propagate a phase-space deviation along a recorded one-point trajectory by each step's tangent.
+
+    It linearises the discrete flow, not the continuous one: T_k is the
+    derivative of the step of size ``traj.step`` from node k with respect
+    to (y_k, p_k).  For the chord step without a potential
+    (``GeodesicHamiltonian``) T_k is exact, from the recorded nodes k and
+    k + 1 (``_chord_tangents``): one decoder pass and one curvature
+    contraction over all nodes, one stacked solve, and no step re-run.  Any
+    other Hamiltonian (the staged step, ``control.ReducedHamiltonian``)
+    takes the central difference of that step over the 4d stencil points of
+    (y_k, p_k), the points of all n nodes stepped as one stack.  Returns the
+    (n+1, 2d) deviations delta_{k+1} = T_k delta_k, starting at delta0.
     """
     delta = floats(delta0)
     d = traj.ys.shape[-1]
@@ -701,15 +783,14 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
         )
     if delta.shape != (2 * d,):
         raise ValueError(f"deviation must have length {2 * d}, got {delta.shape}")
-    # a stencil or deviation past the float range needs no warning: the
-    # engine's finiteness check or the one below turns it into ValueError
+    # a stencil, tangent or deviation past the float range needs no warning: the
+    # engine's finiteness checks or the one below turn it into ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        zs, step = _stencil(np.concatenate([traj.ys[:-1], traj.ps[:-1]], axis=-1))
-        if not np.isfinite(step).all():
-            node = int(np.argmin(np.isfinite(step).ravel()))
-            raise ValueError(f"stencil step at node {node} overflows: |(y, p)| is past the float range's square root")
-        ys, ps, _ = _leapfrog(hamiltonian, zs[..., :d], zs[..., d:], traj.step, 1, energies=False)
-        tangents = _central(np.concatenate([ys[1], ps[1]], axis=-1), step)
+        # the exact tangent is written for the chord step without a potential; every other step takes the stencil
+        if getattr(hamiltonian, "metric_field", None) is None or hamiltonian._force is not None:
+            tangents = _stencil_tangents(hamiltonian, traj)
+        else:
+            tangents = _chord_tangents(hamiltonian.metric_field, traj.ys, traj.step)
         out = np.empty((len(traj), 2 * d))
         out[0] = delta
         for k, tangent in enumerate(tangents, start=1):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from maniflow import experiments, infophase, manifold
+from maniflow._staged import staged
 from maniflow.manifold import IntegrationError
 
 
@@ -239,15 +240,23 @@ class TestToy3:
         assert 0 < err.drift < math.inf
 
     def test_eps_h_max_is_numpys(self):
-        # the energy error over Python floats equals the numpy reduction it replaced
+        # the running maximum over Python floats equals the numpy reduction over every node
+        def euler(h, n):
+            y, p = 1.0, 0.0
+            yield y, p, None
+            for _ in range(n):
+                y, p = y + h * p, p - h * y
+                yield y, p, None
+
         nodes = {
-            "leapfrog": experiments._leapfrog_nodes("leapfrog", 0.0, 0.1, 1000),
-            "euler": experiments._euler_nodes(0.1, 1000),
-            "damped": experiments._leapfrog_nodes("damped", 0.05, 0.1, 1000),
+            "leapfrog": staged(experiments.HarmonicOscillator(0.0), 1.0, 0.0, 0.1, 1000, False, None),
+            "euler": euler(0.1, 1000),
+            "damped": staged(experiments.HarmonicOscillator(0.05), 1.0, 0.0, 0.1, 1000, False, None),
         }
         for method, rep in self.reports.items():
-            ys, ps = map(np.asarray, nodes[method])
+            ys, ps, _ = map(np.asarray, zip(*nodes[method]))
             assert rep.eps_h_max == float(np.max(np.abs(0.5 * (ys**2 + ps**2) - 0.5)))
+            assert (rep.final_y, rep.final_p) == (ys[-1], ps[-1])
 
     @pytest.mark.parametrize(
         "ys, ps",
@@ -260,9 +269,9 @@ class TestToy3:
         ids=["nan-y", "nan-p", "inf-y", "energy-overflows"],
     )
     def test_non_finite_energy_inside_a_run_fails_the_report(self, ys, ps):
-        # a plain max() would pass over the NaN; np.max returned it
-        with pytest.raises(ValueError, match=r"^probe run: non-finite final state or energy error$"):
-            experiments._report("probe", ys, ps, 1.0)
+        # a running max() would pass over the NaN, so the node check stops the run at it
+        with pytest.raises(IntegrationError, match=r"^probe run: non-finite state or energy at step 1$"):
+            experiments._nodes("probe", zip(ys, ps, [None] * len(ys)))
 
     def test_oscillator_partials(self):
         ham = experiments.HarmonicOscillator()
@@ -289,9 +298,11 @@ class TestLeapfrogNodesAreIntegrates:
             assert got.y.shape == got.p.shape == (1,)
             assert got.y.tobytes() == expected.y.tobytes() and got.p.tobytes() == expected.p.tobytes()
             return got.step
-        ys, ps = experiments._leapfrog_nodes("leapfrog", c, h, n)
+        ys, ps, _ = zip(*staged(experiments.HarmonicOscillator(c), 1.0, 0.0, h, n, False, None))
         assert np.array(ys).tobytes() == traj.ys[:, 0].tobytes()
         assert np.array(ps).tobytes() == traj.ps[:, 0].tobytes()
+        errors = np.abs(0.5 * (traj.ys[:, 0] ** 2 + traj.ps[:, 0] ** 2) - 0.5)
+        assert experiments._leapfrog_nodes("leapfrog", c, h, n) == (ys[-1], ps[-1], float(np.max(errors)))
         return None
 
     @pytest.mark.parametrize("c", [0.0, 0.05, 3.0])

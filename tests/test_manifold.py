@@ -67,6 +67,11 @@ def near_identity_decoder(noise=0.3, seed=0):
     return manifold.Decoder.mlp_tanh([w1, w2], [np.zeros(3), np.zeros(3)])
 
 
+def curved_decoder(depth):
+    """The seeded R^3 -> R^4 tanh decoder with ``depth`` tanh layers that the exact-derivative tests share."""
+    return random_tanh_decoder(np.random.default_rng([510, depth]), 3, 4, depth)
+
+
 def random_tanh_decoder(rng, d, n, n_tanh, noise=0.3):
     """Near-identity mlp-tanh decoder R^d -> R^n with n_tanh tanh layers."""
     widths = [d] + [n] * (n_tanh + 1)
@@ -152,6 +157,25 @@ class TestDecoder:
             e[i] = step
             fd = (dec(y + e) - dec(y - e)) / (2 * step)
             np.testing.assert_allclose(jac[:, i], fd, atol=1e-8)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_curvature_is_the_derivative_of_the_contracted_jacobian(self, depth):
+        # C = sum_i c_i Hess f_i is the Jacobian of J^T c; the 1e-7 relative bound was fixed before the code
+        rng = np.random.default_rng([51, depth])
+        dec = curved_decoder(depth)
+        ys, cs = rng.uniform(-0.5, 0.5, size=(5, 3)), rng.normal(size=(2, 5, 4))
+        stack = dec._curvature(ys, cs)
+        assert stack.shape == (2, 5, 3, 3)
+        for b, k in np.ndindex(2, 5):
+            oracle = loop_fd_gradient(lambda y: dec._forward(y)[1].T @ cs[b, k], ys[k])
+            for curv in (stack[b, k], dec._curvature(ys[k], cs[b, k])):
+                assert np.max(np.abs(curv - oracle)) <= 1e-7 * np.max(np.abs(oracle))
+
+    def test_linear_decoder_has_no_curvature(self):
+        rng = np.random.default_rng(51)
+        dec = manifold.Decoder.linear(rng.normal(size=(4, 3)))
+        curv = dec._curvature(rng.normal(size=(5, 3)), rng.normal(size=(2, 5, 4)))
+        assert curv.shape == (2, 5, 3, 3) and not curv.any()
 
     def test_ambient_smaller_than_latent_rejected(self):
         with pytest.raises(ValueError, match="ambient"):
@@ -413,6 +437,7 @@ class TestGufuncRoute:
     def test_gufunc_signatures(self):
         # numpy.linalg._umath_linalg is private: a numpy that changes it fails here, by name
         assert manifold.solve1.signature == "(m,m),(m)->(m)"
+        assert manifold.solve.signature == "(m,m),(m,n)->(m,n)"
         assert manifold.cholesky_lo.signature == "(m,m)->(m,m)"
 
     @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
@@ -851,8 +876,9 @@ class TestVariationalFlow:
             np.testing.assert_allclose(tangent.T @ omega @ tangent, omega, rtol=0, atol=1e-8)
 
     def test_chord_step_is_symplectic(self):
-        # the chord step is the variational integrator of L_d, so T^T Omega T = Omega for the geodesic H,
-        # at finite-difference noise: 1.3e-9 at most over these ten decoders (the staged step gave 0.71)
+        # the chord step is the variational integrator of L_d, so T^T Omega T = Omega for the geodesic H;
+        # its exact tangent meets that at rounding: 2.2e-15 at most over these ten decoders (the central
+        # difference of the step met it at 1.3e-9, and the staged step gave 0.71)
         for seed in range(10):
             rng = np.random.default_rng([36, seed])
             d = 2 + seed % 2
@@ -861,7 +887,42 @@ class TestVariationalFlow:
             y = rng.uniform(-0.5, 0.5, size=d)
             p = manifold.pullback_metric(field, y) @ rng.normal(size=d)
             tangent = one_step_tangent(manifold.GeodesicHamiltonian(field), y, p, 0.1)
-            np.testing.assert_allclose(tangent.T @ omega @ tangent, omega, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(tangent.T @ omega @ tangent, omega, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_chord_tangent_is_the_derivative_of_the_step(self, depth):
+        # the exact tangent from the recorded nodes against central differences of leapfrog_step itself;
+        # the 1e-7 relative bound was fixed before the code.  The oracle's step is 1e-6 (1 + |z|): its
+        # truncation error falls as the step squared, and at GRAD_STEP it alone is 1.0e-7 at depth 2
+        # (|z| = 7.7), against 1.0e-9 here
+        rng = np.random.default_rng([52, depth])
+        field = manifold.MetricField(curved_decoder(depth))
+        ham = manifold.GeodesicHamiltonian(field)
+        y = rng.uniform(-0.5, 0.5, size=3)
+        p = manifold.pullback_metric(field, y) @ rng.normal(size=3)
+
+        def step(z):
+            end = manifold.leapfrog_step(ham, manifold.PhasePoint(z[:3], z[3:]), 0.1)
+            return np.concatenate([end.y, end.p])
+
+        oracle = loop_fd_gradient(step, np.concatenate([y, p]), 1e-6)
+        tangent = one_step_tangent(ham, y, p, 0.1)
+        assert np.max(np.abs(tangent - oracle)) <= 1e-7 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("node", [0, 2])
+    def test_singular_newton_matrix_is_named(self, node):
+        # with eps_reg = 0, tanh(100 y) saturates to 1.0 at y = 0.5, so J = 0 there and M = J0^T J1 = 0
+        # for the step from node k to it
+        dec = manifold.Decoder.mlp_tanh([[[100.0]], [[1.0]]], [[0.0], [0.0]])
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(dec, eps_reg=0.0))
+        ys = np.array([[0.0], [0.001], [0.002], [0.003]])
+        ys[node + 1] = 0.5
+        traj = manifold.PhaseTrajectory(0.1, ys, np.zeros((4, 1)), np.zeros(4))
+        with pytest.raises(ValueError, match=rf"^singular Newton matrix J0\^T J1 \+ eps_reg I at node {node}$"):
+            manifold.jacobi_propagate(ham, traj, np.ones(2))
+        ys[node + 1] = math.nan  # a node no run records, so the matrix is NaN, not singular
+        with pytest.raises(ValueError, match=rf"^non-finite Newton matrix J0\^T J1 \+ eps_reg I at node {node}$"):
+            manifold.jacobi_propagate(ham, traj, np.ones(2))
 
     def test_curved_deviation_is_the_tangent_of_the_n_step_map(self):
         # the frozen-matrix RK2 of the continuous variational flow was 0.1 off this oracle
@@ -919,8 +980,8 @@ class TestVariationalFlow:
     @pytest.mark.parametrize("node", [0, 2])
     def test_node_past_square_root_of_float_range_is_named(self, node):
         # its stencil step GRAD_STEP (1 + |z|) overflows; this used to raise
-        # IntegrationError "non-finite state or energy at step 0"
-        ham = manifold.GeodesicHamiltonian(manifold.MetricField(random_tanh_decoder(np.random.default_rng(1), 1, 2, 1)))
+        # IntegrationError "non-finite state or energy at step 0".  Only the staged step's tangent takes a stencil
+        ham = DecoderPotential(random_tanh_decoder(np.random.default_rng(1), 1, 2, 1))
         ys = np.zeros((4, 1))
         ys[node] = 1e200
         traj = manifold.PhaseTrajectory(0.1, ys, np.zeros((4, 1)), np.zeros(4))
@@ -1231,10 +1292,11 @@ class TestStackContract:
         # and checked once per node
         dec = near_identity_decoder()
         field = manifold.MetricField(dec)
-        shapes, nodes = [], []
-        forward, geometry = dec._forward, field._geometry  # the unchecked pass and the node check
+        shapes, nodes, contractions = [], [], []
+        forward, geometry, curvature = dec._forward, field._geometry, dec._curvature  # the passes and the node check
         dec._forward = lambda y: shapes.append(np.shape(y)) or forward(y)
         field._geometry = lambda y, jac: nodes.append(np.shape(y)) or geometry(y, jac)
+        dec._curvature = lambda y, c: contractions.append((np.shape(y), np.shape(c))) or curvature(y, c)
         ham = manifold.GeodesicHamiltonian(field)
         pt = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
         for n in (1, 2, 7):
@@ -1243,8 +1305,9 @@ class TestStackContract:
             assert shapes == [(2,)] * (1 + 3 * n) and nodes == [(2,)] * (n + 1)
         shapes.clear(), nodes.clear()
         manifold.jacobi_propagate(ham, traj, np.ones(4))
-        # one step from 7 nodes' 4d = 8 stencil points
-        assert shapes == [(7, 8, 2)] * 4 and nodes == [(7, 8, 2)] * 2
+        # the exact tangents re-run no step: one pass over the 8 recorded nodes, and one contraction there
+        # against each node's two chords (as a step's start and as its end); no node is checked again
+        assert shapes == [(8, 2)] and nodes == [] and contractions == [((8, 2), (2, 8, 3))]
         shapes.clear(), nodes.clear()
         manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 7)
         assert shapes == [(2, 2)] * 22 and nodes == [(2, 2)] * 8
