@@ -72,7 +72,10 @@ first chord, so the chord step from it retraces the nodes to y_b.
 tangent of each recorded step.  For the chord step without a potential
 the tangent is exact: implicit differentiation of the step's equation at
 the recorded nodes, from one decoder pass, one curvature contraction and
-one stacked solve, with no step re-run (``_chord_tangents``).
+one stacked solve, with no step re-run (``_chord_tangents``).  Since it
+reads node k + 1 as the given field's step from node k, it checks the
+step's equation there and names a node that fails it, so a trajectory
+recorded under another field raises ValueError.
 
 Finite differences remain where no exact derivative is written: the
 tangent of the staged step and of the chord step with a potential
@@ -720,8 +723,8 @@ def solve_shooting(
 # deviations along a trajectory
 
 
-def _chord_tangents(field: MetricField, ys: np.ndarray, h: float) -> np.ndarray:
-    """The exact tangents (n, 2d, 2d) of the chord steps between the recorded nodes ys (n+1, d), no potential.
+def _chord_tangents(field: MetricField, traj: PhaseTrajectory) -> np.ndarray:
+    """The exact tangents (n, 2d, 2d) of the chord steps between a trajectory's recorded nodes, no potential.
 
     Implicit differentiation of the step's equation J0^T c + eps_reg (q1 - q0)
     = h p0, c = f1 - f0, with M = J0^T J1 + eps_reg I (the Newton matrix),
@@ -729,12 +732,16 @@ def _chord_tangents(field: MetricField, ys: np.ndarray, h: float) -> np.ndarray:
     dq1/dq0 = M^-1 (G0 - C(q0)), dq1/dp0 = h M^-1, and from
     h p1 = J1^T c + eps_reg (q1 - q0), dp1 = [(C(q1) + G1) dq1 - M^T dq0] / h.
     A singular or non-finite M (a node given by hand may be inf or NaN)
-    raises ValueError naming its node.
+    raises ValueError naming its node, and so does a node k + 1 that is not
+    this field's step from node k: its equation's residual must meet the
+    step's own bound (``_CHORD_TOL`` of |h p0|, or ``_round_off``) within a
+    factor 2, which leaves room for a pass over the stacked nodes that
+    rounds otherwise than the step's own.
     """
-    decoder, d = field.decoder, ys.shape[-1]
+    decoder, ys, h, d = field.decoder, traj.ys, traj.step, traj.ys.shape[-1]
     out, jac = decoder._forward(ys)
     ends = np.zeros((2, *out.shape))  # c at each step's start node (row 0) and end node (row 1)
-    ends[0, :-1] = ends[1, 1:] = out[1:] - out[:-1]
+    ends[0, :-1] = ends[1, 1:] = chord = out[1:] - out[:-1]
     curv = decoder._curvature(ys, ends)
     g = field._product(ys, jac)
     matrix = jac[:-1].swapaxes(-1, -2) @ jac[1:] + _scaled_eye(float(field.eps_reg), d)
@@ -745,6 +752,19 @@ def _chord_tangents(field: MetricField, ys: np.ndarray, h: float) -> np.ndarray:
         k = int(np.argmax(lost))
         cause = _SINGULAR if np.isfinite(matrix[k]).all() else "non-finite Newton matrix J0^T J1 + eps_reg I"
         raise ValueError(f"{cause} at node {k}")
+    rhs = h * traj.ps[:-1]
+    residual = np.vecmat(chord, jac[:-1]) + field.eps_reg * (ys[1:] - ys[:-1]) - rhs
+    size = np.maximum.reduce(np.abs(residual), axis=-1)
+    bound = 2.0 * np.maximum(
+        _CHORD_TOL * np.maximum.reduce(np.abs(rhs), axis=-1), _round_off(jac[:-1], matrix, ys[1:], out[1:])
+    )
+    foreign = ~(size <= bound)  # a NaN momentum fails too
+    if foreign.any():
+        k = int(np.argmax(foreign))
+        raise ValueError(
+            f"node {k + 1} is not this field's chord step from node {k}: "
+            f"step residual {size[k]:.1e} above its bound {bound[k]:.1e}"
+        )
     dp = (curv[1, 1:] + g[1:]) @ dq
     dp[..., :d] -= matrix.swapaxes(-1, -2)
     return np.concatenate([dq, dp / h], axis=-2)
@@ -769,11 +789,13 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
     to (y_k, p_k).  For the chord step without a potential
     (``GeodesicHamiltonian``) T_k is exact, from the recorded nodes k and
     k + 1 (``_chord_tangents``): one decoder pass and one curvature
-    contraction over all nodes, one stacked solve, and no step re-run.  Any
-    other Hamiltonian (the staged step, ``control.ReducedHamiltonian``)
-    takes the central difference of that step over the 4d stencil points of
-    (y_k, p_k), the points of all n nodes stepped as one stack.  Returns the
-    (n+1, 2d) deviations delta_{k+1} = T_k delta_k, starting at delta0.
+    contraction over all nodes, one stacked solve, and no step re-run; a
+    node k + 1 that is not this field's step from (y_k, p_k) raises
+    ValueError naming it.  Any other Hamiltonian (the staged step,
+    ``control.ReducedHamiltonian``) takes the central difference of that
+    step over the 4d stencil points of (y_k, p_k), the points of all n
+    nodes stepped as one stack.  Returns the (n+1, 2d) deviations
+    delta_{k+1} = T_k delta_k, starting at delta0.
     """
     delta = floats(delta0)
     d = traj.ys.shape[-1]
@@ -790,7 +812,7 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
         if getattr(hamiltonian, "metric_field", None) is None or hamiltonian._force is not None:
             tangents = _stencil_tangents(hamiltonian, traj)
         else:
-            tangents = _chord_tangents(hamiltonian.metric_field, traj.ys, traj.step)
+            tangents = _chord_tangents(hamiltonian.metric_field, traj)
         out = np.empty((len(traj), 2 * d))
         out[0] = delta
         for k, tangent in enumerate(tangents, start=1):

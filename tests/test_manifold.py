@@ -924,6 +924,25 @@ class TestVariationalFlow:
         with pytest.raises(ValueError, match=rf"^non-finite Newton matrix J0\^T J1 \+ eps_reg I at node {node}$"):
             manifold.jacobi_propagate(ham, traj, np.ones(2))
 
+    def test_trajectory_of_another_field_is_named(self):
+        # the exact tangent reads node k + 1 as the given field's step from node k; a trajectory recorded under
+        # another decoder used to give deviations 0.040 off that field's own empirical ones, with no error
+        own = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        other = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder(seed=1)))
+        traj = manifold.integrate(own, manifold.PhasePoint([0.1, -0.2], [0.3, 0.4]), 0.1, 8)
+        assert np.isfinite(manifold.jacobi_propagate(own, traj, np.ones(4))).all()
+        with pytest.raises(ValueError, match=r"^node 1 is not this field's chord step from node 0: step residual"):
+            manifold.jacobi_propagate(other, traj, np.ones(4))
+        # and so is a node whose recorded momentum is not the one the step took
+        ps = traj.ps.copy()
+        ps[3] *= 1.0 + 1e-9
+        moved = manifold.PhaseTrajectory(traj.step, traj.ys, ps, traj.energies)
+        with pytest.raises(ValueError, match=r"^node 4 is not this field's chord step from node 3: step residual"):
+            manifold.jacobi_propagate(own, moved, np.ones(4))
+        ps[3] = math.nan
+        with pytest.raises(ValueError, match=r"^node 4 is not this field's chord step from node 3: step residual nan"):
+            manifold.jacobi_propagate(own, moved, np.ones(4))
+
     def test_curved_deviation_is_the_tangent_of_the_n_step_map(self):
         # the frozen-matrix RK2 of the continuous variational flow was 0.1 off this oracle
         ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))

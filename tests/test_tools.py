@@ -1,6 +1,8 @@
 """The rules of ``tools/fingerprint.py`` and ``tools/pairs.py``, on synthetic numbers."""
 
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,37 @@ def test_claim_needs_nine_of_ten_pairs_and_a_gain_past_the_parent_iqr(change, be
     result = pairs.verdict(PARENT, change, better, 0.25)
     assert result["parent_iqr"] == [102.25, 106.75]
     assert result["claim_met"] is met
+
+
+def test_claim_fails_when_more_operations_fail():
+    # a change that is faster because it drops operations claims nothing
+    change = [p + 10.0 for p in PARENT]
+    assert pairs.verdict(PARENT, change, "higher", 0.25, failed=(2, 2))["claim_met"] is True
+    assert pairs.verdict(PARENT, change, "higher", 0.25, failed=(0, 1))["claim_met"] is False
+    assert pairs.verdict(PARENT, change, "higher", 0.25, failed=(3, 1))["claim_met"] is True
+
+
+def test_summary_passes_each_sides_failures_to_the_claim():
+    runs = [
+        {"side": side, "seed": k, "failed": int(side == "change" and k == 0), "metrics": {"ops": value}}
+        for k, p in enumerate(PARENT)
+        for side, value in (("parent", p), ("change", p + 10.0))
+    ]
+    summary = pairs.summarise(runs, [{"name": "ops", "better": "higher", "bound": 0.25}])
+    assert summary["failed_total"] == {"parent": 0, "change": 1}
+    assert summary["ops"]["change_better_pairs"] == 10 and summary["ops"]["claim_met"] is False
+
+
+def test_geodesic_fingerprint_without_jacobi_skips_only_the_deviations(monkeypatch):
+    parts = [(np.arange(3.0), False), (np.ones(2), True), (1.5, False)]
+    monkeypatch.setattr(fingerprint, "geodesic_parts", lambda: iter(parts))
+    monkeypatch.setattr(fingerprint, "relax_parts", lambda: iter(()))
+    monkeypatch.setattr(fingerprint, "cli_parts", lambda tree: iter(()))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # fingerprints puts the tree's perfbench first
+    monkeypatch.setitem(sys.modules, "benchenv", types.ModuleType("benchenv"))  # and would pin this process
+    out = fingerprint.fingerprints(Path(__file__).resolve().parents[1])
+    assert out["geodesic"] == fingerprint.digest(part for part, _ in parts)
+    assert out["geodesic_without_jacobi"] == fingerprint.digest([np.arange(3.0), 1.5])
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 tools/fingerprint.py [--tree DIR] [--workloads geodesic,relax,cli]
+    python3 tools/fingerprint.py [--tree DIR]
 
 Prints one ``name sha256`` line per fingerprint of the tree DIR (default:
 this checkout), computed with DIR's own ``src`` and ``perfbench``:
@@ -10,7 +10,8 @@ this checkout), computed with DIR's own ``src`` and ``perfbench``:
 - ``geodesic``: over the 30 pool queries in pool order, ``run_case``'s
   trajectory ``ys``, ``ps`` and ``energies``, the Jacobi and empirical
   deviations, each rollout record's y and u, then the cost as float64;
-- ``geodesic_without_jacobi``: the same without the Jacobi deviations;
+- ``geodesic_without_jacobi``: the same parts of the same run without
+  the Jacobi deviations;
 - ``relax``: over the 20 ops of ``wl_relax.Workload(7, 20)``, the final
   spins, the energy as float64, each edge as (int64, int64, float64),
   ``repr(routes)`` and ``repr(chain)``;
@@ -37,43 +38,47 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("geodesic", "relax", "cli")
 CLI_INPUT_SEEDS = (1, 2)  # the generated phase --input files; not recorded for fingerprints before this script
 
 
-def digest(parts) -> str:
-    """sha256 over parts in order: arrays' raw bytes, floats as float64, ints as int64, strs as UTF-8, bytes as is."""
+def feed(h, part) -> None:
+    """Hash one part: an array's raw bytes, a float as float64, an int as int64, a str as UTF-8, bytes as is."""
     import numpy as np
 
+    if isinstance(part, str):
+        h.update(part.encode())
+    elif isinstance(part, bytes):
+        h.update(part)
+    elif isinstance(part, int):
+        h.update(np.int64(part).tobytes())
+    elif isinstance(part, float):
+        h.update(np.float64(part).tobytes())
+    else:
+        h.update(np.ascontiguousarray(part).tobytes())
+
+
+def digest(parts) -> str:
+    """sha256 over parts in order (``feed``)."""
     h = hashlib.sha256()
     for part in parts:
-        if isinstance(part, str):
-            h.update(part.encode())
-        elif isinstance(part, bytes):
-            h.update(part)
-        elif isinstance(part, int):
-            h.update(np.int64(part).tobytes())
-        elif isinstance(part, float):
-            h.update(np.float64(part).tobytes())
-        else:
-            h.update(np.ascontiguousarray(part).tobytes())
+        feed(h, part)
     return h.hexdigest()
 
 
-def geodesic_parts(jacobi: bool):
+def geodesic_parts():
+    """(part, whether it is the Jacobi deviations) over one run of the pool."""
     import wl_geodesic
     from tracing import Api
 
     api = Api()
     for index in range(len(wl_geodesic.POOL_DIMS)):
         out = wl_geodesic.run_case(wl_geodesic.pool_case(index), api)
-        yield from (out.traj.ys, out.traj.ps, out.traj.energies)
-        if jacobi:
-            yield out.jac
-        yield out.emp
+        yield from ((part, False) for part in (out.traj.ys, out.traj.ps, out.traj.energies))
+        yield out.jac, True
+        yield out.emp, False
         for y, u, _ in out.records:
-            yield from (y, u)
-        yield float(out.cost)
+            yield from ((y, False), (u, False))
+        yield float(out.cost), False
 
 
 def relax_parts():
@@ -123,31 +128,28 @@ def cli_parts(tree: Path):
                 yield from (path.name, path.read_bytes())
 
 
-def fingerprints(tree: Path, workloads) -> dict[str, str]:
+def fingerprints(tree: Path) -> dict[str, str]:
     sys.path.insert(0, str(tree / "perfbench"))
     import benchenv  # noqa: F401  (pins BLAS threads and puts the tree's src first, before numpy loads)
 
-    out = {}
-    if "geodesic" in workloads:
-        out["geodesic"] = digest(geodesic_parts(jacobi=True))
-        out["geodesic_without_jacobi"] = digest(geodesic_parts(jacobi=False))
-    if "relax" in workloads:
-        out["relax"] = digest(relax_parts())
-    if "cli" in workloads:
-        out["cli"] = digest(cli_parts(tree))
-    return out
+    full, without = hashlib.sha256(), hashlib.sha256()
+    for part, jacobi in geodesic_parts():
+        feed(full, part)
+        if not jacobi:
+            feed(without, part)
+    return {
+        "geodesic": full.hexdigest(),
+        "geodesic_without_jacobi": without.hexdigest(),
+        "relax": digest(relax_parts()),
+        "cli": digest(cli_parts(tree)),
+    }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("--tree", type=Path, default=ROOT)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
-    unknown = set(workloads) - set(WORKLOADS)
-    if unknown:
-        parser.error(f"unknown workloads {sorted(unknown)}; choose from {','.join(WORKLOADS)}")
-    for name, value in fingerprints(args.tree.resolve(), workloads).items():
+    for name, value in fingerprints(args.tree.resolve()).items():
         print(name, value)
     return 0
 

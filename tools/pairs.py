@@ -2,26 +2,28 @@
 
 Usage (from the root of a checkout)::
 
-    python3 tools/pairs.py PARENT_REF --out BENCH_N.json [--pairs 10] [--seed0 1]
-        [--workloads cli_mix,geodesic,relax_plan] [--seconds 20] [--claim WORKLOAD:METRIC]
+    python3 tools/pairs.py PARENT_REF --out BENCH_N.json [--seed0 1]
+        [--workloads cli_mix,geodesic,relax_plan] [--claim WORKLOAD:METRIC]
 
 It builds two trees with ``git archive`` in a temporary directory (under
 TMPDIR, if set): PARENT_REF, and PARENT_REF with this checkout's ``src/``
-in place of its own.  Pair k runs each tree's own,
+in place of its own.  Each of the 10 pairs k = 0..9 runs each tree's own,
 unchanged ``perfbench/run.py --workload W --seed SEED0+k --seconds S
---trace 0``, the parent first for even k and the change first for odd k,
-one run at a time, with PYTHONDONTWRITEBYTECODE=1.  Then it fingerprints
-both trees (``tools/fingerprint.py``) and writes every run, a summary per
-workload and end-to-end metric, and the verdict on the claimed metric.
+--trace 0``, S being BENCHMARK.json's ``run_seconds``, the parent first
+for even k and the change first for odd k, one run at a time, with
+PYTHONDONTWRITEBYTECODE=1.  Then it fingerprints both trees
+(``tools/fingerprint.py``) and writes every run, a summary per workload
+and end-to-end metric, and the verdict on the claimed metric.
 
 The rule (``verdict``): a claim is met when the change is better in at
-least 9/10 of the pairs, ties counting for neither side, and its median is
+least 9/10 of the pairs, ties counting for neither side, its median is
 better than the parent's by more than the parent's interquartile range
-(inclusive quartiles).  A metric is "worse than bound" when the change's
-median is worse than the parent's by more than the metric's relative bound
-from BENCHMARK.json, "unresolved" when either side's (max - min) / median
-exceeds that bound and not every change run beats every parent run, and
-"within bound" otherwise.
+(inclusive quartiles), and no more of its operations fail than the
+parent's over all their runs of that workload.  A metric is "worse than
+bound" when the change's median is worse than the parent's by more than
+the metric's relative bound from BENCHMARK.json, "unresolved" when either
+side's (max - min) / median exceeds that bound and not every change run
+beats every parent run, and "within bound" otherwise.
 """
 
 from __future__ import annotations
@@ -38,10 +40,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("cli_mix", "geodesic", "relax_plan")
+PAIRS = 10
 
 
-def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Summary of one metric over pairs (parent[k], change[k]); ``better`` is "higher" or "lower"."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float, failed=(0, 0)) -> dict:
+    """Summary of one metric over pairs (parent[k], change[k]); ``better`` is "higher" or "lower".
+
+    ``failed`` holds the operations that failed over all the parent's and
+    all the change's runs; a claim fails when the change's count is higher.
+    """
     sign = 1.0 if better == "higher" else -1.0
     gains = [sign * (c - p) for p, c in zip(parent, change, strict=True)]
     won, ties = sum(g > 0 for g in gains), sum(g == 0 for g in gains)
@@ -70,7 +77,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
         "max_spread": spread,
         "verdict": state,
         "gain_exceeds_parent_iqr": gain > p_iqr[1] - p_iqr[0],
-        "claim_met": won >= 0.9 * len(gains) and gain > p_iqr[1] - p_iqr[0],
+        "claim_met": won >= 0.9 * len(gains) and gain > p_iqr[1] - p_iqr[0] and failed[1] <= failed[0],
     }
 
 
@@ -122,9 +129,10 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         "seeds": sorted({r["seed"] for r in runs}),
         "failed_total": {side: sum(r["failed"] for r in rs) for side, rs in sides.items()},
     }
+    failed = (out["failed_total"]["parent"], out["failed_total"]["change"])
     for m in metrics:
         values = {side: [r["metrics"][m["name"]] for r in rs] for side, rs in sides.items()}
-        out[m["name"]] = verdict(values["parent"], values["change"], m["better"], m["bound"])
+        out[m["name"]] = verdict(values["parent"], values["change"], m["better"], m["bound"], failed)
     return out
 
 
@@ -132,16 +140,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("parent_ref")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose verdict the file states")
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
-    if set(workloads) - set(WORKLOADS) or args.pairs < 1:
-        parser.error(f"workloads must be among {','.join(WORKLOADS)} and --pairs >= 1")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if set(workloads) - set(WORKLOADS):
+        parser.error(f"workloads must be among {','.join(WORKLOADS)}")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     if args.claim:
         workload, _, metric = args.claim.partition(":")
         if workload not in workloads or metric not in {m["name"] for m in metrics}:
@@ -149,21 +156,21 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = build_trees(args.parent_ref, Path(tmp))
         runs = {w: [] for w in workloads}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             seed = args.seed0 + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
-                    run = run_once(trees[side], workload, seed, args.seconds)
+                    run = run_once(trees[side], workload, seed, seconds)
                     runs[workload].append({"seed": seed, "side": side, **run})
                     print(f"{workload} seed {seed} {side}: {run['metrics']}", flush=True)
         prints = {side: fingerprint(tree) for side, tree in trees.items()}
     environment = runs[workloads[0]][0]["environment"]
     report = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0"
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0"
         " with PYTHONDONTWRITEBYTECODE=1",
         "parent_commit": git_output("rev-parse", args.parent_ref),
-        "pairing": f"{args.pairs} pairs per workload, seeds {args.seed0}-{args.seed0 + args.pairs - 1}; the parent ran "
+        "pairing": f"{PAIRS} pairs per workload, seeds {args.seed0}-{args.seed0 + PAIRS - 1}; the parent ran "
         "first in pairs 0, 2, ... and the change first in pairs 1, 3, ...; each side from its own git archive tree",
         "verdict_rule": " ".join(__doc__.split("The rule (``verdict``): ", 1)[1].split()),
         "environment": {k: v for k, v in environment.items() if k not in ("git_commit", "src_sha256")},
