@@ -1,6 +1,7 @@
 """The rules of ``tools/fingerprint.py`` and ``tools/pairs.py``, on synthetic numbers."""
 
 import importlib.util
+import json
 import sys
 import types
 from pathlib import Path
@@ -112,3 +113,25 @@ def test_geodesic_fingerprint_without_jacobi_skips_only_the_deviations(monkeypat
 )
 def test_metric_verdicts(parent, change, better, state):
     assert pairs.verdict(parent, change, better, 0.25)["verdict"] == state
+
+
+def test_report_states_the_claimed_workloads_verdict(monkeypatch, tmp_path):
+    # the claim's verdict used to be read from the last workload run, whichever was claimed
+    speed = {("geodesic", "parent"): 100.0, ("geodesic", "change"): 120.0}
+
+    def run_once(tree, workload, seed, seconds):
+        value = speed.get((workload, tree.name), 50.0) + seed % 3
+        metrics = {m: value for m in ("setup_s", "throughput_ops_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")}
+        return {"metrics": {**metrics, "ok_ratio": 1.0}, "attempted": 10, "failed": 0,
+                "environment": {"src_sha256": tree.name, "git_commit": ""}}
+
+    monkeypatch.setattr(pairs, "build_trees", lambda ref, work: {side: work / side for side in ("parent", "change")})
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "fingerprint", lambda tree: {"geodesic": tree.name})
+    monkeypatch.setattr(pairs, "git_output", lambda *args: "parent")
+    out = tmp_path / "BENCH.json"
+    assert pairs.main(["HEAD", "--out", str(out), "--claim", "geodesic:throughput_ops_s"]) == 0
+    report = json.loads(out.read_text())
+    assert report["claim_verdict"] == report["summary"]["geodesic"]["throughput_ops_s"]
+    assert report["claim_verdict"]["claim_met"] is True
+    assert report["command"].startswith("python3 perfbench/run.py --workload W --seed S --seconds 20 ")

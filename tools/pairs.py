@@ -159,11 +159,11 @@ def main(argv=None) -> int:
         for k in range(PAIRS):
             seed = args.seed0 + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for workload in workloads:
+            for w in workloads:  # not the claim's workload, which the report reads below
                 for side in order:
-                    run = run_once(trees[side], workload, seed, seconds)
-                    runs[workload].append({"seed": seed, "side": side, **run})
-                    print(f"{workload} seed {seed} {side}: {run['metrics']}", flush=True)
+                    run = run_once(trees[side], w, seed, seconds)
+                    runs[w].append({"seed": seed, "side": side, **run})
+                    print(f"{w} seed {seed} {side}: {run['metrics']}", flush=True)
         prints = {side: fingerprint(tree) for side, tree in trees.items()}
     environment = runs[workloads[0]][0]["environment"]
     report = {
