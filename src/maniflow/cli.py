@@ -34,7 +34,9 @@ requested output was written, and 2 otherwise: usage errors, unreadable
 or malformed input, a failed integration, a non-finite table entry, a
 route whose cost overflows, or, in a mode that reads it, a non-finite or
 non-positive ``--dt``, ``--steps`` below 1, a ``--steps`` times ``--dt``
-past the float range, a ``--window`` that is not odd and positive, a
+past the float range, a ``phase --steps`` whose 150 portraits pass the
+budget of 3,000,000 nodes (``_PHASE_NODES``, checked before anything is
+allocated), a ``--window`` that is not odd and positive, a
 non-finite or negative ``--damping`` or a bad ``--decoder``.  A
 failure, a usage error included, prints one ``error:`` line on stderr
 and writes no file: every output is computed before ``--out`` is created.
@@ -70,6 +72,9 @@ def _load(name: str) -> None:
 
 _FIELD_BINS = 12
 _PHASE_PORTRAITS = 150
+# the seeded portraits' node budget: 150 portraits of steps + 1 nodes each, about 80 bytes a
+# node, so at most 19,999 steps and about 240 MB
+_PHASE_NODES = 3_000_000
 
 # The options each command reads, name -> (type, default, help): the source of
 # its flags, its --config keys and their defaults.
@@ -227,6 +232,12 @@ def _input_portrait(path: str, window: int) -> infophase.PhasePortrait:
 
 def _cmd_phase(flags: dict) -> int:
     opts = _resolve(flags, "phase")
+    if not opts["input"] and _PHASE_PORTRAITS * (opts["steps"] + 1) > _PHASE_NODES:
+        most = _PHASE_NODES // _PHASE_PORTRAITS - 1
+        raise ValueError(
+            f"argument --steps: {_PHASE_PORTRAITS} portraits of {opts['steps'] + 1} nodes each pass the "
+            f"budget of {_PHASE_NODES} nodes; at most {most} steps"
+        )
     _load("infophase")
     if opts["input"]:
         portraits = [_input_portrait(opts["input"], opts["window"])]

@@ -18,12 +18,13 @@ wrap (``np.maximum.reduce`` for ``.max()``, ``np.logical_and.reduce``
 for ``.all()``, ...).  Geodesics are driven by the kinetic
 Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2.  G is reached one way,
 ``MetricField._geometry``: ``pullback_metric`` returns it,
-``MetricField.solve`` solves G v = rhs, and ``GeodesicHamiltonian`` and
-the chord step's energies take H from it.  A decoder's derivatives are
-exact and unchecked (the engine checks G or its nodes instead): its
-order-1 jet (f, J) from ``Decoder._forward``, one pass over its layers
-(``linear`` is one layer with a zero bias) for a point (d,) or a stack
-(..., d), and the contraction C = sum_i c_i Hess f_i from
+``MetricField.solve`` solves G v = rhs, and ``GeodesicHamiltonian`` takes
+H from it; the chord step makes the same check over a stack of nodes
+(below) and names a node that fails by ``_geometry``.  A decoder's
+derivatives are exact and unchecked (the engine checks G or its nodes
+instead): its order-1 jet (f, J) from ``Decoder._forward``, one pass
+over its layers (``linear`` is one layer with a zero bias) for a point
+(d,) or a stack (..., d), and the contraction C = sum_i c_i Hess f_i from
 ``Decoder._curvature``, one forward and one backward pass that form no
 second-derivative tensor, which only the chord step's tangent reads.
 
@@ -54,11 +55,19 @@ and the residual; a row whose Newton matrix is singular, so that its
 iterate turns NaN, raises IntegrationError naming that matrix and the
 step.  In a stack the rows that update on rebuild a lost row's matrix
 from its NaN, so on that failure path each lost row reruns alone, which
-is bit-equal, to name it.  Each node's G is checked by one Cholesky
-factorisation.  Any other Hamiltonian provides ``__call__(y, p)`` and
-the partials ``dy(y, p)`` and ``dp(y, p)`` and takes the staged
-kick-drift-kick of ``_staged``, which is symplectic for a separable H;
-table 3 runs the same stepper over Python floats.
+is bit-equal, to name it.  The nodes are checked a block at a time, not
+as they are made: each block of ``_CHECK_BLOCK`` = 64 nodes, and the
+run's last nodes, get one stacked G, one Cholesky factorisation, one
+finiteness test of the factors and the rows, and one energy solve.  The
+first node that fails raises the error its own check raises, with the
+same step, state and drift, at most 63 steps after it was made; an
+error raised while stepping (a Newton solve's, a task cost's) first has
+the nodes before it checked, so an earlier bad node still wins.  A
+potential and its gradient are taken at a finite y only.  Any other
+Hamiltonian provides ``__call__(y, p)`` and the partials ``dy(y, p)``
+and ``dp(y, p)`` and takes the staged kick-drift-kick of ``_staged``,
+which is symplectic for a separable H, with its rows checked a node at
+a time; table 3 runs the same stepper over Python floats.
 
 **The boundary-value solve.**  ``solve_shooting`` makes the action
 S = sum_k L_d(q_k, q_k+1), h = 1/N, stationary over the interior nodes
@@ -152,7 +161,10 @@ class IntegrationError(ValueError):
     right-hand side h p (+ h^2/2 grad V).  It also fails when a row's
     Newton matrix J0^T J1 + eps_reg I is singular (a saturated tanh with
     eps_reg = 0 zeroes J1): the solve turns its iterate NaN, and the
-    message names the singular Newton matrix and the step.
+    message names the singular Newton matrix and the step.  The chord
+    step checks its nodes a block at a time, so it raises for a node up
+    to ``_CHECK_BLOCK`` - 1 = 63 steps after making it, with the step,
+    state and drift of that node's own check.
     """
 
     def __init__(self, message: str, step: int | None = None, y=None, p=None, drift: float | None = None):
@@ -475,11 +487,15 @@ def _predict(y: np.ndarray, before: list) -> np.ndarray:
     return 5.0 * (y - before[-3]) + 10.0 * (before[-2] - before[-1]) + before[-4]
 
 
-def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
-    """Nodes (y, p, H or None) of the chord step, each Newton-solved to its residual bound (module docstring)."""
-    field, force, grad = hamiltonian.metric_field, hamiltonian._force, None
+def _chord(hamiltonian, y, p, h, n_steps, failure):
+    """Nodes (y, p, J, f, Newton matrix) of the chord step, unchecked (module docstring).
+
+    The matrix is that of the step's last update, None at node 0.  A
+    potential's gradient is taken at a finite y only, so with a potential a
+    node whose y is not finite ends the run, and the node check names it.
+    """
+    field, force, grad, matrix = hamiltonian.metric_field, hamiltonian._force, None, None
     forward, eps = field.decoder._forward, field.eps_reg
-    y0, p0 = y, p  # read only on the failure path, by a stacked run's lost rows
     reg = _scaled_eye(float(eps), y.shape[-1])
     out, jac = forward(y)
     before = []  # the (up to) four nodes before y, oldest first
@@ -489,7 +505,7 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
     pending = partial(np.logical_or.reduce, axis=None) if stacked else bool
     for k in range(n_steps + 1):
         if k:
-            q = y + h * solve1(g, p) if k == 1 else _predict(y, before)
+            q = y + h * solve1(field._product(y, jac), p) if k == 1 else _predict(y, before)
             rhs = h * p if grad is None else h * p + 0.5 * h * h * grad
             bound = _CHORD_TOL * np.maximum.reduce(np.abs(rhs), axis=-1)
             jac_t = jac.swapaxes(-1, -2)
@@ -501,7 +517,7 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
                 residual = np.vecmat(chord, jac) + move - rhs
                 if update:
                     size = np.maximum.reduce(np.abs(residual), axis=-1)
-                    above = size > bound  # a NaN row is not above: the finiteness check names it
+                    above = size > bound  # a NaN row is not above: the node check names it
                     if not pending(above):
                         break
                     if update >= 2:  # a row that two updates left above the bound may be at round-off
@@ -519,35 +535,47 @@ def _chord(hamiltonian, y, p, h, n_steps, energies, failure):
             p = (np.vecmat(chord, jac_q) + move) / h
             before = [*before[-3:], y]
             y, out, jac = q, out_q, jac_q
-        try:
-            g = field._geometry(y, jac)
-        except ValueError:  # a y that drifted to inf or NaN fails as step k, as the finiteness check would
-            lost = ~np.isfinite(y).all(axis=-1)
-            if not lost.any():
-                raise
-            if k and not stacked:  # solve1 NaN-fills the solve of a finite, singular matrix
-                if np.isfinite(matrix).all() and np.isnan(solve1(matrix, np.zeros(y.shape))).any():
-                    raise failure(k, _SINGULAR) from None
-            elif k:
-                # the rows that updated on rebuilt a lost row's matrix from its NaN Jacobian, so each lost
-                # row reruns alone, bit-equal to its row here, and its own run names a singular matrix
-                for row in zip(*np.nonzero(lost)):
-                    try:
-                        for _ in _chord(hamiltonian, y0[row], p0[row], h, k, False, failure):
-                            pass
-                    except IntegrationError as error:
-                        if str(error).startswith(_SINGULAR):
-                            raise failure(k, _SINGULAR) from None
-            raise failure(k) from None
         if force is not None:
+            if not np.logical_and.reduce(np.isfinite(y), axis=None):
+                yield y, p, jac, out, matrix
+                return
             grad = force(y)
             if k:
                 p = p + 0.5 * h * grad
-        if not energies:
-            yield y, p, None
-        else:
-            energy = _kinetic(g, p)
-            yield y, p, energy if force is None else energy - hamiltonian._potential(out)
+        yield y, p, jac, out, matrix
+
+
+def _node_error(hamiltonian, k: int, node: tuple, start: tuple, h: float, failure) -> ValueError:
+    """The error of chord node k, (y, p, J, f, Newton matrix), that failed the node check: that check on it alone.
+
+    A G that fails at a finite y raises ``_geometry``'s error.  A y that
+    drifted to inf or NaN fails as step k: a single point names a singular
+    Newton matrix from the step's last matrix, and a stack reruns each lost
+    row alone from ``start``, bit-equal to its row, whose own run names it
+    (the rows that update on rebuild a lost row's matrix from its NaN).
+    Any other node is a non-finite state or energy.
+    """
+    y, _, jac, _, matrix = node
+    try:
+        hamiltonian.metric_field._geometry(y, jac)
+    except ValueError:
+        lost = ~np.isfinite(y).all(axis=-1)
+        if not lost.any():
+            raise
+        if k and y.ndim == 1:  # solve1 NaN-fills the solve of a finite, singular matrix
+            if np.isfinite(matrix).all() and np.isnan(solve1(matrix, np.zeros(y.shape))).any():
+                return failure(k, _SINGULAR)
+        elif k:
+            for row in zip(*np.nonzero(lost)):
+                try:
+                    _leapfrog(hamiltonian, start[0][row], start[1][row], h, k, energies=False)
+                except IntegrationError as error:
+                    if str(error).startswith(_SINGULAR):
+                        return failure(k, _SINGULAR)
+    return failure(k)
+
+
+_CHECK_BLOCK = 64  # chord nodes checked as one stack; a 32-step run is one block
 
 
 def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int, energies: bool = True):
@@ -555,21 +583,56 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
 
     Returns the node rows of y and p, shape (n+1, ..., d), and of H,
     shape (n+1, ...), or None for H when ``energies`` is false.  All are
-    views of one buffer whose rows are checked finite a node at a time.
+    views of one buffer.  The staged step's rows are checked finite a node
+    at a time.  The chord step's nodes are checked as one stack per block
+    of ``_CHECK_BLOCK`` nodes and at the end of the run: one G, one Cholesky
+    factorisation, one finiteness test of the factors and rows, and one
+    energy solve.  The first node that fails, in node order, raises the
+    error the check of that node alone raises (``_node_error``), at most
+    ``_CHECK_BLOCK`` - 1 steps after it was made.  An error raised while
+    stepping, a Newton solve's or a task cost's, first has the held nodes
+    checked, so an earlier bad node still wins.
     """
     if not is_count(n_steps, 1):
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     if not (real(h) != 0.0 and math.isfinite(real(h))):
         raise ValueError(f"step size must be finite and non-zero, got {h!r}")
     n_steps, h = int(n_steps), real(h)
-    steps = staged if getattr(hamiltonian, "metric_field", None) is None else _chord
     d = y.shape[-1]
     try:
         nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
     except (ValueError, MemoryError):  # numpy refuses the buffer's size
         raise ValueError(f"n_steps {n_steps} needs a node buffer too large to allocate") from None
+    start, held, checked = (y, p), [], 0  # the chord nodes from ``checked`` on, not yet checked
+
+    def check() -> None:
+        """Check the held chord nodes as one stack; raise the first failing node's error."""
+        nonlocal checked
+        if not held:
+            return
+        n = len(held)
+        # np.array stacks a short list of small arrays several times faster than np.stack
+        ys, ps, jacs, outs, _ = zip(*held)
+        block = nodes[checked : checked + n]
+        block[..., :d], block[..., d : 2 * d] = np.array(ys), np.array(ps)
+        g = hamiltonian.metric_field._product(block[..., :d], np.array(jacs))
+        if energies:
+            block[..., -1] = _kinetic(g, block[..., d : 2 * d])
+            if hamiltonian._force is not None:  # the potential is taken at a finite y only
+                scored = np.logical_and.reduce(np.isfinite(block[..., :d]).reshape(n, -1), axis=1)
+                block[scored, ..., -1] -= hamiltonian._potential(np.array(outs)[scored])
+        finite = np.isfinite(np.concatenate([cholesky_lo(g).reshape(n, -1), block.reshape(n, -1)], axis=1))
+        k, checked = checked, checked + n
+        if np.logical_and.reduce(finite, axis=None):
+            held.clear()
+            return
+        first = int(np.argmin(np.logical_and.reduce(finite, axis=1)))  # the first node that failed
+        node = held[first]
+        held.clear()  # failure, which the error's helper calls, has nothing left to check
+        raise _node_error(hamiltonian, k + first, node, start, h, failure)
 
     def failure(k: int, cause: str = "non-finite state or energy") -> IntegrationError:
+        check()  # the held nodes are those before step k, and the first of them to fail wins
         message = f"{cause} at step {k}"
         if k == 0:
             return IntegrationError(message, 0)
@@ -577,15 +640,26 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
         drift = float(np.max(np.abs(nodes[:k, ..., -1] - nodes[0, ..., -1]))) if energies else None
         return IntegrationError(message, k, last[..., :d], last[..., d : 2 * d], drift)
 
-    # overflow needs no warning: the finiteness check turns it into IntegrationError
+    # overflow needs no warning: the node checks turn it into IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (y, p, energy) in enumerate(steps(hamiltonian, y, p, h, n_steps, energies, failure)):
-            row = nodes[k]
-            row[..., :d], row[..., d : 2 * d] = y, p
-            if energies:
-                row[..., -1] = energy
-            if not np.logical_and.reduce(np.isfinite(row), axis=None):
-                raise failure(k)
+        if getattr(hamiltonian, "metric_field", None) is None:
+            for k, (y, p, energy) in enumerate(staged(hamiltonian, y, p, h, n_steps, energies, failure)):
+                row = nodes[k]
+                row[..., :d], row[..., d : 2 * d] = y, p
+                if energies:
+                    row[..., -1] = energy
+                if not np.logical_and.reduce(np.isfinite(row), axis=None):
+                    raise failure(k)
+        else:
+            try:
+                for node in _chord(hamiltonian, y, p, h, n_steps, failure):
+                    held.append(node)
+                    if len(held) == _CHECK_BLOCK:
+                        check()
+            except Exception:  # a task cost's, say, at a step after a node that fails its check
+                check()
+                raise
+            check()
     return nodes[..., :d], nodes[..., d : 2 * d], nodes[..., -1] if energies else None
 
 

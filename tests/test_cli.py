@@ -1,10 +1,12 @@
 """Tests for the command-line front end."""
 
 import hashlib
+import json
 import math
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -694,6 +696,91 @@ class TestGoldenOutputs:
     def test_plan_stdout(self, capsys):
         assert cli.main(["plan", str(FIXTURES / "triangle.graph"), "0", "2"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_PLAN_STDOUT
+
+
+def _other_interpreters() -> list[str]:
+    """Every CPython >= 3.11 on PATH that starts and is not this interpreter's version, one per version."""
+    found = {}
+    for folder in os.environ.get("PATH", "").split(os.pathsep):
+        for exe in sorted(Path(folder or ".").glob("python3.[0-9]*")):
+            if not re.fullmatch(r"python3\.\d+", exe.name) or int(exe.name[8:]) < 11:
+                continue
+            try:
+                run = subprocess.run(
+                    [str(exe), "-c", "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3])"],
+                    capture_output=True, text=True, timeout=30,
+                )
+            except (OSError, subprocess.TimeoutExpired):  # a broken link or shim does not start
+                continue
+            if run.returncode != 0:
+                continue
+            name, *version = run.stdout.split()
+            version = tuple(map(int, version))
+            if name == "CPython" and version != sys.version_info[:3]:
+                found.setdefault(version, str(exe))
+    return list(found.values())
+
+
+def test_golden_outputs_under_every_other_interpreter(tmp_path):
+    # a summation order once differed on 3.12 only: each other CPython on PATH runs the golden commands in a
+    # fresh process, which needs no numpy, and must write the same bytes
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.11 on PATH starts")
+    commands = [argv for argv, _ in GOLDEN] + [["phase", "--seed", "3"], ["plan", str(FIXTURES / "triangle.graph"), "0", "2"]]
+    code = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "from pathlib import Path\n"
+        "from maniflow import cli\n"
+        "digests = []\n"
+        f"for k, argv in enumerate({commands!r}):\n"
+        f"    out = Path({str(tmp_path)!r}) / sys.argv[1] / str(k)\n"
+        "    stdout = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(stdout):\n"
+        "        assert cli.main(argv if argv[0] == 'plan' else argv + ['--out', str(out)]) == 0, argv\n"
+        "    lines = ''.join(line for line in stdout.getvalue().splitlines(True) if not line.startswith('wrote '))\n"
+        "    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob('*')}\n"
+        "    digests.append([files, hashlib.sha256(lines.encode()).hexdigest()])\n"
+        "print(json.dumps(digests))\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    for k, exe in enumerate(interpreters):
+        run = subprocess.run([exe, "-c", code, str(k)], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert run.returncode == 0, (exe, run.stderr)
+        digests = json.loads(run.stdout)
+        assert [files for files, _ in digests[: len(GOLDEN)]] == [files for _, files in GOLDEN], exe
+        assert digests[-2][1] == GOLDEN_PHASE_SEED3_STDOUT and digests[-1][1] == GOLDEN_PLAN_STDOUT, exe
+
+
+def _run_capped(argv: list, cap: int) -> subprocess.CompletedProcess:
+    """``maniflow`` argv in a child process whose address space the child caps at ``cap`` bytes on itself."""
+    src = str(Path(cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "maniflow.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_phase_refuses_steps_past_its_node_budget(tmp_path):
+    # 150 portraits of 10^8 + 1 nodes each: the command used to fill memory until a MemoryError traceback
+    # (exit 1); it now refuses before it allocates, within a 1 GB address space
+    run = _run_capped(["phase", "--steps", "100000000", "--out", str(tmp_path / "out")], 1 << 30)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == (
+        "error: argument --steps: 150 portraits of 100000001 nodes each pass the budget of 3000000 nodes; "
+        "at most 19999 steps\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_phase_steps_budget_is_the_stated_rule(tmp_path, capsys):
+    assert cli.main(["phase", "--steps", "20000", "--out", str(tmp_path / "a")]) == 2
+    assert "--steps" in capsys.readouterr().err
+    # with --input, --steps is not read
+    assert cli.main(["phase", "--input", str(FIXTURES / "distributions.txt"), "--steps", "20000",
+                     "--out", str(tmp_path / "b")]) == 0
 
 
 def test_table3_takes_constant_memory(tmp_path, capsys):

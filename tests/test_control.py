@@ -187,14 +187,14 @@ class TestNdmLayer:
         # gradient one pass over its stencil
         dec = manifold.Decoder.mlp_tanh([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
         field = manifold.MetricField(dec)
-        shapes, nodes = [], []
-        forward, geometry = dec._forward, field._geometry  # the unchecked pass and the node check
+        shapes, products = [], []
+        forward, product = dec._forward, field._product  # the unchecked pass and G
         dec._forward = lambda y: shapes.append(np.shape(y)) or forward(y)
-        field._geometry = lambda y, jac: nodes.append(np.shape(y)) or geometry(y, jac)
+        field._product = lambda y, jac: products.append(np.shape(y)) or product(y, jac)
         pt = manifold.PhasePoint(np.array([0.2, -0.1]), np.array([0.3, 0.4]))
         control.ndm_layer(field, quad_cost(), pt, 0.1)
         assert shapes == [(2,), (4, 2)] + [(2,)] * 3 + [(4, 2)]
-        assert nodes == [(2,)] * 2  # at y and at the step's end
+        assert products == [(2,), (2, 2)]  # at y for the step's start, then both nodes' as one checked stack
 
     def test_stack_of_layers_runs(self):
         mf = identity_field()

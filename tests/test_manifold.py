@@ -513,9 +513,10 @@ class TestGufuncRoute:
         assert np.isfinite(control.optimal_control(mf, pt.y, pt.p)).all()
         assert np.isfinite(ham(pt.y, pt.p))
 
-    @pytest.mark.parametrize("n_steps", [1, 6])
+    @pytest.mark.parametrize("n_steps", [1, 6, 150])
     def test_one_factorisation_checks_each_node(self, monkeypatch, n_steps):
-        # a node's finite Cholesky factor is its one check on the success path: G is not also tested finite
+        # a node's finite Cholesky factor is its one check on the success path: G is not also tested finite.
+        # The nodes are factorised as one stack per block of _CHECK_BLOCK, so 151 nodes take 3 calls
         calls = {"cholesky_lo": 0, "_metric": 0}
 
         def counted(name, fn):
@@ -529,7 +530,7 @@ class TestGufuncRoute:
         monkeypatch.setattr(manifold.MetricField, "_metric", counted("_metric", manifold.MetricField._metric))
         ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
         manifold.integrate(ham, manifold.PhasePoint([0.1, -0.2], [0.3, 0.4]), 0.1, n_steps)
-        assert calls == {"cholesky_lo": n_steps + 1, "_metric": 0}
+        assert calls == {"cholesky_lo": -(-(n_steps + 1) // manifold._CHECK_BLOCK), "_metric": 0}
 
     def test_infinite_metric_on_the_chord_path_is_not_called_singular(self):
         # G = diag(inf, 1) has the factor diag(inf, 1), which holds no NaN: only a test of the factor's
@@ -1308,28 +1309,30 @@ class TestStackContract:
     def test_geometry_is_derived_once_per_node(self):
         # one decoder pass at the start and one at each Newton iterate, the last of which ends the step:
         # at h = 0.1 every step of this run takes two updates to meet the bound, so 3 passes.  G is formed
-        # and checked once per node
+        # at the start for step 1's start, and once for each node as one stack per block of nodes, which
+        # checks it; no G is checked alone
         dec = near_identity_decoder()
         field = manifold.MetricField(dec)
-        shapes, nodes, contractions = [], [], []
-        forward, geometry, curvature = dec._forward, field._geometry, dec._curvature  # the passes and the node check
+        shapes, products, nodes, contractions = [], [], [], []
+        forward, product, geometry, curvature = dec._forward, field._product, field._geometry, dec._curvature
         dec._forward = lambda y: shapes.append(np.shape(y)) or forward(y)
+        field._product = lambda y, jac: products.append(np.shape(y)) or product(y, jac)
         field._geometry = lambda y, jac: nodes.append(np.shape(y)) or geometry(y, jac)
         dec._curvature = lambda y, c: contractions.append((np.shape(y), np.shape(c))) or curvature(y, c)
         ham = manifold.GeodesicHamiltonian(field)
         pt = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
         for n in (1, 2, 7):
-            shapes.clear(), nodes.clear()
+            shapes.clear(), products.clear()
             traj = manifold.integrate(ham, pt, 0.1, n)
-            assert shapes == [(2,)] * (1 + 3 * n) and nodes == [(2,)] * (n + 1)
-        shapes.clear(), nodes.clear()
+            assert shapes == [(2,)] * (1 + 3 * n) and products == [(2,), (n + 1, 2)]
+        shapes.clear(), products.clear()
         manifold.jacobi_propagate(ham, traj, np.ones(4))
         # the exact tangents re-run no step: one pass over the 8 recorded nodes, and one contraction there
         # against each node's two chords (as a step's start and as its end); no node is checked again
-        assert shapes == [(8, 2)] and nodes == [] and contractions == [((8, 2), (2, 8, 3))]
-        shapes.clear(), nodes.clear()
+        assert shapes == [(8, 2)] and products == [(8, 2)] and contractions == [((8, 2), (2, 8, 3))]
+        shapes.clear(), products.clear()
         manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 7)
-        assert shapes == [(2, 2)] * 22 and nodes == [(2, 2)] * 8
+        assert shapes == [(2, 2)] * 22 and products == [(2, 2), (8, 2, 2)] and nodes == []
 
     @pytest.mark.parametrize("h, scale", [(0.1, 1e-4), (1e-3, 1e-2), (1e-4, 1e-8)])
     def test_short_step_stops_at_round_off(self, h, scale):
@@ -1532,3 +1535,83 @@ class TestFailureState:
                 manifold.solve_shooting(mf, y_a, y_b, n_steps=8, tol=0.0)
         assert np.linalg.norm(shot_end(mf, y_a, info.value.p, 8) - y_b) <= 1e-8
         np.testing.assert_allclose(info.value.p, manifold.solve_shooting(mf, y_a, y_b, n_steps=8), rtol=1e-8)
+
+
+class TestBlockCheck:
+    """The chord step checks its nodes a block at a time; each error, with its step, state and drift, is the
+    one the node-by-node check raised, whose values the expected ones below are."""
+
+    @staticmethod
+    def saturating_run(n_steps, passes=None, rows=((1.0, 0.3),)):
+        """integrate from (0, 0) at h = 1 on a 2 -> 3 tanh decoder with eps_reg = 0: at p = (1, 0.3), step 4's
+        Newton matrix is singular; ``passes`` collects one entry per decoder pass."""
+        rng = np.random.default_rng(2)
+        w1 = np.vstack([np.eye(2), np.zeros((1, 2))]) + rng.normal(size=(3, 2))
+        w2 = np.eye(3) + rng.normal(size=(3, 3))
+        dec = manifold.Decoder.mlp_tanh([w1, w2], [0.1 * rng.normal(size=3), np.zeros(3)])
+        if passes is not None:
+            forward = dec._forward
+            dec._forward = lambda y: passes.append(np.shape(y)) or forward(y)
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(dec, eps_reg=0.0))
+        p = np.array(rows) if len(rows) > 1 else np.array(rows[0])
+        with pytest.raises(manifold.IntegrationError) as info:
+            manifold.integrate(ham, manifold.PhasePoint(np.zeros(p.shape), p), 1.0, n_steps)
+        return info.value
+
+    def test_long_run_reports_an_early_failure_within_a_block(self):
+        # 10,000 steps asked for: the run stops at the block that holds step 4's lost node, so it makes no
+        # more decoder passes than a run of 4 + _CHECK_BLOCK steps, which raises the same error
+        passes, bound = [], []
+        err = self.saturating_run(10_000, passes)
+        assert (type(err), str(err), err.step) == (
+            manifold.IntegrationError, "singular Newton matrix J0^T J1 + eps_reg I at step 4", 4
+        )
+        np.testing.assert_array_equal(err.y, [0.990545154507049, -0.5453078956465572])
+        np.testing.assert_array_equal(err.p, [0.3072484238931239, 0.05639702158788998])
+        assert err.drift == 0.00041664106911987187
+        short = self.saturating_run(4 + manifold._CHECK_BLOCK, bound)
+        assert (str(short), short.step, short.drift) == (str(err), err.step, err.drift)
+        assert len(passes) <= len(bound)
+
+    def test_stacked_run_names_its_bad_rows_error(self):
+        # row 0 runs on; row 1 is the single run above, whose lost node the stack's rerun names
+        err = self.saturating_run(500, rows=((1e-3, 3e-4), (1.0, 0.3)))
+        assert (str(err), err.step) == ("singular Newton matrix J0^T J1 + eps_reg I at step 4", 4)
+        np.testing.assert_array_equal(
+            err.y, [[7.085623165697521e-04, -4.217054195198282e-04], [0.990545154507049, -0.5453078956465572]]
+        )
+        np.testing.assert_array_equal(
+            err.p, [[1.0000745813704174e-03, 3.0004195886459587e-04], [0.3072484238931239, 0.05639702158788998]]
+        )
+        assert err.drift == 0.00041664106911987187
+
+    def test_task_cost_sees_no_output_of_a_non_finite_y(self):
+        # with a linear decoder G stays finite at y = inf: step 1 leaves the float range, and the node check
+        # used to take the potential's gradient and value there first
+        finite = []
+
+        def cost(z):
+            finite.append(bool(np.isfinite(z).all()))
+            return 0.5 * float(z @ z)
+
+        ham = control.ReducedHamiltonian(manifold.MetricField(manifold.Decoder.linear(np.eye(2))), control.CostSpec(cost))
+        with pytest.raises(manifold.IntegrationError, match="^non-finite state or energy at step 1$") as info:
+            manifold.integrate(ham, manifold.PhasePoint([0.0, 0.0], [1e150, 0.0]), 1e160, 100)
+        err = info.value
+        assert (err.step, err.drift) == (1, 0.0)
+        np.testing.assert_array_equal(err.y, [0.0, 0.0])
+        np.testing.assert_array_equal(err.p, [1e150, 0.0])
+        assert finite and all(finite)
+
+    def test_task_cost_error_past_a_bad_node_gives_way_to_the_node(self):
+        # node 0's energy overflows, and step 1 lands at y = 1e308, whose stencil step is inf: a cost that
+        # raises there would have hidden node 0's error, which the node-by-node check raised before step 1
+        def cost(z):
+            if not np.isfinite(z).all():
+                raise ValueError("task cost of a non-finite output")
+            return 0.5 * float(z @ z)
+
+        ham = control.ReducedHamiltonian(manifold.MetricField(manifold.Decoder.linear(np.eye(2))), control.CostSpec(cost))
+        with pytest.raises(manifold.IntegrationError, match="^non-finite state or energy at step 0$") as info:
+            manifold.integrate(ham, manifold.PhasePoint([0.0, 0.0], [1e300, 0.0]), 1e8, 100)
+        assert (info.value.step, info.value.y, info.value.p, info.value.drift) == (0, None, None, None)

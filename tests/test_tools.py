@@ -115,11 +115,24 @@ def test_metric_verdicts(parent, change, better, state):
     assert pairs.verdict(parent, change, better, 0.25)["verdict"] == state
 
 
+def test_trace_summary_sets_each_layer_side_by_side():
+    parent = {"manifold.integrate.busy_ms": 2.0, "control.ndm_layer.busy_ms": 1.5, "spins.micro_step.calls": 0.0}
+    change = {"manifold.integrate.busy_ms": 1.5, "control.ndm_layer.busy_ms": 1.5, "spins.micro_step.calls": 0.0}
+    summary = pairs.trace_summary(parent, change)
+    assert summary["manifold.integrate.busy_ms"] == {"parent": 2.0, "change": 1.5, "relative_change": -0.25}
+    assert summary["control.ndm_layer.busy_ms"]["relative_change"] == 0.0
+    assert summary["spins.micro_step.calls"]["relative_change"] is None  # a layer the workload never calls
+
+
 def test_report_states_the_claimed_workloads_verdict(monkeypatch, tmp_path):
     # the claim's verdict used to be read from the last workload run, whichever was claimed
     speed = {("geodesic", "parent"): 100.0, ("geodesic", "change"): 120.0}
+    traced = []
 
-    def run_once(tree, workload, seed, seconds):
+    def run_once(tree, workload, seed, seconds, trace=0):
+        if trace:
+            traced.append((tree.name, workload, seed))
+            return {"metrics": {"manifold.integrate.busy_ms": 2.0 if tree.name == "parent" else 1.0}, "failed": 0}
         value = speed.get((workload, tree.name), 50.0) + seed % 3
         metrics = {m: value for m in ("setup_s", "throughput_ops_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")}
         return {"metrics": {**metrics, "ok_ratio": 1.0}, "attempted": 10, "failed": 0,
@@ -135,3 +148,8 @@ def test_report_states_the_claimed_workloads_verdict(monkeypatch, tmp_path):
     assert report["claim_verdict"] == report["summary"]["geodesic"]["throughput_ops_s"]
     assert report["claim_verdict"]["claim_met"] is True
     assert report["command"].startswith("python3 perfbench/run.py --workload W --seed S --seconds 20 ")
+    # one traced run of the claimed workload on each tree, after the pairs
+    assert traced == [("parent", "geodesic", 1), ("change", "geodesic", 1)]
+    assert report["trace"]["per_layer"] == {
+        "manifold.integrate.busy_ms": {"parent": 2.0, "change": 1.0, "relative_change": -0.5}
+    }

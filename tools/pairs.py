@@ -13,7 +13,11 @@ unchanged ``perfbench/run.py --workload W --seed SEED0+k --seconds S
 for even k and the change first for odd k, one run at a time, with
 PYTHONDONTWRITEBYTECODE=1.  Then it fingerprints both trees
 (``tools/fingerprint.py``) and writes every run, a summary per workload
-and end-to-end metric, and the verdict on the claimed metric.
+and end-to-end metric, and the verdict on the claimed metric.  With
+``--claim W:M`` it then runs W once more on each tree with ``--trace 1``
+at seed SEED0, and writes both trees' per-layer metrics side by side
+under ``trace`` (``trace_summary``), so the file shows which layers a
+saving sits in.
 
 The rule (``verdict``): a claim is met when the change is better in at
 least 9/10 of the pairs, ties counting for neither side, its median is
@@ -81,6 +85,18 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
     }
 
 
+def trace_summary(parent: dict[str, float], change: dict[str, float]) -> dict:
+    """Each per-layer metric of the two traced runs: both values and the change relative to the parent's."""
+    return {
+        name: {
+            "parent": value,
+            "change": change[name],
+            "relative_change": (change[name] - value) / value if value else None,
+        }
+        for name, value in parent.items()
+    }
+
+
 def git_output(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
@@ -100,12 +116,14 @@ def build_trees(ref: str, work: Path) -> dict[str, Path]:
     return trees
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run: its end-to-end metrics, or its per-layer ones with ``trace`` 1."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    run = subprocess.run(cmd + ["--trace", "0"], cwd=tree, env=env, capture_output=True, text=True, check=True)
+    run = subprocess.run(cmd + ["--trace", str(trace)], cwd=tree, env=env, capture_output=True, text=True, check=True)
     result = json.loads(run.stdout.strip().splitlines()[-1])
-    details = json.loads((tree / ".perfbench_work" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
+    results = tree / ".perfbench_work" / "results"
+    details = json.loads((results / f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "attempted": result["attempted"],
@@ -164,6 +182,8 @@ def main(argv=None) -> int:
                     run = run_once(trees[side], w, seed, seconds)
                     runs[w].append({"seed": seed, "side": side, **run})
                     print(f"{w} seed {seed} {side}: {run['metrics']}", flush=True)
+        if args.claim:
+            traced = {side: run_once(tree, workload, args.seed0, seconds, trace=1) for side, tree in trees.items()}
         prints = {side: fingerprint(tree) for side, tree in trees.items()}
     environment = runs[workloads[0]][0]["environment"]
     report = {
@@ -182,6 +202,12 @@ def main(argv=None) -> int:
     if args.claim:
         report["claim"] = args.claim
         report["claim_verdict"] = report["summary"][workload][metric]
+        report["trace"] = {
+            "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed0} --seconds {seconds}"
+            " --trace 1, once on each tree after the pairs",
+            "failed": {side: run["failed"] for side, run in traced.items()},
+            "per_layer": trace_summary(traced["parent"]["metrics"], traced["change"]["metrics"]),
+        }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
