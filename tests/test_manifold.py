@@ -1542,8 +1542,8 @@ class TestBlockCheck:
     one the node-by-node check raised, whose values the expected ones below are."""
 
     @staticmethod
-    def saturating_run(n_steps, passes=None, rows=((1.0, 0.3),)):
-        """integrate from (0, 0) at h = 1 on a 2 -> 3 tanh decoder with eps_reg = 0: at p = (1, 0.3), step 4's
+    def saturating_run(p, n_steps, passes=None):
+        """integrate from y = 0 at h = 1 on a 2 -> 3 tanh decoder with eps_reg = 0: at p = (1, 0.3), step 4's
         Newton matrix is singular; ``passes`` collects one entry per decoder pass."""
         rng = np.random.default_rng(2)
         w1 = np.vstack([np.eye(2), np.zeros((1, 2))]) + rng.normal(size=(3, 2))
@@ -1553,7 +1553,7 @@ class TestBlockCheck:
             forward = dec._forward
             dec._forward = lambda y: passes.append(np.shape(y)) or forward(y)
         ham = manifold.GeodesicHamiltonian(manifold.MetricField(dec, eps_reg=0.0))
-        p = np.array(rows) if len(rows) > 1 else np.array(rows[0])
+        p = np.array(p)
         with pytest.raises(manifold.IntegrationError) as info:
             manifold.integrate(ham, manifold.PhasePoint(np.zeros(p.shape), p), 1.0, n_steps)
         return info.value
@@ -1562,20 +1562,20 @@ class TestBlockCheck:
         # 10,000 steps asked for: the run stops at the block that holds step 4's lost node, so it makes no
         # more decoder passes than a run of 4 + _CHECK_BLOCK steps, which raises the same error
         passes, bound = [], []
-        err = self.saturating_run(10_000, passes)
+        err = self.saturating_run([1.0, 0.3], 10_000, passes)
         assert (type(err), str(err), err.step) == (
             manifold.IntegrationError, "singular Newton matrix J0^T J1 + eps_reg I at step 4", 4
         )
         np.testing.assert_array_equal(err.y, [0.990545154507049, -0.5453078956465572])
         np.testing.assert_array_equal(err.p, [0.3072484238931239, 0.05639702158788998])
         assert err.drift == 0.00041664106911987187
-        short = self.saturating_run(4 + manifold._CHECK_BLOCK, bound)
+        short = self.saturating_run([1.0, 0.3], 4 + manifold._CHECK_BLOCK, bound)
         assert (str(short), short.step, short.drift) == (str(err), err.step, err.drift)
         assert len(passes) <= len(bound)
 
     def test_stacked_run_names_its_bad_rows_error(self):
         # row 0 runs on; row 1 is the single run above, whose lost node the stack's rerun names
-        err = self.saturating_run(500, rows=((1e-3, 3e-4), (1.0, 0.3)))
+        err = self.saturating_run([[1e-3, 3e-4], [1.0, 0.3]], 500)
         assert (str(err), err.step) == ("singular Newton matrix J0^T J1 + eps_reg I at step 4", 4)
         np.testing.assert_array_equal(
             err.y, [[7.085623165697521e-04, -4.217054195198282e-04], [0.990545154507049, -0.5453078956465572]]
