@@ -9,7 +9,8 @@ evaluated on decoded outputs z = decoder(y): a ``GeodesicHamiltonian``
 that subtracts the potential.  A candidate value function V is given by
 its analytic grad V and dV/dt alone, since those are all the residual
 dV/dt + H(y, grad V) reads; layer updates advance phase points by one
-chord step of the reduced Hamiltonian.
+chord step of the reduced Hamiltonian, each starting from the f, J and
+grad V that the layer before it ended on.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .manifold import (
     MetricField,
     PhasePoint,
     _central,
+    _leapfrog,
     _stencil,
-    leapfrog_step,
 )
 
 __all__ = [
@@ -44,7 +45,12 @@ __all__ = [
 
 @dataclass
 class CostSpec:
-    """Task cost on decoded outputs, the potential of the reduced Hamiltonian."""
+    """Task cost on decoded outputs, the potential of the reduced Hamiltonian.
+
+    ``task_cost`` is a function of z alone: the same callable gives the
+    same value at the same z.  ``ndm_layer`` relies on it, taking a
+    potential gradient from the layer before when the callable is the same.
+    """
 
     task_cost: Callable[[np.ndarray], float]
 
@@ -83,10 +89,22 @@ class ReducedHamiltonian(GeodesicHamiltonian):
         return np.array([self.cost.potential(row) for row in flat]).reshape(z.shape[:-1])
 
     def _force(self, y: np.ndarray) -> np.ndarray:
-        """Central differences of the potential at y (..., d), from one decoder pass over the stencil."""
+        """Central differences of the potential at y (..., d), from one decoder pass over the stencil.
+
+        The task cost scores finite outputs only: a stencil step past the
+        float range (|y| past its square root) raises ValueError naming y
+        before the pass, and so does a decoder output past it after the pass.
+        """
         points, step = _stencil(y)
-        values = self._potential(self.metric_field.decoder._forward(points)[0])
-        return _central(values[..., None], step)[..., 0, :]
+        if not np.logical_and.reduce(np.isfinite(step), axis=None):
+            raise ValueError(
+                f"potential gradient's stencil step at y={y.tolist()} overflows: "
+                "|y| is past the float range's square root"
+            )
+        z = self.metric_field.decoder._forward(points)[0]
+        if not np.logical_and.reduce(np.isfinite(z), axis=None):
+            raise ValueError(f"decoder output on the potential gradient's stencil at y={y.tolist()} is not finite")
+        return _central(self._potential(z)[..., None], step)[..., 0, :]
 
 
 def optimal_control(metric_field: MetricField, y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -115,10 +133,29 @@ def hjb_residual(
 
 
 def ndm_layer(metric_field: MetricField, cost: CostSpec, pt: PhasePoint, dt: float) -> PhasePoint:
-    """One chord step of the reduced Hamiltonian; dt must be positive."""
+    """One chord step of the reduced Hamiltonian; dt must be positive.
+
+    The point it returns carries its end node's f, J and potential gradient,
+    tagged with the decoder, its layers, the task cost and the bytes of its
+    y.  A layer from such a point starts from them, with no decoder pass and
+    no gradient at its start node, while the tags hold:
+    ``metric_field.decoder``, its ``layers`` and ``cost.task_cost`` are
+    those objects, and ``pt.y`` is that array with those bytes.  Any other
+    point (a fresh or rebuilt one, another field, decoder, layers or cost,
+    a y written in place) has them derived, to the same bits.
+    """
     if not real(dt) > 0:
         raise ValueError(f"layer step dt must be > 0, got {dt!r}")
-    return leapfrog_step(ReducedHamiltonian(metric_field, cost), pt, real(dt))
+    decoder, task_cost, jet = metric_field.decoder, cost.task_cost, pt._jet
+    tagged = jet is not None and (
+        jet[0] is decoder and jet[1] is decoder.layers and jet[2] is task_cost
+        and jet[3] is pt.y and jet[4] == pt.y.tobytes()
+    )
+    ham = ReducedHamiltonian(metric_field, cost)
+    ys, ps, _, end = _leapfrog(ham, pt.y, pt.p, real(dt), 1, energies=False, jet=jet[5:] if tagged else None)
+    out = PhasePoint(ys[1], ps[1])
+    out._jet = (decoder, decoder.layers, task_cost, out.y, out.y.tobytes(), *end)
+    return out
 
 
 def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np.ndarray) -> float:

@@ -38,7 +38,9 @@ plus h (V(q0) + V(q1)) / 2 for a potential V.  Newton solves
 J0^T (f1 - f0) + eps_reg (q1 - q0) = h p0 (+ h^2/2 grad V(q0)) for q1,
 with matrix J0^T J1 + eps_reg I; then
 p1 = [J1^T (f1 - f0) + eps_reg (q1 - q0)] / h (+ h/2 grad V(q1)), and
-the end point's (f, J) starts the next step.  Step 1 starts Newton at
+the end point's (f, J) starts the next step.  A run derives node 0's
+(f, J) and grad V, unless it is handed them: ``control.ndm_layer`` hands a
+layer those of the node the layer before ended on.  Step 1 starts Newton at
 q0 + h G(q0)^{-1} p0, steps 2 to 4 at the polynomial through their 2 to
 4 nodes, and later steps at the quartic through the last five,
 5 (q0 - q_-3) + 10 (q_-2 - q_-1) + q_-4 (Hairer, Lubich & Wanner,
@@ -101,13 +103,16 @@ rows ``ys`` and ``ps``, (n+1, d) for one point, and ``energies``.
 
 A decoder is its (w, b) layers, each checked by one rule in ``Decoder``:
 a matrix taking the previous layer's output width, a matching bias, both
-finite (an int past the float range is not).
+finite (an int past the float range is not).  It keeps read-only copies of
+them in a tuple, so a decoder whose ``layers`` is still that tuple is still
+one map f, which is what lets ``ndm_layer`` tag the f and J it carries
+with the decoder and its layers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
 
@@ -192,15 +197,19 @@ class Decoder:
     """Latent-to-ambient map of (w, b) layers, a tanh between consecutive ones; exact derivatives from ``_forward``.
 
     ``linear`` and ``mlp_tanh`` build it from their own arguments;
-    ``latent_dim`` and ``ambient_dim`` follow from ``layers``.
+    ``latent_dim`` and ``ambient_dim`` follow from ``layers``.  ``layers``
+    is a tuple of read-only copies of the checked arrays, so a write to the
+    caller's arrays leaves the decoder as it was checked, a write to its own
+    raises, and while ``layers`` is that tuple the decoder is one map f.
     """
 
     def __init__(self, layers: Iterable[tuple[np.ndarray, np.ndarray]]):
-        self.layers = []
+        checked = []
         for w, b in layers:
-            self.layers.append(_check_layer(self.layers, w, b))
-        if not self.layers:
+            checked.append(_check_layer(checked, w, b))
+        if not checked:
             raise ValueError("decoder needs at least one layer")
+        self.layers = tuple(checked)
         d, n = self.latent_dim, self.ambient_dim
         if d < 1:
             raise ValueError("latent dimension must be >= 1")
@@ -281,8 +290,10 @@ class Decoder:
 
 
 def _check_layer(previous: list, w, b) -> tuple[np.ndarray, np.ndarray]:
-    """The layer after ``previous`` as float arrays (w, b); ValueError unless it fits them and is finite."""
-    w, b = floats(w), floats(b)
+    """The layer after ``previous`` as read-only float copies (w, b); ValueError unless it fits them and is finite."""
+    # order K keeps the caller's memory layout, and with it the kernels' bits
+    w, b = floats(w).copy(order="K"), floats(b).copy(order="K")
+    w.flags.writeable = b.flags.writeable = False
     if w.ndim != 2 or b.shape != (w.shape[0],):
         raise ValueError("each layer needs a matrix and a matching bias vector")
     if previous and w.shape[1] != previous[-1][0].shape[0]:
@@ -381,10 +392,17 @@ def pullback_metric(metric_field: MetricField, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PhasePoint:
-    """A latent position/momentum pair, or a stack of them: y and p of one shape (..., d)."""
+    """A latent position/momentum pair, or a stack of them: y and p of one shape (..., d).
+
+    ``_jet`` is set only on a point that ``control.ndm_layer`` returns, and
+    only ``ndm_layer`` reads it: (decoder, its layers, task cost, y, y's
+    bytes, f, J, grad V), the end node's f, J and potential gradient with
+    the tags they were taken under.
+    """
 
     y: np.ndarray
     p: np.ndarray
+    _jet: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y, p = (np.atleast_1d(floats(v)) for v in (self.y, self.p))
@@ -392,6 +410,10 @@ class PhasePoint:
             raise ValueError(f"y and p must have equal length and shape, got {y.shape} and {p.shape}")
         self.y = y
         self.p = p
+
+    def __getstate__(self) -> dict:
+        """y and p only: a copy or an unpickled point has no ``_jet``, whose task cost need not pickle."""
+        return {"y": self.y, "p": self.p}
 
 
 @dataclass
@@ -487,17 +509,19 @@ def _predict(y: np.ndarray, before: list) -> np.ndarray:
     return 5.0 * (y - before[-3]) + 10.0 * (before[-2] - before[-1]) + before[-4]
 
 
-def _chord(hamiltonian, y, p, h, n_steps, failure):
-    """Nodes (y, p, J, f, Newton matrix) of the chord step, unchecked (module docstring).
+def _chord(hamiltonian, y, p, h, n_steps, failure, jet=None):
+    """Nodes (y, p, J, f, Newton matrix, grad V) of the chord step, unchecked (module docstring).
 
-    The matrix is that of the step's last update, None at node 0.  A
-    potential's gradient is taken at a finite y only, so with a potential a
-    node whose y is not finite ends the run, and the node check names it.
+    The matrix is that of the step's last update, None at node 0, and grad V
+    is None without a potential.  ``jet``, if given, is (f, J, grad V) at
+    y, taken for node 0 in place of a decoder pass and a potential gradient.
+    A potential's gradient is taken at a finite y only, so with a potential
+    a node whose y is not finite ends the run, and the node check names it.
     """
     field, force, grad, matrix = hamiltonian.metric_field, hamiltonian._force, None, None
     forward, eps = field.decoder._forward, field.eps_reg
     reg = _scaled_eye(float(eps), y.shape[-1])
-    out, jac = forward(y)
+    out, jac = forward(y) if jet is None else jet[:2]
     before = []  # the (up to) four nodes before y, oldest first
     # whether any row is still above its bound: a single point's test is a numpy scalar, which bool
     # reads ~30x faster than .any() does; a stack's goes to the ufunc reduction .any() calls
@@ -537,16 +561,16 @@ def _chord(hamiltonian, y, p, h, n_steps, failure):
             y, out, jac = q, out_q, jac_q
         if force is not None:
             if not np.logical_and.reduce(np.isfinite(y), axis=None):
-                yield y, p, jac, out, matrix
+                yield y, p, jac, out, matrix, None
                 return
-            grad = force(y)
+            grad = force(y) if k or jet is None else jet[2]
             if k:
                 p = p + 0.5 * h * grad
-        yield y, p, jac, out, matrix
+        yield y, p, jac, out, matrix, grad
 
 
 def _node_error(hamiltonian, k: int, node: tuple, start: tuple, h: float, failure) -> ValueError:
-    """The error of chord node k, (y, p, J, f, Newton matrix), that failed the node check: that check on it alone.
+    """The error of chord node k, (y, p, J, f, Newton matrix, grad V), that failed the node check: its check alone.
 
     A G that fails at a finite y raises ``_geometry``'s error.  A y that
     drifted to inf or NaN fails as step k: a single point names a singular
@@ -555,7 +579,7 @@ def _node_error(hamiltonian, k: int, node: tuple, start: tuple, h: float, failur
     (the rows that update on rebuild a lost row's matrix from its NaN).
     Any other node is a non-finite state or energy.
     """
-    y, _, jac, _, matrix = node
+    y, _, jac, _, matrix, _ = node
     try:
         hamiltonian.metric_field._geometry(y, jac)
     except ValueError:
@@ -578,12 +602,14 @@ def _node_error(hamiltonian, k: int, node: tuple, start: tuple, h: float, failur
 _CHECK_BLOCK = 64  # chord nodes checked as one stack; a 32-step run is one block
 
 
-def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int, energies: bool = True):
+def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int, energies: bool = True, jet=None):
     """n_steps updates from (y, p) of shape (..., d): the chord step for a Hamiltonian with a metric field.
 
     Returns the node rows of y and p, shape (n+1, ..., d), and of H,
-    shape (n+1, ...), or None for H when ``energies`` is false.  All are
-    views of one buffer.  The staged step's rows are checked finite a node
+    shape (n+1, ...), or None for H when ``energies`` is false, all views
+    of one buffer, and the chord step's (f, J, grad V) at its last node, or
+    None for the staged step.  ``jet`` is the chord step's (f, J, grad V) at
+    y, if known (``_chord``).  The staged step's rows are checked finite a node
     at a time.  The chord step's nodes are checked as one stack per block
     of ``_CHECK_BLOCK`` nodes and at the end of the run: one G, one Cholesky
     factorisation, one finiteness test of the factors and rows, and one
@@ -612,7 +638,7 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
             return
         n = len(held)
         # np.array stacks a short list of small arrays several times faster than np.stack
-        ys, ps, jacs, outs, _ = zip(*held)
+        ys, ps, jacs, outs, _, _ = zip(*held)
         block = nodes[checked : checked + n]
         block[..., :d], block[..., d : 2 * d] = np.array(ys), np.array(ps)
         g = hamiltonian.metric_field._product(block[..., :d], np.array(jacs))
@@ -640,27 +666,34 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
         drift = float(np.max(np.abs(nodes[:k, ..., -1] - nodes[0, ..., -1]))) if energies else None
         return IntegrationError(message, k, last[..., :d], last[..., d : 2 * d], drift)
 
-    # overflow needs no warning: the node checks turn it into IntegrationError
-    with np.errstate(over="ignore", invalid="ignore"):
-        if getattr(hamiltonian, "metric_field", None) is None:
-            for k, (y, p, energy) in enumerate(staged(hamiltonian, y, p, h, n_steps, energies, failure)):
-                row = nodes[k]
-                row[..., :d], row[..., d : 2 * d] = y, p
-                if energies:
-                    row[..., -1] = energy
-                if not np.logical_and.reduce(np.isfinite(row), axis=None):
-                    raise failure(k)
-        else:
-            try:
-                for node in _chord(hamiltonian, y, p, h, n_steps, failure):
-                    held.append(node)
-                    if len(held) == _CHECK_BLOCK:
-                        check()
-            except Exception:  # a task cost's, say, at a step after a node that fails its check
+    # check and failure refer to each other; emptying both names at the end breaks that cycle, so the
+    # run's buffer and inputs go with their last reference and leave the cyclic collector nothing
+    try:
+        # overflow needs no warning: the node checks turn it into IntegrationError
+        with np.errstate(over="ignore", invalid="ignore"):
+            if getattr(hamiltonian, "metric_field", None) is None:
+                for k, (y, p, energy) in enumerate(staged(hamiltonian, y, p, h, n_steps, energies, failure)):
+                    row = nodes[k]
+                    row[..., :d], row[..., d : 2 * d] = y, p
+                    if energies:
+                        row[..., -1] = energy
+                    if not np.logical_and.reduce(np.isfinite(row), axis=None):
+                        raise failure(k)
+                end = None
+            else:
+                try:
+                    for node in _chord(hamiltonian, y, p, h, n_steps, failure, jet):
+                        held.append(node)
+                        if len(held) == _CHECK_BLOCK:
+                            check()
+                except Exception:  # a task cost's, say, at a step after a node that fails its check
+                    check()
+                    raise
                 check()
-                raise
-            check()
-    return nodes[..., :d], nodes[..., d : 2 * d], nodes[..., -1] if energies else None
+                end = node[3], node[2], node[5]
+    finally:
+        del check, failure
+    return nodes[..., :d], nodes[..., d : 2 * d], nodes[..., -1] if energies else None, end
 
 
 def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTrajectory:
@@ -671,13 +704,13 @@ def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTraj
     residual does not meet its bound within 30 updates, raises
     IntegrationError (module docstring).
     """
-    ys, ps, energies = _leapfrog(hamiltonian, pt0.y, pt0.p, h, n_steps)
+    ys, ps, energies, _ = _leapfrog(hamiltonian, pt0.y, pt0.p, h, n_steps)
     return PhaseTrajectory(step=real(h), ys=ys, ps=ps, energies=energies)
 
 
 def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
     """One step of size h (h may be negative): the one-step ``integrate``, without energies."""
-    ys, ps, _ = _leapfrog(hamiltonian, pt.y, pt.p, h, 1, energies=False)
+    ys, ps, _, _ = _leapfrog(hamiltonian, pt.y, pt.p, h, 1, energies=False)
     return PhasePoint(ys[1], ps[1])
 
 
@@ -851,7 +884,7 @@ def _stencil_tangents(hamiltonian, traj: PhaseTrajectory) -> np.ndarray:
     if not np.isfinite(step).all():
         node = int(np.argmin(np.isfinite(step).ravel()))
         raise ValueError(f"stencil step at node {node} overflows: |(y, p)| is past the float range's square root")
-    ys, ps, _ = _leapfrog(hamiltonian, zs[..., :d], zs[..., d:], traj.step, 1, energies=False)
+    ys, ps, _, _ = _leapfrog(hamiltonian, zs[..., :d], zs[..., d:], traj.step, 1, energies=False)
     return _central(np.concatenate([ys[1], ps[1]], axis=-1), step)
 
 
@@ -913,7 +946,7 @@ def empirical_deviations(hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: fl
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.stack([pt0.y, pt0.y + _DEVIATION_SHIFT * delta0[:d]])
         p = np.stack([pt0.p, pt0.p + _DEVIATION_SHIFT * delta0[d:]])
-        ys, ps, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
+        ys, ps, _, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
         out = np.concatenate([ys[:, 1] - ys[:, 0], ps[:, 1] - ps[:, 0]], axis=1) / _DEVIATION_SHIFT
     if not np.isfinite(out).all():
         raise ValueError("empirical deviations are not finite")

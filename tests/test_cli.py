@@ -698,26 +698,39 @@ class TestGoldenOutputs:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_PLAN_STDOUT
 
 
-def _other_interpreters() -> list[str]:
-    """Every CPython >= 3.11 on PATH that starts and is not this interpreter's version, one per version."""
+def _other_interpreters() -> list[tuple[str, dict]]:
+    """Every CPython >= 3.11 on PATH that starts and is not this interpreter's version, one per version.
+
+    Each is (executable, variables it starts with).  A pyenv shim (a
+    ``python3.N`` in a ``shims`` folder) starts the version pyenv selects,
+    if any, and is also tried with ``PYENV_VERSION`` set to each 3.N.*
+    installed in the ``versions`` folder beside it: a version that no
+    pyenv setting selects starts only so.
+    """
     found = {}
     for folder in os.environ.get("PATH", "").split(os.pathsep):
-        for exe in sorted(Path(folder or ".").glob("python3.[0-9]*")):
+        folder = Path(folder or ".")
+        for exe in sorted(folder.glob("python3.[0-9]*")):
             if not re.fullmatch(r"python3\.\d+", exe.name) or int(exe.name[8:]) < 11:
                 continue
-            try:
-                run = subprocess.run(
-                    [str(exe), "-c", "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3])"],
-                    capture_output=True, text=True, timeout=30,
-                )
-            except (OSError, subprocess.TimeoutExpired):  # a broken link or shim does not start
-                continue
-            if run.returncode != 0:
-                continue
-            name, *version = run.stdout.split()
-            version = tuple(map(int, version))
-            if name == "CPython" and version != sys.version_info[:3]:
-                found.setdefault(version, str(exe))
+            pinned = [{}]
+            if folder.name == "shims":
+                installed = sorted((folder.parent / "versions").glob(f"{exe.name[6:]}.*"))
+                pinned += [{"PYENV_VERSION": version.name} for version in installed]
+            for pin in pinned:
+                try:
+                    run = subprocess.run(
+                        [str(exe), "-c", "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3])"],
+                        env=dict(os.environ, **pin), capture_output=True, text=True, timeout=30,
+                    )
+                except (OSError, subprocess.TimeoutExpired):  # a broken link or shim does not start
+                    continue
+                if run.returncode != 0:
+                    continue
+                name, *version = run.stdout.split()
+                version = tuple(map(int, version))
+                if name == "CPython" and version != sys.version_info[:3]:
+                    found.setdefault(version, (str(exe), pin))
     return list(found.values())
 
 
@@ -744,12 +757,13 @@ def test_golden_outputs_under_every_other_interpreter(tmp_path):
         "print(json.dumps(digests))\n"
     )
     src = str(Path(cli.__file__).parents[1])
-    for k, exe in enumerate(interpreters):
-        run = subprocess.run([exe, "-c", code, str(k)], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
-        assert run.returncode == 0, (exe, run.stderr)
+    for k, (exe, pin) in enumerate(interpreters):
+        env = dict(os.environ, PYTHONPATH=src, **pin)
+        run = subprocess.run([exe, "-c", code, str(k)], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, (exe, pin, run.stderr)
         digests = json.loads(run.stdout)
-        assert [files for files, _ in digests[: len(GOLDEN)]] == [files for _, files in GOLDEN], exe
-        assert digests[-2][1] == GOLDEN_PHASE_SEED3_STDOUT and digests[-1][1] == GOLDEN_PLAN_STDOUT, exe
+        assert [files for files, _ in digests[: len(GOLDEN)]] == [files for _, files in GOLDEN], (exe, pin)
+        assert digests[-2][1] == GOLDEN_PHASE_SEED3_STDOUT and digests[-1][1] == GOLDEN_PLAN_STDOUT, (exe, pin)
 
 
 def _run_capped(argv: list, cap: int) -> subprocess.CompletedProcess:

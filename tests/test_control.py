@@ -1,6 +1,8 @@
 """Tests for optimal control, HJB residuals, and trajectory costs."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -196,6 +198,34 @@ class TestNdmLayer:
         assert shapes == [(2,), (4, 2)] + [(2,)] * 3 + [(4, 2)]
         assert products == [(2,), (2, 2)]  # at y for the step's start, then both nodes' as one checked stack
 
+    @pytest.mark.parametrize(
+        "weights, y, message",
+        [
+            # |y|^2 overflows at y = 1e308, so the stencil step GRAD_STEP (1 + |y|) is inf
+            (np.eye(2), [1e308, 0.0], r"^potential gradient's stencil step at y=\[1e\+308, 0\.0\] overflows: \|y\|"),
+            # a finite stencil whose outputs 1e300 y pass the float range
+            (
+                [[1e300, 0.0], [0.0, 1.0]], [1e9, 0.0],
+                r"^decoder output on the potential gradient's stencil at y=\[1000000000\.0, 0\.0\] is not finite$",
+            ),
+        ],
+        ids=["stencil-step", "decoder-output"],
+    )
+    def test_task_cost_scores_finite_outputs_only(self, weights, y, message):
+        # the potential's gradient used to score the non-finite outputs (y +- inf, or 1e300 y), 4 calls on
+        # non-finite z before the run failed
+        seen = []
+
+        def cost(z):
+            seen.append(z.copy())
+            return 0.5 * float(z @ z)
+
+        field = manifold.MetricField(manifold.Decoder.linear(weights))
+        pt = manifold.PhasePoint(np.array(y), np.array([1e154, 0.0]))
+        with pytest.raises(ValueError, match=message):
+            control.ndm_layer(field, control.CostSpec(cost), pt, 1e154)
+        assert all(np.isfinite(z).all() for z in seen)
+
     def test_stack_of_layers_runs(self):
         mf = identity_field()
         cost = quad_cost()
@@ -203,6 +233,101 @@ class TestNdmLayer:
         for _ in range(10):
             pt = control.ndm_layer(mf, cost, pt, 0.05)
         assert np.isfinite(pt.y).all() and np.isfinite(pt.p).all()
+
+
+def record_passes(decoder):
+    """The list of points that the decoder's unchecked pass ``_forward`` is given from now on."""
+    passes, forward = [], decoder._forward
+    decoder._forward = lambda y: passes.append(y.copy()) or forward(y)
+    return passes
+
+
+def layer_setup(seed=7):
+    """A tanh field R^2 -> R^3, its CostSpec, a start point, and the list of outputs its task cost scores."""
+    ham = TestNdmLayer.curved_reduced(np.random.default_rng(seed))
+    field, cost, scored = ham.metric_field, ham.cost, []
+    task_cost = cost.task_cost
+    cost.task_cost = lambda z: scored.append(z) or task_cost(z)
+    return field, cost, manifold.PhasePoint(np.array([0.2, -0.1]), np.array([0.3, 0.4])), scored
+
+
+def same_point(a, b):
+    return a.y.tobytes() == b.y.tobytes() and a.p.tobytes() == b.p.tobytes()
+
+
+class TestCarriedStart:
+    """A layer from a point that ndm_layer returned starts from that point's f, J and grad V."""
+
+    def test_rollout_takes_one_gradient_per_new_node(self):
+        field, cost, pt, scored = layer_setup()
+        for _ in range(8):
+            pt = control.ndm_layer(field, cost, pt, 0.1)
+        # 9 potential gradients, not 16, each at the 2d stencil points: 18d task-cost calls
+        assert len(scored) == 9 * 2 * 2
+
+    def test_rollout_is_bit_equal_to_fresh_layers(self):
+        field, cost, pt, _ = layer_setup()
+        chained = fresh = pt
+        for _ in range(8):
+            chained = control.ndm_layer(field, cost, chained, 0.1)
+            fresh = control.ndm_layer(field, cost, manifold.PhasePoint(fresh.y.copy(), fresh.p.copy()), 0.1)
+            assert same_point(chained, fresh)
+
+    def test_later_layer_makes_no_pass_at_its_start_node(self):
+        field, cost, pt, scored = layer_setup()
+        pt = control.ndm_layer(field, cost, pt, 0.1)
+        passes, scored[:] = record_passes(field.decoder), []
+        end = control.ndm_layer(field, cost, pt, 0.1)
+        assert not any(np.array_equal(y, pt.y) for y in passes)
+        # one stencil, the end node's; its rows are end.y +- step e_i
+        (stencil,) = [y for y in passes if y.shape == (4, 2)]
+        np.testing.assert_allclose(stencil.mean(axis=0), end.y, rtol=1e-15)
+        assert len(scored) == 2 * 2
+
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            "y-written", "y-reshaped", "another-cost-spec", "another-task-cost",
+            "another-decoder", "layers-reassigned", "another-field", "rebuilt-point",
+        ],
+    )
+    def test_stale_start_is_derived_afresh(self, stale):
+        field, cost, pt, _ = layer_setup()
+        pt = control.ndm_layer(field, cost, pt, 0.1)
+        other = manifold.Decoder.linear(np.eye(3, 2))
+        if stale == "y-written":
+            pt.y[0] += 0.01
+        elif stale == "y-reshaped":  # the same bytes as a one-row stack
+            pt.y, pt.p = pt.y.reshape(1, 2), pt.p.reshape(1, 2)
+        elif stale == "another-cost-spec":
+            cost = control.CostSpec(lambda z: float(z @ z))
+        elif stale == "another-task-cost":
+            cost.task_cost = lambda z: float(z @ z)
+        elif stale == "another-decoder":
+            field.decoder = other
+        elif stale == "layers-reassigned":  # the constructor's checks are bypassed, but f is another map
+            field.decoder.layers = (field.decoder.layers[0], (2.0 * np.eye(3), np.zeros(3)))
+        elif stale == "another-field":
+            field = manifold.MetricField(other)
+        else:
+            pt = manifold.PhasePoint(pt.y, pt.p)
+        passes = record_passes(field.decoder)
+        out = control.ndm_layer(field, cost, pt, 0.1)
+        # the start node's pass and both nodes' gradients
+        assert np.array_equal(passes[0], pt.y) and [y.shape[-2:] for y in passes].count((4, 2)) == 2
+        fresh = control.ndm_layer(field, cost, manifold.PhasePoint(pt.y.copy(), pt.p.copy()), 0.1)
+        assert same_point(out, fresh)
+
+    def test_carried_start_is_private_to_the_point(self):
+        field, cost, pt, _ = layer_setup()
+        end = control.ndm_layer(field, cost, pt, 0.1)
+        rebuilt = manifold.PhasePoint(end.y, end.p)
+        assert end._jet is not None and rebuilt._jet is None
+        assert rebuilt == end and repr(rebuilt) == repr(end)
+        # the task cost is a lambda, which does not pickle: a copy leaves the carried start behind
+        for copied in (pickle.loads(pickle.dumps(end)), copy.copy(end), copy.deepcopy(end)):
+            assert copied._jet is None and same_point(copied, end)
+            assert same_point(control.ndm_layer(field, cost, copied, 0.1), control.ndm_layer(field, cost, end, 0.1))
 
 
 class TestTrajectoryCost:

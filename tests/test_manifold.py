@@ -1,5 +1,6 @@
 """Tests for decoder geometry, leapfrog flows, shooting, and deviations."""
 
+import gc
 import math
 import re
 import warnings
@@ -213,6 +214,18 @@ class TestDecoder:
             with pytest.raises(AttributeError):
                 setattr(dec, name, 1)
         assert list(vars(dec)) == ["layers"]
+
+    def test_layers_are_read_only_copies(self):
+        # a decoder used to share the caller's float arrays: a later write to them changed f and got past the
+        # finiteness check made at construction
+        w, b = np.asfortranarray(np.eye(3, 2)), np.zeros(3)
+        dec = manifold.Decoder([(w, b)])
+        w[0, 0], b[1] = np.nan, np.inf
+        np.testing.assert_array_equal(dec([1.0, 2.0]), [1.0, 2.0, 0.0])
+        assert isinstance(dec.layers, tuple) and dec.layers[0][0].strides == w.strides  # the caller's layout
+        for array in (array for layer in dec.layers for array in layer):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     @given(layers=raw_layer_lists(), data=st.data())
     def test_builds_or_value_error(self, layers, data):
@@ -750,6 +763,35 @@ class TestLeapfrog:
         final = manifold.integrate(ham, pt, -0.05, 1).final()
         np.testing.assert_array_equal(step.y, final.y)
         np.testing.assert_array_equal(step.p, final.p)
+
+
+def test_runs_leave_no_reference_cycle():
+    # _leapfrog's check and failure closures used to refer to each other, so every run left an unreachable
+    # cycle holding its node buffer and inputs until the cyclic collector freed it
+    field = manifold.MetricField(near_identity_decoder())
+    ham = manifold.GeodesicHamiltonian(field)
+    cost = control.CostSpec(lambda z: 0.5 * float(z @ z))
+    reduced = control.ReducedHamiltonian(field, cost)
+    pt, delta = manifold.PhasePoint([0.2, -0.1], [0.3, 0.4]), np.array([1.0, 0.0, 0.0, 1.0])
+
+    def runs():
+        for hamiltonian in (ham, reduced, Oscillator()):
+            traj = manifold.integrate(hamiltonian, pt, 0.05, 8)
+            manifold.leapfrog_step(hamiltonian, pt, 0.05)
+            manifold.empirical_deviations(hamiltonian, pt, delta, 0.05, 8)
+            manifold.jacobi_propagate(hamiltonian, traj, delta)
+        layer = pt
+        for _ in range(3):
+            layer = control.ndm_layer(field, cost, layer, 0.05)
+
+    runs()  # first calls fill lazy imports and caches
+    gc.collect()
+    gc.disable()
+    try:
+        runs()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestShooting:
