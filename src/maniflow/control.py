@@ -161,7 +161,9 @@ def ndm_layer(metric_field: MetricField, cost: CostSpec, pt: PhasePoint, dt: flo
 def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np.ndarray) -> float:
     """Instantaneous cost u^T G(y) u / 2 + l_task; ValueError if it is NaN.
 
-    A control whose cost passes the float range costs +inf.
+    A control whose cost passes the float range costs +inf.  The task cost
+    scores a finite output only: a decoder output past the float range
+    raises ValueError naming y before the cost is called.
     """
     y = np.atleast_1d(floats(y))
     u = np.atleast_1d(floats(u))
@@ -169,6 +171,8 @@ def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np
     with np.errstate(over="ignore", invalid="ignore"):
         z, jac = metric_field.decoder._forward(y)
         kinetic = 0.5 * float(u @ metric_field._metric(y, jac) @ u)
+    if not np.isfinite(z).all():
+        raise ValueError(f"decoder output at y={y.tolist()} is not finite")
     value = kinetic + cost.potential(z)
     if math.isnan(value):
         raise ValueError("running cost is nan")

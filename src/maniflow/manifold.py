@@ -86,7 +86,15 @@ the recorded nodes, from one decoder pass, one curvature contraction and
 one stacked solve, with no step re-run (``_chord_tangents``).  Since it
 reads node k + 1 as the given field's step from node k, it checks the
 step's equation there and names a node that fails it, so a trajectory
-recorded under another field raises ValueError.
+recorded under another field raises ValueError.  ``empirical_deviations``,
+the finite-difference oracle, differences the run from pt0 and the run
+from pt0 + 1e-5 delta0.  ``integrate`` records a one-point chord run
+without a potential on its ``pt0``: the field, decoder, layers, eps_reg,
+h and n_steps, pt0's y and p, a weak reference to the trajectory, and a
+digest of y, p and the trajectory's rows.  While every tag holds, the
+oracle runs only the shifted point and takes its base rows from that
+trajectory; otherwise, and when the shifted run raises, it runs both
+points as one stack of two.
 
 Finite differences remain where no exact derivative is written: the
 tangent of the staged step and of the chord step with a potential
@@ -97,8 +105,8 @@ derivatives only.  One loop runs a point or a stack, kernel by kernel
 slice by slice, so each row is bit-equal to its single-point run:
 ``leapfrog_step`` is the one-step ``integrate`` without energies,
 ``jacobi_propagate``'s stencil route steps the 4d stencil points of all n
-nodes as one stack, and ``empirical_deviations`` runs its base and
-shifted points as a stack of two.  A ``PhaseTrajectory`` holds the node
+nodes as one stack, and ``empirical_deviations``' stack of two gives its
+base row the bits of ``integrate``'s run from the same point.  A ``PhaseTrajectory`` holds the node
 rows ``ys`` and ``ps``, (n+1, d) for one point, and ``energies``.
 
 A decoder is its (w, b) layers, each checked by one rule in ``Decoder``:
@@ -112,6 +120,7 @@ with the decoder and its layers.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
@@ -397,12 +406,16 @@ class PhasePoint:
     ``_jet`` is set only on a point that ``control.ndm_layer`` returns, and
     only ``ndm_layer`` reads it: (decoder, its layers, task cost, y, y's
     bytes, f, J, grad V), the end node's f, J and potential gradient with
-    the tags they were taken under.
+    the tags they were taken under.  ``_run`` is set only by ``integrate``
+    on a one-point start it runs by the chord step without a potential,
+    and only ``empirical_deviations`` reads it: the run's tags (``_run_record``)
+    and a weak reference to its trajectory, whose rows it does not copy.
     """
 
     y: np.ndarray
     p: np.ndarray
     _jet: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _run: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y, p = (np.atleast_1d(floats(v)) for v in (self.y, self.p))
@@ -412,7 +425,7 @@ class PhasePoint:
         self.p = p
 
     def __getstate__(self) -> dict:
-        """y and p only: a copy or an unpickled point has no ``_jet``, whose task cost need not pickle."""
+        """y and p only: a copy or an unpickled point has no ``_jet``, whose task cost need not pickle, or ``_run``."""
         return {"y": self.y, "p": self.p}
 
 
@@ -602,6 +615,15 @@ def _node_error(hamiltonian, k: int, node: tuple, start: tuple, h: float, failur
 _CHECK_BLOCK = 64  # chord nodes checked as one stack; a 32-step run is one block
 
 
+def _run_length(h: float, n_steps: int) -> tuple[float, int]:
+    """h and n_steps as a float and an int; ValueError unless n_steps is a count >= 1 and h finite and non-zero."""
+    if not is_count(n_steps, 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if not (real(h) != 0.0 and math.isfinite(real(h))):
+        raise ValueError(f"step size must be finite and non-zero, got {h!r}")
+    return real(h), int(n_steps)
+
+
 def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int, energies: bool = True, jet=None):
     """n_steps updates from (y, p) of shape (..., d): the chord step for a Hamiltonian with a metric field.
 
@@ -619,11 +641,7 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
     stepping, a Newton solve's or a task cost's, first has the held nodes
     checked, so an earlier bad node still wins.
     """
-    if not is_count(n_steps, 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    if not (real(h) != 0.0 and math.isfinite(real(h))):
-        raise ValueError(f"step size must be finite and non-zero, got {h!r}")
-    n_steps, h = int(n_steps), real(h)
+    h, n_steps = _run_length(h, n_steps)
     d = y.shape[-1]
     try:
         nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
@@ -702,10 +720,17 @@ def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTraj
     A stacked ``pt0`` (..., d) integrates every row at once.  h must be
     finite and non-zero; a non-finite state, or a chord step whose Newton
     residual does not meet its bound within 30 updates, raises
-    IntegrationError (module docstring).
+    IntegrationError (module docstring).  A run of one point (d,) by the
+    chord step without a potential is recorded on ``pt0`` (``_run_record``),
+    so that ``empirical_deviations`` from that point with the same h and
+    n_steps need not run it again; the record holds the trajectory weakly.
     """
+    h, n_steps = _run_length(h, n_steps)
     ys, ps, energies, _ = _leapfrog(hamiltonian, pt0.y, pt0.p, h, n_steps)
-    return PhaseTrajectory(step=real(h), ys=ys, ps=ps, energies=energies)
+    traj = PhaseTrajectory(step=h, ys=ys, ps=ps, energies=energies)
+    if pt0.y.ndim == 1 and getattr(hamiltonian, "metric_field", None) is not None and hamiltonian._force is None:
+        pt0._run = _run_record(hamiltonian.metric_field, pt0, h, n_steps, traj)
+    return traj
 
 
 def leapfrog_step(hamiltonian, pt: PhasePoint, h: float) -> PhasePoint:
@@ -933,21 +958,82 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
 _DEVIATION_SHIFT = 1e-5
 
 
+def _digest(*arrays: np.ndarray) -> int:
+    """A digest of the arrays' dtypes, shapes and bytes, which a write in place changes."""
+    return hash(tuple((a.dtype, a.shape, a.tobytes()) for a in arrays))
+
+
+def _run_record(field: MetricField, pt0: PhasePoint, h: float, n_steps: int, traj: PhaseTrajectory) -> tuple:
+    """The tags of ``integrate``'s run from pt0 and a weak reference to its trajectory, as ``PhasePoint._run``.
+
+    (field, decoder, its layers, eps_reg, h, n_steps, y, p, trajectory, ids
+    of its ys and ps, digest of y, p, ys and ps).  The ids are tags of
+    arrays the trajectory holds while it lives, and the digest covers
+    their bytes, so no row is copied and no run is kept alive.
+    """
+    decoder, y, p, ys, ps = field.decoder, pt0.y, pt0.p, traj.ys, traj.ps
+    tags = field, decoder, decoder.layers, field.eps_reg, h, n_steps, y, p
+    return *tags, weakref.ref(traj), (id(ys), id(ps)), _digest(y, p, ys, ps)
+
+
+def _recorded_rows(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> tuple | None:
+    """The node rows (ys, ps) of the run ``integrate`` recorded on pt0 if it is this call's run, else None.
+
+    It is while every tag holds: the same field, decoder and layers, an
+    equal float eps_reg, no potential, the same h and n_steps, pt0's y and
+    p the recorded arrays with their bytes, and the trajectory alive with
+    its recorded ys and ps, whose bytes match the digest.
+    """
+    run = pt0._run
+    if run is None:
+        return None
+    field, decoder, layers, eps, run_h, run_n, y, p, ref, ids, digest = run
+    traj = ref()
+    tagged = (
+        traj is not None and getattr(hamiltonian, "metric_field", None) is field and hamiltonian._force is None
+        and field.decoder is decoder and decoder.layers is layers
+        and isinstance(field.eps_reg, float) and field.eps_reg == eps
+        and h == run_h and n_steps == run_n and pt0.y is y and pt0.p is p
+        and (id(traj.ys), id(traj.ps)) == ids and _digest(y, p, traj.ys, traj.ps) == digest
+    )
+    return (traj.ys, traj.ps) if tagged else None
+
+
 def empirical_deviations(hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """Deviation oracle: difference the runs from one point pt0 and from pt0 + 1e-5 delta0, as one stack."""
+    """Deviation oracle: difference the runs from one point pt0 and from pt0 + 1e-5 delta0.
+
+    The two runs go as one stack of two rows, unless pt0 carries the run
+    that ``integrate`` made from it with this field, h and n_steps, by the
+    chord step without a potential, and every tag of that record still
+    holds (``_recorded_rows``).  Then only the shifted point runs, as one
+    row, and is differenced against the recorded rows, which are the
+    stack's row 0 bit for bit.  A shifted run that raises is run again as
+    the stack, so the error is the stack's, with its rows' state.
+    """
     delta0 = floats(delta0)
     d = pt0.y.shape[-1]
     if pt0.y.shape != (d,):
         raise ValueError(f"pt0 must be one phase point of shape ({d},), got shape {pt0.y.shape}")
     if delta0.shape != (2 * d,):
         raise ValueError(f"delta0 must have shape ({2 * d},), got {delta0.shape}")
+    h, n_steps = _run_length(h, n_steps)
+    base = _recorded_rows(hamiltonian, pt0, h, n_steps)
     # a shifted point or deviation past the float range needs no warning: the
     # engine's finiteness check or the one below turns it into ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        y = np.stack([pt0.y, pt0.y + _DEVIATION_SHIFT * delta0[:d]])
-        p = np.stack([pt0.p, pt0.p + _DEVIATION_SHIFT * delta0[d:]])
-        ys, ps, _, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
-        out = np.concatenate([ys[:, 1] - ys[:, 0], ps[:, 1] - ps[:, 0]], axis=1) / _DEVIATION_SHIFT
+        y, p = pt0.y + _DEVIATION_SHIFT * delta0[:d], pt0.p + _DEVIATION_SHIFT * delta0[d:]
+        moves = None
+        if base is not None:
+            try:
+                ys, ps, _, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
+                moves = ys - base[0], ps - base[1]
+            except ValueError:  # the stack below raises it with the state of both rows
+                pass
+        if moves is None:
+            y, p = np.stack([pt0.y, y]), np.stack([pt0.p, p])
+            ys, ps, _, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
+            moves = ys[:, 1] - ys[:, 0], ps[:, 1] - ps[:, 0]
+        out = np.concatenate(moves, axis=1) / _DEVIATION_SHIFT
     if not np.isfinite(out).all():
         raise ValueError("empirical deviations are not finite")
     return out

@@ -417,3 +417,20 @@ class TestTrajectoryCost:
         traj = [(np.zeros(1), np.zeros(1), 0.5), (np.ones(1), np.zeros(1), 0.5)]
         with pytest.raises(ValueError, match=r"^record 0: metric at y=array\(\[0\.\]\) contains infs or NaNs$"):
             control.trajectory_cost(huge, quad_cost(), traj)
+
+    def test_task_cost_scores_finite_outputs_only(self):
+        # f(1e210) = 1e310 is inf while G = 1e200 is finite: the cost used to score z = [inf] and the record
+        # came back as a cost of 0.0
+        seen = []
+
+        def cost(z):
+            seen.append(z.copy())
+            return 0.0
+
+        field = manifold.MetricField(manifold.Decoder.linear([[1e100]]))
+        with pytest.raises(ValueError, match=r"^decoder output at y=\[1e\+210\] is not finite$"):
+            control.running_cost(field, control.CostSpec(cost), [1e210], [0.0])
+        traj = [(np.zeros(1), np.zeros(1), 0.5), (np.array([1e210]), np.zeros(1), 0.5)]
+        with pytest.raises(ValueError, match=r"^record 1: decoder output at y=\[1e\+210\] is not finite$"):
+            control.trajectory_cost(field, control.CostSpec(cost), traj)
+        assert len(seen) == 1 and np.isfinite(seen[0]).all()

@@ -1,9 +1,12 @@
 """Tests for decoder geometry, leapfrog flows, shooting, and deviations."""
 
+import copy
 import gc
 import math
+import pickle
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -776,9 +779,11 @@ def test_runs_leave_no_reference_cycle():
 
     def runs():
         for hamiltonian in (ham, reduced, Oscillator()):
-            traj = manifold.integrate(hamiltonian, pt, 0.05, 8)
-            manifold.leapfrog_step(hamiltonian, pt, 0.05)
-            manifold.empirical_deviations(hamiltonian, pt, delta, 0.05, 8)
+            start = manifold.PhasePoint(pt.y, pt.p)
+            traj = manifold.integrate(hamiltonian, start, 0.05, 8)
+            manifold.leapfrog_step(hamiltonian, start, 0.05)
+            # for ham, start carries integrate's run, and only the shifted point runs
+            manifold.empirical_deviations(hamiltonian, start, delta, 0.05, 8)
             manifold.jacobi_propagate(hamiltonian, traj, delta)
         layer = pt
         for _ in range(3):
@@ -789,6 +794,14 @@ def test_runs_leave_no_reference_cycle():
     gc.disable()
     try:
         runs()
+        assert gc.collect() == 0
+        # a point keeps no run alive: its trajectory and node buffer go with their last reference
+        start = manifold.PhasePoint(pt.y, pt.p)
+        traj = manifold.integrate(ham, start, 0.05, 8)
+        assert manifold.empirical_deviations(ham, start, delta, 0.05, 8).shape == (9, 4)
+        dropped, buffer = weakref.ref(traj), weakref.ref(traj.ys.base)
+        del traj
+        assert start._run is not None and dropped() is None and buffer() is None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -1373,8 +1386,13 @@ class TestStackContract:
         # against each node's two chords (as a step's start and as its end); no node is checked again
         assert shapes == [(8, 2)] and products == [(8, 2)] and contractions == [((8, 2), (2, 8, 3))]
         shapes.clear(), products.clear()
-        manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 7)
+        # a fresh point runs the base and shifted points as a stack of two
+        manifold.empirical_deviations(ham, manifold.PhasePoint(pt.y, pt.p), np.ones(4), 0.1, 7)
         assert shapes == [(2, 2)] * 22 and products == [(2, 2), (8, 2, 2)] and nodes == []
+        shapes.clear(), products.clear()
+        # pt carries integrate's 7-step run from it, so only the shifted point runs, as one row
+        manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 7)
+        assert shapes == [(2,)] * 22 and products == [(2,), (8, 2)] and nodes == []
 
     @pytest.mark.parametrize("h, scale", [(0.1, 1e-4), (1e-3, 1e-2), (1e-4, 1e-8)])
     def test_short_step_stops_at_round_off(self, h, scale):
@@ -1402,6 +1420,130 @@ class TestStackContract:
         passes.clear()
         manifold.integrate(ham, pt, 1 / 32, 32)
         assert len(passes) - first == 2 * 28
+
+
+def record_passes(decoder) -> list:
+    """The shape of each point the decoder's forward pass takes from now on."""
+    shapes, forward = [], decoder._forward
+    decoder._forward = lambda y: shapes.append(np.shape(y)) or forward(y)
+    return shapes
+
+
+class TestCarriedBaseRun:
+    """``empirical_deviations`` from a point that ``integrate`` ran takes that run's rows as its base rows."""
+
+    @staticmethod
+    def recorded(index=12):
+        """Pool query ``index``: its field, Hamiltonian, delta0, a point recorded by integrate, and the trajectory."""
+        decoder, y_a, y_b, delta0 = pool_query(index)
+        field = manifold.MetricField(decoder)
+        ham = manifold.GeodesicHamiltonian(field)
+        pt0 = manifold.PhasePoint(y_a, manifold.solve_shooting(field, y_a, y_b, n_steps=32, tol=1e-8))
+        return field, ham, delta0, pt0, manifold.integrate(ham, pt0, 1 / 32, 32)
+
+    def test_carried_result_is_a_fresh_points_from_one_row_passes(self):
+        for index in range(30):
+            field, ham, delta0, pt0, traj = self.recorded(index)
+            d = pt0.y.shape[0]
+            fresh = manifold.PhasePoint(pt0.y.copy(), pt0.p.copy())
+            passes = record_passes(field.decoder)
+            carried = manifold.empirical_deviations(ham, pt0, delta0, 1 / 32, 32)
+            assert passes and set(passes) == {(d,)}
+            passes.clear()
+            expected = manifold.empirical_deviations(ham, fresh, delta0, 1 / 32, 32)
+            assert passes and set(passes) == {(2, d)}
+            assert carried.tobytes() == expected.tobytes()
+
+    STALE = [
+        "y-written", "y-reassigned", "p-written", "p-reassigned", "another-h", "another-n-steps",
+        "another-field", "eps-reg-changed", "decoder-reassigned", "layers-reassigned", "ys-written",
+        "trajectory-collected", "copied", "unpickled", "integrated-again",
+    ]
+
+    @pytest.mark.parametrize("stale", STALE)
+    def test_stale_record_takes_the_stack(self, stale):
+        field, ham, delta0, pt0, traj = self.recorded()
+        h, n_steps = 1 / 32, 32
+        if stale == "y-written":
+            pt0.y[0] += 1e-3
+        elif stale == "y-reassigned":  # the same bytes in another array
+            pt0.y = pt0.y.copy()
+        elif stale == "p-written":
+            pt0.p[1] -= 1e-3
+        elif stale == "p-reassigned":
+            pt0.p = pt0.p.copy()
+        elif stale == "another-h":
+            h = 1 / 40
+        elif stale == "another-n-steps":
+            n_steps = 31
+        elif stale == "another-field":  # the same decoder and eps_reg
+            field = manifold.MetricField(field.decoder)
+            ham = manifold.GeodesicHamiltonian(field)
+        elif stale == "eps-reg-changed":
+            field.eps_reg = 1e-3
+        elif stale == "decoder-reassigned":
+            field.decoder = pool_query(13)[0]
+        elif stale == "layers-reassigned":  # the constructor's checks are bypassed, but f is another map
+            (w1, b1), (w2, b2) = field.decoder.layers
+            field.decoder.layers = ((w1, b1), (2.0 * w2, b2))
+        elif stale == "ys-written":
+            traj.ys[5, 0] += 1e-3
+        elif stale == "trajectory-collected":
+            ref = weakref.ref(traj)
+            del traj
+            assert ref() is None
+        elif stale == "copied":
+            pt0 = copy.copy(pt0)
+        elif stale == "unpickled":
+            pt0 = pickle.loads(pickle.dumps(pt0))
+        else:  # the record is that of the latest run
+            manifold.integrate(ham, pt0, 1 / 40, 32)
+        d = pt0.y.shape[0]
+        passes = record_passes(field.decoder)
+        out = manifold.empirical_deviations(ham, pt0, delta0, h, n_steps)
+        assert passes and set(passes) == {(2, d)}
+        fresh = manifold.PhasePoint(pt0.y.copy(), pt0.p.copy())
+        assert out.tobytes() == manifold.empirical_deviations(ham, fresh, delta0, h, n_steps).tobytes()
+
+    def test_only_a_one_point_chord_run_without_potential_is_recorded(self):
+        field, ham, _, pt0, _ = self.recorded()
+        assert pt0._run is not None
+        reduced = control.ReducedHamiltonian(field, control.CostSpec(lambda z: 0.5 * float(z @ z)))
+        stacked = manifold.PhasePoint(np.stack([pt0.y, pt0.y]), np.stack([pt0.p, pt0.p]))
+        for hamiltonian, pt in ((Oscillator(), pt0), (reduced, pt0), (ham, stacked)):
+            pt = manifold.PhasePoint(pt.y, pt.p)
+            manifold.integrate(hamiltonian, pt, 1 / 32, 8)
+            assert pt._run is None
+
+    def test_record_is_private_to_the_point(self):
+        _, _, _, pt0, _ = self.recorded()
+        rebuilt = manifold.PhasePoint(pt0.y, pt0.p)
+        assert pt0._run is not None and rebuilt._run is None
+        assert rebuilt == pt0 and repr(rebuilt) == repr(pt0)
+        for copied in (pickle.loads(pickle.dumps(pt0)), copy.copy(pt0), copy.deepcopy(pt0)):
+            assert copied._run is None
+
+    def test_diverging_shifted_run_raises_the_stacks_error(self):
+        # the base run is smooth; the shifted momentum, 0.3 + 1e-5 * 1e5, runs y_0 into the tanh's saturation,
+        # where G and the Newton matrix are singular (eps_reg = 0), and its step 14 raises
+        field = manifold.MetricField(saturating_decoder(), eps_reg=0.0)
+        ham = manifold.GeodesicHamiltonian(field)
+        pt0 = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
+        traj = manifold.integrate(ham, pt0, 0.05, 40)
+        delta0 = np.array([0.0, 0.0, 1e5, 0.0])
+        fresh = manifold.PhasePoint(pt0.y.copy(), pt0.p.copy())
+        with pytest.raises(manifold.IntegrationError, match="^singular Newton matrix .* at step 14$") as expected:
+            manifold.empirical_deviations(ham, fresh, delta0, 0.05, 40)
+        passes = record_passes(field.decoder)
+        with pytest.raises(manifold.IntegrationError) as raised:
+            manifold.empirical_deviations(ham, pt0, delta0, 0.05, 40)
+        assert traj.ys.shape == (41, 2)
+        # the one-row try, then the stack (whose lost row then reruns alone to name its Newton matrix)
+        assert passes[0] == (2,) and (2, 2) in passes
+        assert str(raised.value) == str(expected.value) and raised.value.step == expected.value.step
+        assert raised.value.y.tobytes() == expected.value.y.tobytes()
+        assert raised.value.p.tobytes() == expected.value.p.tobytes()
+        assert raised.value.drift is expected.value.drift is None
 
 
 class TestOneLayerDecoder:

@@ -116,10 +116,20 @@ def test_metric_verdicts(parent, change, better, state):
 
 
 def test_trace_summary_sets_each_layer_side_by_side():
-    parent = {"manifold.integrate.busy_ms": 2.0, "control.ndm_layer.busy_ms": 1.5, "spins.micro_step.calls": 0.0}
-    change = {"manifold.integrate.busy_ms": 1.5, "control.ndm_layer.busy_ms": 1.5, "spins.micro_step.calls": 0.0}
+    def runs(integrate, ndm_layer):
+        return [
+            {"manifold.integrate.busy_ms": a, "control.ndm_layer.busy_ms": b, "spins.micro_step.calls": 0.0}
+            for a, b in zip(integrate, ndm_layer, strict=True)
+        ]
+
+    # one outlying run on each side moves neither median
+    parent = runs([2.0, 9.0, 1.9], [1.5, 1.4, 1.6])
+    change = runs([1.5, 1.4, 0.1], [1.5, 1.6, 1.4])
     summary = pairs.trace_summary(parent, change)
-    assert summary["manifold.integrate.busy_ms"] == {"parent": 2.0, "change": 1.5, "relative_change": -0.25}
+    assert summary["manifold.integrate.busy_ms"] == {
+        "parent": 2.0, "change": 1.4, "relative_change": pytest.approx(-0.3),
+        "runs": {"parent": [2.0, 9.0, 1.9], "change": [1.5, 1.4, 0.1]},
+    }
     assert summary["control.ndm_layer.busy_ms"]["relative_change"] == 0.0
     assert summary["spins.micro_step.calls"]["relative_change"] is None  # a layer the workload never calls
 
@@ -132,7 +142,8 @@ def test_report_states_the_claimed_workloads_verdict(monkeypatch, tmp_path):
     def run_once(tree, workload, seed, seconds, trace=0):
         if trace:
             traced.append((tree.name, workload, seed))
-            return {"metrics": {"manifold.integrate.busy_ms": 2.0 if tree.name == "parent" else 1.0}, "failed": 0}
+            busy = (2.0 if tree.name == "parent" else 1.0) + 0.1 * seed
+            return {"metrics": {"manifold.integrate.busy_ms": busy}, "failed": int(seed == 2 and tree.name == "change")}
         value = speed.get((workload, tree.name), 50.0) + seed % 3
         metrics = {m: value for m in ("setup_s", "throughput_ops_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")}
         return {"metrics": {**metrics, "ok_ratio": 1.0}, "attempted": 10, "failed": 0,
@@ -148,8 +159,13 @@ def test_report_states_the_claimed_workloads_verdict(monkeypatch, tmp_path):
     assert report["claim_verdict"] == report["summary"]["geodesic"]["throughput_ops_s"]
     assert report["claim_verdict"]["claim_met"] is True
     assert report["command"].startswith("python3 perfbench/run.py --workload W --seed S --seconds 20 ")
-    # one traced run of the claimed workload on each tree, after the pairs
-    assert traced == [("parent", "geodesic", 1), ("change", "geodesic", 1)]
-    assert report["trace"]["per_layer"] == {
-        "manifold.integrate.busy_ms": {"parent": 2.0, "change": 1.0, "relative_change": -0.5}
-    }
+    # three traced pairs of the claimed workload after the others, seeds 1 to 3, alternating which tree runs first
+    assert traced == [
+        ("parent", "geodesic", 1), ("change", "geodesic", 1),
+        ("change", "geodesic", 2), ("parent", "geodesic", 2),
+        ("parent", "geodesic", 3), ("change", "geodesic", 3),
+    ]
+    assert report["trace"]["failed"] == {"parent": 0, "change": 1}
+    per_layer = report["trace"]["per_layer"]["manifold.integrate.busy_ms"]
+    assert per_layer["parent"] == 2.2 and per_layer["change"] == 1.2
+    assert per_layer["runs"] == {"parent": [2.1, 2.2, 2.3], "change": [1.1, 1.2, 1.3]}

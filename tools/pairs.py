@@ -14,10 +14,12 @@ for even k and the change first for odd k, one run at a time, with
 PYTHONDONTWRITEBYTECODE=1.  Then it fingerprints both trees
 (``tools/fingerprint.py``) and writes every run, a summary per workload
 and end-to-end metric, and the verdict on the claimed metric.  With
-``--claim W:M`` it then runs W once more on each tree with ``--trace 1``
-at seed SEED0, and writes both trees' per-layer metrics side by side
-under ``trace`` (``trace_summary``), so the file shows which layers a
-saving sits in.
+``--claim W:M`` it then runs W in 3 more pairs with ``--trace 1``, at
+seeds SEED0 to SEED0+2 and in the same alternating order, and writes the
+median of each per-layer metric over each tree's traced runs side by
+side under ``trace`` (``trace_summary``), so the file shows which layers
+a saving sits in; one traced run per tree does not resolve a per-layer
+move under about 20%.
 
 The rule (``verdict``): a claim is met when the change is better in at
 least 9/10 of the pairs, ties counting for neither side, its median is
@@ -45,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("cli_mix", "geodesic", "relax_plan")
 PAIRS = 10
+TRACED_PAIRS = 3
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float, failed=(0, 0)) -> dict:
@@ -85,16 +88,19 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
     }
 
 
-def trace_summary(parent: dict[str, float], change: dict[str, float]) -> dict:
-    """Each per-layer metric of the two traced runs: both values and the change relative to the parent's."""
-    return {
-        name: {
-            "parent": value,
-            "change": change[name],
-            "relative_change": (change[name] - value) / value if value else None,
+def trace_summary(parent: list[dict[str, float]], change: list[dict[str, float]]) -> dict:
+    """Each per-layer metric over each tree's traced runs: the runs, both medians and the change between them."""
+    out = {}
+    for name in parent[0]:
+        runs = {"parent": [run[name] for run in parent], "change": [run[name] for run in change]}
+        p_mid, c_mid = statistics.median(runs["parent"]), statistics.median(runs["change"])
+        out[name] = {
+            "parent": p_mid,
+            "change": c_mid,
+            "relative_change": (c_mid - p_mid) / p_mid if p_mid else None,
+            "runs": runs,
         }
-        for name, value in parent.items()
-    }
+    return out
 
 
 def git_output(*args: str) -> str:
@@ -182,8 +188,11 @@ def main(argv=None) -> int:
                     run = run_once(trees[side], w, seed, seconds)
                     runs[w].append({"seed": seed, "side": side, **run})
                     print(f"{w} seed {seed} {side}: {run['metrics']}", flush=True)
+        traced = {"parent": [], "change": []}
         if args.claim:
-            traced = {side: run_once(tree, workload, args.seed0, seconds, trace=1) for side, tree in trees.items()}
+            for k in range(TRACED_PAIRS):
+                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                    traced[side].append(run_once(trees[side], workload, args.seed0 + k, seconds, trace=1))
         prints = {side: fingerprint(tree) for side, tree in trees.items()}
     environment = runs[workloads[0]][0]["environment"]
     report = {
@@ -203,10 +212,11 @@ def main(argv=None) -> int:
         report["claim"] = args.claim
         report["claim_verdict"] = report["summary"][workload][metric]
         report["trace"] = {
-            "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed0} --seconds {seconds}"
-            " --trace 1, once on each tree after the pairs",
-            "failed": {side: run["failed"] for side, run in traced.items()},
-            "per_layer": trace_summary(traced["parent"]["metrics"], traced["change"]["metrics"]),
+            "command": f"python3 perfbench/run.py --workload {workload} --seed S --seconds {seconds} --trace 1"
+            f" in {TRACED_PAIRS} pairs after the others, seeds {args.seed0}-{args.seed0 + TRACED_PAIRS - 1},"
+            " the parent first in even pairs; each per-layer value is the median of a tree's runs",
+            "failed": {side: sum(run["failed"] for run in side_runs) for side, side_runs in traced.items()},
+            "per_layer": trace_summary(*([run["metrics"] for run in traced[side]] for side in ("parent", "change"))),
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
