@@ -171,7 +171,7 @@ def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np
     with np.errstate(over="ignore", invalid="ignore"):
         z, jac = metric_field.decoder._forward(y)
         kinetic = 0.5 * float(u @ metric_field._metric(y, jac) @ u)
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError(f"decoder output at y={y.tolist()} is not finite")
     value = kinetic + cost.potential(z)
     if math.isnan(value):
@@ -185,8 +185,9 @@ def trajectory_cost(metric_field: MetricField, cost: CostSpec, traj) -> float:
     ``traj`` is a sequence of ``(y, u, dt)`` records; each consecutive
     pair forms a segment weighted by the dt of its first record.  The dt
     of the final record is unused, and a single record costs 0.  A NaN
-    running cost raises ValueError naming its record, and a NaN total,
-    from infinite costs of opposite sign, raises ValueError.
+    running cost or a decoder output past the float range raises
+    ValueError naming its record, and a NaN total, from infinite costs of
+    opposite sign, raises ValueError.
     """
     entries = list(traj)
     if not entries:

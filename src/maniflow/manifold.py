@@ -106,8 +106,9 @@ slice by slice, so each row is bit-equal to its single-point run:
 ``leapfrog_step`` is the one-step ``integrate`` without energies,
 ``jacobi_propagate``'s stencil route steps the 4d stencil points of all n
 nodes as one stack, and ``empirical_deviations``' stack of two gives its
-base row the bits of ``integrate``'s run from the same point.  A ``PhaseTrajectory`` holds the node
-rows ``ys`` and ``ps``, (n+1, d) for one point, and ``energies``.
+base row the bits of ``integrate``'s run from the same point.  A
+``PhaseTrajectory`` holds the node rows ``ys`` and ``ps``, (n+1, d) for
+one point, and ``energies``.
 
 A decoder is its (w, b) layers, each checked by one rule in ``Decoder``:
 a matrix taking the previous layer's output width, a matching bias, both
@@ -408,8 +409,9 @@ class PhasePoint:
     bytes, f, J, grad V), the end node's f, J and potential gradient with
     the tags they were taken under.  ``_run`` is set only by ``integrate``
     on a one-point start it runs by the chord step without a potential,
-    and only ``empirical_deviations`` reads it: the run's tags (``_run_record``)
-    and a weak reference to its trajectory, whose rows it does not copy.
+    and only ``empirical_deviations`` reads it: the run's tags and a weak
+    reference to its trajectory, whose rows it does not copy
+    (``_run_record``).
     """
 
     y: np.ndarray

@@ -211,12 +211,13 @@ def main(argv=None) -> int:
     if args.claim:
         report["claim"] = args.claim
         report["claim_verdict"] = report["summary"][workload][metric]
+        layers = {side: [run["metrics"] for run in side_runs] for side, side_runs in traced.items()}
         report["trace"] = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed S --seconds {seconds} --trace 1"
             f" in {TRACED_PAIRS} pairs after the others, seeds {args.seed0}-{args.seed0 + TRACED_PAIRS - 1},"
             " the parent first in even pairs; each per-layer value is the median of a tree's runs",
             "failed": {side: sum(run["failed"] for run in side_runs) for side, side_runs in traced.items()},
-            "per_layer": trace_summary(*([run["metrics"] for run in traced[side]] for side in ("parent", "change"))),
+            "per_layer": trace_summary(layers["parent"], layers["change"]),
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
