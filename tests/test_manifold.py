@@ -1534,7 +1534,7 @@ class TestCarriedBaseRun:
         field = manifold.MetricField(saturating_decoder(), eps_reg=0.0)
         ham = manifold.GeodesicHamiltonian(field)
         pt0 = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
-        traj = manifold.integrate(ham, pt0, 0.05, 40)
+        traj = manifold.integrate(ham, pt0, 0.05, 40)  # held, so that pt0's record stays valid
         delta0 = np.array([0.0, 0.0, 1e5, 0.0])
         fresh = manifold.PhasePoint(pt0.y.copy(), pt0.p.copy())
         with pytest.raises(manifold.IntegrationError, match="^singular Newton matrix .* at step 14$") as expected:
@@ -1542,7 +1542,6 @@ class TestCarriedBaseRun:
         passes = record_passes(field.decoder)
         with pytest.raises(manifold.IntegrationError) as raised:
             manifold.empirical_deviations(ham, pt0, delta0, 0.05, 40)
-        assert traj.ys.shape == (41, 2)
         # the one-row try, then the stack (whose lost row then reruns alone to name its Newton matrix)
         assert passes[0] == (2,) and (2, 2) in passes
         assert str(raised.value) == str(expected.value) and raised.value.step == expected.value.step
