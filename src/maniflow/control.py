@@ -170,7 +170,7 @@ def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np
     # z and G from one decoder pass
     with np.errstate(over="ignore", invalid="ignore"):
         z, jac = metric_field.decoder._forward(y)
-        kinetic = 0.5 * float(u @ metric_field._metric(y, jac) @ u)
+        kinetic = 0.5 * float(u.dot(metric_field._metric(y, jac)).dot(u))
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError(f"decoder output at y={y.tolist()} is not finite")
     value = kinetic + cost.potential(z)

@@ -15,8 +15,17 @@ comes back NaN-filled and raises numpy's invalid flag, so every caller
 runs them with invalid ignored and reads the NaN.  Its per-iterate and
 per-node reductions call the ufunc reductions that the ndarray methods
 wrap (``np.maximum.reduce`` for ``.max()``, ``np.logical_and.reduce``
-for ``.all()``, ...).  Geodesics are driven by the kinetic
-Hamiltonian H(y, p) = p^T G(y)^{-1} p / 2.  G is reached one way,
+for ``.all()``, ...).  The products of one point, a y of shape (d,),
+call ``ndarray.dot``: on 1-d and 2-d operands it reaches the BLAS routine
+(gemv, gemm, syrk for J^T J, dot) that ``np.matvec``, ``np.vecmat``,
+``np.matmul`` and ``np.vecdot`` reach, without their gufunc dispatch.  A
+stack keeps the gufuncs, which broadcast where ``ndarray.dot`` contracts,
+and each of its rows has the bits of its one-point product.  Those bits
+follow a vector's strides when the matrix is in F order, and a decoder
+keeps its layers' order, so a ``PhasePoint`` holds C-order y and p.
+
+Geodesics are driven by the kinetic Hamiltonian
+H(y, p) = p^T G(y)^{-1} p / 2.  G is reached one way,
 ``MetricField._geometry``: ``pullback_metric`` returns it,
 ``MetricField.solve`` solves G v = rhs, and ``GeodesicHamiltonian`` takes
 H from it; the chord step makes the same check over a stack of nodes
@@ -261,15 +270,17 @@ class Decoder:
         (w, b), *rest = self.layers
         if y.shape[-1:] != (w.shape[1],):
             raise ValueError(f"expected latent points of width {w.shape[1]}, got shape {y.shape}")
-        out = np.matvec(w, y) + b
+        # one point's products go through ndarray.dot (module docstring)
+        mv, mm = (np.ndarray.dot,) * 2 if y.ndim == 1 else (np.matvec, np.matmul)
+        out = mv(w, y) + b
         if not rest:  # a read-only view: J is the layer's own weights
             return out, np.broadcast_to(w, (*y.shape[:-1], *w.shape))
         jac = w
         # the first tanh broadcasts J, the first layer's weights, over the stack
         for w, b in rest:
             x = np.tanh(out)
-            jac = w @ ((1.0 - x * x)[..., None] * jac)
-            out = np.matvec(w, x) + b
+            jac = mm(w, (1.0 - x * x)[..., None] * jac)
+            out = mv(w, x) + b
         return out, jac
 
     def _curvature(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -348,10 +359,11 @@ class MetricField:
     def _product(self, y: np.ndarray, jac: np.ndarray | None) -> np.ndarray:
         """G = J^T J + eps_reg I at y, an array (..., d), from J there if given; unchecked."""
         # J^T J comes out exactly symmetric (syrk, or the same products summed in
-        # the same order), so no averaging pass
+        # the same order), so no averaging pass; one point's goes through ndarray.dot
         if jac is None:
             jac = self.decoder._forward(y)[1]
-        return jac.swapaxes(-1, -2) @ jac + _scaled_eye(float(self.eps_reg), jac.shape[-1])
+        jtj = jac.T.dot(jac) if jac.ndim == 2 else jac.swapaxes(-1, -2) @ jac
+        return jtj + _scaled_eye(float(self.eps_reg), jac.shape[-1])
 
     def _metric(self, y: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
         """G at y, an array (..., d), from J there if given; ValueError unless every G is finite.
@@ -420,7 +432,9 @@ class PhasePoint:
     _run: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y, p = (np.atleast_1d(floats(v)) for v in (self.y, self.p))
+        # C order, as a kernel's last bits follow its vector's strides (module docstring); a
+        # contiguous y or p stays the caller's array, so the tags on _run and _jet still hold
+        y, p = (np.ascontiguousarray(floats(v)) for v in (self.y, self.p))
         if y.shape != p.shape:
             raise ValueError(f"y and p must have equal length and shape, got {y.shape} and {p.shape}")
         self.y = y
@@ -482,7 +496,7 @@ def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     step = GRAD_STEP (1 + |x|), |x| on the dot kernel ``np.linalg.norm`` runs for a 1-d x.
     """
-    step = GRAD_STEP * (1.0 + np.sqrt(np.vecdot(x, x))[..., None, None])
+    step = GRAD_STEP * (1.0 + np.sqrt(x.dot(x) if x.ndim == 1 else np.vecdot(x, x))[..., None, None])
     shifts = step * np.eye(x.shape[-1])
     return np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2), step
 
@@ -507,9 +521,10 @@ def _round_off(jac: np.ndarray, matrix: np.ndarray, q: np.ndarray, out_q: np.nda
     1e-4 |J| |f| stops there above ``_CHORD_TOL``, and so can a step far
     out in a saturated, ill-conditioned chart.
     """
+    top = np.maximum.reduce
     return 4.0 * np.finfo(float).eps * (
-        np.abs(matrix).max(axis=(-2, -1)) * np.abs(q).max(axis=-1)
-        + np.abs(jac).max(axis=(-2, -1)) * np.abs(out_q).max(axis=-1)
+        top(np.abs(matrix), axis=(-2, -1)) * top(np.abs(q), axis=-1)
+        + top(np.abs(jac), axis=(-2, -1)) * top(np.abs(out_q), axis=-1)
     )
 
 
@@ -542,6 +557,7 @@ def _chord(hamiltonian, y, p, h, n_steps, failure, jet=None):
     # reads ~30x faster than .any() does; a stack's goes to the ufunc reduction .any() calls
     stacked = y.ndim > 1
     pending = partial(np.logical_or.reduce, axis=None) if stacked else bool
+    vm, mm = (np.vecmat, np.matmul) if stacked else (np.ndarray.dot,) * 2  # one point's through ndarray.dot
     for k in range(n_steps + 1):
         if k:
             q = y + h * solve1(field._product(y, jac), p) if k == 1 else _predict(y, before)
@@ -553,25 +569,25 @@ def _chord(hamiltonian, y, p, h, n_steps, failure, jet=None):
                 # the pass at each iterate gives its residual, and the last one ends the step
                 out_q, jac_q = forward(q)
                 chord, move = out_q - out, eps * (q - y)
-                residual = np.vecmat(chord, jac) + move - rhs
+                residual = vm(chord, jac) + move - rhs
                 if update:
                     size = np.maximum.reduce(np.abs(residual), axis=-1)
                     above = size > bound  # a NaN row is not above: the node check names it
                     if not pending(above):
                         break
                     if update >= 2:  # a row that two updates left above the bound may be at round-off
-                        above &= size > _round_off(jac, jac_t @ jac_q + reg, q, out_q)
+                        above &= size > _round_off(jac, mm(jac_t, jac_q) + reg, q, out_q)
                         if not pending(above):
                             break
                 if update == _CHORD_UPDATES:
                     with np.errstate(divide="ignore"):
                         worst = float(np.max(size[above] / bound[above])) * _CHORD_TOL
                     raise failure(k, f"relative Newton residual {worst:.1e} after {update} updates")
-                matrix = jac_t @ jac_q + reg
+                matrix = mm(jac_t, jac_q) + reg
                 delta = solve1(matrix, residual)
                 # a row that met the bound keeps its iterate, as in its single run
                 q = np.where(above[..., None], q - delta, q) if stacked else q - delta
-            p = (np.vecmat(chord, jac_q) + move) / h
+            p = (vm(chord, jac_q) + move) / h
             before = [*before[-3:], y]
             y, out, jac = q, out_q, jac_q
         if force is not None:
@@ -845,7 +861,7 @@ def solve_shooting(
         if converged:
             nodes[1:-1] += full
         # the first chord's momentum; q_0 = y_a, so only f(q_1) is new
-        p = (jac[0].T @ (forward(nodes[1])[0] - out[0]) + eps * (nodes[1] - y_a)) / h
+        p = (jac[0].T.dot(forward(nodes[1])[0] - out[0]) + eps * (nodes[1] - y_a)) / h
     if not converged:
         raise ShootingError(f"no convergence after {_SHOOTING_ITERATIONS} iterations; final residual {norm:.3e}", history, p)
     if not np.isfinite(p).all():
@@ -950,7 +966,7 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
         out = np.empty((len(traj), 2 * d))
         out[0] = delta
         for k, tangent in enumerate(tangents, start=1):
-            delta = tangent @ delta
+            delta = tangent.dot(delta)
             out[k] = delta
     if not np.isfinite(out).all():
         raise ValueError("propagated deviations are not finite")

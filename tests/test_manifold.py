@@ -469,10 +469,14 @@ class TestGufuncRoute:
     @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
     @pytest.mark.parametrize("d", range(1, 7))
     def test_vector_products_are_the_matmul_forms(self, d, stack):
-        # the decoder pass, the chord step and the shooting gradient call np.matvec and
-        # np.vecmat, and _stencil's norm np.vecdot, in place of matmul on an added axis
+        # a stack's decoder pass, chord step and shooting gradient call np.matvec, np.vecmat and
+        # np.matmul, and _stencil's norm np.vecdot, in place of matmul on an added axis.  One point's
+        # products (the chord step's, J^T J, the Jacobi loop's T delta, running_cost's u^T G u) call
+        # ndarray.dot, which reaches the same BLAS routines: each row of a stack has the bits of its
+        # one-point product, for weights in either memory order (a decoder keeps the caller's order, and
+        # a linear decoder's J is its weights, broadcast) and for a strided vector
         rng = np.random.default_rng([50, d, len(stack)])
-        for _ in range(20):
+        for order in "CF" * 10:
             w, y = rng.normal(size=(d + 3, d)), rng.normal(size=(*stack, d)) * 10.0 ** rng.uniform(-3, 3)
             assert np.matvec(w, y).tobytes() == (w @ y[..., None])[..., 0].tobytes()
             jac, chord = rng.normal(size=(*stack, d + 3, d)), rng.normal(size=(*stack, d + 3))
@@ -481,6 +485,62 @@ class TestGufuncRoute:
             assert np.sqrt(np.vecdot(y, y))[..., None, None].tobytes() == norm.tobytes()
             _, step = manifold._stencil(y)
             assert step.tobytes() == (manifold.GRAD_STEP * (1.0 + norm)).tobytes()
+
+            w, square = (np.asarray(rng.normal(size=shape), order=order) for shape in ((d + 3, d), (d + 3, d + 3)))
+            tangent = np.asarray(rng.normal(size=(2 * d, 2 * d)), order=order)
+            y = (rng.normal(size=(*stack, d, 2)) * 10.0 ** rng.uniform(-3, 3))[..., 0]  # strided rows
+            chord, delta = rng.normal(size=(*stack, d + 3, 2))[..., 0], rng.normal(size=(*stack, 2 * d))
+            u, g = rng.normal(size=(*stack, d)), rng.normal(size=(*stack, d, d))
+            slope_jac = rng.normal(size=(*stack, d + 3, d))
+            mv, mm = np.matvec(w, y), np.matmul(square, slope_jac)
+            td, xx = np.matvec(tangent, delta), np.vecdot(y, y)
+            for row in np.ndindex(stack):
+                assert mv[row].tobytes() == w.dot(y[row]).tobytes()
+                assert mm[row].tobytes() == square.dot(slope_jac[row]).tobytes()
+                assert td[row].tobytes() == tangent.dot(delta[row]).tobytes() == (tangent @ delta[row]).tobytes()
+                assert xx[row].tobytes() == y[row].dot(y[row]).tobytes()
+                assert (u[row] @ g[row] @ u[row]).tobytes() == u[row].dot(g[row]).dot(u[row]).tobytes()
+            for jac in (rng.normal(size=(*stack, d + 3, d)), np.broadcast_to(w, (*stack, d + 3, d))):
+                jac_q = rng.normal(size=(*stack, d + 3, d))
+                vm, jtj = np.vecmat(chord, jac), jac.swapaxes(-1, -2) @ jac
+                newton = np.matmul(jac.swapaxes(-1, -2), jac_q)
+                for row in np.ndindex(stack):
+                    assert vm[row].tobytes() == chord[row].dot(jac[row]).tobytes()
+                    assert jtj[row].tobytes() == jac[row].T.dot(jac[row]).tobytes()
+                    assert newton[row].tobytes() == jac[row].T.dot(jac_q[row]).tobytes()
+
+    def test_one_point_calls_no_matmul_gufunc(self, monkeypatch):
+        # a product with one point's operands goes through ndarray.dot; np.matvec, np.vecmat, np.matmul
+        # and np.vecdot are a stack's (a potential gradient's stencil is a stack of 2d points)
+        stacked = []
+
+        def guard(name, cores):
+            ufunc = getattr(np, name)
+
+            def call(*operands):
+                if all(np.ndim(a) == core for a, core in zip(operands, cores, strict=True)):
+                    raise AssertionError(f"one-point product through np.{name}")
+                stacked.append(name)
+                return ufunc(*operands)
+
+            monkeypatch.setattr(np, name, call)
+
+        for name, cores in (("matvec", (2, 1)), ("vecmat", (1, 2)), ("matmul", (2, 2)), ("vecdot", (1, 1))):
+            guard(name, cores)
+        decoder, y_a, y_b, delta0 = pool_query(12)
+        field = manifold.MetricField(decoder)
+        ham = manifold.GeodesicHamiltonian(field)
+        pt0 = manifold.PhasePoint(y_a, manifold.pullback_metric(field, y_a) @ (y_b - y_a))
+        traj = manifold.integrate(ham, pt0, 1 / 32, 32)
+        assert pt0._run is not None  # so the oracle below runs the shifted point alone
+        manifold.empirical_deviations(ham, pt0, delta0, 1 / 32, 32)
+        manifold.jacobi_propagate(ham, traj, delta0)
+        control.running_cost(field, control.CostSpec(lambda z: 0.0), y_b, y_a)
+        cost = control.CostSpec(lambda z: 0.5 * float(z @ z))
+        control.ndm_layer(field, cost, control.ndm_layer(field, cost, pt0, 1 / 32), 1 / 32)
+        stacked.clear()
+        manifold.integrate(ham, manifold.PhasePoint(np.stack([y_a, y_b]), np.stack([pt0.p, pt0.p])), 1 / 32, 4)
+        assert {"matvec", "vecmat", "matmul"} <= set(stacked)
 
     @pytest.mark.parametrize(
         "decoder, ys",
@@ -1288,17 +1348,23 @@ class TestStackContract:
 
     @pytest.mark.parametrize("kind", ["mlp-tanh", "linear"])
     def test_batched_jet_equals_pointwise(self, kind):
+        # a stack's products are gufuncs and one point's ndarray.dot; a decoder keeps its layers' memory order
         rng = np.random.default_rng(21)
         dec = random_tanh_decoder(rng, 3, 4, 2)
         dec = {"mlp-tanh": dec, "linear": manifold.Decoder.linear(dec.layers[0][0])}[kind]
         ys = rng.uniform(-0.5, 0.5, size=(2, 5, 3))
-        out, jac = dec._forward(ys)
-        assert out.shape == (2, 5, 4) and jac.shape == (2, 5, 4, 3)
-        np.testing.assert_array_equal(dec(ys), out)
-        for idx in np.ndindex(2, 5):
-            point_out, point_jac = dec._forward(ys[idx])
-            np.testing.assert_array_equal(out[idx], point_out)
-            np.testing.assert_array_equal(jac[idx], point_jac)
+        for order in "CF":
+            dec = manifold.Decoder([(np.asarray(w, order=order), b) for w, b in dec.layers])
+            field = manifold.MetricField(dec, eps_reg=1e-3)
+            out, jac = dec._forward(ys)
+            assert out.shape == (2, 5, 4) and jac.shape == (2, 5, 4, 3)
+            np.testing.assert_array_equal(dec(ys), out)
+            g = field._product(ys, jac)
+            assert g.tobytes() == field._product(ys, None).tobytes()
+            for idx in np.ndindex(2, 5):
+                point_out, point_jac = dec._forward(ys[idx])
+                assert out[idx].tobytes() == point_out.tobytes() and jac[idx].tobytes() == point_jac.tobytes()
+                assert g[idx].tobytes() == field._product(ys[idx], point_jac).tobytes()
 
     @staticmethod
     def seed_22_rows(scale):
@@ -1519,6 +1585,25 @@ class TestCarriedBaseRun:
             pt = manifold.PhasePoint(pt.y, pt.p)
             manifold.integrate(hamiltonian, pt, 1 / 32, 8)
             assert pt._run is None
+
+    def test_point_layout_leaves_the_bits(self):
+        # a kernel's last bits follow its vector's strides when the matrix is in F order (a decoder keeps its
+        # layers' order), so a start y that was a column view ran node 0 otherwise in the recorded row than in
+        # the stack's copy: queries 10, 21, 22, 26 and 27 differed by up to 3.8e-9.  A point stores C-order y, p
+        for index in range(10, 30):
+            decoder, y_a, y_b, delta0 = pool_query(index)
+            field = manifold.MetricField(manifold.Decoder([(np.asfortranarray(w), b) for w, b in decoder.layers]))
+            ham = manifold.GeodesicHamiltonian(field)
+            p = manifold.solve_shooting(field, y_a, y_b, n_steps=32, tol=1e-8)
+            column = np.zeros((y_a.shape[0], 3))
+            column[:, 1] = y_a
+            pt0 = manifold.PhasePoint(column[:, 1], p)
+            traj = manifold.integrate(ham, pt0, 1 / 32, 32)
+            carried = manifold.empirical_deviations(ham, pt0, delta0, 1 / 32, 32)
+            fresh = manifold.PhasePoint(y_a.copy(), p.copy())
+            assert traj.ys.tobytes() == manifold.integrate(ham, fresh, 1 / 32, 32).ys.tobytes()
+            assert carried.tobytes() == manifold.empirical_deviations(ham, fresh, delta0, 1 / 32, 32).tobytes()
+            assert pt0.y.flags.c_contiguous and pt0.p is p  # a contiguous array is kept, not copied
 
     def test_record_is_private_to_the_point(self):
         _, _, _, pt0, _ = self.recorded()

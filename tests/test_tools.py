@@ -134,7 +134,7 @@ def test_trace_summary_sets_each_layer_side_by_side():
     assert summary["spins.micro_step.calls"]["relative_change"] is None  # a layer the workload never calls
 
 
-def test_report_states_the_claimed_workloads_verdict(monkeypatch, tmp_path):
+def test_report_states_the_claimed_workloads_verdict(monkeypatch, tmp_path, capsys):
     # the claim's verdict used to be read from the last workload run, whichever was claimed
     speed = {("geodesic", "parent"): 100.0, ("geodesic", "change"): 120.0}
     traced = []
@@ -151,7 +151,10 @@ def test_report_states_the_claimed_workloads_verdict(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pairs, "build_trees", lambda ref, work: {side: work / side for side in ("parent", "change")})
     monkeypatch.setattr(pairs, "run_once", run_once)
-    monkeypatch.setattr(pairs, "fingerprint", lambda tree: {"geodesic": tree.name})
+    changed = {"relax"}  # the fingerprints that the change tree moves
+    monkeypatch.setattr(pairs, "fingerprint", lambda tree: {
+        name: name + "'" * (tree.name == "change" and name in changed) for name in ("geodesic", "relax")
+    })
     monkeypatch.setattr(pairs, "git_output", lambda *args: "parent")
     out = tmp_path / "BENCH.json"
     assert pairs.main(["HEAD", "--out", str(out), "--claim", "geodesic:throughput_ops_s"]) == 0
@@ -169,3 +172,13 @@ def test_report_states_the_claimed_workloads_verdict(monkeypatch, tmp_path):
     per_layer = report["trace"]["per_layer"]["manifold.integrate.busy_ms"]
     assert per_layer["parent"] == 2.2 and per_layer["change"] == 1.2
     assert per_layer["runs"] == {"parent": [2.1, 2.2, 2.3], "change": [1.1, 1.2, 1.3]}
+    # each fingerprint is flagged equal or not, and the last line printed names any that differs
+    assert report["fingerprint"]["relax"] == {"parent": "relax", "change": "relax'"}
+    assert report["fingerprint_equal"] == {"geodesic": True, "relax": False, "all": False}
+    assert capsys.readouterr().out.splitlines()[-1] == "fingerprints differ: relax"
+    changed.clear()
+    assert pairs.main(["HEAD", "--out", str(out), "--claim", "geodesic:throughput_ops_s"]) == 0
+    assert json.loads(out.read_text())["fingerprint_equal"] == {"geodesic": True, "relax": True, "all": True}
+    assert capsys.readouterr().out.splitlines()[-1] == "fingerprints equal: geodesic, relax"
+    # a fingerprint that one tree does not print differs
+    assert pairs.fingerprint_equal({"cli": {"parent": "c", "change": None}}) == {"cli": False, "all": False}

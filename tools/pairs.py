@@ -12,8 +12,10 @@ unchanged ``perfbench/run.py --workload W --seed SEED0+k --seconds S
 --trace 0``, S being BENCHMARK.json's ``run_seconds``, the parent first
 for even k and the change first for odd k, one run at a time, with
 PYTHONDONTWRITEBYTECODE=1.  Then it fingerprints both trees
-(``tools/fingerprint.py``) and writes every run, a summary per workload
-and end-to-end metric, and the verdict on the claimed metric.  With
+(``tools/fingerprint.py``), prints whether each fingerprint is equal on
+both, naming any that differs, and writes every run, the fingerprints with
+those flags (``fingerprint_equal``), a summary per workload and end-to-end
+metric, and the verdict on the claimed metric.  With
 ``--claim W:M`` it then runs W in 3 more pairs with ``--trace 1``, at
 seeds SEED0 to SEED0+2 and in the same alternating order, and writes the
 median of each per-layer metric over each tree's traced runs side by
@@ -101,6 +103,12 @@ def trace_summary(parent: list[dict[str, float]], change: list[dict[str, float]]
             "runs": runs,
         }
     return out
+
+
+def fingerprint_equal(prints: dict[str, dict[str, str]]) -> dict[str, bool]:
+    """Whether each fingerprint is the same on both trees, and ``all``, whether every one is; a missing one differs."""
+    flags = {name: sides["parent"] is not None and sides["parent"] == sides["change"] for name, sides in prints.items()}
+    return {**flags, "all": all(flags.values())}
 
 
 def git_output(*args: str) -> str:
@@ -194,6 +202,11 @@ def main(argv=None) -> int:
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                     traced[side].append(run_once(trees[side], workload, args.seed0 + k, seconds, trace=1))
         prints = {side: fingerprint(tree) for side, tree in trees.items()}
+    names = list(dict.fromkeys([*prints["parent"], *prints["change"]]))
+    fingerprints = {name: {side: prints[side].get(name) for side in prints} for name in names}
+    equal = fingerprint_equal(fingerprints)
+    differ = [name for name in names if not equal[name]]
+    print(f"fingerprints differ: {', '.join(differ)}" if differ else f"fingerprints equal: {', '.join(names)}")
     environment = runs[workloads[0]][0]["environment"]
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0"
@@ -204,7 +217,8 @@ def main(argv=None) -> int:
         "verdict_rule": " ".join(__doc__.split("The rule (``verdict``): ", 1)[1].split()),
         "environment": {k: v for k, v in environment.items() if k not in ("git_commit", "src_sha256")},
         "src_sha256": {r["side"]: r["environment"]["src_sha256"] for r in runs[workloads[0]][:2]},
-        "fingerprint": {name: {side: prints[side].get(name) for side in prints} for name in prints["parent"]},
+        "fingerprint": fingerprints,
+        "fingerprint_equal": equal,
         "summary": {w: summarise(rs, metrics) for w, rs in runs.items()},
         "runs": {w: [{k: v for k, v in r.items() if k != "environment"} for r in rs] for w, rs in runs.items()},
     }
