@@ -1,7 +1,7 @@
 """The staged kick-drift-kick (Stormer-Verlet) of a Hamiltonian with partials ``dy`` and ``dp``.
 
 The step reads y and p only through the Hamiltonian and ``+``, ``-`` and
-``*``, so one body steps float arrays (..., d) and Python floats in the
+``*``, so one body steps a float array (d,) and Python floats in the
 same operation order: ``manifold.integrate`` runs it over arrays, and
 table 3 over floats, without loading numpy.
 """

@@ -89,14 +89,14 @@ class ReducedHamiltonian(GeodesicHamiltonian):
         return np.array([self.cost.potential(row) for row in flat]).reshape(z.shape[:-1])
 
     def _force(self, y: np.ndarray) -> np.ndarray:
-        """Central differences of the potential at y (..., d), from one decoder pass over the stencil.
+        """Central differences of the potential at a point y (d,), from one decoder pass over its stencil.
 
         The task cost scores finite outputs only: a stencil step past the
         float range (|y| past its square root) raises ValueError naming y
         before the pass, and so does a decoder output past it after the pass.
         """
         points, step = _stencil(y)
-        if not np.logical_and.reduce(np.isfinite(step), axis=None):
+        if not np.isfinite(step):
             raise ValueError(
                 f"potential gradient's stencil step at y={y.tolist()} overflows: "
                 "|y| is past the float range's square root"
@@ -165,7 +165,7 @@ def running_cost(metric_field: MetricField, cost: CostSpec, y: np.ndarray, u: np
     scores a finite output only: a decoder output past the float range
     raises ValueError naming y before the cost is called.
     """
-    y = np.atleast_1d(floats(y))
+    y = np.atleast_1d(np.asarray(floats(y), order="C"))  # a kernel's last bits follow y's strides
     u = np.atleast_1d(floats(u))
     # z and G from one decoder pass
     with np.errstate(over="ignore", invalid="ignore"):

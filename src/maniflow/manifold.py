@@ -15,14 +15,21 @@ comes back NaN-filled and raises numpy's invalid flag, so every caller
 runs them with invalid ignored and reads the NaN.  Its per-iterate and
 per-node reductions call the ufunc reductions that the ndarray methods
 wrap (``np.maximum.reduce`` for ``.max()``, ``np.logical_and.reduce``
-for ``.all()``, ...).  The products of one point, a y of shape (d,),
-call ``ndarray.dot``: on 1-d and 2-d operands it reaches the BLAS routine
-(gemv, gemm, syrk for J^T J, dot) that ``np.matvec``, ``np.vecmat``,
-``np.matmul`` and ``np.vecdot`` reach, without their gufunc dispatch.  A
-stack keeps the gufuncs, which broadcast where ``ndarray.dot`` contracts,
-and each of its rows has the bits of its one-point product.  Those bits
-follow a vector's strides when the matrix is in F order, and a decoder
-keeps its layers' order, so a ``PhasePoint`` holds C-order y and p.
+for ``.all()``, ...).
+
+A run (``integrate``, ``leapfrog_step``, ``control.ndm_layer``,
+``empirical_deviations``) takes one ``PhasePoint``, y and p of shape
+(d,).  The kernels take a point (d,) or a stack (..., d): the node
+check, the exact tangent, the potential's stencil and the boundary-value
+solve run ``Decoder._forward`` and ``_curvature``, ``MetricField._product``
+and ``_geometry`` and ``_kinetic`` over stacks.  A point's products call
+``ndarray.dot``, which reaches the BLAS routine (gemv, gemm, syrk for
+J^T J, dot) that ``np.matvec``, ``np.vecmat`` and ``np.matmul`` reach,
+without their gufunc dispatch; a stack keeps the gufuncs, and each of
+its rows has the bits of its one-point product.  Those bits follow a
+vector's strides when the matrix is in F order, and a decoder keeps its
+layers' order, so a ``PhasePoint`` and each entry point that takes a raw
+y read it in C order.
 
 Geodesics are driven by the kinetic Hamiltonian
 H(y, p) = p^T G(y)^{-1} p / 2.  G is reached one way,
@@ -32,8 +39,8 @@ H from it; the chord step makes the same check over a stack of nodes
 (below) and names a node that fails by ``_geometry``.  A decoder's
 derivatives are exact and unchecked (the engine checks G or its nodes
 instead): its order-1 jet (f, J) from ``Decoder._forward``, one pass
-over its layers (``linear`` is one layer with a zero bias) for a point
-(d,) or a stack (..., d), and the contraction C = sum_i c_i Hess f_i from
+over its layers (``linear`` is one layer with a zero bias), and the
+contraction C = sum_i c_i Hess f_i from
 ``Decoder._curvature``, one forward and one backward pass that form no
 second-derivative tensor, which only the chord step's tangent reads.
 
@@ -54,20 +61,17 @@ q0 + h G(q0)^{-1} p0, steps 2 to 4 at the polynomial through their 2 to
 4 nodes, and later steps at the quartic through the last five,
 5 (q0 - q_-3) + 10 (q_-2 - q_-1) + q_-4 (Hairer, Lubich & Wanner,
 *Geometric Numerical Integration* VIII.6).  Every step takes one update;
-then each row iterates until its residual, in max-norms, is at most
+then Newton iterates until the residual, in max-norms, is at most
 ``_CHORD_TOL`` = 1e-12 of the right-hand side, or, from the third
-iterate on, within the rounding floor of its terms (``_round_off``).  A
-row that stops keeps its iterate while the others update, so a stacked
-row is bit-equal to its single run.  The decoder pass at each iterate
-gives its residual, and the last one ends the step: from step 5 on, a
-smooth run makes 2 passes and 1 solve per step.  A row above both after
-30 updates (``_CHORD_UPDATES``) raises IntegrationError naming the step
-and the residual; a row whose Newton matrix is singular, so that its
-iterate turns NaN, raises IntegrationError naming that matrix and the
-step.  In a stack the rows that update on rebuild a lost row's matrix
-from its NaN, so on that failure path each lost row reruns alone, which
-is bit-equal, to name it.  The nodes are checked a block at a time, not
-as they are made: each block of ``_CHECK_BLOCK`` = 64 nodes, and the
+iterate on, within the rounding floor of its terms (``_round_off``).
+The decoder pass at each iterate gives its residual, and the last one
+ends the step: from step 5 on, a smooth run makes 2 passes and 1 solve
+per step.  A step above both after 30 updates (``_CHORD_UPDATES``)
+raises IntegrationError naming the step and the residual; a step whose
+Newton matrix is singular, so that its iterate turns NaN, raises
+IntegrationError naming that matrix and the step.  The nodes are
+checked a block at a time, not as they are made: each block of
+``_CHECK_BLOCK`` = 64 nodes, and the
 run's last nodes, get one stacked G, one Cholesky factorisation, one
 finiteness test of the factors and the rows, and one energy solve.  The
 first node that fails raises the error its own check raises, with the
@@ -89,35 +93,28 @@ and -(J_k^T J_k+1 + eps_reg I) / h off it.  Its momentum is that of the
 first chord, so the chord step from it retraces the nodes to y_b.
 
 **Deviations.**  ``jacobi_propagate`` carries a deviation by the
-tangent of each recorded step.  For the chord step without a potential
-the tangent is exact: implicit differentiation of the step's equation at
-the recorded nodes, from one decoder pass, one curvature contraction and
-one stacked solve, with no step re-run (``_chord_tangents``).  Since it
-reads node k + 1 as the given field's step from node k, it checks the
-step's equation there and names a node that fails it, so a trajectory
-recorded under another field raises ValueError.  ``empirical_deviations``,
-the finite-difference oracle, differences the run from pt0 and the run
-from pt0 + 1e-5 delta0.  ``integrate`` records a one-point chord run
-without a potential on its ``pt0``: the field, decoder, layers, eps_reg,
-h and n_steps, pt0's y and p, a weak reference to the trajectory, and a
-digest of y, p and the trajectory's rows.  While every tag holds, the
-oracle runs only the shifted point and takes its base rows from that
-trajectory; otherwise, and when the shifted run raises, it runs both
-points as one stack of two.
+tangent of each recorded step of the chord step without a potential,
+the one step whose tangent is written; any other Hamiltonian raises
+ValueError.  The tangent is exact: implicit differentiation of the
+step's equation at the recorded nodes, from one decoder pass, one
+curvature contraction and one stacked solve, with no step re-run
+(``_chord_tangents``).  Since it reads node k + 1 as the given field's
+step from node k, it checks the step's equation there and names a node
+that fails it, so a trajectory recorded under another field raises
+ValueError.  ``empirical_deviations``, the finite-difference oracle,
+differences the run from pt0 and the run from pt0 + 1e-5 delta0.
+``integrate`` records a chord run without a potential on its ``pt0``:
+the field, decoder, layers, eps_reg, h and n_steps, pt0's y and p, a
+weak reference to the trajectory, and a digest of y, p and the
+trajectory's rows.  While every tag holds, the oracle takes its base
+rows from that trajectory; otherwise it runs pt0.  Then it runs the
+shifted point, and an error is that run's own.
 
-Finite differences remain where no exact derivative is written: the
-tangent of the staged step and of the chord step with a potential
-(``control.ReducedHamiltonian``), and a potential's gradient in
-``control``.  They take their points from ``_stencil`` and their quotient
-from ``_central``: steps 1e-5 (1 + |arg|) (``GRAD_STEP``), for first
-derivatives only.  One loop runs a point or a stack, kernel by kernel
-slice by slice, so each row is bit-equal to its single-point run:
-``leapfrog_step`` is the one-step ``integrate`` without energies,
-``jacobi_propagate``'s stencil route steps the 4d stencil points of all n
-nodes as one stack, and ``empirical_deviations``' stack of two gives its
-base row the bits of ``integrate``'s run from the same point.  A
-``PhaseTrajectory`` holds the node rows ``ys`` and ``ps``, (n+1, d) for
-one point, and ``energies``.
+The one finite difference left is a potential's gradient in
+``control``.  It takes its points from ``_stencil`` and its quotient
+from ``_central``: steps 1e-5 (1 + |y|) (``GRAD_STEP``).  A
+``PhaseTrajectory`` holds the node rows ``ys`` and ``ps``, (n+1, d), and
+``energies``, (n+1,).
 
 A decoder is its (w, b) layers, each checked by one rule in ``Decoder``:
 a matrix taking the previous layer's output width, a matching bias, both
@@ -132,7 +129,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -180,9 +177,9 @@ class IntegrationError(ValueError):
     node (the one before it) and ``drift`` is max |H - H_0| over the nodes
     up to it, or None for a run that records no energies.  Step 0 is a
     start whose state or energy is not finite: y, p and drift are None.
-    A chord step fails when a row's Newton residual is still above its
+    A chord step fails when its Newton residual is still above its
     bound after 30 updates; the message gives it relative to the step's
-    right-hand side h p (+ h^2/2 grad V).  It also fails when a row's
+    right-hand side h p (+ h^2/2 grad V).  It also fails when its
     Newton matrix J0^T J1 + eps_reg I is singular (a saturated tanh with
     eps_reg = 0 zeroes J1): the solve turns its iterate NaN, and the
     message names the singular Newton matrix and the step.  The chord
@@ -258,7 +255,7 @@ class Decoder:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """f at y, shape (..., n) for latent points (..., d); ValueError, and no warning, unless finite."""
-        y = floats(y)
+        y = np.asarray(floats(y), order="C")  # a kernel's last bits follow y's strides (module docstring)
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._forward(y)[0]
         if not np.isfinite(out).all():
@@ -398,7 +395,7 @@ class MetricField:
     def solve(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """G(y)^-1 rhs; ValueError, and no warning, unless it is finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            g, rhs = self._geometry(floats(y)), floats(rhs)
+            g, rhs = self._geometry(np.asarray(floats(y), order="C")), floats(rhs)
             # a 0-d rhs solves as width 1, as np.linalg.solve read rhs[..., None]
             out = solve1(g, rhs) if rhs.ndim else solve1(g, rhs[None])[..., 0]
         if not np.logical_and.reduce(np.isfinite(out), axis=None):
@@ -409,12 +406,18 @@ class MetricField:
 def pullback_metric(metric_field: MetricField, y: np.ndarray) -> np.ndarray:
     """G(y), shape (..., d, d) for points (..., d); raises SingularMetricError when not positive definite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return metric_field._geometry(floats(y))
+        return metric_field._geometry(np.asarray(floats(y), order="C"))
+
+
+def _one_point(y: np.ndarray, p: np.ndarray) -> None:
+    """ValueError, naming both shapes, unless y and p are one phase point: arrays of one shape (d,)."""
+    if y.ndim != 1 or y.shape != p.shape:
+        raise ValueError(f"y and p must be one point each, of equal length (d,), got shapes {y.shape} and {p.shape}")
 
 
 @dataclass
 class PhasePoint:
-    """A latent position/momentum pair, or a stack of them: y and p of one shape (..., d).
+    """A latent position/momentum pair: y and p of one shape (d,).
 
     ``_jet`` is set only on a point that ``control.ndm_layer`` returns, and
     only ``ndm_layer`` reads it: (decoder, its layers, task cost, y, y's
@@ -435,8 +438,7 @@ class PhasePoint:
         # C order, as a kernel's last bits follow its vector's strides (module docstring); a
         # contiguous y or p stays the caller's array, so the tags on _run and _jet still hold
         y, p = (np.ascontiguousarray(floats(v)) for v in (self.y, self.p))
-        if y.shape != p.shape:
-            raise ValueError(f"y and p must have equal length and shape, got {y.shape} and {p.shape}")
+        _one_point(y, p)
         self.y = y
         self.p = p
 
@@ -447,7 +449,7 @@ class PhasePoint:
 
 @dataclass
 class PhaseTrajectory:
-    """Recorded leapfrog states: node rows ys, ps of shape (n+1, ..., d) and their energies (n+1, ...).
+    """Recorded leapfrog states: node rows ys, ps of shape (n+1, d) and their energies (n+1,).
 
     ``points`` lists the nodes as PhasePoint views of those rows; it is
     built on first use, and ``final()`` is its last entry.
@@ -483,7 +485,8 @@ class GeodesicHamiltonian:
 
     def __call__(self, y: np.ndarray, p: np.ndarray):
         """H at (y, p); ValueError if it is NaN (an infinite momentum gives one)."""
-        y, p = floats(y), np.atleast_1d(floats(p))  # a 0-d p has width 1, as np.linalg.solve read p[..., None]
+        # a 0-d p has width 1, as np.linalg.solve read p[..., None]
+        y, p = np.asarray(floats(y), order="C"), np.atleast_1d(floats(p))
         with np.errstate(over="ignore", invalid="ignore"):
             energy = _kinetic(self.metric_field._geometry(y), p)
         if np.logical_or.reduce(np.isnan(energy), axis=None):
@@ -492,13 +495,10 @@ class GeodesicHamiltonian:
 
 
 def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points x +/- step e_i (rows i and n + i) of x (..., n), shape (..., 2n, n), and step (..., 1, 1).
-
-    step = GRAD_STEP (1 + |x|), |x| on the dot kernel ``np.linalg.norm`` runs for a 1-d x.
-    """
-    step = GRAD_STEP * (1.0 + np.sqrt(x.dot(x) if x.ndim == 1 else np.vecdot(x, x))[..., None, None])
-    shifts = step * np.eye(x.shape[-1])
-    return np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2), step
+    """Points x +/- step e_i (rows i and n + i) of a point x (n,), shape (2n, n), and step GRAD_STEP (1 + |x|)."""
+    step = GRAD_STEP * (1.0 + np.sqrt(x.dot(x)))  # |x| on the dot kernel np.linalg.norm runs
+    shifts = step * np.eye(x.shape[0])
+    return np.concatenate([x + shifts, x - shifts]), step
 
 
 def _central(values: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -553,41 +553,31 @@ def _chord(hamiltonian, y, p, h, n_steps, failure, jet=None):
     reg = _scaled_eye(float(eps), y.shape[-1])
     out, jac = forward(y) if jet is None else jet[:2]
     before = []  # the (up to) four nodes before y, oldest first
-    # whether any row is still above its bound: a single point's test is a numpy scalar, which bool
-    # reads ~30x faster than .any() does; a stack's goes to the ufunc reduction .any() calls
-    stacked = y.ndim > 1
-    pending = partial(np.logical_or.reduce, axis=None) if stacked else bool
-    vm, mm = (np.vecmat, np.matmul) if stacked else (np.ndarray.dot,) * 2  # one point's through ndarray.dot
     for k in range(n_steps + 1):
         if k:
             q = y + h * solve1(field._product(y, jac), p) if k == 1 else _predict(y, before)
             rhs = h * p if grad is None else h * p + 0.5 * h * h * grad
-            bound = _CHORD_TOL * np.maximum.reduce(np.abs(rhs), axis=-1)
-            jac_t = jac.swapaxes(-1, -2)
-            above = np.True_  # every row takes one update: a start within the bound is still no Newton iterate
+            bound = _CHORD_TOL * np.maximum.reduce(np.abs(rhs))
+            # every step takes one update: a start within the bound is still no Newton iterate
             for update in range(_CHORD_UPDATES + 1):
                 # the pass at each iterate gives its residual, and the last one ends the step
                 out_q, jac_q = forward(q)
                 chord, move = out_q - out, eps * (q - y)
-                residual = vm(chord, jac) + move - rhs
+                residual = chord.dot(jac) + move - rhs
                 if update:
-                    size = np.maximum.reduce(np.abs(residual), axis=-1)
-                    above = size > bound  # a NaN row is not above: the node check names it
-                    if not pending(above):
+                    size = np.maximum.reduce(np.abs(residual))
+                    if not size > bound:  # nor is a NaN residual: the node check names it
                         break
-                    if update >= 2:  # a row that two updates left above the bound may be at round-off
-                        above &= size > _round_off(jac, mm(jac_t, jac_q) + reg, q, out_q)
-                        if not pending(above):
-                            break
+                    # an iterate that two updates left above the bound may be at round-off
+                    if update >= 2 and not size > _round_off(jac, jac.T.dot(jac_q) + reg, q, out_q):
+                        break
                 if update == _CHORD_UPDATES:
-                    with np.errstate(divide="ignore"):
-                        worst = float(np.max(size[above] / bound[above])) * _CHORD_TOL
+                    with np.errstate(divide="ignore"):  # a zero rhs has a zero bound
+                        worst = float(size / bound) * _CHORD_TOL
                     raise failure(k, f"relative Newton residual {worst:.1e} after {update} updates")
-                matrix = mm(jac_t, jac_q) + reg
-                delta = solve1(matrix, residual)
-                # a row that met the bound keeps its iterate, as in its single run
-                q = np.where(above[..., None], q - delta, q) if stacked else q - delta
-            p = (vm(chord, jac_q) + move) / h
+                matrix = jac.T.dot(jac_q) + reg
+                q = q - solve1(matrix, residual)
+            p = (chord.dot(jac_q) + move) / h
             before = [*before[-3:], y]
             y, out, jac = q, out_q, jac_q
         if force is not None:
@@ -600,33 +590,23 @@ def _chord(hamiltonian, y, p, h, n_steps, failure, jet=None):
         yield y, p, jac, out, matrix, grad
 
 
-def _node_error(hamiltonian, k: int, node: tuple, start: tuple, h: float, failure) -> ValueError:
+def _node_error(hamiltonian, k: int, node: tuple, failure) -> ValueError:
     """The error of chord node k, (y, p, J, f, Newton matrix, grad V), that failed the node check: its check alone.
 
     A G that fails at a finite y raises ``_geometry``'s error.  A y that
-    drifted to inf or NaN fails as step k: a single point names a singular
-    Newton matrix from the step's last matrix, and a stack reruns each lost
-    row alone from ``start``, bit-equal to its row, whose own run names it
-    (the rows that update on rebuild a lost row's matrix from its NaN).
-    Any other node is a non-finite state or energy.
+    drifted to inf or NaN fails as step k, named a singular Newton matrix
+    when the step's last matrix is one.  Any other node is a non-finite
+    state or energy.
     """
     y, _, jac, _, matrix, _ = node
     try:
         hamiltonian.metric_field._geometry(y, jac)
     except ValueError:
-        lost = ~np.isfinite(y).all(axis=-1)
-        if not lost.any():
+        if np.isfinite(y).all():
             raise
-        if k and y.ndim == 1:  # solve1 NaN-fills the solve of a finite, singular matrix
-            if np.isfinite(matrix).all() and np.isnan(solve1(matrix, np.zeros(y.shape))).any():
-                return failure(k, _SINGULAR)
-        elif k:
-            for row in zip(*np.nonzero(lost)):
-                try:
-                    _leapfrog(hamiltonian, start[0][row], start[1][row], h, k, energies=False)
-                except IntegrationError as error:
-                    if str(error).startswith(_SINGULAR):
-                        return failure(k, _SINGULAR)
+        # solve1 NaN-fills the solve of a finite, singular matrix
+        if k and np.isfinite(matrix).all() and np.isnan(solve1(matrix, np.zeros(y.shape))).any():
+            return failure(k, _SINGULAR)
     return failure(k)
 
 
@@ -643,29 +623,24 @@ def _run_length(h: float, n_steps: int) -> tuple[float, int]:
 
 
 def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int, energies: bool = True, jet=None):
-    """n_steps updates from (y, p) of shape (..., d): the chord step for a Hamiltonian with a metric field.
+    """n_steps updates from one point (y, p) of shape (d,): the chord step for a Hamiltonian with a metric field.
 
-    Returns the node rows of y and p, shape (n+1, ..., d), and of H,
-    shape (n+1, ...), or None for H when ``energies`` is false, all views
-    of one buffer, and the chord step's (f, J, grad V) at its last node, or
-    None for the staged step.  ``jet`` is the chord step's (f, J, grad V) at
-    y, if known (``_chord``).  The staged step's rows are checked finite a node
-    at a time.  The chord step's nodes are checked as one stack per block
-    of ``_CHECK_BLOCK`` nodes and at the end of the run: one G, one Cholesky
-    factorisation, one finiteness test of the factors and rows, and one
-    energy solve.  The first node that fails, in node order, raises the
-    error the check of that node alone raises (``_node_error``), at most
-    ``_CHECK_BLOCK`` - 1 steps after it was made.  An error raised while
-    stepping, a Newton solve's or a task cost's, first has the held nodes
-    checked, so an earlier bad node still wins.
+    Returns the node rows of y and p, shape (n+1, d), and of H, shape
+    (n+1,) or None when ``energies`` is false, all views of one buffer,
+    and the chord step's (f, J, grad V) at its last node, or None for the
+    staged step.  ``jet`` is the chord step's (f, J, grad V) at y, if
+    known.  The staged step's rows are checked finite a node at a time,
+    the chord step's a block at a time (module docstring); the first node
+    that fails raises the error of its check alone (``_node_error``).
     """
     h, n_steps = _run_length(h, n_steps)
-    d = y.shape[-1]
+    _one_point(y, p)  # a y or p written to a PhasePoint after it was made is read here
+    d = y.shape[0]
     try:
-        nodes = np.empty((n_steps + 1, *y.shape[:-1], 2 * d + energies))
+        nodes = np.empty((n_steps + 1, 2 * d + energies))
     except (ValueError, MemoryError):  # numpy refuses the buffer's size
         raise ValueError(f"n_steps {n_steps} needs a node buffer too large to allocate") from None
-    start, held, checked = (y, p), [], 0  # the chord nodes from ``checked`` on, not yet checked
+    held, checked = [], 0  # the chord nodes from ``checked`` on, not yet checked
 
     def check() -> None:
         """Check the held chord nodes as one stack; raise the first failing node's error."""
@@ -676,14 +651,14 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
         # np.array stacks a short list of small arrays several times faster than np.stack
         ys, ps, jacs, outs, _, _ = zip(*held)
         block = nodes[checked : checked + n]
-        block[..., :d], block[..., d : 2 * d] = np.array(ys), np.array(ps)
-        g = hamiltonian.metric_field._product(block[..., :d], np.array(jacs))
+        block[:, :d], block[:, d : 2 * d] = np.array(ys), np.array(ps)
+        g = hamiltonian.metric_field._product(block[:, :d], np.array(jacs))
         if energies:
-            block[..., -1] = _kinetic(g, block[..., d : 2 * d])
+            block[:, -1] = _kinetic(g, block[:, d : 2 * d])
             if hamiltonian._force is not None:  # the potential is taken at a finite y only
-                scored = np.logical_and.reduce(np.isfinite(block[..., :d]).reshape(n, -1), axis=1)
-                block[scored, ..., -1] -= hamiltonian._potential(np.array(outs)[scored])
-        finite = np.isfinite(np.concatenate([cholesky_lo(g).reshape(n, -1), block.reshape(n, -1)], axis=1))
+                scored = np.logical_and.reduce(np.isfinite(block[:, :d]), axis=1)
+                block[scored, -1] -= hamiltonian._potential(np.array(outs)[scored])
+        finite = np.isfinite(np.concatenate([cholesky_lo(g).reshape(n, -1), block], axis=1))
         k, checked = checked, checked + n
         if np.logical_and.reduce(finite, axis=None):
             held.clear()
@@ -691,7 +666,7 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
         first = int(np.argmin(np.logical_and.reduce(finite, axis=1)))  # the first node that failed
         node = held[first]
         held.clear()  # failure, which the error's helper calls, has nothing left to check
-        raise _node_error(hamiltonian, k + first, node, start, h, failure)
+        raise _node_error(hamiltonian, k + first, node, failure)
 
     def failure(k: int, cause: str = "non-finite state or energy") -> IntegrationError:
         check()  # the held nodes are those before step k, and the first of them to fail wins
@@ -699,8 +674,8 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
         if k == 0:
             return IntegrationError(message, 0)
         last = nodes[k - 1].copy()
-        drift = float(np.max(np.abs(nodes[:k, ..., -1] - nodes[0, ..., -1]))) if energies else None
-        return IntegrationError(message, k, last[..., :d], last[..., d : 2 * d], drift)
+        drift = float(np.max(np.abs(nodes[:k, -1] - nodes[0, -1]))) if energies else None
+        return IntegrationError(message, k, last[:d], last[d : 2 * d], drift)
 
     # check and failure refer to each other; emptying both names at the end breaks that cycle, so the
     # run's buffer and inputs go with their last reference and leave the cyclic collector nothing
@@ -710,9 +685,9 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
             if getattr(hamiltonian, "metric_field", None) is None:
                 for k, (y, p, energy) in enumerate(staged(hamiltonian, y, p, h, n_steps, energies, failure)):
                     row = nodes[k]
-                    row[..., :d], row[..., d : 2 * d] = y, p
+                    row[:d], row[d : 2 * d] = y, p
                     if energies:
-                        row[..., -1] = energy
+                        row[-1] = energy
                     if not np.logical_and.reduce(np.isfinite(row), axis=None):
                         raise failure(k)
                 end = None
@@ -729,24 +704,23 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
                 end = node[3], node[2], node[5]
     finally:
         del check, failure
-    return nodes[..., :d], nodes[..., d : 2 * d], nodes[..., -1] if energies else None, end
+    return nodes[:, :d], nodes[:, d : 2 * d], nodes[:, -1] if energies else None, end
 
 
 def integrate(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> PhaseTrajectory:
     """n_steps steps of size h, recording all n+1 nodes and their energies.
 
-    A stacked ``pt0`` (..., d) integrates every row at once.  h must be
-    finite and non-zero; a non-finite state, or a chord step whose Newton
-    residual does not meet its bound within 30 updates, raises
-    IntegrationError (module docstring).  A run of one point (d,) by the
-    chord step without a potential is recorded on ``pt0`` (``_run_record``),
-    so that ``empirical_deviations`` from that point with the same h and
-    n_steps need not run it again; the record holds the trajectory weakly.
+    h must be finite and non-zero; a non-finite state, or a chord step
+    whose Newton residual does not meet its bound within 30 updates, raises
+    IntegrationError (module docstring).  A run by the chord step without a
+    potential is recorded on ``pt0`` (``_run_record``), so that
+    ``empirical_deviations`` from that point with the same h and n_steps
+    need not run it again; the record holds the trajectory weakly.
     """
     h, n_steps = _run_length(h, n_steps)
     ys, ps, energies, _ = _leapfrog(hamiltonian, pt0.y, pt0.p, h, n_steps)
     traj = PhaseTrajectory(step=h, ys=ys, ps=ps, energies=energies)
-    if pt0.y.ndim == 1 and getattr(hamiltonian, "metric_field", None) is not None and hamiltonian._force is None:
+    if getattr(hamiltonian, "metric_field", None) is not None and hamiltonian._force is None:
         pt0._run = _run_record(hamiltonian.metric_field, pt0, h, n_steps, traj)
     return traj
 
@@ -920,33 +894,22 @@ def _chord_tangents(field: MetricField, traj: PhaseTrajectory) -> np.ndarray:
     return np.concatenate([dq, dp / h], axis=-2)
 
 
-def _stencil_tangents(hamiltonian, traj: PhaseTrajectory) -> np.ndarray:
-    """The central-difference tangents (n, 2d, 2d) of one step from each node but the last: 4d stencil points each."""
-    d = traj.ys.shape[-1]
-    zs, step = _stencil(np.concatenate([traj.ys[:-1], traj.ps[:-1]], axis=-1))
-    if not np.isfinite(step).all():
-        node = int(np.argmin(np.isfinite(step).ravel()))
-        raise ValueError(f"stencil step at node {node} overflows: |(y, p)| is past the float range's square root")
-    ys, ps, _, _ = _leapfrog(hamiltonian, zs[..., :d], zs[..., d:], traj.step, 1, energies=False)
-    return _central(np.concatenate([ys[1], ps[1]], axis=-1), step)
-
-
 def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> np.ndarray:
-    """Propagate a phase-space deviation along a recorded one-point trajectory by each step's tangent.
+    """Propagate a phase-space deviation along a recorded one-point trajectory by each chord step's tangent.
 
     It linearises the discrete flow, not the continuous one: T_k is the
-    derivative of the step of size ``traj.step`` from node k with respect
-    to (y_k, p_k).  For the chord step without a potential
-    (``GeodesicHamiltonian``) T_k is exact, from the recorded nodes k and
-    k + 1 (``_chord_tangents``): one decoder pass and one curvature
-    contraction over all nodes, one stacked solve, and no step re-run; a
-    node k + 1 that is not this field's step from (y_k, p_k) raises
-    ValueError naming it.  Any other Hamiltonian (the staged step,
-    ``control.ReducedHamiltonian``) takes the central difference of that
-    step over the 4d stencil points of (y_k, p_k), the points of all n
-    nodes stepped as one stack.  Returns the (n+1, 2d) deviations
+    exact derivative of the step of size ``traj.step`` from node k with
+    respect to (y_k, p_k), from the recorded nodes k and k + 1
+    (``_chord_tangents``): one decoder pass and one curvature contraction
+    over all nodes, one stacked solve, and no step re-run.  Only the chord
+    step without a potential (``GeodesicHamiltonian``) has it written: any
+    other Hamiltonian raises ValueError, and so does a node k + 1 that is
+    not this field's step from node k.  Returns the (n+1, 2d) deviations
     delta_{k+1} = T_k delta_k, starting at delta0.
     """
+    if getattr(hamiltonian, "metric_field", None) is None or hamiltonian._force is not None:
+        name = type(hamiltonian).__name__
+        raise ValueError(f"jacobi_propagate takes the chord step without a potential only, not a {name}'s step")
     delta = floats(delta0)
     d = traj.ys.shape[-1]
     if traj.ys.ndim != 2 or traj.ps.shape != traj.ys.shape:
@@ -955,14 +918,10 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
         )
     if delta.shape != (2 * d,):
         raise ValueError(f"deviation must have length {2 * d}, got {delta.shape}")
-    # a stencil, tangent or deviation past the float range needs no warning: the
+    # a tangent or deviation past the float range needs no warning: the
     # engine's finiteness checks or the one below turn it into ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        # the exact tangent is written for the chord step without a potential; every other step takes the stencil
-        if getattr(hamiltonian, "metric_field", None) is None or hamiltonian._force is not None:
-            tangents = _stencil_tangents(hamiltonian, traj)
-        else:
-            tangents = _chord_tangents(hamiltonian.metric_field, traj)
+        tangents = _chord_tangents(hamiltonian.metric_field, traj)
         out = np.empty((len(traj), 2 * d))
         out[0] = delta
         for k, tangent in enumerate(tangents, start=1):
@@ -1020,18 +979,15 @@ def _recorded_rows(hamiltonian, pt0: PhasePoint, h: float, n_steps: int) -> tupl
 def empirical_deviations(hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: float, n_steps: int) -> np.ndarray:
     """Deviation oracle: difference the runs from one point pt0 and from pt0 + 1e-5 delta0.
 
-    The two runs go as one stack of two rows, unless pt0 carries the run
-    that ``integrate`` made from it with this field, h and n_steps, by the
-    chord step without a potential, and every tag of that record still
-    holds (``_recorded_rows``).  Then only the shifted point runs, as one
-    row, and is differenced against the recorded rows, which are the
-    stack's row 0 bit for bit.  A shifted run that raises is run again as
-    the stack, so the error is the stack's, with its rows' state.
+    The base rows are those of the run that ``integrate`` made from pt0
+    with this field, h and n_steps, by the chord step without a potential,
+    while every tag of that record still holds (``_recorded_rows``);
+    otherwise pt0 runs first.  Then the shifted point runs.  Each run is of
+    one point, and an error is that run's own, with its state.
     """
     delta0 = floats(delta0)
-    d = pt0.y.shape[-1]
-    if pt0.y.shape != (d,):
-        raise ValueError(f"pt0 must be one phase point of shape ({d},), got shape {pt0.y.shape}")
+    _one_point(pt0.y, pt0.p)
+    d = pt0.y.shape[0]
     if delta0.shape != (2 * d,):
         raise ValueError(f"delta0 must have shape ({2 * d},), got {delta0.shape}")
     h, n_steps = _run_length(h, n_steps)
@@ -1039,19 +995,11 @@ def empirical_deviations(hamiltonian, pt0: PhasePoint, delta0: np.ndarray, h: fl
     # a shifted point or deviation past the float range needs no warning: the
     # engine's finiteness check or the one below turns it into ValueError
     with np.errstate(over="ignore", invalid="ignore"):
+        if base is None:
+            base = _leapfrog(hamiltonian, pt0.y, pt0.p, h, n_steps, energies=False)[:2]
         y, p = pt0.y + _DEVIATION_SHIFT * delta0[:d], pt0.p + _DEVIATION_SHIFT * delta0[d:]
-        moves = None
-        if base is not None:
-            try:
-                ys, ps, _, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
-                moves = ys - base[0], ps - base[1]
-            except ValueError:  # the stack below raises it with the state of both rows
-                pass
-        if moves is None:
-            y, p = np.stack([pt0.y, y]), np.stack([pt0.p, p])
-            ys, ps, _, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
-            moves = ys[:, 1] - ys[:, 0], ps[:, 1] - ps[:, 0]
-        out = np.concatenate(moves, axis=1) / _DEVIATION_SHIFT
+        ys, ps, _, _ = _leapfrog(hamiltonian, y, p, h, n_steps, energies=False)
+        out = np.concatenate([ys - base[0], ps - base[1]], axis=1) / _DEVIATION_SHIFT
     if not np.isfinite(out).all():
         raise ValueError("empirical deviations are not finite")
     return out

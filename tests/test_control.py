@@ -297,8 +297,12 @@ class TestCarriedStart:
         other = manifold.Decoder.linear(np.eye(3, 2))
         if stale == "y-written":
             pt.y[0] += 0.01
-        elif stale == "y-reshaped":  # the same bytes as a one-row stack
+        elif stale == "y-reshaped":  # the same bytes as a one-row stack, which no run takes
             pt.y, pt.p = pt.y.reshape(1, 2), pt.p.reshape(1, 2)
+            message = r"^y and p must be one point each, .* got shapes \(1, 2\) and \(1, 2\)$"
+            with pytest.raises(ValueError, match=message):
+                control.ndm_layer(field, cost, pt, 0.1)
+            return
         elif stale == "another-cost-spec":
             cost = control.CostSpec(lambda z: float(z @ z))
         elif stale == "another-task-cost":

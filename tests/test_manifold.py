@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from maniflow import control, manifold
-from maniflow._numbers import floats
 
 from conftest import loop_fd_gradient
 
@@ -41,24 +40,6 @@ class Blows:
 
     def dy(self, y, p):
         return np.array([np.nan]) if y[0] >= 2.5 else np.array([0.0])
-
-    def dp(self, y, p):
-        return np.asarray(p, dtype=float)
-
-
-class DecoderPotential:
-    """Separable H = (|p|^2 + |f(y)|^2)/2 of a decoder f; dy = J^T f takes a point or a stack."""
-
-    def __init__(self, decoder):
-        self.decoder = decoder
-
-    def __call__(self, y, p):
-        z = self.decoder(y)
-        return 0.5 * float(p @ p + z @ z)
-
-    def dy(self, y, p):
-        z, jac = self.decoder._forward(floats(y))
-        return (z[..., None, :] @ jac)[..., 0, :]
 
     def dp(self, y, p):
         return np.asarray(p, dtype=float)
@@ -469,9 +450,9 @@ class TestGufuncRoute:
     @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
     @pytest.mark.parametrize("d", range(1, 7))
     def test_vector_products_are_the_matmul_forms(self, d, stack):
-        # a stack's decoder pass, chord step and shooting gradient call np.matvec, np.vecmat and
-        # np.matmul, and _stencil's norm np.vecdot, in place of matmul on an added axis.  One point's
-        # products (the chord step's, J^T J, the Jacobi loop's T delta, running_cost's u^T G u) call
+        # a stack's decoder pass, node check and shooting gradient call np.matvec, np.vecmat and
+        # np.matmul in place of matmul on an added axis.  One point's products (the chord step's, J^T J,
+        # the Jacobi loop's T delta, running_cost's u^T G u) call
         # ndarray.dot, which reaches the same BLAS routines: each row of a stack has the bits of its
         # one-point product, for weights in either memory order (a decoder keeps the caller's order, and
         # a linear decoder's J is its weights, broadcast) and for a strided vector
@@ -481,10 +462,6 @@ class TestGufuncRoute:
             assert np.matvec(w, y).tobytes() == (w @ y[..., None])[..., 0].tobytes()
             jac, chord = rng.normal(size=(*stack, d + 3, d)), rng.normal(size=(*stack, d + 3))
             assert np.vecmat(chord, jac).tobytes() == (jac.swapaxes(-1, -2) @ chord[..., None])[..., 0].tobytes()
-            norm = np.sqrt(y[..., None, :] @ y[..., :, None])
-            assert np.sqrt(np.vecdot(y, y))[..., None, None].tobytes() == norm.tobytes()
-            _, step = manifold._stencil(y)
-            assert step.tobytes() == (manifold.GRAD_STEP * (1.0 + norm)).tobytes()
 
             w, square = (np.asarray(rng.normal(size=shape), order=order) for shape in ((d + 3, d), (d + 3, d + 3)))
             tangent = np.asarray(rng.normal(size=(2 * d, 2 * d)), order=order)
@@ -492,13 +469,11 @@ class TestGufuncRoute:
             chord, delta = rng.normal(size=(*stack, d + 3, 2))[..., 0], rng.normal(size=(*stack, 2 * d))
             u, g = rng.normal(size=(*stack, d)), rng.normal(size=(*stack, d, d))
             slope_jac = rng.normal(size=(*stack, d + 3, d))
-            mv, mm = np.matvec(w, y), np.matmul(square, slope_jac)
-            td, xx = np.matvec(tangent, delta), np.vecdot(y, y)
+            mv, mm, td = np.matvec(w, y), np.matmul(square, slope_jac), np.matvec(tangent, delta)
             for row in np.ndindex(stack):
                 assert mv[row].tobytes() == w.dot(y[row]).tobytes()
                 assert mm[row].tobytes() == square.dot(slope_jac[row]).tobytes()
                 assert td[row].tobytes() == tangent.dot(delta[row]).tobytes() == (tangent @ delta[row]).tobytes()
-                assert xx[row].tobytes() == y[row].dot(y[row]).tobytes()
                 assert (u[row] @ g[row] @ u[row]).tobytes() == u[row].dot(g[row]).dot(u[row]).tobytes()
             for jac in (rng.normal(size=(*stack, d + 3, d)), np.broadcast_to(w, (*stack, d + 3, d))):
                 jac_q = rng.normal(size=(*stack, d + 3, d))
@@ -510,8 +485,8 @@ class TestGufuncRoute:
                     assert newton[row].tobytes() == jac[row].T.dot(jac_q[row]).tobytes()
 
     def test_one_point_calls_no_matmul_gufunc(self, monkeypatch):
-        # a product with one point's operands goes through ndarray.dot; np.matvec, np.vecmat, np.matmul
-        # and np.vecdot are a stack's (a potential gradient's stencil is a stack of 2d points)
+        # a product with one point's operands goes through ndarray.dot; np.matvec, np.vecmat and np.matmul
+        # are a stack's (a potential gradient's stencil is a stack of 2d points)
         stacked = []
 
         def guard(name, cores):
@@ -525,7 +500,7 @@ class TestGufuncRoute:
 
             monkeypatch.setattr(np, name, call)
 
-        for name, cores in (("matvec", (2, 1)), ("vecmat", (1, 2)), ("matmul", (2, 2)), ("vecdot", (1, 1))):
+        for name, cores in (("matvec", (2, 1)), ("vecmat", (1, 2)), ("matmul", (2, 2))):
             guard(name, cores)
         decoder, y_a, y_b, delta0 = pool_query(12)
         field = manifold.MetricField(decoder)
@@ -538,9 +513,43 @@ class TestGufuncRoute:
         control.running_cost(field, control.CostSpec(lambda z: 0.0), y_b, y_a)
         cost = control.CostSpec(lambda z: 0.5 * float(z @ z))
         control.ndm_layer(field, cost, control.ndm_layer(field, cost, pt0, 1 / 32), 1 / 32)
+        # the kernels take stacks: a decoder pass, G, and the boundary-value solve's pass over its nodes
+        for kernel in (decoder._forward, lambda ys: field._product(ys, None)):
+            stacked.clear()
+            kernel(np.stack([y_a, y_b]))
+            assert {"matvec", "matmul"} <= set(stacked)
         stacked.clear()
-        manifold.integrate(ham, manifold.PhasePoint(np.stack([y_a, y_b]), np.stack([pt0.p, pt0.p])), 1 / 32, 4)
+        manifold.solve_shooting(field, y_a, y_b, n_steps=4)
         assert {"matvec", "vecmat", "matmul"} <= set(stacked)
+
+    def test_raw_point_layout_leaves_the_bits(self):
+        # with an F-ordered layer a kernel's last bits follow its vector's strides, so a column view y gave other
+        # last bits than the same y stored contiguously (seed 6 in every call below).  Each entry point that
+        # takes a raw y reads it in C order, as a PhasePoint stores it
+        cost = control.CostSpec(lambda z: 0.5 * float(z @ z))
+        value_fn = control.ValueFunction(lambda x, t: np.asarray(x), lambda x, t: 0.0)
+        for seed in range(12):
+            rng = np.random.default_rng([56, seed])
+            d = int(rng.integers(2, 4))
+            n = d + 1 + int(rng.integers(0, 3))
+            widths = [(n, d), (n, n)]
+            field = manifold.MetricField(
+                manifold.Decoder([(np.asfortranarray(rng.normal(size=w)), rng.normal(size=w[0])) for w in widths])
+            )
+            y = rng.uniform(-1, 1, size=d) * 10.0 ** rng.uniform(-2, 1)
+            column = np.zeros((d, 3))
+            column[:, 1] = y
+            p = rng.normal(size=d)
+            for call in (
+                field.decoder,
+                lambda v: field.solve(v, p),
+                lambda v: control.optimal_control(field, v, p),
+                lambda v: manifold.pullback_metric(field, v),
+                lambda v: manifold.GeodesicHamiltonian(field)(v, p),
+                lambda v: control.hjb_residual(field, cost, value_fn, v),
+                lambda v: control.running_cost(field, cost, v, p),
+            ):
+                assert np.float64(call(column[:, 1])).tobytes() == np.float64(call(y)).tobytes()
 
     @pytest.mark.parametrize(
         "decoder, ys",
@@ -844,7 +853,8 @@ def test_runs_leave_no_reference_cycle():
             manifold.leapfrog_step(hamiltonian, start, 0.05)
             # for ham, start carries integrate's run, and only the shifted point runs
             manifold.empirical_deviations(hamiltonian, start, delta, 0.05, 8)
-            manifold.jacobi_propagate(hamiltonian, traj, delta)
+            if hamiltonian is ham:  # the one step whose tangent is written
+                manifold.jacobi_propagate(hamiltonian, traj, delta)
         layer = pt
         for _ in range(3):
             layer = control.ndm_layer(field, cost, layer, 0.05)
@@ -975,21 +985,16 @@ def one_step_tangent(ham, y, p, h):
 
 
 class TestVariationalFlow:
-    @pytest.mark.parametrize("h", [0.1, -0.3, 1.5])
-    def test_oscillator_tangent_is_the_leapfrog_matrix(self, h):
-        tangent = one_step_tangent(Oscillator(), np.array([0.4]), np.array([-0.3]), h)
-        c = 1.0 - h * h / 2.0
-        np.testing.assert_allclose(tangent, [[c, h], [-h * (1.0 - h * h / 4.0), c]], rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_tangent_is_symplectic(self, d):
-        # the leapfrog is symplectic for a separable H; its explicit kicks are not for the geodesic H
-        rng = np.random.default_rng(27)
-        ham = DecoderPotential(random_tanh_decoder(rng, d, d + 1, 2))
-        omega = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
-        for y, p in zip(rng.uniform(-0.5, 0.5, size=(4, d)), rng.normal(size=(4, d)), strict=True):
-            tangent = one_step_tangent(ham, y, p, 0.1)
-            np.testing.assert_allclose(tangent.T @ omega @ tangent, omega, rtol=0, atol=1e-8)
+    def test_jacobi_takes_the_chord_step_without_a_potential_only(self):
+        # the exact tangent is written for that step alone; the staged step and the reduced step took a
+        # central difference over 4d stencil points per node, which no workload ran
+        field = manifold.MetricField(near_identity_decoder())
+        reduced = control.ReducedHamiltonian(field, control.CostSpec(lambda z: 0.5 * float(z @ z)))
+        for ham, name in ((Oscillator(), "Oscillator"), (reduced, "ReducedHamiltonian")):
+            traj = manifold.integrate(ham, manifold.PhasePoint([0.1, -0.2], [0.3, 0.4]), 0.1, 3)
+            message = f"^jacobi_propagate takes the chord step without a potential only, not a {name}'s step$"
+            with pytest.raises(ValueError, match=message):
+                manifold.jacobi_propagate(ham, traj, np.ones(4))
 
     def test_chord_step_is_symplectic(self):
         # the chord step is the variational integrator of L_d, so T^T Omega T = Omega for the geodesic H;
@@ -1098,43 +1103,32 @@ class TestVariationalFlow:
         assert rel <= 1e-3
 
     def test_deviation_length_checked(self):
-        ham = Oscillator()
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(manifold.Decoder.linear([[1.0]])))
         traj = manifold.integrate(ham, manifold.PhasePoint([1.0], [0.0]), 0.1, 2)
         with pytest.raises(ValueError, match="length"):
             manifold.jacobi_propagate(ham, traj, np.zeros(3))
 
     def test_stacked_trajectory_rejected(self):
-        # a stacked trajectory used to fail inside numpy's matmul
+        # a stacked trajectory used to fail inside numpy's matmul; no run records one, but one can be built
         ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
-        pt = manifold.PhasePoint(np.zeros((3, 2)), np.full((3, 2), 0.2))
-        traj = manifold.integrate(ham, pt, 0.1, 4)
+        traj = manifold.PhaseTrajectory(0.1, np.zeros((5, 3, 2)), np.full((5, 3, 2), 0.2), np.zeros((5, 3)))
         message = r"trajectory must hold one point's \(n\+1, d\) nodes, got ys \(5, 3, 2\) and ps \(5, 3, 2\)"
         with pytest.raises(ValueError, match=message):
             manifold.jacobi_propagate(ham, traj, np.ones(4))
-
-    @pytest.mark.parametrize("node", [0, 2])
-    def test_node_past_square_root_of_float_range_is_named(self, node):
-        # its stencil step GRAD_STEP (1 + |z|) overflows; this used to raise
-        # IntegrationError "non-finite state or energy at step 0".  Only the staged step's tangent takes a stencil
-        ham = DecoderPotential(random_tanh_decoder(np.random.default_rng(1), 1, 2, 1))
-        ys = np.zeros((4, 1))
-        ys[node] = 1e200
-        traj = manifold.PhaseTrajectory(0.1, ys, np.zeros((4, 1)), np.zeros(4))
-        with pytest.raises(ValueError, match=rf"^stencil step at node {node} overflows: \|\(y, p\)\| is past"):
-            manifold.jacobi_propagate(ham, traj, np.ones(2))
 
     @pytest.mark.parametrize(
         "y,delta0,message",
         [
             # a length-3 delta0 at d = 2 used to broadcast into a (5, 4) answer
             ([0.3, -0.2], np.ones(3), r"delta0 must have shape \(4,\), got \(3,\)"),
-            ([[0.3, -0.2]] * 2, np.ones(4), r"pt0 must be one phase point of shape \(2,\)"),
+            # a (1, d) point: no point holds a stack
+            ([[0.3, -0.2]], np.ones(4), r"^y and p must be one point each, .* got shapes \(1, 2\) and \(1, 2\)$"),
         ],
         ids=["delta0-length", "pt0-stack"],
     )
     def test_empirical_deviations_arguments_checked(self, y, delta0, message):
-        pt = manifold.PhasePoint(y, np.full(np.shape(y), 0.1))
         with pytest.raises(ValueError, match=message):
+            pt = manifold.PhasePoint(y, np.full(np.shape(y), 0.1))
             manifold.empirical_deviations(Oscillator(), pt, delta0, 0.1, 3)
 
     def test_empirical_deviations_past_float_range_rejected(self):
@@ -1312,16 +1306,6 @@ def test_finite_input_gives_finite_result_or_value_error(call, point, h, n_steps
 class TestStencil:
     """Every finite difference of the engine comes from one stencil."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
-    def test_stacked_stencil_takes_the_norm_of_each_point(self, n):
-        xs = np.random.default_rng([28, n]).normal(size=(64, n))
-        points, step = manifold._stencil(xs)
-        assert points.shape == (64, 2 * n, n) and step.shape == (64, 1, 1)
-        for x, x_points, x_step in zip(xs, points, step, strict=True):
-            assert x_step[0, 0] == manifold.GRAD_STEP * (1.0 + np.linalg.norm(x))
-            shifts = x_step[0, 0] * np.eye(n)
-            np.testing.assert_array_equal(x_points, np.vstack([x + shifts, x - shifts]))
-
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("base_step", [manifold.GRAD_STEP])
     def test_fd_gradient_equals_loop_oracle(self, seed, base_step):
@@ -1342,9 +1326,27 @@ class TestPhasePoint:
         with pytest.raises(ValueError, match="equal length"):
             manifold.PhasePoint(np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 1, 2)], ids=["one-row", "three-rows", "two-by-one"])
+    def test_stacked_point_is_refused(self, shape):
+        # a point is one point: the stacked run, its row reruns and its two-row oracle are gone
+        message = rf"^y and p must be one point each, of equal length \(d,\), got shapes {re.escape(str(shape))} and"
+        with pytest.raises(ValueError, match=message):
+            manifold.PhasePoint(np.zeros(shape), np.ones(shape))
+        # and so is a stack written to a point after it was made, by each run
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        pt = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
+        pt.y, pt.p = np.zeros(shape), np.ones(shape)
+        for run in (
+            lambda: manifold.integrate(ham, pt, 0.1, 3),
+            lambda: manifold.leapfrog_step(ham, pt, 0.1),
+            lambda: manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 3),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run()
+
 
 class TestStackContract:
-    """A (B, d) stack runs the per-point kernels slice by slice, so it is bit-equal to B single-point calls."""
+    """A kernel takes a (B, d) stack slice by slice, bit-equal to B single-point calls; a run takes one point."""
 
     @pytest.mark.parametrize("kind", ["mlp-tanh", "linear"])
     def test_batched_jet_equals_pointwise(self, kind):
@@ -1373,33 +1375,10 @@ class TestStackContract:
         ham = manifold.GeodesicHamiltonian(manifold.MetricField(random_tanh_decoder(rng, 3, 4, 2)))
         return ham, rng.uniform(-0.5, 0.5, size=(4, 3)), scale * rng.normal(size=(4, 3))
 
-    def test_stacked_integrate_equals_single_runs(self):
-        # every step of these rows converges, each row after its own number of updates (18 to 34 over
-        # the 16 steps): a row that meets the bound keeps its iterate while the others update, so it
-        # stays bit-equal to its single run
-        ham, y0, p0 = self.seed_22_rows(0.1)
-        stacked = manifold.integrate(ham, manifold.PhasePoint(y0, p0), 0.05, 16)
-        assert stacked.ys.shape == stacked.ps.shape == (17, 4, 3)
-        assert stacked.energies.shape == (17, 4)
-        for b in range(4):
-            single = manifold.integrate(ham, manifold.PhasePoint(y0[b], p0[b]), 0.05, 16)
-            np.testing.assert_array_equal(stacked.ys[:, b], single.ys)
-            np.testing.assert_array_equal(stacked.ps[:, b], single.ps)
-            np.testing.assert_array_equal(stacked.energies[:, b], single.energies)
-
-    def test_stacked_shots_equal_single_shots(self):
-        # momenta of 0.3 normal draws, whose steps all converge, each row after its own number of updates
-        rng = np.random.default_rng(23)
-        mf = manifold.MetricField(near_identity_decoder())
-        y_a, momenta = np.array([0.1, -0.2]), 0.3 * rng.normal(size=(5, 2))
-        ends = shot_end(mf, np.tile(y_a, (5, 1)), momenta, 12)
-        for end, p in zip(ends, momenta, strict=True):
-            np.testing.assert_array_equal(end, shot_end(mf, y_a, p, 12))
-
     def test_unconverged_rows_raise_at_their_step(self):
-        # the rows these stack tests used to run: the fixed Newton schedule returned them as successes, with
-        # relative step residuals up to 2e+1 and energy drifts up to 1.1e5.  Each now raises at the step whose
-        # residual stays above the bound after 30 updates, and a stack at the first such step among its rows
+        # the points the stacked-run tests used to run: the fixed Newton schedule returned them as successes,
+        # with relative step residuals up to 2e+1 and energy drifts up to 1.1e5.  Each now raises at the step
+        # whose residual stays above the bound after 30 updates
         ham, y0, p0 = self.seed_22_rows(0.5)
         for b, step in ((0, 6), (1, 5), (3, 15)):
             message = f"^relative Newton residual .* after 30 updates at step {step}$"
@@ -1409,8 +1388,6 @@ class TestStackContract:
             np.testing.assert_array_equal(info.value.y, before.ys[-1])
             np.testing.assert_array_equal(info.value.p, before.ps[-1])
         manifold.integrate(ham, manifold.PhasePoint(y0[2], p0[2]), 0.05, 16)
-        with pytest.raises(manifold.IntegrationError, match="at step 5$"):
-            manifold.integrate(ham, manifold.PhasePoint(y0, p0), 0.05, 16)
         mf = manifold.MetricField(near_identity_decoder())
         momenta = np.random.default_rng(23).normal(size=(5, 2))
         for b, step in ((1, 7), (2, 6)):
@@ -1452,9 +1429,9 @@ class TestStackContract:
         # against each node's two chords (as a step's start and as its end); no node is checked again
         assert shapes == [(8, 2)] and products == [(8, 2)] and contractions == [((8, 2), (2, 8, 3))]
         shapes.clear(), products.clear()
-        # a fresh point runs the base and shifted points as a stack of two
+        # a fresh point runs the base point, then the shifted one
         manifold.empirical_deviations(ham, manifold.PhasePoint(pt.y, pt.p), np.ones(4), 0.1, 7)
-        assert shapes == [(2, 2)] * 22 and products == [(2, 2), (8, 2, 2)] and nodes == []
+        assert shapes == [(2,)] * 44 and products == [(2,), (8, 2)] * 2 and nodes == []
         shapes.clear(), products.clear()
         # pt carries integrate's 7-step run from it, so only the shifted point runs, as one row
         manifold.empirical_deviations(ham, pt, np.ones(4), 0.1, 7)
@@ -1508,16 +1485,18 @@ class TestCarriedBaseRun:
         return field, ham, delta0, pt0, manifold.integrate(ham, pt0, 1 / 32, 32)
 
     def test_carried_result_is_a_fresh_points_from_one_row_passes(self):
+        # the carried point runs the shifted point alone; a fresh one runs its base point first
         for index in range(30):
             field, ham, delta0, pt0, traj = self.recorded(index)
             d = pt0.y.shape[0]
             fresh = manifold.PhasePoint(pt0.y.copy(), pt0.p.copy())
             passes = record_passes(field.decoder)
             carried = manifold.empirical_deviations(ham, pt0, delta0, 1 / 32, 32)
-            assert passes and set(passes) == {(d,)}
+            shifted = list(passes)
+            assert shifted and set(shifted) == {(d,)}
             passes.clear()
             expected = manifold.empirical_deviations(ham, fresh, delta0, 1 / 32, 32)
-            assert passes and set(passes) == {(2, d)}
+            assert set(passes) == {(d,)} and len(passes) > len(shifted) and passes[-len(shifted) :] == shifted
             assert carried.tobytes() == expected.tobytes()
 
     STALE = [
@@ -1568,21 +1547,21 @@ class TestCarriedBaseRun:
             pt0 = pickle.loads(pickle.dumps(pt0))
         else:  # the record is that of the latest run
             manifold.integrate(ham, pt0, 1 / 40, 32)
-        d = pt0.y.shape[0]
+        # a stale record takes a fresh base run: the passes and the bytes of a fresh point's oracle
         passes = record_passes(field.decoder)
         out = manifold.empirical_deviations(ham, pt0, delta0, h, n_steps)
-        # stacks of two rows only (and, with a potential, their gradients' stencils)
-        assert (2, d) in passes and (d,) not in passes
+        stale_passes = list(passes)
+        passes.clear()
         fresh = manifold.PhasePoint(pt0.y.copy(), pt0.p.copy())
         assert out.tobytes() == manifold.empirical_deviations(ham, fresh, delta0, h, n_steps).tobytes()
+        assert stale_passes == passes
 
     def test_only_a_one_point_chord_run_without_potential_is_recorded(self):
         field, ham, _, pt0, _ = self.recorded()
         assert pt0._run is not None
         reduced = control.ReducedHamiltonian(field, control.CostSpec(lambda z: 0.5 * float(z @ z)))
-        stacked = manifold.PhasePoint(np.stack([pt0.y, pt0.y]), np.stack([pt0.p, pt0.p]))
-        for hamiltonian, pt in ((Oscillator(), pt0), (reduced, pt0), (ham, stacked)):
-            pt = manifold.PhasePoint(pt.y, pt.p)
+        for hamiltonian in (Oscillator(), reduced):
+            pt = manifold.PhasePoint(pt0.y, pt0.p)
             manifold.integrate(hamiltonian, pt, 1 / 32, 8)
             assert pt._run is None
 
@@ -1613,26 +1592,32 @@ class TestCarriedBaseRun:
         for copied in (pickle.loads(pickle.dumps(pt0)), copy.copy(pt0), copy.deepcopy(pt0)):
             assert copied._run is None
 
-    def test_diverging_shifted_run_raises_the_stacks_error(self):
+    def test_diverging_shifted_run_raises_its_own_error(self):
         # the base run is smooth; the shifted momentum, 0.3 + 1e-5 * 1e5, runs y_0 into the tanh's saturation,
-        # where G and the Newton matrix are singular (eps_reg = 0), and its step 14 raises
+        # where G and the Newton matrix are singular (eps_reg = 0), and its step 14 raises.  The shifted point
+        # used to run three times: alone, then in a stack of two whose error the oracle raised, and then
+        # alone again, for that stack to name its lost row's Newton matrix
         field = manifold.MetricField(saturating_decoder(), eps_reg=0.0)
         ham = manifold.GeodesicHamiltonian(field)
         pt0 = manifold.PhasePoint([0.1, -0.2], [0.3, 0.4])
         traj = manifold.integrate(ham, pt0, 0.05, 40)  # held, so that pt0's record stays valid
         delta0 = np.array([0.0, 0.0, 1e5, 0.0])
-        fresh = manifold.PhasePoint(pt0.y.copy(), pt0.p.copy())
-        with pytest.raises(manifold.IntegrationError, match="^singular Newton matrix .* at step 14$") as expected:
-            manifold.empirical_deviations(ham, fresh, delta0, 0.05, 40)
+        y, p = pt0.y + 1e-5 * delta0[:2], pt0.p + 1e-5 * delta0[2:]
         passes = record_passes(field.decoder)
-        with pytest.raises(manifold.IntegrationError) as raised:
-            manifold.empirical_deviations(ham, pt0, delta0, 0.05, 40)
-        # the one-row try, then the stack (whose lost row then reruns alone to name its Newton matrix)
-        assert passes[0] == (2,) and (2, 2) in passes
-        assert str(raised.value) == str(expected.value) and raised.value.step == expected.value.step
-        assert raised.value.y.tobytes() == expected.value.y.tobytes()
-        assert raised.value.p.tobytes() == expected.value.p.tobytes()
-        assert raised.value.drift is expected.value.drift is None
+        with pytest.raises(manifold.IntegrationError, match="^singular Newton matrix .* at step 14$") as alone:
+            manifold._leapfrog(ham, y, p, 0.05, 40, energies=False)
+        shifted = list(passes)
+        for start in (pt0, manifold.PhasePoint(pt0.y.copy(), pt0.p.copy())):  # carried, then fresh
+            passes.clear()
+            with pytest.raises(manifold.IntegrationError) as raised:
+                manifold.empirical_deviations(ham, start, delta0, 0.05, 40)
+            # the shifted point runs once, as one point, after a fresh point's base run
+            assert passes[-len(shifted) :] == shifted and set(passes) == {(2,)}
+            err = raised.value
+            assert (str(err), err.step, err.drift) == (str(alone.value), 14, None)
+            assert err.y.shape == err.p.shape == (2,)
+            assert err.y.tobytes() == alone.value.y.tobytes() and err.p.tobytes() == alone.value.p.tobytes()
+        assert len(passes) > len(shifted)  # the fresh point's base run
 
 
 class TestOneLayerDecoder:
@@ -1692,14 +1677,14 @@ class TestFailureState:
         w2 = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
         dec = manifold.Decoder.mlp_tanh([w1, w2], [0.1 * rng.normal(size=3), np.zeros(3)])
         field = manifold.MetricField(dec)
-        # the first step of the shot from the flat-chart guess G(y_a)(y_b - y_a) towards y_b = (1e302, 0), as a
-        # stack of one; integrate would fail at step 0 instead, since that momentum's energy overflows
+        # the first step of the shot from the flat-chart guess G(y_a)(y_b - y_a) towards y_b = (1e302, 0);
+        # integrate would fail at step 0 instead, since that momentum's energy overflows
         p = manifold.pullback_metric(field, [0.0, 0.0]) @ [1e302, 0.0]
-        pt = manifold.PhasePoint([[0.0, 0.0]], [p])
+        pt = manifold.PhasePoint([0.0, 0.0], p)
         with pytest.raises(manifold.IntegrationError, match="^non-finite state or energy at step 1$") as info:
             manifold.leapfrog_step(manifold.GeodesicHamiltonian(field), pt, 0.25)
         assert info.value.step == 1
-        np.testing.assert_array_equal(info.value.y, [[0.0, 0.0]])
+        np.testing.assert_array_equal(info.value.y, [0.0, 0.0])
         assert np.isfinite(info.value.p).all()
 
     def test_singular_metric_at_finite_y_is_not_renamed(self):
@@ -1745,19 +1730,14 @@ class TestFailureState:
         # step 1's second iterate lies where tanh' is 0, so J0^T J1 + 0 I is 0: np.linalg.solve raised a bare
         # LinAlgError, and the gufunc's NaN read as a non-finite state
         ham = manifold.GeodesicHamiltonian(self.steep_field())
+        pt = manifold.PhasePoint([0.0], [1e4])
         message = r"^singular Newton matrix J0\^T J1 \+ eps_reg I at step 1$"
-        # in the last stack the other row updates on after the lost one turns NaN, rebuilding its matrix
-        for pt in (
-            manifold.PhasePoint([0.0], [1e4]),
-            manifold.PhasePoint([[0.0], [0.0]], [[1.0], [1e4]]),
-            manifold.PhasePoint([[0.0], [0.0]], [[1e4], [200.0]]),
-        ):
-            with pytest.raises(manifold.IntegrationError, match=message) as info:
-                manifold.integrate(ham, pt, 0.1, 3)
-            err = info.value
-            assert err.step == 1 and err.drift == 0.0
-            np.testing.assert_array_equal(err.y, pt.y)
-            np.testing.assert_array_equal(err.p, pt.p)
+        with pytest.raises(manifold.IntegrationError, match=message) as info:
+            manifold.integrate(ham, pt, 0.1, 3)
+        err = info.value
+        assert err.step == 1 and err.drift == 0.0
+        np.testing.assert_array_equal(err.y, pt.y)
+        np.testing.assert_array_equal(err.p, pt.p)
 
     def test_singular_shooting_hessian_raises_shooting_error(self):
         # from 0.5 to 1.0 every node is saturated: J = 0, so the Hessian is 0 and the gradient's norm 0
@@ -1845,18 +1825,6 @@ class TestBlockCheck:
         short = self.saturating_run([1.0, 0.3], 4 + manifold._CHECK_BLOCK, bound)
         assert (str(short), short.step, short.drift) == (str(err), err.step, err.drift)
         assert len(passes) <= len(bound)
-
-    def test_stacked_run_names_its_bad_rows_error(self):
-        # row 0 runs on; row 1 is the single run above, whose lost node the stack's rerun names
-        err = self.saturating_run([[1e-3, 3e-4], [1.0, 0.3]], 500)
-        assert (str(err), err.step) == ("singular Newton matrix J0^T J1 + eps_reg I at step 4", 4)
-        np.testing.assert_array_equal(
-            err.y, [[7.085623165697521e-04, -4.217054195198282e-04], [0.990545154507049, -0.5453078956465572]]
-        )
-        np.testing.assert_array_equal(
-            err.p, [[1.0000745813704174e-03, 3.0004195886459587e-04], [0.3072484238931239, 0.05639702158788998]]
-        )
-        assert err.drift == 0.00041664106911987187
 
     def test_task_cost_sees_no_output_of_a_non_finite_y(self):
         # with a linear decoder G stays finite at y = inf: step 1 leaves the float range, and the node check

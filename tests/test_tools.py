@@ -92,6 +92,7 @@ def test_summary_passes_each_sides_failures_to_the_claim():
 def test_geodesic_fingerprint_without_jacobi_skips_only_the_deviations(monkeypatch):
     parts = [(np.arange(3.0), False), (np.ones(2), True), (1.5, False)]
     monkeypatch.setattr(fingerprint, "geodesic_parts", lambda: iter(parts))
+    monkeypatch.setattr(fingerprint, "fresh_oracle_parts", lambda: iter([np.ones(3)]))
     monkeypatch.setattr(fingerprint, "relax_parts", lambda: iter(()))
     monkeypatch.setattr(fingerprint, "cli_parts", lambda tree: iter(()))
     monkeypatch.setattr(sys, "path", list(sys.path))  # fingerprints puts the tree's perfbench first
@@ -99,6 +100,9 @@ def test_geodesic_fingerprint_without_jacobi_skips_only_the_deviations(monkeypat
     out = fingerprint.fingerprints(Path(__file__).resolve().parents[1])
     assert out["geodesic"] == fingerprint.digest(part for part, _ in parts)
     assert out["geodesic_without_jacobi"] == fingerprint.digest([np.arange(3.0), 1.5])
+    # the oracle from a fresh point, which run_case's recorded run never takes, has a hash of its own
+    assert out["geodesic_fresh_oracle"] == fingerprint.digest([np.ones(3)])
+    assert list(out) == ["geodesic", "geodesic_without_jacobi", "geodesic_fresh_oracle", "relax", "cli"]
 
 
 @pytest.mark.parametrize(

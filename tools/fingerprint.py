@@ -12,6 +12,10 @@ this checkout), computed with DIR's own ``src`` and ``perfbench``:
   deviations, each rollout record's y and u, then the cost as float64;
 - ``geodesic_without_jacobi``: the same parts of the same run without
   the Jacobi deviations;
+- ``geodesic_fresh_oracle``: over the 30 pool queries in pool order,
+  ``empirical_deviations`` from a fresh ``PhasePoint(y_a, p)`` with
+  ``solve_shooting``'s p, so the oracle runs its base point itself where
+  ``run_case``'s takes the run ``integrate`` recorded;
 - ``relax``: over the 20 ops of ``wl_relax.Workload(7, 20)``, the final
   spins, the energy as float64, each edge as (int64, int64, float64),
   ``repr(routes)`` and ``repr(chain)``;
@@ -81,6 +85,20 @@ def geodesic_parts():
         yield float(out.cost), False
 
 
+def fresh_oracle_parts():
+    """The empirical deviations of each pool query from a point that no ``integrate`` ran."""
+    import wl_geodesic
+    from maniflow import manifold
+
+    for index in range(len(wl_geodesic.POOL_DIMS)):
+        case = wl_geodesic.pool_case(index)
+        field = manifold.MetricField(case.decoder)
+        p = manifold.solve_shooting(field, case.y_a, case.y_b, n_steps=wl_geodesic.N_STEPS, tol=wl_geodesic.SHOOT_TOL)
+        pt0 = manifold.PhasePoint(case.y_a, p)
+        ham = manifold.GeodesicHamiltonian(field)
+        yield manifold.empirical_deviations(ham, pt0, case.delta0, wl_geodesic.H, wl_geodesic.N_STEPS)
+
+
 def relax_parts():
     import wl_relax
     from tracing import Api
@@ -140,6 +158,7 @@ def fingerprints(tree: Path) -> dict[str, str]:
     return {
         "geodesic": full.hexdigest(),
         "geodesic_without_jacobi": without.hexdigest(),
+        "geodesic_fresh_oracle": digest(fresh_oracle_parts()),
         "relax": digest(relax_parts()),
         "cli": digest(cli_parts(tree)),
     }
