@@ -7,7 +7,7 @@ table 3 over floats, without loading numpy.
 """
 
 
-def staged(hamiltonian, y, p, h, n_steps, energies, failure):
+def staged(hamiltonian, y, p, h, n_steps, energies):
     """Nodes (y, p, H or None) of the staged kick-drift-kick from the partials ``dy`` and ``dp``."""
     for k in range(n_steps + 1):
         if k:

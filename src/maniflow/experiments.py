@@ -297,7 +297,7 @@ def _leapfrog_nodes(method: str, damping: float, h: float, n: int) -> tuple[floa
     ``integrate``'s stepper over Python floats, so each node is bit-equal
     to its run.
     """
-    return _nodes(method, staged(HarmonicOscillator(damping), 1.0, 0.0, h, n, False, None))
+    return _nodes(method, staged(HarmonicOscillator(damping), 1.0, 0.0, h, n, False))
 
 
 def _euler_nodes(h: float, n: int) -> tuple[float, float, float]:

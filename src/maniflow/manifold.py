@@ -510,6 +510,11 @@ def _central(values: np.ndarray, step: np.ndarray) -> np.ndarray:
 _CHORD_TOL = 1e-12
 _CHORD_UPDATES = 30
 _SINGULAR = "singular Newton matrix J0^T J1 + eps_reg I"
+_NON_FINITE = "non-finite state or energy"
+
+
+class _StepFailed(ValueError):
+    """Step k of a run failed, args (k, cause); ``_leapfrog`` raises it as IntegrationError with the run's state."""
 
 
 def _round_off(jac: np.ndarray, matrix: np.ndarray, q: np.ndarray, out_q: np.ndarray) -> np.ndarray:
@@ -539,7 +544,7 @@ def _predict(y: np.ndarray, before: list) -> np.ndarray:
     return 5.0 * (y - before[-3]) + 10.0 * (before[-2] - before[-1]) + before[-4]
 
 
-def _chord(hamiltonian, y, p, h, n_steps, failure, jet=None):
+def _chord(hamiltonian, y, p, h, n_steps, jet=None):
     """Nodes (y, p, J, f, Newton matrix, grad V) of the chord step, unchecked (module docstring).
 
     The matrix is that of the step's last update, None at node 0, and grad V
@@ -574,7 +579,7 @@ def _chord(hamiltonian, y, p, h, n_steps, failure, jet=None):
                 if update == _CHORD_UPDATES:
                     with np.errstate(divide="ignore"):  # a zero rhs has a zero bound
                         worst = float(size / bound) * _CHORD_TOL
-                    raise failure(k, f"relative Newton residual {worst:.1e} after {update} updates")
+                    raise _StepFailed(k, f"relative Newton residual {worst:.1e} after {update} updates")
                 matrix = jac.T.dot(jac_q) + reg
                 q = q - solve1(matrix, residual)
             p = (chord.dot(jac_q) + move) / h
@@ -590,7 +595,7 @@ def _chord(hamiltonian, y, p, h, n_steps, failure, jet=None):
         yield y, p, jac, out, matrix, grad
 
 
-def _node_error(hamiltonian, k: int, node: tuple, failure) -> ValueError:
+def _node_error(hamiltonian, k: int, node: tuple) -> ValueError:
     """The error of chord node k, (y, p, J, f, Newton matrix, grad V), that failed the node check: its check alone.
 
     A G that fails at a finite y raises ``_geometry``'s error.  A y that
@@ -606,8 +611,8 @@ def _node_error(hamiltonian, k: int, node: tuple, failure) -> ValueError:
             raise
         # solve1 NaN-fills the solve of a finite, singular matrix
         if k and np.isfinite(matrix).all() and np.isnan(solve1(matrix, np.zeros(y.shape))).any():
-            return failure(k, _SINGULAR)
-    return failure(k)
+            return _StepFailed(k, _SINGULAR)
+    return _StepFailed(k, _NON_FINITE)
 
 
 _CHECK_BLOCK = 64  # chord nodes checked as one stack; a 32-step run is one block
@@ -665,45 +670,37 @@ def _leapfrog(hamiltonian, y: np.ndarray, p: np.ndarray, h: float, n_steps: int,
             return
         first = int(np.argmin(np.logical_and.reduce(finite, axis=1)))  # the first node that failed
         node = held[first]
-        held.clear()  # failure, which the error's helper calls, has nothing left to check
-        raise _node_error(hamiltonian, k + first, node, failure)
+        held.clear()
+        raise _node_error(hamiltonian, k + first, node)
 
-    def failure(k: int, cause: str = "non-finite state or energy") -> IntegrationError:
-        check()  # the held nodes are those before step k, and the first of them to fail wins
-        message = f"{cause} at step {k}"
-        if k == 0:
-            return IntegrationError(message, 0)
-        last = nodes[k - 1].copy()
-        drift = float(np.max(np.abs(nodes[:k, -1] - nodes[0, -1]))) if energies else None
-        return IntegrationError(message, k, last[:d], last[d : 2 * d], drift)
-
-    # check and failure refer to each other; emptying both names at the end breaks that cycle, so the
-    # run's buffer and inputs go with their last reference and leave the cyclic collector nothing
-    try:
-        # overflow needs no warning: the node checks turn it into IntegrationError
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow needs no warning: the node checks turn it into IntegrationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             if getattr(hamiltonian, "metric_field", None) is None:
-                for k, (y, p, energy) in enumerate(staged(hamiltonian, y, p, h, n_steps, energies, failure)):
+                for k, (y, p, energy) in enumerate(staged(hamiltonian, y, p, h, n_steps, energies)):
                     row = nodes[k]
                     row[:d], row[d : 2 * d] = y, p
                     if energies:
                         row[-1] = energy
                     if not np.logical_and.reduce(np.isfinite(row), axis=None):
-                        raise failure(k)
+                        raise _StepFailed(k, _NON_FINITE)
                 end = None
             else:
                 try:
-                    for node in _chord(hamiltonian, y, p, h, n_steps, failure, jet):
+                    for node in _chord(hamiltonian, y, p, h, n_steps, jet):
                         held.append(node)
                         if len(held) == _CHECK_BLOCK:
                             check()
-                except Exception:  # a task cost's, say, at a step after a node that fails its check
+                finally:  # the last nodes, or those before a step's failure or a task cost's error: a bad one wins
                     check()
-                    raise
-                check()
                 end = node[3], node[2], node[5]
-    finally:
-        del check, failure
+        except _StepFailed as failed:
+            k, cause = failed.args
+            if k == 0:
+                raise IntegrationError(f"{cause} at step 0", 0) from None
+            last = nodes[k - 1].copy()
+            drift = float(np.max(np.abs(nodes[:k, -1] - nodes[0, -1]))) if energies else None
+            raise IntegrationError(f"{cause} at step {k}", k, last[:d], last[d : 2 * d], drift) from None
     return nodes[:, :d], nodes[:, d : 2 * d], nodes[:, -1] if energies else None, end
 
 
@@ -912,7 +909,7 @@ def jacobi_propagate(hamiltonian, traj: PhaseTrajectory, delta0: np.ndarray) -> 
         raise ValueError(f"jacobi_propagate takes the chord step without a potential only, not a {name}'s step")
     delta = floats(delta0)
     d = traj.ys.shape[-1]
-    if traj.ys.ndim != 2 or traj.ps.shape != traj.ys.shape:
+    if traj.ys.ndim != 2 or traj.ps.shape != traj.ys.shape or len(traj.ys) < 1:
         raise ValueError(
             f"trajectory must hold one point's (n+1, d) nodes, got ys {traj.ys.shape} and ps {traj.ps.shape}"
         )

@@ -243,7 +243,7 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
     edge, by source and then by rank.  k-nearest neighbours are chosen by
     Euclidean distance with index order breaking ties.
 
-    Samples must be finite and share one shape.  n samples in d
+    Samples must be a sequence, finite and of one shape.  n samples in d
     dimensions cost O(n^2 d) work and O(n) floats beside the samples: the
     per-pair ``np.linalg.norm`` is taken, bit for bit, only where rounding
     leaves a pair's rank in doubt, so the edges and their order are exactly
@@ -262,6 +262,8 @@ def build_ndm_graph(samples, connect, edge_cost) -> WeightedDigraph:
                 raise ValueError(f"sample {i} has shape {p.shape}, sample 0 has {pts[0].shape}")
             pts.append(p)
         flat = np.stack(pts)
+    if flat.ndim == 0:
+        raise ValueError(f"samples must be a sequence, got the scalar {samples!r}")
     n = len(flat)
     if n == 0:
         raise ValueError("need at least one sample")

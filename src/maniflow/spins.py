@@ -116,7 +116,8 @@ class BathParams:
 
     eta, eta_ff and gamma are real scalars shared by every neuron.  W1/W2/b1
     define the feed-forward map t = h + W2 tanh(W1 h + b1) and are only
-    required when eta_ff != 0.  Every parameter given must be finite;
+    required when eta_ff != 0; nested lists are stored as float arrays,
+    and a float64 array as the one given.  Every parameter given must be finite;
     a NaN or inf one, or an int past the float range, raises ``ValueError``
     naming it, and so does an eta, eta_ff or gamma that is not a scalar, a
     W1 that is not an (h, d) matrix, a W2 that is not a (d', h) one, or a b1
@@ -136,6 +137,9 @@ class BathParams:
             value = getattr(self, name)
             if np.ndim(value) != 0:
                 raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
+        for name in ("W1", "W2", "b1"):  # arrays for the feed-forward products; a float64 one stays the caller's
+            if getattr(self, name) is not None:
+                setattr(self, name, floats(getattr(self, name)))
         for name in ("eta", "eta_ff", "gamma", "W1", "W2", "b1"):
             value = getattr(self, name)
             if not (value is None or np.isfinite(floats(value)).all()):

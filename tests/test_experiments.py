@@ -249,9 +249,9 @@ class TestToy3:
                 yield y, p, None
 
         nodes = {
-            "leapfrog": staged(experiments.HarmonicOscillator(0.0), 1.0, 0.0, 0.1, 1000, False, None),
+            "leapfrog": staged(experiments.HarmonicOscillator(0.0), 1.0, 0.0, 0.1, 1000, False),
             "euler": euler(0.1, 1000),
-            "damped": staged(experiments.HarmonicOscillator(0.05), 1.0, 0.0, 0.1, 1000, False, None),
+            "damped": staged(experiments.HarmonicOscillator(0.05), 1.0, 0.0, 0.1, 1000, False),
         }
         for method, rep in self.reports.items():
             ys, ps, _ = map(np.asarray, zip(*nodes[method]))
@@ -298,7 +298,7 @@ class TestLeapfrogNodesAreIntegrates:
             assert got.y.shape == got.p.shape == (1,)
             assert got.y.tobytes() == expected.y.tobytes() and got.p.tobytes() == expected.p.tobytes()
             return got.step
-        ys, ps, _ = zip(*staged(experiments.HarmonicOscillator(c), 1.0, 0.0, h, n, False, None))
+        ys, ps, _ = zip(*staged(experiments.HarmonicOscillator(c), 1.0, 0.0, h, n, False))
         assert np.array(ys).tobytes() == traj.ys[:, 0].tobytes()
         assert np.array(ps).tobytes() == traj.ps[:, 0].tobytes()
         errors = np.abs(0.5 * (traj.ys[:, 0] ** 2 + traj.ps[:, 0] ** 2) - 0.5)

@@ -838,8 +838,8 @@ class TestLeapfrog:
 
 
 def test_runs_leave_no_reference_cycle():
-    # _leapfrog's check and failure closures used to refer to each other, so every run left an unreachable
-    # cycle holding its node buffer and inputs until the cyclic collector freed it
+    # a run leaves no unreachable cycle, which would hold its node buffer and inputs until the cyclic
+    # collector freed them
     field = manifold.MetricField(near_identity_decoder())
     ham = manifold.GeodesicHamiltonian(field)
     cost = control.CostSpec(lambda z: 0.5 * float(z @ z))
@@ -1113,6 +1113,14 @@ class TestVariationalFlow:
         ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
         traj = manifold.PhaseTrajectory(0.1, np.zeros((5, 3, 2)), np.full((5, 3, 2), 0.2), np.zeros((5, 3)))
         message = r"trajectory must hold one point's \(n\+1, d\) nodes, got ys \(5, 3, 2\) and ps \(5, 3, 2\)"
+        with pytest.raises(ValueError, match=message):
+            manifold.jacobi_propagate(ham, traj, np.ones(4))
+
+    def test_trajectory_without_a_node_rejected(self):
+        # an empty trajectory used to fail with IndexError, writing delta0 to its missing node 0
+        ham = manifold.GeodesicHamiltonian(manifold.MetricField(near_identity_decoder()))
+        traj = manifold.PhaseTrajectory(0.1, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+        message = r"^trajectory must hold one point's \(n\+1, d\) nodes, got ys \(0, 2\) and ps \(0, 2\)$"
         with pytest.raises(ValueError, match=message):
             manifold.jacobi_propagate(ham, traj, np.ones(4))
 

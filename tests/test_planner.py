@@ -274,6 +274,12 @@ class TestBuildNdmGraph:
         with pytest.raises(ValueError, match=message):
             planner.build_ndm_graph([np.array(s) for s in samples], connect, edge_cost)
 
+    @pytest.mark.parametrize("samples", [5.0, np.float64(5.0), np.array(5.0)], ids=["float", "numpy-scalar", "0-d"])
+    def test_scalar_samples_named(self, samples):
+        # a scalar used to fail with TypeError, taking len() of a 0-d array
+        with pytest.raises(ValueError, match=r"^samples must be a sequence, got the scalar "):
+            planner.build_ndm_graph(samples, ("knn", 1), lambda a, b: 1.0)
+
     def test_scalar_and_one_element_samples_build_together(self):
         # 1.0 and [2.0] make no one array, so each sample is read alone; both then have shape (1,)
         calls = []

@@ -394,6 +394,25 @@ class TestMicroStep:
         d_after = np.linalg.norm(target - out.spins[0])
         assert d_after < d_before
 
+    def test_list_weights_tick_as_the_array_bath(self):
+        # W1, W2 and b1 given as nested lists used to fail in the feed-forward target: a list has no .T
+        rng = np.random.default_rng(58)
+        start = spins.SpinSystem(unit_spins(rng, 6, 3), rng.normal(size=(6, 6)), 0.1 * rng.normal(size=(6, 3)))
+        weights = {"W1": rng.normal(size=(4, 3)), "W2": rng.normal(size=(3, 4)), "b1": rng.normal(size=4)}
+        runs = []
+        for bath_weights in (weights, {name: value.tolist() for name, value in weights.items()}):
+            system = start
+            for _ in range(16):
+                system = spins.micro_step(system, spins.BathParams(eta=0.05, eta_ff=0.2, gamma=0.01, **bath_weights))
+            runs.append(system.spins)
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    def test_float_weights_are_kept_as_given(self):
+        # relax_plan's bath: a float64 array is stored as the same object, so no tick reads a copy
+        w1, w2, b1 = np.ones((2, 3)), np.ones((3, 2)), np.zeros(2)
+        bath = spins.BathParams(eta_ff=0.5, W1=w1, W2=w2, b1=b1)
+        assert bath.W1 is w1 and bath.W2 is w2 and bath.b1 is b1
+
     def test_successor_equals_validated_system(self):
         # micro_step skips SpinSystem's checks on what it builds; the result
         # must be the system that validation gives, and the input unchanged

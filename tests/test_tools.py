@@ -105,6 +105,56 @@ def test_geodesic_fingerprint_without_jacobi_skips_only_the_deviations(monkeypat
     assert list(out) == ["geodesic", "geodesic_without_jacobi", "geodesic_fresh_oracle", "relax", "cli"]
 
 
+def _fake_wl_cli():
+    """A stand-in for perfbench's ``wl_cli``: a 6-node graph of 2 nearest neighbours and 3x4 distributions."""
+    wl_cli = types.ModuleType("wl_cli")
+    wl_cli.N_NODES, wl_cli.K = 6, 2
+    wl_cli.make_distributions = lambda rng: rng.dirichlet(np.ones(4), size=3)
+
+    def knn_edges(points):
+        dist = np.linalg.norm(points[:, None] - points[None], axis=2) + np.diag(np.full(len(points), np.inf))
+        near = np.argsort(dist, axis=1, kind="stable")[:, : wl_cli.K]
+        return np.repeat(np.arange(len(points)), wl_cli.K), near.ravel(), np.take_along_axis(dist, near, 1).ravel()
+
+    wl_cli.knn_edges = knn_edges
+    return wl_cli
+
+
+def test_cli_commands_cover_tables_phase_and_plan(monkeypatch, tmp_path):
+    monkeypatch.setitem(sys.modules, "wl_cli", _fake_wl_cli())
+    tree = Path(__file__).resolve().parents[1]
+    commands = fingerprint.cli_commands(tree, tmp_path)
+    graph, dists = tmp_path / "graph.txt", [str(tmp_path / f"dists{seed}.txt") for seed in (1, 2)]
+    assert commands[:16] == [
+        *(["table", k] for k in "123"),
+        *(["phase", "--seed", str(seed)] for seed in range(8)),
+        *(["phase", "--input", path, "--window", window] for path in dists for window in "15"),
+        ["phase", "--input", str(tree / "tests" / "fixtures" / "distributions.txt")],
+    ]
+    # plan on the seeded k-NN graph, at 4 (src, dst) pairs drawn after its points
+    rng = np.random.default_rng(3)
+    src, dst, weight = sys.modules["wl_cli"].knn_edges(rng.uniform(size=(6, 2)))
+    assert commands[16:] == [["plan", str(graph), str(a), str(b)] for a, b in rng.integers(6, size=(4, 2)).tolist()]
+    lines = graph.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ["# 2-NN graph over 6 uniform points", "n 6"]
+    assert lines[2:] == [f"e {a} {b} {w!r}" for a, b, w in zip(src.tolist(), dst.tolist(), weight.tolist())]
+
+
+def test_cli_parts_pass_out_to_every_command_but_plan(monkeypatch):
+    commands, calls = [["table", "1"], ["phase", "--seed", "0"], ["plan", "graph.txt", "0", "5"]], []
+    monkeypatch.setattr(fingerprint, "cli_commands", lambda tree, work: commands)
+
+    def run(argv, **kwargs):
+        calls.append(argv[3:])
+        return types.SimpleNamespace(returncode=0, stdout="wrote x\nok\n", stderr="")
+
+    monkeypatch.setattr(fingerprint.subprocess, "run", run)
+    parts = list(fingerprint.cli_parts(Path(".")))
+    assert parts == [0, "ok\n", ""] * 3  # no command wrote a file, and each wrote line is dropped
+    assert [argv[:-1] for argv in calls[:2]] == [[*command, "--out"] for command in commands[:2]]
+    assert calls[2] == commands[2]
+
+
 @pytest.mark.parametrize(
     "parent, change, better, state",
     [

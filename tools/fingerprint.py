@@ -23,7 +23,11 @@ this checkout), computed with DIR's own ``src`` and ``perfbench``:
   every output file (name and bytes, by name) of ``table 1``-``3``,
   ``phase --seed 0``-``7``, ``phase --input`` on two generated 3000x16
   inputs (``wl_cli.make_distributions`` with this script's seeds 1 and 2)
-  at ``--window 1`` and ``5``, and on ``tests/fixtures/distributions.txt``.
+  at ``--window 1`` and ``5``, and on ``tests/fixtures/distributions.txt``;
+  then ``plan`` (which takes no ``--out``) at 4 (src, dst) pairs on a
+  2000-node 8-NN graph file written as cli_mix writes its own:
+  ``wl_cli.knn_edges`` over ``default_rng(3).uniform(size=(2000, 2))``,
+  with the pairs drawn next from the same generator.
 
 A fingerprint hashes floating-point results, whose last bits follow the
 CPU's BLAS kernels: compare two trees on one host, never against a number
@@ -43,6 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI_INPUT_SEEDS = (1, 2)  # the generated phase --input files; not recorded for fingerprints before this script
+CLI_GRAPH_SEED = 3  # the generated plan graph and its (src, dst) pairs
 
 
 def feed(h, part) -> None:
@@ -126,6 +131,14 @@ def cli_commands(tree: Path, work: Path) -> list[list[str]]:
         np.savetxt(path, dists, fmt="%.17g", header="one distribution per line")
         commands += [["phase", "--input", str(path), "--window", str(window)] for window in (1, 5)]
     commands.append(["phase", "--input", str(tree / "tests" / "fixtures" / "distributions.txt")])
+    rng = np.random.default_rng(CLI_GRAPH_SEED)
+    src, dst, weight = wl_cli.knn_edges(rng.uniform(size=(wl_cli.N_NODES, 2)))
+    graph = work / "graph.txt"
+    with open(graph, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# {wl_cli.K}-NN graph over {wl_cli.N_NODES} uniform points\nn {wl_cli.N_NODES}\n")
+        fh.writelines(f"e {a} {b} {w!r}\n" for a, b, w in zip(src.tolist(), dst.tolist(), weight.tolist()))
+    pairs = rng.integers(wl_cli.N_NODES, size=(4, 2)).tolist()
+    commands += [["plan", str(graph), str(a), str(b)] for a, b in pairs]
     return commands
 
 
@@ -136,8 +149,9 @@ def cli_parts(tree: Path):
         for k, argv in enumerate(cli_commands(tree, work)):
             out = work / f"out{k}"
             out.mkdir()
+            flags = [] if argv[0] == "plan" else ["--out", str(out)]
             run = subprocess.run(
-                [sys.executable, "-m", "maniflow.cli", *argv, "--out", str(out)],
+                [sys.executable, "-m", "maniflow.cli", *argv, *flags],
                 capture_output=True, text=True, env=env, cwd=work, timeout=300,
             )
             stdout = "".join(line for line in run.stdout.splitlines(True) if not line.startswith("wrote "))
